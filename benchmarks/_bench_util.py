@@ -1,7 +1,7 @@
 """Shared helpers for the benchmark scripts.
 
 Every ``bench_*.py`` follows the same report protocol: a JSON report at the
-repository root that partial runs (``--encoding-only``, ``--vector-speedup``,
+repository root that partial runs (``--vector-speedup``, ``--pass-speedup``,
 ``--replay-speedup``) *merge into* rather than overwrite, and an exit code
 that doubles as the CI perf/identity guard.  The load / merge-write / guard
 pieces live here so the scripts stay about measurement.

@@ -15,7 +15,7 @@ NAS kernels (hybrid vs. cache-based) through the sweep engine:
 Writes the numbers to ``BENCH_multicore.json`` at the repository root.
 With ``--replay-speedup`` only the fused-replay-vs-execution timing section
 is measured and *merged* into the existing report (the same pattern as
-``bench_trace_replay --encoding-only``): per core count, one warm fused
+``bench_trace_replay --vector-speedup``): per core count, one warm fused
 replay against one execution-driven run, plus the 6-point machine-ablation
 sweep at 2 cores — capture once, re-time six configs — which is the
 headline ``replay_speedup`` acceptance number.  In that mode the exit code
@@ -88,9 +88,8 @@ def measure_replay(workloads, modes, core_counts, scale: str) -> dict:
     """Capture -> replay identity per (workload, mode, core count) cell.
 
     The fused engine is compared against the execution-driven capture run
-    (cycles and full energy breakdown); multicore cells additionally
-    cross-check the fused engine against the legacy ``engine="lanes"``
-    executor-driven replay — the acceptance identity matrix of the fused
+    (cycles, full energy breakdown and memory statistics, the shared
+    uncore's included) — the acceptance identity matrix of the fused
     multicore engine.
 
     Returns ``(section, captured)`` where ``captured`` maps hybrid-mode
@@ -115,7 +114,9 @@ def measure_replay(workloads, modes, core_counts, scale: str) -> dict:
                 replay_s = time.perf_counter() - t0
                 identical = (replayed.cycles == executed.cycles and
                              replayed.energy.as_dict() ==
-                             executed.energy.as_dict())
+                             executed.energy.as_dict() and
+                             replayed.sim.memory_stats ==
+                             executed.sim.memory_stats)
                 entry = {
                     "identical": identical,
                     "trace_bytes": len(blob),
@@ -123,13 +124,6 @@ def measure_replay(workloads, modes, core_counts, scale: str) -> dict:
                     "capture_seconds": round(capture_s, 3),
                     "replay_seconds": round(replay_s, 3),
                 }
-                if cores > 1:
-                    lanes = replay_trace(mtrace, machine, engine="lanes")
-                    entry["fused_matches_lanes"] = (
-                        lanes.cycles == replayed.cycles and
-                        lanes.energy.as_dict() == replayed.energy.as_dict() and
-                        lanes.sim.memory_stats == replayed.sim.memory_stats)
-                    identical = identical and entry["fused_matches_lanes"]
                 section["all_identical"] = (section["all_identical"]
                                             and identical)
                 section["identity"][f"{workload}:{mode}x{cores}"] = entry

@@ -8,16 +8,14 @@ Measures, for every NAS workload on the hybrid machine:
 * the same sweep run through trace replay (the dynamic stream is captured
   once, then re-timed under each machine config);
 * cycle/energy identity of replay at the capture config for all NAS
-  workloads x {hybrid, cache} (the acceptance gate);
-* the v1 (flat u64) vs v2 (columnar delta/varint) encoded size of every
-  trace, including the replay-identity check after a v2 round-trip.
+  workloads x {hybrid, cache}, replaying each trace after a round-trip
+  through its encoded bytes (the acceptance gate).
 
 Writes the numbers to ``BENCH_trace.json`` at the repository root.  With
-``--encoding-only`` just the encoding section is measured and *merged* into
-the existing report (the timing sweeps are expensive; the encoding numbers
-are what CI tracks per scale).  With ``--vector-speedup`` just the
-vector-vs-fused multicore replay sweep is measured and merged, exiting
-nonzero unless the vectorized engine is result-identical and >= 3x faster.
+``--vector-speedup`` just the vector-vs-fused multicore replay sweep is
+measured and *merged* into the existing report (the timing sweeps are
+expensive), exiting nonzero unless the vectorized engine is
+result-identical and >= 3x faster.
 With ``--pass-speedup`` the same 6-point sweep is run cold (empty artifact
 store, in-memory memos dropped before every point) and then warm (every
 derivation pass served from the on-disk artifact cache), exiting nonzero
@@ -29,8 +27,6 @@ without its ``phase_profile`` (a report recorded before the observability
 layer) fails the guard, so a stale BENCH_trace.json cannot ride through CI.
 
 Run:  PYTHONPATH=src python benchmarks/bench_trace_replay.py [--scale small]
-      PYTHONPATH=src python benchmarks/bench_trace_replay.py \
-          --scale medium --encoding-only
       PYTHONPATH=src python benchmarks/bench_trace_replay.py \
           --scale medium --vector-speedup
       PYTHONPATH=src python benchmarks/bench_trace_replay.py \
@@ -60,54 +56,6 @@ from repro.workloads import BENCHMARK_ORDER
 #: latencies, core width/ROB, prefetching) — exactly the kind of sweep the
 #: paper's sensitivity analysis re-runs the same dynamic stream under.
 ABLATION_POINTS = [dict(overrides) for _, overrides in MACHINE_ABLATION_POINTS]
-
-
-def measure_encoding(scale: str, report: dict, captured=None) -> bool:
-    """Fill ``report["encoding"]`` for ``scale``; returns overall 3x pass.
-
-    ``captured`` maps workload -> (executed, trace) for capture runs a
-    caller already paid for (the full benchmark's identity loop); missing
-    workloads are captured here.
-    """
-    captured = captured or {}
-    section = report.setdefault("encoding", {})
-    per_scale = section[scale] = {"workloads": {}}
-    total_v1 = total_v2 = total_instr = 0
-    all_identical = True
-    for workload in BENCHMARK_ORDER:
-        executed, trace = (captured.get(workload)
-                           or capture_workload(workload, "hybrid", scale))
-        v1 = len(trace.to_bytes(schema=1))
-        v2_bytes = trace.to_bytes()
-        v2 = len(v2_bytes)
-        replayed = replay_trace(Trace.from_bytes(v2_bytes))
-        identical = (replayed.cycles == executed.cycles and
-                     replayed.energy.as_dict() == executed.energy.as_dict())
-        all_identical = all_identical and identical
-        total_v1 += v1
-        total_v2 += v2
-        total_instr += trace.instructions
-        per_scale["workloads"][workload] = {
-            "instructions": trace.instructions,
-            "v1_bytes": v1,
-            "v2_bytes": v2,
-            "ratio": round(v1 / v2, 2),
-            "v1_bytes_per_instruction": round(v1 / trace.instructions, 4),
-            "v2_bytes_per_instruction": round(v2 / trace.instructions, 4),
-            "v2_replay_identical": identical,
-        }
-        print(f"encode  {workload:3s} {scale}: v1={v1} v2={v2} "
-              f"({v1 / v2:4.1f}x, {v2 / trace.instructions:.3f} B/instr, "
-              f"identical={identical})")
-    per_scale["total"] = {
-        "instructions": total_instr,
-        "v1_bytes": total_v1,
-        "v2_bytes": total_v2,
-        "ratio": round(total_v1 / total_v2, 2),
-    }
-    print(f"encode  ALL {scale}: {total_v1} -> {total_v2} bytes "
-          f"({total_v1 / total_v2:.1f}x smaller)")
-    return all_identical and total_v1 >= 3 * total_v2
 
 
 def measure_vector_speedup(scale: str, report: dict, cores: int = 2,
@@ -182,7 +130,7 @@ def _forget_pass_memos():
     vector_mod._ORACLE_CACHE.clear()
     vector_mod._FLAGS_CACHE.clear()
     vector_mod._VTAB_CACHE.clear()
-    vector_mod._SEQ3_CACHE.clear()
+    vector_mod._PRELOWER_CACHE.clear()
     replay_mod._DECODE_CACHE.clear()
 
 
@@ -277,9 +225,6 @@ def vector_sections_complete(report: dict) -> bool:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--scale", default="small")
-    parser.add_argument("--encoding-only", action="store_true",
-                        help="measure only v1-vs-v2 encoded sizes and merge "
-                             "them into the existing report")
     parser.add_argument("--vector-speedup", action="store_true",
                         help="measure only the vector-vs-fused multicore "
                              "replay sweep and merge it into the existing "
@@ -297,11 +242,9 @@ def main() -> int:
     out = Path(args.output) if args.output else \
         default_report_path("BENCH_trace.json")
 
-    if args.encoding_only or args.vector_speedup or args.pass_speedup:
+    if args.vector_speedup or args.pass_speedup:
         report = load_report(out)
         ok = True
-        if args.encoding_only:
-            ok = measure_encoding(scale, report) and ok
         if args.vector_speedup:
             ok = measure_vector_speedup(scale, report) and ok
         if args.pass_speedup:
@@ -312,9 +255,7 @@ def main() -> int:
 
     machines = [PTLSIM_CONFIG.with_overrides(point)
                 for point in ABLATION_POINTS]
-    previous = load_report(out)
-    previous_encoding = previous.get("encoding", {})
-    previous_vector = previous.get("vector_speedup", {})
+    previous_vector = load_report(out).get("vector_speedup", {})
     report = {
         "description": "6-point machine-config ablation sweep: "
                        "execution-driven vs trace replay",
@@ -325,23 +266,20 @@ def main() -> int:
         "machine": platform.machine(),
         "workloads": {},
         "identity": {},
-        # Encoding / vector-speedup sections from other scales are carried
-        # over, so a full run at one scale never drops per-scale history.
-        "encoding": previous_encoding,
+        # Vector-speedup sections from other scales are carried over, so a
+        # full run at one scale never drops per-scale history.
         "vector_speedup": previous_vector,
     }
 
     # -- capture (once per workload; also the identity baseline) ---------------
     traces = {}
-    captured_hybrid = {}
     for workload in BENCHMARK_ORDER:
         for mode in ("hybrid", "cache"):
             start = time.perf_counter()
             executed, trace = capture_workload(workload, mode, scale)
-            if mode == "hybrid":
-                captured_hybrid[workload] = (executed, trace)
             capture_wall = time.perf_counter() - start
-            replayed = replay_trace(trace)
+            data = trace.to_bytes()
+            replayed = replay_trace(Trace.from_bytes(data))
             identical = (
                 replayed.cycles == executed.cycles and
                 replayed.energy.as_dict() == executed.energy.as_dict() and
@@ -352,8 +290,7 @@ def main() -> int:
                 "cycle_and_energy_identical": identical,
                 "instructions": trace.instructions,
                 "capture_seconds": round(capture_wall, 3),
-                "trace_bytes": len(trace.to_bytes()),
-                "trace_bytes_v1": len(trace.to_bytes(schema=1)),
+                "trace_bytes": len(data),
             }
             print(f"capture {workload:3s} {mode:6s}: "
                   f"{trace.instructions:>8d} instr, {capture_wall:5.2f}s, "
@@ -405,7 +342,6 @@ def main() -> int:
     print(f"\nTOTAL: execution {total_exec:.2f}s, replay {total_replay:.2f}s "
           f"-> {total_exec / total_replay:.1f}x")
 
-    measure_encoding(scale, report, captured=captured_hybrid)
     ok = vector_sections_complete(report)
     write_report(out, report)
     return guard_exit(ok)

@@ -32,14 +32,12 @@ def main() -> None:
     start = time.perf_counter()
     baseline, trace = capture_workload(name, "hybrid", scale)
     capture_wall = time.perf_counter() - start
-    v1_bytes = len(trace.to_bytes(schema=1))
-    v2_bytes = len(trace.to_bytes())
+    trace_bytes = len(trace.to_bytes())
     print(f"  {trace.instructions} instructions, {trace.branch_count} "
           f"branches, {trace.mem_count} memory ops recorded in "
           f"{capture_wall:.2f}s")
-    print(f"  trace: {v2_bytes} bytes columnar v2 "
-          f"({v1_bytes} as flat v1 -> {v1_bytes / v2_bytes:.1f}x smaller, "
-          f"{v2_bytes / trace.instructions:.3f} bytes/instruction)\n")
+    print(f"  trace: {trace_bytes} bytes "
+          f"({trace_bytes / trace.instructions:.3f} bytes/instruction)\n")
 
     print(f"{'point':<14s} {'cycles':>12s} {'vs base':>8s} "
           f"{'replay':>8s} {'execute':>8s}  identical")

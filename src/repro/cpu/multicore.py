@@ -15,20 +15,18 @@ the foundation of the multicore capture -> replay cycle/energy identity.
 
 The *executor* half of a lane is anything with the
 :class:`~repro.cpu.executor.FunctionalExecutor` surface
-(``current_instruction()``, ``execute_at(now)``, ``pc``): execution-driven
-runs use the real functional executor, the ``engine="lanes"`` verification
-replay uses :class:`~repro.trace.replay.TraceExecutor`.
+(``current_instruction()``, ``execute_at(now)``, ``pc``).
 
 Two drivers implement that one scheduling contract:
 
 * :func:`run_lanes` steps executor/timing :class:`CoreLane` pairs one
-  instruction at a time (execution-driven runs and lane-replay
-  verification);
+  instruction at a time (execution-driven runs);
 * :func:`run_resumable_lanes` drives *resumable* lane state machines
-  (the fused replay engine's :class:`~repro.trace.replay._FusedLane`),
-  handing each scheduled lane the key of the next-earliest lane so it can
-  batch instructions internally and yield exactly when the single-step
-  scheduler would have switched.
+  (the replay engines' :class:`~repro.trace.replay._FusedLane` and
+  :class:`~repro.trace.vector._VectorLane`), handing each scheduled lane
+  the key of the next-earliest lane so it can batch instructions
+  internally and yield exactly when the single-step scheduler would have
+  switched.
 
 Both pick lanes by the key ``(fetch_time, lane order)``, so they interleave
 — and therefore time the shared uncore — identically.

@@ -249,33 +249,6 @@ def compile_parallel_workload(name: str, mode: str, scale: str,
     return compiled
 
 
-def run_parallel_lanes(compiled: Sequence[CompiledKernel], system,
-                       machine: MachineConfig, executors,
-                       recorders=None) -> SimulationResult:
-    """Drive per-core executors to completion and aggregate the results.
-
-    Shared between execution-driven multicore runs (functional executors)
-    and the ``engine="lanes"`` verification replay (trace executors) so
-    both interleave — and therefore time — identically.  The fused
-    multicore replay engine (:mod:`repro.trace.replay`, the default for
-    replay-kind sweep cells) does not come through here: it steps its own
-    lane state machines under the same scheduling contract via
-    :func:`repro.cpu.multicore.run_resumable_lanes`.
-    """
-    config = core_config_for(machine)
-    recorders = recorders or [None] * len(executors)
-    lanes = [CoreLane(executor,
-                      OutOfOrderTimingModel(config,
-                                            hierarchy=system.core(i).hierarchy),
-                      recorders[i])
-             for i, executor in enumerate(executors)]
-    run_lanes(lanes)
-    per_core = [lane_result(lane, system.core(i).stats_summary())
-                for i, lane in enumerate(lanes)]
-    return aggregate_results(per_core, system.aggregate_summary(),
-                             topology=system.topology)
-
-
 def run_parallel_workload(name: str, mode: str = "hybrid",
                           scale: str = "small",
                           machine: Optional[MachineConfig] = None,
@@ -305,10 +278,20 @@ def run_parallel_compiled(compiled: Sequence[CompiledKernel], mode: str,
             base = decl.base
             for i, value in enumerate(decl.data):
                 memory.poke(base + i * WORD_SIZE, float(value))
-    executors = [FunctionalExecutor(comp.program, system.view(core_id))
-                 for core_id, comp in enumerate(compiled)]
-    sim = run_parallel_lanes(compiled, system, machine, executors,
-                             recorders=recorders)
+    # One executor/timing lane per core under the shared uncore; the replay
+    # engines keep the same scheduling contract via run_resumable_lanes.
+    config = core_config_for(machine)
+    recorders = recorders or [None] * num_cores
+    lanes = [CoreLane(FunctionalExecutor(comp.program, system.view(core_id)),
+                      OutOfOrderTimingModel(
+                          config, hierarchy=system.core(core_id).hierarchy),
+                      recorders[core_id])
+             for core_id, comp in enumerate(compiled)]
+    run_lanes(lanes)
+    per_core = [lane_result(lane, system.core(i).stats_summary())
+                for i, lane in enumerate(lanes)]
+    sim = aggregate_results(per_core, system.aggregate_summary(),
+                            topology=system.topology)
     energy = EnergyModel(machine.energy).compute(sim)
     return RunResult(workload=compiled[0].kernel.name, mode=mode,
                      compiled=compiled[0], sim=sim, energy=energy,

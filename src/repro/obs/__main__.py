@@ -136,6 +136,8 @@ def _cmd_overhead(args) -> int:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    from repro.trace.replay import REPLAY_ENGINES
+
     parser = argparse.ArgumentParser(
         prog="python -m repro.obs",
         description="Inspect and guard the instrumentation layer.")
@@ -148,7 +150,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                           help="system mode (hybrid/.../cache)")
     p_report.add_argument("--scale", default="small", help="tiny/small/medium")
     p_report.add_argument("--engine", default="vector",
-                          choices=["fused", "vector", "lanes"],
+                          choices=REPLAY_ENGINES,
                           help="replay engine to profile (default vector)")
     p_report.add_argument("--set", dest="overrides", action="append",
                           default=[], metavar="KEY=VALUE",

@@ -42,9 +42,7 @@ from repro.trace.capture import TraceRecorder, capture_micro, capture_workload
 from repro.trace.replay import (
     REPLAY_ENGINES,
     ReplayValidityError,
-    TraceExecutor,
     check_replay_machine,
-    recover_mem_pcs,
     replay_trace,
 )
 from repro.trace.store import EphemeralTraceStore, TraceStore
@@ -56,7 +54,6 @@ __all__ = [
     "Trace",
     "TraceError",
     "TraceKey",
-    "TraceExecutor",
     "TraceRecorder",
     "TraceStore",
     "EphemeralTraceStore",
@@ -69,7 +66,6 @@ __all__ = [
     "family_key_for",
     "parse_trace_bytes",
     "program_fingerprint",
-    "recover_mem_pcs",
     "replay_trace",
     "run_replay_spec",
 ]

@@ -5,7 +5,6 @@ Subcommands::
     capture   record the dynamic stream of one (workload, mode, scale) cell
     replay    re-time a captured stream under machine-config overrides
     ls        list the traces held in the store
-    migrate   re-encode old-schema traces at the current schema, in place
     prune     sweep stale/tmp files and evict LRU entries over the caps
 
 Examples::
@@ -14,7 +13,6 @@ Examples::
     python -m repro.trace replay --workload CG --mode hybrid --scale small \\
         --set memory.l2_size=131072 --set core.issue_width=2
     python -m repro.trace ls
-    python -m repro.trace migrate
     python -m repro.trace prune --max-bytes 268435456 --max-age-days 30
 """
 
@@ -29,7 +27,6 @@ from typing import Optional, Sequence
 from repro.harness.config import PTLSIM_CONFIG
 from repro.harness.sweep import _parse_overrides
 from repro.trace import (
-    TRACE_SCHEMA,
     ReplayValidityError,
     TraceError,
     TraceKey,
@@ -135,7 +132,10 @@ def _cmd_replay(args) -> int:
         print(_summary("execute", executed))
         identical = (executed.cycles == result.cycles and
                      executed.total_energy == result.total_energy and
-                     executed.sim.memory_stats == result.sim.memory_stats)
+                     executed.sim.memory_stats == result.sim.memory_stats and
+                     (not hasattr(trace, "cores") or
+                      executed.sim.core_stats["per_core"] ==
+                      result.sim.core_stats["per_core"]))
         print(f"verify     execution-driven run took {exec_wall:.2f}s "
               f"({exec_wall / wall:.1f}x replay); "
               f"{'cycle- and energy-identical' if identical else 'MISMATCH'}")
@@ -155,20 +155,6 @@ def _cmd_replay(args) -> int:
               f"{'identical' if vector_identical else 'MISMATCH'}")
         if not vector_identical:
             return 1
-        if hasattr(trace, "cores"):
-            # Multicore: cross-check the fused engine against the legacy
-            # executor-driven lane replay, per-core results included.
-            lanes = replay_trace(trace, machine, engine="lanes")
-            lanes_identical = (
-                lanes.cycles == result.cycles and
-                lanes.total_energy == result.total_energy and
-                lanes.sim.memory_stats == result.sim.memory_stats and
-                lanes.sim.core_stats["per_core"] ==
-                result.sim.core_stats["per_core"])
-            print(f"verify     fused engine vs lane replay: "
-                  f"{'identical' if lanes_identical else 'MISMATCH'}")
-            if not lanes_identical:
-                return 1
     return 0
 
 
@@ -202,16 +188,6 @@ def _cmd_ls(args) -> int:
           f"{stats['tmp_files']} leaked tmp); "
           f"{stats['artifact_entries']} derived artifact(s), "
           f"{stats['artifact_bytes']} bytes")
-    return 0
-
-
-def _cmd_migrate(args) -> int:
-    from repro.trace import recover_mem_pcs
-    store = TraceStore(args.cache_dir)
-    counts = store.migrate(recover_pcs=recover_mem_pcs)
-    print(f"trace store at {store.root}: migrated {counts['migrated']}, "
-          f"already current {counts['current']}, unreadable "
-          f"{counts['failed']} (schema {TRACE_SCHEMA})")
     return 0
 
 
@@ -264,13 +240,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     p_ls.add_argument("--cache-dir", default=None,
                       help="cache root (default $REPRO_CACHE_DIR or .repro-cache)")
     p_ls.set_defaults(func=_cmd_ls)
-
-    p_migrate = sub.add_parser(
-        "migrate", help="upgrade old-schema traces to the current encoding")
-    p_migrate.add_argument("--cache-dir", default=None,
-                           help="cache root (default $REPRO_CACHE_DIR or "
-                                ".repro-cache)")
-    p_migrate.set_defaults(func=_cmd_migrate)
 
     p_prune = sub.add_parser(
         "prune", help="sweep stale/tmp files and evict LRU entries")

@@ -1,30 +1,46 @@
-"""Optional C inner loop for the vector replay engine.
+"""C inner loop of the vector replay engine.
 
 The vector engine's per-instruction recurrence (issue estimate -> latency ->
 retire) is pure scalar arithmetic over flat arrays once the oracle/flag
 passes have resolved every data-dependent outcome — exactly the shape a
 small C kernel executes 50-100x faster than CPython.  This module compiles
 that kernel at import-from-use time with the system C compiler and exposes
-it through :mod:`ctypes`; everything degrades gracefully:
+it through :mod:`ctypes`:
 
-* no compiler, a failed compile, or ``REPRO_NO_CKERNEL=1`` in the
-  environment -> :func:`load` returns ``None`` and the engine falls back to
-  the pure-Python loop (bit-identical, just slower);
+* no compiler or a failed compile -> :func:`load` returns ``None`` and
+  :func:`~repro.trace.replay.replay_trace` runs the fused engine instead,
+  recording a ``degraded.vector`` event (bit-identical, just slower);
 * the compiled shared object is cached on disk keyed by the source hash, so
   the one-time compile cost (~1s) is paid once per machine.
 
-Identity is preserved by construction: the C code is a line-for-line
-transcription of ``_VectorLane._loop`` using the same IEEE-754 doubles in
-the same operation order (compiled with ``-ffp-contract=off`` so no FMA
-contraction reorders rounding), the same truncation (C integer casts equal
-Python ``int()`` for the non-negative times involved), and the same MSHR
-merge/expire/full-stall decisions.  The epoch structure maps onto the
-C/Python boundary: ``vr_run`` executes uncore-free slices entirely in C and
-returns at every *event* instruction (DMA issue, dma-sync, set-bufsize,
-halt, and — multicore — memory misses that arbitrate on the shared uncore);
-the Python caller performs the epoch yield-check and the event's uncore/DMA
-bookkeeping, then re-enters C.  Both sides operate on the same state
-vectors, so interleaving them is seamless.
+Identity is preserved by construction: the C code transcribes the fused
+recurrence (``_FusedLane._loop`` in :mod:`repro.trace.replay`) using the
+same IEEE-754 doubles in the same operation order (compiled with
+``-ffp-contract=off`` so no FMA contraction reorders rounding), the same
+truncation (C integer casts equal Python ``int()`` for the non-negative
+times involved), and the same MSHR merge/expire/full-stall decisions; the
+tests check it against the fused engine and against execution.  It departs
+from the fused shape in three places, none of which changes a result:
+
+* the fused engine's ``if t > fetch_time: fetch_time = t`` bump is deferred
+  from the issue estimate to the top of retire.  Nothing reads
+  ``fetch_time`` in between *except* the epoch-break checks, which must
+  observe the pre-instruction value — the key the fused scheduler sorts
+  lanes by when it parks a lane between instructions;
+* the ROB/LSQ deques become fixed rings prefilled with 0.0: before the
+  deque would be full the fused code skips the occupancy check, and
+  ``0.0 > t`` is never true for ``t >= 0``, so the prefilled slots are
+  exact no-ops;
+* ``int(now)`` / ``int(start)`` in retire are replaced by the cycle cursor
+  the issue-slot scan already holds: ``now`` is either ``ready`` (whose
+  ``int`` was just taken) or ``float(cycle)`` from a scan.
+
+The epoch structure maps onto the C/Python boundary: ``vr_run`` executes
+uncore-free slices entirely in C and returns at every *event* instruction
+(DMA issue, dma-sync, set-bufsize, halt, and — multicore — memory misses
+that arbitrate on the shared uncore); the Python caller performs the epoch
+yield-check and the event's uncore/DMA bookkeeping, then re-enters C.  Both
+sides operate on the same state vectors, so interleaving them is seamless.
 """
 
 from __future__ import annotations
@@ -530,12 +546,11 @@ def _compile() -> "_Kernel | None":
 
 
 def load() -> "_Kernel | None":
-    """The compiled kernel, or ``None`` (no compiler / disabled / failed).
+    """The compiled kernel, or ``None`` (no compiler / failed compile).
 
-    ``REPRO_NO_CKERNEL=1`` is consulted on every call so tests can flip the
-    pure-Python path on and off within one process; the compile itself is
-    attempted at most once per process (and a *failed* compile at most once
-    per machine — see the negative marker in :func:`_compile`).
+    The compile is attempted at most once per process (and a *failed*
+    compile at most once per machine — see the negative marker in
+    :func:`_compile`).
 
     An injected ``ckernel.compile`` fault fires before the memo, so it
     raises on every load: the vector engine sees an unavailable kernel and
@@ -544,8 +559,6 @@ def load() -> "_Kernel | None":
     global _KERNEL, _KERNEL_TRIED
     from repro import faults
     faults.check("ckernel.compile")
-    if os.environ.get("REPRO_NO_CKERNEL"):
-        return None
     if not _KERNEL_TRIED:
         _KERNEL_TRIED = True
         try:

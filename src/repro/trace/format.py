@@ -28,14 +28,11 @@ Serialisation is a little-endian binary layout behind a versioned header::
 
     b"RPTR" | u16 schema | u32 header_len | header JSON | sections
 
-Schema 1 (still readable) stores the three columns flat::
-
-    branch bits | mem addresses (u64 array) | dma operands (i64 array)
-
-Schema 2 is columnar: branch bits stay as-is, but memory addresses are
-split into one stream per *static PC* (each load/store instruction emits a
-highly regular address sequence — constant strides mostly — even when the
-interleaved global sequence looks random), and every stream is
+The layout (schema 2) is columnar: branch bits are stored packed, and
+memory addresses are split into one stream per *static PC* (each
+load/store instruction emits a highly regular address sequence — constant
+strides mostly — even when the interleaved global sequence looks random),
+and every stream is
 delta-encoded with zig-zag + LEB128 varint packing, falling back to raw
 u64 for irregular streams where that would not pay.  A varint stream-id
 column records the interleave so the flat retirement-order sequence is
@@ -46,8 +43,9 @@ stream-id column is periodic in loop-heavy code and all but disappears).
 
 The header JSON is canonical (sorted keys), so the content hash of a trace
 — SHA-256 over the serialised bytes — is deterministic across processes.
-(v1 bytes are also platform-independent; v2 bytes additionally depend on
-the host's zlib build, so compare v2 content hashes within one platform.)
+(The bytes depend on the host's zlib build, so compare content hashes
+within one platform.)  Readers reject any other schema with
+:class:`TraceError`; the store treats that as a miss and recaptures.
 """
 
 from __future__ import annotations
@@ -61,23 +59,12 @@ from array import array
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is a declared dependency
-    _np = None
+import numpy as np
 
-#: Version of the trace format new traces are written with.  Readers accept
-#: every schema in :data:`SUPPORTED_SCHEMAS`; the store keys traces by
-#: (schema, key), so bumping this turns stored traces into permanent misses
-#: that ``migrate`` upgrades in place (or ``prune`` sweeps out).
+#: Version of the trace format, the only one written and read.  The store
+#: keys traces by (schema, key), so bumping this turns stored traces into
+#: permanent misses that ``prune`` sweeps out.
 TRACE_SCHEMA = 2
-
-#: Schemas :meth:`Trace.from_bytes` can parse.
-SUPPORTED_SCHEMAS = (1, 2)
-
-#: Stream-table sentinel for address streams with no recorded static PC
-#: (v1 traces migrated without rebuilding their program).
-NO_PC = -1
 
 #: File magic of serialised traces.
 TRACE_MAGIC = b"RPTR"
@@ -195,14 +182,6 @@ def _le_bytes(arr: array) -> bytes:
     return arr.tobytes()
 
 
-def _le_array(typecode: str, data: bytes) -> array:
-    arr = array(typecode)
-    arr.frombytes(data)
-    if sys.byteorder != "little":  # pragma: no cover - big-endian hosts only
-        arr.byteswap()
-    return arr
-
-
 # ------------------------------------------------------ varint / zig-zag codec
 def encode_deltas(values: Sequence[int]) -> bytes:
     """Delta-encode ``values`` (zig-zag + LEB128 varint, previous starts at 0)."""
@@ -283,7 +262,7 @@ def decode_uvarints(data: bytes, count: int, pos: int = 0) -> Tuple[List[int], i
 class _VarintColumn:
     """Vectorised LEB128 scanner over one section payload.
 
-    The scalar decoders above walk one byte at a time in Python; for v2
+    The scalar decoders above walk one byte at a time in Python; for
     sections holding hundreds of thousands of varints that loop dominates
     parse time.  This scanner finds every value terminator (high bit clear)
     in one pass, then assembles any contiguous run of varints with numpy
@@ -296,8 +275,8 @@ class _VarintColumn:
     __slots__ = ("_bytes", "_ends")
 
     def __init__(self, payload: bytes):
-        self._bytes = _np.frombuffer(payload, dtype=_np.uint8)
-        self._ends = _np.flatnonzero(self._bytes < 0x80)
+        self._bytes = np.frombuffer(payload, dtype=np.uint8)
+        self._ends = np.flatnonzero(self._bytes < 0x80)
 
     def take(self, pos: int, count: int):
         """Decode ``count`` varints starting at byte ``pos``.
@@ -307,27 +286,27 @@ class _VarintColumn:
         truncation, like the scalar decoders.
         """
         if count == 0:
-            return _np.empty(0, dtype=_np.uint64), pos
-        first = int(_np.searchsorted(self._ends, pos))
+            return np.empty(0, dtype=np.uint64), pos
+        first = int(np.searchsorted(self._ends, pos))
         if first + count > self._ends.size:
             raise TraceError("truncated varint stream")
         ends = self._ends[first:first + count]
         next_pos = int(ends[-1]) + 1
-        starts = _np.empty(count, dtype=_np.int64)
+        starts = np.empty(count, dtype=np.int64)
         starts[0] = pos
         if count > 1:
             starts[1:] = ends[:-1] + 1
         widths = ends - starts + 1
         if int(widths.max()) > 9:
             return None
-        seg = self._bytes[pos:next_pos].astype(_np.uint64)
+        seg = self._bytes[pos:next_pos].astype(np.uint64)
         rel = starts - pos
         # Byte offset of each byte within its own value -> varint shift.
-        offsets = (_np.arange(seg.size, dtype=_np.int64)
-                   - _np.repeat(rel, widths))
-        parts = (seg & _np.uint64(0x7F)) << (offsets.astype(_np.uint64)
-                                             * _np.uint64(7))
-        values = _np.bitwise_or.reduceat(parts, rel)
+        offsets = (np.arange(seg.size, dtype=np.int64)
+                   - np.repeat(rel, widths))
+        parts = (seg & np.uint64(0x7F)) << (offsets.astype(np.uint64)
+                                             * np.uint64(7))
+        values = np.bitwise_or.reduceat(parts, rel)
         return values, next_pos
 
 
@@ -337,9 +316,9 @@ def _zigzag_cumsum(zz):
     Arithmetic is mod 2**64, which matches the scalar decoder exactly for
     every value that fits the u64/i64 columns the callers build.
     """
-    one = _np.uint64(1)
-    deltas = _np.where(zz & one, ~(zz >> one), zz >> one)
-    return _np.cumsum(deltas, dtype=_np.uint64)
+    one = np.uint64(1)
+    deltas = np.where(zz & one, ~(zz >> one), zz >> one)
+    return np.cumsum(deltas, dtype=np.uint64)
 
 
 def _pack_section(payload: bytes) -> Tuple[bytes, str]:
@@ -389,9 +368,8 @@ class Trace:
 
     ``mem_pcs`` holds the static instruction index of each memory access, in
     the same retirement order as ``mem_addrs``.  It drives the per-PC stream
-    grouping of the v2 encoding and round-trips through it; traces parsed
-    from v1 bytes leave it empty (the v2 writer then falls back to a single
-    unattributed stream, see :data:`NO_PC`).
+    grouping of the encoding and round-trips through it; the writer rejects
+    a trace that lacks one PC per access.
     """
 
     key: TraceKey
@@ -448,40 +426,16 @@ class Trace:
         return hashlib.sha256(self.to_bytes()).hexdigest()[:16]
 
     # -- serialisation ------------------------------------------------------------
-    def _header_common(self, schema: int) -> Dict[str, Any]:
-        return {
-            "schema": schema,
-            "key": self.key.as_dict(),
-            "fingerprint": self.program_fingerprint,
-            "instructions": self.instructions,
-            "branch_count": self.branch_count,
-            "mem_count": len(self.mem_addrs),
-            "dma_count": len(self.dma_words),
-        }
-
-    def to_bytes(self, schema: int = TRACE_SCHEMA) -> bytes:
-        if schema == 1:
-            return self._to_bytes_v1()
-        if schema == 2:
-            return self._to_bytes_v2()
-        raise TraceError(f"cannot write trace schema {schema}")
-
-    def _to_bytes_v1(self) -> bytes:
-        header = json.dumps(self._header_common(1), sort_keys=True,
-                            separators=(",", ":")).encode()
-        parts = [TRACE_MAGIC, struct.pack("<HI", 1, len(header)),
-                 header, self.branch_bits,
-                 _le_bytes(self.mem_addrs), _le_bytes(self.dma_words)]
-        return b"".join(parts)
-
-    def _to_bytes_v2(self) -> bytes:
+    def to_bytes(self) -> bytes:
         mem_addrs = self.mem_addrs
         mem_pcs = self.mem_pcs
-        if mem_pcs and len(mem_pcs) != len(mem_addrs):
+        if len(mem_pcs) != len(mem_addrs):
+            # Streams are grouped by PC; an access without one has no
+            # stream to go to.
             raise TraceError(
                 f"mem_pcs length {len(mem_pcs)} != mem_addrs {len(mem_addrs)}")
         if len(self.dma_words) % 3:
-            # The v2 reader rejects ragged DMA columns; fail at write time
+            # The reader rejects ragged DMA columns; fail at write time
             # instead of minting a permanently unparseable artifact.
             raise TraceError(
                 f"dma_words length {len(self.dma_words)} is not a multiple "
@@ -490,23 +444,17 @@ class Trace:
         # Group addresses into per-static-PC streams (first-appearance order).
         stream_pcs: List[int] = []
         stream_values: List[List[int]] = []
-        if mem_pcs:
-            index_of: Dict[int, int] = {}
-            stream_ids = []
-            ids_append = stream_ids.append
-            for pc, addr in zip(mem_pcs, mem_addrs):
-                sid = index_of.get(pc)
-                if sid is None:
-                    sid = index_of[pc] = len(stream_pcs)
-                    stream_pcs.append(pc)
-                    stream_values.append([])
-                stream_values[sid].append(addr)
-                ids_append(sid)
-        else:
-            stream_ids = []
-            if len(mem_addrs):
-                stream_pcs = [NO_PC]
-                stream_values = [list(mem_addrs)]
+        index_of: Dict[int, int] = {}
+        stream_ids = []
+        ids_append = stream_ids.append
+        for pc, addr in zip(mem_pcs, mem_addrs):
+            sid = index_of.get(pc)
+            if sid is None:
+                sid = index_of[pc] = len(stream_pcs)
+                stream_pcs.append(pc)
+                stream_values.append([])
+            stream_values[sid].append(addr)
+            ids_append(sid)
         if len(stream_pcs) <= 1:
             # A single stream needs no interleave column (the reader rejects
             # one): every access trivially belongs to stream 0.
@@ -541,12 +489,19 @@ class Trace:
             sections_meta.append({"id": name, "bytes": len(stored),
                                   "codec": codec})
 
-        header_dict = self._header_common(2)
-        header_dict["v2"] = {"streams": streams_meta,
-                             "sections": sections_meta}
+        header_dict = {
+            "schema": TRACE_SCHEMA,
+            "key": self.key.as_dict(),
+            "fingerprint": self.program_fingerprint,
+            "instructions": self.instructions,
+            "branch_count": self.branch_count,
+            "mem_count": len(mem_addrs),
+            "dma_count": len(self.dma_words),
+            "v2": {"streams": streams_meta, "sections": sections_meta},
+        }
         header = json.dumps(header_dict, sort_keys=True,
                             separators=(",", ":")).encode()
-        parts = [TRACE_MAGIC, struct.pack("<HI", 2, len(header)),
+        parts = [TRACE_MAGIC, struct.pack("<HI", TRACE_SCHEMA, len(header)),
                  header, self.branch_bits]
         parts.extend(sections)
         return b"".join(parts)
@@ -557,9 +512,9 @@ class Trace:
             if data[:4] != TRACE_MAGIC:
                 raise TraceError("bad magic (not a trace file)")
             schema, header_len = struct.unpack_from("<HI", data, 4)
-            if schema not in SUPPORTED_SCHEMAS:
+            if schema != TRACE_SCHEMA:
                 raise TraceError(
-                    f"trace schema {schema} not in {SUPPORTED_SCHEMAS}")
+                    f"trace schema {schema} is not {TRACE_SCHEMA}")
             pos = 10
             header = json.loads(data[pos:pos + header_len].decode())
             pos += header_len
@@ -571,12 +526,8 @@ class Trace:
             if len(branch_bits) != nbits:
                 raise TraceError("truncated branch-bit section")
             pos += nbits
-            if schema == 1:
-                mem_addrs, dma_words, mem_pcs, pos = \
-                    cls._payload_from_v1(data, pos, header)
-            else:
-                mem_addrs, dma_words, mem_pcs, pos = \
-                    cls._payload_from_v2(data, pos, header)
+            mem_addrs, dma_words, mem_pcs, pos = \
+                cls._payload(data, pos, header)
             if pos != len(data):
                 raise TraceError("truncated or oversized trace payload")
             return cls(
@@ -596,19 +547,7 @@ class Trace:
             raise TraceError(f"corrupted trace: {exc}") from exc
 
     @staticmethod
-    def _payload_from_v1(data: bytes, pos: int, header) -> tuple:
-        mem_count = header["mem_count"]
-        mem_addrs = _le_array("Q", data[pos:pos + 8 * mem_count])
-        pos += 8 * mem_count
-        dma_count = header["dma_count"]
-        dma_words = _le_array("q", data[pos:pos + 8 * dma_count])
-        pos += 8 * dma_count
-        if len(mem_addrs) != mem_count or len(dma_words) != dma_count:
-            raise TraceError("truncated or oversized trace payload")
-        return mem_addrs, dma_words, array("I"), pos
-
-    @staticmethod
-    def _v2_sections(data: bytes, pos: int, header) -> Tuple[Dict[str, bytes], int]:
+    def _sections(data: bytes, pos: int, header) -> Tuple[Dict[str, bytes], int]:
         payloads = {}
         for section in header["v2"]["sections"]:
             stored = data[pos:pos + section["bytes"]]
@@ -619,99 +558,18 @@ class Trace:
         return payloads, pos
 
     @staticmethod
-    def _payload_from_v2(data: bytes, pos: int, header) -> tuple:
-        if _np is None:
-            return Trace._payload_from_v2_scalar(data, pos, header)
-        return Trace._payload_from_v2_np(data, pos, header)
-
-    @staticmethod
-    def _payload_from_v2_scalar(data: bytes, pos: int, header) -> tuple:
-        """Reference per-byte decode (also the no-numpy fallback)."""
-        streams_meta = header["v2"]["streams"]
-        payloads, pos = Trace._v2_sections(data, pos, header)
-
-        mem_count = header["mem_count"]
-        if sum(s["n"] for s in streams_meta) != mem_count:
-            raise TraceError("stream table disagrees with mem_count")
-        mem_payload = payloads.get("mem", b"")
-        mpos = 0
-        stream_addrs: List[List[int]] = []
-        for stream in streams_meta:
-            count = stream["n"]
-            if stream["enc"] == "delta":
-                values, mpos = decode_deltas(mem_payload, count, mpos)
-            elif stream["enc"] == "raw":
-                values = list(_le_array("Q", mem_payload[mpos:mpos + 8 * count]))
-                if len(values) != count:
-                    raise TraceError("truncated raw address stream")
-                mpos += 8 * count
-            else:
-                raise TraceError(f"unknown stream encoding {stream['enc']!r}")
-            stream_addrs.append(values)
-        if mpos != len(mem_payload):
-            raise TraceError("oversized mem section")
-
-        # Re-interleave the streams into retirement order.
-        if len(streams_meta) > 1:
-            ids, ipos = decode_uvarints(payloads.get("ids", b""), mem_count)
-            if ipos != len(payloads.get("ids", b"")):
-                raise TraceError("oversized ids section")
-            cursors = [0] * len(streams_meta)
-            mem_addrs = array("Q")
-            mem_pcs = array("I")
-            addrs_append = mem_addrs.append
-            pcs_append = mem_pcs.append
-            for sid in ids:
-                if sid >= len(streams_meta):
-                    raise TraceError(f"stream id {sid} out of range")
-                addrs_append(stream_addrs[sid][cursors[sid]])
-                pcs_append(streams_meta[sid]["pc"])
-                cursors[sid] += 1
-            if cursors != [s["n"] for s in streams_meta]:
-                raise TraceError("stream interleave disagrees with stream table")
-        elif streams_meta:
-            if payloads.get("ids"):
-                raise TraceError("oversized ids section")
-            mem_addrs = array("Q", stream_addrs[0])
-            pc = streams_meta[0]["pc"]
-            mem_pcs = (array("I", [pc] * mem_count) if pc != NO_PC
-                       else array("I"))
-        else:
-            if payloads.get("ids"):
-                raise TraceError("oversized ids section")
-            mem_addrs = array("Q")
-            mem_pcs = array("I")
-
-        dma_count = header["dma_count"]
-        dma_payload = payloads.get("dma", b"")
-        if dma_count:
-            if dma_count % 3:
-                raise TraceError("dma_count is not a multiple of 3")
-            per_col = dma_count // 3
-            dma_words = array("q", bytes(8 * dma_count))
-            dpos = 0
-            for col in range(3):
-                values, dpos = decode_deltas(dma_payload, per_col, dpos)
-                dma_words[col::3] = array("q", values)
-            if dpos != len(dma_payload):
-                raise TraceError("oversized dma section")
-        else:
-            if dma_payload:
-                raise TraceError("oversized dma section")
-            dma_words = array("q")
-        return mem_addrs, dma_words, mem_pcs, pos
-
-    @staticmethod
-    def _payload_from_v2_np(data: bytes, pos: int, header) -> tuple:
+    def _payload(data: bytes, pos: int, header) -> tuple:
         """Column -> ndarray decode: no per-access Python loop.
 
-        Produces bit-identical columns to :meth:`_payload_from_v2_scalar`
-        (the equivalence suite checks this on randomized traces); any stream
-        holding a varint wider than the vectorised scanner supports drops
-        back to the scalar decoder for that stream only.
+        Any stream holding a varint wider than the vectorised scanner
+        supports drops back to the scalar :func:`decode_deltas` for that
+        stream only.
         """
         streams_meta = header["v2"]["streams"]
-        payloads, pos = Trace._v2_sections(data, pos, header)
+        payloads, pos = Trace._sections(data, pos, header)
+        stream_pcs = [s["pc"] for s in streams_meta]
+        if any(not 0 <= pc < 1 << 32 for pc in stream_pcs):
+            raise TraceError("corrupted trace: stream pc out of range")
 
         mem_count = header["mem_count"]
         if sum(s["n"] for s in streams_meta) != mem_count:
@@ -727,7 +585,7 @@ class Trace:
                 got = column.take(mpos, count)
                 if got is None:
                     values, mpos = decode_deltas(mem_payload, count, mpos)
-                    arr = _np.array(values, dtype=_np.uint64)
+                    arr = np.array(values, dtype=np.uint64)
                 else:
                     zz, mpos = got
                     arr = _zigzag_cumsum(zz)
@@ -735,7 +593,7 @@ class Trace:
                 chunk = mem_payload[mpos:mpos + 8 * count]
                 if len(chunk) != 8 * count:
                     raise TraceError("truncated raw address stream")
-                arr = _np.frombuffer(chunk, dtype="<u8")
+                arr = np.frombuffer(chunk, dtype="<u8")
                 mpos += 8 * count
             else:
                 raise TraceError(f"unknown stream encoding {enc!r}")
@@ -751,37 +609,31 @@ class Trace:
             got = _VarintColumn(ids_payload).take(0, mem_count)
             if got is None:
                 values, ipos = decode_uvarints(ids_payload, mem_count)
-                ids = _np.array(values, dtype=_np.uint64)
+                ids = np.array(values, dtype=np.uint64)
             else:
                 ids, ipos = got
             if ipos != len(ids_payload):
                 raise TraceError("oversized ids section")
-            ids = ids.astype(_np.int64)
+            ids = ids.astype(np.int64)
             if mem_count and int(ids.max()) >= len(streams_meta):
                 raise TraceError(f"stream id {int(ids.max())} out of range")
-            counts = _np.bincount(ids, minlength=len(streams_meta))
+            counts = np.bincount(ids, minlength=len(streams_meta))
             if counts.tolist() != [s["n"] for s in streams_meta]:
                 raise TraceError("stream interleave disagrees with stream table")
-            order = _np.argsort(ids, kind="stable")
-            addrs = _np.empty(mem_count, dtype=_np.uint64)
-            addrs[order] = _np.concatenate(stream_arrays)
-            pcs_table = _np.array([s["pc"] for s in streams_meta],
-                                  dtype=_np.int64)
-            pcs = pcs_table[ids]
-            if mem_count and (int(pcs.min()) < 0 or int(pcs.max()) >= 1 << 32):
-                raise TraceError("corrupted trace: stream pc out of range")
+            order = np.argsort(ids, kind="stable")
+            addrs = np.empty(mem_count, dtype=np.uint64)
+            addrs[order] = np.concatenate(stream_arrays)
+            pcs = np.array(stream_pcs, dtype=np.int64)[ids]
             mem_addrs = array("Q")
             mem_addrs.frombytes(addrs.tobytes())
             mem_pcs = array("I")
-            mem_pcs.frombytes(pcs.astype(_np.uint32).tobytes())
+            mem_pcs.frombytes(pcs.astype(np.uint32).tobytes())
         elif streams_meta:
             if payloads.get("ids"):
                 raise TraceError("oversized ids section")
             mem_addrs = array("Q")
-            mem_addrs.frombytes(_np.ascontiguousarray(stream_arrays[0]).tobytes())
-            pc = streams_meta[0]["pc"]
-            mem_pcs = (array("I", [pc] * mem_count) if pc != NO_PC
-                       else array("I"))
+            mem_addrs.frombytes(np.ascontiguousarray(stream_arrays[0]).tobytes())
+            mem_pcs = array("I", stream_pcs * mem_count)
         else:
             if payloads.get("ids"):
                 raise TraceError("oversized ids section")
@@ -801,14 +653,14 @@ class Trace:
                 got = dma_column.take(dpos, per_col)
                 if got is None:
                     values, dpos = decode_deltas(dma_payload, per_col, dpos)
-                    arr = _np.array(values, dtype=_np.int64)
+                    arr = np.array(values, dtype=np.int64)
                 else:
                     zz, dpos = got
-                    arr = _zigzag_cumsum(zz).view(_np.int64)
+                    arr = _zigzag_cumsum(zz).view(np.int64)
                 cols.append(arr)
             if dpos != len(dma_payload):
                 raise TraceError("oversized dma section")
-            stacked = _np.empty(dma_count, dtype=_np.int64)
+            stacked = np.empty(dma_count, dtype=np.int64)
             stacked[0::3], stacked[1::3], stacked[2::3] = cols
             dma_words = array("q")
             dma_words.frombytes(stacked.tobytes())
@@ -867,18 +719,18 @@ class MulticoreTrace:
             h.update(trace.stream_digest().encode())
         return h.hexdigest()[:16]
 
-    def to_bytes(self, schema: int = TRACE_SCHEMA) -> bytes:
+    def to_bytes(self) -> bytes:
         if self.key.num_cores != len(self.cores):
             raise TraceError(
                 f"multicore trace {self.key.label} holds {len(self.cores)} "
                 f"core streams but its key says {self.key.num_cores}")
-        payloads = [t.to_bytes(schema) for t in self.cores]
+        payloads = [t.to_bytes() for t in self.cores]
         header = json.dumps(
-            {"schema": schema, "key": self.key.as_dict(),
+            {"schema": TRACE_SCHEMA, "key": self.key.as_dict(),
              "sizes": [len(p) for p in payloads]},
             sort_keys=True, separators=(",", ":")).encode()
-        parts = [MULTI_TRACE_MAGIC, struct.pack("<HI", schema, len(header)),
-                 header]
+        parts = [MULTI_TRACE_MAGIC,
+                 struct.pack("<HI", TRACE_SCHEMA, len(header)), header]
         parts.extend(payloads)
         return b"".join(parts)
 
@@ -888,9 +740,9 @@ class MulticoreTrace:
             if data[:4] != MULTI_TRACE_MAGIC:
                 raise TraceError("bad magic (not a multicore trace file)")
             schema, header_len = struct.unpack_from("<HI", data, 4)
-            if schema not in SUPPORTED_SCHEMAS:
+            if schema != TRACE_SCHEMA:
                 raise TraceError(
-                    f"trace schema {schema} not in {SUPPORTED_SCHEMAS}")
+                    f"trace schema {schema} is not {TRACE_SCHEMA}")
             pos = 10
             header = json.loads(data[pos:pos + header_len].decode())
             pos += header_len

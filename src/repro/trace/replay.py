@@ -53,10 +53,7 @@ min-fetch-time / lowest-core-id global-clock contract as the execution
 runner :func:`~repro.cpu.multicore.run_lanes` — so the shared-bus
 arbitration sees the identical request sequence and multicore replay stays
 cycle- and energy-identical to execution at the capture configuration
-while running at fused (not executor) speed.  The legacy lane replay
-(:class:`TraceExecutor` driving the real interleaved runner) is kept as
-``replay_trace(..., engine="lanes")`` — the verification baseline the
-fused engine is tested against.
+while running at fused (not executor) speed.
 
 **Validity.**  The recorded stream depends on the *functional* machine
 parameters (``lm_size``, ``directory_entries``, ``num_cores`` — they shape
@@ -74,8 +71,6 @@ from collections import OrderedDict
 from typing import Optional
 
 from repro import obs
-from repro.cpu.core import SimulationResult
-from repro.cpu.executor import DynamicInstruction
 from repro.cpu.multicore import (
     CoreLane,
     aggregate_results,
@@ -97,14 +92,14 @@ from repro.trace.format import (
     program_fingerprint,
 )
 
-__all__ = ["REPLAY_ENGINES", "ReplayValidityError", "TraceExecutor",
-           "check_replay_machine", "recover_mem_pcs", "replay_trace"]
+__all__ = ["REPLAY_ENGINES", "ReplayValidityError", "check_replay_machine",
+           "replay_trace"]
 
 #: Replay engines: ``"fused"`` is the scalar lane-state-machine loop,
 #: ``"vector"`` the epoch-batched engine (:mod:`repro.trace.vector`) that
-#: precomputes structure updates out of the timing loop, ``"lanes"`` the
-#: legacy executor-driven path kept for verification.
-REPLAY_ENGINES = ("fused", "vector", "lanes")
+#: precomputes structure updates out of the timing loop and runs the timing
+#: recurrence in a compiled C kernel.
+REPLAY_ENGINES = ("fused", "vector")
 
 
 class ReplayValidityError(ValueError):
@@ -458,25 +453,6 @@ def _l1i_stats(trace: Trace, seq, config, mem_config):
     return _dc.replace(stats), accesses
 
 
-def recover_mem_pcs(trace: Trace) -> array:
-    """Reconstruct the static PC of each memory access of a trace.
-
-    v1 traces carry no per-access PCs; the v2 columnar encoding groups
-    addresses by them.  Rebuilding the program and walking it with the
-    recorded branch outcomes (the same walk replay performs) recovers the
-    PCs exactly.  Raises :class:`TraceError` when the trace no longer
-    matches the rebuilt program.
-    """
-    program, compiled, hot, cold, fu_values, phase_names, fingerprint = \
-        _cached_program(trace.key)
-    if fingerprint != trace.program_fingerprint:
-        raise TraceError(
-            f"trace {trace.key.label} is stale: program fingerprint "
-            f"{trace.program_fingerprint} != rebuilt {fingerprint}")
-    seq, *_ = _cached_decode(trace, hot, cold, fu_values)
-    return array("I", [h[7] for h in seq if h[0] == _K_LOAD or h[0] == _K_STORE])
-
-
 def replay_trace(trace: Trace,
                  machine: Optional[MachineConfig] = None,
                  engine: str = "fused",
@@ -487,14 +463,12 @@ def replay_trace(trace: Trace,
     energy-identical to execution-driven simulation; under a different
     (timing-parameter) configuration it is the re-timed run.  A
     :class:`~repro.trace.format.MulticoreTrace` replays its per-core streams
-    together against the shared uncore — through the fused interleaved
-    engine by default, through the epoch-batched vectorized engine
-    (``engine="vector"``, see :mod:`repro.trace.vector`), or
-    (``engine="lanes"``) through the legacy executor-driven lane runner
-    kept as the verification baseline.  A single-core :class:`Trace`
-    supports ``"fused"`` (default; ``"lanes"`` falls back to it) and
-    ``"vector"``.  All engines are bit-identical; they differ in speed
-    only.
+    together against the shared uncore.  ``engine="fused"`` (default) is the
+    portable interleaved lane engine; ``engine="vector"`` (see
+    :mod:`repro.trace.vector`) runs the timing recurrence in a compiled C
+    kernel and, when no kernel can be built, falls back to fused and records
+    a ``degraded.vector`` event.  Both engines are bit-identical; they
+    differ in speed only.
 
     ``timeline`` (a :class:`repro.obs.timeline.TimelineRecorder`) captures
     the simulated-time activity of the run: per-core lane run spans and —
@@ -506,15 +480,25 @@ def replay_trace(trace: Trace,
                          f"expected one of {REPLAY_ENGINES}")
     if engine == "vector":
         from repro import faults
+        from repro.trace import _ckernel
         from repro.trace.vector import (
             replay_multicore_vector,
             replay_single_vector,
         )
         try:
-            if isinstance(trace, MulticoreTrace):
-                return replay_multicore_vector(trace, machine,
+            # Checked before any derivation pass runs: without a kernel the
+            # oracle/prelower work would be thrown away.
+            kernel = _ckernel.load()
+            if kernel is None:
+                obs.degraded("vector", "no C kernel (no compiler, or the "
+                             "compile failed): falling back to fused engine",
+                             trace=trace.key.label)
+            elif isinstance(trace, MulticoreTrace):
+                return replay_multicore_vector(trace, machine, kernel,
                                                timeline=timeline)
-            return replay_single_vector(trace, machine, timeline=timeline)
+            else:
+                return replay_single_vector(trace, machine, kernel,
+                                            timeline=timeline)
         except (faults.FaultError, OSError, MemoryError) as exc:
             # The vector engine is a pure accelerator: its C kernel or
             # prelowering infrastructure failing (injected or real — a
@@ -525,8 +509,6 @@ def replay_trace(trace: Trace,
             obs.degraded("vector", f"falling back to fused engine: {exc!r}",
                          trace=trace.key.label)
     if isinstance(trace, MulticoreTrace):
-        if engine == "lanes":
-            return _replay_multicore_lanes(trace, machine, timeline=timeline)
         return _replay_multicore(trace, machine, timeline=timeline)
     check_replay_machine(trace.key, machine)
     program, compiled, hot, cold, fu_values, phase_names, fingerprint = \
@@ -995,136 +977,6 @@ class _FusedLane:
 
 
 # --------------------------------------------------------------- multicore replay
-class TraceExecutor:
-    """Stream-driven stand-in for the functional executor.
-
-    Walks the rebuilt static program with the recorded branch outcomes and
-    issues memory/DMA operations *to the real memory system* at their
-    recorded addresses — same call sequence, same clock estimates, same
-    timing — while skipping everything the trace replaces: register reads,
-    ALU evaluation, branch condition evaluation and data movement
-    (LM-range accesses go through the stat-identical
-    :meth:`~repro.core.hybrid.HybridSystem.lm_timing_access` fast path;
-    store values are replayed as 0.0, which never influences timing).
-
-    Exposes the :class:`~repro.cpu.executor.FunctionalExecutor` surface the
-    interleaved multicore runner drives (``current_instruction()``,
-    ``execute_at(now)``, ``pc``), so execution-driven multicore runs and
-    the ``engine="lanes"`` verification replay share one timing path — the
-    baseline the fused multicore engine is checked against.
-    """
-
-    def __init__(self, program, system, trace: Trace):
-        if not program.is_laid_out:  # pragma: no cover - rebuilds are laid out
-            program.assign_addresses()
-        self.program = program
-        self.system = system
-        self.trace = trace
-        self.pc = 0
-        self.executed = 0
-        self.halted = False
-        self._branches = trace.branch_outcomes()
-        self._mem_addrs = trace.mem_addrs
-        self._dma_words = trace.dma_words
-        self._bi = self._mi = self._di = 0
-        if system.use_lm:
-            self._lm_lo = system.address_map.virtual_base
-            self._lm_hi = self._lm_lo + system.address_map.size
-        else:
-            self._lm_lo = self._lm_hi = -1
-
-    def current_instruction(self):
-        if self.halted or self.pc >= len(self.program.instructions):
-            return None
-        return self.program.instructions[self.pc]
-
-    def execute_at(self, now: float) -> Optional[DynamicInstruction]:
-        inst = self.current_instruction()
-        if inst is None:
-            return None
-        self.executed += 1
-        index = self.pc
-        dyn = DynamicInstruction(inst=inst, index=index,
-                                 latency=float(inst.latency),
-                                 next_index=index + 1)
-        system = self.system
-        try:
-            if inst.is_memory:
-                addr = self._mem_addrs[self._mi]
-                self._mi += 1
-                dyn.address = addr
-                if self._lm_lo <= addr < self._lm_hi:
-                    dyn.latency = system.lm_timing_access(addr, inst.is_store)
-                elif inst.is_load:
-                    outcome = system.load(
-                        addr, guarded=inst.is_guarded,
-                        oracle_divert=inst.oracle_divert, pc=index, now=now)
-                    dyn.mem_outcome = outcome
-                    dyn.latency = outcome.latency
-                else:
-                    outcome = system.store(
-                        addr, 0.0, guarded=inst.is_guarded,
-                        oracle_divert=inst.oracle_divert,
-                        collapse_with_prev=inst.collapse_with_prev,
-                        pc=index, now=now)
-                    dyn.mem_outcome = outcome
-                    dyn.latency = outcome.latency
-            elif inst.is_conditional_branch:
-                taken = self._branches[self._bi]
-                self._bi += 1
-                dyn.branch_taken = taken
-                if taken:
-                    dyn.next_index = self.program.resolve_label(inst.target)
-            else:
-                op = inst.opcode
-                if op is Opcode.JMP:
-                    dyn.branch_taken = True
-                    dyn.next_index = self.program.resolve_label(inst.target)
-                elif op is Opcode.HALT:
-                    self.halted = True
-                    dyn.serializing = True
-                elif op is Opcode.DMA_GET or op is Opcode.DMA_PUT:
-                    di = self._di
-                    args = (self._dma_words[di], self._dma_words[di + 1],
-                            self._dma_words[di + 2])
-                    self._di = di + 3
-                    dyn.dma_args = args
-                    issue = (system.dma_get if op is Opcode.DMA_GET
-                             else system.dma_put)
-                    dyn.latency = issue(args[0], args[1], args[2],
-                                        tag=inst.imm or 0, now=now)
-                elif op is Opcode.DMA_SYNC:
-                    stall = system.dma_sync(inst.imm, now=now)
-                    dyn.stall_cycles = stall
-                    dyn.latency = 1.0 + stall
-                    dyn.serializing = True
-                elif op is Opcode.SET_BUFSIZE:
-                    dyn.latency = system.set_buffer_size(inst.imm)
-                # Every other opcode (ALU, LI, MOV, ...) keeps the static
-                # latency and falls through: no data to compute at replay.
-        except IndexError:
-            raise TraceError(
-                f"trace {self.trace.key.label} ran off its event streams at "
-                f"pc={index}; the trace does not match the rebuilt program"
-            ) from None
-        self.pc = dyn.next_index
-        return dyn
-
-    def verify_consumed(self) -> None:
-        """Raise unless every recorded event was consumed by the walk."""
-        if (self._bi != len(self._branches)
-                or self._mi != len(self._mem_addrs)
-                or self._di != len(self._dma_words)
-                or self.executed != self.trace.instructions):
-            raise TraceError(
-                f"trace {self.trace.key.label} left unconsumed events "
-                f"(instructions {self.executed}/{self.trace.instructions}, "
-                f"branches {self._bi}/{len(self._branches)}, "
-                f"mem {self._mi}/{len(self._mem_addrs)}, "
-                f"dma {self._di}/{len(self._dma_words)}); the trace does "
-                "not match the rebuilt program")
-
-
 def _check_multicore_trace(mtrace: MulticoreTrace,
                            machine: MachineConfig) -> int:
     """Shared validity gate of both multicore engines; returns num_cores."""
@@ -1155,9 +1007,9 @@ def _replay_multicore(mtrace: MulticoreTrace,
     :func:`~repro.cpu.multicore.run_resumable_lanes`' min-fetch-time
     contract — the same global clock as execution's lane runner — so at the
     capture machine configuration cycles, activity and energy are identical
-    to the execution-driven run (and to ``engine="lanes"``), and under
-    timing-parameter overrides the whole multicore, uncore contention
-    included, is re-timed at fused speed.
+    to the execution-driven run, and under timing-parameter overrides the
+    whole multicore, uncore contention included, is re-timed at fused
+    speed.
     """
     from repro.harness.systems import build_multicore_system
 
@@ -1195,47 +1047,3 @@ def _replay_multicore(mtrace: MulticoreTrace,
                      compiled=entries[0][1], sim=sim, energy=energy,
                      system=system, scale=key.scale, num_cores=num_cores)
 
-
-def _replay_multicore_lanes(mtrace: MulticoreTrace,
-                            machine: MachineConfig,
-                            timeline=None) -> RunResult:
-    """Legacy executor-driven multicore replay (the verification baseline).
-
-    Drives one :class:`TraceExecutor` per core through the *same*
-    interleaved lane runner execution uses — identity-exact by construction
-    but only ~1x execution speed.  Kept as ``engine="lanes"`` so the fused
-    engine can be cross-checked against it (tests and ``--verify``).
-    """
-    from repro.harness.runner import (
-        compile_parallel_workload,
-        run_parallel_lanes,
-    )
-    from repro.harness.systems import build_multicore_system
-
-    key = mtrace.key
-    num_cores = _check_multicore_trace(mtrace, machine)
-    compiled = compile_parallel_workload(key.workload, key.mode, key.scale,
-                                         machine, num_cores)
-    for core_id, (comp, trace) in enumerate(zip(compiled, mtrace.cores)):
-        fingerprint = program_fingerprint(comp.program)
-        if fingerprint != trace.program_fingerprint:
-            raise TraceError(
-                f"multicore trace {key.label} is stale: core {core_id} "
-                f"program fingerprint {trace.program_fingerprint} != rebuilt "
-                f"{fingerprint} (the compiler or workload changed since "
-                "capture)")
-    system = build_multicore_system(key.mode, machine, num_cores=num_cores)
-    if timeline is not None:
-        # The per-instruction lane runner has no batched grants to record;
-        # the lanes engine still reports bus occupancy through the uncore.
-        system.uncore.timeline = timeline
-    executors = [TraceExecutor(comp.program, system.view(core_id), trace)
-                 for core_id, (comp, trace)
-                 in enumerate(zip(compiled, mtrace.cores))]
-    sim = run_parallel_lanes(compiled, system, machine, executors)
-    for executor in executors:
-        executor.verify_consumed()
-    energy = EnergyModel(machine.energy).compute(sim)
-    return RunResult(workload=key.workload, mode=key.mode,
-                     compiled=compiled[0], sim=sim, energy=energy,
-                     system=system, scale=key.scale, num_cores=num_cores)

@@ -16,7 +16,6 @@ strands old files at addresses :meth:`get` never probes again) and leaked
 ``*.tmp.<pid>`` files from interrupted writers, then evicts
 least-recently-used entries — :meth:`get` touches the access time on every
 hit — until the store fits ``max_bytes`` / ``max_age_days``.
-:meth:`TraceStore.migrate` instead upgrades old-schema artifacts in place.
 """
 
 from __future__ import annotations
@@ -435,54 +434,6 @@ class TraceStore:
                          max_bytes=max_bytes, max_age_days=max_age_days)
         counts["kept"] = len(live)
         counts["kept_bytes"] = sum(size for _, size, _ in live)
-        return counts
-
-    def migrate(self, recover_pcs: Optional[Callable[[Trace], object]] = None
-                ) -> Dict[str, int]:
-        """Re-encode every readable old-schema artifact at the current schema.
-
-        The schema is part of the key hash, so an upgraded trace lands at a
-        *new* address and the old file is removed.  ``recover_pcs`` may
-        reconstruct per-access static PCs for traces that predate them (v1);
-        when it is missing or fails, the trace is re-encoded with the
-        single-stream fallback.  Unreadable files are left for prune().
-        """
-        counts = {"migrated": 0, "current": 0, "failed": 0}
-        if not self.root.is_dir():
-            return counts
-        for path in sorted(self.root.glob("*/*.trace")):
-            try:
-                trace = parse_trace_bytes(path.read_bytes())
-            except (OSError, TraceError):
-                counts["failed"] += 1
-                continue
-            target = self.path_for(trace.key)
-            if _file_schema(path) == TRACE_SCHEMA and path == target:
-                counts["current"] += 1
-                continue
-            if not isinstance(trace, Trace):
-                # Multicore containers were born at the current schema; a
-                # mislocated one is just re-addressed.
-                self.put(trace)
-                if path != target:
-                    try:
-                        path.unlink()
-                    except OSError:
-                        pass
-                counts["migrated"] += 1
-                continue
-            if not len(trace.mem_pcs) and recover_pcs is not None:
-                try:
-                    trace.mem_pcs = recover_pcs(trace)
-                except (TraceError, KeyError, ValueError):
-                    pass    # stale program: keep the single-stream fallback
-            self.put(trace)
-            if path != target:
-                try:
-                    path.unlink()
-                except OSError:
-                    pass
-            counts["migrated"] += 1
         return counts
 
     def stats(self) -> Dict[str, int]:

@@ -25,12 +25,13 @@ attribute syncs around each call.  The vector engine splits that work by
 * **Inside an epoch, the scalar lane recurrence remains.**  Issue/retire
   times form a data-dependent recurrence (ROB/LSQ occupancy, register
   readiness, issue-slot and FU reservations), so the in-epoch timing walk
-  stays the fused scalar transcription — but stripped to pure arithmetic:
-  latencies come from the precomputed route codes (``lm``, ``l1``,
-  ``mshr.request(line, now, beyond)``), mispredict redirects from the flag
-  stream, registers from a dense-int remap.  Only two *live* structures
-  remain in the loop: the MSHR file (merge/occupancy depends on real
-  clocks) and, multicore, the shared uncore arbiter.
+  stays the fused scalar transcription — but stripped to pure arithmetic
+  and compiled (:mod:`repro.trace._ckernel`): latencies come from the
+  precomputed route codes (``lm``, ``l1``, ``mshr.request(line, now,
+  beyond)``), mispredict redirects from the flag stream, registers from a
+  dense-int remap.  Only two *live* structures remain in the loop: the
+  MSHR file (merge/occupancy depends on real clocks) and, multicore, the
+  shared uncore arbiter.
 
 * **Epochs break only at contention-relevant events.**  Multicore lanes run
   free — whole slices of private work per resume — and yield to the global
@@ -41,11 +42,11 @@ attribute syncs around each call.  The vector engine splits that work by
   order and multicore identity is preserved while lane switches drop from
   every-other-instruction to per-uncore-event.
 
-The result is bit-identical to ``engine="fused"`` (which stays as the
-verification baseline, exactly like ``engine="lanes"`` does for fused):
-same cycles, same phase breakdown, same activity counters, same energy —
+The result is bit-identical to ``engine="fused"`` and to execution: same
+cycles, same phase breakdown, same activity counters, same energy —
 enforced by ``tests/test_vector_replay.py`` over every NAS kernel, both
-system modes and 1/2/4 cores.
+system modes and 1/2/4 cores.  Without a compiled kernel
+:func:`~repro.trace.replay.replay_trace` runs the fused engine instead.
 """
 
 from __future__ import annotations
@@ -74,7 +75,6 @@ from repro.trace import _ckernel, artifacts
 from repro.trace.format import MulticoreTrace, Trace, TraceError
 from repro.trace.replay import (
     _INFINITY,
-    _ZEROS,
     _cached_decode,
     _cached_parallel_program,
     _cached_program,
@@ -96,10 +96,10 @@ _R_LM, _R_GUARD, _R_L1, _R_L2, _R_L3, _R_MEM, _R_COLLAPSED = 0, 1, 2, 3, 4, 5, 6
 _ORACLE_CACHE: "OrderedDict[tuple, _OracleRoutes]" = OrderedDict()
 _FLAGS_CACHE: "OrderedDict[tuple, tuple]" = OrderedDict()
 _VTAB_CACHE: "OrderedDict[tuple, tuple]" = OrderedDict()
-_SEQ3_CACHE: "OrderedDict[tuple, tuple]" = OrderedDict()
+_PRELOWER_CACHE: "OrderedDict[tuple, tuple]" = OrderedDict()
 _ORACLE_CAP = 24
 _SMALL_CAP = 16
-_SEQ3_CAP = 12      # seq3 lists are per-point and large; bound them harder
+_PRELOWER_CAP = 12  # prelowered columns are per-point and large
 
 # In-loop opcodes ("vkind"), one per *dynamic occurrence*: the stream builder
 # folds the oracle's route into the opcode, so the timing loop never re-derives
@@ -940,12 +940,11 @@ def _branch_flags_scalar(decoded, cold, config) -> tuple:
 def _vstream_to_artifact(entry) -> tuple:
     """Persistable (meta, sections) projection of a prelowered stream.
 
-    Only the columnar views, the live-route side channel and the sparse
-    event-payload map are stored — the seq3 tuple list is the same data in
-    row form and is reconstructed on demand (:func:`_seq3_from_cols`) by the
-    pure-Python loop only; the C kernel reads the columns directly.
+    The entry is already in its stored shape: the columnar views the C
+    kernel reads, the live-route side channel and the sparse event-payload
+    map.
     """
-    seq3, lroutes, n_regs, cols, events = entry
+    lroutes, n_regs, cols, events = entry
     vk, fu, lat, dst, soff, sid, phase, unpip = cols
     meta = {"n_regs": n_regs, "n": int(len(vk)),
             "events": [[i, v] for i, v in sorted(events.items())]}
@@ -960,9 +959,7 @@ def _vstream_to_artifact(entry) -> tuple:
 def _vstream_from_artifact(meta, sections):
     """Rebuild a vstream entry from its artifact (None if torn).
 
-    The seq3 slot comes back as None: the read-only ``frombuffer`` columns
-    are all the C kernel needs, and the Python fallback loop reconstructs
-    the tuples lazily.
+    The read-only ``frombuffer`` columns are all the C kernel needs.
     """
     try:
         n = int(meta["n"])
@@ -980,35 +977,9 @@ def _vstream_from_artifact(meta, sections):
             return None
         events = {int(i): v for i, v in meta["events"]}
         cols = (vk, fu, lat, dst, soff, sid, phase, unpip)
-        return (None, sections["lroutes"], int(meta["n_regs"]), cols, events)
+        return (sections["lroutes"], int(meta["n_regs"]), cols, events)
     except (KeyError, TypeError, ValueError, IndexError):
         return None
-
-
-def _seq3_from_cols(cols, events) -> list:
-    """Row-form seq3 tuples from the columnar views (pure-Python loop only).
-
-    Inverse of :func:`_build_cols` given the sparse event-payload map: the
-    latency slot of event ops (vk >= 8) is the DMA tag / drain latency the
-    columns store as 0.0, and ``is_mem`` is exactly ``1 <= vk <= 6`` (plain
-    vkinds are 0, 7 and >= 8).
-    """
-    vk_l = cols[0].tolist()
-    fu_l = cols[1].tolist()
-    lat_l = cols[2].tolist()
-    dst_l = cols[3].tolist()
-    soff_l = cols[4].tolist()
-    sid_l = cols[5].tolist()
-    phase_l = cols[6].tolist()
-    unpip_l = cols[7].tolist()
-    seq3 = []
-    append = seq3.append
-    for i in range(len(vk_l)):
-        k = vk_l[i]
-        append((k, fu_l[i], lat_l[i] if k < 8 else events.get(i),
-                dst_l[i], tuple(sid_l[soff_l[i]:soff_l[i + 1]]),
-                phase_l[i], bool(unpip_l[i]), 1 <= k <= 6))
-    return seq3
 
 
 def _cached_vstream(trace: Trace, hot, cold, seq, oracle_routes, mode: str,
@@ -1018,23 +989,23 @@ def _cached_vstream(trace: Trace, hot, cold, seq, oracle_routes, mode: str,
 
     Two cache levels: the *vtab* (per-pc vkind variants + dense register
     remap) depends only on the program and the two static latencies, so every
-    ablation point that keeps ``lm``/``l1`` latencies shares it; the *seq3*
-    stream (one picked variant per retired instruction, plus the compact
-    live-route side channel) additionally depends on the oracle's routing and
-    is shared across points with the same cache geometry.  The prelowered
-    entry is also persisted as an on-disk ``prelower`` artifact, so a warm
-    process skips the vtab/seq3 builds entirely (the disk form carries only
-    the columnar views — see :func:`_vstream_from_artifact`).
+    ablation point that keeps ``lm``/``l1`` latencies shares it; the
+    prelowered columns (one picked variant per retired instruction, plus the
+    compact live-route side channel) additionally depend on the oracle's
+    routing and are shared across points with the same cache geometry.  The
+    entry ``(lroutes, n_regs, cols, events)`` is also persisted as an
+    on-disk ``prelower`` artifact, so a warm process skips the builds
+    entirely (see :func:`_vstream_from_artifact`).
     """
     from repro import faults
     faults.check("vector.prelower", key=trace.stream_digest())
     fp = trace.program_fingerprint
     skey = (fp, trace.stream_digest(),
             _geometry_key(mode, machine, multicore), lm_lat, l1_lat)
-    entry = _SEQ3_CACHE.get(skey)
+    entry = _PRELOWER_CACHE.get(skey)
     if entry is not None:
         obs.incr("vector.prelower.hit")
-        _SEQ3_CACHE.move_to_end(skey)
+        _PRELOWER_CACHE.move_to_end(skey)
         return entry
     store = artifacts.default_store() if parent_hash else None
     if store is not None:
@@ -1044,9 +1015,9 @@ def _cached_vstream(trace: Trace, hot, cold, seq, oracle_routes, mode: str,
             if entry is not None:
                 obs.incr("vector.prelower.hit")
                 obs.incr("vector.prelower.disk.hit")
-                _SEQ3_CACHE[skey] = entry
-                while len(_SEQ3_CACHE) > _SEQ3_CAP:
-                    _SEQ3_CACHE.popitem(last=False)
+                _PRELOWER_CACHE[skey] = entry
+                while len(_PRELOWER_CACHE) > _PRELOWER_CAP:
+                    _PRELOWER_CACHE.popitem(last=False)
                 return entry
     obs.incr("vector.prelower.miss")
     vkey = (fp, lm_lat, l1_lat)
@@ -1063,10 +1034,10 @@ def _cached_vstream(trace: Trace, hot, cold, seq, oracle_routes, mode: str,
     with obs.phase("vector.prelower"):
         seq3, lroutes = _build_seq3(seq, oracle_routes, plain, memvar)
         events = {i: h[2] for i, h in enumerate(seq3) if h[0] >= 8}
-        entry = (seq3, lroutes, n_regs, _build_cols(seq3), events)
-    _SEQ3_CACHE[skey] = entry
-    while len(_SEQ3_CACHE) > _SEQ3_CAP:
-        _SEQ3_CACHE.popitem(last=False)
+        entry = (lroutes, n_regs, _build_cols(seq3), events)
+    _PRELOWER_CACHE[skey] = entry
+    while len(_PRELOWER_CACHE) > _PRELOWER_CAP:
+        _PRELOWER_CACHE.popitem(last=False)
     if store is not None:
         meta, sections = _vstream_to_artifact(entry)
         store.put(parent_hash, "prelower", skey, meta, sections)
@@ -1121,7 +1092,7 @@ def _build_seq3(seq, routes, plain, memvar) -> tuple:
 
     Returns ``(seq3, lroutes)``: the stream of prefolded tuples plus the
     compact route codes (bytes) of the *live* memory ops only, consumed in
-    order by the loop's vk-5/6 dispatch.
+    order by the kernel's vk-5/6 dispatch.
     """
     seq3 = []
     append = seq3.append
@@ -1149,12 +1120,12 @@ def _build_seq3(seq, routes, plain, memvar) -> tuple:
 
 
 def _build_cols(seq3) -> tuple:
-    """Columnar views of a seq3 stream for the optional C inner loop.
+    """Columnar views of a seq3 stream for the C kernel.
 
     One flat array per tuple slot (sources as CSR offsets + ids).  The C
     kernel never reads the latency slot of event ops (vk >= 8 always bounce
-    to Python, which still holds the tuples), so their tag payload is stored
-    as 0.0.
+    to Python, which reads their payload from the ``events`` map), so their
+    tag payload is stored as 0.0.
     """
     n = len(seq3)
     vk = np.empty(n, np.uint8)
@@ -1188,12 +1159,12 @@ def _build_cols(seq3) -> tuple:
 class _VectorLane:
     """One core's vector replay loop as a resumable state machine.
 
-    The issue/retire arithmetic is the same line-by-line fused transcription
-    of ``OutOfOrderTimingModel.issue_estimate`` / ``retire``; memory and
-    branch outcomes come from the precomputed route/flag streams; the only
-    live structures are the point system's MSHR file and (multicore) the
-    shared uncore.  Lanes yield to the scheduler only immediately before an
-    uncore event — see the module docstring.
+    The issue/retire arithmetic is the compiled transcription of the fused
+    recurrence (:mod:`repro.trace._ckernel`); memory and branch outcomes
+    come from the precomputed route/flag streams; the only live structures
+    are the point system's MSHR file and (multicore) the shared uncore.
+    Lanes yield to the scheduler only immediately before an uncore event —
+    see the module docstring.
     """
 
     __slots__ = ("order", "trace", "config", "timing", "fetch_time", "done",
@@ -1202,9 +1173,9 @@ class _VectorLane:
 
     def __init__(self, order: int, phase_names, decoded, vstream,
                  trace: Trace, mem, config, oracle: _OracleRoutes, flags,
-                 uncore=None):
+                 kern, uncore=None):
         seq, branches, mem_addrs, dma_words, fu_counts = decoded[:5]
-        seq3, lroutes, n_regs, cols, events = vstream
+        lroutes, n_regs, cols, events = vstream
         self.order = order
         self.trace = trace
         self.config = config
@@ -1221,14 +1192,8 @@ class _VectorLane:
         self.fetch_time = 0.0
         self.done = self._n == 0
         if self._n:
-            kern = _ckernel.load()
-            if kern is not None:
-                self._gen = self._loop_c(lroutes, cols, events, n_regs,
-                                         uncore, kern)
-            else:
-                if seq3 is None:    # prelower artifact: columns only
-                    seq3 = _seq3_from_cols(cols, events)
-                self._gen = self._loop(seq3, lroutes, n_regs, uncore)
+            self._gen = self._loop(lroutes, cols, events, n_regs, uncore,
+                                   kern)
             next(self._gen)     # run the loop's setup to the first yield
         else:   # defensive: programs always retire at least a HALT
             self._gen = None
@@ -1245,368 +1210,18 @@ class _VectorLane:
         except StopIteration:
             self.done = True
 
-    def _loop(self, seq3, lroutes, n_regs, uncore):
-        """The vector per-instruction loop, as a generator.
+    def _loop(self, lroutes, cols, events, n_regs, uncore, kern):
+        """The vector loop around the compiled inner kernel, as a generator.
 
         Same resume protocol as the fused lane: every ``send`` delivers the
         next ``(limit, limit_order)`` key; the final scalar state is packed
-        into ``_state`` for :meth:`finish`.
-
-        Identity notes on the three deviations from the fused shape:
-
-        * The fused engine's ``if t > fetch_time: fetch_time = t`` bump is
-          deferred from the issue estimate to the top of retire.  Nothing
-          reads ``fetch_time`` in between *except* the epoch-break checks,
-          which must observe the pre-instruction value — the key the fused
-          scheduler sorts lanes by when it parks a lane between instructions.
-        * The ROB/LSQ deques become fixed rings prefilled with 0.0: before
-          the deque would be full the fused code skips the occupancy check,
-          and ``0.0 > t`` is never true for ``t >= 0``, so the prefilled
-          slots are exact no-ops.
-        * ``int(now)`` / ``int(start)`` in retire are replaced by the cycle
-          cursors the scans already hold: ``now`` is either ``ready`` (whose
-          ``int`` was just taken) or ``float(cycle)`` from a scan, so the
-          truncations are always available as ints.
-        """
-        config = self.config
-        mem = self._mem
-        my_order = self.order
-        oracle = self._oracle
-
-        # -- precomputed streams --
-        miss_lines = oracle.miss_lines
-        guard_entries = oracle.guard_entries
-        dma_nlines = oracle.dma_nlines
-        dget_entries = oracle.dget_entries
-        flags = self._flags[0]
-
-        # -- cached config / live-structure bindings --
-        issue_width = config.issue_width
-        inv_fetch = 1.0 / config.fetch_width
-        mispredict_penalty = config.mispredict_penalty
-        timing = self.timing
-        fu_capacity = timing.fus._capacity
-        rob_size = timing.rob.size
-        inv_commit = 1.0 / timing.rob.commit_width
-        lsq_size = timing.lsq.size
-        phase_acc = self._phase_acc
-        c = mem.hierarchy.config
-        l1_lat = float(c.l1_latency)
-        b_l2 = float(c.l2_latency)
-        b_l3 = float(c.l2_latency + c.l3_latency)
-        b_mem = float(c.l2_latency + c.l3_latency + c.memory_latency)
-        mshr_request = mem.hierarchy.mshr.request
-        use_lm = mem.use_lm
-        if use_lm:
-            lm_lat = float(mem.lm.latency)
-            dma_setup = mem.dmac.setup_latency
-            dma_per_line = mem.dmac.per_line_latency
-        else:
-            lm_lat = 0.0
-            dma_setup = dma_per_line = 0
-        pause = uncore is not None
-        uncore_acquire = uncore.acquire if pause else None
-        # Clustered uncore: the per-core port carries the hierarchical
-        # demand path (cluster bus + NUMA + home LLC slice) and the homed
-        # DMA path.  None on the flat bus — the pre-cluster arithmetic below
-        # then runs unchanged.
-        mem_path = getattr(uncore, "mem_path", None) if pause else None
-        dma_path = getattr(uncore, "dma_path", None) if pause else None
-        dma_addrs = oracle.dma_addrs
-
-        # -- lane-local replicas of the clock-dependent structures --
-        # Directory presence bits/ready times (guarded-hit stalls) and the
-        # DMA controller's outstanding-transfer map (dma-sync waits): both
-        # are per-core and depend on real clocks, so the loop carries them as
-        # plain locals — exact transcriptions of CoherenceDirectory.lookup's
-        # stall/latch and DMAController timing.
-        n_dir = oracle.n_dir
-        present = [True] * n_dir
-        ready_t = [0.0] * n_dir
-        outstanding: dict = {}
-
-        # -- per-cycle reservation state, flat (same trick as fused) --
-        issue_slots = [0] * 8192
-        fu_tables = [[0] * 8192 for _ in fu_capacity]
-
-        # -- dense register readiness --
-        reg_ready = [0.0] * n_regs
-
-        # -- ROB/LSQ occupancy as rings (see the identity notes above) --
-        rob_ring = [0.0] * rob_size
-        rp = 0
-        lsq_ring = [0.0] * lsq_size
-        lp = 0
-
-        # -- scalar timing state --
-        fetch_time = 0.0
-        last_commit = 0.0
-        rob_bw = 0.0
-        rob_stalls = 0.0
-        lsq_stalls = 0.0
-        contended = 0.0
-        total_lat = mem.total_mem_latency   # == 0.0 on a fresh system
-        hier_lat = 0.0
-        presence_stalls = 0
-
-        li = gi = ni = gei = fi = ri = 0
-        # Rare-event accounting (uncore-relevant events only), reported once
-        # to the recorder after the loop.
-        ev_mem_miss = ev_dma = ev_dsync = 0
-        limit, limit_order = yield
-
-        for h in seq3:
-            (vk, fu_index, latency, dst, srcs, phase, unpipelined,
-             is_mem) = h
-
-            # ---- issue estimate (fused transcription) ----
-            t = fetch_time
-            oldest = rob_ring[rp]
-            if oldest > t:
-                rob_stalls += oldest - t
-                t = oldest
-            if is_mem:
-                oldest = lsq_ring[lp]
-                if oldest > t:
-                    lsq_stalls += oldest - t
-                    t = oldest
-            ready = t
-            for src in srcs:
-                r = reg_ready[src]
-                if r > ready:
-                    ready = r
-            cycle = int(ready)
-            try:
-                if issue_slots[cycle] < issue_width:
-                    now = ready
-                else:
-                    while True:
-                        cycle += 1
-                        try:
-                            if issue_slots[cycle] < issue_width:
-                                break
-                        except IndexError:
-                            while cycle >= len(issue_slots):
-                                issue_slots.extend(_ZEROS)
-                            break
-                    now = float(cycle)
-            except IndexError:
-                while cycle >= len(issue_slots):
-                    issue_slots.extend(_ZEROS)
-                now = ready
-
-            # ---- execute: latency prefolded or resolved live ----
-            if is_mem:
-                if vk <= 4:         # static route: LM or L1 hit
-                    total_lat += latency
-                    if vk >= 3:
-                        hier_lat += latency
-                else:               # vk 5/6: live load/store
-                    r = lroutes[ri]
-                    ri += 1
-                    if r == 3:      # L2 hit through the MSHR file
-                        line = miss_lines[li]
-                        li += 1
-                        latency = l1_lat + mshr_request(line, now, b_l2)
-                        total_lat += latency
-                        hier_lat += latency
-                    elif r == 5:    # memory (uncore-arbitrated, multicore)
-                        # Epoch break: yield before touching the shared
-                        # arbiter once another lane's front end is earlier
-                        # (strictly, or equal with a lower core id).
-                        ev_mem_miss += 1
-                        line = miss_lines[li]
-                        li += 1
-                        if pause:
-                            if fetch_time > limit or (
-                                    fetch_time == limit
-                                    and my_order > limit_order):
-                                self.fetch_time = fetch_time
-                                limit, limit_order = yield
-                            if mem_path is not None:
-                                beyond = b_l3 + mem_path(now, line)
-                            else:
-                                beyond = b_mem + uncore_acquire(now, 1)
-                        else:
-                            beyond = b_mem
-                        latency = l1_lat + mshr_request(line, now, beyond)
-                        total_lat += latency
-                        hier_lat += latency
-                    elif r == 4:    # L3 hit through the MSHR file
-                        line = miss_lines[li]
-                        li += 1
-                        latency = l1_lat + mshr_request(line, now, b_l3)
-                        total_lat += latency
-                        hier_lat += latency
-                    else:           # r == 1: guarded dir hit (presence stall)
-                        e = guard_entries[gi]
-                        gi += 1
-                        stall = 0.0
-                        rt = ready_t[e]
-                        if not present[e] and now < rt:
-                            stall = rt - now
-                            presence_stalls += 1
-                        if now >= rt:
-                            present[e] = True
-                        latency = lm_lat + stall
-                        total_lat += latency
-            elif vk >= 8:
-                if vk <= 9:         # dma-get / dma-put issue
-                    ev_dma += 1
-                    if pause:       # epoch break, as for route-5 misses
-                        if fetch_time > limit or (
-                                fetch_time == limit
-                                and my_order > limit_order):
-                            self.fetch_time = fetch_time
-                            limit, limit_order = yield
-                        nlines = dma_nlines[ni]
-                        if dma_path is not None:
-                            queue = dma_path(now, nlines, dma_addrs[ni])
-                        else:
-                            queue = uncore_acquire(now, nlines)
-                    else:
-                        nlines = dma_nlines[ni]
-                        queue = 0.0
-                    ni += 1
-                    completion_d = now + queue + float(
-                        dma_setup + nlines * dma_per_line)
-                    tag = latency   # the DMA tag rides in the latency slot
-                    lst = outstanding.get(tag)
-                    if lst is None:
-                        outstanding[tag] = [completion_d]
-                    else:
-                        lst.append(completion_d)
-                    if vk == 8:
-                        e = dget_entries[gei]
-                        gei += 1
-                        if e >= 0:
-                            present[e] = False
-                            ready_t[e] = completion_d
-                    latency = 1.0
-                elif vk == 11:      # dma-sync (DMAController.dma_sync)
-                    ev_dsync += 1
-                    tag = latency
-                    if tag is None:
-                        pending = [x for lst in outstanding.values()
-                                   for x in lst]
-                    else:
-                        lst = outstanding.get(tag)
-                        pending = lst if lst else None
-                    if pending:
-                        finish_t = max(pending)
-                        wait_until = finish_t if finish_t > now else now
-                        for k in list(outstanding):
-                            kept = [x for x in outstanding[k]
-                                    if x > wait_until]
-                            if kept:
-                                outstanding[k] = kept
-                            else:
-                                del outstanding[k]
-                        stall = finish_t - now
-                        latency = 1.0 + stall if stall > 0.0 else 1.0
-                    else:
-                        latency = 1.0
-                elif vk == 10:      # set-bufsize
-                    latency = 1.0
-                # vk == 12 (halt): static latency stands
-
-            # ---- retire (fused transcription; the occupancy bump of the
-            # issue estimate lands here, past the epoch checks) ----
-            if t > fetch_time:
-                fetch_time = t
-            capacity = fu_capacity[fu_index]
-            table = fu_tables[fu_index]
-            try:
-                if table[cycle] < capacity:
-                    start = now
-                else:
-                    while True:
-                        cycle += 1
-                        try:
-                            if table[cycle] < capacity:
-                                break
-                        except IndexError:
-                            while cycle >= len(table):
-                                table.extend(_ZEROS)
-                            break
-                    start = float(cycle)
-                    contended += start - now
-            except IndexError:
-                while cycle >= len(table):
-                    table.extend(_ZEROS)
-                start = now
-            if unpipelined:
-                occupancy = int(latency)
-                if occupancy < 1:
-                    occupancy = 1
-                end = cycle + occupancy
-                while end > len(table):
-                    table.extend(_ZEROS)
-                for ci in range(cycle, end):
-                    table[ci] += 1
-            else:
-                table[cycle] += 1
-            try:
-                issue_slots[cycle] += 1
-            except IndexError:
-                while cycle >= len(issue_slots):
-                    issue_slots.extend(_ZEROS)
-                issue_slots[cycle] += 1
-            completion = start + latency
-            if dst >= 0:
-                reg_ready[dst] = completion
-            if is_mem:
-                lsq_ring[lp] = completion
-                lp += 1
-                if lp == lsq_size:
-                    lp = 0
-                if vk & 1:          # load
-                    commit_completion = completion
-                else:               # store: 2-cycle commit cap
-                    commit_completion = start + (latency if latency < 2.0
-                                                 else 2.0)
-            else:
-                commit_completion = completion
-                if vk == 7:         # branch: consume the mispredict flag
-                    if flags[fi]:
-                        fetch_time = completion + mispredict_penalty
-                    fi += 1
-            fetch_time = fetch_time + inv_fetch
-            if vk >= 11 and completion > fetch_time:
-                fetch_time = completion    # dsync/halt drain the front end
-            rob_bw = rob_bw + inv_commit
-            if commit_completion > rob_bw:
-                rob_bw = commit_completion
-            rob_ring[rp] = rob_bw
-            rp += 1
-            if rp == rob_size:
-                rp = 0
-            phase_acc[phase] += rob_bw - last_commit
-            last_commit = rob_bw
-
-        rec = obs.get_recorder()
-        if rec.enabled:
-            rec.incr("vector.python.mem_miss", ev_mem_miss)
-            rec.incr("vector.python.dma", ev_dma)
-            rec.incr("vector.python.dma_sync", ev_dsync)
-
-        self.fetch_time = fetch_time
-        self._state = (fetch_time, last_commit, rob_bw, rob_stalls,
-                       lsq_stalls, contended, total_lat, hier_lat,
-                       presence_stalls)
-
-    def _loop_c(self, lroutes, cols, events, n_regs, uncore, kern):
-        """The vector loop with the compiled inner kernel.
-
-        Same resume protocol and identical results as :meth:`_loop` (the C
-        code is a transcription of the same recurrence — see
-        :mod:`repro.trace._ckernel`).  ``vr_run`` executes entire epochs of
-        uncore-free instructions; this generator handles only the *event*
-        instructions it stops at — the epoch yield-check, DMA/uncore/dsync
-        bookkeeping (which stays in Python, on the same shared state vectors)
-        and the re-entry.  It reads only the columnar views plus the sparse
-        ``events`` payload map (DMA tags, halt latency), so a prelower
-        artifact hit never materializes the row-form seq3 tuples.
+        into ``_state`` for :meth:`finish`.  ``vr_run`` executes entire
+        epochs of uncore-free instructions; this generator handles only the
+        *event* instructions it stops at — the epoch yield-check,
+        DMA/uncore/dsync bookkeeping (which stays in Python, on the same
+        shared state vectors) and the re-entry.  It reads only the columnar
+        views plus the sparse ``events`` payload map (DMA tags, halt
+        latency).
         """
         config = self.config
         mem = self._mem
@@ -1629,9 +1244,11 @@ class _VectorLane:
             dma_setup = dma_per_line = 0
         pause = uncore is not None
         uncore_acquire = uncore.acquire if pause else None
-        # Clustered per-core port (see _loop): hierarchical demand/DMA paths,
-        # None on the flat bus.  Both run in the Python bounce handler — the
-        # C kernel already bounces every uncore-relevant instruction.
+        # Clustered uncore: the per-core port carries the hierarchical
+        # demand path (cluster bus + NUMA + home LLC slice) and the homed
+        # DMA path; None on the flat bus.  Both run in the Python bounce
+        # handler — the C kernel already bounces every uncore-relevant
+        # instruction.
         mem_path = getattr(uncore, "mem_path", None) if pause else None
         dma_path = getattr(uncore, "dma_path", None) if pause else None
         dma_addrs = oracle.dma_addrs
@@ -1904,9 +1521,10 @@ def _apply_shared(memory, bus, patches, uncore=None) -> None:
     bus.bytes_transferred = sum(p["bus_bytes"] for p in patches)
 
 
-def replay_single_vector(trace: Trace, machine: MachineConfig,
+def replay_single_vector(trace: Trace, machine: MachineConfig, kern,
                          timeline=None) -> RunResult:
-    """Single-core vector replay — bit-identical to the fused engine."""
+    """Single-core vector replay on the loaded C kernel ``kern`` —
+    bit-identical to the fused engine."""
     check_replay_machine(trace.key, machine)
     program, compiled, hot, cold, fu_values, phase_names, fingerprint = \
         _cached_program(trace.key)
@@ -1931,7 +1549,7 @@ def replay_single_vector(trace: Trace, machine: MachineConfig,
                               mode, machine, False, lm_lat, l1_lat,
                               parent_hash=parent_hash)
     lane = _VectorLane(0, phase_names, decoded, vstream, trace,
-                       system, config, oracle, flags)
+                       system, config, oracle, flags, kern)
     with obs.phase("vector.timing"):
         lane.run_until(_INFINITY, 0)
         timing = lane.finish()
@@ -1947,7 +1565,7 @@ def replay_single_vector(trace: Trace, machine: MachineConfig,
 
 
 def replay_multicore_vector(mtrace: MulticoreTrace,
-                            machine: MachineConfig,
+                            machine: MachineConfig, kern,
                             timeline=None) -> RunResult:
     """Multicore vector replay: one :class:`_VectorLane` per core under the
     shared uncore, interleaved by the same min-fetch-time scheduler as the
@@ -1988,8 +1606,8 @@ def replay_multicore_vector(mtrace: MulticoreTrace,
                                   key.mode, machine, True, lm_lat, l1_lat,
                                   parent_hash=key.key_hash)
         lanes.append(_VectorLane(core_id, phase_names, decoded, vstream,
-                                 trace, mem, config, oracle,
-                                 flags, uncore=system.uncore.port(core_id)))
+                                 trace, mem, config, oracle, flags, kern,
+                                 uncore=system.uncore.port(core_id)))
         patches.append(oracle.patch)
     with obs.phase("vector.timing"):
         run_resumable_lanes(lanes, timeline=timeline)

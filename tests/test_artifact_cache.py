@@ -61,7 +61,7 @@ def _clear_memo_caches():
     vector_mod._ORACLE_CACHE.clear()
     vector_mod._FLAGS_CACHE.clear()
     vector_mod._VTAB_CACHE.clear()
-    vector_mod._SEQ3_CACHE.clear()
+    vector_mod._PRELOWER_CACHE.clear()
     replay_mod._DECODE_CACHE.clear()
 
 

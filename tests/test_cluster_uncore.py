@@ -5,7 +5,7 @@ arbiters (randomized equivalence of the hierarchical acquire path against
 the reference per-window walk), the address-interleaved home-node
 directory, the ``num_clusters=1`` bit-identity contract (cycles, energy
 and spec hashes), the per-cluster timeline lanes, and the acceptance
-identity matrix: fused == vector == lanes == execution on a
+identity matrix: fused == vector == execution on a
 2-cluster x 2-core machine for every NAS kernel at small scale.
 """
 
@@ -370,7 +370,7 @@ def test_spec_hash_cluster_knobs_stable_across_processes():
 # ------------------------------------------------------- engine identity matrix
 @pytest.mark.parametrize("workload", BENCHMARK_ORDER)
 def test_engine_identity_two_clusters(workload):
-    """fused == vector == lanes == execution on the 2-cluster x 2-core
+    """fused == vector == execution on the 2-cluster x 2-core
     machine, for every NAS kernel at small scale — the acceptance matrix of
     the hierarchical uncore (cluster buses, NUMA, LLC slices all exercised
     at globally-ordered arbitration points)."""
@@ -379,8 +379,7 @@ def test_engine_identity_two_clusters(workload):
                                         machine=machine)
     fused = replay_trace(parse_trace_bytes(mtrace.to_bytes()), machine)
     vector = replay_trace(mtrace, machine, engine="vector")
-    lanes = replay_trace(mtrace, machine, engine="lanes")
-    for replayed in (fused, vector, lanes):
+    for replayed in (fused, vector):
         assert replayed.cycles == executed.cycles
         assert replayed.energy.as_dict() == executed.energy.as_dict()
         assert replayed.sim.memory_stats == executed.sim.memory_stats
@@ -406,7 +405,7 @@ def test_cluster_overrides_retime_from_flat_capture():
     _, mtrace = capture_workload("CG", "hybrid", "tiny", machine=flat)
     executed = run_parallel_workload("CG", "hybrid", "tiny",
                                      machine=clustered, num_cores=4)
-    for engine in ("fused", "vector", "lanes"):
+    for engine in ("fused", "vector"):
         replayed = replay_trace(mtrace, clustered, engine=engine)
         assert replayed.cycles == executed.cycles, engine
         assert replayed.energy.as_dict() == executed.energy.as_dict(), engine

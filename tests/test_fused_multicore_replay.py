@@ -2,11 +2,10 @@
 
 The fused engine (one :class:`repro.trace.replay._FusedLane` per core,
 interleaved by :func:`repro.cpu.multicore.run_resumable_lanes`) must be
-indistinguishable from the legacy executor-driven lane replay
-(``engine="lanes"``) and from execution-driven simulation: cycles, energy,
-per-core results and uncore queue statistics, at the capture config and
-re-timed under timing-parameter overrides (the uncore window knobs
-included).  The optimized :meth:`repro.mem.uncore.Uncore.acquire` must be
+indistinguishable from execution-driven simulation through the lane runner
+(:func:`repro.cpu.multicore.run_lanes`): cycles, energy, per-core results
+and uncore queue statistics, at the capture config and re-timed under
+timing-parameter overrides (the uncore window knobs included).  The optimized :meth:`repro.mem.uncore.Uncore.acquire` must be
 decision-for-decision identical to the reference per-window walk.
 """
 
@@ -44,18 +43,16 @@ def _assert_same_run(a, b):
     assert a.sim.core_stats["per_core"] == b.sim.core_stats["per_core"]
 
 
-# ------------------------------------------------- fused engine == lane replay
+# ----------------------------------------- fused engine == execution lane runner
 @pytest.mark.parametrize("mode", ["hybrid", "cache"])
 @pytest.mark.parametrize("cores", [2, 4])
 def test_fused_identical_to_lane_replay(mode, cores):
-    """The fused engine must match the executor-driven lane replay on every
+    """The fused engine must match the execution-driven lane runner on every
     observable: cycles, energy, per-core results, and the shared uncore's
     queue statistics (same arbitration decisions, not just same totals)."""
     machine = _machine(cores)
     executed, mtrace = capture_workload("CG", mode, "tiny", machine=machine)
     fused = replay_trace(parse_trace_bytes(mtrace.to_bytes()), machine)
-    lanes = replay_trace(mtrace, machine, engine="lanes")
-    _assert_same_run(fused, lanes)
     _assert_same_run(fused, executed)
     uncore_f = fused.sim.memory_stats["uncore"]
     uncore_x = executed.sim.memory_stats["uncore"]
@@ -101,7 +98,7 @@ def test_fused_retime_under_core_and_memory_overrides():
 def test_fused_refuses_wrong_core_count():
     machine = _machine(2)
     _, mtrace = capture_workload("CG", "hybrid", "tiny", machine=machine)
-    for engine in ("fused", "lanes"):
+    for engine in ("fused", "vector"):
         with pytest.raises(ReplayValidityError):
             replay_trace(mtrace, PTLSIM_CONFIG, engine=engine)
         with pytest.raises(ReplayValidityError):
@@ -111,15 +108,16 @@ def test_fused_refuses_wrong_core_count():
 def test_fused_rejects_unknown_engine():
     machine = _machine(2)
     _, mtrace = capture_workload("CG", "hybrid", "tiny", machine=machine)
-    with pytest.raises(ValueError, match="unknown replay engine"):
-        replay_trace(mtrace, machine, engine="warp")
+    for engine in ("warp", "lanes"):
+        with pytest.raises(ValueError, match="unknown replay engine"):
+            replay_trace(mtrace, machine, engine=engine)
 
 
 def test_fused_detects_stale_core_fingerprint():
     machine = _machine(2)
     _, mtrace = capture_workload("CG", "hybrid", "tiny", machine=machine)
     mtrace.cores[1].program_fingerprint = "0" * 16
-    for engine in ("fused", "lanes"):
+    for engine in ("fused", "vector"):
         with pytest.raises(TraceError, match="core 1"):
             replay_trace(mtrace, machine, engine=engine)
 

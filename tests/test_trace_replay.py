@@ -4,9 +4,13 @@ cross-process trace-hash determinism, replay validity checking, and the
 sweep-engine integration (kind="replay" cells, --replay / --stats / --prune
 CLI).  Mirrors the structure of ``tests/test_sweep_engine.py``."""
 
+import json
 import os
+import random
+import struct
 import subprocess
 import sys
+from array import array
 
 import pytest
 
@@ -32,12 +36,25 @@ from repro.trace import (
     TraceStore,
     capture_micro,
     capture_workload,
-    recover_mem_pcs,
     replay_trace,
     run_replay_spec,
 )
 from repro.trace.__main__ import main as trace_main
+from repro.trace.format import TRACE_MAGIC, pack_bits
 from repro.workloads import BENCHMARK_ORDER
+
+
+def _flat_bytes(trace):
+    """Size of the stream stored flat: packed branch bits plus one u64 per
+    address and per DMA operand (the header is left out)."""
+    return len(trace.branch_bits) + 8 * (len(trace.mem_addrs)
+                                         + len(trace.dma_words))
+
+
+def _write_schema1_header(path):
+    """A file that stamps trace schema 1: header only, as prune reads it."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_bytes(TRACE_MAGIC + struct.pack("<HI", 1, 2) + b"{}")
 
 
 def _assert_identical(executed, replayed):
@@ -340,47 +357,16 @@ def test_to_record_program_keeps_label():
 
 
 # --------------------------------------------------- v2 columnar encoding
-def test_v1_bytes_still_load_and_replay_identically():
-    """The versioned header keeps schema-1 artifacts readable: a trace
-    round-tripped through the old flat layout replays bit-identically."""
-    executed, trace = capture_workload("CG", "hybrid", "tiny")
-    v1 = trace.to_bytes(schema=1)
-    old = Trace.from_bytes(v1)
-    assert not len(old.mem_pcs)          # v1 never carried per-access PCs
-    assert list(old.mem_addrs) == list(trace.mem_addrs)
-    assert list(old.dma_words) == list(trace.dma_words)
-    _assert_identical(executed, replay_trace(old))
-
-
 def test_v2_encoding_shrinks_traces():
     _, trace = capture_workload("MG", "hybrid", "tiny")
-    v1 = len(trace.to_bytes(schema=1))
+    flat = _flat_bytes(trace)
     v2 = len(trace.to_bytes())
-    assert v1 >= 3 * v2, f"v2 only {v1 / v2:.2f}x smaller than v1"
-
-
-def test_v2_single_stream_fallback_without_pcs():
-    """A trace with no recorded PCs (e.g. parsed from v1 bytes) still
-    round-trips through the v2 writer via the single-stream fallback."""
-    executed, trace = capture_workload("IS", "hybrid", "tiny")
-    old = Trace.from_bytes(trace.to_bytes(schema=1))
-    again = Trace.from_bytes(old.to_bytes())
-    assert not len(again.mem_pcs)
-    assert list(again.mem_addrs) == list(trace.mem_addrs)
-    assert list(again.dma_words) == list(trace.dma_words)
-    _assert_identical(executed, replay_trace(again))
-
-
-def test_recover_mem_pcs_matches_capture():
-    _, trace = capture_workload("CG", "hybrid", "tiny")
-    old = Trace.from_bytes(trace.to_bytes(schema=1))
-    assert list(recover_mem_pcs(old)) == list(trace.mem_pcs)
+    assert flat >= 3 * v2, f"v2 only {flat / v2:.2f}x smaller than flat"
 
 
 def test_v2_roundtrips_single_pc_stream():
     """Regression: a trace whose memory accesses all share one static PC
     used to serialise an interleave column the reader rejects."""
-    from array import array
     trace = Trace(key=TraceKey.create("CG", "hybrid", "tiny"),
                   program_fingerprint="0" * 16, instructions=4,
                   branch_count=0,
@@ -394,8 +380,6 @@ def test_v2_roundtrips_single_pc_stream():
 def test_corrupted_interleave_raises_trace_error():
     """Regression: a corrupted stream-id column used to escape as a raw
     IndexError instead of the TraceError the store treats as a miss."""
-    import struct
-    from array import array
     trace = Trace(key=TraceKey.create("CG", "hybrid", "tiny"),
                   program_fingerprint="0" * 16, instructions=2,
                   branch_count=0,
@@ -413,13 +397,106 @@ def test_corrupted_interleave_raises_trace_error():
 def test_v2_write_rejects_ragged_dma_words():
     """Regression: a dma_words length that is not a multiple of 3 used to
     serialise fine and only fail at read time (a permanently unparseable
-    store artifact)."""
-    from array import array
+    store artifact).  Addresses without one PC each are ragged the same
+    way: the writer groups streams by PC."""
     trace = Trace(key=TraceKey.create("CG", "hybrid", "tiny"),
                   program_fingerprint="0" * 16, instructions=1,
                   branch_count=0, dma_words=array("q", [1, 2, 3, 4]))
     with pytest.raises(TraceError):
         trace.to_bytes()
+    no_pcs = Trace(key=TraceKey.create("CG", "hybrid", "tiny"),
+                   program_fingerprint="0" * 16, instructions=2,
+                   branch_count=0, mem_addrs=array("Q", [64, 128]))
+    with pytest.raises(TraceError, match="mem_pcs"):
+        no_pcs.to_bytes()
+
+
+def _restamp_stream_pc(data, pc):
+    """Re-serialise trace bytes with every address stream's PC set to
+    ``pc`` (the header length changes, so the prefix is rebuilt)."""
+    (_, header_len) = struct.unpack_from("<HI", data, 4)
+    header = json.loads(data[10:10 + header_len])
+    for stream in header["v2"]["streams"]:
+        stream["pc"] = pc
+    blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    return (data[:4] + struct.pack("<HI", 2, len(blob)) + blob
+            + data[10 + header_len:])
+
+
+def test_negative_stream_pc_reads_as_store_miss(tmp_path):
+    """A stream stamped with PC -1 is not a valid trace: the reader raises
+    TraceError for one stream or many, and the store drops the file as a
+    miss so the next run recaptures."""
+    key = TraceKey.create("CG", "hybrid", "tiny")
+    for pcs in ([5, 5], [3, 7]):
+        trace = Trace(key=key, program_fingerprint="0" * 16, instructions=2,
+                      branch_count=0, mem_addrs=array("Q", [64, 128]),
+                      mem_pcs=array("I", pcs))
+        data = _restamp_stream_pc(trace.to_bytes(), 5)
+        assert list(Trace.from_bytes(data).mem_pcs) == [5, 5]
+        with pytest.raises(TraceError, match="pc out of range"):
+            Trace.from_bytes(_restamp_stream_pc(trace.to_bytes(), -1))
+    store = TraceStore(tmp_path)
+    path = store.path_for(key)
+    path.parent.mkdir(parents=True)
+    path.write_bytes(_restamp_stream_pc(trace.to_bytes(), -1))
+    assert store.get(key) is None
+    assert store.corrupted == 1 and not path.exists()
+
+
+def test_trace_bytes_roundtrip_randomized(monkeypatch):
+    """Random traces round-trip exactly through the columnar encoding:
+    interleaved multi-PC streams, raw-encoded irregular streams, deltas too
+    wide for the vectorised varint scanner (the per-stream
+    ``decode_deltas`` fallback) and signed DMA operands."""
+    import repro.trace.format as format_mod
+    fallbacks = []
+    real_decode = format_mod.decode_deltas
+
+    def counting_decode(data, count, pos=0):
+        fallbacks.append(count)
+        return real_decode(data, count, pos)
+
+    monkeypatch.setattr(format_mod, "decode_deltas", counting_decode)
+    rng = random.Random(1)
+    encodings, multi_stream = set(), 0
+    for _ in range(40):
+        pcs = rng.sample(range(1 << 32), rng.randrange(1, 6))
+        style = {pc: rng.choice(["stride", "random", "wide"]) for pc in pcs}
+        cursor = {pc: rng.randrange(1 << 40) for pc in pcs}
+        mem_pcs, mem_addrs = array("I"), array("Q")
+        for _ in range(rng.randrange(0, 200)):
+            pc = rng.choice(pcs)
+            if style[pc] == "random":
+                cursor[pc] = rng.randrange(1 << 64)
+            elif style[pc] == "wide" and rng.random() < 0.05:
+                cursor[pc] = (1 << 64) - 1 - cursor[pc]   # 10-byte delta
+            else:
+                cursor[pc] = (cursor[pc] + 64) % (1 << 64)
+            mem_pcs.append(pc)
+            mem_addrs.append(cursor[pc])
+        dma_words = array("q", [rng.randrange(-(1 << 63), 1 << 63)
+                                for _ in range(3 * rng.randrange(0, 20))])
+        branches = [rng.random() < 0.5 for _ in range(rng.randrange(0, 50))]
+        trace = Trace(key=TraceKey.create("CG", "hybrid", "tiny"),
+                      program_fingerprint="0" * 16,
+                      instructions=len(branches) + len(mem_addrs),
+                      branch_count=len(branches),
+                      branch_bits=pack_bits(branches), mem_addrs=mem_addrs,
+                      dma_words=dma_words, mem_pcs=mem_pcs)
+        data = trace.to_bytes()
+        (_, header_len) = struct.unpack_from("<HI", data, 4)
+        streams = json.loads(data[10:10 + header_len])["v2"]["streams"]
+        encodings.update(stream["enc"] for stream in streams)
+        multi_stream += len(streams) > 1
+        again = Trace.from_bytes(data)
+        assert again.branch_outcomes() == branches
+        assert list(again.mem_addrs) == list(mem_addrs)
+        assert list(again.mem_pcs) == list(mem_pcs)
+        assert list(again.dma_words) == list(dma_words)
+        assert again.to_bytes() == data
+    assert encodings == {"delta", "raw"} and multi_stream
+    assert fallbacks, "no stream reached the decode_deltas fallback"
 
 
 def test_trace_store_get_memoizes_parse(tmp_path):
@@ -440,57 +517,34 @@ def test_trace_store_get_memoizes_parse(tmp_path):
 
 
 def test_unsupported_schema_raises():
-    import struct
     _, trace = capture_workload("CG", "hybrid", "tiny")
     data = bytearray(trace.to_bytes())
-    struct.pack_into("<H", data, 4, 99)
-    with pytest.raises(TraceError):
-        Trace.from_bytes(bytes(data))
-    with pytest.raises(TraceError):
-        trace.to_bytes(schema=99)
+    for schema in (1, 99):
+        struct.pack_into("<H", data, 4, schema)
+        with pytest.raises(TraceError):
+            Trace.from_bytes(bytes(data))
 
 
 def test_v2_3x_smaller_and_replay_identical_at_medium():
     """Acceptance: at scale=medium the columnar encoding is >=3x smaller
-    bytes/instruction than v1 while replay of the round-tripped trace stays
-    cycle- and energy-identical to execution at the capture config."""
+    bytes/instruction than the flat u64 columns while replay of the
+    round-tripped trace stays cycle- and energy-identical to execution at
+    the capture config."""
     executed, trace = capture_workload("CG", "hybrid", "medium")
-    v1 = len(trace.to_bytes(schema=1))
+    flat = _flat_bytes(trace)
     v2_bytes = trace.to_bytes()
-    assert v1 >= 3 * len(v2_bytes), \
-        f"v2 only {v1 / len(v2_bytes):.2f}x smaller at medium"
+    assert flat >= 3 * len(v2_bytes), \
+        f"v2 only {flat / len(v2_bytes):.2f}x smaller at medium"
     _assert_identical(executed, replay_trace(Trace.from_bytes(v2_bytes)))
 
 
 # ------------------------------------------------- store capacity management
-def test_trace_store_migrate_upgrades_v1_in_place(tmp_path):
-    _, trace = capture_workload("CG", "hybrid", "tiny")
-    store = TraceStore(tmp_path)
-    legacy = store.root / "00" / "deadbeefdeadbeef.trace"
-    legacy.parent.mkdir(parents=True)
-    legacy.write_bytes(trace.to_bytes(schema=1))
-    assert store.disk_stats()["stale_schema"] == 1
-
-    counts = store.migrate(recover_pcs=recover_mem_pcs)
-    assert counts == {"migrated": 1, "current": 0, "failed": 0}
-    assert not legacy.exists()
-    target = store.path_for(trace.key)
-    assert target.exists()
-    upgraded = Trace.from_bytes(target.read_bytes())
-    assert list(upgraded.mem_pcs) == list(trace.mem_pcs)  # PCs recovered
-    assert list(upgraded.mem_addrs) == list(trace.mem_addrs)
-    assert store.disk_stats()["stale_schema"] == 0
-    # Idempotent: a second migrate leaves the current-schema artifact alone.
-    assert store.migrate() == {"migrated": 0, "current": 1, "failed": 0}
-
-
 def test_trace_store_prune_sweeps_stale_and_tmp(tmp_path):
     _, trace = capture_workload("CG", "hybrid", "tiny")
     store = TraceStore(tmp_path)
     store.put(trace)
     stale = store.root / "00" / "deadbeefdeadbeef.trace"
-    stale.parent.mkdir(parents=True, exist_ok=True)
-    stale.write_bytes(trace.to_bytes(schema=1))
+    _write_schema1_header(stale)
     leaked = store.root / "00" / "deadbeefdeadbeef.tmp.12345"
     leaked.write_bytes(b"partial write")
     stats = store.disk_stats()
@@ -699,24 +753,19 @@ def test_no_cache_parallel_replay_ships_traces_to_workers(tmp_path, monkeypatch)
 
 
 # ----------------------------------------------------------- CLI (new verbs)
-def test_trace_cli_migrate_and_prune(tmp_path, capsys, monkeypatch):
+def test_trace_cli_ls_and_prune(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
     _, trace = capture_workload("CG", "hybrid", "tiny")
     store = TraceStore(tmp_path / "cache")
-    legacy = store.root / "00" / "deadbeefdeadbeef.trace"
-    legacy.parent.mkdir(parents=True)
-    legacy.write_bytes(trace.to_bytes(schema=1))
-
-    assert trace_main(["migrate"]) == 0
-    assert "migrated 1" in capsys.readouterr().out
-    assert store.get(trace.key) is not None
+    store.put(trace)
+    _write_schema1_header(store.root / "00" / "deadbeefdeadbeef.trace")
 
     assert trace_main(["ls"]) == 0
-    assert "0 stale-schema" in capsys.readouterr().out
+    assert "1 stale-schema" in capsys.readouterr().out
 
     assert trace_main(["prune", "--max-bytes", "0"]) == 0
     out = capsys.readouterr().out
-    assert "1 LRU-evicted" in out
+    assert "1 stale-schema" in out and "1 LRU-evicted" in out
     assert len(TraceStore(tmp_path / "cache")) == 0
 
 

@@ -1,10 +1,11 @@
 """Tests for the vectorized epoch-batched replay engine.
 
 ``replay_trace(..., engine="vector")`` pre-lowers each trace into columnar
-arrays and executes uncore-free epochs inside a C kernel (with a pure-Python
-fallback selected by ``REPRO_NO_CKERNEL``).  Both paths must be bit-identical
-to the fused engine — cycles, full energy breakdown, phase cycles, memory
-stats and per-core results — at the capture config and under re-timing.
+arrays and executes uncore-free epochs inside a C kernel (falling back to the
+fused engine when no kernel can be built).  It must be bit-identical to the
+fused engine and to execution — cycles, full energy breakdown, phase cycles,
+memory stats and per-core results — at the capture config and under
+re-timing.
 
 The engine leans on the batched structure updates (cache ``access_batch``,
 prefetcher ``train_batch``, predictor ``update_batch``) and on the shared
@@ -17,6 +18,7 @@ import random
 
 import pytest
 
+from repro import obs
 from repro.cpu.branch_predictor import HybridBranchPredictor
 from repro.energy.model import EnergyBreakdown, EnergyModel
 from repro.harness.config import PTLSIM_CONFIG
@@ -87,20 +89,20 @@ def test_vector_retime_under_ablation_overrides():
         _assert_same_run(vector, executed)
 
 
-def test_vector_python_fallback_identical(monkeypatch):
-    """With ``REPRO_NO_CKERNEL`` set the engine must silently take the
-    pure-Python epoch loop and still be bit-identical — environments with no
-    C compiler get the same numbers, just slower."""
+def test_vector_without_ckernel_falls_back_to_fused(monkeypatch):
+    """With no C kernel (no compiler, or a failed compile) the vector
+    engine runs the fused engine instead: bit-identical, one visible
+    ``degraded.vector`` event, and no derivation pass spent on the way."""
     from repro.trace import _ckernel
     machine = _machine(2)
     _, mtrace = capture_workload("CG", "hybrid", "tiny", machine=machine)
     fused = replay_trace(mtrace, machine, engine="fused")
-    with_kernel = replay_trace(mtrace, machine, engine="vector")
-    monkeypatch.setenv("REPRO_NO_CKERNEL", "1")
-    assert _ckernel.load() is None
-    fallback = replay_trace(mtrace, machine, engine="vector")
+    monkeypatch.setattr(_ckernel, "load", lambda: None)
+    with obs.recording() as rec:
+        fallback = replay_trace(mtrace, machine, engine="vector")
     _assert_same_run(fallback, fused)
-    _assert_same_run(fallback, with_kernel)
+    assert rec.counters["degraded.vector"] == 1
+    assert [name for name in rec.counters if name.startswith("vector.")] == []
 
 
 def test_ckernel_negative_compile_cache(monkeypatch, tmp_path):
