@@ -12,16 +12,20 @@ per-instruction loops), which keeps the ``python -m repro.obs overhead``
 perf guard honest — the same zero-overhead-when-off discipline as
 :class:`repro.obs.NullRecorder`.
 
-Sites currently wired (grep for ``faults.check`` / ``faults.fire``):
+Sites currently wired (grep for ``faults.check`` / ``faults.fire`` and the
+stores' ``FAULT_SITE``):
 
 =====================  ===========================================================
 ``worker.exec``        start of :func:`~repro.harness.sweep.execute_spec`
                        (key = spec hash, attempt = retry number)
 ``capture.exec``       pool entry of the capture-once pre-pass (key = trace key)
-``store.put``          :meth:`ResultStore.put <repro.harness.sweep.ResultStore.put>`
-``trace.put``          :meth:`~repro.trace.store.TraceStore.put`
+``store.put``          :meth:`~repro.diskstore.DiskStore._write` via
+                       :meth:`ResultStore.put <repro.harness.sweep.ResultStore.put>`
+``trace.put``          :meth:`~repro.diskstore.DiskStore._write` via
+                       :meth:`~repro.trace.store.TraceStore.put`
 ``trace.decode``       :meth:`~repro.trace.store.TraceStore.get` (parse path)
-``artifact.write``     :meth:`~repro.trace.artifacts.ArtifactStore.put`
+``artifact.write``     :meth:`~repro.diskstore.DiskStore._write` via
+                       :meth:`~repro.trace.artifacts.ArtifactStore.put`
 ``ckernel.compile``    :func:`repro.trace._ckernel.load`
 ``vector.prelower``    the vector engine's prelowering pass
 =====================  ===========================================================

@@ -51,14 +51,12 @@ from pathlib import Path
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro import faults, obs
+from repro.diskstore import DEFAULT_CACHE_DIR, DiskStore, resolve_cache_root
 from repro.harness.config import MachineConfig, PTLSIM_CONFIG
 from repro.harness.systems import SYSTEM_MODES
 
 #: Version of the store schema; a mismatch turns a disk entry into a miss.
 STORE_SCHEMA = 1
-
-#: Default result-store location (overridable with ``REPRO_CACHE_DIR``).
-DEFAULT_CACHE_DIR = ".repro-cache"
 
 _OverrideItems = Tuple[Tuple[str, Any], ...]
 
@@ -281,241 +279,78 @@ class RunRecord:
 
 
 # --------------------------------------------------------------------- ResultStore
-class ResultStore:
+class ResultStore(DiskStore):
     """Content-addressed disk cache of :class:`RunRecord` objects.
 
     Layout: ``<root>/<hash[:2]>/<hash>.json``; each file holds the schema
-    version, the spec (for debuggability) and the record.  Writes are atomic
-    (temp file + ``os.replace``).  A file that cannot be parsed, fails the
-    schema check, or does not round-trip into a record is treated as a cache
-    miss, removed, and counted in :attr:`corrupted`.
+    version, the spec (for debuggability) and the record.  A file that
+    cannot be parsed, fails the schema check, or does not round-trip into a
+    record is a corrupted miss (:meth:`~repro.diskstore.DiskStore._read`).
     """
 
-    #: Consecutive :meth:`put` ``OSError`` failures that trip the store into
-    #: memory-only degraded mode (records keep flowing to callers, nothing
-    #: further touches the disk) — e.g. a full filesystem fails every cell's
-    #: write, and erroring ~N times per sweep helps nobody.
-    DEGRADE_AFTER = 3
+    NAME = "result"
+    FAULT_SITE = "store.put"
+    PUT_ERROR_COUNTER = "sweep.store.put_error"
+    SUFFIX = ".json"
+    CORRUPT = (OSError, ValueError, TypeError, KeyError, AttributeError)
+    COUNTERS = DiskStore.COUNTERS + ("cell_retries", "cell_failures",
+                                     "cell_quarantined")
 
     def __init__(self, root: Optional[os.PathLike] = None):
-        self.root = Path(root if root is not None
-                         else os.environ.get("REPRO_CACHE_DIR", DEFAULT_CACHE_DIR))
-        self.hits = 0
-        self.misses = 0
-        self.corrupted = 0
-        self.writes = 0
-        self.evictions = 0
-        self.put_errors = 0
+        super().__init__(resolve_cache_root(root))
         self.cell_retries = 0
         self.cell_failures = 0
         self.cell_quarantined = 0
-        #: True once DEGRADE_AFTER consecutive writes failed; puts become
-        #: no-ops (reads still work — the disk may be readable but full).
-        self.degraded = False
-        self._consecutive_put_errors = 0
-        #: Lifetime counters already folded into the sidecar (so repeated
-        #: :meth:`persist_stats` calls only add this session's delta).
-        self._persisted: Dict[str, int] = {}
 
     def path_for(self, spec: RunSpec) -> Path:
         h = spec.spec_hash
         return self.root / h[:2] / f"{h}.json"
 
-    def get(self, spec: RunSpec) -> Optional[RunRecord]:
-        path = self.path_for(spec)
+    def is_current(self, path: Path) -> bool:
         try:
-            stat = path.stat()
-            with open(path, "r", encoding="utf-8") as fh:
-                payload = json.load(fh)
+            return json.loads(path.read_bytes()).get("schema") == STORE_SCHEMA
+        except (OSError, ValueError, AttributeError):
+            return False
+
+    def get(self, spec: RunSpec) -> Optional[RunRecord]:
+        def load(path: Path, stat: os.stat_result) -> RunRecord:
+            payload = json.loads(path.read_bytes())
             if payload.get("schema") != STORE_SCHEMA:
                 raise ValueError(f"schema {payload.get('schema')!r} != {STORE_SCHEMA}")
-            record = RunRecord.from_dict(payload["record"])
-        except FileNotFoundError:
-            self.misses += 1
-            return None
-        except (OSError, ValueError, TypeError, KeyError):
-            # Corrupted / stale entry: drop it and treat as a miss.
-            self.corrupted += 1
-            self.misses += 1
-            try:
-                path.unlink()
-            except OSError:
-                pass
-            return None
-        self.hits += 1
-        try:
-            # Refresh the access time explicitly (relatime/noatime mounts
-            # would starve prune()'s LRU of signal); mtime is preserved.
-            os.utime(path, ns=(time.time_ns(), stat.st_mtime_ns))
-        except OSError:
-            pass
-        return record
+            return RunRecord.from_dict(payload["record"])
+        return self._read(self.path_for(spec), load)
 
     def put(self, spec: RunSpec, record: RunRecord) -> Optional[Path]:
-        """Write one record atomically; best-effort under disk failure.
-
-        An ``OSError`` (ENOSPC, EROFS, quota, ...) is absorbed and counted
-        (:attr:`put_errors`) rather than raised — a sweep must not lose the
-        simulated result because the cache could not keep it.  After
-        :data:`DEGRADE_AFTER` *consecutive* failures the store trips to
-        memory-only :attr:`degraded` mode and stops touching the disk; any
-        successful write re-arms the trip.  Returns the entry path, or
-        ``None`` when the write failed or was skipped.
-        """
-        if self.degraded:
-            return None
-        path = self.path_for(spec)
+        """Write one record; None when the write failed or was skipped (see
+        :meth:`~repro.diskstore.DiskStore._write`)."""
         payload = {"schema": STORE_SCHEMA, "spec": spec.as_dict(),
                    "record": record.as_dict()}
-        data = json.dumps(payload)
-        clause = faults.fire("store.put", key=spec.spec_hash)
-        try:
-            if clause is not None:
-                # A "torn" clause truncates the blob (the next get() sees a
-                # corrupted entry); "os" raises into the handler below.
-                data = faults.apply_write_fault(clause, "store.put",
-                                                spec.spec_hash, data)
-            path.parent.mkdir(parents=True, exist_ok=True)
-            tmp = path.with_suffix(f".tmp.{os.getpid()}")
-            with open(tmp, "w", encoding="utf-8") as fh:
-                fh.write(data)
-            os.replace(tmp, path)
-        except OSError as exc:
-            self.put_errors += 1
-            self._consecutive_put_errors += 1
-            obs.incr("sweep.store.put_error")
-            obs.get_logger().warning("result store put failed for %s: %r",
-                                     spec.spec_hash, exc)
-            if (self._consecutive_put_errors >= self.DEGRADE_AFTER
-                    and not self.degraded):
-                self.degraded = True
-                obs.degraded(
-                    "store.result",
-                    f"{self._consecutive_put_errors} consecutive write "
-                    f"failures (last: {exc!r}); memory-only for this session",
-                    root=str(self.root))
-            return None
-        self._consecutive_put_errors = 0
-        self.writes += 1
-        return path
-
-    def __len__(self) -> int:
-        if not self.root.is_dir():
-            return 0
-        return sum(1 for _ in self.root.glob("*/*.json"))
+        return self._write(self.path_for(spec), json.dumps(payload).encode(),
+                           spec.spec_hash)
 
     def clear(self) -> int:
         """Remove every entry; returns the number of files removed."""
         removed = 0
-        if self.root.is_dir():
-            for entry in self.root.glob("*/*.json"):
-                try:
-                    entry.unlink()
-                    removed += 1
-                except OSError:
-                    pass
-        return removed
-
-    def _tmp_files(self, min_age_seconds: float = 0.0) -> List[Path]:
-        """Leaked temp files from interrupted writers (``<hash>.tmp.<pid>``).
-
-        The trace store's subtree is naturally excluded (it nests one level
-        deeper); its own prune()/stats() cover it.
-        """
-        from repro.trace.store import tmp_files_under
-        return tmp_files_under(self.root, min_age_seconds)
-
-    def prune(self, max_bytes: Optional[int] = None,
-              max_age_days: Optional[float] = None) -> int:
-        """Delete entries whose on-disk schema is stale (or unreadable),
-        plus ``*.tmp.<pid>`` files leaked by interrupted writers (only ones
-        older than the trace store's :data:`~repro.trace.store.TMP_SWEEP_MIN_AGE`,
-        sparing in-flight writers).
-
-        Bumping :data:`STORE_SCHEMA` turns old entries into permanent misses
-        that :meth:`get` never touches again (their hashes embed the old
-        schema); this sweeps those dead files out.  With ``max_age_days`` /
-        ``max_bytes``, current-schema entries are then evicted least recently
-        used first (:meth:`get` refreshes access times), under the same
-        policy — including the path tie-break for equal atimes — as
-        :func:`repro.trace.store.evict_lru`.  Returns the number of files
-        removed.
-        """
-        from repro.trace.store import TMP_SWEEP_MIN_AGE, evict_lru
-        removed = 0
-        live: List[Tuple[float, int, Path]] = []
-        if self.root.is_dir():
-            for entry in self.root.glob("*/*.json"):
-                try:
-                    stat = entry.stat()
-                    with open(entry, "r", encoding="utf-8") as fh:
-                        stale = json.load(fh).get("schema") != STORE_SCHEMA
-                except (OSError, ValueError):
-                    stale = True
-                    stat = None
-                if stale:
-                    try:
-                        entry.unlink()
-                        removed += 1
-                    except OSError:
-                        pass
-                elif stat is not None:
-                    live.append((stat.st_atime, stat.st_size, entry))
-        for entry in self._tmp_files(TMP_SWEEP_MIN_AGE):
+        for entry in self._entry_paths():
             try:
                 entry.unlink()
                 removed += 1
             except OSError:
                 pass
+        return removed
 
-        evicted = [0]
+    def prune(self, max_bytes: Optional[int] = None,
+              max_age_days: Optional[float] = None) -> int:
+        """:meth:`DiskStore.prune <repro.diskstore.DiskStore.prune>`;
+        returns the number of files removed.
 
-        def unlink(path: Path, size: int) -> bool:
-            try:
-                path.unlink()
-            except OSError:
-                return False
-            evicted[0] += 1
-            self.evictions += 1
-            return True
-
-        evict_lru(live, unlink, max_bytes=max_bytes, max_age_days=max_age_days)
-        return removed + evicted[0]
-
-    def disk_stats(self) -> Dict[str, int]:
-        """On-disk shape: entries, bytes, stale-schema files, leaked temps."""
-        entries = stale = total = 0
-        if self.root.is_dir():
-            for entry in self.root.glob("*/*.json"):
-                try:
-                    total += entry.stat().st_size
-                    with open(entry, "r", encoding="utf-8") as fh:
-                        if json.load(fh).get("schema") != STORE_SCHEMA:
-                            stale += 1
-                except (OSError, ValueError):
-                    stale += 1
-                entries += 1
-        return {"entries": entries, "bytes": total, "stale_schema": stale,
-                "tmp_files": len(self._tmp_files()),
-                "lifetime": self.lifetime_stats()}
-
-    def stats(self) -> Dict[str, int]:
-        return {"hits": self.hits, "misses": self.misses,
-                "corrupted": self.corrupted, "writes": self.writes,
-                "evictions": self.evictions, "put_errors": self.put_errors,
-                "cell_retries": self.cell_retries,
-                "cell_failures": self.cell_failures,
-                "cell_quarantined": self.cell_quarantined}
-
-    def lifetime_stats(self) -> Dict[str, int]:
-        """Session counters merged with the sidecar's persisted lifetime."""
-        from repro.trace.store import combined_lifetime_stats
-        return combined_lifetime_stats(self.root, self.stats(), self._persisted)
-
-    def persist_stats(self) -> Dict[str, int]:
-        """Fold this session's counter deltas into the on-disk sidecar."""
-        from repro.trace.store import persist_sidecar_stats
-        return persist_sidecar_stats(self.root, self.stats(), self._persisted)
+        Bumping :data:`STORE_SCHEMA` turns old entries into permanent misses
+        that :meth:`get` never touches again (their hashes embed the old
+        schema); this sweeps those dead files out.  The trace store's
+        subtree nests one level deeper and is left to its own prune().
+        """
+        counts = super().prune(max_bytes=max_bytes, max_age_days=max_age_days)
+        return sum(counts[bucket] for bucket in self.PRUNE_BUCKETS)
 
 
 # ----------------------------------------------------------------------- execution
@@ -1415,7 +1250,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
               f"{tdisk['bytes']} bytes, {tdisk['stale_schema']} stale-schema "
               f"file(s), {tdisk['tmp_files']} leaked tmp file(s) "
               f"(schema {TRACE_SCHEMA})")
-        print(_lifetime_line(tdisk["lifetime"]))
+        tlife = tdisk["lifetime"]
+        print(_lifetime_line(tlife)
+              + f", {tlife.get('put_errors', 0)} write error(s)")
         return 0
     if store is not None and args.clear_cache:
         print(f"cleared {store.clear()} store entries under {store.root}")

@@ -254,12 +254,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     p_prune.set_defaults(func=_cmd_prune)
 
     args = parser.parse_args(argv)
-    if getattr(args, "cache_dir", None):
+    try:
         # Derived artifacts must follow the same --cache-dir pin as the
         # trace store every subcommand constructs from it.
-        artifacts.set_default_root(args.cache_dir)
-    try:
-        return args.func(args)
+        with artifacts.scoped(cache_root=getattr(args, "cache_dir", None)):
+            return args.func(args)
     except (TraceError, ReplayValidityError, KeyError, ValueError) as exc:
         raise SystemExit(f"error: {exc}")
 

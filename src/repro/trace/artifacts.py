@@ -21,14 +21,15 @@ swept on the next prune.
 
 Container format (``.art``): ``RPDA`` magic, a little-endian ``<H``
 schema, a ``<I``-length JSON header (kind, JSON-safe metadata, section
-name/length table) and the raw section bytes.  Writes are atomic
-(``<name>.tmp.<pid>`` + ``os.replace``), reads refresh the access time so
-LRU pruning sees artifact usage, and all byte production is deterministic
-(sorted-key JSON, typed arrays) so identical inputs give identical files
-across processes regardless of ``PYTHONHASHSEED``.
+name/length table) and the raw section bytes.  All byte production is
+deterministic (sorted-key JSON, typed arrays) so identical inputs give
+identical files across processes regardless of ``PYTHONHASHSEED``.
+Atomic writes, torn files read as misses, atime refresh for LRU pruning
+and the write-error latch are :class:`~repro.diskstore.DiskStore`'s.
 
-Escape hatch: set ``REPRO_NO_ARTIFACTS=1`` (any non-empty value) to skip
-the disk tier entirely — passes fall back to the in-memory memos.
+:func:`scoped` is the one switch of the disk tier: ``--no-cache`` sweeps
+turn it off per cell, and the replay passes then use only their in-memory
+memos.
 """
 
 from __future__ import annotations
@@ -37,17 +38,12 @@ import hashlib
 import json
 import os
 import struct
-import time
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
-from repro import faults, obs
-from repro.trace.store import (
-    TRACE_SUBDIR,
-    combined_lifetime_stats,
-    persist_sidecar_stats,
-)
+from repro.diskstore import DiskStore, header_schema, resolve_cache_root
+from repro.trace.store import TRACE_SUBDIR
 
 __all__ = [
     "ARTIFACT_MAGIC",
@@ -55,15 +51,12 @@ __all__ = [
     "ARTIFACT_SUBDIR",
     "ARTIFACT_SUFFIX",
     "ArtifactStore",
-    "artifact_file_schema",
     "content_key_hash",
     "decode_artifact",
     "default_store",
     "encode_artifact",
     "flush_stats_for",
     "scoped",
-    "set_default_root",
-    "set_disabled",
 ]
 
 #: Subdirectory of the trace store root holding derived artifacts.
@@ -124,168 +117,52 @@ def decode_artifact(data: bytes) -> Tuple[str, dict, Dict[str, bytes]]:
     return header["kind"], header["meta"], sections
 
 
-def artifact_file_schema(path: Path) -> Optional[int]:
-    """The schema stamped in an artifact file's header (None = unreadable)."""
-    try:
-        with open(path, "rb") as fh:
-            head = fh.read(6)
-    except OSError:
-        return None
-    if len(head) < 6 or head[:4] != ARTIFACT_MAGIC:
-        return None
-    return struct.unpack_from("<H", head, 4)[0]
-
-
-class ArtifactStore:
+class ArtifactStore(DiskStore):
     """Derived-artifact sidecar of one trace store (same cache lifecycle).
 
-    The store degrades to memory-only after :data:`DEGRADE_AFTER`
-    *consecutive* ``OSError`` write failures (a full or read-only disk
-    fails every pass of every cell — erroring each time buys nothing):
-    once :attr:`degraded`, puts and gets short-circuit and the replay
-    passes simply recompute, exactly as with ``REPRO_NO_ARTIFACTS``.  A
-    successful write re-arms the trip.
+    Its counters share the trace store's ``stats.meta`` sidecar under
+    ``artifact_``-prefixed names; :meth:`TraceStore.prune
+    <repro.trace.store.TraceStore.prune>` sweeps and evicts its files.
     """
 
-    #: Consecutive put failures that trip :attr:`degraded`.
-    DEGRADE_AFTER = 3
+    NAME = "artifact"
+    FAULT_SITE = "artifact.write"
+    PUT_ERROR_COUNTER = "artifact.store.put_error"
+    SUFFIX = ARTIFACT_SUFFIX
+    COUNTERS = ("hits", "misses", "corrupted", "writes", "put_errors")
+    STATS_PREFIX = "artifact_"
 
     def __init__(self, traces_root: os.PathLike):
         self.traces_root = Path(traces_root)
-        self.root = self.traces_root / ARTIFACT_SUBDIR
-        self.hits = 0
-        self.misses = 0
-        self.corrupted = 0
-        self.writes = 0
-        self.put_errors = 0
-        self.degraded = False
-        self._consecutive_put_errors = 0
-        #: Counter values already flushed to the sidecar by persist_stats().
-        self._persisted: Dict[str, int] = {}
+        super().__init__(self.traces_root / ARTIFACT_SUBDIR,
+                         sidecar_root=self.traces_root)
 
     def path_for(self, parent_hash: str, kind: str, key) -> Path:
         return (self.root / parent_hash /
                 f"{kind}-{content_key_hash(key)}{ARTIFACT_SUFFIX}")
 
+    def is_current(self, path: Path) -> bool:
+        return header_schema(path, (ARTIFACT_MAGIC,)) == ARTIFACT_SCHEMA
+
     def get(self, parent_hash: str, kind: str, key
             ) -> Optional[Tuple[dict, Dict[str, bytes]]]:
         """Load ``(meta, sections)`` for a pass key, or None on a miss.
 
-        A file that cannot be parsed (torn write, stale schema) is removed
-        and treated as a miss.  Hits refresh the access time so the LRU
-        eviction in :meth:`TraceStore.prune` sees artifact usage.
+        A file that cannot be parsed (torn write, stale schema) or whose
+        stored kind disagrees with its name is removed and read as a miss.
         """
-        if self.degraded:
-            self.misses += 1
-            return None
-        path = self.path_for(parent_hash, kind, key)
-        try:
-            stat = path.stat()
+        def load(path: Path, stat: os.stat_result):
             stored_kind, meta, sections = decode_artifact(path.read_bytes())
             if stored_kind != kind:
                 raise ValueError(f"artifact kind {stored_kind!r} != {kind!r}")
-        except FileNotFoundError:
-            self.misses += 1
-            return None
-        except (OSError, ValueError):
-            self.corrupted += 1
-            self.misses += 1
-            try:
-                path.unlink()
-            except OSError:
-                pass
-            return None
-        self.hits += 1
-        try:
-            os.utime(path, ns=(time.time_ns(), stat.st_mtime_ns))
-        except OSError:
-            pass
-        return meta, sections
+            return meta, sections
+        return self._read(self.path_for(parent_hash, kind, key), load)
 
     def put(self, parent_hash: str, kind: str, key, meta: dict,
             sections: Sequence[Tuple[str, bytes]]) -> Optional[Path]:
         """Atomically persist one artifact; best-effort (None on I/O error)."""
-        if self.degraded:
-            return None
-        path = self.path_for(parent_hash, kind, key)
-        tmp = path.with_suffix(f".tmp.{os.getpid()}")
-        data = encode_artifact(kind, meta, sections)
-        clause = faults.fire("artifact.write", key=parent_hash)
-        try:
-            if clause is not None:
-                # "torn" truncates the blob (the next get() unlinks it as
-                # corrupted and the pass recomputes); "os" raises below.
-                data = faults.apply_write_fault(clause, "artifact.write",
-                                                parent_hash, data)
-            path.parent.mkdir(parents=True, exist_ok=True)
-            tmp.write_bytes(data)
-            os.replace(tmp, path)
-        except OSError as exc:
-            try:
-                tmp.unlink()
-            except OSError:
-                pass
-            self.put_errors += 1
-            self._consecutive_put_errors += 1
-            obs.incr("artifact.store.put_error")
-            if (self._consecutive_put_errors >= self.DEGRADE_AFTER
-                    and not self.degraded):
-                self.degraded = True
-                obs.degraded(
-                    "store.artifact",
-                    f"{self._consecutive_put_errors} consecutive write "
-                    f"failures (last: {exc!r}); memory-only for this session",
-                    root=str(self.root))
-            return None
-        self._consecutive_put_errors = 0
-        self.writes += 1
-        return path
-
-    # -- introspection ------------------------------------------------------------
-    def __len__(self) -> int:
-        if not self.root.is_dir():
-            return 0
-        return sum(1 for _ in self.root.glob(f"*/*{ARTIFACT_SUFFIX}"))
-
-    def disk_stats(self) -> Dict[str, int]:
-        """On-disk shape: artifact entries, bytes and stale-schema files."""
-        entries = stale = total = 0
-        if self.root.is_dir():
-            for path in self.root.glob(f"*/*{ARTIFACT_SUFFIX}"):
-                try:
-                    total += path.stat().st_size
-                    entries += 1
-                except OSError:
-                    continue
-                if artifact_file_schema(path) != ARTIFACT_SCHEMA:
-                    stale += 1
-        return {"entries": entries, "bytes": total, "stale_schema": stale}
-
-    def parent_dirs(self) -> List[Path]:
-        """Per-parent artifact directories, sorted for determinism."""
-        if not self.root.is_dir():
-            return []
-        return sorted(p for p in self.root.iterdir() if p.is_dir())
-
-    # -- lifetime counters ---------------------------------------------------------
-    def stats(self) -> Dict[str, int]:
-        # Prefixed so the counters share the trace store's stats.meta sidecar
-        # without colliding with its hits/misses/writes keys.
-        return {"artifact_hits": self.hits, "artifact_misses": self.misses,
-                "artifact_corrupted": self.corrupted,
-                "artifact_writes": self.writes,
-                "artifact_put_errors": self.put_errors}
-
-    def lifetime_stats(self) -> Dict[str, int]:
-        """Artifact counters across every session (sidecar + this session)."""
-        merged = combined_lifetime_stats(self.traces_root, self.stats(),
-                                         self._persisted)
-        return {k: v for k, v in merged.items() if k.startswith("artifact_")}
-
-    def persist_stats(self) -> Dict[str, int]:
-        """Flush this session's counter deltas into the shared sidecar."""
-        return persist_sidecar_stats(self.traces_root, self.stats(),
-                                     self._persisted)
+        return self._write(self.path_for(parent_hash, kind, key),
+                           encode_artifact(kind, meta, sections), parent_hash)
 
 
 # -- process-wide default store ----------------------------------------------------
@@ -297,36 +174,13 @@ _OVERRIDE_ROOT: Optional[Path] = None
 _DISABLED = False
 
 
-def set_default_root(cache_root: Optional[os.PathLike]) -> None:
-    """Pin the default store to ``<cache_root>/traces`` (CLI ``--cache-dir``).
-
-    ``None`` restores the ``$REPRO_CACHE_DIR`` / default-dir resolution.
-    """
-    global _OVERRIDE_ROOT
-    _OVERRIDE_ROOT = (None if cache_root is None
-                      else Path(cache_root) / TRACE_SUBDIR)
-
-
-def set_disabled(disabled: bool) -> None:
-    """Disable the disk tier process-wide (``--no-cache`` sweeps)."""
-    global _DISABLED
-    _DISABLED = bool(disabled)
-
-
 def default_store() -> Optional[ArtifactStore]:
-    """The artifact store replay passes should use, or None when disabled.
-
-    Disabled by :func:`set_disabled` (no-cache runs) or by a non-empty
-    ``REPRO_NO_ARTIFACTS`` environment variable.
-    """
-    if _DISABLED or os.environ.get("REPRO_NO_ARTIFACTS"):
+    """The artifact store replay passes should use, or None when disabled
+    (see :func:`scoped`)."""
+    if _DISABLED:
         return None
-    if _OVERRIDE_ROOT is not None:
-        root = _OVERRIDE_ROOT
-    else:
-        from repro.harness.sweep import DEFAULT_CACHE_DIR
-        root = Path(os.environ.get("REPRO_CACHE_DIR",
-                                   DEFAULT_CACHE_DIR)) / TRACE_SUBDIR
+    root = (_OVERRIDE_ROOT if _OVERRIDE_ROOT is not None
+            else resolve_cache_root() / TRACE_SUBDIR)
     cache_key = str(root)
     store = _STORES.get(cache_key)
     if store is None:

@@ -20,7 +20,7 @@ Three families:
   processes regardless of ``PYTHONHASHSEED``; torn/stale files read as
   misses and are removed; reads refresh atime for LRU pruning;
   :meth:`TraceStore.prune` sweeps orphaned and stale-schema artifacts and
-  evicts artifacts with their parent trace; ``REPRO_NO_ARTIFACTS=1``
+  evicts artifacts with their parent trace; ``artifacts.scoped(disabled=True)``
   disables the tier entirely.
 """
 
@@ -69,7 +69,6 @@ def _clear_memo_caches():
 def fresh_cache(tmp_path, monkeypatch):
     """An isolated cache root with no memoized pass products."""
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-    monkeypatch.delenv("REPRO_NO_ARTIFACTS", raising=False)
     artifacts._STORES.clear()
     _clear_memo_caches()
     yield tmp_path
@@ -299,7 +298,6 @@ def test_artifact_bytes_deterministic_across_processes(tmp_path):
     for seed in ("1", "27"):
         env = dict(os.environ, PYTHONHASHSEED=seed,
                    REPRO_CACHE_DIR=str(tmp_path / f"cache-{seed}"))
-        env.pop("REPRO_NO_ARTIFACTS", None)
         env["PYTHONPATH"] = os.pathsep.join(
             p for p in (os.path.join(os.path.dirname(__file__), os.pardir,
                                      "src"),
@@ -384,13 +382,13 @@ def test_prune_sweeps_orphans_stale_and_evicts_with_parent(tmp_path):
 
 def test_no_artifacts_escape_hatch(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-    monkeypatch.setenv("REPRO_NO_ARTIFACTS", "1")
     artifacts._STORES.clear()
     _clear_memo_caches()
-    assert artifacts.default_store() is None
-    machine = _machine(1)
-    _, trace = capture_workload("CG", "hybrid", "tiny", machine=machine)
-    replay_trace(trace, machine, engine="vector")
+    with artifacts.scoped(disabled=True):
+        assert artifacts.default_store() is None
+        machine = _machine(1)
+        _, trace = capture_workload("CG", "hybrid", "tiny", machine=machine)
+        replay_trace(trace, machine, engine="vector")
     assert not (tmp_path / "traces" / "artifacts").exists()
     _clear_memo_caches()
 
@@ -399,7 +397,6 @@ def test_scoped_pin_and_disable(tmp_path, monkeypatch):
     """:func:`artifacts.scoped` pins the tier to an explicit cache root (a
     sweep's ``--cache-dir``) or turns it off (no-cache cells), and always
     restores the previous state."""
-    monkeypatch.delenv("REPRO_NO_ARTIFACTS", raising=False)
     artifacts._STORES.clear()
     with artifacts.scoped(cache_root=tmp_path / "pinned"):
         store = artifacts.default_store()

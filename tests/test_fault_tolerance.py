@@ -220,7 +220,7 @@ def test_torn_store_write_recovers_on_next_session(monkeypatch, tmp_path):
 def test_interrupt_still_persists_store_stats(monkeypatch, tmp_path):
     """Satellite: Ctrl-C mid-sweep must not lose the session's lifetime
     counters — persist_stats() runs in the engine's ``finally``."""
-    from repro.trace.store import STATS_SIDECAR
+    from repro.diskstore import STATS_SIDECAR
 
     def interrupted(spec, *args, **kwargs):
         raise KeyboardInterrupt
@@ -248,7 +248,8 @@ def test_artifact_store_degrades_after_consecutive_errors(monkeypatch,
     assert store.degraded
     assert store.put_errors == ArtifactStore.DEGRADE_AFTER
     assert rec.counters["degraded.store.artifact"] == 1
-    # Degraded: both directions short-circuit without touching the disk.
+    # Degraded: puts short-circuit without touching the disk; gets still
+    # read it (an entry that was never written is a plain miss).
     assert store.put("ff" * 8, "oracle", {"i": 99}, meta, sections) is None
     assert store.get("ff" * 8, "oracle", {"i": 0}) is None
 

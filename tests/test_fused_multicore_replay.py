@@ -133,7 +133,7 @@ def test_multicore_replay_decodes_each_stream_once(monkeypatch):
     walk count to zero (``tests/test_artifact_cache.py`` covers that path).
     """
     import repro.trace.replay as replay_mod
-    monkeypatch.setenv("REPRO_NO_ARTIFACTS", "1")
+    from repro.trace import artifacts
     machine = _machine(2)
     _, mtrace = capture_workload("CG", "hybrid", "tiny", machine=machine)
     replay_mod._DECODE_CACHE.clear()
@@ -145,10 +145,11 @@ def test_multicore_replay_decodes_each_stream_once(monkeypatch):
         return real(trace, hot, cold, fu_values)
 
     monkeypatch.setattr(replay_mod, "_decode_trace", counting)
-    replay_trace(mtrace, machine)
-    assert len(calls) == 2                      # one walk per core stream
-    replay_trace(mtrace, machine)               # second replay: all cached
-    replay_trace(parse_trace_bytes(mtrace.to_bytes()), machine)  # reparse too
+    with artifacts.scoped(disabled=True):
+        replay_trace(mtrace, machine)
+        assert len(calls) == 2                  # one walk per core stream
+        replay_trace(mtrace, machine)           # second replay: all cached
+        replay_trace(parse_trace_bytes(mtrace.to_bytes()), machine)  # reparse
     assert len(calls) == 2
 
 

@@ -17,7 +17,7 @@ from repro.trace import (
     capture_workload,
     replay_trace,
 )
-from repro.trace.store import STATS_SIDECAR, load_sidecar_stats
+from repro.diskstore import STATS_SIDECAR, load_sidecar_stats
 
 
 def _machine(cores):

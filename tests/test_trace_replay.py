@@ -601,7 +601,7 @@ def test_evict_lru_breaks_atime_ties_by_path_not_size():
     size order, which silently evicted the largest entry of every tie."""
     from pathlib import PurePosixPath
 
-    from repro.trace.store import evict_lru
+    from repro.diskstore import evict_lru
 
     removed = []
     records = [(5.0, size, PurePosixPath(f"store/{name}.trace"))
