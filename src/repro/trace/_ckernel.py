@@ -88,9 +88,12 @@ _C_SOURCE = r"""
 typedef struct {
     /* caller-owned state vectors (see _ckernel.py for the layout) */
     double *fs; int64_t *is;
-    /* caller-owned stream columns */
-    const uint8_t *vk; const int32_t *fu; const double *lat;
-    const int32_t *dst; const int32_t *soff; const int32_t *sid;
+    /* caller-owned stream: pc and variant selector per instruction */
+    const uint32_t *pcs; const uint8_t *sel;
+    /* caller-owned per-pc tables; vk/lat hold 4 variants per pc */
+    const uint8_t *vk; const double *lat;
+    const int32_t *fu; const int32_t *dst;
+    const int32_t *soff; const int32_t *sid;
     const int32_t *phase; const uint8_t *unpip;
     const uint8_t *lroutes; const int64_t *mlines; const int32_t *gent;
     const uint8_t *flags;
@@ -125,8 +128,10 @@ static int grow_i32(int32_t **buf, int64_t *cap, int64_t need)
 }
 
 VCtx *vr_new(double *fs, int64_t *is,
-             const uint8_t *vk, const int32_t *fu, const double *lat,
-             const int32_t *dst, const int32_t *soff, const int32_t *sid,
+             const uint32_t *pcs, const uint8_t *sel,
+             const uint8_t *vk, const double *lat,
+             const int32_t *fu, const int32_t *dst,
+             const int32_t *soff, const int32_t *sid,
              const int32_t *phase, const uint8_t *unpip,
              const uint8_t *lroutes, const int64_t *mlines,
              const int32_t *gent, const uint8_t *flags,
@@ -143,6 +148,7 @@ VCtx *vr_new(double *fs, int64_t *is,
     VCtx *g = (VCtx *)calloc(1, sizeof(VCtx));
     if (!g) return NULL;
     g->fs = fs; g->is = is;
+    g->pcs = pcs; g->sel = sel;
     g->vk = vk; g->fu = fu; g->lat = lat; g->dst = dst;
     g->soff = soff; g->sid = sid; g->phase = phase; g->unpip = unpip;
     g->lroutes = lroutes; g->mlines = mlines; g->gent = gent;
@@ -231,7 +237,7 @@ static double mshr_req(VCtx *g, int64_t line, double now, double full_latency)
  * scan.  Writes the stall accumulators, leaves fetch_time untouched (the
  * occupancy bump is deferred to retire_one so the caller's epoch checks see
  * the pre-instruction key).  Returns now; t/cycle go to the out-params. */
-static double issue_one(VCtx *g, int64_t i, int ismem,
+static double issue_one(VCtx *g, int64_t pc, int ismem,
                         double *t_out, int64_t *cycle_out)
 {
     double *fs = g->fs;
@@ -244,7 +250,7 @@ static double issue_one(VCtx *g, int64_t i, int ismem,
         if (oldest > t) { fs[4] += oldest - t; t = oldest; }
     }
     double ready = t;
-    int32_t a = g->soff[i], b = g->soff[i + 1];
+    int32_t a = g->soff[pc], b = g->soff[pc + 1];
     for (int32_t s = a; s < b; s++) {
         double r = g->reg_ready[g->sid[s]];
         if (r > ready) ready = r;
@@ -272,14 +278,15 @@ static double issue_one(VCtx *g, int64_t i, int ismem,
 }
 
 /* Retire: deferred fetch-time bump, FU scan, reservation bookkeeping,
- * commit/ROB/phase accounting.  Returns 0, or -1 on allocation failure. */
-static int retire_one(VCtx *g, int64_t i, double latency,
+ * commit/ROB/phase accounting for one instruction at pc with vkind k.
+ * Returns 0, or -1 on allocation failure. */
+static int retire_one(VCtx *g, int64_t pc, uint8_t k, double latency,
                       double t, int64_t cycle, double now)
 {
     double *fs = g->fs;
     int64_t *is = g->is;
     if (t > fs[0]) fs[0] = t;
-    int32_t fui = g->fu[i];
+    int32_t fui = g->fu[pc];
     int64_t capv = g->fu_capacity[fui];
     int32_t *table = g->fut[fui];
     int64_t tcap = g->fut_cap[fui];
@@ -303,7 +310,7 @@ static int retire_one(VCtx *g, int64_t i, double latency,
         start = (double)cycle;
         fs[5] += start - now;
     }
-    if (g->unpip[i]) {
+    if (g->unpip[pc]) {
         int64_t occ = (int64_t)latency;
         if (occ < 1) occ = 1;
         int64_t end = cycle + occ;
@@ -320,9 +327,8 @@ static int retire_one(VCtx *g, int64_t i, double latency,
         return -1;
     g->slots[cycle] += 1;
     double completion = start + latency;
-    int32_t d = g->dst[i];
+    int32_t d = g->dst[pc];
     if (d >= 0) g->reg_ready[d] = completion;
-    uint8_t k = g->vk[i];
     double commit;
     if (k >= 1 && k <= 6) {                 /* memory op */
         g->lsq_ring[is[1]] = completion;
@@ -346,7 +352,7 @@ static int retire_one(VCtx *g, int64_t i, double latency,
     g->rob_ring[is[0]] = rob_bw;
     is[0] += 1;
     if (is[0] == g->rob_size) is[0] = 0;
-    g->phase_acc[g->phase[i]] += rob_bw - fs[1];
+    g->phase_acc[g->phase[pc]] += rob_bw - fs[1];
     fs[1] = rob_bw;
     return 0;
 }
@@ -361,11 +367,15 @@ static int retire_one(VCtx *g, int64_t i, double latency,
  * or -1 on allocation failure. */
 int64_t vr_run(VCtx *g, int64_t i, int64_t n)
 {
+    const uint32_t *pcs = g->pcs;
+    const uint8_t *sel = g->sel;
     const uint8_t *vk = g->vk;
     double *fs = g->fs;
     int64_t *is = g->is;
     for (; i < n; i++) {
-        uint8_t k = vk[i];
+        int64_t pc = pcs[i];
+        int64_t v = pc * 4 + sel[i];
+        uint8_t k = vk[v];
         if (k >= 8) break;
         int ismem = (k >= 1 && k <= 6);
         uint8_t r = 0;
@@ -375,9 +385,9 @@ int64_t vr_run(VCtx *g, int64_t i, int64_t n)
         }
         double t;
         int64_t cycle;
-        double now = issue_one(g, i, ismem, &t, &cycle);
+        double now = issue_one(g, pc, ismem, &t, &cycle);
         if (now < 0.0) return -1;
-        double latency = g->lat[i];
+        double latency = g->lat[v];
         if (ismem) {
             if (k <= 4) {                   /* static LM / L1 route */
                 fs[6] += latency;
@@ -407,7 +417,7 @@ int64_t vr_run(VCtx *g, int64_t i, int64_t n)
                 }
             }
         }
-        if (retire_one(g, i, latency, t, cycle, now)) return -1;
+        if (retire_one(g, pc, k, latency, t, cycle, now)) return -1;
     }
     return i;
 }
@@ -415,11 +425,12 @@ int64_t vr_run(VCtx *g, int64_t i, int64_t n)
 /* Single-instruction halves for the Python-handled event ops. */
 double vr_issue(VCtx *g, int64_t i)
 {
-    uint8_t k = g->vk[i];
+    int64_t pc = g->pcs[i];
+    uint8_t k = g->vk[pc * 4 + g->sel[i]];
     int ismem = (k >= 1 && k <= 6);
     double t;
     int64_t cycle;
-    double now = issue_one(g, i, ismem, &t, &cycle);
+    double now = issue_one(g, pc, ismem, &t, &cycle);
     g->fs[8] = t;           /* FS_TSAVE */
     g->fs[9] = now;         /* FS_NOWSAVE */
     g->is[6] = cycle;       /* IS_CYCSAVE */
@@ -428,7 +439,9 @@ double vr_issue(VCtx *g, int64_t i)
 
 int64_t vr_retire(VCtx *g, int64_t i, double latency)
 {
-    return retire_one(g, i, latency, g->fs[8], g->is[6], g->fs[9]);
+    int64_t pc = g->pcs[i];
+    return retire_one(g, pc, g->vk[pc * 4 + g->sel[i]], latency,
+                      g->fs[8], g->is[6], g->fs[9]);
 }
 
 double vr_mshr(VCtx *g, int64_t line, double now, double beyond)
@@ -451,7 +464,7 @@ class _Kernel:
         self.lib = lib
         self.new = lib.vr_new
         self.new.restype = P
-        self.new.argtypes = [P] * 23 + [D] * 8 + [I] * 6
+        self.new.argtypes = [P] * 25 + [D] * 8 + [I] * 6
         self.free = lib.vr_free
         self.free.restype = None
         self.free.argtypes = [P]

@@ -1,14 +1,13 @@
 """On-disk cache of derived replay artifacts (decode/oracle/flags/prelower).
 
 The vector replay engine's derivation passes — stream decode, oracle
-routing, branch-flag resolution and the prelowered column stream — are pure
-functions of ``(stream digest, a small config projection)``.  They dominate
-the cost of a warm vector replay (the PR-7 phase profiler puts them at ~90%
-of recorded time on a medium CG point), yet the in-memory memo caches in
-:mod:`repro.trace.vector` die with the process, so every sweep-pool worker
-pays them again.  This module persists the pass products *next to their
-parent trace* so any later process — another worker, a repeat CLI query —
-goes straight to the timing loop.
+routing, branch-flag resolution and the prelowered variant selector — are
+pure functions of ``(stream digest, a small config projection)``.  Cold,
+the oracle pass alone costs more than the timing kernel, yet the in-memory
+memo caches in :mod:`repro.trace.vector` die with the process, so every
+sweep-pool worker would pay them again.  This module persists the pass
+products *next to their parent trace* so any later process — another
+worker, a repeat CLI query — goes straight to the timing loop.
 
 Layout: ``<cache>/traces/artifacts/<parent_hash>/<kind>-<key_hash>.art``,
 where ``parent_hash`` is the owning trace's :attr:`TraceKey.key_hash` (the
@@ -62,7 +61,7 @@ __all__ = [
 #: Subdirectory of the trace store root holding derived artifacts.
 ARTIFACT_SUBDIR = "artifacts"
 ARTIFACT_MAGIC = b"RPDA"
-ARTIFACT_SCHEMA = 1
+ARTIFACT_SCHEMA = 2
 #: Deliberately not ``.trace``: artifact files must never match the trace
 #: store's ``*/*.trace`` globs (they are not parseable traces).
 ARTIFACT_SUFFIX = ".art"

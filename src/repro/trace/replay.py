@@ -502,7 +502,7 @@ def replay_trace(trace: Trace,
         except (faults.FaultError, OSError, MemoryError) as exc:
             # The vector engine is a pure accelerator: its C kernel or
             # prelowering infrastructure failing (injected or real — a
-            # vanished .so, an OOM building columns) costs speed, never
+            # vanished .so, an OOM in a derivation pass) costs speed, never
             # correctness, because the fused engine is bit-identical by
             # construction.  Genuine replay errors (TraceError, validity,
             # ValueError) propagate — falling back would mask them.

@@ -26,12 +26,16 @@ attribute syncs around each call.  The vector engine splits that work by
   times form a data-dependent recurrence (ROB/LSQ occupancy, register
   readiness, issue-slot and FU reservations), so the in-epoch timing walk
   stays the fused scalar transcription — but stripped to pure arithmetic
-  and compiled (:mod:`repro.trace._ckernel`): latencies come from the
-  precomputed route codes (``lm``, ``l1``, ``mshr.request(line, now,
-  beyond)``), mispredict redirects from the flag stream, registers from a
-  dense-int remap.  Only two *live* structures remain in the loop: the
-  MSHR file (merge/occupancy depends on real clocks) and, multicore, the
-  shared uncore arbiter.
+  and compiled (:mod:`repro.trace._ckernel`).  The kernel reads small
+  per-pc tables built once per program: each pc has four variants (LM,
+  L1, live, collapsed), and a **prelower** pass — a few numpy operations
+  over the decoded pc stream and the oracle's routes — picks one per
+  retired instruction as a one-byte selector.  Static latencies (``lm``,
+  ``l1``) are written into the table per machine point, live ones come
+  from ``mshr.request(line, now, beyond)``, mispredict redirects from the
+  flag stream, registers from a dense-int remap.  Only two *live*
+  structures remain in the loop: the MSHR file (merge/occupancy depends on
+  real clocks) and, multicore, the shared uncore arbiter.
 
 * **Epochs break only at contention-relevant events.**  Multicore lanes run
   free — whole slices of private work per resume — and yield to the global
@@ -54,6 +58,7 @@ from __future__ import annotations
 import dataclasses
 from array import array
 from collections import OrderedDict
+from typing import NamedTuple
 
 import numpy as np
 
@@ -90,21 +95,21 @@ __all__ = ["replay_multicore_vector", "replay_single_vector"]
 # oracle pass.  Routes 3/4/5 carry their miss line address out-of-band.
 _R_LM, _R_GUARD, _R_L1, _R_L2, _R_L3, _R_MEM, _R_COLLAPSED = 0, 1, 2, 3, 4, 5, 6
 
-# Oracle routes are the expensive pass and are shared across every ablation
-# point with the same cache geometry; flags/streams are cheap but small.
-# Caps sized so a 4-core sweep over a handful of geometries never thrashes.
+# Oracle routes and the prelowered selector are shared across every ablation
+# point with the same cache geometry (both use the oracle's key); flags and
+# variant tables are small.  Caps sized so a 4-core sweep over a handful of
+# geometries never thrashes.
 _ORACLE_CACHE: "OrderedDict[tuple, _OracleRoutes]" = OrderedDict()
 _FLAGS_CACHE: "OrderedDict[tuple, tuple]" = OrderedDict()
-_VTAB_CACHE: "OrderedDict[tuple, tuple]" = OrderedDict()
+_VTAB_CACHE: "OrderedDict[str, _VTab]" = OrderedDict()
 _PRELOWER_CACHE: "OrderedDict[tuple, tuple]" = OrderedDict()
 _ORACLE_CAP = 24
 _SMALL_CAP = 16
-_PRELOWER_CAP = 12  # prelowered columns are per-point and large
 
-# In-loop opcodes ("vkind"), one per *dynamic occurrence*: the stream builder
-# folds the oracle's route into the opcode, so the timing loop never re-derives
-# what kind of work an instruction is.  Static-latency memory ops (LM hits,
-# L1 hits, collapsed stores) carry their final latency in the stream; only
+# In-loop opcodes ("vkind"): each pc has four variants, one per static route
+# (see the selector below), so the timing loop never re-derives what kind of
+# work an instruction is.  Static-latency memory ops (LM hits, L1 hits,
+# collapsed stores) carry their final latency in the per-point table; only
 # "live" ops (MSHR misses, guarded directory hits, uncore-arbitrated memory
 # misses) are resolved in-loop.  Loads are odd, stores even (the retire path
 # applies the 2-cycle store-commit cap by parity); DMA/sync/halt are >= 8 and
@@ -114,6 +119,21 @@ _PRELOWER_CAP = 12  # prelowered columns are per-point and large
 #   7 branch (CBR/JMP)
 #   8 dma-get   9 dma-put   10 set-bufsize   11 dma-sync   12 halt
 _VK_BY_KIND = {0: 0, 3: 7, 4: 7, 5: 12, 6: 8, 7: 9, 8: 11, 9: 10}
+
+# Variant selector, one byte per retired instruction: the kernel reads a
+# pc's variant ``pc * 4 + sel``.  Non-memory pcs repeat one variant four
+# times and always select 0.
+_S_LM, _S_L1, _S_LIVE, _S_COLLAPSED = 0, 1, 2, 3
+_SEL_BY_ROUTE = np.array([_S_LM, _S_LIVE, _S_L1, _S_LIVE, _S_LIVE, _S_LIVE,
+                          _S_COLLAPSED], np.uint8)
+_N_ROUTES = len(_SEL_BY_ROUTE)
+
+
+def _remember(memo: OrderedDict, key, entry, cap: int) -> None:
+    """Insert ``entry`` into an LRU memo, evicting the oldest past ``cap``."""
+    memo[key] = entry
+    while len(memo) > cap:
+        memo.popitem(last=False)
 
 
 class _OracleRoutes:
@@ -162,8 +182,13 @@ def _oracle_to_artifact(oracle: _OracleRoutes) -> tuple:
     return meta, sections
 
 
-def _oracle_from_artifact(meta, sections):
-    """Rebuild an :class:`_OracleRoutes` from its artifact (None if torn)."""
+def _oracle_from_artifact(meta, sections, n_mem: int):
+    """Rebuild an :class:`_OracleRoutes` from its artifact (None if torn).
+
+    The C kernel indexes the side arrays by cursors the routes advance, so
+    a file whose counts disagree with its ``n_mem`` routes, or whose guard
+    entries fall outside the directory, reads as torn.
+    """
     try:
         patch = dict(meta["patch"])
         for level in ("l1", "l2", "l3"):
@@ -180,18 +205,35 @@ def _oracle_from_artifact(meta, sections):
         dma_addrs.frombytes(sections["dma_addrs"])
         dget_entries = array("i")
         dget_entries.frombytes(sections["dget_entries"])
-        return _OracleRoutes(sections["routes"], miss_lines, guard_entries,
-                             dma_nlines, dma_addrs, dget_entries,
-                             int(meta["n_dir"]), patch)
+        routes = sections["routes"]
+        n_dir = int(meta["n_dir"])
+        counts = np.bincount(np.frombuffer(routes, np.uint8),
+                             minlength=_N_ROUTES)
+        guards = np.frombuffer(guard_entries, np.int32)
+        if (len(counts) != _N_ROUTES or len(routes) != n_mem
+                or len(miss_lines) != counts[_R_L2:_R_MEM + 1].sum()
+                or len(guards) != counts[_R_GUARD]
+                or (len(guards) and not 0 <= guards.min() <= guards.max()
+                    < n_dir)
+                or len(dma_nlines) != len(dma_addrs)):
+            return None
+        return _OracleRoutes(routes, miss_lines, guard_entries, dma_nlines,
+                             dma_addrs, dget_entries, n_dir, patch)
     except (KeyError, TypeError, ValueError):
         return None
+
+
+def _pass_key(trace: Trace, mode: str, machine: MachineConfig,
+              multicore: bool) -> tuple:
+    """Key of the oracle and prelower passes: stream plus cache geometry."""
+    return (trace.program_fingerprint, trace.stream_digest(),
+            _geometry_key(mode, machine, multicore))
 
 
 def _cached_oracle(trace: Trace, decoded, cold, mode: str,
                    machine: MachineConfig, multicore: bool,
                    parent_hash=None) -> _OracleRoutes:
-    key = (trace.program_fingerprint, trace.stream_digest(),
-           _geometry_key(mode, machine, multicore))
+    key = _pass_key(trace, mode, machine, multicore)
     entry = _ORACLE_CACHE.get(key)
     if entry is not None:
         obs.incr("vector.oracle.hit")
@@ -201,20 +243,17 @@ def _cached_oracle(trace: Trace, decoded, cold, mode: str,
     if store is not None:
         loaded = store.get(parent_hash, "oracle", key)
         if loaded is not None:
-            entry = _oracle_from_artifact(loaded[0], loaded[1])
+            entry = _oracle_from_artifact(loaded[0], loaded[1],
+                                          len(decoded[2]))
             if entry is not None:
                 obs.incr("vector.oracle.hit")
                 obs.incr("vector.oracle.disk.hit")
-                _ORACLE_CACHE[key] = entry
-                while len(_ORACLE_CACHE) > _ORACLE_CAP:
-                    _ORACLE_CACHE.popitem(last=False)
+                _remember(_ORACLE_CACHE, key, entry, _ORACLE_CAP)
                 return entry
     obs.incr("vector.oracle.miss")
     with obs.phase("vector.oracle"):
         entry = _oracle_routes(decoded, cold, mode, machine, multicore)
-    _ORACLE_CACHE[key] = entry
-    while len(_ORACLE_CACHE) > _ORACLE_CAP:
-        _ORACLE_CACHE.popitem(last=False)
+    _remember(_ORACLE_CACHE, key, entry, _ORACLE_CAP)
     if store is not None:
         meta, sections = _oracle_to_artifact(entry)
         store.put(parent_hash, "oracle", key, meta, sections)
@@ -798,16 +837,12 @@ def _cached_flags(trace: Trace, decoded, cold, config, hot,
             if entry is not None:
                 obs.incr("vector.flags.hit")
                 obs.incr("vector.flags.disk.hit")
-                _FLAGS_CACHE[key] = entry
-                while len(_FLAGS_CACHE) > _SMALL_CAP:
-                    _FLAGS_CACHE.popitem(last=False)
+                _remember(_FLAGS_CACHE, key, entry, _SMALL_CAP)
                 return entry
     obs.incr("vector.flags.miss")
     with obs.phase("vector.flags"):
         entry = _branch_flags(decoded, cold, config, hot)
-    _FLAGS_CACHE[key] = entry
-    while len(_FLAGS_CACHE) > _SMALL_CAP:
-        _FLAGS_CACHE.popitem(last=False)
+    _remember(_FLAGS_CACHE, key, entry, _SMALL_CAP)
     if store is not None:
         meta, sections = _flags_to_artifact(entry)
         store.put(parent_hash, "flags", key, meta, sections)
@@ -938,222 +973,169 @@ def _branch_flags_scalar(decoded, cold, config) -> tuple:
 
 
 def _vstream_to_artifact(entry) -> tuple:
-    """Persistable (meta, sections) projection of a prelowered stream.
-
-    The entry is already in its stored shape: the columnar views the C
-    kernel reads, the live-route side channel and the sparse event-payload
-    map.
-    """
-    lroutes, n_regs, cols, events = entry
-    vk, fu, lat, dst, soff, sid, phase, unpip = cols
-    meta = {"n_regs": n_regs, "n": int(len(vk)),
-            "events": [[i, v] for i, v in sorted(events.items())]}
-    sections = [("vk", vk.tobytes()), ("fu", fu.tobytes()),
-                ("lat", lat.tobytes()), ("dst", dst.tobytes()),
-                ("soff", soff.tobytes()), ("sid", sid.tobytes()),
-                ("phase", phase.tobytes()), ("unpip", unpip.tobytes()),
-                ("lroutes", bytes(lroutes))]
-    return meta, sections
+    """Persistable (meta, sections) projection of a prelowered stream."""
+    sel, lroutes = entry
+    return {}, [("sel", sel), ("lroutes", lroutes)]
 
 
-def _vstream_from_artifact(meta, sections):
-    """Rebuild a vstream entry from its artifact (None if torn).
+def _vstream_from_artifact(sections, n: int, oracle: _OracleRoutes):
+    """Rebuild a ``(sel, lroutes)`` entry from its artifact (None if torn).
 
-    The read-only ``frombuffer`` columns are all the C kernel needs.
+    The C kernel indexes its tables by ``sel`` and advances the oracle's
+    side-array cursors by ``lroutes``, so a selector of the wrong length or
+    with an out-of-range byte, or live routes that disagree with the
+    oracle's per-route counts, reads as torn.
     """
     try:
-        n = int(meta["n"])
-        vk = np.frombuffer(sections["vk"], np.uint8)
-        fu = np.frombuffer(sections["fu"], np.int32)
-        lat = np.frombuffer(sections["lat"], np.float64)
-        dst = np.frombuffer(sections["dst"], np.int32)
-        soff = np.frombuffer(sections["soff"], np.int32)
-        sid = np.frombuffer(sections["sid"], np.int32)
-        phase = np.frombuffer(sections["phase"], np.int32)
-        unpip = np.frombuffer(sections["unpip"], np.uint8)
-        if not (len(vk) == len(fu) == len(lat) == len(dst) == len(phase)
-                == len(unpip) == n and len(soff) == n + 1
-                and len(sid) == int(soff[n])):
+        sel = sections["sel"]
+        lroutes = sections["lroutes"]
+        if len(sel) != n:
             return None
-        events = {int(i): v for i, v in meta["events"]}
-        cols = (vk, fu, lat, dst, soff, sid, phase, unpip)
-        return (sections["lroutes"], int(meta["n_regs"]), cols, events)
-    except (KeyError, TypeError, ValueError, IndexError):
+        sel_np = np.frombuffer(sel, np.uint8)
+        if n and sel_np.max() > _S_COLLAPSED:
+            return None
+        live = np.bincount(np.frombuffer(lroutes, np.uint8),
+                           minlength=_N_ROUTES)
+        want = np.bincount(np.frombuffer(oracle.routes, np.uint8),
+                           minlength=_N_ROUTES)
+        want[_SEL_BY_ROUTE != _S_LIVE] = 0
+        if (len(lroutes) != np.count_nonzero(sel_np == _S_LIVE)
+                or not np.array_equal(live, want)):
+            return None
+        return sel, lroutes
+    except (KeyError, TypeError, ValueError):
         return None
 
 
-def _cached_vstream(trace: Trace, hot, cold, seq, oracle_routes, mode: str,
-                    machine: MachineConfig, multicore: bool,
-                    lm_lat: float, l1_lat: float, parent_hash=None) -> tuple:
-    """The fully-prefolded timing stream for one (trace, point) pair.
+class _VTab(NamedTuple):
+    """Per-pc tables of one program, read by the C kernel through ``sel``.
 
-    Two cache levels: the *vtab* (per-pc vkind variants + dense register
-    remap) depends only on the program and the two static latencies, so every
-    ablation point that keeps ``lm``/``l1`` latencies shares it; the
-    prelowered columns (one picked variant per retired instruction, plus the
-    compact live-route side channel) additionally depend on the oracle's
-    routing and are shared across points with the same cache geometry.  The
-    entry ``(lroutes, n_regs, cols, events)`` is also persisted as an
-    on-disk ``prelower`` artifact, so a warm process skips the builds
-    entirely (see :func:`_vstream_from_artifact`).
+    ``vk`` and ``lat`` are ``npc x 4``: one column per variant (LM, L1,
+    live, collapsed); non-memory pcs repeat their one tuple.  The LM and L1
+    latency columns of memory pcs are placeholders that :meth:`point_lat`
+    fills per machine point.  ``fu``/``dst``/``phase``/``unpip`` are per pc
+    and the sources are CSR (``soff[npc + 1]``, ``sid``); registers are
+    remapped to dense ints, ``dst`` -1 for none, so a fresh
+    ``[0.0] * n_regs`` readiness vector reproduces the fused engine's
+    missing-key-reads-as-0.0 dict.  ``events[pc]`` is the payload the
+    Python bounce handler reads: the DMA tag of a dma-get/put/sync, the
+    latency of a set-bufsize/halt, None elsewhere.
+    """
+
+    vk: np.ndarray
+    lat: np.ndarray
+    fu: np.ndarray
+    dst: np.ndarray
+    soff: np.ndarray
+    sid: np.ndarray
+    phase: np.ndarray
+    unpip: np.ndarray
+    is_mem: np.ndarray
+    events: list
+    n_regs: int
+
+    def point_lat(self, lm_lat: float, l1_lat: float) -> np.ndarray:
+        """The latency table of one machine point."""
+        lat = self.lat.copy()
+        lat[self.is_mem, _S_LM] = lm_lat
+        lat[self.is_mem, _S_L1] = l1_lat
+        return lat
+
+
+def _cached_vtab(trace: Trace, hot, cold) -> _VTab:
+    fp = trace.program_fingerprint
+    vtab = _VTAB_CACHE.get(fp)
+    if vtab is not None:
+        _VTAB_CACHE.move_to_end(fp)
+        return vtab
+    with obs.phase("vector.prelower"):
+        vtab = _build_vtab(hot, cold)
+    _remember(_VTAB_CACHE, fp, vtab, _SMALL_CAP)
+    return vtab
+
+
+def _cached_vstream(trace: Trace, seq_pcs, vtab: _VTab,
+                    oracle: _OracleRoutes, mode: str, machine: MachineConfig,
+                    multicore: bool, parent_hash=None) -> tuple:
+    """The prelowered selector ``(sel, lroutes)`` of one stream.
+
+    ``sel`` holds one variant byte per retired instruction (LM / L1 / live
+    / collapsed, from the oracle's route); ``lroutes`` the route codes of
+    the live memory ops only, consumed in order by the kernel's vk-5/6
+    dispatch.  Both depend on the stream and the cache geometry only, so
+    the entry shares the oracle's key: points that differ in latencies
+    alone share it, and the per-point latencies go into the table instead
+    (:meth:`_VTab.point_lat`).  The entry is also persisted as an on-disk
+    ``prelower`` artifact (see :func:`_vstream_from_artifact`).
     """
     from repro import faults
     faults.check("vector.prelower", key=trace.stream_digest())
-    fp = trace.program_fingerprint
-    skey = (fp, trace.stream_digest(),
-            _geometry_key(mode, machine, multicore), lm_lat, l1_lat)
-    entry = _PRELOWER_CACHE.get(skey)
+    key = _pass_key(trace, mode, machine, multicore)
+    entry = _PRELOWER_CACHE.get(key)
     if entry is not None:
         obs.incr("vector.prelower.hit")
-        _PRELOWER_CACHE.move_to_end(skey)
+        _PRELOWER_CACHE.move_to_end(key)
         return entry
     store = artifacts.default_store() if parent_hash else None
     if store is not None:
-        loaded = store.get(parent_hash, "prelower", skey)
+        loaded = store.get(parent_hash, "prelower", key)
         if loaded is not None:
-            entry = _vstream_from_artifact(loaded[0], loaded[1])
+            entry = _vstream_from_artifact(loaded[1], len(seq_pcs), oracle)
             if entry is not None:
                 obs.incr("vector.prelower.hit")
                 obs.incr("vector.prelower.disk.hit")
-                _PRELOWER_CACHE[skey] = entry
-                while len(_PRELOWER_CACHE) > _PRELOWER_CAP:
-                    _PRELOWER_CACHE.popitem(last=False)
+                _remember(_PRELOWER_CACHE, key, entry, _ORACLE_CAP)
                 return entry
     obs.incr("vector.prelower.miss")
-    vkey = (fp, lm_lat, l1_lat)
-    vtab = _VTAB_CACHE.get(vkey)
-    if vtab is None:
-        with obs.phase("vector.prelower"):
-            vtab = _build_vtab(hot, cold, lm_lat, l1_lat)
-        _VTAB_CACHE[vkey] = vtab
-        while len(_VTAB_CACHE) > _SMALL_CAP:
-            _VTAB_CACHE.popitem(last=False)
-    else:
-        _VTAB_CACHE.move_to_end(vkey)
-    plain, memvar, n_regs = vtab
     with obs.phase("vector.prelower"):
-        seq3, lroutes = _build_seq3(seq, oracle_routes, plain, memvar)
-        events = {i: h[2] for i, h in enumerate(seq3) if h[0] >= 8}
-        entry = (lroutes, n_regs, _build_cols(seq3), events)
-    _PRELOWER_CACHE[skey] = entry
-    while len(_PRELOWER_CACHE) > _PRELOWER_CAP:
-        _PRELOWER_CACHE.popitem(last=False)
+        pcs = np.frombuffer(seq_pcs, np.uint32)
+        routes = np.frombuffer(oracle.routes, np.uint8)
+        picked = _SEL_BY_ROUTE[routes]
+        sel = np.zeros(len(pcs), np.uint8)
+        sel[vtab.is_mem[pcs]] = picked
+        entry = (sel.tobytes(), routes[picked == _S_LIVE].tobytes())
+    _remember(_PRELOWER_CACHE, key, entry, _ORACLE_CAP)
     if store is not None:
         meta, sections = _vstream_to_artifact(entry)
-        store.put(parent_hash, "prelower", skey, meta, sections)
+        store.put(parent_hash, "prelower", key, meta, sections)
     return entry
 
 
-def _build_vtab(hot, cold, lm_lat: float, l1_lat: float) -> tuple:
-    """Per-pc vkind variants with registers remapped to dense ints.
-
-    Every tuple is ``(vk, fu_index, latency, dst, srcs, phase, unpipelined,
-    is_mem)``.  ``dst`` is -1 for none; a fresh ``[0.0] * n_regs`` readiness
-    list reproduces the fused engine's missing-key-reads-as-0.0 dict exactly.
-    Memory pcs get one variant per static route (LM / L1 / live / collapsed)
-    with the final latency prefolded; DMA/sync pcs carry their transfer *tag*
-    in the latency slot (the loop computes their real latency and never reads
-    the slot as a time).
-    """
+def _build_vtab(hot, cold) -> _VTab:
+    """The per-pc variant tables of one program (see :class:`_VTab`)."""
+    npc = len(hot)
+    vk = np.empty((npc, 4), np.uint8)
+    lat = np.zeros((npc, 4))
+    fu = np.empty(npc, np.int32)
+    dst = np.empty(npc, np.int32)
+    phase = np.empty(npc, np.int32)
+    unpip = np.empty(npc, np.uint8)
+    is_mem = np.zeros(npc, np.bool_)
+    soff = np.zeros(npc + 1, np.int32)
+    sid: list = []
+    events: list = [None] * npc
     reg_ids: dict = {}
-    plain = []      # per-pc tuple for non-memory pcs, else None
-    memvar = []     # per-pc (lm, l1, live, collapsed) variants, else None
-    for pc, (kind, fu_index, latency, dst, srcs, phase, unpipelined,
+    for pc, (kind, fu_index, latency, d, srcs, ph, unpipelined,
              _index) in enumerate(hot):
-        dst_i = -1 if dst is None else reg_ids.setdefault(dst, len(reg_ids))
-        srcs_i = tuple(reg_ids.setdefault(s, len(reg_ids)) for s in srcs)
-        if kind == 1:       # load
-            memvar.append((
-                (1, fu_index, lm_lat, dst_i, srcs_i, phase, unpipelined, True),
-                (3, fu_index, l1_lat, dst_i, srcs_i, phase, unpipelined, True),
-                (5, fu_index, 0.0, dst_i, srcs_i, phase, unpipelined, True),
-                None))
-            plain.append(None)
-        elif kind == 2:     # store (collapsed second store is free)
-            memvar.append((
-                (2, fu_index, lm_lat, dst_i, srcs_i, phase, unpipelined, True),
-                (4, fu_index, l1_lat, dst_i, srcs_i, phase, unpipelined, True),
-                (6, fu_index, 0.0, dst_i, srcs_i, phase, unpipelined, True),
-                (2, fu_index, 0.0, dst_i, srcs_i, phase, unpipelined, True)))
-            plain.append(None)
+        dst[pc] = -1 if d is None else reg_ids.setdefault(d, len(reg_ids))
+        sid.extend(reg_ids.setdefault(s, len(reg_ids)) for s in srcs)
+        soff[pc + 1] = len(sid)
+        fu[pc] = fu_index
+        phase[pc] = ph
+        unpip[pc] = unpipelined
+        if kind == 1:       # load; loads never collapse (slot 3 unused)
+            vk[pc] = (1, 3, 5, 1)
+            is_mem[pc] = True
+        elif kind == 2:     # store; a collapsed second store is free
+            vk[pc] = (2, 4, 6, 2)
+            is_mem[pc] = True
         else:
-            vk = _VK_BY_KIND[kind]
-            lat = latency
-            if vk == 8 or vk == 9 or vk == 11:
-                lat = cold[pc][1]       # the DMA tag rides in the slot
-            plain.append((vk, fu_index, lat, dst_i, srcs_i, phase,
-                          unpipelined, False))
-            memvar.append(None)
-    return plain, memvar, len(reg_ids)
-
-
-def _build_seq3(seq, routes, plain, memvar) -> tuple:
-    """Pick one vtab variant per retired instruction from the oracle routes.
-
-    Returns ``(seq3, lroutes)``: the stream of prefolded tuples plus the
-    compact route codes (bytes) of the *live* memory ops only, consumed in
-    order by the kernel's vk-5/6 dispatch.
-    """
-    seq3 = []
-    append = seq3.append
-    lroutes = bytearray()
-    lappend = lroutes.append
-    mi = 0
-    for h in seq:
-        b = plain[h[7]]
-        if b is not None:
-            append(b)
-            continue
-        r = routes[mi]
-        mi += 1
-        v = memvar[h[7]]
-        if r == _R_LM:
-            append(v[0])
-        elif r == _R_L1:
-            append(v[1])
-        elif r == _R_COLLAPSED:
-            append(v[3])
-        else:
-            append(v[2])
-            lappend(r)
-    return seq3, bytes(lroutes)
-
-
-def _build_cols(seq3) -> tuple:
-    """Columnar views of a seq3 stream for the C kernel.
-
-    One flat array per tuple slot (sources as CSR offsets + ids).  The C
-    kernel never reads the latency slot of event ops (vk >= 8 always bounce
-    to Python, which reads their payload from the ``events`` map), so their
-    tag payload is stored as 0.0.
-    """
-    n = len(seq3)
-    vk = np.empty(n, np.uint8)
-    fu = np.empty(n, np.int32)
-    lat = np.empty(n, np.float64)
-    dst = np.empty(n, np.int32)
-    phase = np.empty(n, np.int32)
-    unpip = np.empty(n, np.uint8)
-    soff = np.empty(n + 1, np.int32)
-    sid_list = []
-    extend = sid_list.extend
-    off = 0
-    for i, h in enumerate(seq3):
-        k = h[0]
-        vk[i] = k
-        fu[i] = h[1]
-        lat[i] = h[2] if k < 8 else 0.0
-        dst[i] = h[3]
-        soff[i] = off
-        srcs = h[4]
-        if srcs:
-            extend(srcs)
-            off += len(srcs)
-        phase[i] = h[5]
-        unpip[i] = 1 if h[6] else 0
-    soff[n] = off
-    sid = np.asarray(sid_list, np.int32) if sid_list else np.zeros(0, np.int32)
-    return (vk, fu, lat, dst, soff, sid, phase, unpip)
+            vk[pc] = _VK_BY_KIND[kind]
+            lat[pc] = latency
+            if kind >= 5:   # halt / DMA / sync / set-bufsize: Python-side
+                events[pc] = cold[pc][1] if 6 <= kind <= 8 else latency
+    return _VTab(vk, lat, fu, dst, soff, np.asarray(sid, np.int32), phase,
+                 unpip, is_mem, events, len(reg_ids))
 
 
 class _VectorLane:
@@ -1171,11 +1153,10 @@ class _VectorLane:
                  "_seq", "_n", "_fu_counts", "_phase_names", "_phase_acc",
                  "_mem", "_oracle", "_flags", "_gen", "_state")
 
-    def __init__(self, order: int, phase_names, decoded, vstream,
-                 trace: Trace, mem, config, oracle: _OracleRoutes, flags,
-                 kern, uncore=None):
-        seq, branches, mem_addrs, dma_words, fu_counts = decoded[:5]
-        lroutes, n_regs, cols, events = vstream
+    def __init__(self, order: int, phase_names, decoded, vtab: _VTab,
+                 vstream, trace: Trace, mem, config, oracle: _OracleRoutes,
+                 flags, kern, uncore=None):
+        seq, branches, mem_addrs, dma_words, fu_counts, seq_pcs = decoded
         self.order = order
         self.trace = trace
         self.config = config
@@ -1192,8 +1173,7 @@ class _VectorLane:
         self.fetch_time = 0.0
         self.done = self._n == 0
         if self._n:
-            self._gen = self._loop(lroutes, cols, events, n_regs, uncore,
-                                   kern)
+            self._gen = self._loop(seq_pcs, vtab, vstream, uncore, kern)
             next(self._gen)     # run the loop's setup to the first yield
         else:   # defensive: programs always retire at least a HALT
             self._gen = None
@@ -1210,7 +1190,7 @@ class _VectorLane:
         except StopIteration:
             self.done = True
 
-    def _loop(self, lroutes, cols, events, n_regs, uncore, kern):
+    def _loop(self, seq_pcs, vtab: _VTab, vstream, uncore, kern):
         """The vector loop around the compiled inner kernel, as a generator.
 
         Same resume protocol as the fused lane: every ``send`` delivers the
@@ -1219,9 +1199,10 @@ class _VectorLane:
         epochs of uncore-free instructions; this generator handles only the
         *event* instructions it stops at — the epoch yield-check,
         DMA/uncore/dsync bookkeeping (which stays in Python, on the same
-        shared state vectors) and the re-entry.  It reads only the columnar
-        views plus the sparse ``events`` payload map (DMA tags, halt
-        latency).
+        shared state vectors) and the re-entry.  It reads the bounced
+        instruction's vkind and event payload (DMA tag, halt latency) from
+        the per-pc tables, through the same ``pcs[i] * 4 + sel[i]`` index
+        as the kernel.
         """
         config = self.config
         mem = self._mem
@@ -1256,7 +1237,7 @@ class _VectorLane:
         # -- shared state vectors (layout in _ckernel) and structure arrays --
         fs = np.zeros(_ckernel.FS_LEN)
         iv = np.zeros(_ckernel.IS_LEN, np.int64)
-        reg_ready = np.zeros(n_regs)
+        reg_ready = np.zeros(vtab.n_regs)
         rob_ring = np.zeros(timing.rob.size)
         lsq_ring = np.zeros(timing.lsq.size)
         n_dir = oracle.n_dir
@@ -1266,21 +1247,26 @@ class _VectorLane:
         mshr_tm = np.zeros(mshr.num_entries)
         phase_acc = np.zeros(len(self._phase_names))
         fu_caps = np.asarray(fu_capacity, np.int64)
-        vk_a, fu_a, lat_a, dst_a, soff_a, sid_a, phase_a, unpip_a = cols
+        sel, lroutes = vstream
+        pcs_np = np.frombuffer(seq_pcs, np.uint32)
+        sel_np = np.frombuffer(sel, np.uint8)
+        lat_a = vtab.point_lat(lm_lat, l1_lat)
+        vk_b = vtab.vk.tobytes()
+        events = vtab.events
         lr_np = np.frombuffer(lroutes, np.uint8)
-        miss_np = np.frombuffer(oracle.miss_lines, np.int64) \
-            if len(oracle.miss_lines) else np.zeros(0, np.int64)
-        gent_np = np.frombuffer(oracle.guard_entries, np.int32) \
-            if len(oracle.guard_entries) else np.zeros(0, np.int32)
+        miss_np = np.frombuffer(oracle.miss_lines, np.int64)
+        gent_np = np.frombuffer(oracle.guard_entries, np.int32)
         flags_np = np.frombuffer(self._flags[0], np.uint8)
         dma_nlines = oracle.dma_nlines
         dget_entries = oracle.dget_entries
 
         ptr = kern.new(
             fs.ctypes.data, iv.ctypes.data,
-            vk_a.ctypes.data, fu_a.ctypes.data, lat_a.ctypes.data,
-            dst_a.ctypes.data, soff_a.ctypes.data, sid_a.ctypes.data,
-            phase_a.ctypes.data, unpip_a.ctypes.data,
+            pcs_np.ctypes.data, sel_np.ctypes.data,
+            vtab.vk.ctypes.data, lat_a.ctypes.data,
+            vtab.fu.ctypes.data, vtab.dst.ctypes.data,
+            vtab.soff.ctypes.data, vtab.sid.ctypes.data,
+            vtab.phase.ctypes.data, vtab.unpip.ctypes.data,
             lr_np.ctypes.data, miss_np.ctypes.data, gent_np.ctypes.data,
             flags_np.ctypes.data,
             reg_ready.ctypes.data, rob_ring.ctypes.data, lsq_ring.ctypes.data,
@@ -1317,7 +1303,8 @@ class _VectorLane:
                     raise MemoryError("vector kernel allocation failure")
                 if i >= n:
                     break
-                vk = int(vk_a[i])
+                pc = seq_pcs[i]
+                vk = vk_b[pc * 4 + sel[i]]
                 # Epoch break before any shared-uncore touch: a route-5 miss
                 # (vk 5/6 — the only live ops the kernel bounces when
                 # multicore) or a DMA burst (vk 8/9).
@@ -1352,7 +1339,7 @@ class _VectorLane:
                     ni += 1
                     completion_d = now + queue + float(
                         dma_setup + nlines * dma_per_line)
-                    tag = events[i]  # the DMA tag rides in the event payload
+                    tag = events[pc]
                     lst = outstanding.get(tag)
                     if lst is None:
                         outstanding[tag] = [completion_d]
@@ -1367,7 +1354,7 @@ class _VectorLane:
                     latency = 1.0
                 elif vk == 11:      # dma-sync (DMAController.dma_sync)
                     b_dsync += 1
-                    tag = events[i]
+                    tag = events[pc]
                     if tag is None:
                         pending = [x for lst in outstanding.values()
                                    for x in lst]
@@ -1391,8 +1378,8 @@ class _VectorLane:
                 elif vk == 10:      # set-bufsize
                     b_setbuf += 1
                     latency = 1.0
-                else:               # halt: static latency from the stream
-                    latency = events[i]
+                else:               # halt: its static latency
+                    latency = events[pc]
                 if retire(ptr, i, latency) < 0:
                     raise MemoryError("vector kernel allocation failure")
                 i += 1
@@ -1542,13 +1529,11 @@ def replay_single_vector(trace: Trace, machine: MachineConfig, kern,
                             parent_hash=parent_hash)
     flags = _cached_flags(trace, decoded, cold, config, hot,
                           parent_hash=parent_hash)
+    vtab = _cached_vtab(trace, hot, cold)
+    vstream = _cached_vstream(trace, decoded[5], vtab, oracle, mode, machine,
+                              False, parent_hash=parent_hash)
     system = build_system(mode, machine)
-    lm_lat = float(system.lm.latency) if system.use_lm else 0.0
-    l1_lat = float(system.hierarchy.config.l1_latency)
-    vstream = _cached_vstream(trace, hot, cold, decoded[0], oracle.routes,
-                              mode, machine, False, lm_lat, l1_lat,
-                              parent_hash=parent_hash)
-    lane = _VectorLane(0, phase_names, decoded, vstream, trace,
+    lane = _VectorLane(0, phase_names, decoded, vtab, vstream, trace,
                        system, config, oracle, flags, kern)
     with obs.phase("vector.timing"):
         lane.run_until(_INFINITY, 0)
@@ -1599,14 +1584,12 @@ def replay_multicore_vector(mtrace: MulticoreTrace,
                                 parent_hash=key.key_hash)
         flags = _cached_flags(trace, decoded, cold, config, hot,
                               parent_hash=key.key_hash)
-        mem = system.core(core_id)
-        lm_lat = float(mem.lm.latency) if mem.use_lm else 0.0
-        l1_lat = float(mem.hierarchy.config.l1_latency)
-        vstream = _cached_vstream(trace, hot, cold, decoded[0], oracle.routes,
-                                  key.mode, machine, True, lm_lat, l1_lat,
-                                  parent_hash=key.key_hash)
-        lanes.append(_VectorLane(core_id, phase_names, decoded, vstream,
-                                 trace, mem, config, oracle, flags, kern,
+        vtab = _cached_vtab(trace, hot, cold)
+        vstream = _cached_vstream(trace, decoded[5], vtab, oracle, key.mode,
+                                  machine, True, parent_hash=key.key_hash)
+        lanes.append(_VectorLane(core_id, phase_names, decoded, vtab, vstream,
+                                 trace, system.core(core_id), config, oracle,
+                                 flags, kern,
                                  uncore=system.uncore.port(core_id)))
         patches.append(oracle.patch)
     with obs.phase("vector.timing"):

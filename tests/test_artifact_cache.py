@@ -159,12 +159,11 @@ def test_batched_oracle_matches_scalar_multicore(fresh_cache):
         assert batched.dma_nlines                  # dget/dput both present
 
 
-def test_batched_oracle_guarded_divert_and_collapse_synthetic():
-    """The GUARD route (guarded access served by a directory hit) never
-    occurs in the NAS captures at test scales, so drive it — plus the
-    guarded directory *miss* and the LSQ store collapse — through both
-    implementations with a hand-built decoded stream."""
-    machine = _machine(1)
+def _guard_stream(machine):
+    """A hand-built ``(decoded, cold)`` stream that reaches the GUARD route
+    (guarded access served by a directory hit), which never occurs in the
+    NAS captures at test scales, plus a guarded directory *miss* and an LSQ
+    store collapse."""
     base = build_system("hybrid", machine).address_map.virtual_base
     chunk = 512
     sm = 1 << 20
@@ -190,8 +189,14 @@ def test_batched_oracle_guarded_divert_and_collapse_synthetic():
     mem_addrs = [sm + 8, sm + 10 * chunk, sm + 16,
                  sm + 9 * chunk, sm + 9 * chunk]
     dma_words = [base, sm, chunk, base, sm, chunk]
-    decoded = (seq, [], mem_addrs, dma_words, {})
+    return (seq, [], mem_addrs, dma_words, {}), cold
 
+
+def test_batched_oracle_guarded_divert_and_collapse_synthetic():
+    """Drive the GUARD route, a guarded directory miss and a store collapse
+    through both oracle implementations."""
+    machine = _machine(1)
+    decoded, cold = _guard_stream(machine)
     batched = vector_mod._oracle_routes(decoded, cold, "hybrid", machine,
                                         False)
     scalar = vector_mod._oracle_routes_scalar(decoded, cold, "hybrid",
@@ -271,6 +276,108 @@ def test_warm_replay_identity_clustered(fresh_cache):
     assert warm.total_energy == fused.total_energy
     assert warm.sim.memory_stats == fused.sim.memory_stats
     assert warm.sim.core_stats["per_core"] == fused.sim.core_stats["per_core"]
+
+
+def _assert_same_run(run, fused):
+    assert run.cycles == fused.cycles
+    assert run.total_energy == fused.total_energy
+    assert run.sim.memory_stats == fused.sim.memory_stats
+    assert run.sim.core_stats["per_core"] == fused.sim.core_stats["per_core"]
+
+
+def test_latency_points_share_prelower_artifact(tmp_path):
+    """The prelower key holds no latency: points that change only the L1 or
+    LM latency read the base point's prelower artifacts and still equal the
+    fused engine (the latencies go into the per-point table)."""
+    machine = _machine(2)
+    _, mtrace = capture_workload("CG", "hybrid", "tiny", machine=machine)
+    with artifacts.scoped(cache_root=tmp_path):
+        _clear_memo_caches()
+        replay_trace(mtrace, machine, engine="vector")
+        for override in ({"memory.l1_latency": 4}, {"lm_latency": 4}):
+            point = machine.with_overrides(override)
+            fused = replay_trace(mtrace, point)
+            _clear_memo_caches()
+            with obs.recording() as rec:
+                run = replay_trace(mtrace, point, engine="vector")
+            assert rec.counters.get("vector.prelower.disk.hit") == 2, override
+            assert "vector.prelower.miss" not in rec.counters, override
+            _assert_same_run(run, fused)
+    _clear_memo_caches()
+
+
+@pytest.mark.parametrize("kind,section,cut", [("oracle", "miss_lines", 8),
+                                              ("prelower", "lroutes", 1)])
+def test_artifact_out_of_step_with_its_routes_reads_as_miss(
+        kind, section, cut, fresh_cache):
+    """A parseable artifact whose side array is shorter than its routes
+    imply would send the C kernel past the end of that array: it reads as a
+    miss, the pass is recomputed and the replay still equals fused."""
+    machine = _machine(2)
+    _, mtrace = capture_workload("CG", "hybrid", "tiny", machine=machine)
+    fused = replay_trace(mtrace, machine)
+    replay_trace(mtrace, machine, engine="vector")      # cold: writes
+    paths = sorted(artifacts.default_store().root.glob(
+        f"{mtrace.key.key_hash}/{kind}-*.art"))
+    assert len(paths) == 2
+    for path in paths:
+        stored_kind, meta, sections = decode_artifact(path.read_bytes())
+        assert len(sections[section]) >= cut
+        sections[section] = sections[section][:-cut]
+        path.write_bytes(encode_artifact(stored_kind, meta,
+                                         list(sections.items())))
+    _clear_memo_caches()
+    with obs.recording() as rec:
+        warm = replay_trace(mtrace, machine, engine="vector")
+    assert rec.counters.get(f"vector.{kind}.miss") == 2, rec.counters
+    assert f"vector.{kind}.disk.hit" not in rec.counters, rec.counters
+    _assert_same_run(warm, fused)
+
+
+def _corrupt(sections, name, fn):
+    out = dict(sections)
+    out[name] = fn(sections[name])
+    return out
+
+
+def test_artifact_validation_rejects_each_inconsistency(fresh_cache):
+    """Every count or range the C kernel relies on is checked on read."""
+    machine = _machine(1)
+    decoded, cold = _guard_stream(machine)
+    oracle = vector_mod._oracle_routes(decoded, cold, "hybrid", machine,
+                                       False)
+    n_mem = len(decoded[2])
+    meta, sections = vector_mod._oracle_to_artifact(oracle)
+    sections = dict(sections)
+    assert oracle.miss_lines and oracle.guard_entries
+    assert vector_mod._oracle_from_artifact(meta, sections, n_mem)
+    n_dir = struct.pack("<i", oracle.n_dir)
+    for bad in (_corrupt(sections, "miss_lines", lambda b: b[:-8]),
+                _corrupt(sections, "guard_entries", lambda b: b[:-4]),
+                _corrupt(sections, "guard_entries", lambda b: n_dir + b[4:]),
+                _corrupt(sections, "guard_entries",
+                         lambda b: struct.pack("<i", -1) + b[4:]),
+                _corrupt(sections, "dma_nlines", lambda b: b[:-4]),
+                _corrupt(sections, "routes", lambda b: b[:-1] + b"\x07")):
+        assert vector_mod._oracle_from_artifact(meta, bad, n_mem) is None
+    assert vector_mod._oracle_from_artifact(meta, sections, n_mem + 1) is None
+
+    _, trace = capture_workload("CG", "hybrid", "tiny", machine=machine)
+    replay_trace(trace, machine, engine="vector")
+    (oracle,) = vector_mod._ORACLE_CACHE.values()
+    (vstream,) = vector_mod._PRELOWER_CACHE.values()
+    n = trace.instructions
+    psections = dict(vector_mod._vstream_to_artifact(vstream)[1])
+    assert vector_mod._vstream_from_artifact(psections, n, oracle)
+    live_at = psections["sel"].index(vector_mod._S_LIVE)
+    for bad in (_corrupt(psections, "sel", lambda b: b[:-1]),
+                _corrupt(psections, "sel", lambda b: b"\x04" + b[1:]),
+                _corrupt(psections, "sel", lambda b: b[:live_at] + b"\x00"
+                         + b[live_at + 1:]),
+                _corrupt(psections, "lroutes", lambda b: b[:-1]),
+                _corrupt(psections, "lroutes",
+                         lambda b: bytes([vector_mod._R_L1]) + b[1:])):
+        assert vector_mod._vstream_from_artifact(bad, n, oracle) is None
 
 
 # ----------------------------------------------- cross-process determinism
