@@ -55,10 +55,9 @@ class OwnershipViolation(RuntimeError):
 class CoreView:
     """Per-core facade over a :class:`MulticoreHybridSystem`.
 
-    Exposes the :class:`~repro.core.hybrid.HybridSystem` surface the
-    functional executor and the core model consume, but routes memory and
-    DMA operations through the multicore wrapper so the ownership
-    bookkeeping sees every access.  Everything else (``hierarchy``,
+    Exposes the :class:`~repro.core.hybrid.HybridSystem` surface an
+    execution lane consumes, but routes memory and DMA operations through
+    the multicore wrapper so the ownership bookkeeping sees every access.  Everything else (``hierarchy``,
     ``use_lm``, ``stats_summary``, ...) delegates to the underlying
     per-core system.
     """
@@ -75,6 +74,12 @@ class CoreView:
 
     def store(self, vaddr: int, value, **kwargs) -> MemoryOutcome:
         return self._machine.store(self.core_id, vaddr, value, **kwargs)
+
+    def check_ownership(self, sm_addr: int) -> None:
+        """The ownership check every SM access of this core passes: raises
+        :class:`OwnershipViolation` when ``sm_addr`` is mapped to another
+        core's LM."""
+        self._machine._check_ownership(self.core_id, sm_addr)
 
     def dma_get(self, lm_vaddr: int, sm_addr: int, size: int, tag: int = 0,
                 now: float = 0.0) -> float:
@@ -169,7 +174,7 @@ class MulticoreHybridSystem:
         return self.cores[core_id]
 
     def view(self, core_id: int) -> CoreView:
-        """Ownership-checked per-core facade (what executors run against)."""
+        """Ownership-checked per-core facade (what execution lanes run against)."""
         return CoreView(self, core_id)
 
     # -- ownership bookkeeping ------------------------------------------------------

@@ -1,10 +1,14 @@
 """The simulated core: functional execution + out-of-order timing.
 
-:class:`Core` couples a :class:`~repro.cpu.executor.FunctionalExecutor` with
-an :class:`~repro.cpu.pipeline.OutOfOrderTimingModel` and a memory system
-(:class:`~repro.core.hybrid.HybridSystem`), producing a
+:class:`Core` runs a program on a memory system
+(:class:`~repro.core.hybrid.HybridSystem`) through one
+:class:`~repro.cpu.executor.ExecutionLane` — functional execution and the
+out-of-order timing of :mod:`repro.cpu.pipeline` in one loop — producing a
 :class:`SimulationResult` with cycle counts, per-phase breakdowns,
 instruction statistics and the memory system's activity summary.
+:func:`lane_result` builds that result from a finished timing model; the
+multicore runner and the replay engines build their per-core results with
+it too.
 """
 
 from __future__ import annotations
@@ -14,9 +18,11 @@ from typing import Dict, Optional
 
 from repro.core.hybrid import HybridSystem
 from repro.cpu.config import CoreConfig
-from repro.cpu.executor import FunctionalExecutor
+from repro.cpu.executor import ExecutionLane
 from repro.cpu.pipeline import OutOfOrderTimingModel
 from repro.isa.program import Program, WORD_SIZE
+
+_INFINITY = float("inf")
 
 
 @dataclass
@@ -80,43 +86,38 @@ class Core:
         """Execute ``program`` to completion and return the simulation result.
 
         ``recorder`` is an optional :class:`~repro.trace.capture.TraceRecorder`
-        that observes every retired dynamic instruction, capturing the
-        machine-config-independent stream (branch outcomes, memory addresses,
-        DMA operands) for later timing replay under other machine configs.
+        that receives the machine-config-independent stream of the run
+        (branch outcomes, memory addresses, DMA operands) for later timing
+        replay under other machine configs.
         """
         if not program.is_laid_out:
             program.assign_addresses()
         if load_data:
             self._load_program_data(program)
-        executor = FunctionalExecutor(program, self.system,
-                                      max_instructions=self.max_instructions)
-        timing = OutOfOrderTimingModel(self.config, hierarchy=self.system.hierarchy)
-        record = recorder.record if recorder is not None else None
-        while True:
-            inst = executor.current_instruction()
-            if inst is None:
-                break
-            now = timing.issue_estimate(inst, executor.pc)
-            dyn = executor.execute_at(now)
-            if dyn is None:  # pragma: no cover - defensive
-                break
-            timing.retire(dyn, now)
-            if record is not None:
-                record(dyn)
-        return SimulationResult(
-            cycles=timing.cycles,
-            instructions=timing.committed,
-            phase_cycles=timing.phase_breakdown(),
-            mispredictions=timing.mispredictions,
-            branch_predictions=timing.predictor.predictions,
-            memory_stats=self.system.stats_summary(),
-            core_stats={
-                "ipc": timing.ipc,
-                "fu_op_counts": dict(timing.fu_op_counts),
-                "fu_contended_cycles": timing.fus.contended_cycles,
-                "rob_dispatch_stalls": timing.rob.dispatch_stalls,
-                "lsq_occupancy_stalls": timing.lsq.occupancy_stalls,
-                "lsq_collapsed_stores": timing.lsq.collapsed_stores,
-                "misprediction_rate": timing.predictor.misprediction_rate,
-            },
-        )
+        lane = ExecutionLane(program, self.system, self.config,
+                             recorder=recorder,
+                             max_instructions=self.max_instructions)
+        lane.run_until(_INFINITY, 0)
+        return lane_result(lane.finish(), self.system.stats_summary())
+
+
+def lane_result(timing: OutOfOrderTimingModel,
+                memory_stats: dict) -> SimulationResult:
+    """One core's :class:`SimulationResult` from its finished timing model."""
+    return SimulationResult(
+        cycles=timing.cycles,
+        instructions=timing.committed,
+        phase_cycles=timing.phase_breakdown(),
+        mispredictions=timing.mispredictions,
+        branch_predictions=timing.predictor.predictions,
+        memory_stats=memory_stats,
+        core_stats={
+            "ipc": timing.ipc,
+            "fu_op_counts": dict(timing.fu_op_counts),
+            "fu_contended_cycles": timing.fus.contended_cycles,
+            "rob_dispatch_stalls": timing.rob.dispatch_stalls,
+            "lsq_occupancy_stalls": timing.lsq.occupancy_stalls,
+            "lsq_collapsed_stores": timing.lsq.collapsed_stores,
+            "misprediction_rate": timing.predictor.misprediction_rate,
+        },
+    )

@@ -1,181 +1,75 @@
-"""Functional executor of the mini ISA.
+"""The execution lane: functional execution and out-of-order timing, one loop.
 
-The executor interprets a :class:`~repro.isa.program.Program` against a
-memory system (:class:`~repro.core.hybrid.HybridSystem`), resolving operand
-values, computing effective addresses, performing loads/stores/DMA commands
-and following control flow.  For every executed instruction it produces a
-:class:`DynamicInstruction` record that the timing model consumes.
+:class:`ExecutionLane` interprets a :class:`~repro.isa.program.Program`
+against a memory system (a :class:`~repro.core.hybrid.HybridSystem`, or a
+multicore :class:`~repro.core.multicore.CoreView`) and times every retired
+instruction on the out-of-order core model stated in
+:mod:`repro.cpu.pipeline`, step for step in the order given there.  The
+program is decoded once into per-pc tuples with dense register indices;
+the loop then resolves operand values, computes effective addresses,
+issues loads/stores/DMA commands through the system's
+``load``/``store``/``dma_*`` methods and follows control flow, while doing
+the dispatch, issue, functional-unit, reorder-buffer and branch-predictor
+accounting inline over locals.  The memory system sees each instruction's
+estimated issue time as its clock (``now``), so MSHR occupancy, DMA
+completion and directory presence stalls see a consistent notion of time.
 
-The executor is deliberately decoupled from timing: the core drives it one
-instruction at a time, passing the estimated issue time (``now``) so that
-time-dependent behaviour in the memory system (MSHR occupancy, DMA
-completion, directory presence stalls) sees a consistent clock.
+The replay engines (:mod:`repro.trace.replay`, :mod:`repro.trace.vector`)
+carry their own transcriptions of the model and are checked against this
+one; nothing here is shared with them, so the identity checks compare
+independent implementations.
+
+**Resumable lane.**  The loop is a generator whose locals survive across
+yields.  :meth:`ExecutionLane.run_until` advances it while the lane's key
+``(fetch_time, order)`` stays below a limit key, which is the contract of
+:func:`repro.cpu.multicore.run_resumable_lanes`: a single-core run is one
+call with an infinite limit, a multicore run interleaves one lane per core
+against the shared uncore.  :meth:`ExecutionLane.finish` writes the final
+state back into the lane's
+:class:`~repro.cpu.pipeline.OutOfOrderTimingModel`, which results are read
+from.
+
+A :class:`~repro.trace.capture.TraceRecorder` passed as ``recorder`` gets
+the machine-config-independent stream appended straight to its lists:
+conditional-branch outcomes, memory addresses with their pcs, and DMA
+operands.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Tuple
+import operator
+from typing import Dict, Optional
 
-from repro.core.hybrid import HybridSystem, MemoryOutcome
-from repro.isa.instructions import Instruction, Opcode
+from repro.cpu.config import CoreConfig
+from repro.cpu.pipeline import (
+    CODE_BASE,
+    CODE_INSTR_SIZE,
+    OutOfOrderTimingModel,
+)
+from repro.isa.instructions import FuClass, Opcode
 from repro.isa.program import Program
-from repro.isa.registers import RegisterFile
 
 
 class ExecutionError(RuntimeError):
     """Raised when the program performs an illegal operation."""
 
 
-@dataclass
-class DynamicInstruction:
-    """One executed (dynamic) instruction and its resolved effects."""
+# Per-pc instruction kinds.  Memory ops come first so ``kind < 2`` tests for
+# one; the kinds from _K_CBR up (branches, then the serialising halt and
+# dma-synch) need work after the common retire step.
+_K_LOAD, _K_STORE, _K_ALU_RR, _K_ALU_RI, _K_LI, _K_UNARY, _K_NOP = range(7)
+_K_SETBUF, _K_DGET, _K_DPUT, _K_BAD = 7, 8, 9, 10
+_K_CBR, _K_JMP, _K_HALT, _K_DSYNC = 11, 12, 13, 14
 
-    inst: Instruction
-    index: int                      # static instruction index (the "PC")
-    address: Optional[int] = None   # resolved memory address (memory ops)
-    mem_outcome: Optional[MemoryOutcome] = None
-    latency: float = 1.0            # execution latency in cycles
-    stall_cycles: float = 0.0       # pipeline-serialising stall (dma-synch)
-    branch_taken: bool = False
-    next_index: int = 0             # index of the next instruction to execute
-    serializing: bool = False       # drains the pipeline (dma-synch, halt)
-    #: Resolved (lm_vaddr, sm_addr, size) of a dma-get/dma-put; the trace
-    #: recorder needs the register values the command was issued with.
-    dma_args: Optional[Tuple[int, int, int]] = None
+#: Dense register indices reserved before the program's names: a source
+#: slot that reads 0 and is ready at 0.0, and a sink for ``dst=None``.
+_NO_REG, _SINK = 0, 1
+_FIRST_REG = 2
 
-
-class FunctionalExecutor:
-    """Interprets a program against a hybrid (or cache-based) memory system."""
-
-    def __init__(self, program: Program, system: HybridSystem,
-                 max_instructions: int = 50_000_000):
-        if not program.is_laid_out:
-            program.assign_addresses()
-        program.validate()
-        self.program = program
-        self.system = system
-        self.registers = RegisterFile()
-        self.pc = 0
-        self.executed = 0
-        self.max_instructions = max_instructions
-        self.halted = False
-
-    # -- helpers -------------------------------------------------------------------
-    def current_instruction(self) -> Optional[Instruction]:
-        """The static instruction about to execute (None when finished)."""
-        if self.halted or self.pc >= len(self.program.instructions):
-            return None
-        return self.program.instructions[self.pc]
-
-    def _reg(self, name: str):
-        return self.registers.read(name)
-
-    def _src2_value(self, inst: Instruction):
-        """Second ALU operand: a register when present, else the immediate."""
-        if len(inst.srcs) >= 2:
-            return self._reg(inst.srcs[1])
-        if inst.imm is None:
-            raise ExecutionError(f"{inst!r}: missing second operand")
-        return inst.imm
-
-    # -- execution ------------------------------------------------------------------
-    def execute_at(self, now: float) -> Optional[DynamicInstruction]:
-        """Execute the instruction at the current PC with clock estimate ``now``."""
-        inst = self.current_instruction()
-        if inst is None:
-            return None
-        if self.executed >= self.max_instructions:
-            raise ExecutionError(
-                f"instruction limit of {self.max_instructions} exceeded "
-                "(missing HALT or runaway loop?)")
-        self.executed += 1
-        index = self.pc
-        dyn = DynamicInstruction(inst=inst, index=index, latency=float(inst.latency),
-                                 next_index=index + 1)
-        op = inst.opcode
-        registers = self.registers
-
-        # Dispatch ordered by dynamic frequency (ALU ops, then memory, then
-        # branches); each bucket is entered off a pre-computed instruction
-        # flag or a single dict probe, so the interpreter loop does at most
-        # one enum-keyed lookup per instruction.
-        alu_fn = _ALU_EVAL.get(op)
-        if alu_fn is not None:
-            a = registers.read(inst.srcs[0])
-            b = self._src2_value(inst)
-            registers.write(inst.dst, alu_fn(a, b))
-        elif inst.is_memory:
-            if inst.is_load:
-                base = registers.read(inst.srcs[0])
-                addr = int(base) + int(inst.imm or 0)
-                outcome = self.system.load(
-                    addr, guarded=inst.is_guarded,
-                    oracle_divert=inst.oracle_divert, pc=index, now=now)
-                registers.write(inst.dst, outcome.value)
-            else:
-                value = registers.read(inst.srcs[0])
-                base = registers.read(inst.srcs[1])
-                addr = int(base) + int(inst.imm or 0)
-                outcome = self.system.store(
-                    addr, value, guarded=inst.is_guarded,
-                    oracle_divert=inst.oracle_divert,
-                    collapse_with_prev=inst.collapse_with_prev, pc=index, now=now)
-            dyn.address = addr
-            dyn.mem_outcome = outcome
-            dyn.latency = outcome.latency
-        elif inst.is_conditional_branch:
-            a = registers.read(inst.srcs[0])
-            b = registers.read(inst.srcs[1])
-            taken = _BRANCH_EVAL[op](a, b)
-            dyn.branch_taken = taken
-            if taken:
-                dyn.next_index = self.program.resolve_label(inst.target)
-        elif op is Opcode.LI:
-            registers.write(inst.dst, inst.imm)
-        elif op is Opcode.MOV:
-            registers.write(inst.dst, registers.read(inst.srcs[0]))
-        elif op is Opcode.FCVT:
-            registers.write(inst.dst, float(registers.read(inst.srcs[0])))
-        elif op is Opcode.FNEG:
-            registers.write(inst.dst, -registers.read(inst.srcs[0]))
-        elif op is Opcode.FSQRT:
-            value = registers.read(inst.srcs[0])
-            registers.write(inst.dst, abs(value) ** 0.5)
-        elif op is Opcode.JMP:
-            dyn.branch_taken = True
-            dyn.next_index = self.program.resolve_label(inst.target)
-        elif op is Opcode.HALT:
-            self.halted = True
-            dyn.serializing = True
-        elif op is Opcode.NOP:
-            pass
-        elif op is Opcode.DMA_GET:
-            lm_addr = int(self._reg(inst.srcs[0]))
-            sm_addr = int(self._reg(inst.srcs[1]))
-            size = int(self._reg(inst.srcs[2]))
-            dyn.dma_args = (lm_addr, sm_addr, size)
-            dyn.latency = self.system.dma_get(lm_addr, sm_addr, size,
-                                              tag=inst.imm or 0, now=now)
-        elif op is Opcode.DMA_PUT:
-            lm_addr = int(self._reg(inst.srcs[0]))
-            sm_addr = int(self._reg(inst.srcs[1]))
-            size = int(self._reg(inst.srcs[2]))
-            dyn.dma_args = (lm_addr, sm_addr, size)
-            dyn.latency = self.system.dma_put(lm_addr, sm_addr, size,
-                                              tag=inst.imm or 0, now=now)
-        elif op is Opcode.DMA_SYNC:
-            stall = self.system.dma_sync(inst.imm, now=now)
-            dyn.stall_cycles = stall
-            dyn.latency = 1.0 + stall
-            dyn.serializing = True
-        elif op is Opcode.SET_BUFSIZE:
-            dyn.latency = self.system.set_buffer_size(inst.imm)
-        else:  # pragma: no cover - defensive
-            raise ExecutionError(f"unimplemented opcode {op}")
-
-        self.pc = dyn.next_index
-        return dyn
+#: Cycles of slack kept below the front end when pruning reservations.
+_PRUNE_SLACK = 4
+#: Instructions between two reservation-table prunes.
+_PRUNE_EVERY = 4096
 
 
 def _safe_div(a, b):
@@ -191,9 +85,9 @@ def _safe_mod(a, b):
 
 
 _ALU_EVAL = {
-    Opcode.ADD: lambda a, b: a + b,
-    Opcode.SUB: lambda a, b: a - b,
-    Opcode.MUL: lambda a, b: a * b,
+    Opcode.ADD: operator.add,
+    Opcode.SUB: operator.sub,
+    Opcode.MUL: operator.mul,
     Opcode.DIV: _safe_idiv,
     Opcode.MOD: _safe_mod,
     Opcode.AND: lambda a, b: int(a) & int(b),
@@ -203,16 +97,464 @@ _ALU_EVAL = {
     Opcode.SHR: lambda a, b: int(a) >> int(b),
     Opcode.MIN: min,
     Opcode.MAX: max,
-    Opcode.FADD: lambda a, b: a + b,
-    Opcode.FSUB: lambda a, b: a - b,
-    Opcode.FMUL: lambda a, b: a * b,
+    Opcode.FADD: operator.add,
+    Opcode.FSUB: operator.sub,
+    Opcode.FMUL: operator.mul,
     Opcode.FDIV: _safe_div,
-    Opcode.FMA: lambda a, b: a * b,  # two-operand form; three-operand FMA unused
+    Opcode.FMA: operator.mul,  # two-operand form; three-operand FMA unused
+}
+
+_UNARY_EVAL = {
+    Opcode.MOV: lambda a: a,
+    Opcode.FCVT: float,
+    Opcode.FNEG: operator.neg,
+    Opcode.FSQRT: lambda a: abs(a) ** 0.5,
 }
 
 _BRANCH_EVAL = {
-    Opcode.BEQ: lambda a, b: a == b,
-    Opcode.BNE: lambda a, b: a != b,
-    Opcode.BLT: lambda a, b: a < b,
-    Opcode.BGE: lambda a, b: a >= b,
+    Opcode.BEQ: operator.eq,
+    Opcode.BNE: operator.ne,
+    Opcode.BLT: operator.lt,
+    Opcode.BGE: operator.ge,
 }
+
+_SIMPLE_KINDS = {
+    Opcode.JMP: _K_JMP,
+    Opcode.HALT: _K_HALT,
+    Opcode.NOP: _K_NOP,
+    Opcode.DMA_GET: _K_DGET,
+    Opcode.DMA_PUT: _K_DPUT,
+    Opcode.DMA_SYNC: _K_DSYNC,
+    Opcode.SET_BUFSIZE: _K_SETBUF,
+}
+
+_FU_NAMES = [cls.value for cls in FuClass]   # indexed like FU_INDEX
+
+
+class ExecutionLane:
+    """One core's execution-driven run as a resumable state machine.
+
+    ``system`` is what memory and DMA operations are issued through; its
+    ``hierarchy`` serves instruction fetch and is attached to the timing
+    model.  ``order`` is the lane's tie-break rank in a multicore run (its
+    core id).  Exceeding ``max_instructions`` raises
+    :class:`ExecutionError`.
+    """
+
+    __slots__ = ("order", "fetch_time", "done", "timing", "_names", "_regs",
+                 "_ready", "_phase_names", "_recorder", "_gen", "_state")
+
+    def __init__(self, program: Program, system,
+                 config: Optional[CoreConfig] = None, *, order: int = 0,
+                 recorder=None, max_instructions: int = 50_000_000):
+        if not program.is_laid_out:
+            program.assign_addresses()
+        program.validate()
+        self.order = order
+        self.fetch_time = 0.0
+        self.timing = OutOfOrderTimingModel(config or CoreConfig(),
+                                            hierarchy=system.hierarchy)
+        self._recorder = recorder
+        self._state = None
+        names: Dict[str, int] = {}
+        decoded, self._phase_names = _decode(program, names, self.timing)
+        self._names = names
+        self._regs = [0] * (len(names) + _FIRST_REG)
+        self._ready = [0.0] * (len(names) + _FIRST_REG)
+        self.done = not decoded
+        self._gen = None
+        if decoded:
+            self._gen = self._loop(decoded, system, max_instructions)
+            next(self._gen)     # run the loop's set-up to its first yield
+
+    @property
+    def registers(self) -> Dict[str, object]:
+        """Current value of every register the program names (0 if never
+        written)."""
+        regs = self._regs
+        return {name: regs[idx] for name, idx in self._names.items()}
+
+    def run_until(self, limit: float, limit_order: int) -> None:
+        """Advance while the key ``(fetch_time, order)`` stays below
+        ``(limit, limit_order)``; at least one instruction per call, and
+        ``limit=inf`` runs to completion."""
+        if self._gen is None:
+            return
+        try:
+            self._gen.send((limit, limit_order))
+        except StopIteration:
+            self.done = True
+            self._gen = None
+
+    def _loop(self, decoded, system, max_instructions):
+        """The per-instruction loop, as a generator (see the module
+        docstring).  Yields whenever the scheduling contract hands control
+        to another lane; on exhaustion packs its counters into ``_state``."""
+        timing = self.timing
+        config = timing.config
+        my_order = self.order
+        n = len(decoded)
+        regs = self._regs
+        rdy = self._ready
+
+        issue_width = config.issue_width
+        inv_fetch = 1.0 / config.fetch_width
+        mispredict_penalty = config.mispredict_penalty
+        predictor = timing.predictor
+        predictor_update = predictor.update
+        btb = predictor.btb
+        rob = timing.rob
+        rob_size = rob.size
+        rob_times = rob._commit_times
+        rob_append = rob_times.append
+        inv_commit = 1.0 / rob.commit_width
+        lsq_size = timing.lsq.size
+        lsq_times = timing.lsq._completion_times
+        lsq_append = lsq_times.append
+        slots = timing._issue_slots
+        slots_get = slots.get
+        tables = [slots, *timing.fus._schedule]   # pruned in place
+        hierarchy = timing.hierarchy
+        fetch_access = (hierarchy.fetch_access if hierarchy is not None
+                        else None)
+        sys_load = system.load
+        sys_store = system.store
+
+        recorder = self._recorder
+        recording = recorder is not None
+        if recording:
+            rec_branch = recorder.branches.append
+            rec_addr = recorder.addresses.append
+            rec_pc = recorder.pcs.append
+            rec_dma = recorder.dma.extend
+
+        phase_acc = [0.0] * len(self._phase_names)
+        fu_n = [0] * len(_FU_NAMES)
+        # The kinds as locals: the dispatch compares against them.
+        K_LOAD, K_STORE, K_ALU_RR, K_ALU_RI = (
+            _K_LOAD, _K_STORE, _K_ALU_RR, _K_ALU_RI)
+        K_LI, K_UNARY, K_NOP, K_DGET, K_DPUT = (
+            _K_LI, _K_UNARY, _K_NOP, _K_DGET, _K_DPUT)
+        K_CBR, K_JMP, K_HALT, K_DSYNC = _K_CBR, _K_JMP, _K_HALT, _K_DSYNC
+
+        fetch_time = 0.0
+        last_commit = 0.0   # == the ROB's commit-bandwidth clock
+        rob_stalls = lsq_stalls = contended = 0.0
+        mispredictions = lsq_collapsed = nmem = 0
+        # Next instruction count at which to prune or enforce the limit.
+        checkpoint = min(_PRUNE_EVERY, max_instructions)
+        pc = i = 0
+        limit, limit_order = yield
+
+        while True:
+            (kind, a, b, dst, fn, imm, more, fa, table, table_get, capacity,
+             unpipelined, fu, phase, latency) = decoded[pc]
+            if i >= checkpoint:
+                if i >= max_instructions:
+                    raise ExecutionError(
+                        f"instruction limit of {max_instructions} exceeded "
+                        "(missing HALT or runaway loop?)")
+                # Reservations below the front end can never be consulted
+                # again (dispatch time is monotonic): drop them.
+                checkpoint = min(i + _PRUNE_EVERY, max_instructions)
+                horizon = int(fetch_time) - _PRUNE_SLACK
+                for tab in tables:
+                    if len(tab) > 2048:
+                        for c in [c for c in tab if c < horizon]:
+                            del tab[c]
+
+            # ---- dispatch: fetch group, ROB and LSQ occupancy ----
+            if fa:
+                fetch_access(fa)
+            t = fetch_time
+            if i >= rob_size:
+                oldest = rob_times[0]
+                if oldest > t:
+                    rob_stalls += oldest - t
+                    t = oldest
+            if kind < 2 and nmem >= lsq_size:
+                oldest = lsq_times[0]
+                if oldest > t:
+                    lsq_stalls += oldest - t
+                    t = oldest
+            if t > fetch_time:
+                fetch_time = t
+
+            # ---- issue estimate: operands ready, then a free issue slot;
+            # ``cycle`` ends as int(now) ----
+            ready = t
+            r = rdy[a]
+            if r > ready:
+                ready = r
+            r = rdy[b]
+            if r > ready:
+                ready = r
+            if more:
+                for s in more:
+                    r = rdy[s]
+                    if r > ready:
+                        ready = r
+            cycle = int(ready)
+            if slots_get(cycle, 0) < issue_width:
+                now = ready
+            else:
+                cycle += 1
+                while slots_get(cycle, 0) >= issue_width:
+                    cycle += 1
+                now = float(cycle)
+
+            # ---- execute ----
+            i += 1
+            if kind == K_ALU_RR:
+                regs[dst] = fn(regs[a], regs[b])
+                pc += 1
+            elif kind == K_ALU_RI:
+                regs[dst] = fn(regs[a], imm)
+                pc += 1
+            elif kind == K_LOAD:
+                addr = int(regs[a]) + imm
+                guarded, divert, _ = fn
+                outcome = sys_load(addr, guarded=guarded, oracle_divert=divert,
+                                   pc=pc, now=now)
+                regs[dst] = outcome.value
+                latency = outcome.latency
+                if recording:
+                    rec_addr(addr)
+                    rec_pc(pc)
+                pc += 1
+            elif kind == K_STORE:
+                addr = int(regs[b]) + imm
+                guarded, divert, collapse = fn
+                outcome = sys_store(addr, regs[a], guarded=guarded,
+                                    oracle_divert=divert,
+                                    collapse_with_prev=collapse,
+                                    pc=pc, now=now)
+                latency = outcome.latency
+                if recording:
+                    rec_addr(addr)
+                    rec_pc(pc)
+                pc += 1
+            elif kind == K_LI:
+                regs[dst] = imm
+                pc += 1
+            elif kind == K_UNARY:
+                regs[dst] = fn(regs[a])
+                pc += 1
+            elif kind == K_CBR:
+                taken = fn(regs[a], regs[b])
+                if recording:
+                    rec_branch(taken)
+                branch_pc = pc
+                pc = imm if taken else pc + 1
+            elif kind == K_JMP:
+                branch_pc = pc
+                pc = imm
+            elif kind == K_NOP:
+                pc += 1
+            elif kind == K_HALT:
+                pc = n
+            elif kind == K_DGET or kind == K_DPUT:
+                args = (int(regs[a]), int(regs[b]), int(regs[more[0]]))
+                if recording:
+                    rec_dma(args)
+                dma = system.dma_get if kind == K_DGET else system.dma_put
+                latency = dma(*args, tag=imm, now=now)
+                pc += 1
+            elif kind == K_DSYNC:
+                latency = 1.0 + system.dma_sync(imm, now=now)
+                pc += 1
+            elif kind == _K_SETBUF:
+                latency = system.set_buffer_size(imm)
+                pc += 1
+            else:   # _K_BAD
+                raise ExecutionError(fn)
+
+            # ---- retire: a free functional unit from int(now) on, then
+            # the issue slot of the start cycle (``cycle`` ends as
+            # int(start)) ----
+            fu_n[fu] += 1
+            count = table_get(cycle, 0)
+            if count < capacity:
+                start = now
+            else:
+                cycle += 1
+                count = table_get(cycle, 0)
+                while count >= capacity:
+                    cycle += 1
+                    count = table_get(cycle, 0)
+                start = float(cycle)
+                contended += start - now
+            if unpipelined:
+                for c in range(cycle, cycle + max(1, int(latency))):
+                    table[c] = table_get(c, 0) + 1
+            else:
+                table[cycle] = count + 1
+            slots[cycle] = slots_get(cycle, 0) + 1
+            completion = start + latency
+            rdy[dst] = completion
+            commit_completion = completion
+            if kind < 2:
+                if kind == K_STORE:
+                    commit_completion = start + min(latency, 2.0)
+                    if outcome.served_by == "collapsed":
+                        lsq_collapsed += 1
+                lsq_append(completion)
+                nmem += 1
+                fetch_time = fetch_time + inv_fetch
+            elif kind < K_CBR:
+                fetch_time = fetch_time + inv_fetch
+            else:
+                if kind <= K_JMP:
+                    code_addr = CODE_BASE + branch_pc * CODE_INSTR_SIZE
+                    if kind == K_CBR:
+                        mispredicted = predictor_update(code_addr, taken)
+                    else:
+                        taken = True
+                        mispredicted = btb.lookup(code_addr) is None
+                        predictor.predictions += 1
+                        if mispredicted:
+                            predictor.mispredictions += 1
+                    if taken:
+                        btb.update(code_addr,
+                                   CODE_BASE + pc * CODE_INSTR_SIZE)
+                    if mispredicted:
+                        mispredictions += 1
+                        fetch_time = completion + mispredict_penalty
+                fetch_time = fetch_time + inv_fetch
+                if kind >= K_HALT and completion > fetch_time:
+                    fetch_time = completion     # dma-synch and halt drain
+            # In-order commit, commit_width per cycle: the previous commit
+            # always sits on the bandwidth clock, so one comparison does.
+            commit = last_commit + inv_commit
+            if commit_completion > commit:
+                commit = commit_completion
+            rob_append(commit)
+            phase_acc[phase] += commit - last_commit
+            last_commit = commit
+
+            if pc >= n:
+                break
+            if fetch_time > limit or (fetch_time == limit
+                                      and my_order > limit_order):
+                self.fetch_time = fetch_time
+                limit, limit_order = yield
+
+        self.fetch_time = fetch_time
+        self._state = (i, fetch_time, last_commit, rob_stalls, lsq_stalls,
+                       contended, mispredictions, lsq_collapsed, nmem,
+                       phase_acc, fu_n)
+
+    def finish(self) -> OutOfOrderTimingModel:
+        """Write the lane's final state back into its timing model (and the
+        recorder's instruction count) and return the timing model.  Call
+        once, after ``done``."""
+        timing = self.timing
+        if self._state is None:     # an empty program retires nothing
+            return timing
+        (committed, fetch_time, last_commit, rob_stalls, lsq_stalls,
+         contended, mispredictions, lsq_collapsed, nmem, phase_acc,
+         fu_n) = self._state
+        timing.fetch_time = fetch_time
+        timing.committed = committed
+        timing.mispredictions = mispredictions
+        timing.last_commit_time = last_commit
+        # Commit advances are strictly positive, so a phase accumulated 0.0
+        # exactly when none of its instructions retired.
+        for name, cycles in zip(self._phase_names, phase_acc):
+            if cycles != 0.0:
+                timing.phase_cycles[name] = cycles
+        for idx, count in enumerate(fu_n):
+            if count:
+                timing.fu_op_counts[_FU_NAMES[idx]] = count
+        rdy = self._ready
+        timing.reg_ready.update(
+            (name, rdy[idx]) for name, idx in self._names.items())
+        rob = timing.rob
+        rob._last_commit_time = last_commit
+        rob._commit_bandwidth_time = last_commit
+        rob.dispatch_stalls = rob_stalls
+        lsq = timing.lsq
+        lsq.occupancy_stalls = lsq_stalls
+        lsq.memory_ops = nmem
+        lsq.collapsed_stores = lsq_collapsed
+        timing.fus.contended_cycles = contended
+        if self._recorder is not None:
+            self._recorder.count = committed
+        return timing
+
+
+def _decode(program: Program, names: Dict[str, int],
+            timing: OutOfOrderTimingModel):
+    """Flatten ``program`` into one tuple per pc for the lane's loop.
+
+    Returns ``(decoded, phase_names)``.  Register names get dense indices
+    in ``names`` (from ``_FIRST_REG``); each tuple carries its phase as an
+    index into ``phase_names`` (phases in program order).  Tuple
+    fields: ``(kind, a, b, dst, fn, imm, more, fa, table, table_get,
+    capacity, unpipelined, fu, phase, latency)`` — ``a``/``b`` the first two
+    source registers (``_NO_REG`` when absent), ``more`` any further ones,
+    ``fn`` the evaluator (memory ops: their ``(guarded, oracle_divert,
+    collapse_with_prev)`` flags; ``_K_BAD``: the error message), ``imm``
+    the immediate, address offset, branch target pc or DMA tag, ``fa`` the
+    I-cache address fetched before this pc (0 when it starts no fetch
+    group), ``table`` the functional-unit reservation table of its class.
+    """
+    def reg(name):
+        idx = names.get(name)
+        if idx is None:
+            idx = names[name] = len(names) + _FIRST_REG
+        return idx
+
+    fus = timing.fus
+    fetch_width = timing.config.fetch_width
+    fetch = timing.hierarchy is not None
+    phase_index: Dict[str, int] = {}
+    decoded = []
+    for pc, inst in enumerate(program.instructions):
+        op = inst.opcode
+        srcs = [reg(s) for s in inst.srcs]
+        a = srcs[0] if srcs else _NO_REG
+        b = srcs[1] if len(srcs) > 1 else _NO_REG
+        more = tuple(srcs[2:])
+        dst = _SINK if inst.dst is None else reg(inst.dst)
+        fn = None
+        imm = inst.imm
+        if inst.is_memory:
+            kind = _K_LOAD if inst.is_load else _K_STORE
+            fn = (inst.is_guarded, inst.oracle_divert, inst.collapse_with_prev)
+            imm = int(inst.imm or 0)
+        elif op in _ALU_EVAL:
+            fn = _ALU_EVAL[op]
+            if len(srcs) >= 2:
+                kind = _K_ALU_RR
+            elif srcs and inst.imm is not None:
+                kind = _K_ALU_RI
+            else:
+                kind = _K_BAD
+                fn = f"{inst!r}: missing second operand"
+        elif op in _BRANCH_EVAL:
+            kind = _K_CBR
+            fn = _BRANCH_EVAL[op]
+            imm = program.resolve_label(inst.target)
+        elif op is Opcode.LI:
+            kind = _K_LI
+        elif op in _UNARY_EVAL:
+            kind = _K_UNARY
+            fn = _UNARY_EVAL[op]
+        elif op in _SIMPLE_KINDS:
+            kind = _SIMPLE_KINDS[op]
+            if kind == _K_JMP:
+                imm = program.resolve_label(inst.target)
+            elif kind in (_K_DGET, _K_DPUT):
+                imm = inst.imm or 0
+        else:  # pragma: no cover - defensive
+            kind = _K_BAD
+            fn = f"unimplemented opcode {op}"
+        phase = phase_index.setdefault(inst.phase, len(phase_index))
+        fa = (CODE_BASE + pc * CODE_INSTR_SIZE
+              if fetch and pc % fetch_width == 0 else 0)
+        table = fus._schedule[inst.fu_index]
+        decoded.append((kind, a, b, dst, fn, imm, more, fa, table, table.get,
+                        fus._capacity[inst.fu_index], inst.unpipelined,
+                        inst.fu_index, phase, float(inst.latency)))
+    return decoded, list(phase_index)

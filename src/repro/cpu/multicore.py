@@ -1,85 +1,33 @@
 """Interleaved multicore simulation: N cores, one global clock.
 
-The single-core :class:`~repro.cpu.core.Core` drives one functional executor
-and one timing model to completion.  A multicore run instead keeps one
-*lane* per core (executor + timing model + optional trace recorder) and
-repeatedly steps the lane whose front end is earliest in time, so the cores
-advance together against the shared uncore: a memory access core A issues at
-cycle ``t`` has consumed shared-bus slots by the time core B's access at
-``t' >= t`` arbitrates, which is what makes contention deterministic.
+A multicore run keeps one *lane* per core and repeatedly advances the lane
+whose front end is earliest in time, so the cores advance together against
+the shared uncore: a memory access core A issues at cycle ``t`` has
+consumed shared-bus slots by the time core B's access at ``t' >= t``
+arbitrates, which is what makes contention deterministic.
 
-The lane-stepping order is a pure function of the per-core timing state
+The lane order is a pure function of the per-core timing state
 (``fetch_time``, ties broken by core id), so an execution-driven run and a
 trace replay that issue identical per-core streams interleave identically —
 the foundation of the multicore capture -> replay cycle/energy identity.
 
-The *executor* half of a lane is anything with the
-:class:`~repro.cpu.executor.FunctionalExecutor` surface
-(``current_instruction()``, ``execute_at(now)``, ``pc``).
-
-Two drivers implement that one scheduling contract:
-
-* :func:`run_lanes` steps executor/timing :class:`CoreLane` pairs one
-  instruction at a time (execution-driven runs);
-* :func:`run_resumable_lanes` drives *resumable* lane state machines
-  (the replay engines' :class:`~repro.trace.replay._FusedLane` and
-  :class:`~repro.trace.vector._VectorLane`), handing each scheduled lane
-  the key of the next-earliest lane so it can batch instructions
-  internally and yield exactly when the single-step scheduler would have
-  switched.
-
-Both pick lanes by the key ``(fetch_time, lane order)``, so they interleave
-— and therefore time the shared uncore — identically.
+:func:`run_resumable_lanes` is the one scheduler.  It drives resumable lane
+state machines: execution's :class:`~repro.cpu.executor.ExecutionLane` and
+the replay engines' :class:`~repro.trace.replay._FusedLane` and
+:class:`~repro.trace.vector._VectorLane`.  Each scheduled lane is handed
+the key of the next-earliest lane, so it can batch instructions internally
+and yield exactly when stepping one instruction at a time would have
+switched lanes (``tests/test_multicore_timing.py`` checks it against such
+a step-at-a-time loop).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Sequence
 
 from repro.cpu.core import SimulationResult
-from repro.cpu.pipeline import OutOfOrderTimingModel
 
 _INFINITY = float("inf")
-
-
-class CoreLane:
-    """One core's executor/timing pair inside an interleaved multicore run."""
-
-    __slots__ = ("executor", "timing", "record")
-
-    def __init__(self, executor, timing: OutOfOrderTimingModel, recorder=None):
-        self.executor = executor
-        self.timing = timing
-        self.record = recorder.record if recorder is not None else None
-
-
-def run_lanes(lanes: Sequence[CoreLane]) -> None:
-    """Run every lane to completion, interleaved by front-end time."""
-    active = [lane for lane in lanes
-              if lane.executor.current_instruction() is not None]
-    while active:
-        # Step the lane whose front end is earliest (ties: lowest core id,
-        # which is the lane's position in the input order).
-        best = active[0]
-        best_time = best.timing.fetch_time
-        for lane in active[1:]:
-            t = lane.timing.fetch_time
-            if t < best_time:
-                best = lane
-                best_time = t
-        executor = best.executor
-        timing = best.timing
-        inst = executor.current_instruction()
-        now = timing.issue_estimate(inst, executor.pc)
-        dyn = executor.execute_at(now)
-        if dyn is None:  # pragma: no cover - defensive
-            active.remove(best)
-            continue
-        timing.retire(dyn, now)
-        if best.record is not None:
-            best.record(dyn)
-        if executor.current_instruction() is None:
-            active.remove(best)
 
 
 class _TimedLane:
@@ -111,8 +59,9 @@ class _TimedLane:
 
 
 def run_resumable_lanes(lanes: Sequence, timeline=None) -> None:
-    """Run resumable lane state machines to completion, interleaved by the
-    same min-fetch-time / lowest-order contract as :func:`run_lanes`.
+    """Run resumable lane state machines to completion, interleaved by
+    front-end time: the lane with the lowest key ``(fetch_time, order)``
+    runs next.
 
     A *resumable lane* exposes ``fetch_time`` (its front-end clock),
     ``order`` (its tie-break rank — the core id), ``done`` and
@@ -169,28 +118,6 @@ def run_resumable_lanes(lanes: Sequence, timeline=None) -> None:
                     break
     if active:
         active[0].run_until(_INFINITY, active[0].order)
-
-
-def lane_result(lane: CoreLane, memory_stats: dict) -> SimulationResult:
-    """Per-core :class:`SimulationResult` (same shape as ``Core.run``'s)."""
-    timing = lane.timing
-    return SimulationResult(
-        cycles=timing.cycles,
-        instructions=timing.committed,
-        phase_cycles=timing.phase_breakdown(),
-        mispredictions=timing.mispredictions,
-        branch_predictions=timing.predictor.predictions,
-        memory_stats=memory_stats,
-        core_stats={
-            "ipc": timing.ipc,
-            "fu_op_counts": dict(timing.fu_op_counts),
-            "fu_contended_cycles": timing.fus.contended_cycles,
-            "rob_dispatch_stalls": timing.rob.dispatch_stalls,
-            "lsq_occupancy_stalls": timing.lsq.occupancy_stalls,
-            "lsq_collapsed_stores": timing.lsq.collapsed_stores,
-            "misprediction_rate": timing.predictor.misprediction_rate,
-        },
-    )
 
 
 def aggregate_results(per_core: Sequence[SimulationResult],

@@ -1,18 +1,30 @@
 """Cycle-approximate out-of-order timing model.
 
-The model follows each dynamic instruction through a simplified pipeline:
+The model follows each dynamic instruction through a simplified pipeline,
+in this order:
 
-* **fetch/dispatch** — the front end delivers ``fetch_width`` instructions per
-  cycle; a mispredicted branch redirects the front end after the branch
-  resolves plus a fixed penalty; dispatch also stalls when the reorder buffer
-  or the load/store queue is full;
-* **issue** — an instruction issues when its source operands are ready, a
-  functional unit of its class is free and global issue bandwidth
-  (``issue_width`` per cycle) is available;
-* **execute** — ALU latencies are fixed (see :data:`repro.isa.instructions.ALU_LATENCY`);
-  memory latencies are whatever the hybrid memory system returned for the
-  access (local memory, L1/L2/L3 or main memory, plus presence-bit stalls);
-* **commit** — in order, ``commit_width`` per cycle.
+* **dispatch** — one I-cache access per fetch group, then the front-end
+  time ``fetch_time`` delayed by a full reorder buffer (and, for memory
+  ops, a full load/store queue); a dispatch stall stalls the front end too;
+* **issue estimate** — the dispatch time delayed by the sources' ready
+  times, then moved to the first cycle with a free global issue slot
+  (``issue_width`` per cycle); this is the clock (``now``) the memory
+  system sees;
+* **execute** — ALU latencies are fixed (see
+  :data:`repro.isa.instructions.ALU_LATENCY`); memory latencies are
+  whatever the hybrid memory system returned for the access (local memory,
+  L1/L2/L3 or main memory, plus presence-bit stalls); a ``dma-synch`` adds
+  its stall;
+* **retire** — the instruction starts in the first cycle at or after
+  ``now`` with a free functional unit of its class (unpipelined units stay
+  busy for the whole latency) and takes that cycle's issue slot; stores
+  expose at most two cycles to commit but hold their LSQ entry until
+  completion; branches train the predictor and the BTB, and a
+  misprediction redirects the front end ``mispredict_penalty`` cycles after
+  the branch completes; the front end advances by ``1/fetch_width``;
+  serialising instructions (``dma-synch``, ``halt``) drain the pipeline;
+* **commit** — in order, ``commit_width`` per cycle; each commit's advance
+  is charged to the instruction's phase.
 
 This style of model (dependence- and structure-limited dataflow with
 in-order commit) reproduces the first-order behaviour an out-of-order core
@@ -21,13 +33,16 @@ double store usually hides, Section 4.2), dependence chains and cache misses
 expose their latency, and extra instructions consume issue bandwidth (which
 is why the double store costs up to 28% in the microbenchmark's tight loop).
 
-.. note::
-   The trace-replay engine (:mod:`repro.trace.replay`) inlines a
-   line-by-line transcription of :meth:`OutOfOrderTimingModel.issue_estimate`
-   and :meth:`OutOfOrderTimingModel.retire` over the same component state;
-   replay must stay cycle-identical to this model (enforced by
-   ``tests/test_trace_replay.py``), so any change here must be mirrored
-   there.
+The model is stated here once and executed by
+:class:`~repro.cpu.executor.ExecutionLane`, which runs functional execution
+and this timing as one per-instruction loop and writes its final state back
+into an :class:`OutOfOrderTimingModel`, which results are read from.  The
+replay engines (:mod:`repro.trace.replay` and the C kernel of
+:mod:`repro.trace.vector`) re-time recorded streams with their own
+transcriptions of the same model; replay must stay cycle-identical to
+execution (enforced by ``tests/test_trace_replay.py`` and
+``tests/test_vector_replay.py``), so any change to the model must be made
+in every transcription.
 """
 
 from __future__ import annotations
@@ -37,11 +52,9 @@ from typing import Dict, Optional
 
 from repro.cpu.branch_predictor import HybridBranchPredictor
 from repro.cpu.config import CoreConfig
-from repro.cpu.executor import DynamicInstruction
 from repro.cpu.functional_units import FunctionalUnitPool
 from repro.cpu.lsq import LoadStoreQueue
 from repro.cpu.rob import ReorderBuffer
-from repro.isa.instructions import Instruction
 from repro.mem.hierarchy import MemoryHierarchy
 
 #: Byte address at which the code segment notionally lives; only used to give
@@ -52,7 +65,12 @@ CODE_INSTR_SIZE = 4
 
 
 class OutOfOrderTimingModel:
-    """Per-instruction timing accounting for the out-of-order core."""
+    """State and results of the out-of-order core's timing.
+
+    Holds the component models (predictor, functional units, ROB, LSQ),
+    the per-cycle issue-slot reservations and the counters results are read
+    from; an execution lane or a replay engine advances it.
+    """
 
     def __init__(self, config: Optional[CoreConfig] = None,
                  hierarchy: Optional[MemoryHierarchy] = None):
@@ -72,129 +90,11 @@ class OutOfOrderTimingModel:
         # cycle while still letting independent younger instructions issue
         # before an older stalled one (out-of-order issue).
         self._issue_slots: Dict[int, int] = {}
-        self._issue_prune_mark = 0
         self.committed = 0
         self.mispredictions = 0
         self.phase_cycles: Dict[str, float] = defaultdict(float)
         self.last_commit_time = 0.0
         self.fu_op_counts: Dict[str, int] = defaultdict(int)
-
-    # -- front-end ----------------------------------------------------------------
-    def _code_address(self, index: int) -> int:
-        return CODE_BASE + index * CODE_INSTR_SIZE
-
-    def dispatch_time(self, inst: Instruction, index: int) -> float:
-        """Earliest dispatch time of the next instruction (front-end + ROB/LSQ)."""
-        # Instruction fetch: one I-cache access per fetch group.
-        if self.hierarchy is not None and index % self.config.fetch_width == 0:
-            self.hierarchy.fetch_access(self._code_address(index))
-        t = self.fetch_time
-        t = self.rob.dispatch_constraint(t)
-        if inst.is_memory:
-            t = self.lsq.dispatch_constraint(t)
-        # Back-pressure: when dispatch stalls on a full ROB or LSQ, the front
-        # end stalls with it.
-        if t > self.fetch_time:
-            self.fetch_time = t
-        return t
-
-    def _find_issue_slot(self, t: float) -> float:
-        """Earliest time >= ``t`` with a free issue slot (not reserved yet)."""
-        width = self.config.issue_width
-        cycle = int(t)
-        while self._issue_slots.get(cycle, 0) >= width:
-            cycle += 1
-        return max(t, float(cycle))
-
-    def _take_issue_slot(self, t: float) -> None:
-        cycle = int(t)
-        self._issue_slots[cycle] = self._issue_slots.get(cycle, 0) + 1
-        # Periodically drop slots that can never be used again: dispatch time
-        # is monotonic, so no future instruction can issue before fetch_time.
-        if len(self._issue_slots) > 4096 and int(self.fetch_time) > self._issue_prune_mark:
-            horizon = int(self.fetch_time) - 4
-            self._issue_prune_mark = int(self.fetch_time)
-            self._issue_slots = {c: n for c, n in self._issue_slots.items()
-                                 if c >= horizon}
-            self.fus.prune(horizon)
-
-    def issue_estimate(self, inst: Instruction, index: int) -> float:
-        """Estimated issue time used as the memory system's clock (``now``).
-
-        This is computed *before* functional execution so the memory system
-        sees a consistent notion of time; the real issue time computed in
-        :meth:`retire` can only be later or equal (functional-unit and
-        issue-bandwidth contention).
-        """
-        dispatch = self.dispatch_time(inst, index)
-        ready = dispatch
-        for src in inst.srcs:
-            ready = max(ready, self.reg_ready.get(src, 0.0))
-        return self._find_issue_slot(ready)
-
-    # -- back-end -----------------------------------------------------------------
-    def retire(self, dyn: DynamicInstruction, issue_from: float) -> float:
-        """Account for the execution and in-order commit of ``dyn``.
-
-        ``issue_from`` is the issue estimate previously returned by
-        :meth:`issue_estimate` for this instruction.  Returns the commit time.
-        """
-        inst = dyn.inst
-        c = self.config
-        # Global issue bandwidth: issue_width instructions per cycle.
-        issue_ready = self._find_issue_slot(issue_from)
-        # Functional-unit availability.
-        self.fu_op_counts[inst.fu_class.value] += 1
-        start = self.fus.acquire_index(inst.fu_index, issue_ready,
-                                       inst.unpipelined, dyn.latency)
-        self._take_issue_slot(start)
-        completion = start + dyn.latency
-        # Stores retire into the store buffer as soon as they are sent: the
-        # cache-miss latency of a store is not exposed to in-order commit,
-        # but the store does hold its LSQ entry until the miss completes,
-        # which is what bounds how many such stores can be in flight.
-        if inst.is_store:
-            commit_completion = start + min(dyn.latency, 2.0)
-        else:
-            commit_completion = completion
-        # Destination register becomes available at completion.
-        if inst.dst is not None:
-            self.reg_ready[inst.dst] = completion
-        # Memory operations occupy an LSQ entry until completion.
-        if inst.is_memory:
-            collapsed = (dyn.mem_outcome is not None and
-                         dyn.mem_outcome.served_by == "collapsed")
-            self.lsq.insert(completion, collapsed=collapsed)
-        # Branch prediction and front-end redirection.
-        if inst.is_branch:
-            pc_addr = self._code_address(dyn.index)
-            if inst.is_conditional_branch:
-                mispredicted = self.predictor.update(pc_addr, dyn.branch_taken)
-            else:
-                # Unconditional jumps miss only when the BTB has no target.
-                mispredicted = self.predictor.btb.lookup(pc_addr) is None
-                self.predictor.predictions += 1
-                if mispredicted:
-                    self.predictor.mispredictions += 1
-            if dyn.branch_taken:
-                self.predictor.btb.update(pc_addr,
-                                          self._code_address(dyn.next_index))
-            if mispredicted:
-                self.mispredictions += 1
-                self.fetch_time = completion + c.mispredict_penalty
-        # Normal front-end progress: fetch_width instructions per cycle.
-        self.fetch_time = self.fetch_time + 1.0 / c.fetch_width
-        # Serialising instructions (dma-synch, halt) drain the pipeline.
-        if dyn.serializing:
-            self.fetch_time = max(self.fetch_time, completion)
-        # In-order commit.
-        commit_time = self.rob.commit(commit_completion)
-        delta = commit_time - self.last_commit_time
-        if delta > 0:
-            self.phase_cycles[inst.phase] += delta
-        self.last_commit_time = commit_time
-        self.committed += 1
-        return commit_time
 
     # -- results --------------------------------------------------------------------
     @property

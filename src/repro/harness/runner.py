@@ -29,10 +29,9 @@ from typing import List, Sequence
 from repro.compiler.codegen import CompiledKernel, compile_kernel
 from repro.compiler.ir import Kernel
 from repro.core.hybrid import HybridSystem
-from repro.cpu.core import Core, SimulationResult
-from repro.cpu.multicore import CoreLane, aggregate_results, lane_result, run_lanes
-from repro.cpu.executor import FunctionalExecutor
-from repro.cpu.pipeline import OutOfOrderTimingModel
+from repro.cpu.core import Core, SimulationResult, lane_result
+from repro.cpu.executor import ExecutionLane
+from repro.cpu.multicore import aggregate_results, run_resumable_lanes
 from repro.energy.model import EnergyBreakdown, EnergyModel
 from repro.harness.config import (
     MachineConfig,
@@ -278,17 +277,15 @@ def run_parallel_compiled(compiled: Sequence[CompiledKernel], mode: str,
             base = decl.base
             for i, value in enumerate(decl.data):
                 memory.poke(base + i * WORD_SIZE, float(value))
-    # One executor/timing lane per core under the shared uncore; the replay
-    # engines keep the same scheduling contract via run_resumable_lanes.
+    # One execution lane per core under the shared uncore, interleaved by
+    # the scheduler the replay engines use too.
     config = core_config_for(machine)
     recorders = recorders or [None] * num_cores
-    lanes = [CoreLane(FunctionalExecutor(comp.program, system.view(core_id)),
-                      OutOfOrderTimingModel(
-                          config, hierarchy=system.core(core_id).hierarchy),
-                      recorders[core_id])
+    lanes = [ExecutionLane(comp.program, system.view(core_id), config,
+                           order=core_id, recorder=recorders[core_id])
              for core_id, comp in enumerate(compiled)]
-    run_lanes(lanes)
-    per_core = [lane_result(lane, system.core(i).stats_summary())
+    run_resumable_lanes(lanes)
+    per_core = [lane_result(lane.finish(), system.core(i).stats_summary())
                 for i, lane in enumerate(lanes)]
     sim = aggregate_results(per_core, system.aggregate_summary(),
                             topology=system.topology)

@@ -21,7 +21,7 @@ from repro.isa.instructions import (
     is_branch_opcode,
     is_dma_opcode,
 )
-from repro.isa.registers import RegisterFile, INT_REG_COUNT, FP_REG_COUNT
+from repro.isa.registers import INT_REG_COUNT, FP_REG_COUNT
 from repro.isa.program import ArrayDecl, Program
 from repro.isa.builder import ProgramBuilder
 
@@ -36,7 +36,6 @@ __all__ = [
     "is_guarded_opcode",
     "is_branch_opcode",
     "is_dma_opcode",
-    "RegisterFile",
     "INT_REG_COUNT",
     "FP_REG_COUNT",
     "ArrayDecl",

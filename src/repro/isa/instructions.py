@@ -6,8 +6,8 @@ double store, DMA commands and loop control) while remaining fast to
 interpret in Python.
 
 Every instruction is an :class:`Instruction` instance.  Instructions are
-immutable once built; the functional executor resolves operand values at run
-time and hands *dynamic* instruction records to the timing model.
+immutable once built; the execution lane (:mod:`repro.cpu.executor`) decodes
+them into per-pc tuples and resolves operand values at run time.
 """
 
 from __future__ import annotations

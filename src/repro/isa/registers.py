@@ -1,50 +1,16 @@
-"""Architectural register file of the simulated core.
+"""Architectural register counts of the simulated core.
 
 The simulated core of Table 1 has 256 integer and 256 floating-point physical
 registers.  The compiler emits code against an unbounded set of virtual
 register names (``r0``, ``r1`` ... and ``f0``, ``f1`` ...); the timing model
-only cares about data dependences, so virtual names are sufficient, and the
-functional executor stores values in a dictionary keyed by name.
+only cares about data dependences, so virtual names are sufficient.  The
+execution lane (:mod:`repro.cpu.executor`) gives each name a dense index and
+keeps register values in a list; registers never written read as zero.
 """
 
 from __future__ import annotations
-
-from typing import Dict
 
 #: Number of physical integer registers (Table 1).
 INT_REG_COUNT = 256
 #: Number of physical floating-point registers (Table 1).
 FP_REG_COUNT = 256
-
-
-class RegisterFile:
-    """Functional register state.
-
-    Unknown registers read as zero, which mirrors the convention of most
-    simulators that architectural state starts zero-initialised.
-    """
-
-    def __init__(self) -> None:
-        self._values: Dict[str, float] = {}
-
-    def read(self, name: str):
-        """Return the current value of ``name`` (0 if never written)."""
-        return self._values.get(name, 0)
-
-    def write(self, name: str, value) -> None:
-        """Set the value of register ``name``."""
-        self._values[name] = value
-
-    def clear(self) -> None:
-        """Reset all registers to zero."""
-        self._values.clear()
-
-    def snapshot(self) -> Dict[str, float]:
-        """Return a copy of all written registers (for tests/debugging)."""
-        return dict(self._values)
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._values
-
-    def __len__(self) -> int:
-        return len(self._values)

@@ -1,9 +1,10 @@
 """Trace capture: record the dynamic stream of one execution-driven run.
 
-:class:`TraceRecorder` hangs off :meth:`repro.cpu.core.Core.run` and records,
-per retired dynamic instruction, only what the functional frontend resolved
-and the machine configuration cannot change: conditional-branch outcomes,
-memory addresses and DMA operands (see :mod:`repro.trace.format`).
+:class:`TraceRecorder` is handed to :meth:`repro.cpu.core.Core.run` (one per
+core in a multicore run), whose execution lane appends to its lists only
+what functional execution resolved and the machine configuration cannot
+change: conditional-branch outcomes, memory addresses with their pcs and
+DMA operands (see :mod:`repro.trace.format`).
 
 :func:`capture_workload` / :func:`capture_micro` run a cell execution-driven
 *once* with a recorder attached and return both the live result and the
@@ -32,23 +33,11 @@ class TraceRecorder:
     """Accumulates the machine-config-independent event stream of one run."""
 
     def __init__(self) -> None:
-        self.count = 0
+        self.count = 0                # retired instructions, set at the end
         self.branches: list = []      # bool per executed conditional branch
         self.addresses: list = []     # vaddr per executed load/store
         self.pcs: list = []           # static index per executed load/store
         self.dma: list = []           # flattened (lm_vaddr, sm_addr, size)
-
-    def record(self, dyn) -> None:
-        """Observe one retired dynamic instruction (called from ``Core.run``)."""
-        inst = dyn.inst
-        if inst.is_memory:
-            self.addresses.append(dyn.address)
-            self.pcs.append(dyn.index)
-        elif inst.is_conditional_branch:
-            self.branches.append(dyn.branch_taken)
-        elif dyn.dma_args is not None:
-            self.dma.extend(dyn.dma_args)
-        self.count += 1
 
     def finish(self, key: TraceKey, fingerprint: str) -> Trace:
         """Freeze the recorded stream into a :class:`Trace`.

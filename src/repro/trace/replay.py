@@ -20,12 +20,12 @@ drives them with the recorded stream instead of the execution frontend:
 **Cycle identity.**  At the capture machine configuration replay produces
 bit-identical cycles, phase breakdowns, activity counters and energy to
 execution-driven simulation: the memory system receives the identical call
-sequence with identical clock estimates, and the timing math below is a
-line-by-line transcription of
-:meth:`~repro.cpu.pipeline.OutOfOrderTimingModel.issue_estimate` /
-:meth:`~repro.cpu.pipeline.OutOfOrderTimingModel.retire` operating on the
-same component state (ROB/LSQ deques, predictor tables).  Two mechanical
-substitutions keep the math identical while making it much faster:
+sequence with identical clock estimates, and the timing math below is an
+independent transcription of the out-of-order model that
+:class:`~repro.cpu.executor.ExecutionLane` runs (see
+:mod:`repro.cpu.pipeline`), operating on the same component state (ROB/LSQ
+deques, predictor tables).  Three mechanical substitutions keep the math
+identical while making it faster:
 
 * the per-cycle issue-slot and functional-unit reservation *dicts* become
   flat lists indexed by cycle (a pruned dict entry is never consulted again
@@ -33,27 +33,26 @@ substitutions keep the math identical while making it much faster:
   see exactly the same counts);
 * trace-static aggregates (retired-instruction count, per-class FU op
   counts, LSQ occupancy) are precomputed from the decoded stream instead of
-  incremented per instruction.
+  incremented per instruction;
+* LM-range accesses and plain SM loads skip the ``HybridSystem`` call and
+  update the counters it would (instruction fetch, likewise, is simulated
+  out of band by :func:`_l1i_stats`).
 
-That, plus skipping the frontend, is where the >=5x replay speedup comes
-from.  ``tests/test_trace_replay.py`` enforces the identity for every NAS
-workload; any change to ``pipeline.py`` or to the LM branches of
-``hybrid.py`` must be mirrored here.
+``tests/test_trace_replay.py`` enforces the identity for every NAS
+workload; any change to the execution lane's timing or to the LM and plain
+SM-load branches of ``hybrid.py`` must be mirrored here.
 
 **The fused loop is a lane state machine.**  :class:`_FusedLane` holds one
 core's fused replay state (decoded stream cursor, flat reservation tables,
 scalar timing state) and advances it with :meth:`_FusedLane.run_until`,
 which processes instructions until the lane's scheduling key
 ``(fetch_time, order)`` passes a limit.  Single-core replay is one lane run
-with an infinite limit — the historical monolithic loop, bit for bit.
-Multicore replay builds one lane per core against the shared
-:class:`~repro.mem.uncore.Uncore` and interleaves them with
-:func:`~repro.cpu.multicore.run_resumable_lanes`, which implements the same
-min-fetch-time / lowest-core-id global-clock contract as the execution
-runner :func:`~repro.cpu.multicore.run_lanes` — so the shared-bus
-arbitration sees the identical request sequence and multicore replay stays
-cycle- and energy-identical to execution at the capture configuration
-while running at fused (not executor) speed.
+with an infinite limit.  Multicore replay builds one lane per core against
+the shared :class:`~repro.mem.uncore.Uncore` and interleaves them with
+:func:`~repro.cpu.multicore.run_resumable_lanes`, the scheduler
+execution-driven multicore runs use too — so the shared-bus arbitration
+sees the identical request sequence and multicore replay stays cycle- and
+energy-identical to execution at the capture configuration.
 
 **Validity.**  The recorded stream depends on the *functional* machine
 parameters (``lm_size``, ``directory_entries``, ``num_cores`` — they shape
@@ -71,12 +70,8 @@ from collections import OrderedDict
 from typing import Optional
 
 from repro import obs
-from repro.cpu.multicore import (
-    CoreLane,
-    aggregate_results,
-    lane_result,
-    run_resumable_lanes,
-)
+from repro.cpu.core import lane_result
+from repro.cpu.multicore import aggregate_results, run_resumable_lanes
 from repro.cpu.pipeline import CODE_BASE, CODE_INSTR_SIZE, OutOfOrderTimingModel
 from repro.harness.config import MachineConfig, PTLSIM_CONFIG
 from repro.harness.runner import RunResult
@@ -528,7 +523,7 @@ def replay_trace(trace: Trace,
         timing = lane.finish()
     if timeline is not None:
         timeline.lane_span(0, 0.0, lane.fetch_time)
-    sim = lane_result(CoreLane(None, timing), system.stats_summary())
+    sim = lane_result(timing, system.stats_summary())
     energy = EnergyModel(machine.energy).compute(sim)
     return RunResult(workload=trace.key.workload, mode=trace.key.mode,
                      compiled=compiled, sim=sim, energy=energy,
@@ -538,15 +533,15 @@ def replay_trace(trace: Trace,
 class _FusedLane:
     """One core's fused replay loop as a resumable state machine.
 
-    The per-instruction math is the line-by-line transcription of
-    ``OutOfOrderTimingModel.issue_estimate`` / ``retire`` described in the
-    module docstring, operating on this lane's own timing-model objects and
-    flat reservation tables.  The loop lives in a *generator* (:meth:`_loop`)
-    whose locals — stream cursors, the scalar timing state, every cached
-    bound method — survive across yields, so handing control between lanes
-    costs one ``send`` instead of saving and restoring the loop state; the
-    multicore scheduler bounces between lockstepped lanes every one or two
-    instructions, which is exactly where that matters.
+    The per-instruction math is the transcription of the out-of-order model
+    described in the module docstring, operating on this lane's own
+    timing-model objects and flat reservation tables.  The loop lives in a
+    *generator* (:meth:`_loop`) whose locals — stream cursors, the scalar
+    timing state, every cached bound method — survive across yields, so
+    handing control between lanes costs one ``send`` instead of saving and
+    restoring the loop state; the multicore scheduler bounces between
+    lockstepped lanes every one or two instructions, which is exactly where
+    that matters.
 
     ``system`` is the object memory and DMA operations are issued through —
     a :class:`~repro.core.hybrid.HybridSystem` for single-core replay, a
@@ -593,7 +588,7 @@ class _FusedLane:
         else:   # defensive: programs always retire at least a HALT
             self._gen = None
             self._state = (0, 0, 0, 0, 0.0, 0.0, 0.0, 0.0, 0.0, 0, 0.0, 0,
-                           mem.total_mem_latency, 0, 0, 0, 0, 0,
+                           mem.total_mem_latency, 0, 0, 0, 0, 0, 0,
                            mem._last_store_addr, mem._last_store_to_sm, 8192)
 
     def run_until(self, limit: float, limit_order: int) -> None:
@@ -659,6 +654,13 @@ class _FusedLane:
         else:
             lm_lo = lm_hi = -1
             lm_lat = 0.0
+        # Plain SM loads (outside the LM range, neither guarded nor
+        # oracle-diverted) take a timing-only path: the hierarchy access and
+        # the counters HybridSystem.load would change, without the call or
+        # the data read.  A protocol checker needs the full call; in
+        # multicore the ownership check still runs for every such load.
+        hier_access = mem.hierarchy.access if mem.checker is None else None
+        check_ownership = getattr(system, "check_ownership", None)
         # ``system`` (a CoreView in multicore) is only *called*; attribute
         # syncs around real load/store calls go to the underlying per-core
         # memory system, which is what the called code reads.
@@ -687,9 +689,14 @@ class _FusedLane:
         # exact and are added back once at the end.
         total_lat = system.total_mem_latency
         lm_loads = lm_stores = lm_reads = lm_writes = lm_mem_ops = 0
+        sm_loads = 0
         last_store_addr = system._last_store_addr
         last_store_to_sm = system._last_store_to_sm
 
+        # The kinds as locals: the dispatch compares against them.
+        K_ALU, K_LOAD, K_STORE, K_CBR, K_JMP = (
+            _K_ALU, _K_LOAD, _K_STORE, _K_CBR, _K_JMP)
+        K_HALT, K_DGET, K_DPUT, K_DSYNC = _K_HALT, _K_DGET, _K_DPUT, _K_DSYNC
         i = 0
         bi = mi = di = 0
         n = self._n
@@ -703,15 +710,17 @@ class _FusedLane:
             i += 1
             (kind, fu_index, latency, dst, srcs, phase, unpipelined, index) = h
 
-            # ---- issue estimate (pipeline.dispatch_time / issue_estimate) ----
+            # ---- dispatch and issue estimate ----
+            # The ROB and LSQ deques start empty, so they are full exactly
+            # when rob_size instructions / lsq_size memory ops retired.
             t = fetch_time
-            if len(rob_times) >= rob_size:
+            if i > rob_size:
                 oldest = rob_times[0]
                 if oldest > t:
                     rob_stalls += oldest - t
                     t = oldest
-            is_mem = kind == _K_LOAD or kind == _K_STORE
-            if is_mem and len(lsq_times) >= lsq_size:
+            is_mem = kind == K_LOAD or kind == K_STORE
+            if is_mem and mi >= lsq_size:
                 oldest = lsq_times[0]
                 if oldest > t:
                     lsq_stalls += oldest - t
@@ -724,10 +733,9 @@ class _FusedLane:
                     r = reg_ready[src]
                     if r > ready:
                         ready = r
-            # _find_issue_slot: when the first probed cycle has a free slot
-            # the result is max(ready, float(int(ready))) == ready; once the
-            # scan advances, float(cycle) > ready and the result is
-            # float(cycle).
+            # First free issue slot: when the first probed cycle has one the
+            # issue time is ready itself; once the scan advances, it is
+            # float(cycle).  Either way ``cycle`` ends as int(now).
             cycle = int(ready)
             while cycle >= slots_len:
                 issue_slots.extend(_ZEROS)
@@ -746,9 +754,9 @@ class _FusedLane:
                 now = float(cycle)
 
             # ---- execute: resolve latency from the recorded stream ----
-            if kind == _K_ALU:
+            if kind == K_ALU:
                 pass
-            elif kind == _K_LOAD:
+            elif kind == K_LOAD:
                 addr = mem_addrs[mi]
                 mi += 1
                 if lm_lo <= addr < lm_hi:
@@ -760,11 +768,20 @@ class _FusedLane:
                     latency = lm_lat
                 else:
                     cm = cold[index]
-                    system.total_mem_latency = total_lat
-                    latency = sys_load(addr, guarded=cm[2], oracle_divert=cm[3],
-                                       pc=index, now=now).latency
-                    total_lat = system.total_mem_latency
-            elif kind == _K_STORE:
+                    if hier_access is not None and not (cm[2] or cm[3]):
+                        # Timing-only HybridSystem.load -> _sm_load.
+                        if check_ownership is not None:
+                            check_ownership(addr)
+                        latency = hier_access(addr, False, index, now).latency
+                        sm_loads += 1
+                        total_lat += latency
+                    else:
+                        system.total_mem_latency = total_lat
+                        latency = sys_load(addr, guarded=cm[2],
+                                           oracle_divert=cm[3], pc=index,
+                                           now=now).latency
+                        total_lat = system.total_mem_latency
+            elif kind == K_STORE:
                 addr = mem_addrs[mi]
                 mi += 1
                 if lm_lo <= addr < lm_hi:
@@ -791,38 +808,36 @@ class _FusedLane:
                     last_store_to_sm = system._last_store_to_sm
                     latency = outcome.latency
                     collapsed = outcome.served_by == "collapsed"
-            elif kind == _K_CBR:
+            elif kind == K_CBR:
                 branch_taken = branches[bi]
                 bi += 1
                 next_pc = cold[index][0] if branch_taken else index + 1
-            elif kind == _K_JMP:
+            elif kind == K_JMP:
                 branch_taken = True
                 next_pc = cold[index][0]
-            elif kind == _K_HALT:
+            elif kind == K_HALT:
                 pass
-            elif kind == _K_DGET:
+            elif kind == K_DGET:
                 latency = dma_get(dma_words[di], dma_words[di + 1],
                                   dma_words[di + 2], tag=cold[index][1],
                                   now=now)
                 di += 3
-            elif kind == _K_DPUT:
+            elif kind == K_DPUT:
                 latency = dma_put(dma_words[di], dma_words[di + 1],
                                   dma_words[di + 2], tag=cold[index][1],
                                   now=now)
                 di += 3
-            elif kind == _K_DSYNC:
+            elif kind == K_DSYNC:
                 stall = dma_sync(cold[index][1], now=now)
                 latency = 1.0 + stall
             else:  # _K_SETBUF
                 latency = set_bufsize(cold[index][1])
 
-            # ---- retire (pipeline.retire; the issue slot search above
-            # stands in for retire's redundant second _find_issue_slot
-            # call) ----
+            # ---- retire: a free functional unit from int(now) (``cycle``)
+            # on ----
             capacity = fu_capacity[fu_index]
             table = fu_tables[fu_index]
             table_len = fu_lens[fu_index]
-            cycle = int(now)
             if cycle >= table_len:
                 while cycle >= table_len:
                     table.extend(_ZEROS)
@@ -859,17 +874,16 @@ class _FusedLane:
                     table[ci] += 1
             else:
                 table[cycle] += 1
-            # take issue slot
-            scycle = int(start)
-            while scycle >= slots_len:
+            # take the issue slot of the start cycle (``cycle`` == int(start))
+            while cycle >= slots_len:
                 issue_slots.extend(_ZEROS)
                 slots_len += 8192
-            issue_slots[scycle] += 1
+            issue_slots[cycle] += 1
             completion = start + latency
             if dst is not None:
                 reg_ready[dst] = completion
             if is_mem:
-                if kind == _K_STORE:
+                if kind == K_STORE:
                     commit_completion = start + (latency if latency < 2.0
                                                  else 2.0)
                     if collapsed:
@@ -877,12 +891,13 @@ class _FusedLane:
                 else:
                     commit_completion = completion
                 lsq_append(completion)
+                fetch_time = fetch_time + inv_fetch
             else:
                 commit_completion = completion
-                if kind >= _K_CBR:
-                    if kind == _K_CBR or kind == _K_JMP:
+                if kind >= K_CBR:
+                    if kind == K_CBR or kind == K_JMP:
                         pc_addr = CODE_BASE + index * CODE_INSTR_SIZE
-                        if kind == _K_CBR:
+                        if kind == K_CBR:
                             mispredicted = predictor_update(pc_addr,
                                                             branch_taken)
                         else:
@@ -896,10 +911,14 @@ class _FusedLane:
                         if mispredicted:
                             mispredictions += 1
                             fetch_time = completion + mispredict_penalty
-            fetch_time = fetch_time + inv_fetch
-            # Serialising instructions (dma-synch, halt) drain the pipeline.
-            if (kind == _K_HALT or kind == _K_DSYNC) and completion > fetch_time:
-                fetch_time = completion
+                    fetch_time = fetch_time + inv_fetch
+                    # Serialising instructions (dma-synch, halt) drain the
+                    # pipeline.
+                    if (kind == K_HALT or kind == K_DSYNC) and \
+                            completion > fetch_time:
+                        fetch_time = completion
+                else:
+                    fetch_time = fetch_time + inv_fetch
             # in-order commit (rob.commit): last_commit always equals the
             # commit bandwidth clock after every instruction, so the two
             # max() calls of rob.commit collapse to one comparison against
@@ -925,8 +944,8 @@ class _FusedLane:
         self._state = (i, bi, mi, di, fetch_time, last_commit, rob_bw,
                        rob_stalls, lsq_stalls, lsq_collapsed, contended,
                        mispredictions, total_lat, lm_loads, lm_stores,
-                       lm_reads, lm_writes, lm_mem_ops, last_store_addr,
-                       last_store_to_sm, slots_len)
+                       lm_reads, lm_writes, lm_mem_ops, sm_loads,
+                       last_store_addr, last_store_to_sm, slots_len)
 
     def finish(self) -> OutOfOrderTimingModel:
         """Write the accumulated state back into the timing model and memory
@@ -935,7 +954,7 @@ class _FusedLane:
         """
         (i, bi, mi, di, fetch_time, last_commit, rob_bw, rob_stalls,
          lsq_stalls, lsq_collapsed, contended, mispredictions, total_lat,
-         lm_loads, lm_stores, lm_reads, lm_writes, lm_mem_ops,
+         lm_loads, lm_stores, lm_reads, lm_writes, lm_mem_ops, sm_loads,
          last_store_addr, last_store_to_sm, slots_len) = self._state
         timing = self.timing
         system = self._mem
@@ -964,9 +983,10 @@ class _FusedLane:
         timing.lsq.memory_ops = mi
         timing.lsq.collapsed_stores = lsq_collapsed
         timing.fus.contended_cycles = contended
-        system.loads += lm_loads
+        system.loads += lm_loads + sm_loads
         system.stores += lm_stores
-        system.mem_ops += lm_mem_ops
+        system.mem_ops += lm_mem_ops + sm_loads
+        hierarchy.memory.reads += sm_loads  # the skipped read_word calls
         system.total_mem_latency = total_lat
         system._last_store_addr = last_store_addr
         system._last_store_to_sm = last_store_to_sm
@@ -1037,7 +1057,7 @@ def _replay_multicore(mtrace: MulticoreTrace,
                                 system.core(core_id), config))
     with obs.phase("replay.timing"):
         run_resumable_lanes(lanes, timeline=timeline)
-    per_core = [lane_result(CoreLane(None, lane.finish()),
+    per_core = [lane_result(lane.finish(),
                             system.core(core_id).stats_summary())
                 for core_id, lane in enumerate(lanes)]
     sim = aggregate_results(per_core, system.aggregate_summary(),

@@ -64,12 +64,8 @@ import numpy as np
 
 from repro import obs
 from repro.cpu.branch_predictor import HybridBranchPredictor
-from repro.cpu.multicore import (
-    CoreLane,
-    aggregate_results,
-    lane_result,
-    run_resumable_lanes,
-)
+from repro.cpu.core import lane_result
+from repro.cpu.multicore import aggregate_results, run_resumable_lanes
 from repro.cpu.pipeline import CODE_BASE, CODE_INSTR_SIZE, OutOfOrderTimingModel
 from repro.energy.model import EnergyModel
 from repro.harness.config import MachineConfig
@@ -1542,7 +1538,7 @@ def replay_single_vector(trace: Trace, machine: MachineConfig, kern,
         timeline.lane_span(0, 0.0, lane.fetch_time)
     _apply_shared(system.hierarchy.memory, system.hierarchy.bus,
                   [oracle.patch])
-    sim = lane_result(CoreLane(None, timing), system.stats_summary())
+    sim = lane_result(timing, system.stats_summary())
     energy = EnergyModel(machine.energy).compute(sim)
     return RunResult(workload=trace.key.workload, mode=mode,
                      compiled=compiled, sim=sim, energy=energy,
@@ -1597,7 +1593,7 @@ def replay_multicore_vector(mtrace: MulticoreTrace,
         timings = [lane.finish() for lane in lanes]
     _apply_shared(system.uncore.memory, system.uncore.bus, patches,
                   uncore=system.uncore)
-    per_core = [lane_result(CoreLane(None, timing),
+    per_core = [lane_result(timing,
                             system.core(core_id).stats_summary())
                 for core_id, timing in enumerate(timings)]
     sim = aggregate_results(per_core, system.aggregate_summary(),

@@ -1,9 +1,9 @@
-"""Unit tests for the functional executor."""
+"""Unit tests for the execution lane's functional semantics."""
 
 import pytest
 
 from repro.core.hybrid import HybridSystem
-from repro.cpu.executor import ExecutionError, FunctionalExecutor
+from repro.cpu.executor import ExecutionError, ExecutionLane
 from repro.isa.builder import ProgramBuilder
 from repro.isa.instructions import Opcode
 from repro.mem.hierarchy import MemoryHierarchyConfig
@@ -12,20 +12,26 @@ from repro.mem.hierarchy import MemoryHierarchyConfig
 SMALL_MEM = MemoryHierarchyConfig(l1_size=2048, l1_assoc=2, l2_size=8192,
                                   l2_assoc=4, l3_size=32768, l3_assoc=8,
                                   prefetch_enabled=False)
+INF = float("inf")
 
 
 def make_system():
     return HybridSystem(memory_config=SMALL_MEM, lm_size=8 * 1024)
 
 
-def run_program(builder, system=None, max_steps=100_000):
+def run_lane(program, system, **kwargs):
+    lane = ExecutionLane(program, system, **kwargs)
+    lane.run_until(INF, 0)
+    assert lane.done
+    return lane, lane.finish()
+
+
+def run_program(builder, system=None):
     program = builder.finish()
     program.assign_addresses()
     system = system or make_system()
-    executor = FunctionalExecutor(program, system)
-    while executor.current_instruction() is not None and executor.executed < max_steps:
-        executor.execute_at(0.0)
-    return executor, system, program
+    lane, _ = run_lane(program, system)
+    return lane, system, program
 
 
 def test_alu_semantics():
@@ -40,15 +46,15 @@ def test_alu_semantics():
     b.alu(Opcode.MIN, "r8", "r1", "r2")
     b.shl("r9", "r1", imm=2)
     b.halt()
-    ex, _, _ = run_program(b)
-    regs = ex.registers
-    assert regs.read("r3") == 10
-    assert regs.read("r4") == 2
-    assert regs.read("r5") == 24
-    assert regs.read("r6") == 1
-    assert regs.read("r7") == 4
-    assert regs.read("r8") == 4
-    assert regs.read("r9") == 24
+    lane, _, _ = run_program(b)
+    regs = lane.registers
+    assert regs["r3"] == 10
+    assert regs["r4"] == 2
+    assert regs["r5"] == 24
+    assert regs["r6"] == 1
+    assert regs["r7"] == 4
+    assert regs["r8"] == 4
+    assert regs["r9"] == 24
 
 
 def test_division_by_zero_is_defined():
@@ -58,9 +64,9 @@ def test_division_by_zero_is_defined():
     b.alu(Opcode.DIV, "r3", "r1", "r2")
     b.fdiv("f1", "r1", "r2")
     b.halt()
-    ex, _, _ = run_program(b)
-    assert ex.registers.read("r3") == 0
-    assert ex.registers.read("f1") == 0.0
+    lane, _, _ = run_program(b)
+    assert lane.registers["r3"] == 0
+    assert lane.registers["f1"] == 0.0
 
 
 def test_loop_branching_and_counting():
@@ -73,9 +79,12 @@ def test_loop_branching_and_counting():
     b.add("r_i", "r_i", imm=1)
     b.blt("r_i", "r_n", "loop")
     b.halt()
-    ex, _, _ = run_program(b)
-    assert ex.registers.read("r_sum") == sum(range(10))
-    assert ex.halted
+    lane, _, _ = run_program(b)
+    assert lane.registers["r_sum"] == sum(range(10))
+    # Halted: 3 set-up instructions, 10 trips of the 3-instruction loop
+    # body, then the HALT itself retired.
+    assert lane.done
+    assert lane.timing.committed == 3 + 10 * 3 + 1
 
 
 def test_memory_round_trip_through_system():
@@ -96,9 +105,7 @@ def test_memory_round_trip_through_system():
     # Load initial data.
     for i in range(8):
         system.write_sm_word(base + i * 8, float(i))
-    executor = FunctionalExecutor(program, system)
-    while executor.current_instruction() is not None:
-        executor.execute_at(0.0)
+    run_lane(program, system)
     assert system.read_sm_word(base + 24) == 2.5
 
 
@@ -118,14 +125,14 @@ def test_dma_instructions_drive_the_dmac():
         if inst.opcode is Opcode.LI and inst.dst == "r_lm":
             inst.imm = system.lm_virtual_base
     system.write_sm_word(0x4000, 9.0)
-    executor = FunctionalExecutor(program, system)
-    dyn_latencies = []
-    while executor.current_instruction() is not None:
-        dyn = executor.execute_at(0.0)
-        dyn_latencies.append((dyn.inst.opcode, dyn.stall_cycles))
+    _, timing = run_lane(program, system)
     assert system.lm.peek(0) == 9.0
-    sync_stalls = [s for op, s in dyn_latencies if op is Opcode.DMA_SYNC]
-    assert sync_stalls and sync_stalls[0] > 0
+    # The dma-synch stalled until the transfer completed: the 7-instruction
+    # program takes longer than the transfer itself.
+    dmac = system.dmac
+    transfer = dmac.setup_latency + dmac.lines_transferred * dmac.per_line_latency
+    assert dmac.syncs == 1 and transfer > 0
+    assert timing.cycles > transfer
 
 
 def test_runaway_program_hits_instruction_limit():
@@ -134,15 +141,13 @@ def test_runaway_program_hits_instruction_limit():
     b.jmp("spin")
     program = b.finish()
     program.assign_addresses()
-    executor = FunctionalExecutor(program, make_system(), max_instructions=1000)
     with pytest.raises(ExecutionError):
-        while executor.current_instruction() is not None:
-            executor.execute_at(0.0)
+        run_lane(program, make_system(), max_instructions=1000)
 
 
 def test_unknown_register_reads_zero():
     b = ProgramBuilder()
     b.add("r1", "r_never_written", imm=3)
     b.halt()
-    ex, _, _ = run_program(b)
-    assert ex.registers.read("r1") == 3
+    lane, _, _ = run_program(b)
+    assert lane.registers["r1"] == 3

@@ -2,8 +2,9 @@
 
 The fused engine (one :class:`repro.trace.replay._FusedLane` per core,
 interleaved by :func:`repro.cpu.multicore.run_resumable_lanes`) must be
-indistinguishable from execution-driven simulation through the lane runner
-(:func:`repro.cpu.multicore.run_lanes`): cycles, energy, per-core results
+indistinguishable from execution-driven simulation (one
+:class:`repro.cpu.executor.ExecutionLane` per core under the same
+scheduler): cycles, energy, per-core results
 and uncore queue statistics, at the capture config and re-timed under
 timing-parameter overrides (the uncore window knobs included).  The optimized :meth:`repro.mem.uncore.Uncore.acquire` must be
 decision-for-decision identical to the reference per-window walk.

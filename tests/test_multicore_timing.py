@@ -372,3 +372,42 @@ def test_micro_replay_backed_sweep_identity():
     replayed = SweepContext(replay=True).run_micro("WR", 0.5, 60, 2)
     assert replayed.cycles == executed.cycles
     assert replayed.energy == executed.energy
+
+
+# ------------------------------------------------- scheduler reference check
+def _step_one_at_a_time(lanes):
+    """Reference scheduler: one instruction per grant, lowest
+    ``(fetch_time, order)`` first — what ``run_resumable_lanes`` batches."""
+    active = [lane for lane in lanes if not lane.done]
+    while active:
+        lane = min(active, key=lambda ln: (ln.fetch_time, ln.order))
+        lane.run_until(float("-inf"), -1)
+        if lane.done:
+            active.remove(lane)
+
+
+@pytest.mark.parametrize("clusters", [1, 2])
+@pytest.mark.parametrize("cores", [2, 4])
+@pytest.mark.parametrize("workload", ["CG", "IS"])
+def test_batching_scheduler_matches_step_at_a_time(monkeypatch, workload,
+                                                   cores, clusters):
+    """Multicore execution and replay share ``run_resumable_lanes``, so the
+    execution-vs-replay identity checks cannot catch a scheduler that
+    batches wrongly; this pins it against the one-instruction-per-grant
+    reference: same records (per-core results and uncore stats included)
+    and the same captured traces."""
+    from repro.harness import runner
+    from repro.trace import capture_workload
+    machine = dataclasses.replace(PTLSIM_CONFIG, num_cores=cores,
+                                  num_clusters=clusters)
+    batched, batched_trace = capture_workload(workload, "hybrid", "tiny",
+                                              machine=machine)
+    monkeypatch.setattr(runner, "run_resumable_lanes", _step_one_at_a_time)
+    stepped, stepped_trace = capture_workload(workload, "hybrid", "tiny",
+                                              machine=machine)
+    assert stepped.to_record().as_dict() == batched.to_record().as_dict()
+    assert stepped.sim.core_stats["per_core"] == \
+        batched.sim.core_stats["per_core"]
+    assert stepped.sim.memory_stats["uncore"] == \
+        batched.sim.memory_stats["uncore"]
+    assert stepped_trace.to_bytes() == batched_trace.to_bytes()

@@ -671,19 +671,26 @@ def test_no_cache_replay_sweep_captures_family_once():
 
 def test_no_cache_replay_sweep_beats_execution_wall_clock():
     """Acceptance: with capture-once sharing, the 6-point --no-cache replay
-    ablation is faster end-to-end than the execution-driven sweep."""
+    ablation is faster end-to-end than the execution-driven sweep.
+
+    Each sweep runs 3 times, alternating execution and replay, and the
+    minima are compared: the best-of convention of ``perfbench`` for a
+    noisy shared host."""
     import time
     points = [dict(overrides) for _, overrides in MACHINE_ABLATION_POINTS]
     replay_specs = [RunSpec.create("EP", "hybrid", "tiny", machine=point,
                                    kind="replay") for point in points]
     kernel_specs = [RunSpec.create("EP", "hybrid", "tiny", machine=point)
                     for point in points]
-    start = time.perf_counter()
-    run_sweep(kernel_specs, store=None)
-    exec_wall = time.perf_counter() - start
-    start = time.perf_counter()
-    run_sweep(replay_specs, store=None, trace_store=EphemeralTraceStore())
-    replay_wall = time.perf_counter() - start
+    exec_walls, replay_walls = [], []
+    for _ in range(3):
+        start = time.perf_counter()
+        run_sweep(kernel_specs, store=None)
+        exec_walls.append(time.perf_counter() - start)
+        start = time.perf_counter()
+        run_sweep(replay_specs, store=None, trace_store=EphemeralTraceStore())
+        replay_walls.append(time.perf_counter() - start)
+    exec_wall, replay_wall = min(exec_walls), min(replay_walls)
     assert replay_wall < exec_wall, \
         f"replay sweep {replay_wall:.2f}s not faster than exec {exec_wall:.2f}s"
 

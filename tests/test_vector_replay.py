@@ -1,8 +1,9 @@
 """Tests for the vectorized epoch-batched replay engine.
 
-``replay_trace(..., engine="vector")`` pre-lowers each trace into columnar
-arrays and executes uncore-free epochs inside a C kernel (falling back to the
-fused engine when no kernel can be built).  It must be bit-identical to the
+``replay_trace(..., engine="vector")`` lowers each program into per-pc tables
+and each trace into one variant-selector byte per retired instruction, and
+executes uncore-free epochs inside a C kernel (falling back to the fused
+engine when no kernel can be built).  It must be bit-identical to the
 fused engine and to execution — cycles, full energy breakdown, phase cycles,
 memory stats and per-core results — at the capture config and under
 re-timing.
