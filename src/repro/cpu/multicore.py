@@ -18,7 +18,9 @@ the replay engines' :class:`~repro.trace.replay._FusedLane` and
 the key of the next-earliest lane, so it can batch instructions internally
 and yield exactly when stepping one instruction at a time would have
 switched lanes (``tests/test_multicore_timing.py`` checks it against such
-a step-at-a-time loop).
+a step-at-a-time loop).  The replay lanes go further and yield only before
+an instruction that can touch shared state: private work commutes across
+cores, so every shared-state access still happens in global key order.
 """
 
 from __future__ import annotations
@@ -99,7 +101,8 @@ def run_resumable_lanes(lanes: Sequence, timeline=None) -> None:
             active.remove(best)
     if len(active) == 2:
         # Two-lane fast path: no key tuples, no scans — the other lane is
-        # the limit.  Lockstepped lanes bounce here every 1-2 instructions.
+        # the limit.  Lanes run ahead through private work and yield before
+        # shared-state instructions, so a switch costs one pass here.
         a, b = active
         if a.order > b.order:   # pragma: no cover - callers pass rank order
             a, b = b, a

@@ -41,6 +41,7 @@ from repro.harness.config import (
 from repro.harness.systems import (
     build_multicore_system,
     build_system,
+    check_micro_mode,
     core_config_for,
 )
 from repro.isa.program import Program, WORD_SIZE
@@ -333,7 +334,7 @@ class ExperimentContext:
         """Memoized microbenchmark run (same interface as SweepContext)."""
         from repro.workloads.microbenchmark import build_microbenchmark
         key = (micro_mode, float(guarded_fraction), int(iterations),
-               int(unroll), system_mode.strip().lower())
+               int(unroll), check_micro_mode(system_mode))
         if key not in self._micro_cache:
             program = build_microbenchmark(micro_mode, float(guarded_fraction),
                                            int(iterations), int(unroll))

@@ -53,7 +53,7 @@ from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 from repro import faults, obs
 from repro.diskstore import DEFAULT_CACHE_DIR, DiskStore, resolve_cache_root
 from repro.harness.config import MachineConfig, PTLSIM_CONFIG
-from repro.harness.systems import SYSTEM_MODES
+from repro.harness.systems import SYSTEM_MODES, check_micro_mode
 
 #: Version of the store schema; a mismatch turns a disk entry into a miss.
 STORE_SCHEMA = 1
@@ -1066,6 +1066,7 @@ class SweepContext:
         # re-timed per machine config (the figure 7 sweep re-runs the same
         # four streams under every guarded fraction's program, so each
         # (mode, fraction) family is captured exactly once).
+        check_micro_mode(system_mode)
         return RunSpec.create(
             workload=f"micro-{micro_mode}", mode=system_mode, scale="-",
             machine=self.machine_overrides,

@@ -25,6 +25,20 @@ from repro.mem.uncore import ClusterTopology, ClusterUncore, Uncore
 SYSTEM_MODES = ("hybrid", "hybrid-oracle", "hybrid-naive", "cache")
 
 
+def check_micro_mode(system_mode: str) -> str:
+    """The normalised ``system_mode`` of a Table 2 microbenchmark run.
+
+    The microbenchmark configures the coherence directory (set-bufsize), so
+    a system without one is refused up front with a :class:`ValueError`.
+    """
+    mode = system_mode.strip().lower()
+    modes = tuple(m for m in SYSTEM_MODES if m != "cache")
+    if mode not in modes:
+        raise ValueError(f"the microbenchmark needs a coherence directory: "
+                         f"system mode {system_mode!r} is not one of {modes}")
+    return mode
+
+
 def build_system(mode: str, machine: Optional[MachineConfig] = None,
                  track_protocol: bool = False) -> HybridSystem:
     """Instantiate the memory system for ``mode``."""

@@ -20,6 +20,7 @@ from typing import Optional, Tuple
 
 from repro.harness.config import MachineConfig, PTLSIM_CONFIG
 from repro.harness.runner import RunResult, run_program, run_workload
+from repro.harness.systems import check_micro_mode
 from repro.trace.format import (
     MulticoreTrace,
     Trace,
@@ -122,6 +123,7 @@ def capture_micro(micro_mode: str, guarded_fraction: float = 1.0,
                   ) -> Tuple[RunResult, Trace]:
     """Run the Table 2 microbenchmark execution-driven and capture its trace."""
     from repro.workloads.microbenchmark import build_microbenchmark
+    check_micro_mode(system_mode)
     machine = machine or PTLSIM_CONFIG
     params = {"micro_mode": micro_mode,
               "guarded_fraction": float(guarded_fraction),

@@ -34,13 +34,13 @@ identical while making it faster:
 * trace-static aggregates (retired-instruction count, per-class FU op
   counts, LSQ occupancy) are precomputed from the decoded stream instead of
   incremented per instruction;
-* LM-range accesses and plain SM loads skip the ``HybridSystem`` call and
-  update the counters it would (instruction fetch, likewise, is simulated
-  out of band by :func:`_l1i_stats`).
+* LM-range accesses and plain SM loads and stores skip the
+  ``HybridSystem`` call and update the counters it would (instruction
+  fetch, likewise, is simulated out of band by :func:`_l1i_stats`).
 
 ``tests/test_trace_replay.py`` enforces the identity for every NAS
 workload; any change to the execution lane's timing or to the LM and plain
-SM-load branches of ``hybrid.py`` must be mirrored here.
+SM load/store branches of ``hybrid.py`` must be mirrored here.
 
 **The fused loop is a lane state machine.**  :class:`_FusedLane` holds one
 core's fused replay state (decoded stream cursor, flat reservation tables,
@@ -52,7 +52,10 @@ the shared :class:`~repro.mem.uncore.Uncore` and interleaves them with
 :func:`~repro.cpu.multicore.run_resumable_lanes`, the scheduler
 execution-driven multicore runs use too — so the shared-bus arbitration
 sees the identical request sequence and multicore replay stays cycle- and
-energy-identical to execution at the capture configuration.
+energy-identical to execution at the capture configuration.  A lane yields
+only before an instruction that can touch shared state (a non-LM load or
+store, a DMA command, dma-sync, set-bufsize); private work between two such
+instructions commutes across cores, so lanes run ahead through it.
 
 **Validity.**  The recorded stream depends on the *functional* machine
 parameters (``lm_size``, ``directory_entries``, ``num_cores`` — they shape
@@ -68,6 +71,8 @@ from __future__ import annotations
 from array import array
 from collections import OrderedDict
 from typing import Optional
+
+import numpy as np
 
 from repro import obs
 from repro.cpu.core import lane_result
@@ -271,8 +276,8 @@ def _decode_to_artifact(decoded):
     branch/memory/DMA event streams live in the trace itself, and ``seq``
     is ``[hot[pc] for pc in seq_pcs]`` by construction.
     """
-    seq, branches, mem_addrs, dma_words, fu_counts, seq_pcs = decoded
-    meta = {"n": len(seq),
+    fu_counts, seq_pcs = decoded[4], decoded[5]
+    meta = {"n": len(seq_pcs),
             "fu_counts": dict(sorted(fu_counts.items()))}
     return meta, [("seq_pcs", seq_pcs.tobytes())]
 
@@ -281,18 +286,22 @@ def _decode_from_artifact(meta, sections, trace: Trace, hot):
     """Rebuild a decode result from its artifact, or None if implausible.
 
     Skips the control-flow walk entirely — validity was established when
-    the artifact was written under the same (fingerprint, digest) key.
+    the artifact was written under the same (fingerprint, digest) key.  The
+    entry's ``seq`` is None: the vector engine reads ``seq_pcs`` only, and
+    the fused engine materialises ``seq`` when it first needs it (see
+    :func:`_cached_decode`).  A pc outside the program reads as torn.
     """
     try:
         seq_pcs = array("I")
         seq_pcs.frombytes(sections["seq_pcs"])
-        if len(seq_pcs) != trace.instructions or meta["n"] != len(seq_pcs):
+        if (len(seq_pcs) != trace.instructions or meta["n"] != len(seq_pcs)
+                or (seq_pcs and np.frombuffer(seq_pcs, np.uint32).max()
+                    >= len(hot))):
             return None
-        seq = [hot[pc] for pc in seq_pcs]
         fu_counts = {k: int(v) for k, v in meta["fu_counts"].items()}
-    except (KeyError, IndexError, ValueError, TypeError):
+    except (KeyError, ValueError, TypeError):
         return None
-    return (seq, trace.branch_outcomes(), list(trace.mem_addrs),
+    return (None, trace.branch_outcomes(), list(trace.mem_addrs),
             list(trace.dma_words), fu_counts, seq_pcs)
 
 
@@ -366,51 +375,54 @@ def _cached_parallel_program(key: TraceKey, machine: MachineConfig):
     return entry
 
 
-def _cached_decode(trace: Trace, hot, cold, fu_values, parent_hash=None):
+def _cached_decode(trace: Trace, hot, cold, fu_values, parent_hash=None,
+                   with_seq: bool = False):
     """Decoded dynamic sequence of one trace: memory -> disk -> compute.
 
     ``parent_hash`` (the owning trace's — or multicore family's — key hash)
     enables the on-disk artifact tier; without it only the in-memory memo
-    is consulted.
+    is consulted.  A decode read from disk carries no ``seq``;
+    ``with_seq=True`` (the fused engine) materialises it from ``seq_pcs``,
+    once per memo entry.
     """
     cache_key = (trace.program_fingerprint, trace.stream_digest())
     entry = _DECODE_CACHE.get(cache_key)
     if entry is not None:
         obs.incr("replay.decode.hit")
         _DECODE_CACHE.move_to_end(cache_key)
-        return entry
-    store = artifacts.default_store() if parent_hash else None
-    if store is not None:
-        loaded = store.get(parent_hash, "decode", list(cache_key))
+    else:
+        store = artifacts.default_store() if parent_hash else None
+        loaded = (store.get(parent_hash, "decode", list(cache_key))
+                  if store is not None else None)
         if loaded is not None:
             entry = _decode_from_artifact(loaded[0], loaded[1], trace, hot)
-            if entry is not None:
-                obs.incr("replay.decode.hit")
-                obs.incr("replay.decode.disk.hit")
-                _DECODE_CACHE[cache_key] = entry
-                while len(_DECODE_CACHE) > _CACHE_CAP:
-                    _DECODE_CACHE.popitem(last=False)
-                return entry
-    obs.incr("replay.decode.miss")
-    with obs.phase("replay.decode"):
-        entry = _decode_trace(trace, hot, cold, fu_values)
+        if entry is not None:
+            obs.incr("replay.decode.hit")
+            obs.incr("replay.decode.disk.hit")
+        else:
+            obs.incr("replay.decode.miss")
+            with obs.phase("replay.decode"):
+                entry = _decode_trace(trace, hot, cold, fu_values)
+            if store is not None:
+                meta, sections = _decode_to_artifact(entry)
+                store.put(parent_hash, "decode", list(cache_key), meta,
+                          sections)
+    if with_seq and entry[0] is None:
+        entry = ([hot[pc] for pc in entry[5]],) + entry[1:]
     _DECODE_CACHE[cache_key] = entry
     while len(_DECODE_CACHE) > _CACHE_CAP:
         _DECODE_CACHE.popitem(last=False)
-    if store is not None:
-        meta, sections = _decode_to_artifact(entry)
-        store.put(parent_hash, "decode", list(cache_key), meta, sections)
     return entry
 
 
-def _l1i_stats(trace: Trace, seq, config, mem_config):
+def _l1i_stats(trace: Trace, seq_pcs, config, mem_config):
     """Instruction-fetch activity of a replay, simulated stand-alone.
 
     The L1I is completely decoupled from the rest of the machine: only
     ``fetch_access`` touches it, its return latency is ignored by the
     front-end model, and no data-path or DMA event ever invalidates it —
     multicore included, where each core fetches from its own private L1I.
-    Its activity is therefore a pure function of the retired index stream,
+    Its activity is therefore a pure function of the retired pc stream,
     ``fetch_width`` and the L1I geometry — so replay simulates it here, once,
     through the real :class:`~repro.mem.cache.Cache` model, and memoizes the
     resulting counters across ablation points that keep these parameters.
@@ -434,8 +446,9 @@ def _l1i_stats(trace: Trace, seq, config, mem_config):
             # access_batch(..., fill_misses=True) is exactly access()+fill()
             # per miss: the L1I is write-through, so fills never produce the
             # dirty-victim writebacks that would make the two diverge.
-            addrs = [CODE_BASE + h[7] * CODE_INSTR_SIZE
-                     for h in seq if not h[7] % fetch_width]
+            pcs = np.frombuffer(seq_pcs, np.uint32)
+            fetched = pcs[pcs % fetch_width == 0].astype(np.int64)
+            addrs = (CODE_BASE + fetched * CODE_INSTR_SIZE).tolist()
             l1i.access_batch(addrs, False, fill_misses=True)
             entry = (l1i.stats, len(addrs))
         _L1I_CACHE[cache_key] = entry
@@ -514,7 +527,7 @@ def replay_trace(trace: Trace,
             f"{trace.program_fingerprint} != rebuilt {fingerprint} "
             "(the compiler or workload changed since capture)")
     decoded = _cached_decode(trace, hot, cold, fu_values,
-                             parent_hash=trace.key.key_hash)
+                             parent_hash=trace.key.key_hash, with_seq=True)
     system = build_system(trace.key.mode, machine)
     lane = _FusedLane(0, program, cold, phase_names, decoded, trace,
                       system, system, core_config_for(machine))
@@ -539,9 +552,9 @@ class _FusedLane:
     *generator* (:meth:`_loop`) whose locals — stream cursors, the scalar
     timing state, every cached bound method — survive across yields, so
     handing control between lanes costs one ``send`` instead of saving and
-    restoring the loop state; the multicore scheduler bounces between
-    lockstepped lanes every one or two instructions, which is exactly where
-    that matters.
+    restoring the loop state.  Lanes yield only before shared-state
+    instructions (see the module docstring), so in multicore a switch comes
+    once per run of private work, not per instruction.
 
     ``system`` is the object memory and DMA operations are issued through —
     a :class:`~repro.core.hybrid.HybridSystem` for single-core replay, a
@@ -553,8 +566,8 @@ class _FusedLane:
     """
 
     __slots__ = ("order", "trace", "config", "timing", "fetch_time", "done",
-                 "_seq", "_fu_counts", "_phase_names", "_phase_acc", "_mem",
-                 "_n", "_gen", "_state")
+                 "_seq_pcs", "_fu_counts", "_phase_names", "_phase_acc",
+                 "_mem", "_n", "_gen", "_state")
 
     def __init__(self, order: int, program, cold, phase_names, decoded,
                  trace: Trace, system, mem, config):
@@ -562,7 +575,7 @@ class _FusedLane:
         self.order = order
         self.trace = trace
         self.config = config
-        self._seq = seq
+        self._seq_pcs = decoded[5]
         self._n = len(seq)
         self._fu_counts = fu_counts
         self._phase_names = phase_names
@@ -588,14 +601,15 @@ class _FusedLane:
         else:   # defensive: programs always retire at least a HALT
             self._gen = None
             self._state = (0, 0, 0, 0, 0.0, 0.0, 0.0, 0.0, 0.0, 0, 0.0, 0,
-                           mem.total_mem_latency, 0, 0, 0, 0, 0, 0,
+                           mem.total_mem_latency, 0, 0, 0, 0, 0, 0, 0, 0,
                            mem._last_store_addr, mem._last_store_to_sm, 8192)
 
     def run_until(self, limit: float, limit_order: int) -> None:
-        """Advance the lane while its key ``(fetch_time, order)`` stays below
-        ``(limit, limit_order)`` — the multicore scheduling contract.  At
-        least one instruction is processed per call (the caller only
-        schedules the earliest lane); ``limit=inf`` runs to completion.
+        """Advance the lane until it reaches a shared-state instruction with
+        its key ``(fetch_time, order)`` past ``(limit, limit_order)`` — the
+        multicore scheduling contract.  At least one instruction is
+        processed per call (the caller only schedules the earliest lane);
+        ``limit=inf`` runs to completion.
         """
         if self._gen is None:       # empty stream: born done, nothing to run
             return
@@ -654,11 +668,12 @@ class _FusedLane:
         else:
             lm_lo = lm_hi = -1
             lm_lat = 0.0
-        # Plain SM loads (outside the LM range, neither guarded nor
-        # oracle-diverted) take a timing-only path: the hierarchy access and
-        # the counters HybridSystem.load would change, without the call or
-        # the data read.  A protocol checker needs the full call; in
-        # multicore the ownership check still runs for every such load.
+        # Plain SM loads and stores (outside the LM range, neither guarded
+        # nor oracle-diverted) take a timing-only path: the store-collapse
+        # check, the hierarchy access and the counters HybridSystem.load /
+        # store would change, without the call or the data word.  A protocol
+        # checker needs the full call; in multicore the ownership check
+        # still runs for every such access.
         hier_access = mem.hierarchy.access if mem.checker is None else None
         check_ownership = getattr(system, "check_ownership", None)
         # ``system`` (a CoreView in multicore) is only *called*; attribute
@@ -689,7 +704,7 @@ class _FusedLane:
         # exact and are added back once at the end.
         total_lat = system.total_mem_latency
         lm_loads = lm_stores = lm_reads = lm_writes = lm_mem_ops = 0
-        sm_loads = 0
+        sm_loads = sm_stores = sm_collapsed = 0
         last_store_addr = system._last_store_addr
         last_store_to_sm = system._last_store_to_sm
 
@@ -707,6 +722,18 @@ class _FusedLane:
         # fetch_access call disappears from this loop entirely.
         while i < n:
             h = seq[i]
+            # ---- scheduling: yield before an instruction that can touch
+            # shared state (a non-LM load/store, DMA, dma-sync, set-bufsize)
+            # once another lane's front end is earlier (strictly, or equal
+            # with a lower core id).  Private work commutes across cores, so
+            # the lane runs ahead through it. ----
+            if fetch_time >= limit and (fetch_time > limit
+                                        or my_order > limit_order):
+                kind = h[0]
+                if kind >= K_DGET or ((kind == K_LOAD or kind == K_STORE)
+                                      and not lm_lo <= mem_addrs[mi] < lm_hi):
+                    self.fetch_time = fetch_time
+                    limit, limit_order = yield
             i += 1
             (kind, fu_index, latency, dst, srcs, phase, unpipelined, index) = h
 
@@ -796,18 +823,37 @@ class _FusedLane:
                     collapsed = False
                 else:
                     cm = cold[index]
-                    system.total_mem_latency = total_lat
-                    system._last_store_addr = last_store_addr
-                    system._last_store_to_sm = last_store_to_sm
-                    outcome = sys_store(addr, 0.0, guarded=cm[2],
-                                        oracle_divert=cm[3],
-                                        collapse_with_prev=cm[4],
-                                        pc=index, now=now)
-                    total_lat = system.total_mem_latency
-                    last_store_addr = system._last_store_addr
-                    last_store_to_sm = system._last_store_to_sm
-                    latency = outcome.latency
-                    collapsed = outcome.served_by == "collapsed"
+                    if hier_access is not None and not (cm[2] or cm[3]):
+                        # Timing-only HybridSystem.store: the collapse check
+                        # against the latch, else _sm_store.
+                        if check_ownership is not None:
+                            check_ownership(addr)
+                        sm_stores += 1
+                        if cm[4] and last_store_to_sm and \
+                                last_store_addr == addr:
+                            sm_collapsed += 1
+                            latency = 0.0
+                            collapsed = True
+                        else:
+                            latency = hier_access(addr, True, index,
+                                                  now).latency
+                            last_store_addr = addr
+                            last_store_to_sm = True
+                            collapsed = False
+                        total_lat += latency
+                    else:
+                        system.total_mem_latency = total_lat
+                        system._last_store_addr = last_store_addr
+                        system._last_store_to_sm = last_store_to_sm
+                        outcome = sys_store(addr, 0.0, guarded=cm[2],
+                                            oracle_divert=cm[3],
+                                            collapse_with_prev=cm[4],
+                                            pc=index, now=now)
+                        total_lat = system.total_mem_latency
+                        last_store_addr = system._last_store_addr
+                        last_store_to_sm = system._last_store_to_sm
+                        latency = outcome.latency
+                        collapsed = outcome.served_by == "collapsed"
             elif kind == K_CBR:
                 branch_taken = branches[bi]
                 bi += 1
@@ -933,19 +979,13 @@ class _FusedLane:
             phase_acc[phase] += rob_bw - last_commit
             last_commit = rob_bw
 
-            # ---- scheduling: yield once another lane's front end is
-            # earlier (strictly, or equal with a lower core id) ----
-            if (fetch_time > limit or (fetch_time == limit
-                                       and my_order > limit_order)) and i < n:
-                self.fetch_time = fetch_time
-                limit, limit_order = yield
-
         self.fetch_time = fetch_time
         self._state = (i, bi, mi, di, fetch_time, last_commit, rob_bw,
                        rob_stalls, lsq_stalls, lsq_collapsed, contended,
                        mispredictions, total_lat, lm_loads, lm_stores,
-                       lm_reads, lm_writes, lm_mem_ops, sm_loads,
-                       last_store_addr, last_store_to_sm, slots_len)
+                       lm_reads, lm_writes, lm_mem_ops, sm_loads, sm_stores,
+                       sm_collapsed, last_store_addr, last_store_to_sm,
+                       slots_len)
 
     def finish(self) -> OutOfOrderTimingModel:
         """Write the accumulated state back into the timing model and memory
@@ -955,7 +995,8 @@ class _FusedLane:
         (i, bi, mi, di, fetch_time, last_commit, rob_bw, rob_stalls,
          lsq_stalls, lsq_collapsed, contended, mispredictions, total_lat,
          lm_loads, lm_stores, lm_reads, lm_writes, lm_mem_ops, sm_loads,
-         last_store_addr, last_store_to_sm, slots_len) = self._state
+         sm_stores, sm_collapsed, last_store_addr, last_store_to_sm,
+         slots_len) = self._state
         timing = self.timing
         system = self._mem
         phase_acc = self._phase_acc
@@ -963,7 +1004,7 @@ class _FusedLane:
         # -- out-of-band instruction-fetch activity (see _l1i_stats) --
         hierarchy = system.hierarchy
         hierarchy.l1i.stats, hierarchy.icache_accesses = _l1i_stats(
-            self.trace, self._seq, self.config, hierarchy.config)
+            self.trace, self._seq_pcs, self.config, hierarchy.config)
 
         timing.fetch_time = fetch_time
         timing.committed = self._n
@@ -984,9 +1025,12 @@ class _FusedLane:
         timing.lsq.collapsed_stores = lsq_collapsed
         timing.fus.contended_cycles = contended
         system.loads += lm_loads + sm_loads
-        system.stores += lm_stores
-        system.mem_ops += lm_mem_ops + sm_loads
-        hierarchy.memory.reads += sm_loads  # the skipped read_word calls
+        system.stores += lm_stores + sm_stores
+        system.collapsed_stores += sm_collapsed
+        system.mem_ops += lm_mem_ops + sm_loads + sm_stores
+        # The skipped read_word / write_word calls (collapsed stores write).
+        hierarchy.memory.reads += sm_loads
+        hierarchy.memory.writes += sm_stores
         system.total_mem_latency = total_lat
         system._last_store_addr = last_store_addr
         system._last_store_to_sm = last_store_to_sm
@@ -1051,7 +1095,7 @@ def _replay_multicore(mtrace: MulticoreTrace,
     for core_id, (entry, trace) in enumerate(zip(entries, mtrace.cores)):
         program, comp, hot, cold, fu_values, phase_names, fingerprint = entry
         decoded = _cached_decode(trace, hot, cold, fu_values,
-                                 parent_hash=key.key_hash)
+                                 parent_hash=key.key_hash, with_seq=True)
         lanes.append(_FusedLane(core_id, program, cold, phase_names, decoded,
                                 trace, system.view(core_id),
                                 system.core(core_id), config))

@@ -11,11 +11,16 @@ attribute syncs around each call.  The vector engine splits that work by
   evolution, directory hit/miss outcomes, prefetcher training and branch
   predictor table updates are all *timing-independent*: they depend only on
   the recorded program-order stream, never on the clock.  One **oracle
-  pass** per (trace, cache-geometry) pair drives the whole stream through a
+  pass** per (trace, cache-geometry) pair resolves the stream against a
   scratch memory system built for that geometry and records, per memory
   op, which level serves it (a dense route code), the miss line addresses,
-  and the final activity counters; one **flags pass** per (trace, predictor
-  geometry) resolves every conditional branch through the batched
+  and the final activity counters.  It is an array program: numpy masks
+  over the pc and address streams classify every op, LM-range ops are
+  counted without a visit, guarded and divert accesses look up the
+  directory inline (it changes only at DMA and set-bufsize events), and
+  the cache hierarchy takes the remaining demand accesses in batches
+  flushed only before DMA transfers.  One **flags pass** per (trace,
+  predictor geometry) resolves every conditional branch through the batched
   :meth:`~repro.cpu.branch_predictor.HybridBranchPredictor.update_batch`
   entry point (provably equivalent to N scalar updates) and every jump
   through the BTB, yielding a flat mispredict-flag stream.  Ablation points
@@ -226,7 +231,7 @@ def _pass_key(trace: Trace, mode: str, machine: MachineConfig,
             _geometry_key(mode, machine, multicore))
 
 
-def _cached_oracle(trace: Trace, decoded, cold, mode: str,
+def _cached_oracle(trace: Trace, decoded, cold, hot, mode: str,
                    machine: MachineConfig, multicore: bool,
                    parent_hash=None) -> _OracleRoutes:
     key = _pass_key(trace, mode, machine, multicore)
@@ -248,7 +253,8 @@ def _cached_oracle(trace: Trace, decoded, cold, mode: str,
                 return entry
     obs.incr("vector.oracle.miss")
     with obs.phase("vector.oracle"):
-        entry = _oracle_routes(decoded, cold, mode, machine, multicore)
+        entry = _oracle_routes(decoded, cold, hot, mode, machine,
+                               multicore)
     _remember(_ORACLE_CACHE, key, entry, _ORACLE_CAP)
     if store is not None:
         meta, sections = _oracle_to_artifact(entry)
@@ -256,161 +262,54 @@ def _cached_oracle(trace: Trace, decoded, cold, mode: str,
     return entry
 
 
-def _oracle_routes_scalar(decoded, cold, mode: str, machine: MachineConfig,
-                          multicore: bool) -> _OracleRoutes:
-    """Resolve every memory/DMA event of a stream against a scratch system.
-
-    The scratch system is the same per-core :func:`build_system` product the
-    replay point uses; it is driven with the *real* ``load``/``store``/DMA
-    calls at ``now=0.0``.  Cache, directory and prefetcher state evolution is
-    timing-independent (tag/LRU/valid updates never consult the clock), so
-    the served-by level of every access — and every final activity counter —
-    is exactly what any re-timed run observes.  Clock-dependent scratch state
-    (MSHR contents, presence stalls, latencies) is simply discarded: the
-    timing loop recomputes those against the live point system.  In
-    multicore, the per-core systems are independent for everything functional
-    (private caches/LM/directory; the shared memory/bus counters commute and
-    are summed at apply time), and the multicore wrapper's dma-put directory
-    unmap is transcribed below so guarded hit/miss sequences match.
-
-    This is the reference walk; :func:`_oracle_routes` is the batched
-    version with identical output (randomized equivalence enforced by
-    ``tests/test_artifact_cache.py``).
-    """
-    seq, branches, mem_addrs, dma_words, fu_counts = decoded[:5]
-    S = build_system(mode, machine)
-    hierarchy = S.hierarchy
-    line_size = hierarchy.config.line_size
-    use_lm = S.use_lm
+def _oracle_event(S, kind: int, tag, dma_words, di: int, multicore: bool,
+                  dma_nlines, dma_addrs, dget_entries) -> None:
+    """Drive one DMA, dma-sync or set-bufsize event through the scratch
+    system at ``now=0.0``, recording the dget/dput side arrays."""
+    if kind == 8:        # dma-sync (timing only; keeps the syncs counter)
+        S.dma_sync(tag, now=0.0)
+        return
+    if kind == 9:        # set-bufsize
+        S.set_buffer_size(tag)
+        return
+    lm_v, sm, size = dma_words[di:di + 3]
+    line_size = S.hierarchy.config.line_size
+    end = sm + size - 1
+    dma_nlines.append((end - end % line_size - (sm - sm % line_size))
+                      // line_size + 1)
+    dma_addrs.append(sm)
     directory = S.directory
-    load = S.load
-    store = S.store
-    if use_lm:
-        lm_lo = S.address_map.virtual_base
-        lm_hi = lm_lo + S.address_map.size
-        translate = S.address_map.translate
-    else:
-        lm_lo = lm_hi = -1
-        translate = None
-    routes = bytearray()
-    routes_append = routes.append
-    miss_lines = array("q")
-    lines_append = miss_lines.append
-    guard_entries = array("i")
-    dma_nlines = array("i")
-    dma_addrs = array("q")
-    dget_entries = array("i")
-    lm_plain_loads = lm_plain_stores = 0
-    mi = di = 0
-    for h in seq:
-        kind = h[0]
-        if kind == 1:        # load
-            addr = mem_addrs[mi]
-            mi += 1
-            if lm_lo <= addr < lm_hi:
-                lm_plain_loads += 1
-                routes_append(_R_LM)
-                continue
-            index = h[7]
-            cm = cold[index]
-            out = load(addr, guarded=cm[2], oracle_divert=cm[3],
-                       pc=index, now=0.0)
-            served = out.served_by
-            if served == "L1":
-                routes_append(_R_L1)
-            elif served == "LM":
-                if cm[2]:   # guarded hit: presence stall recomputed live
-                    routes_append(_R_GUARD)
-                    guard_entries.append(
-                        directory._tag_index[addr & directory.base_mask])
-                else:       # oracle-divert hit: plain LM latency
-                    routes_append(_R_LM)
-            elif served == "L2":
-                routes_append(_R_L2)
-                lines_append(addr - addr % line_size)
-            elif served == "L3":
-                routes_append(_R_L3)
-                lines_append(addr - addr % line_size)
-            else:           # MEM
-                routes_append(_R_MEM)
-                lines_append(addr - addr % line_size)
-        elif kind == 2:      # store
-            addr = mem_addrs[mi]
-            mi += 1
-            if lm_lo <= addr < lm_hi:
-                lm_plain_stores += 1
-                S._last_store_addr = addr
-                S._last_store_to_sm = False
-                routes_append(_R_LM)
-                continue
-            index = h[7]
-            cm = cold[index]
-            out = store(addr, 0.0, guarded=cm[2], oracle_divert=cm[3],
-                        collapse_with_prev=cm[4], pc=index, now=0.0)
-            served = out.served_by
-            if served == "L1":
-                routes_append(_R_L1)
-            elif served == "LM":
-                if cm[2]:
-                    routes_append(_R_GUARD)
-                    guard_entries.append(
-                        directory._tag_index[addr & directory.base_mask])
-                else:
-                    routes_append(_R_LM)
-            elif served == "collapsed":
-                routes_append(_R_COLLAPSED)
-            elif served == "L2":
-                routes_append(_R_L2)
-                lines_append(addr - addr % line_size)
-            elif served == "L3":
-                routes_append(_R_L3)
-                lines_append(addr - addr % line_size)
-            else:           # MEM
-                routes_append(_R_MEM)
-                lines_append(addr - addr % line_size)
-        elif kind == 6:      # dma-get
-            lm_v = dma_words[di]
-            sm = dma_words[di + 1]
-            size = dma_words[di + 2]
-            di += 3
-            first = sm - sm % line_size
-            end = sm + size - 1
-            dma_nlines.append((end - end % line_size - first) // line_size + 1)
-            dma_addrs.append(sm)
-            S.dma_get(lm_v, sm, size, tag=cold[h[7]][1], now=0.0)
-            if directory.is_configured:
-                dget_entries.append(translate(lm_v) // directory.buffer_size)
-            else:
-                dget_entries.append(-1)
-        elif kind == 7:      # dma-put
-            lm_v = dma_words[di]
-            sm = dma_words[di + 1]
-            size = dma_words[di + 2]
-            di += 3
-            first = sm - sm % line_size
-            end = sm + size - 1
-            dma_nlines.append((end - end % line_size - first) // line_size + 1)
-            dma_addrs.append(sm)
-            S.dma_put(lm_v, sm, size, tag=cold[h[7]][1], now=0.0)
-            if multicore and directory.is_configured:
-                # MulticoreHybridSystem.dma_put: write-back ends the chunk's
-                # LM residence, unmapping the issuing core's directory entry.
-                lm_offset = translate(lm_v)
-                entry = directory.entries[directory.buffer_index(lm_offset)]
-                if entry.valid and entry.tag == (sm & directory.base_mask):
-                    directory.invalidate_buffer(lm_offset)
-        elif kind == 8:      # dma-sync (timing only; keeps the syncs counter)
-            S.dma_sync(cold[h[7]][1], now=0.0)
-        elif kind == 9:      # set-bufsize
-            S.set_buffer_size(cold[h[7]][1])
+    if kind == 6:        # dma-get
+        S.dma_get(lm_v, sm, size, tag=tag, now=0.0)
+        dget_entries.append(
+            S.address_map.translate(lm_v) // directory.buffer_size
+            if directory.is_configured else -1)
+        return
+    S.dma_put(lm_v, sm, size, tag=tag, now=0.0)
+    if multicore and directory.is_configured:
+        # MulticoreHybridSystem.dma_put: write-back ends the chunk's LM
+        # residence, unmapping the issuing core's directory entry.
+        lm_offset = S.address_map.translate(lm_v)
+        entry = directory.entries[directory.buffer_index(lm_offset)]
+        if entry.valid and entry.tag == (sm & directory.base_mask):
+            directory.invalidate_buffer(lm_offset)
+
+
+def _oracle_result(S, routes, miss_lines, guard_entries, dma_nlines,
+                   dma_addrs, dget_entries, lm_loads: int,
+                   lm_stores: int) -> _OracleRoutes:
+    """Package a finished oracle walk: the side arrays plus the scratch
+    system's final activity counters, with ``lm_loads``/``lm_stores``
+    LM-range accesses the walk counted instead of issuing."""
+    hierarchy = S.hierarchy
     prefetcher = hierarchy.prefetcher
     patch = {
-        "loads": S.loads + lm_plain_loads,
-        "stores": S.stores + lm_plain_stores,
+        "loads": S.loads + lm_loads,
+        "stores": S.stores + lm_stores,
         "guarded_loads": S.guarded_loads,
         "guarded_stores": S.guarded_stores,
         "collapsed_stores": S.collapsed_stores,
-        "mem_ops": S.mem_ops + lm_plain_loads + lm_plain_stores,
+        "mem_ops": S.mem_ops + lm_loads + lm_stores,
         "last_store_addr": S._last_store_addr,
         "last_store_to_sm": S._last_store_to_sm,
         "demand_accesses": hierarchy.demand_accesses,
@@ -427,11 +326,12 @@ def _oracle_routes_scalar(decoded, cold, mode: str, machine: MachineConfig,
         "pf_collisions": prefetcher.collisions,
     }
     n_dir = 0
-    if use_lm:
+    if S.use_lm:
+        directory = S.directory
         n_dir = len(directory.entries)
         patch.update({
-            "lm_reads": S.lm.reads + lm_plain_loads,
-            "lm_writes": S.lm.writes + lm_plain_stores,
+            "lm_reads": S.lm.reads + lm_loads,
+            "lm_writes": S.lm.writes + lm_stores,
             "agu": (S.agu.guarded_loads, S.agu.guarded_stores,
                     S.agu.diverted_loads, S.agu.diverted_stores),
             "dir_lookups": directory.stats.lookups,
@@ -449,70 +349,194 @@ def _oracle_routes_scalar(decoded, cold, mode: str, machine: MachineConfig,
                          dma_addrs, dget_entries, n_dir, patch)
 
 
-def _oracle_routes(decoded, cold, mode: str, machine: MachineConfig,
+def _oracle_routes_scalar(decoded, cold, hot, mode: str,
+                          machine: MachineConfig,
+                          multicore: bool) -> _OracleRoutes:
+    """Resolve every memory/DMA event of a stream against a scratch system.
+
+    The scratch system is the same per-core :func:`build_system` product the
+    replay point uses; it is driven with the *real* ``load``/``store``/DMA
+    calls at ``now=0.0``.  Cache, directory and prefetcher state evolution is
+    timing-independent (tag/LRU/valid updates never consult the clock), so
+    the served-by level of every access — and every final activity counter —
+    is exactly what any re-timed run observes.  Clock-dependent scratch state
+    (MSHR contents, presence stalls, latencies) is simply discarded: the
+    timing loop recomputes those against the live point system.  In
+    multicore, the per-core systems are independent for everything functional
+    (private caches/LM/directory; the shared memory/bus counters commute and
+    are summed at apply time), and the multicore wrapper's dma-put directory
+    unmap is transcribed in :func:`_oracle_event` so guarded hit/miss
+    sequences match.
+
+    This is the reference walk; :func:`_oracle_routes` is the array version
+    with identical output (randomized equivalence enforced by
+    ``tests/test_artifact_cache.py``).
+    """
+    mem_addrs, dma_words, seq_pcs = decoded[2], decoded[3], decoded[5]
+    S = build_system(mode, machine)
+    line_size = S.hierarchy.config.line_size
+    directory = S.directory
+    load = S.load
+    store = S.store
+    lm_lo, lm_hi = S._lm_lo, S._lm_hi
+    routes = bytearray()
+    routes_append = routes.append
+    miss_lines = array("q")
+    guard_entries = array("i")
+    dma_nlines = array("i")
+    dma_addrs = array("q")
+    dget_entries = array("i")
+    lm_plain_loads = lm_plain_stores = 0
+    mi = di = 0
+    for index in seq_pcs:
+        kind = hot[index][0]
+        if kind == 1 or kind == 2:
+            addr = mem_addrs[mi]
+            mi += 1
+            if lm_lo <= addr < lm_hi:
+                routes_append(_R_LM)
+                if kind == 1:
+                    lm_plain_loads += 1
+                else:
+                    lm_plain_stores += 1
+                    S._last_store_addr = addr
+                    S._last_store_to_sm = False
+                continue
+            cm = cold[index]
+            if kind == 1:
+                out = load(addr, guarded=cm[2], oracle_divert=cm[3],
+                           pc=index, now=0.0)
+            else:
+                out = store(addr, 0.0, guarded=cm[2], oracle_divert=cm[3],
+                            collapse_with_prev=cm[4], pc=index, now=0.0)
+            served = out.served_by
+            if served == "LM":
+                if cm[2]:   # guarded hit: presence stall recomputed live
+                    routes_append(_R_GUARD)
+                    guard_entries.append(
+                        directory._tag_index[addr & directory.base_mask])
+                else:       # oracle-divert hit: plain LM latency
+                    routes_append(_R_LM)
+            elif served == "collapsed":
+                routes_append(_R_COLLAPSED)
+            elif served == "L1":
+                routes_append(_R_L1)
+            else:
+                routes_append(_R_L2 if served == "L2" else
+                              _R_L3 if served == "L3" else _R_MEM)
+                miss_lines.append(addr - addr % line_size)
+        elif kind >= 6:      # dma-get / dma-put / dma-sync / set-bufsize
+            _oracle_event(S, kind, cold[index][1], dma_words, di, multicore,
+                          dma_nlines, dma_addrs, dget_entries)
+            if kind <= 7:
+                di += 3
+    return _oracle_result(S, routes, miss_lines, guard_entries, dma_nlines,
+                          dma_addrs, dget_entries, lm_plain_loads,
+                          lm_plain_stores)
+
+
+def _oracle_routes(decoded, cold, hot, mode: str, machine: MachineConfig,
                    multicore: bool) -> _OracleRoutes:
-    """Batched oracle pass — bit-identical to :func:`_oracle_routes_scalar`.
+    """Array oracle pass — bit-identical to :func:`_oracle_routes_scalar`.
 
-    Plain cacheable loads/stores (no guard, no divert) dominate every NAS
-    stream; they are buffered and resolved in segments, with the same bounce
-    discipline as the epoch kernel: any event the scalar walk routes through
-    directory/AGU/DMA state (guarded or divert accesses, DMA commands)
-    flushes the buffer and takes the unmodified scalar path, so the scratch
-    system observes the identical call sequence around it.
+    Between two DMA or set-bufsize events the directory is fixed, so every
+    access's fate up to the cache hierarchy is known without walking it:
 
-    Inside a flush, three exactness arguments carry the batching:
-
-    * LM-range filtering and store-collapse matching only need the
-      ``_last_store_*`` latch, tracked locally and written back (bounces
-      update the system's own latch through the real ``store()`` call);
-    * prefetcher training is a pure function of the demand ``(pc, addr)``
-      sequence (:meth:`~repro.mem.prefetcher.StreamPrefetcher.train_batch`
-      is exactly N ``train()`` calls), and the returned per-access fill
-      lists are applied at each access's position, so fills land between
-      the same accesses as in the scalar walk;
-    * a maximal run of prefetch-quiet L1 hits goes through
+    * **Classification by mask.**  A per-pc kind/flag table (as in
+      :func:`_branch_flags`) indexed by the retired pc stream, and a range
+      mask over the address stream, sort every memory op into LM-range or
+      SM, load or store, guarded / oracle-divert / collapse candidate.
+      LM-range ops are counted, never visited: their route is ``_R_LM``.
+    * **The store-collapse latch from array indices.**  LM-range stores set
+      the ``_last_store_*`` latch too.  Each SM store's previous store
+      (a ``maximum.accumulate`` over store indices) says whether an LM
+      store cleared the latch since the last SM store; the final latch
+      comes from the stream's last store.
+    * **Python visits only SM ops and DMA/sync/set-bufsize events.**
+      Guarded and divert accesses resolve the directory inline through the
+      real ``lookup``/``peek_lookup`` (same directory and AGU counters).
+      Directory misses and plain SM ops queue as demand accesses.
+    * **Demand accesses are flushed in batches**, only before a DMA
+      transfer (its per-line snoops read and invalidate the caches the
+      queued accesses fill) and at the end.  Within a flush, prefetcher
+      training is one ``StreamPrefetcher.train_batch`` (exactly N
+      ``train()`` calls) whose fill lists land at each access's
+      position, and a maximal run of prefetch-quiet L1 hits goes through
       :meth:`~repro.mem.cache.Cache.access_batch` — an L1 hit disturbs only
-      LRU order (write-through, no fills), so the ``probe`` outcome of
-      later run members cannot change, and the runs' store write-throughs
-      keep their per-cache order when replayed as L2/L3 batches after the
-      run (write-throughs never fill, so L2 outcomes are independent of the
+      LRU order (write-through, no fills), so the ``probe`` outcome of later
+      run members cannot change, and the run's store write-throughs keep
+      their per-cache order when replayed as L2/L3 batches after it
+      (write-throughs never fill, so L2 outcomes are independent of the
       interleaved L3 traffic).
 
-    Everything the skipped scalar calls would have incremented (system
-    load/store/collapse counters, functional ``MainMemory`` word-touch
-    counters, ``demand_accesses``) is folded in per flush; the functional
+    Everything the skipped ``load``/``store`` calls would have incremented
+    (system, AGU and LM counters, functional ``MainMemory`` word-touch
+    counters, ``demand_accesses``) is folded in at the end; the functional
     data words themselves are scratch nothing reads back and are skipped.
     """
-    seq, branches, mem_addrs, dma_words, fu_counts = decoded[:5]
+    mem_addrs, dma_words, seq_pcs = decoded[2], decoded[3], decoded[5]
     S = build_system(mode, machine)
     hierarchy = S.hierarchy
-    l1 = hierarchy.l1
-    l2 = hierarchy.l2
-    l3 = hierarchy.l3
+    l1, l2, l3 = hierarchy.l1, hierarchy.l2, hierarchy.l3
     memory = hierarchy.memory
     prefetcher = hierarchy.prefetcher
     prefetch_enabled = hierarchy._prefetch_enabled
     line_size = hierarchy.config.line_size
     use_lm = S.use_lm
     directory = S.directory
-    load = S.load
-    store = S.store
-    if use_lm:
-        lm_lo = S.address_map.virtual_base
-        lm_hi = lm_lo + S.address_map.size
-        translate = S.address_map.translate
-    else:
-        lm_lo = lm_hi = -1
-        translate = None
-    routes = bytearray()
-    routes_append = routes.append
+
+    # -- classification: per-pc tables, then masks over the whole stream --
+    # Per-SM-op class bits: 1 store, 2 guarded, 4 oracle-divert, 8 collapse
+    # candidate, 16 an LM-range store is the latest store before it.
+    kind_by_pc = np.fromiter((h[0] for h in hot), np.uint8, len(hot))
+    flag_by_pc = np.fromiter(((c[2] << 1) | (c[3] << 2) | (c[4] << 3)
+                              for c in cold), np.uint8, len(cold))
+    pcs = np.frombuffer(seq_pcs, np.uint32)
+    kinds = kind_by_pc[pcs]
+    is_mem = (kinds == 1) | (kinds == 2)
+    mem_pcs = pcs[is_mem]
+    n_mem = len(mem_pcs)
+    addrs = np.array(mem_addrs, np.int64)
+    is_store = kind_by_pc[mem_pcs] == 2
+    in_lm = (addrs >= S._lm_lo) & (addrs < S._lm_hi)
+    sm = np.flatnonzero(~in_lm)
+    last_store = np.maximum.accumulate(
+        np.where(is_store, np.arange(n_mem), -1))
+    prev_store = np.where(sm > 0, last_store[sm - 1], -1)
+    sm_cls = (is_store[sm] | flag_by_pc[mem_pcs[sm]]
+              | (((prev_store >= 0) & in_lm[prev_store]) << 4))
+    if not use_lm:
+        if np.any(sm_cls & 2):
+            raise RuntimeError(
+                "guarded access executed on the cache-based system")
+        sm_cls &= ~4                # no directory: oracle-divert is a no-op
+    n_lm_loads = int(np.count_nonzero(in_lm & ~is_store))
+    n_lm_stores = int(np.count_nonzero(in_lm & is_store))
+    ev_pos = np.flatnonzero(kinds >= 6)
+    cuts = np.searchsorted(
+        sm, np.searchsorted(np.flatnonzero(is_mem), ev_pos)).tolist()
+    ev_kinds = kinds[ev_pos].tolist()
+    ev_tags = [cold[pc][1] for pc in pcs[ev_pos].tolist()]
+    # Only the SM subset becomes Python lists.
+    sm_pos = sm.tolist()
+    sm_addr = addrs[sm].tolist()
+    sm_pc = mem_pcs[sm].tolist()
+    sm_cls = sm_cls.tolist()
+    final_lm_store = None       # the stream's last store, if LM-range
+    if n_mem and last_store[-1] >= 0 and in_lm[last_store[-1]]:
+        final_lm_store = int(addrs[last_store[-1]])
+    n_stores = int(np.count_nonzero(is_store))
+    # Only the SM lists above are needed past here: free the whole-stream
+    # arrays before the walk (peak RSS).
+    del kinds, is_mem, mem_pcs, addrs, is_store, in_lm, last_store, prev_store
+
+    routes = bytearray(n_mem)           # all _R_LM (code 0) to start with
     miss_lines = array("q")
     lines_append = miss_lines.append
     guard_entries = array("i")
     dma_nlines = array("i")
     dma_addrs = array("q")
     dget_entries = array("i")
-    lm_plain_loads = lm_plain_stores = 0
 
     probe = l1.probe
     l1_access = l1.access
@@ -520,84 +544,21 @@ def _oracle_routes(decoded, cold, mode: str, machine: MachineConfig,
     miss_path = hierarchy._miss_path
     prefetch_fill = hierarchy._prefetch_fill
 
-    pend_store: list = []     # is-store flag per buffered plain event
-    pend_addr: list = []
-    pend_pc: list = []
-    pend_collapse: list = []
+    d_pos: list = []      # queued demand accesses, in stream order
+    d_addr: list = []
+    d_pc: list = []
+    d_store: list = []
 
     def flush() -> None:
-        nonlocal lm_plain_loads, lm_plain_stores
-        n_pend = len(pend_store)
-        if not n_pend:
-            return
-        # Phase A: classify against the local store-collapse latch.
-        # froutes starts all-_R_LM (code 0); demand/collapsed slots are
-        # overwritten below.
-        last_addr = S._last_store_addr
-        last_sm = S._last_store_to_sm
-        froutes = bytearray(n_pend)
-        d_pos: list = []
-        d_addr: list = []
-        d_pc: list = []
-        d_store: list = []
-        n_loads = n_stores = n_collapsed = 0
-        for j in range(n_pend):
-            addr = pend_addr[j]
-            if pend_store[j]:
-                if lm_lo <= addr < lm_hi:
-                    lm_plain_stores += 1
-                    last_addr = addr
-                    last_sm = False
-                elif pend_collapse[j] and last_sm and last_addr == addr:
-                    n_collapsed += 1
-                    froutes[j] = _R_COLLAPSED
-                else:
-                    n_stores += 1
-                    d_pos.append(j)
-                    d_addr.append(addr)
-                    d_pc.append(pend_pc[j])
-                    d_store.append(True)
-                    last_addr = addr
-                    last_sm = True
-            elif lm_lo <= addr < lm_hi:
-                lm_plain_loads += 1
-            else:
-                n_loads += 1
-                d_pos.append(j)
-                d_addr.append(addr)
-                d_pc.append(pend_pc[j])
-                d_store.append(False)
-        S._last_store_addr = last_addr
-        S._last_store_to_sm = last_sm
-        pend_store.clear()
-        pend_addr.clear()
-        pend_pc.clear()
-        pend_collapse.clear()
-
-        # Counter fold: what the skipped load()/store()/_sm_*/_account calls
-        # increment for plain events (functional read_word/write_word count
-        # on MainMemory; the data words are scratch and skipped).
         n_demand = len(d_addr)
-        S.loads += n_loads
-        S.stores += n_stores + n_collapsed
-        S.collapsed_stores += n_collapsed
-        S.mem_ops += n_loads + n_stores + n_collapsed
-        memory.reads += n_loads
-        memory.writes += n_stores + n_collapsed
-        hierarchy.demand_accesses += n_demand
-
-        # Phase B: batch-train the prefetcher on the demand stream.
+        if not n_demand:
+            return
         pf_lists = (prefetcher.train_batch(d_pc, d_addr)
-                    if prefetch_enabled and n_demand else None)
-
-        # Phase C: resolve demands in order — L1-hit runs batched, the rest
-        # through the real hierarchy path (minus its scratch latency math).
+                    if prefetch_enabled else None)
         run_addrs: list = []
         run_wt: list = []
 
         def close_run() -> None:
-            if not run_addrs:
-                return
             l1.access_batch(run_addrs, False)
             if run_wt:
                 wt_hits = l2.access_batch(run_wt, True, kind="writethrough")
@@ -614,186 +575,128 @@ def _oracle_routes(decoded, cold, mode: str, machine: MachineConfig,
                 run_addrs.append(addr)
                 if is_write:
                     run_wt.append(addr)
-                froutes[d_pos[j]] = _R_L1
+                routes[d_pos[j]] = _R_L1
                 continue
-            close_run()
+            if run_addrs:
+                close_run()
             if l1_access(addr, is_write):
-                froutes[d_pos[j]] = _R_L1
+                routes[d_pos[j]] = _R_L1
                 if is_write:
                     writethrough(addr)
             else:
                 level = miss_path(addr, is_write, 0.0).level
-                if level == "L2":
-                    froutes[d_pos[j]] = _R_L2
-                elif level == "L3":
-                    froutes[d_pos[j]] = _R_L3
-                else:
-                    froutes[d_pos[j]] = _R_MEM
+                routes[d_pos[j]] = (_R_L2 if level == "L2" else
+                                    _R_L3 if level == "L3" else _R_MEM)
                 lines_append(addr - addr % line_size)
             if pf_lists is not None:
                 for pf_line in pf_lists[j]:
                     prefetch_fill(pf_line)
-        close_run()
-        routes.extend(froutes)
+        if run_addrs:
+            close_run()
+        hierarchy.demand_accesses += n_demand
+        d_pos.clear()
+        d_addr.clear()
+        d_pc.clear()
+        d_store.clear()
 
-    p_store = pend_store.append
-    p_addr = pend_addr.append
-    p_pc = pend_pc.append
-    p_collapse = pend_collapse.append
-    mi = di = 0
-    for h in seq:
-        kind = h[0]
-        if kind == 1:        # load
-            addr = mem_addrs[mi]
-            mi += 1
-            index = h[7]
-            cm = cold[index]
-            if (cm[2] or cm[3]) and not lm_lo <= addr < lm_hi:
-                # Guarded/divert SM access: bounce through the scalar path.
-                flush()
-                out = load(addr, guarded=cm[2], oracle_divert=cm[3],
-                           pc=index, now=0.0)
-                served = out.served_by
-                if served == "L1":
-                    routes_append(_R_L1)
-                elif served == "LM":
-                    if cm[2]:   # guarded hit: presence stall recomputed live
-                        routes_append(_R_GUARD)
-                        guard_entries.append(
-                            directory._tag_index[addr & directory.base_mask])
-                    else:       # oracle-divert hit: plain LM latency
-                        routes_append(_R_LM)
-                elif served == "L2":
-                    routes_append(_R_L2)
-                    lines_append(addr - addr % line_size)
-                elif served == "L3":
-                    routes_append(_R_L3)
-                    lines_append(addr - addr % line_size)
-                else:           # MEM
-                    routes_append(_R_MEM)
-                    lines_append(addr - addr % line_size)
-            else:
-                p_store(False)
-                p_addr(addr)
-                p_pc(index)
-                p_collapse(False)
-        elif kind == 2:      # store
-            addr = mem_addrs[mi]
-            mi += 1
-            index = h[7]
-            cm = cold[index]
-            if (cm[2] or cm[3]) and not lm_lo <= addr < lm_hi:
-                flush()
-                out = store(addr, 0.0, guarded=cm[2], oracle_divert=cm[3],
-                            collapse_with_prev=cm[4], pc=index, now=0.0)
-                served = out.served_by
-                if served == "L1":
-                    routes_append(_R_L1)
-                elif served == "LM":
-                    if cm[2]:
-                        routes_append(_R_GUARD)
-                        guard_entries.append(
-                            directory._tag_index[addr & directory.base_mask])
-                    else:
-                        routes_append(_R_LM)
-                elif served == "collapsed":
-                    routes_append(_R_COLLAPSED)
-                elif served == "L2":
-                    routes_append(_R_L2)
-                    lines_append(addr - addr % line_size)
-                elif served == "L3":
-                    routes_append(_R_L3)
-                    lines_append(addr - addr % line_size)
-                else:           # MEM
-                    routes_append(_R_MEM)
-                    lines_append(addr - addr % line_size)
-            else:
-                p_store(True)
-                p_addr(addr)
-                p_pc(index)
-                p_collapse(cm[4])
-        elif kind == 6:      # dma-get
-            flush()
-            lm_v = dma_words[di]
-            sm = dma_words[di + 1]
-            size = dma_words[di + 2]
-            di += 3
-            first = sm - sm % line_size
-            end = sm + size - 1
-            dma_nlines.append((end - end % line_size - first) // line_size + 1)
-            dma_addrs.append(sm)
-            S.dma_get(lm_v, sm, size, tag=cold[h[7]][1], now=0.0)
-            if directory.is_configured:
-                dget_entries.append(translate(lm_v) // directory.buffer_size)
-            else:
-                dget_entries.append(-1)
-        elif kind == 7:      # dma-put
-            flush()
-            lm_v = dma_words[di]
-            sm = dma_words[di + 1]
-            size = dma_words[di + 2]
-            di += 3
-            first = sm - sm % line_size
-            end = sm + size - 1
-            dma_nlines.append((end - end % line_size - first) // line_size + 1)
-            dma_addrs.append(sm)
-            S.dma_put(lm_v, sm, size, tag=cold[h[7]][1], now=0.0)
-            if multicore and directory.is_configured:
-                # MulticoreHybridSystem.dma_put: write-back ends the chunk's
-                # LM residence, unmapping the issuing core's directory entry.
-                lm_offset = translate(lm_v)
-                entry = directory.entries[directory.buffer_index(lm_offset)]
-                if entry.valid and entry.tag == (sm & directory.base_mask):
-                    directory.invalidate_buffer(lm_offset)
-        elif kind == 8:      # dma-sync (timing only; keeps the syncs counter)
-            S.dma_sync(cold[h[7]][1], now=0.0)
-        elif kind == 9:      # set-bufsize
-            S.set_buffer_size(cold[h[7]][1])
-    flush()
-    prefetcher = hierarchy.prefetcher
-    patch = {
-        "loads": S.loads + lm_plain_loads,
-        "stores": S.stores + lm_plain_stores,
-        "guarded_loads": S.guarded_loads,
-        "guarded_stores": S.guarded_stores,
-        "collapsed_stores": S.collapsed_stores,
-        "mem_ops": S.mem_ops + lm_plain_loads + lm_plain_stores,
-        "last_store_addr": S._last_store_addr,
-        "last_store_to_sm": S._last_store_to_sm,
-        "demand_accesses": hierarchy.demand_accesses,
-        "l1": hierarchy.l1.stats,
-        "l2": hierarchy.l2.stats,
-        "l3": hierarchy.l3.stats,
-        "memory_reads": hierarchy.memory.reads,
-        "memory_writes": hierarchy.memory.writes,
-        "bus_transactions": hierarchy.bus.transactions,
-        "bus_dma_transactions": hierarchy.bus.dma_transactions,
-        "bus_bytes": hierarchy.bus.bytes_transferred,
-        "pf_trainings": prefetcher.trainings,
-        "pf_issued": prefetcher.issued,
-        "pf_collisions": prefetcher.collisions,
-    }
-    n_dir = 0
     if use_lm:
-        n_dir = len(directory.entries)
-        patch.update({
-            "lm_reads": S.lm.reads + lm_plain_loads,
-            "lm_writes": S.lm.writes + lm_plain_stores,
-            "agu": (S.agu.guarded_loads, S.agu.guarded_stores,
-                    S.agu.diverted_loads, S.agu.diverted_stores),
-            "dir_lookups": directory.stats.lookups,
-            "dir_hits": directory.stats.hits,
-            "dir_misses": directory.stats.misses,
-            "dir_updates": directory.stats.updates,
-            "dir_configurations": directory.stats.configurations,
-            "dma_gets": S.dmac.gets,
-            "dma_puts": S.dmac.puts,
-            "dma_syncs": S.dmac.syncs,
-            "dma_words": S.dmac.words_transferred,
-            "dma_lines": S.dmac.lines_transferred,
-        })
-    return _OracleRoutes(bytes(routes), miss_lines, guard_entries, dma_nlines,
-                         dma_addrs, dget_entries, n_dir, patch)
+        lookup = directory.lookup
+        peek = directory.peek_lookup
+        tag_index = directory._tag_index
+    guard_append = guard_entries.append
+    p_pos, p_addr, p_pc, p_store = (d_pos.append, d_addr.append,
+                                    d_pc.append, d_store.append)
+    g_loads = g_stores = hit_loads = hit_stores = collapsed = 0
+    div_loads = div_stores = sm_loads = sm_stores = 0
+    last_addr = None
+    last_sm = False
+    n_ev = len(ev_kinds)
+    start = di = 0
+    for e in range(n_ev + 1):
+        stop = cuts[e] if e < n_ev else len(sm_pos)
+        for k in range(start, stop):
+            c = sm_cls[k]
+            addr = sm_addr[k]
+            if c & 2:                       # guarded: one directory lookup
+                if lookup(addr, 0.0)[0]:
+                    routes[sm_pos[k]] = _R_GUARD
+                    guard_append(tag_index[addr & directory.base_mask])
+                    if c & 1:
+                        g_stores += 1
+                        hit_stores += 1
+                        last_addr = addr
+                        last_sm = False
+                    else:
+                        g_loads += 1
+                        hit_loads += 1
+                    continue
+                if c & 1:                   # miss: the store updates SM
+                    g_stores += 1
+                    sm_stores += 1
+                    last_addr = addr
+                    last_sm = True
+                else:
+                    g_loads += 1
+                    sm_loads += 1
+            elif c & 4 and peek(addr)[0]:   # oracle-divert hit: LM latency
+                if c & 1:
+                    div_stores += 1
+                    last_addr = addr
+                    last_sm = False
+                else:
+                    div_loads += 1
+                continue
+            elif c & 1:
+                if c & 16:                  # an LM store cleared the latch
+                    last_sm = False
+                if c & 8 and last_sm and last_addr == addr:
+                    routes[sm_pos[k]] = _R_COLLAPSED
+                    collapsed += 1
+                    continue
+                sm_stores += 1
+                last_addr = addr
+                last_sm = True
+            else:
+                sm_loads += 1
+            p_pos(sm_pos[k])
+            p_addr(addr)
+            p_pc(sm_pc[k])
+            p_store(c & 1)
+        start = stop
+        if e == n_ev:
+            break
+        kind = ev_kinds[e]
+        if kind <= 7:                       # DMA snoops touch the caches
+            flush()
+        _oracle_event(S, kind, ev_tags[e], dma_words, di, multicore,
+                      dma_nlines, dma_addrs, dget_entries)
+        if kind <= 7:
+            di += 3
+    flush()
+
+    # -- fold what the skipped load()/store() calls would have counted --
+    S.loads += n_mem - n_stores - n_lm_loads
+    S.stores += n_stores - n_lm_stores
+    S.mem_ops += n_mem - n_lm_loads - n_lm_stores
+    S.guarded_loads += g_loads
+    S.guarded_stores += g_stores
+    S.collapsed_stores += collapsed
+    memory.reads += sm_loads            # _sm_load's read_word
+    memory.writes += sm_stores + collapsed  # write_word, collapsed included
+    if use_lm:
+        agu = S.agu
+        agu.guarded_loads += g_loads
+        agu.guarded_stores += g_stores
+        agu.diverted_loads += hit_loads
+        agu.diverted_stores += hit_stores
+        S.lm.reads += hit_loads + div_loads
+        S.lm.writes += hit_stores + div_stores
+    if final_lm_store is not None:
+        last_addr, last_sm = final_lm_store, False
+    S._last_store_addr = last_addr
+    S._last_store_to_sm = last_sm
+    return _oracle_result(S, routes, miss_lines, guard_entries, dma_nlines,
+                          dma_addrs, dget_entries, n_lm_loads, n_lm_stores)
 
 
 def _flags_to_artifact(entry) -> tuple:
@@ -1146,18 +1049,18 @@ class _VectorLane:
     """
 
     __slots__ = ("order", "trace", "config", "timing", "fetch_time", "done",
-                 "_seq", "_n", "_fu_counts", "_phase_names", "_phase_acc",
+                 "_seq_pcs", "_n", "_fu_counts", "_phase_names", "_phase_acc",
                  "_mem", "_oracle", "_flags", "_gen", "_state")
 
     def __init__(self, order: int, phase_names, decoded, vtab: _VTab,
                  vstream, trace: Trace, mem, config, oracle: _OracleRoutes,
                  flags, kern, uncore=None):
-        seq, branches, mem_addrs, dma_words, fu_counts, seq_pcs = decoded
+        fu_counts, seq_pcs = decoded[4], decoded[5]
         self.order = order
         self.trace = trace
         self.config = config
-        self._seq = seq
-        self._n = len(seq)
+        self._seq_pcs = seq_pcs
+        self._n = len(seq_pcs)
         self._fu_counts = fu_counts
         self._phase_names = phase_names
         self._phase_acc = [0.0] * len(phase_names)
@@ -1419,7 +1322,7 @@ class _VectorLane:
 
         hierarchy = system.hierarchy
         hierarchy.l1i.stats, hierarchy.icache_accesses = _l1i_stats(
-            self.trace, self._seq, self.config, hierarchy.config)
+            self.trace, self._seq_pcs, self.config, hierarchy.config)
 
         timing.fetch_time = fetch_time
         timing.committed = self._n
@@ -1521,7 +1424,7 @@ def replay_single_vector(trace: Trace, machine: MachineConfig, kern,
                              parent_hash=parent_hash)
     config = core_config_for(machine)
     mode = trace.key.mode
-    oracle = _cached_oracle(trace, decoded, cold, mode, machine, False,
+    oracle = _cached_oracle(trace, decoded, cold, hot, mode, machine, False,
                             parent_hash=parent_hash)
     flags = _cached_flags(trace, decoded, cold, config, hot,
                           parent_hash=parent_hash)
@@ -1576,8 +1479,8 @@ def replay_multicore_vector(mtrace: MulticoreTrace,
         # off the multicore *family* hash (the key every core shares).
         decoded = _cached_decode(trace, hot, cold, fu_values,
                                  parent_hash=key.key_hash)
-        oracle = _cached_oracle(trace, decoded, cold, key.mode, machine, True,
-                                parent_hash=key.key_hash)
+        oracle = _cached_oracle(trace, decoded, cold, hot, key.mode, machine,
+                                True, parent_hash=key.key_hash)
         flags = _cached_flags(trace, decoded, cold, config, hot,
                               parent_hash=key.key_hash)
         vtab = _cached_vtab(trace, hot, cold)

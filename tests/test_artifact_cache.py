@@ -3,7 +3,7 @@
 Three families:
 
 * **Batched == scalar.**  :func:`repro.trace.vector._oracle_routes` (the
-  vectorized oracle pass) must emit exactly what the reference walk
+  array oracle pass) must emit exactly what the reference walk
   :func:`~repro.trace.vector._oracle_routes_scalar` emits — routes,
   out-of-band miss lines, guard/DMA side arrays and the final counter
   patch — over every route kind (LM / guarded / L1 / L2 / L3 / MEM /
@@ -30,6 +30,7 @@ import random
 import struct
 import subprocess
 import sys
+from array import array
 
 import pytest
 
@@ -108,7 +109,7 @@ def test_batched_oracle_matches_scalar_randomized(mode, workload, fresh_cache):
     rng = random.Random(20260807)
     machine0 = _machine(1)
     _, trace = capture_workload(workload, mode, "tiny", machine=machine0)
-    decoded, cold, _ = _decoded_for(trace)
+    decoded, cold, hot = _decoded_for(trace)
     seen = set()
     # Trial 0 pins a steep ladder (L1 << L2 << L3 << working set) so every
     # demand level is guaranteed to serve; the rest are random draws.
@@ -122,9 +123,9 @@ def test_batched_oracle_matches_scalar_randomized(mode, workload, fresh_cache):
     } for _ in range(4)]
     for overrides in geometries:
         machine = machine0.with_overrides(overrides)
-        batched = vector_mod._oracle_routes(decoded, cold, mode, machine,
-                                            False)
-        scalar = vector_mod._oracle_routes_scalar(decoded, cold, mode,
+        batched = vector_mod._oracle_routes(decoded, cold, hot, mode,
+                                            machine, False)
+        scalar = vector_mod._oracle_routes_scalar(decoded, cold, hot, mode,
                                                   machine, False)
         _assert_same_oracle(batched, scalar)
         seen |= set(batched.routes)
@@ -151,19 +152,19 @@ def test_batched_oracle_matches_scalar_multicore(fresh_cache):
     for entry, trace in zip(entries, mtrace.cores):
         _, _, hot, cold, fu_values, _, _ = entry
         decoded = replay_mod._decode_trace(trace, hot, cold, fu_values)
-        batched = vector_mod._oracle_routes(decoded, cold, "hybrid", machine,
-                                            True)
-        scalar = vector_mod._oracle_routes_scalar(decoded, cold, "hybrid",
-                                                  machine, True)
+        batched = vector_mod._oracle_routes(decoded, cold, hot, "hybrid",
+                                            machine, True)
+        scalar = vector_mod._oracle_routes_scalar(decoded, cold, hot,
+                                                  "hybrid", machine, True)
         _assert_same_oracle(batched, scalar)
         assert batched.dma_nlines                  # dget/dput both present
 
 
 def _guard_stream(machine):
-    """A hand-built ``(decoded, cold)`` stream that reaches the GUARD route
-    (guarded access served by a directory hit), which never occurs in the
-    NAS captures at test scales, plus a guarded directory *miss* and an LSQ
-    store collapse."""
+    """A hand-built ``(decoded, cold, hot)`` stream that reaches the GUARD
+    route (guarded access served by a directory hit), which never occurs in
+    the NAS captures at test scales, plus a guarded directory *miss* and an
+    LSQ store collapse."""
     base = build_system("hybrid", machine).address_map.virtual_base
     chunk = 512
     sm = 1 << 20
@@ -189,17 +190,18 @@ def _guard_stream(machine):
     mem_addrs = [sm + 8, sm + 10 * chunk, sm + 16,
                  sm + 9 * chunk, sm + 9 * chunk]
     dma_words = [base, sm, chunk, base, sm, chunk]
-    return (seq, [], mem_addrs, dma_words, {}), cold
+    seq_pcs = array("I", range(len(seq)))   # each pc retires once, in order
+    return (seq, [], mem_addrs, dma_words, {}, seq_pcs), cold, seq
 
 
 def test_batched_oracle_guarded_divert_and_collapse_synthetic():
     """Drive the GUARD route, a guarded directory miss and a store collapse
     through both oracle implementations."""
     machine = _machine(1)
-    decoded, cold = _guard_stream(machine)
-    batched = vector_mod._oracle_routes(decoded, cold, "hybrid", machine,
-                                        False)
-    scalar = vector_mod._oracle_routes_scalar(decoded, cold, "hybrid",
+    decoded, cold, hot = _guard_stream(machine)
+    batched = vector_mod._oracle_routes(decoded, cold, hot, "hybrid",
+                                        machine, False)
+    scalar = vector_mod._oracle_routes_scalar(decoded, cold, hot, "hybrid",
                                               machine, False)
     _assert_same_oracle(batched, scalar)
     assert list(batched.routes) == [_R._R_GUARD, _R._R_MEM, _R._R_GUARD,
@@ -207,6 +209,73 @@ def test_batched_oracle_guarded_divert_and_collapse_synthetic():
     assert len(batched.guard_entries) == 2
     assert batched.collapsed == 1
     assert batched.patch["agu"] == (2, 1, 1, 1)    # one divert each way
+
+
+_SM, _CHUNK = 1 << 20, 512
+_FAR = _SM + 9 * _CHUNK                 # never mapped to the LM
+_MAP = [("setbuf", _CHUNK), ("dget", _SM)]  # [_SM, _SM + _CHUNK) -> buffer 0
+
+# Streams (as functions of the LM base) that probe what the array oracle
+# derives from each SM op's previous-store index and from the directory
+# resolved inline, with the routes of their memory ops.
+_LATCH_STREAMS = {
+    "lm-store-between-guarded-miss-and-candidate": (lambda lm: _MAP + [
+        ("st", _FAR, "g"), ("st", lm + 8), ("st", _FAR, "c")],
+        [_R._R_MEM, _R._R_LM, _R._R_L1]),
+    "divert-miss-then-collapse": (lambda lm: _MAP + [
+        ("st", _FAR), ("st", _FAR, "dc")],
+        [_R._R_MEM, _R._R_COLLAPSED]),
+    "guarded-hit-before-candidate": (lambda lm: _MAP + [
+        ("st", _SM + 16), ("st", _SM + 16, "g"), ("st", _SM + 16, "c")],
+        [_R._R_MEM, _R._R_GUARD, _R._R_L1]),
+    "ends-in-lm-store": (lambda lm: _MAP + [
+        ("st", _FAR), ("st", _FAR, "c"), ("st", lm + 24)],
+        [_R._R_MEM, _R._R_COLLAPSED, _R._R_LM]),
+    "set-bufsize-between-guarded-lookups": (lambda lm: _MAP + [
+        ("ld", _SM + 8, "g"), ("setbuf", _CHUNK), ("ld", _SM + 8, "g")],
+        [_R._R_GUARD, _R._R_MEM]),
+}
+
+
+def _event_stream(events, lm):
+    """A hand-built ``(decoded, cold, hot)`` stream, one pc per event, each
+    retired once in order.  Events are ``("ld" | "st", addr[, flags])``
+    with flags from ``g`` (guarded), ``d`` (oracle-divert) and ``c``
+    (collapse candidate), ``("dget" | "dput", sm)`` moving one chunk
+    through LM buffer 0, and ``("setbuf", size)``."""
+    kinds = {"ld": 1, "st": 2, "dget": 6, "dput": 7, "setbuf": 9}
+    hot, cold, mem_addrs, dma_words = [], [], [], []
+    for pc, (name, operand, *rest) in enumerate(events):
+        flags = rest[0] if rest else ""
+        hot.append((kinds[name], None, None, None, None, None, None, pc))
+        cold.append((0, operand if name == "setbuf" else 0, "g" in flags,
+                     "d" in flags, "c" in flags))
+        if name in ("ld", "st"):
+            mem_addrs.append(operand)
+        elif name != "setbuf":
+            dma_words += [lm, operand, _CHUNK]
+    seq_pcs = array("I", range(len(events)))
+    return (hot, [], mem_addrs, dma_words, {}, seq_pcs), cold, hot
+
+
+@pytest.mark.parametrize("name", sorted(_LATCH_STREAMS))
+def test_array_oracle_latch_and_directory_synthetic(name):
+    """The collapse latch across LM stores, guarded hits and divert misses,
+    the final latch, and a directory reconfigured between guarded lookups:
+    the array oracle equals the scalar walk."""
+    machine = _machine(1)
+    lm = build_system("hybrid", machine).address_map.virtual_base
+    events, routes = _LATCH_STREAMS[name]
+    decoded, cold, hot = _event_stream(events(lm), lm)
+    array_oracle = vector_mod._oracle_routes(decoded, cold, hot, "hybrid",
+                                             machine, False)
+    scalar = vector_mod._oracle_routes_scalar(decoded, cold, hot, "hybrid",
+                                              machine, False)
+    _assert_same_oracle(array_oracle, scalar)
+    assert list(array_oracle.routes) == routes
+    if name == "ends-in-lm-store":
+        assert array_oracle.patch["last_store_addr"] == lm + 24
+        assert array_oracle.patch["last_store_to_sm"] is False
 
 
 # -------------------------------------------------- batched flags == scalar
@@ -261,6 +330,31 @@ def test_warm_vector_replay_is_pass_free(fresh_cache):
         assert run.sim.memory_stats == fused.sim.memory_stats
         assert run.sim.core_stats["per_core"] == \
             fused.sim.core_stats["per_core"]
+
+
+def test_warm_vector_replay_builds_no_seq(fresh_cache, monkeypatch):
+    """A decode read from disk carries only the pc stream: the vector engine
+    replays from it without building the per-instruction ``seq`` and equals
+    fused; a later fused replay materialises ``seq`` once, in the memo."""
+    machine = _machine(2)
+    _, mtrace = capture_workload("CG", "hybrid", "tiny", machine=machine)
+    fused = replay_trace(mtrace, machine)
+    replay_trace(mtrace, machine, engine="vector")      # cold: writes
+
+    def no_walk(*args):
+        raise AssertionError("the decode walk ran on a warm replay")
+
+    _clear_memo_caches()
+    monkeypatch.setattr(replay_mod, "_decode_trace", no_walk)
+    warm = replay_trace(mtrace, machine, engine="vector")
+    entries = list(replay_mod._DECODE_CACHE.values())
+    assert len(entries) == 2 and all(e[0] is None for e in entries)
+    _assert_same_run(warm, fused)
+
+    _assert_same_run(replay_trace(mtrace, machine), fused)
+    entries = list(replay_mod._DECODE_CACHE.values())
+    assert all(len(e[0]) == mtrace.cores[i].instructions
+               for i, e in enumerate(entries))
 
 
 def test_warm_replay_identity_clustered(fresh_cache):
@@ -343,9 +437,9 @@ def _corrupt(sections, name, fn):
 def test_artifact_validation_rejects_each_inconsistency(fresh_cache):
     """Every count or range the C kernel relies on is checked on read."""
     machine = _machine(1)
-    decoded, cold = _guard_stream(machine)
-    oracle = vector_mod._oracle_routes(decoded, cold, "hybrid", machine,
-                                       False)
+    decoded, cold, hot = _guard_stream(machine)
+    oracle = vector_mod._oracle_routes(decoded, cold, hot, "hybrid",
+                                       machine, False)
     n_mem = len(decoded[2])
     meta, sections = vector_mod._oracle_to_artifact(oracle)
     sections = dict(sections)

@@ -16,7 +16,7 @@ import pytest
 
 from repro.harness.config import PTLSIM_CONFIG
 from repro.harness.experiments import MACHINE_ABLATION_POINTS
-from repro.harness.runner import run_program, run_workload
+from repro.harness.runner import ExperimentContext, run_program, run_workload
 from repro.harness.sweep import (
     STORE_SCHEMA,
     ResultStore,
@@ -90,6 +90,24 @@ def test_replay_cycle_identical_other_modes(mode):
 def test_replay_micro_cycle_identical():
     executed, trace = capture_micro("RD/WR", guarded_fraction=0.5,
                                     iterations=200, unroll=4)
+    _assert_identical(executed, replay_trace(trace))
+
+
+def test_micro_needs_a_coherence_directory():
+    """The microbenchmark configures the directory, so the cache-based
+    system is refused at spec time by every entry point, naming the modes
+    that have one; hybrid-oracle (a directory, no guard energy) runs."""
+    for start in (lambda: capture_micro("baseline", 0.0, 100, 20,
+                                        system_mode="cache"),
+                  lambda: SweepContext().micro_spec("baseline", 0.0, 100, 20,
+                                                    system_mode="Cache"),
+                  lambda: ExperimentContext().run_micro(
+                      "baseline", 0.0, 100, 20, system_mode="cache")):
+        with pytest.raises(ValueError, match="hybrid-oracle"):
+            start()
+    executed, trace = capture_micro("baseline", 0.0, 100, 20,
+                                    system_mode="hybrid-oracle")
+    assert executed.cycles == 476.25
     _assert_identical(executed, replay_trace(trace))
 
 
