@@ -167,8 +167,10 @@ class MulticoreHybridSystem:
             num_slices=self.topology.num_clusters,
             home_fn=getattr(self.uncore, "home_cluster", None))
         # Configured chunk (LM buffer) size per core; the O(1) check probes
-        # one base per *distinct* size (in practice exactly one).
+        # one base per *distinct* size (in practice exactly one), kept as a
+        # tuple that set_buffer_size refreshes.
         self._chunk_sizes: Dict[int, int] = {}
+        self._distinct_sizes: Tuple[int, ...] = ()
 
     def core(self, core_id: int) -> HybridSystem:
         return self.cores[core_id]
@@ -194,7 +196,7 @@ class MulticoreHybridSystem:
         if not self.enforce_ownership or not self.home_directory.total_entries:
             return
         directory = self.home_directory
-        for size in set(self._chunk_sizes.values()):
+        for size in self._distinct_sizes:
             owner = directory.owner((size, sm_addr & ~(size - 1)))
             if owner is not None and owner != core_id:
                 raise OwnershipViolation(
@@ -212,7 +214,7 @@ class MulticoreHybridSystem:
     def owner_of(self, sm_addr: int) -> Optional[int]:
         """Core currently holding the chunk containing ``sm_addr`` (None when
         unmapped) — introspection for tests and examples."""
-        for size in set(self._chunk_sizes.values()):
+        for size in self._distinct_sizes:
             owner = self.home_directory.owner((size, sm_addr & ~(size - 1)))
             if owner is not None:
                 return owner
@@ -278,6 +280,7 @@ class MulticoreHybridSystem:
         # including ones made at an older granularity — are gone too.
         self.home_directory.drop_core(core_id)
         self._chunk_sizes[core_id] = size_bytes
+        self._distinct_sizes = tuple(set(self._chunk_sizes.values()))
         return result
 
     # -- reporting ---------------------------------------------------------------------

@@ -59,6 +59,10 @@ class DMAController:
         Fixed cost of programming and starting a transfer.
     per_line_latency:
         Pipelined per-cache-line transfer cost.
+
+    ``copy_data`` (default True) moves the functional data words; trace
+    replay clears it, because a replayed run reads no data and the copies
+    change no counter.
     """
 
     def __init__(self, hierarchy: MemoryHierarchy, local_memory: LocalMemory,
@@ -69,6 +73,7 @@ class DMAController:
         self.map = address_map
         self.setup_latency = setup_latency
         self.per_line_latency = per_line_latency
+        self.copy_data = True
         self.transfers: List[DMATransfer] = []
         self._outstanding: Dict[int, List[DMATransfer]] = {}
         self.gets = 0
@@ -106,10 +111,10 @@ class DMAController:
             raise ValueError("DMA size must be a positive multiple of the word size")
         lm_offset = self.map.translate(lm_vaddr)
         lines = self._lines_of(sm_addr, size)
-        for line in lines:
-            self.hierarchy.snoop_read(line)
-        values = self.hierarchy.memory.read_block(sm_addr, size)
-        self.lm.write_block(lm_offset, values)
+        self.hierarchy.snoop_read_lines(lines)
+        if self.copy_data:
+            values = self.hierarchy.memory.read_block(sm_addr, size)
+            self.lm.write_block(lm_offset, values)
         self.gets += 1
         self.words_transferred += size // WORD_SIZE
         self.lines_transferred += len(lines)
@@ -134,11 +139,11 @@ class DMAController:
         if size <= 0 or size % WORD_SIZE != 0:
             raise ValueError("DMA size must be a positive multiple of the word size")
         lm_offset = self.map.translate(lm_vaddr)
-        values = self.lm.read_block(lm_offset, size)
-        self.hierarchy.memory.write_block(sm_addr, values)
+        if self.copy_data:
+            values = self.lm.read_block(lm_offset, size)
+            self.hierarchy.memory.write_block(sm_addr, values)
         lines = self._lines_of(sm_addr, size)
-        for line in lines:
-            self.hierarchy.snoop_invalidate(line)
+        self.hierarchy.snoop_invalidate_lines(lines)
         self.puts += 1
         self.words_transferred += size // WORD_SIZE
         self.lines_transferred += len(lines)

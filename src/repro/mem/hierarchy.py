@@ -7,10 +7,12 @@ provides three entry points:
 * :meth:`access` — demand loads/stores issued by the core (the cache-served
   path of the hybrid memory system, and every access of the cache-based
   baseline);
-* :meth:`snoop_read` — coherent dma-get bus requests that look up the caches
-  for the valid copy before falling back to main memory (Section 2.1);
-* :meth:`snoop_invalidate` — coherent dma-put bus requests that write main
-  memory and invalidate the line in the whole hierarchy (Section 2.1).
+* :meth:`snoop_read_lines` — the coherent bus requests of one dma-get
+  burst, looking up the caches for the valid copy of each line before
+  falling back to main memory (Section 2.1);
+* :meth:`snoop_invalidate_lines` — the coherent bus requests of one dma-put
+  burst, writing main memory and invalidating each line in the whole
+  hierarchy (Section 2.1).
 """
 
 from __future__ import annotations
@@ -239,32 +241,42 @@ class MemoryHierarchy:
         return self.uncore.acquire(now, lines)
 
     # -- coherent DMA bus requests ----------------------------------------------
-    def snoop_read(self, addr: int) -> float:
-        """dma-get bus request: find the valid copy of one line in the SM.
+    def snoop_read_lines(self, lines) -> float:
+        """dma-get bus requests: find the valid copy of each line in the SM.
 
-        The caches are looked up top-down; if the line is found it is read
-        from there, otherwise from main memory.  Returns the latency of
-        sourcing this line.
+        One bus transfer carries the whole burst.  The caches are looked up
+        top-down, one level at a time: every line probes the L1, the L1
+        misses probe the L2, the L2 misses the L3, and what no cache holds
+        is read from main memory.  Each cache sees its lines in burst order,
+        so its state and statistics are exactly those of looking the lines
+        up one after the other.  Returns the summed latency of sourcing the
+        lines.
         """
         c = self.config
-        lat = self.bus.transfer(1, c.line_size, dma=True)
-        if self.l1.access(addr, False, kind="dma") and self.l1.probe(addr):
-            return lat + c.l1_latency
-        if self.l2.access(addr, False, kind="dma"):
-            return lat + c.l2_latency
-        if self.l3.access(addr, False, kind="dma"):
-            return lat + c.l3_latency
-        return lat + c.memory_latency
+        lat = float(self.bus.transfer(len(lines), c.line_size, dma=True))
+        missed = lines
+        for cache, latency in ((self.l1, c.l1_latency),
+                               (self.l2, c.l2_latency),
+                               (self.l3, c.l3_latency)):
+            if not missed:
+                break
+            hits = cache.access_batch(missed, False, kind="dma")
+            lat += sum(hits) * latency
+            missed = [line for line, hit in zip(missed, hits) if not hit]
+        return lat + len(missed) * c.memory_latency
 
-    def snoop_invalidate(self, addr: int) -> float:
-        """dma-put bus request: invalidate the line in the whole hierarchy."""
+    def snoop_invalidate_lines(self, lines) -> float:
+        """dma-put bus requests: write each line to main memory and
+        invalidate it in the whole hierarchy (one bus transfer per burst).
+        Returns the summed latency of the write-backs."""
         c = self.config
-        lat = self.bus.transfer(1, c.line_size, dma=True)
-        self.l1.invalidate(addr)
-        self.l2.invalidate(addr)
-        self.l3.invalidate(addr)
-        self.memory.writes += 1
-        return lat + c.memory_latency
+        lat = self.bus.transfer(len(lines), c.line_size, dma=True)
+        for cache in (self.l1, self.l2, self.l3):
+            invalidate = cache.invalidate
+            for line in lines:
+                invalidate(line)
+        self.memory.writes += len(lines)
+        return float(lat + len(lines) * c.memory_latency)
 
     # -- functional data --------------------------------------------------------
     def read_word(self, addr: int):

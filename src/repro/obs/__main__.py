@@ -7,8 +7,9 @@ Subcommands::
                pre-lower, oracle/flags passes, timing) plus the counters
                (cache hits/misses, C-kernel epochs, bounce reasons)
     overhead   perf guard: time a small replay ablation sweep with the
-               default null recorder vs a recording one; exit non-zero when
-               enabling recording costs more than the threshold
+               default null recorder vs a recording one, in alternating
+               pairs; exit non-zero when the median per-pair cost of
+               enabling recording exceeds the threshold
 
 Examples::
 
@@ -22,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import statistics
 import sys
 import time
 from typing import Optional, Sequence
@@ -92,7 +94,39 @@ def _cmd_report(args) -> int:
     return 0
 
 
+#: Fewest timing pairs the overhead verdict accepts.
+MIN_PAIRS = 7
+
+
+def overhead_verdict(base_times, instrumented_times, threshold_pct: float,
+                     grace_seconds: float):
+    """Verdict of the recording-overhead guard from paired sweep timings.
+
+    ``base_times[k]`` and ``instrumented_times[k]`` ran back to back (pair
+    ``k``).  The overhead is the median over pairs of the ratio
+    instrumented/base, minus one: host load that slows a few sweeps moves
+    single pairs, not the median.  It passes when the overhead, in seconds
+    of the median base time, is within ``threshold_pct`` percent of that
+    time plus ``grace_seconds``.  Returns ``(ok, overhead_fraction,
+    median_base_seconds)``.
+    """
+    if len(base_times) != len(instrumented_times):
+        raise ValueError("overhead timings must come in pairs")
+    if len(base_times) < MIN_PAIRS:
+        raise ValueError(f"the overhead verdict needs at least {MIN_PAIRS} "
+                         f"timing pairs, got {len(base_times)}")
+    frac = statistics.median(
+        i / b for b, i in zip(base_times, instrumented_times)) - 1.0
+    base = statistics.median(base_times)
+    ok = frac * base <= base * threshold_pct / 100.0 + grace_seconds
+    return ok, frac, base
+
+
 def _cmd_overhead(args) -> int:
+    if args.repeats < MIN_PAIRS:
+        print(f"error: --repeats must be at least {MIN_PAIRS}",
+              file=sys.stderr)
+        return 2
     from repro.harness.sweep import RunSpec, run_sweep
     from repro.trace.store import EphemeralTraceStore
 
@@ -109,29 +143,29 @@ def _cmd_overhead(args) -> int:
         run_sweep(specs, store=None, trace_store=trace_store)
 
     sweep()     # warm: capture the families, fill decode/program caches
-    base = instrumented = float("inf")
-    for _ in range(args.repeats):
-        # Interleave the two variants so clock drift hits both equally.
-        t0 = time.perf_counter()
-        sweep()
-        base = min(base, time.perf_counter() - t0)
-        with obs.recording():
-            t0 = time.perf_counter()
-            sweep()
-            instrumented = min(instrumented, time.perf_counter() - t0)
-    delta = instrumented - base
-    pct = 100.0 * delta / base if base > 0 else 0.0
-    # A small absolute grace keeps the guard meaningful when the sweep is
-    # fast enough that scheduler noise rivals the relative threshold.
-    ok = delta <= base * args.threshold / 100.0 + args.grace_seconds
+    base_times, instrumented_times = [], []
+    for pair in range(args.repeats):
+        # Alternate which variant runs first, so drift and warm-up within a
+        # pair hit both variants equally often.
+        for recording in ((False, True) if pair % 2 == 0 else (True, False)):
+            if recording:
+                with obs.recording():
+                    t0 = time.perf_counter()
+                    sweep()
+                    instrumented_times.append(time.perf_counter() - t0)
+            else:
+                t0 = time.perf_counter()
+                sweep()
+                base_times.append(time.perf_counter() - t0)
+    ok, frac, base = overhead_verdict(base_times, instrumented_times,
+                                      args.threshold, args.grace_seconds)
     print(f"overhead guard: {len(specs)} replay cell(s) "
           f"({args.workload} {args.scale}, modes {','.join(modes)}), "
-          f"best of {args.repeats}")
-    print(f"  null recorder      {base:8.3f}s")
-    print(f"  metrics recorder   {instrumented:8.3f}s")
-    print(f"  overhead           {delta:+8.3f}s ({pct:+.2f}%) — "
-          f"threshold {args.threshold:.1f}% (+{args.grace_seconds:.2f}s grace): "
-          f"{'PASS' if ok else 'FAIL'}")
+          f"median of {args.repeats} alternating pairs")
+    print(f"  null recorder      {base:8.3f}s (median)")
+    print(f"  overhead           {frac * base:+8.3f}s ({100.0 * frac:+.2f}%, "
+          f"median per-pair ratio) — threshold {args.threshold:.1f}% "
+          f"(+{args.grace_seconds:.2f}s grace): {'PASS' if ok else 'FAIL'}")
     return 0 if ok else 1
 
 
@@ -176,8 +210,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     p_over.add_argument("--workload", default="CG")
     p_over.add_argument("--modes", default="hybrid,cache")
     p_over.add_argument("--scale", default="small")
-    p_over.add_argument("--repeats", type=int, default=3,
-                        help="timing repeats per variant; best is kept")
+    p_over.add_argument("--repeats", type=int, default=MIN_PAIRS,
+                        help="alternating timing pairs (at least "
+                             f"{MIN_PAIRS}); the verdict is the median "
+                             "per-pair ratio")
     p_over.add_argument("--threshold", type=float, default=2.0,
                         help="max recording overhead in percent (default 2)")
     p_over.add_argument("--grace-seconds", type=float, default=0.05,

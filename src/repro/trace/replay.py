@@ -1,31 +1,40 @@
 """Timing replay: re-time a captured dynamic stream under any machine config.
 
 The replay engine rebuilds the static program (compilation is deterministic
-given the trace key), instantiates a *fresh* memory system, coherence
-directory and branch predictor for the requested machine configuration, and
-drives them with the recorded stream instead of the execution frontend:
+given the trace key), instantiates a *fresh* memory system and coherence
+directory for the requested machine configuration, and drives them with the
+recorded stream instead of the execution frontend:
 
 * the instruction sequence is re-derived once per trace by walking the
-  static program with the recorded conditional-branch outcomes (cached, so
-  an ablation sweep over one trace pays for the walk once);
-* loads/stores are issued to the real :class:`~repro.core.hybrid.HybridSystem`
-  at their recorded addresses — LM-range accesses take a stat-identical
-  inlined fast path (mirroring
-  :meth:`~repro.core.hybrid.HybridSystem.lm_timing_access`), everything else
-  goes through the unmodified ``load``/``store`` code;
-* DMA commands are issued with their recorded operands;
+  static program's basic blocks with the recorded conditional-branch
+  outcomes (cached, so an ablation sweep over one trace pays for the walk
+  once);
+* branch mispredictions come from one flags pass per (trace, predictor
+  geometry) — :func:`_branch_flags`, shared with the vector engine — that
+  runs the real predictor and BTB over the recorded outcomes: their state
+  never depends on the clock;
+* loads/stores at their recorded addresses drive the real directory
+  (``lookup`` for guarded accesses, ``peek_lookup`` for oracle-divert ones)
+  and the real cache hierarchy, but without the
+  :class:`~repro.core.hybrid.HybridSystem` ``load``/``store`` call: the LM
+  latency, the hierarchy access and the store-collapse latch are inline
+  and the counters those calls would change are added back at the end.
+  Only a system with a protocol checker still takes the full calls;
+* DMA commands, dma-sync and set-bufsize are issued to the system with
+  their recorded operands (the DMA controller snoops and counts but moves
+  no data words);
 * register reads, ALU evaluation, branch condition evaluation and data
   movement are skipped entirely — they are what the trace replaces.
 
 **Cycle identity.**  At the capture machine configuration replay produces
 bit-identical cycles, phase breakdowns, activity counters and energy to
-execution-driven simulation: the memory system receives the identical call
-sequence with identical clock estimates, and the timing math below is an
-independent transcription of the out-of-order model that
-:class:`~repro.cpu.executor.ExecutionLane` runs (see
-:mod:`repro.cpu.pipeline`), operating on the same component state (ROB/LSQ
-deques, predictor tables).  Three mechanical substitutions keep the math
-identical while making it faster:
+execution-driven simulation: the directory, caches, DMA controller and
+uncore receive the identical operation sequence with identical clock
+estimates, and the timing math below is an independent transcription of
+the out-of-order model that :class:`~repro.cpu.executor.ExecutionLane`
+runs (see :mod:`repro.cpu.pipeline`), operating on the same component state
+(ROB/LSQ deques).  Three mechanical substitutions keep the math identical
+while making it faster:
 
 * the per-cycle issue-slot and functional-unit reservation *dicts* become
   flat lists indexed by cycle (a pruned dict entry is never consulted again
@@ -34,13 +43,14 @@ identical while making it faster:
 * trace-static aggregates (retired-instruction count, per-class FU op
   counts, LSQ occupancy) are precomputed from the decoded stream instead of
   incremented per instruction;
-* LM-range accesses and plain SM loads and stores skip the
-  ``HybridSystem`` call and update the counters it would (instruction
-  fetch, likewise, is simulated out of band by :func:`_l1i_stats`).
+* loads and stores skip the ``HybridSystem`` call and update the counters
+  it would (instruction fetch, likewise, is simulated out of band by
+  :func:`_l1i_stats`, and branches read the flags pass).
 
 ``tests/test_trace_replay.py`` enforces the identity for every NAS
-workload; any change to the execution lane's timing or to the LM and plain
-SM load/store branches of ``hybrid.py`` must be mirrored here.
+workload and for guarded and oracle-divert accesses that hit the
+directory; any change to the execution lane's timing or to the load/store
+branches of ``hybrid.py`` must be mirrored here.
 
 **The fused loop is a lane state machine.**  :class:`_FusedLane` holds one
 core's fused replay state (decoded stream cursor, flat reservation tables,
@@ -75,6 +85,7 @@ from typing import Optional
 import numpy as np
 
 from repro import obs
+from repro.cpu.branch_predictor import HybridBranchPredictor
 from repro.cpu.core import lane_result
 from repro.cpu.multicore import aggregate_results, run_resumable_lanes
 from repro.cpu.pipeline import CODE_BASE, CODE_INSTR_SIZE, OutOfOrderTimingModel
@@ -211,49 +222,61 @@ def _program_meta(program):
 def _decode_trace(trace: Trace, hot, cold, fu_values):
     """Expand the trace into the retired dynamic sequence (one walk).
 
-    Returns ``(seq, branches, mem_addrs, dma_words, fu_counts, seq_pcs)``
-    where ``seq`` references the per-pc hot tuples in retirement order and
-    ``seq_pcs`` is the same sequence as a flat PC array (the persistable
-    projection: ``seq`` is rebuilt from it as ``[hot[pc] for pc in
-    seq_pcs]``).  The walk also validates that the trace matches the
-    rebuilt program exactly.
+    Returns ``(None, branches, mem_addrs, dma_words, fu_counts, seq_pcs)``
+    where ``seq_pcs`` is the retired pc sequence as a flat array (the
+    persistable projection; :func:`_cached_decode` builds the fused engine's
+    per-instruction ``seq`` from it on request).  The walk visits basic
+    blocks, not instructions: from any pc, execution runs straight to the
+    next conditional branch or jump, so each step emits a pc range and
+    consumes at most one branch outcome.  It also validates that the trace
+    matches the rebuilt program exactly.
     """
     branches = trace.branch_outcomes()
     mem_addrs = list(trace.mem_addrs)
     dma_words = list(trace.dma_words)
     prog_len = len(hot)
-    seq = []
-    append = seq.append
-    visits = [0] * prog_len
-    pc = 0
-    bi = mi = di = 0
+    kind_of = [h[0] for h in hot]
+    # ends[pc]: the first branch or jump at or after pc (prog_len if none).
+    ends = [prog_len] * prog_len
+    end = prog_len
+    for pc in range(prog_len - 1, -1, -1):
+        if kind_of[pc] == _K_CBR or kind_of[pc] == _K_JMP:
+            end = pc
+        ends[pc] = end
+    starts, lengths = [], []
+    n = trace.instructions
+    pc = done = bi = 0
     try:
-        for _ in range(trace.instructions):
+        while done < n:
             if pc >= prog_len:
                 raise IndexError
-            h = hot[pc]
-            append(h)
-            visits[pc] += 1
-            kind = h[0]
-            if kind == _K_LOAD or kind == _K_STORE:
-                mi += 1
-                pc += 1
-            elif kind == _K_CBR:
-                taken = branches[bi]
-                bi += 1
-                pc = cold[pc][0] if taken else pc + 1
-            elif kind == _K_JMP:
-                pc = cold[pc][0]
-            elif kind == _K_DGET or kind == _K_DPUT:
-                di += 3
-                pc += 1
-            else:
-                pc += 1
+            start = pc
+            end = ends[pc]
+            length = min(end + 1, prog_len, start + n - done) - start
+            starts.append(start)
+            lengths.append(length)
+            done += length
+            pc = start + length
+            if pc == end + 1:           # the block's branch or jump retired
+                pc = end                # where a missing outcome is reported
+                if kind_of[end] == _K_JMP:
+                    pc = cold[end][0]
+                else:
+                    pc = cold[end][0] if branches[bi] else end + 1
+                    bi += 1
     except IndexError:
         raise TraceError(
             f"trace {trace.key.label} ran off its program or event streams "
-            f"at pc={pc} (event {len(seq)} of {trace.instructions}); the "
-            "trace does not match the rebuilt program") from None
+            f"at pc={pc} (event {done} of {n}); the trace does not match "
+            "the rebuilt program") from None
+    lengths = np.array(lengths, np.int64)
+    offsets = np.repeat(np.array(starts, np.int64) - np.cumsum(lengths)
+                        + lengths, lengths)
+    pcs = (np.arange(n, dtype=np.int64) + offsets).astype(np.uint32)
+    visits = np.bincount(pcs, minlength=prog_len)
+    kinds = np.array(kind_of, np.uint8)
+    mi = int(visits[(kinds == _K_LOAD) | (kinds == _K_STORE)].sum())
+    di = 3 * int(visits[(kinds == _K_DGET) | (kinds == _K_DPUT)].sum())
     if bi != len(branches) or mi != len(mem_addrs) or di != len(dma_words):
         raise TraceError(
             f"trace {trace.key.label} left unconsumed events "
@@ -261,20 +284,19 @@ def _decode_trace(trace: Trace, hot, cold, fu_values):
             f"dma {di}/{len(dma_words)}); the trace does not match the "
             "rebuilt program")
     fu_counts: dict = {}
-    for pc, count in enumerate(visits):
-        if count:
-            fu_value = fu_values[pc]
-            fu_counts[fu_value] = fu_counts.get(fu_value, 0) + count
-    seq_pcs = array("I", [h[7] for h in seq])
-    return seq, branches, mem_addrs, dma_words, fu_counts, seq_pcs
+    for pc in np.flatnonzero(visits).tolist():
+        fu_value = fu_values[pc]
+        fu_counts[fu_value] = fu_counts.get(fu_value, 0) + int(visits[pc])
+    seq_pcs = array("I")
+    seq_pcs.frombytes(pcs.tobytes())
+    return None, branches, mem_addrs, dma_words, fu_counts, seq_pcs
 
 
 def _decode_to_artifact(decoded):
     """Project a decode result onto its persistable (meta, sections) form.
 
     Only the retired PC stream and the FU visit histogram need storing:
-    branch/memory/DMA event streams live in the trace itself, and ``seq``
-    is ``[hot[pc] for pc in seq_pcs]`` by construction.
+    branch/memory/DMA event streams live in the trace itself.
     """
     fu_counts, seq_pcs = decoded[4], decoded[5]
     meta = {"n": len(seq_pcs),
@@ -286,10 +308,9 @@ def _decode_from_artifact(meta, sections, trace: Trace, hot):
     """Rebuild a decode result from its artifact, or None if implausible.
 
     Skips the control-flow walk entirely — validity was established when
-    the artifact was written under the same (fingerprint, digest) key.  The
-    entry's ``seq`` is None: the vector engine reads ``seq_pcs`` only, and
-    the fused engine materialises ``seq`` when it first needs it (see
-    :func:`_cached_decode`).  A pc outside the program reads as torn.
+    the artifact was written under the same (fingerprint, digest) key.  As
+    from the walk, the entry's ``seq`` is None.  A pc outside the program
+    reads as torn.
     """
     try:
         seq_pcs = array("I")
@@ -320,6 +341,14 @@ _L1I_CACHE: "OrderedDict[tuple, tuple]" = OrderedDict()
 _CACHE_CAP = 8
 
 
+def _remember(memo: OrderedDict, key, entry, cap: int) -> None:
+    """Insert ``entry`` into an LRU memo, evicting the oldest past ``cap``."""
+    memo[key] = entry
+    while len(memo) > cap:
+        memo.popitem(last=False)
+
+
+
 def _cached_program(key: TraceKey):
     entry = _PROGRAM_CACHE.get(key.key_hash)
     if entry is None:
@@ -329,9 +358,7 @@ def _cached_program(key: TraceKey):
             hot, cold, fu_values, phase_names = _program_meta(program)
             entry = (program, compiled, hot, cold, fu_values, phase_names,
                      program_fingerprint(program))
-        _PROGRAM_CACHE[key.key_hash] = entry
-        while len(_PROGRAM_CACHE) > _CACHE_CAP:
-            _PROGRAM_CACHE.popitem(last=False)
+        _remember(_PROGRAM_CACHE, key.key_hash, entry, _CACHE_CAP)
     else:
         obs.incr("replay.program.hit")
         _PROGRAM_CACHE.move_to_end(key.key_hash)
@@ -366,9 +393,7 @@ def _cached_parallel_program(key: TraceKey, machine: MachineConfig):
                 cores.append((comp.program, comp, hot, cold, fu_values,
                               phase_names, fingerprint))
             entry = tuple(cores)
-        _MC_PROGRAM_CACHE[key.key_hash] = entry
-        while len(_MC_PROGRAM_CACHE) > _CACHE_CAP:
-            _MC_PROGRAM_CACHE.popitem(last=False)
+        _remember(_MC_PROGRAM_CACHE, key.key_hash, entry, _CACHE_CAP)
     else:
         obs.incr("replay.program.hit")
         _MC_PROGRAM_CACHE.move_to_end(key.key_hash)
@@ -381,9 +406,8 @@ def _cached_decode(trace: Trace, hot, cold, fu_values, parent_hash=None,
 
     ``parent_hash`` (the owning trace's — or multicore family's — key hash)
     enables the on-disk artifact tier; without it only the in-memory memo
-    is consulted.  A decode read from disk carries no ``seq``;
-    ``with_seq=True`` (the fused engine) materialises it from ``seq_pcs``,
-    once per memo entry.
+    is consulted.  A decode carries no ``seq``; ``with_seq=True`` (the
+    fused engine) materialises it from ``seq_pcs``, once per memo entry.
     """
     cache_key = (trace.program_fingerprint, trace.stream_digest())
     entry = _DECODE_CACHE.get(cache_key)
@@ -409,9 +433,7 @@ def _cached_decode(trace: Trace, hot, cold, fu_values, parent_hash=None,
                           sections)
     if with_seq and entry[0] is None:
         entry = ([hot[pc] for pc in entry[5]],) + entry[1:]
-    _DECODE_CACHE[cache_key] = entry
-    while len(_DECODE_CACHE) > _CACHE_CAP:
-        _DECODE_CACHE.popitem(last=False)
+    _remember(_DECODE_CACHE, cache_key, entry, _CACHE_CAP)
     return entry
 
 
@@ -451,14 +473,162 @@ def _l1i_stats(trace: Trace, seq_pcs, config, mem_config):
             addrs = (CODE_BASE + fetched * CODE_INSTR_SIZE).tolist()
             l1i.access_batch(addrs, False, fill_misses=True)
             entry = (l1i.stats, len(addrs))
-        _L1I_CACHE[cache_key] = entry
-        while len(_L1I_CACHE) > _CACHE_CAP:
-            _L1I_CACHE.popitem(last=False)
+        _remember(_L1I_CACHE, cache_key, entry, _CACHE_CAP)
     else:
         obs.incr("replay.l1i.hit")
         _L1I_CACHE.move_to_end(cache_key)
     stats, accesses = entry
     return _dc.replace(stats), accesses
+
+
+# ------------------------------------------------------------ branch flags
+# One mispredict flag per conditional branch and jump, in retirement order:
+# predictor and BTB state evolve with the recorded outcomes only, never with
+# the clock, so both replay engines read the flags of one pass per (stream,
+# predictor geometry) instead of walking the predictor per branch.
+_FLAGS_CACHE: "OrderedDict[tuple, tuple]" = OrderedDict()
+_FLAGS_CAP = 16
+
+
+def _flags_to_artifact(entry) -> tuple:
+    """Persistable (meta, sections) projection of a flags-pass result."""
+    flags, predictions, mispredictions, btb_hits, btb_misses = entry
+    meta = {"predictions": predictions, "mispredictions": mispredictions,
+            "btb_hits": btb_hits, "btb_misses": btb_misses}
+    return meta, [("flags", bytes(flags))]
+
+
+def _flags_from_artifact(meta, sections):
+    """Rebuild a flags-pass tuple from its artifact (None if torn)."""
+    try:
+        flags = sections["flags"]
+        if len(flags) != int(meta["predictions"]):
+            return None
+        return (flags, int(meta["predictions"]), int(meta["mispredictions"]),
+                int(meta["btb_hits"]), int(meta["btb_misses"]))
+    except (KeyError, TypeError, ValueError):
+        return None
+
+
+def _cached_flags(trace: Trace, decoded, cold, config, hot,
+                  parent_hash=None, engine: str = "vector") -> tuple:
+    """Branch flags of one stream: memory -> disk -> compute.
+
+    ``parent_hash`` enables the artifact tier as in :func:`_cached_decode`.
+    Both engines share the memo and the artifacts; the lookup reports its
+    phase and counters under the asking engine's prefix (``"vector"`` or
+    ``"replay"`` for fused), so each engine's profile shows its own cost.
+    """
+    key = (trace.program_fingerprint, trace.stream_digest(),
+           config.predictor_entries, config.btb_entries, config.btb_assoc)
+    entry = _FLAGS_CACHE.get(key)
+    if entry is not None:
+        obs.incr(f"{engine}.flags.hit")
+        _FLAGS_CACHE.move_to_end(key)
+        return entry
+    store = artifacts.default_store() if parent_hash else None
+    if store is not None:
+        loaded = store.get(parent_hash, "flags", key)
+        if loaded is not None:
+            entry = _flags_from_artifact(loaded[0], loaded[1])
+            if entry is not None:
+                obs.incr(f"{engine}.flags.hit")
+                obs.incr(f"{engine}.flags.disk.hit")
+                _remember(_FLAGS_CACHE, key, entry, _FLAGS_CAP)
+                return entry
+    obs.incr(f"{engine}.flags.miss")
+    with obs.phase(f"{engine}.flags"):
+        entry = _branch_flags(decoded, cold, config, hot)
+    _remember(_FLAGS_CACHE, key, entry, _FLAGS_CAP)
+    if store is not None:
+        meta, sections = _flags_to_artifact(entry)
+        store.put(parent_hash, "flags", key, meta, sections)
+    return entry
+
+
+def _branch_flags(decoded, cold, config, hot) -> tuple:
+    """Mispredict flag per branch event — the vectorized flags pass.
+
+    Identical output to :func:`_branch_flags_scalar` (enforced by
+    ``tests/test_artifact_cache.py``), but the per-event Python interleave
+    loop is gone: branch-event extraction is a numpy mask over the decoded
+    pc stream, conditionals go through the predictor's batched
+    :meth:`update_batch` whose flags land back in event order via one
+    vectorized scatter, and only the (sparse) BTB probe/install walk of
+    jumps and taken branches remains scalar.
+
+    Returns ``(flags, predictions, mispredictions, btb_hits, btb_misses)``
+    with one flag per conditional-branch/jump in retirement order.
+    """
+    branches = decoded[1]
+    seq_pcs = decoded[5]
+    predictor = HybridBranchPredictor(entries=config.predictor_entries,
+                                      btb_entries=config.btb_entries,
+                                      btb_assoc=config.btb_assoc,
+                                      ras_entries=config.ras_entries)
+    pcs = np.frombuffer(seq_pcs, np.uint32).astype(np.int64)
+    kind_by_pc = np.fromiter((h[0] for h in hot), np.uint8, len(hot))
+    target_by_pc = np.fromiter((c[0] for c in cold), np.int64, len(cold))
+    kinds = kind_by_pc[pcs]
+    ev_mask = (kinds == _K_CBR) | (kinds == _K_JMP)
+    ev_pcs = pcs[ev_mask]
+    is_jmp = kinds[ev_mask] == _K_JMP
+    n_ev = len(ev_pcs)
+    cbr_mask = ~is_jmp
+    takens = np.ones(n_ev, np.bool_)
+    takens[cbr_mask] = np.fromiter(branches, np.bool_, len(branches))
+    pc_addrs = CODE_BASE + ev_pcs * CODE_INSTR_SIZE
+    next_pc = np.where(takens, target_by_pc[ev_pcs], ev_pcs + 1)
+    target_addrs = CODE_BASE + next_pc * CODE_INSTR_SIZE
+
+    # Direction tables: one batched update over the conditional stream, its
+    # flags scattered back into event order.
+    cbr_flags = predictor.update_batch(pc_addrs[cbr_mask].tolist(),
+                                       list(branches))
+    flags = np.zeros(n_ev, np.uint8)
+    if cbr_flags:
+        flags[cbr_mask] = np.fromiter(cbr_flags, np.uint8, len(cbr_flags))
+
+    # BTB: jumps probe, every taken branch installs — same in-order sequence
+    # as the scalar pass, restricted to the events that actually touch it.
+    btb = predictor.btb
+    btb_lookup = btb.lookup
+    btb_update = btb.update
+    walk = np.flatnonzero(is_jmp | takens)
+    if len(walk):
+        w_pc = pc_addrs[walk].tolist()
+        w_ta = target_addrs[walk].tolist()
+        w_jmp = is_jmp[walk].tolist()
+        w_ei = walk.tolist()
+        for k in range(len(w_ei)):
+            pc_addr = w_pc[k]
+            if w_jmp[k]:
+                flags[w_ei[k]] = btb_lookup(pc_addr) is None
+            btb_update(pc_addr, w_ta[k])
+    return (flags.tobytes(), n_ev, int(flags.sum()), btb.hits, btb.misses)
+
+
+def _install_branch_stats(timing: OutOfOrderTimingModel, flags) -> None:
+    """Write a flags-pass result's predictor and BTB counters into a lane's
+    timing model — what the per-branch ``update``/BTB calls would leave."""
+    timing.mispredictions = flags[2]
+    predictor = timing.predictor
+    predictor.predictions = flags[1]
+    predictor.mispredictions = flags[2]
+    predictor.btb.hits = flags[3]
+    predictor.btb.misses = flags[4]
+
+
+def _skip_dma_copies(systems) -> None:
+    """Stop the DMA controllers of replay systems from moving data words.
+
+    A replayed run reads no data (loads take recorded addresses, stores
+    write nothing), and the block copies change no counter: a DMA transfer
+    only has to snoop the caches and count.
+    """
+    for system in systems:
+        if system.dmac is not None:
+            system.dmac.copy_data = False
 
 
 def replay_trace(trace: Trace,
@@ -528,9 +698,13 @@ def replay_trace(trace: Trace,
             "(the compiler or workload changed since capture)")
     decoded = _cached_decode(trace, hot, cold, fu_values,
                              parent_hash=trace.key.key_hash, with_seq=True)
+    config = core_config_for(machine)
+    flags = _cached_flags(trace, decoded, cold, config, hot,
+                          parent_hash=trace.key.key_hash, engine="replay")
     system = build_system(trace.key.mode, machine)
+    _skip_dma_copies([system])
     lane = _FusedLane(0, program, cold, phase_names, decoded, trace,
-                      system, system, core_config_for(machine))
+                      system, system, config, flags)
     with obs.phase("replay.timing"):
         lane.run_until(_INFINITY, 0)
         timing = lane.finish()
@@ -556,22 +730,30 @@ class _FusedLane:
     instructions (see the module docstring), so in multicore a switch comes
     once per run of private work, not per instruction.
 
-    ``system`` is the object memory and DMA operations are issued through —
-    a :class:`~repro.core.hybrid.HybridSystem` for single-core replay, a
-    :class:`~repro.core.multicore.CoreView` (ownership-checked facade) for
-    multicore — while ``mem`` is the underlying per-core
-    :class:`~repro.core.hybrid.HybridSystem` whose counters the loop syncs
-    around real calls and writes back in :meth:`finish` (the same object as
+    Branches read their mispredict flags from ``flags`` (a
+    :func:`_cached_flags` result).  Loads and stores are timing-only: the
+    LM latency, the real directory lookup of a guarded access (its
+    presence-bit stall included), the hierarchy access of an SM-served one
+    and the store-collapse latch run inline, and the counters the skipped
+    ``load``/``store`` calls would change are folded in :meth:`finish`.
+    ``system`` — a :class:`~repro.core.hybrid.HybridSystem` for single-core
+    replay, a :class:`~repro.core.multicore.CoreView` (ownership-checked
+    facade) for multicore — is called only for DMA commands, dma-sync,
+    set-bufsize and, when ``mem`` tracks the protocol
+    (``mem.checker``), for every load and store.  ``mem`` is the underlying
+    per-core :class:`~repro.core.hybrid.HybridSystem` whose components the
+    loop drives and whose counters it writes back (the same object as
     ``system`` in the single-core case).
     """
 
     __slots__ = ("order", "trace", "config", "timing", "fetch_time", "done",
                  "_seq_pcs", "_fu_counts", "_phase_names", "_phase_acc",
-                 "_mem", "_n", "_gen", "_state")
+                 "_mem", "_flags", "_n", "_gen", "_state")
 
     def __init__(self, order: int, program, cold, phase_names, decoded,
-                 trace: Trace, system, mem, config):
-        seq, branches, mem_addrs, dma_words, fu_counts = decoded[:5]
+                 trace: Trace, system, mem, config, flags):
+        seq, mem_addrs, dma_words, fu_counts = (decoded[0], decoded[2],
+                                                decoded[3], decoded[4])
         self.order = order
         self.trace = trace
         self.config = config
@@ -581,6 +763,7 @@ class _FusedLane:
         self._phase_names = phase_names
         self._phase_acc = [0.0] * len(phase_names)
         self._mem = mem
+        self._flags = flags
         timing = OutOfOrderTimingModel(config, hierarchy=mem.hierarchy)
         self.timing = timing
         self.fetch_time = 0.0
@@ -595,14 +778,13 @@ class _FusedLane:
                 reg_ready.setdefault(src, 0.0)
 
         if self._n:
-            self._gen = self._loop(seq, cold, branches, mem_addrs, dma_words,
-                                   system)
+            self._gen = self._loop(seq, cold, mem_addrs, dma_words, system)
             next(self._gen)     # run the loop's setup to the first yield
         else:   # defensive: programs always retire at least a HALT
             self._gen = None
-            self._state = (0, 0, 0, 0, 0.0, 0.0, 0.0, 0.0, 0.0, 0, 0.0, 0,
-                           mem.total_mem_latency, 0, 0, 0, 0, 0, 0, 0, 0,
-                           mem._last_store_addr, mem._last_store_to_sm, 8192)
+            self._state = ((0, 0.0, 0.0, 0.0, 0.0, 0.0, 0, 0.0,
+                            mem.total_mem_latency, mem._last_store_addr,
+                            mem._last_store_to_sm), (0,) * 13)
 
     def run_until(self, limit: float, limit_order: int) -> None:
         """Advance the lane until it reaches a shared-state instruction with
@@ -618,14 +800,14 @@ class _FusedLane:
         except StopIteration:
             self.done = True
 
-    def _loop(self, seq, cold, branches, mem_addrs, dma_words, system):
+    def _loop(self, seq, cold, mem_addrs, dma_words, system):
         """The fused per-instruction loop, as a generator.
 
         Yields whenever the scheduling contract hands control to another
         lane; every ``send`` delivers the next ``(limit, limit_order)`` key.
         All loop state is generator-local, so a lane switch costs one
-        resume.  On exhaustion the final scalar state is packed into
-        ``_state`` for :meth:`finish`.
+        resume.  On exhaustion the final scalar state and the access
+        counters are packed into ``_state`` for :meth:`finish`.
         """
         timing = self.timing
         config = self.config
@@ -637,11 +819,7 @@ class _FusedLane:
         issue_width = config.issue_width
         inv_fetch = 1.0 / config.fetch_width
         mispredict_penalty = config.mispredict_penalty
-        predictor = timing.predictor
-        predictor_update = predictor.update
-        btb = predictor.btb
-        btb_lookup = btb.lookup
-        btb_update = btb.update
+        flags = self._flags[0]
         fus = timing.fus
         fu_capacity = fus._capacity
         rob = timing.rob
@@ -654,8 +832,6 @@ class _FusedLane:
         lsq_append = lsq_times.append
         reg_ready = timing.reg_ready
         phase_acc = self._phase_acc
-        sys_load = system.load
-        sys_store = system.store
         use_lm = mem.use_lm
         dma_get = system.dma_get if use_lm else None
         dma_put = system.dma_put if use_lm else None
@@ -665,21 +841,25 @@ class _FusedLane:
             lm_lo = mem.address_map.virtual_base
             lm_hi = lm_lo + mem.address_map.size
             lm_lat = float(mem.lm.latency)
+            dir_lookup = mem.directory.lookup
+            dir_peek = mem.directory.peek_lookup
         else:
             lm_lo = lm_hi = -1
             lm_lat = 0.0
-        # Plain SM loads and stores (outside the LM range, neither guarded
-        # nor oracle-diverted) take a timing-only path: the store-collapse
-        # check, the hierarchy access and the counters HybridSystem.load /
-        # store would change, without the call or the data word.  A protocol
-        # checker needs the full call; in multicore the ownership check
-        # still runs for every such access.
-        hier_access = mem.hierarchy.access if mem.checker is None else None
+            dir_lookup = dir_peek = None
+        # Loads and stores outside the LM range are timing-only (see the
+        # class docstring) unless a protocol checker follows every access,
+        # or a guarded access would reach the cache-based system (the real
+        # call raises for it).  Per pc: 1 guarded, 2 oracle-divert, 4
+        # collapse candidate (the second store of a double store).
+        hier_access = mem.hierarchy.access
+        timing_only = mem.checker is None and (
+            use_lm or not any(c[2] for c in cold))
+        mcls = [(1 if c[2] else 2 if c[3] and use_lm else 0)
+                | (4 if c[4] else 0) for c in cold]
         check_ownership = getattr(system, "check_ownership", None)
-        # ``system`` (a CoreView in multicore) is only *called*; attribute
-        # syncs around real load/store calls go to the underlying per-core
-        # memory system, which is what the called code reads.
-        system = mem
+        sys_load = system.load
+        sys_store = system.store
 
         # Per-cycle reservation state as flat lists (see module docstring).
         issue_slots = [0] * 8192
@@ -687,9 +867,8 @@ class _FusedLane:
         fu_tables = [[0] * 8192 for _ in fu_capacity]
         fu_lens = [8192] * len(fu_capacity)
 
-        # -- scalar timing state (packed into _state at the end) --
+        # -- scalar timing state --
         fetch_time = 0.0
-        mispredictions = 0
         last_commit = 0.0  # == rob._last_commit_time == timing.last_commit_time
         rob_bw = 0.0       # rob._commit_bandwidth_time
         rob_stalls = 0.0
@@ -697,23 +876,26 @@ class _FusedLane:
         lsq_collapsed = 0
         contended = 0.0    # fus.contended_cycles
 
-        # LM fast-path accumulators.  ``total_lat`` mirrors the system's
+        # Access accumulators.  ``total_lat`` mirrors the system's
         # ``total_mem_latency`` and is synchronised around real load/store
         # calls so the float additions happen in exactly the execution order
         # (float addition is not associative); the integer counters are
         # exact and are added back once at the end.
-        total_lat = system.total_mem_latency
-        lm_loads = lm_stores = lm_reads = lm_writes = lm_mem_ops = 0
-        sm_loads = sm_stores = sm_collapsed = 0
-        last_store_addr = system._last_store_addr
-        last_store_to_sm = system._last_store_to_sm
+        total_lat = mem.total_mem_latency
+        last_store_addr = mem._last_store_addr
+        last_store_to_sm = mem._last_store_to_sm
+        lm_loads = lm_stores = 0            # LM-range accesses
+        loads = stores = 0                  # timing-only accesses
+        sm_reads = sm_writes = collapsed_stores = 0
+        g_loads = g_stores = g_hit_loads = g_hit_stores = 0
+        div_loads = div_stores = 0
 
         # The kinds as locals: the dispatch compares against them.
         K_ALU, K_LOAD, K_STORE, K_CBR, K_JMP = (
             _K_ALU, _K_LOAD, _K_STORE, _K_CBR, _K_JMP)
         K_HALT, K_DGET, K_DPUT, K_DSYNC = _K_HALT, _K_DGET, _K_DPUT, _K_DSYNC
         i = 0
-        bi = mi = di = 0
+        fi = mi = di = 0
         n = self._n
         limit, limit_order = yield
 
@@ -789,80 +971,106 @@ class _FusedLane:
                 if lm_lo <= addr < lm_hi:
                     # Inlined HybridSystem.lm_timing_access (load half).
                     lm_loads += 1
-                    lm_reads += 1
-                    lm_mem_ops += 1
-                    total_lat += lm_lat
                     latency = lm_lat
+                    total_lat += latency
+                elif timing_only:
+                    # HybridSystem.load past its LM-range branch.
+                    if check_ownership is not None:
+                        check_ownership(addr)
+                    loads += 1
+                    c = mcls[index]
+                    if c & 1:
+                        # Guarded load: the AGU's directory lookup.
+                        g_loads += 1
+                        hit, _, stall = dir_lookup(addr, now)
+                        if hit:
+                            g_hit_loads += 1
+                            latency = lm_lat + stall
+                        else:
+                            latency = hier_access(addr, False, index,
+                                                  now).latency
+                            sm_reads += 1
+                    elif c & 2 and dir_peek(addr)[0]:
+                        div_loads += 1          # oracle-divert hit
+                        latency = lm_lat
+                    else:
+                        latency = hier_access(addr, False, index, now).latency
+                        sm_reads += 1
+                    total_lat += latency
                 else:
                     cm = cold[index]
-                    if hier_access is not None and not (cm[2] or cm[3]):
-                        # Timing-only HybridSystem.load -> _sm_load.
-                        if check_ownership is not None:
-                            check_ownership(addr)
-                        latency = hier_access(addr, False, index, now).latency
-                        sm_loads += 1
-                        total_lat += latency
-                    else:
-                        system.total_mem_latency = total_lat
-                        latency = sys_load(addr, guarded=cm[2],
-                                           oracle_divert=cm[3], pc=index,
-                                           now=now).latency
-                        total_lat = system.total_mem_latency
+                    mem.total_mem_latency = total_lat
+                    latency = sys_load(addr, guarded=cm[2],
+                                       oracle_divert=cm[3], pc=index,
+                                       now=now).latency
+                    total_lat = mem.total_mem_latency
             elif kind == K_STORE:
                 addr = mem_addrs[mi]
                 mi += 1
+                collapsed = False
                 if lm_lo <= addr < lm_hi:
                     # Inlined HybridSystem.lm_timing_access (store half).
                     lm_stores += 1
-                    lm_writes += 1
-                    lm_mem_ops += 1
-                    total_lat += lm_lat
                     latency = lm_lat
+                    total_lat += latency
                     last_store_addr = addr
                     last_store_to_sm = False
-                    collapsed = False
-                else:
-                    cm = cold[index]
-                    if hier_access is not None and not (cm[2] or cm[3]):
-                        # Timing-only HybridSystem.store: the collapse check
-                        # against the latch, else _sm_store.
-                        if check_ownership is not None:
-                            check_ownership(addr)
-                        sm_stores += 1
-                        if cm[4] and last_store_to_sm and \
-                                last_store_addr == addr:
-                            sm_collapsed += 1
-                            latency = 0.0
-                            collapsed = True
+                elif timing_only:
+                    # HybridSystem.store past its LM-range branch.
+                    if check_ownership is not None:
+                        check_ownership(addr)
+                    stores += 1
+                    c = mcls[index]
+                    if c & 1:
+                        # Guarded store: the AGU's directory lookup; a miss
+                        # updates the SM copy.
+                        g_stores += 1
+                        hit, _, stall = dir_lookup(addr, now)
+                        if hit:
+                            g_hit_stores += 1
+                            latency = lm_lat + stall
+                            last_store_to_sm = False
                         else:
                             latency = hier_access(addr, True, index,
                                                   now).latency
-                            last_store_addr = addr
+                            sm_writes += 1
                             last_store_to_sm = True
-                            collapsed = False
-                        total_lat += latency
+                        last_store_addr = addr
+                    elif c & 2 and dir_peek(addr)[0]:
+                        div_stores += 1         # oracle-divert hit
+                        latency = lm_lat
+                        last_store_addr = addr
+                        last_store_to_sm = False
+                    elif c & 4 and last_store_to_sm and \
+                            last_store_addr == addr:
+                        # The double store's second half collapses (its
+                        # word is still written).
+                        collapsed_stores += 1
+                        sm_writes += 1
+                        latency = 0.0
+                        collapsed = True
                     else:
-                        system.total_mem_latency = total_lat
-                        system._last_store_addr = last_store_addr
-                        system._last_store_to_sm = last_store_to_sm
-                        outcome = sys_store(addr, 0.0, guarded=cm[2],
-                                            oracle_divert=cm[3],
-                                            collapse_with_prev=cm[4],
-                                            pc=index, now=now)
-                        total_lat = system.total_mem_latency
-                        last_store_addr = system._last_store_addr
-                        last_store_to_sm = system._last_store_to_sm
-                        latency = outcome.latency
-                        collapsed = outcome.served_by == "collapsed"
-            elif kind == K_CBR:
-                branch_taken = branches[bi]
-                bi += 1
-                next_pc = cold[index][0] if branch_taken else index + 1
-            elif kind == K_JMP:
-                branch_taken = True
-                next_pc = cold[index][0]
-            elif kind == K_HALT:
-                pass
+                        latency = hier_access(addr, True, index, now).latency
+                        sm_writes += 1
+                        last_store_addr = addr
+                        last_store_to_sm = True
+                    total_lat += latency
+                else:
+                    cm = cold[index]
+                    mem.total_mem_latency = total_lat
+                    mem._last_store_addr = last_store_addr
+                    mem._last_store_to_sm = last_store_to_sm
+                    outcome = sys_store(addr, 0.0, guarded=cm[2],
+                                        oracle_divert=cm[3],
+                                        collapse_with_prev=cm[4],
+                                        pc=index, now=now)
+                    last_store_addr = mem._last_store_addr
+                    last_store_to_sm = mem._last_store_to_sm
+                    latency = outcome.latency
+                    total_lat = mem.total_mem_latency
+                    collapsed = outcome.served_by == "collapsed"
+            elif kind <= K_HALT:
+                pass            # branch, jump, halt: nothing to resolve
             elif kind == K_DGET:
                 latency = dma_get(dma_words[di], dma_words[di + 1],
                                   dma_words[di + 2], tag=cold[index][1],
@@ -941,22 +1149,12 @@ class _FusedLane:
             else:
                 commit_completion = completion
                 if kind >= K_CBR:
-                    if kind == K_CBR or kind == K_JMP:
-                        pc_addr = CODE_BASE + index * CODE_INSTR_SIZE
-                        if kind == K_CBR:
-                            mispredicted = predictor_update(pc_addr,
-                                                            branch_taken)
-                        else:
-                            mispredicted = btb_lookup(pc_addr) is None
-                            predictor.predictions += 1
-                            if mispredicted:
-                                predictor.mispredictions += 1
-                        if branch_taken:
-                            btb_update(pc_addr,
-                                       CODE_BASE + next_pc * CODE_INSTR_SIZE)
-                        if mispredicted:
-                            mispredictions += 1
+                    # A mispredicted branch or jump redirects the front end
+                    # once it resolves.
+                    if kind <= K_JMP:
+                        if flags[fi]:
                             fetch_time = completion + mispredict_penalty
+                        fi += 1
                     fetch_time = fetch_time + inv_fetch
                     # Serialising instructions (dma-synch, halt) drain the
                     # pipeline.
@@ -980,23 +1178,24 @@ class _FusedLane:
             last_commit = rob_bw
 
         self.fetch_time = fetch_time
-        self._state = (i, bi, mi, di, fetch_time, last_commit, rob_bw,
-                       rob_stalls, lsq_stalls, lsq_collapsed, contended,
-                       mispredictions, total_lat, lm_loads, lm_stores,
-                       lm_reads, lm_writes, lm_mem_ops, sm_loads, sm_stores,
-                       sm_collapsed, last_store_addr, last_store_to_sm,
-                       slots_len)
+        self._state = ((mi, fetch_time, last_commit, rob_bw, rob_stalls,
+                        lsq_stalls, lsq_collapsed, contended, total_lat,
+                        last_store_addr, last_store_to_sm),
+                       (lm_loads, lm_stores, loads, stores, sm_reads,
+                        sm_writes, collapsed_stores, g_loads, g_stores,
+                        g_hit_loads, g_hit_stores, div_loads, div_stores))
 
     def finish(self) -> OutOfOrderTimingModel:
         """Write the accumulated state back into the timing model and memory
         system (so they report exactly what execution-driven simulation
         would) and return the timing model.  Call once, after ``done``.
         """
-        (i, bi, mi, di, fetch_time, last_commit, rob_bw, rob_stalls,
-         lsq_stalls, lsq_collapsed, contended, mispredictions, total_lat,
-         lm_loads, lm_stores, lm_reads, lm_writes, lm_mem_ops, sm_loads,
-         sm_stores, sm_collapsed, last_store_addr, last_store_to_sm,
-         slots_len) = self._state
+        ((mi, fetch_time, last_commit, rob_bw, rob_stalls, lsq_stalls,
+          lsq_collapsed, contended, total_lat, last_store_addr,
+          last_store_to_sm),
+         (lm_loads, lm_stores, loads, stores, sm_reads, sm_writes,
+          collapsed_stores, g_loads, g_stores, g_hit_loads, g_hit_stores,
+          div_loads, div_stores)) = self._state
         timing = self.timing
         system = self._mem
         phase_acc = self._phase_acc
@@ -1008,7 +1207,6 @@ class _FusedLane:
 
         timing.fetch_time = fetch_time
         timing.committed = self._n
-        timing.mispredictions = mispredictions
         timing.last_commit_time = last_commit
         timing.fu_op_counts.update(self._fu_counts)
         # Commit deltas are strictly positive, so a phase accumulated exactly
@@ -1024,19 +1222,29 @@ class _FusedLane:
         timing.lsq.memory_ops = mi
         timing.lsq.collapsed_stores = lsq_collapsed
         timing.fus.contended_cycles = contended
-        system.loads += lm_loads + sm_loads
-        system.stores += lm_stores + sm_stores
-        system.collapsed_stores += sm_collapsed
-        system.mem_ops += lm_mem_ops + sm_loads + sm_stores
-        # The skipped read_word / write_word calls (collapsed stores write).
-        hierarchy.memory.reads += sm_loads
-        hierarchy.memory.writes += sm_stores
+        _install_branch_stats(timing, self._flags)
+
+        # -- what the skipped load/store calls would have counted --
+        system.loads += lm_loads + loads
+        system.stores += lm_stores + stores
+        system.guarded_loads += g_loads
+        system.guarded_stores += g_stores
+        system.collapsed_stores += collapsed_stores
+        system.mem_ops += lm_loads + lm_stores + loads + stores
+        # MainMemory.read_word / write_word (collapsed stores write too).
+        hierarchy.memory.reads += sm_reads
+        hierarchy.memory.writes += sm_writes
         system.total_mem_latency = total_lat
         system._last_store_addr = last_store_addr
         system._last_store_to_sm = last_store_to_sm
         if system.use_lm:
-            system.lm.reads += lm_reads
-            system.lm.writes += lm_writes
+            system.lm.reads += lm_loads + g_hit_loads + div_loads
+            system.lm.writes += lm_stores + g_hit_stores + div_stores
+            agu = system.agu
+            agu.guarded_loads += g_loads
+            agu.guarded_stores += g_stores
+            agu.diverted_loads += g_hit_loads
+            agu.diverted_stores += g_hit_stores
         return timing
 
 
@@ -1088,6 +1296,7 @@ def _replay_multicore(mtrace: MulticoreTrace,
                 f"{entry[6]} (the compiler or workload changed since "
                 "capture)")
     system = build_multicore_system(key.mode, machine, num_cores=num_cores)
+    _skip_dma_copies(system.cores)
     if timeline is not None:
         system.uncore.timeline = timeline
     config = core_config_for(machine)
@@ -1096,9 +1305,11 @@ def _replay_multicore(mtrace: MulticoreTrace,
         program, comp, hot, cold, fu_values, phase_names, fingerprint = entry
         decoded = _cached_decode(trace, hot, cold, fu_values,
                                  parent_hash=key.key_hash, with_seq=True)
+        flags = _cached_flags(trace, decoded, cold, config, hot,
+                              parent_hash=key.key_hash, engine="replay")
         lanes.append(_FusedLane(core_id, program, cold, phase_names, decoded,
                                 trace, system.view(core_id),
-                                system.core(core_id), config))
+                                system.core(core_id), config, flags))
     with obs.phase("replay.timing"):
         run_resumable_lanes(lanes, timeline=timeline)
     per_core = [lane_result(lane.finish(),

@@ -2,10 +2,9 @@
 
 The fused replay engine (:mod:`repro.trace.replay`) already skips the
 frontend, but it still re-times one instruction at a time through the *real*
-memory-system objects — every SM access walks ``HybridSystem.load`` /
-``MemoryHierarchy.access``, every branch walks the predictor tables, with
-attribute syncs around each call.  The vector engine splits that work by
-*data dependence* instead:
+memory-system objects — every SM access walks the directory and
+``MemoryHierarchy.access`` in program order.  The vector engine splits that
+work by *data dependence* instead:
 
 * **Structure updates are batched out of the timing loop.**  Cache tag/LRU
   evolution, directory hit/miss outcomes, prefetcher training and branch
@@ -23,9 +22,11 @@ attribute syncs around each call.  The vector engine splits that work by
   predictor geometry) resolves every conditional branch through the batched
   :meth:`~repro.cpu.branch_predictor.HybridBranchPredictor.update_batch`
   entry point (provably equivalent to N scalar updates) and every jump
-  through the BTB, yielding a flat mispredict-flag stream.  Ablation points
-  that share a geometry share the pass — the 6-point ``medium`` machine
-  sweep pays 3 oracle passes and 1 flags pass instead of 6 full re-walks.
+  through the BTB, yielding a flat mispredict-flag stream (the pass lives
+  in :mod:`repro.trace.replay`: the fused engine reads the same flags).
+  Ablation points that share a geometry share the pass — the 6-point
+  ``medium`` machine sweep pays 3 oracle passes and 1 flags pass instead
+  of 6 full re-walks.
 
 * **Inside an epoch, the scalar lane recurrence remains.**  Issue/retire
   times form a data-dependent recurrence (ROB/LSQ occupancy, register
@@ -79,13 +80,19 @@ from repro.harness.systems import build_system, core_config_for
 from repro.mem.cache import CacheStats
 from repro.trace import _ckernel, artifacts
 from repro.trace.format import MulticoreTrace, Trace, TraceError
-from repro.trace.replay import (
+from repro.trace.replay import (  # noqa: F401 (flags pass re-exported)
+    _FLAGS_CACHE,
     _INFINITY,
+    _branch_flags,
     _cached_decode,
+    _cached_flags,
     _cached_parallel_program,
     _cached_program,
     _check_multicore_trace,
+    _install_branch_stats,
     _l1i_stats,
+    _remember,
+    _skip_dma_copies,
     check_replay_machine,
 )
 
@@ -101,7 +108,6 @@ _R_LM, _R_GUARD, _R_L1, _R_L2, _R_L3, _R_MEM, _R_COLLAPSED = 0, 1, 2, 3, 4, 5, 6
 # variant tables are small.  Caps sized so a 4-core sweep over a handful of
 # geometries never thrashes.
 _ORACLE_CACHE: "OrderedDict[tuple, _OracleRoutes]" = OrderedDict()
-_FLAGS_CACHE: "OrderedDict[tuple, tuple]" = OrderedDict()
 _VTAB_CACHE: "OrderedDict[str, _VTab]" = OrderedDict()
 _PRELOWER_CACHE: "OrderedDict[tuple, tuple]" = OrderedDict()
 _ORACLE_CAP = 24
@@ -128,13 +134,6 @@ _S_LM, _S_L1, _S_LIVE, _S_COLLAPSED = 0, 1, 2, 3
 _SEL_BY_ROUTE = np.array([_S_LM, _S_LIVE, _S_L1, _S_LIVE, _S_LIVE, _S_LIVE,
                           _S_COLLAPSED], np.uint8)
 _N_ROUTES = len(_SEL_BY_ROUTE)
-
-
-def _remember(memo: OrderedDict, key, entry, cap: int) -> None:
-    """Insert ``entry`` into an LRU memo, evicting the oldest past ``cap``."""
-    memo[key] = entry
-    while len(memo) > cap:
-        memo.popitem(last=False)
 
 
 class _OracleRoutes:
@@ -265,7 +264,10 @@ def _cached_oracle(trace: Trace, decoded, cold, hot, mode: str,
 def _oracle_event(S, kind: int, tag, dma_words, di: int, multicore: bool,
                   dma_nlines, dma_addrs, dget_entries) -> None:
     """Drive one DMA, dma-sync or set-bufsize event through the scratch
-    system at ``now=0.0``, recording the dget/dput side arrays."""
+    system at ``now=0.0``, recording the dget/dput side arrays.  The
+    scratch DMA controller moves no data words (see
+    :func:`~repro.trace.replay._skip_dma_copies`): its snoops and counters
+    are all the oracle reads."""
     if kind == 8:        # dma-sync (timing only; keeps the syncs counter)
         S.dma_sync(tag, now=0.0)
         return
@@ -374,6 +376,7 @@ def _oracle_routes_scalar(decoded, cold, hot, mode: str,
     """
     mem_addrs, dma_words, seq_pcs = decoded[2], decoded[3], decoded[5]
     S = build_system(mode, machine)
+    _skip_dma_copies([S])
     line_size = S.hierarchy.config.line_size
     directory = S.directory
     load = S.load
@@ -476,6 +479,7 @@ def _oracle_routes(decoded, cold, hot, mode: str, machine: MachineConfig,
     """
     mem_addrs, dma_words, seq_pcs = decoded[2], decoded[3], decoded[5]
     S = build_system(mode, machine)
+    _skip_dma_copies([S])
     hierarchy = S.hierarchy
     l1, l2, l3 = hierarchy.l1, hierarchy.l2, hierarchy.l3
     memory = hierarchy.memory
@@ -699,118 +703,7 @@ def _oracle_routes(decoded, cold, hot, mode: str, machine: MachineConfig,
                           dma_addrs, dget_entries, n_lm_loads, n_lm_stores)
 
 
-def _flags_to_artifact(entry) -> tuple:
-    """Persistable (meta, sections) projection of a flags-pass result."""
-    flags, predictions, mispredictions, btb_hits, btb_misses = entry
-    meta = {"predictions": predictions, "mispredictions": mispredictions,
-            "btb_hits": btb_hits, "btb_misses": btb_misses}
-    return meta, [("flags", bytes(flags))]
-
-
-def _flags_from_artifact(meta, sections):
-    """Rebuild a flags-pass tuple from its artifact (None if torn)."""
-    try:
-        flags = sections["flags"]
-        if len(flags) != int(meta["predictions"]):
-            return None
-        return (flags, int(meta["predictions"]), int(meta["mispredictions"]),
-                int(meta["btb_hits"]), int(meta["btb_misses"]))
-    except (KeyError, TypeError, ValueError):
-        return None
-
-
-def _cached_flags(trace: Trace, decoded, cold, config, hot,
-                  parent_hash=None) -> tuple:
-    key = (trace.program_fingerprint, trace.stream_digest(),
-           config.predictor_entries, config.btb_entries, config.btb_assoc)
-    entry = _FLAGS_CACHE.get(key)
-    if entry is not None:
-        obs.incr("vector.flags.hit")
-        _FLAGS_CACHE.move_to_end(key)
-        return entry
-    store = artifacts.default_store() if parent_hash else None
-    if store is not None:
-        loaded = store.get(parent_hash, "flags", key)
-        if loaded is not None:
-            entry = _flags_from_artifact(loaded[0], loaded[1])
-            if entry is not None:
-                obs.incr("vector.flags.hit")
-                obs.incr("vector.flags.disk.hit")
-                _remember(_FLAGS_CACHE, key, entry, _SMALL_CAP)
-                return entry
-    obs.incr("vector.flags.miss")
-    with obs.phase("vector.flags"):
-        entry = _branch_flags(decoded, cold, config, hot)
-    _remember(_FLAGS_CACHE, key, entry, _SMALL_CAP)
-    if store is not None:
-        meta, sections = _flags_to_artifact(entry)
-        store.put(parent_hash, "flags", key, meta, sections)
-    return entry
-
-
-def _branch_flags(decoded, cold, config, hot) -> tuple:
-    """Mispredict flag per branch event — the vectorized flags pass.
-
-    Identical output to :func:`_branch_flags_scalar` (enforced by
-    ``tests/test_artifact_cache.py``), but the per-event Python interleave
-    loop is gone: branch-event extraction is a numpy mask over the decoded
-    pc stream, conditionals go through the predictor's batched
-    :meth:`update_batch` whose flags land back in event order via one
-    vectorized scatter, and only the (sparse) BTB probe/install walk of
-    jumps and taken branches remains scalar.
-
-    Returns ``(flags, predictions, mispredictions, btb_hits, btb_misses)``
-    with one flag per conditional-branch/jump in retirement order.
-    """
-    branches = decoded[1]
-    seq_pcs = decoded[5]
-    predictor = HybridBranchPredictor(entries=config.predictor_entries,
-                                      btb_entries=config.btb_entries,
-                                      btb_assoc=config.btb_assoc,
-                                      ras_entries=config.ras_entries)
-    pcs = np.frombuffer(seq_pcs, np.uint32).astype(np.int64)
-    kind_by_pc = np.fromiter((h[0] for h in hot), np.uint8, len(hot))
-    target_by_pc = np.fromiter((c[0] for c in cold), np.int64, len(cold))
-    kinds = kind_by_pc[pcs]
-    ev_mask = (kinds == 3) | (kinds == 4)
-    ev_pcs = pcs[ev_mask]
-    is_jmp = kinds[ev_mask] == 4
-    n_ev = len(ev_pcs)
-    cbr_mask = ~is_jmp
-    takens = np.ones(n_ev, np.bool_)
-    takens[cbr_mask] = np.fromiter(branches, np.bool_, len(branches))
-    pc_addrs = CODE_BASE + ev_pcs * CODE_INSTR_SIZE
-    next_pc = np.where(takens, target_by_pc[ev_pcs], ev_pcs + 1)
-    target_addrs = CODE_BASE + next_pc * CODE_INSTR_SIZE
-
-    # Direction tables: one batched update over the conditional stream, its
-    # flags scattered back into event order.
-    cbr_flags = predictor.update_batch(pc_addrs[cbr_mask].tolist(),
-                                       list(branches))
-    flags = np.zeros(n_ev, np.uint8)
-    if cbr_flags:
-        flags[cbr_mask] = np.fromiter(cbr_flags, np.uint8, len(cbr_flags))
-
-    # BTB: jumps probe, every taken branch installs — same in-order sequence
-    # as the scalar pass, restricted to the events that actually touch it.
-    btb = predictor.btb
-    btb_lookup = btb.lookup
-    btb_update = btb.update
-    walk = np.flatnonzero(is_jmp | takens)
-    if len(walk):
-        w_pc = pc_addrs[walk].tolist()
-        w_ta = target_addrs[walk].tolist()
-        w_jmp = is_jmp[walk].tolist()
-        w_ei = walk.tolist()
-        for k in range(len(w_ei)):
-            pc_addr = w_pc[k]
-            if w_jmp[k]:
-                flags[w_ei[k]] = btb_lookup(pc_addr) is None
-            btb_update(pc_addr, w_ta[k])
-    return (flags.tobytes(), n_ev, int(flags.sum()), btb.hits, btb.misses)
-
-
-def _branch_flags_scalar(decoded, cold, config) -> tuple:
+def _branch_flags_scalar(decoded, cold, config, hot) -> tuple:
     """Mispredict flag per branch event, resolved through the real predictor.
 
     The direction tables (gshare/bimodal/selector/history) and the BTB are
@@ -819,7 +712,7 @@ def _branch_flags_scalar(decoded, cold, config) -> tuple:
     batched :meth:`update_batch` (exactly equivalent to N sequential
     updates), and one in-order pass replays the BTB: jumps probe it, every
     taken branch (conditional or jump) installs its target — the same
-    sequence the fused loop performs.
+    sequence execution performs.
 
     This is the reference pass; :func:`_branch_flags` is the vectorized
     version with identical output.
@@ -827,7 +720,7 @@ def _branch_flags_scalar(decoded, cold, config) -> tuple:
     Returns ``(flags, predictions, mispredictions, btb_hits, btb_misses)``
     with one flag per conditional-branch/jump in retirement order.
     """
-    seq, branches, mem_addrs, dma_words, fu_counts = decoded[:5]
+    branches, seq_pcs = decoded[1], decoded[5]
     predictor = HybridBranchPredictor(entries=config.predictor_entries,
                                       btb_entries=config.btb_entries,
                                       btb_assoc=config.btb_assoc,
@@ -837,10 +730,9 @@ def _branch_flags_scalar(decoded, cold, config) -> tuple:
     events = []     # (is_jmp, pc_addr, taken, target_addr)
     events_append = events.append
     bi = 0
-    for h in seq:
-        kind = h[0]
+    for index in seq_pcs:
+        kind = hot[index][0]
         if kind == 3:
-            index = h[7]
             taken = branches[bi]
             bi += 1
             pc_addr = CODE_BASE + index * CODE_INSTR_SIZE
@@ -850,7 +742,6 @@ def _branch_flags_scalar(decoded, cold, config) -> tuple:
             events_append((False, pc_addr, taken,
                            CODE_BASE + next_pc * CODE_INSTR_SIZE))
         elif kind == 4:
-            index = h[7]
             pc_addr = CODE_BASE + index * CODE_INSTR_SIZE
             events_append((True, pc_addr, True,
                            CODE_BASE + cold[index][0] * CODE_INSTR_SIZE))
@@ -1326,7 +1217,6 @@ class _VectorLane:
 
         timing.fetch_time = fetch_time
         timing.committed = self._n
-        timing.mispredictions = self._flags[2]
         timing.last_commit_time = last_commit
         timing.fu_op_counts.update(self._fu_counts)
         for idx, name in enumerate(self._phase_names):
@@ -1339,11 +1229,7 @@ class _VectorLane:
         timing.lsq.memory_ops = len(oracle.routes)
         timing.lsq.collapsed_stores = oracle.collapsed
         timing.fus.contended_cycles = contended
-        predictor = timing.predictor
-        predictor.predictions = self._flags[1]
-        predictor.mispredictions = self._flags[2]
-        predictor.btb.hits = self._flags[3]
-        predictor.btb.misses = self._flags[4]
+        _install_branch_stats(timing, self._flags)
 
         system.loads = patch["loads"]
         system.stores = patch["stores"]

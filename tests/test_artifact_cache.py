@@ -137,7 +137,7 @@ def test_batched_oracle_matches_scalar_randomized(mode, workload, fresh_cache):
         assert {_R._R_L1, _R._R_L2, _R._R_L3, _R._R_MEM} <= seen
     if mode == "hybrid":
         assert _R._R_LM in seen
-        assert decoded[0] and batched.dma_nlines   # DMA gets/puts resolved
+        assert decoded[5] and batched.dma_nlines   # DMA gets/puts resolved
         assert batched.patch["guarded_loads"] > 0  # guarded bounce exercised
     if workload == "IS" and mode == "hybrid":
         assert _R._R_COLLAPSED in seen
@@ -297,7 +297,8 @@ def test_batched_flags_match_scalar_randomized(fresh_cache):
             })
             config = core_config_for(machine)
             batched = vector_mod._branch_flags(decoded, cold, config, hot)
-            scalar = vector_mod._branch_flags_scalar(decoded, cold, config)
+            scalar = vector_mod._branch_flags_scalar(decoded, cold, config,
+                                                     hot)
             assert batched == scalar
 
 

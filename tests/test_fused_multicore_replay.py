@@ -45,7 +45,7 @@ def _assert_same_run(a, b):
 
 
 # ----------------------------------------- fused engine == execution lane runner
-@pytest.mark.parametrize("mode", ["hybrid", "cache"])
+@pytest.mark.parametrize("mode", ["hybrid", "hybrid-oracle", "cache"])
 @pytest.mark.parametrize("cores", [2, 4])
 def test_fused_identical_to_lane_replay(mode, cores):
     """The fused engine must match the execution-driven lane runner on every
@@ -59,6 +59,41 @@ def test_fused_identical_to_lane_replay(mode, cores):
     uncore_x = executed.sim.memory_stats["uncore"]
     assert uncore_f == uncore_x
     assert uncore_f["requests"] > 0
+
+
+def test_fused_replay_makes_no_per_access_system_calls(monkeypatch):
+    """Fused replay resolves guarded accesses, plain SM accesses and
+    branches inline: no ``HybridSystem.load``/``store``, no
+    ``GuardedAGU.generate``, no predictor ``update`` runs, and each DMA
+    transfer snoops the caches with one call."""
+    from collections import Counter
+
+    from repro.core.guarded import GuardedAGU
+    from repro.core.hybrid import HybridSystem
+    from repro.cpu.branch_predictor import HybridBranchPredictor
+    from repro.mem.hierarchy import MemoryHierarchy
+
+    machine = _machine(2)
+    executed, mtrace = capture_workload("CG", "hybrid", "tiny",
+                                        machine=machine)
+    calls = Counter()
+    for cls, name in ((HybridSystem, "load"), (HybridSystem, "store"),
+                      (GuardedAGU, "generate"),
+                      (HybridBranchPredictor, "update"),
+                      (MemoryHierarchy, "snoop_read_lines"),
+                      (MemoryHierarchy, "snoop_invalidate_lines")):
+        def counting(*args, _real=getattr(cls, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(cls, name, counting)
+    fused = replay_trace(mtrace, machine)
+    _assert_same_run(fused, executed)
+    assert calls["load"] == calls["store"] == 0
+    assert calls["generate"] == calls["update"] == 0
+    stats = fused.sim.memory_stats
+    assert stats["guarded_loads"] > 0 and stats["dma"]["gets"] > 0
+    assert calls["snoop_read_lines"] == stats["dma"]["gets"]
+    assert calls["snoop_invalidate_lines"] == stats["dma"]["puts"]
 
 
 def test_fused_identity_small_scale_spot_check():

@@ -50,8 +50,8 @@ def test_write_through_updates_l2_activity():
 def test_snoop_read_prefers_cached_copy():
     h = MemoryHierarchy(small_config())
     h.access(0x3000, False)           # brings the line into L1/L2/L3
-    latency_cached = h.snoop_read(0x3000)
-    latency_uncached = h.snoop_read(0x9000)
+    latency_cached = h.snoop_read_lines([0x3000])
+    latency_uncached = h.snoop_read_lines([0x9000])
     assert latency_cached < latency_uncached
     assert h.bus.dma_transactions == 2
 
@@ -60,7 +60,7 @@ def test_snoop_invalidate_removes_line_everywhere():
     h = MemoryHierarchy(small_config())
     h.access(0x4000, False)
     assert h.l1.probe(0x4000)
-    h.snoop_invalidate(0x4000)
+    h.snoop_invalidate_lines([0x4000])
     assert not h.l1.probe(0x4000)
     assert not h.l2.probe(0x4000)
     assert not h.l3.probe(0x4000)

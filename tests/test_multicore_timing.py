@@ -254,6 +254,31 @@ def test_mixed_chunk_sizes_do_not_alias():
         m.load(1, 0x4200)      # inside it: still caught
 
 
+def test_ownership_check_sees_every_configured_size():
+    """Two cores at different buffer sizes, one of them reconfigured: the
+    check each SM access passes (the one fused replay calls) probes both
+    current chunk sizes and still catches a touch of the other core's
+    chunk."""
+    m = MulticoreHybridSystem(num_cores=2, memory_config=SMALL_MEM,
+                              lm_size=8 * 1024)
+    m.set_buffer_size(0, 1024)
+    m.set_buffer_size(1, 1024)
+    m.set_buffer_size(1, 4096)     # core 1 moves to a wider chunk
+    m.dma_get(0, m.core(0).lm_virtual_base, 0x4000, 1024)
+    m.dma_get(1, m.core(1).lm_virtual_base, 0x8000, 4096)
+    view0, view1 = m.view(0), m.view(1)
+    view0.check_ownership(0x4200)  # its own chunk
+    view1.check_ownership(0x8c00)
+    with pytest.raises(OwnershipViolation):
+        view0.check_ownership(0x8c00)      # inside core 1's 4 KB chunk
+    with pytest.raises(OwnershipViolation):
+        view1.check_ownership(0x4200)      # inside core 0's 1 KB chunk
+    assert m.owner_of(0x8c00) == 1 and m.owner_of(0x4200) == 0
+    m.set_buffer_size(1, 1024)     # drops core 1's claims
+    view0.check_ownership(0x8c00)
+    assert m.owner_of(0x8c00) is None
+
+
 def test_core_view_routes_through_ownership(machine2):
     view0, view1 = machine2.view(0), machine2.view(1)
     view0.dma_get(view0.lm_virtual_base, 0x8000, 1024)

@@ -304,3 +304,43 @@ def test_run_sweep_records_store_hits_and_cells(tmp_path):
     assert rec.counters["sweep.store.miss"] == 1
     assert rec.counters["sweep.store.hit"] == 1
     assert rec.counters["sweep.cell.finished"] == 1
+
+
+# ------------------------------------------------ recording-overhead verdict
+def test_overhead_verdict_fails_a_steady_overhead():
+    from repro.obs.__main__ import overhead_verdict
+
+    base = [2.0, 2.1, 1.9, 2.0, 2.05, 1.95, 2.0]
+    ok, frac, median_base = overhead_verdict(
+        base, [b * 1.05 for b in base], 2.0, 0.05)
+    assert not ok
+    assert frac == pytest.approx(0.05)
+    assert median_base == 2.0
+
+
+def test_overhead_verdict_passes_symmetric_noise():
+    from repro.obs.__main__ import overhead_verdict
+
+    base = [2.0] * 8
+    noise = [0.10, -0.10, 0.10, -0.10, 0.10, -0.10, 0.10, -0.10]
+    ok, frac, _ = overhead_verdict(base, [b * (1 + e)
+                                          for b, e in zip(base, noise)],
+                                   2.0, 0.05)
+    assert ok
+    assert frac == pytest.approx(0.0)
+    # One pair slowed by host load moves the median by one rank, not the
+    # verdict.
+    base = [2.0] * 7
+    skew = [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.50]
+    assert overhead_verdict(base, [b * (1 + e) for b, e in zip(base, skew)],
+                            2.0, 0.05)[0]
+
+
+def test_overhead_verdict_needs_enough_pairs():
+    from repro.obs.__main__ import MIN_PAIRS, overhead_verdict
+
+    with pytest.raises(ValueError):
+        overhead_verdict([1.0] * (MIN_PAIRS - 1), [1.0] * (MIN_PAIRS - 1),
+                         2.0, 0.05)
+    with pytest.raises(ValueError):
+        overhead_verdict([1.0] * MIN_PAIRS, [1.0] * (MIN_PAIRS + 1), 2.0, 0.05)

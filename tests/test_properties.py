@@ -155,3 +155,81 @@ def test_branch_predictor_counters_stay_consistent(outcomes):
     assert bp.predictions == len(outcomes)
     assert 0 <= bp.mispredictions <= bp.predictions
     assert 0.0 <= bp.misprediction_rate <= 1.0
+
+
+# --------------------------------------------------------------- DMA snoops
+def _snoop_read_per_line(h, lines):
+    """Reference: one bus request and one top-down cache lookup per line."""
+    c = h.config
+    total = 0.0
+    for line in lines:
+        lat = h.bus.transfer(1, c.line_size, dma=True)
+        if h.l1.access(line, False, kind="dma"):
+            total += lat + c.l1_latency
+        elif h.l2.access(line, False, kind="dma"):
+            total += lat + c.l2_latency
+        elif h.l3.access(line, False, kind="dma"):
+            total += lat + c.l3_latency
+        else:
+            total += lat + c.memory_latency
+    return total
+
+
+def _snoop_invalidate_per_line(h, lines):
+    """Reference: one bus request and one invalidation sweep per line."""
+    c = h.config
+    total = 0.0
+    for line in lines:
+        lat = h.bus.transfer(1, c.line_size, dma=True)
+        h.l1.invalidate(line)
+        h.l2.invalidate(line)
+        h.l3.invalidate(line)
+        h.memory.writes += 1
+        total += lat + c.memory_latency
+    return total
+
+
+def _hierarchy_state(h):
+    caches = {}
+    for cache in (h.l1, h.l2, h.l3):
+        caches[cache.name] = (
+            {idx: list(s.items()) for idx, s in cache._sets.items()},
+            cache.stats.as_dict())
+    return (caches, h.memory.reads, h.memory.writes, h.bus.transactions,
+            h.bus.dma_transactions, h.bus.bytes_transferred)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    warm=st.lists(st.tuples(st.integers(min_value=0, max_value=63),
+                            st.booleans()), max_size=60),
+    bursts=st.lists(st.tuples(st.booleans(),
+                              st.integers(min_value=0, max_value=63),
+                              st.integers(min_value=1, max_value=12)),
+                    min_size=1, max_size=8),
+)
+def test_batched_snoops_match_per_line_snoops(warm, bursts):
+    """Per-burst snoops leave every cache's contents, LRU order and
+    statistics, the bus and the memory counters exactly as one snoop per
+    line would, and return the same summed latency."""
+    from repro.mem.hierarchy import MemoryHierarchy, MemoryHierarchyConfig
+
+    config = MemoryHierarchyConfig(
+        l1_size=512, l1_assoc=2, l2_size=1024, l2_assoc=2, l3_size=2048,
+        l3_assoc=4, prefetch_enabled=False)
+    batched, reference = MemoryHierarchy(config), MemoryHierarchy(config)
+    line = config.line_size
+    for h in (batched, reference):
+        for step, (slot, is_write) in enumerate(warm):
+            h.access(slot * line, is_write, now=1000.0 * step)
+    assert _hierarchy_state(batched) == _hierarchy_state(reference)
+    for is_put, first, count in bursts:
+        lines = [(first + k) * line for k in range(count)]
+        if is_put:
+            got = batched.snoop_invalidate_lines(lines)
+            want = _snoop_invalidate_per_line(reference, lines)
+        else:
+            got = batched.snoop_read_lines(lines)
+            want = _snoop_read_per_line(reference, lines)
+        assert got == want
+        assert _hierarchy_state(batched) == _hierarchy_state(reference)

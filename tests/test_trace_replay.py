@@ -147,6 +147,121 @@ def test_replay_detects_stale_program_fingerprint():
         replay_trace(trace)
 
 
+@pytest.mark.parametrize("where", ["first", "middle", "last"])
+@pytest.mark.parametrize("mutation", ["flip", "drop"])
+def test_replay_rejects_a_mutated_branch_stream(mutation, where):
+    """The block-walking decode still notices one branch outcome flipped or
+    dropped: the walk runs off the program or leaves events unconsumed."""
+    import dataclasses
+
+    from repro.trace import artifacts
+
+    _, trace = capture_workload("CG", "hybrid", "tiny")
+    outcomes = trace.branch_outcomes()
+    k = {"first": 0, "middle": len(outcomes) // 2,
+         "last": len(outcomes) - 1}[where]
+    if mutation == "flip":
+        outcomes[k] = not outcomes[k]
+    else:
+        del outcomes[k]
+    bad = dataclasses.replace(trace, branch_bits=pack_bits(outcomes),
+                              branch_count=len(outcomes),
+                              _stream_digest=None)
+    with artifacts.scoped(disabled=True):
+        with pytest.raises(TraceError, match="ran off|unconsumed"):
+            replay_trace(bad)
+
+
+def _aliasing_kernel(target):
+    """The Figure 2 kernel of ``examples/aliasing_kernel.py``: streams
+    through LM-mapped arrays, an SM store, then ``ptr[idx[i]] += 1``
+    through a pointer the compiler cannot disambiguate.  With ``target="a"`` (LM-mapped) the
+    pointer's guarded accesses hit the directory; with ``"c"`` (never
+    mapped) they miss."""
+    import numpy as np
+
+    from repro.compiler.ir import (AffineIndex, ArraySpec, Assign, BinOp,
+                                   Const, IndirectIndex, Kernel, Load, Loop,
+                                   ModuloIndex, PointerSpec, Ref)
+    n = 256
+    rng = np.random.default_rng(2012)
+    kernel = Kernel("figure2")
+    kernel.add_array(ArraySpec("a", n))
+    kernel.add_array(ArraySpec("b", n, data=rng.random(n)))
+    kernel.add_array(ArraySpec("c", n, mappable=False))
+    kernel.add_array(ArraySpec("idx", n,
+                               data=rng.integers(0, n, n).astype(float)))
+    kernel.add_pointer(PointerSpec("ptr", actual_target=target,
+                                   declared_targets=None))
+    loop = Loop("i", 0, n)
+    loop.body.append(Assign(Ref("a", AffineIndex()),
+                            Load(Ref("b", AffineIndex()))))
+    loop.body.append(Assign(Ref("c", ModuloIndex(17, n)), Const(0.0)))
+    ptr_ref = Ref("ptr", IndirectIndex("idx"))
+    loop.body.append(Assign(ptr_ref, BinOp("+", Load(ptr_ref), Const(1.0))))
+    kernel.add_loop(loop)
+    return kernel
+
+
+def _fused_replay_of(program, trace, mode, machine):
+    """Fused replay of a captured hand-built program (replay_trace rebuilds
+    programs by key, which a hand-built kernel has not)."""
+    import repro.trace.replay as replay_mod
+    from repro.cpu.core import lane_result
+    from repro.harness.systems import build_system, core_config_for
+
+    hot, cold, fu_values, phase_names = replay_mod._program_meta(program)
+    decoded = replay_mod._decode_trace(trace, hot, cold, fu_values)
+    decoded = ([hot[pc] for pc in decoded[5]],) + decoded[1:]
+    config = core_config_for(machine)
+    flags = replay_mod._branch_flags(decoded, cold, config, hot)
+    system = build_system(mode, machine)
+    lane = replay_mod._FusedLane(0, program, cold, phase_names, decoded,
+                                 trace, system, system, config, flags)
+    lane.run_until(float("inf"), 0)
+    return lane_result(lane.finish(), system.stats_summary())
+
+
+@pytest.mark.parametrize("mode,target", [("hybrid", "a"), ("hybrid", "c"),
+                                         ("hybrid-oracle", "a")])
+def test_fused_timing_only_accesses_match_execution(mode, target):
+    """Guarded accesses that hit and miss the directory, and oracle-divert
+    accesses that hit it, take fused replay's timing-only path; the result
+    equals execution at the capture machine and re-timed at another."""
+    from repro.harness.runner import run_kernel
+    from repro.trace.capture import TraceRecorder
+    from repro.trace.format import TraceKey, program_fingerprint
+
+    recorder = TraceRecorder()
+    executed = run_kernel(_aliasing_kernel(target), mode=mode,
+                          recorder=recorder)
+    program = executed.compiled.program
+    trace = recorder.finish(
+        TraceKey.create("figure2", mode, "-", kind="kernel",
+                        lm_size=PTLSIM_CONFIG.lm_size,
+                        directory_entries=PTLSIM_CONFIG.directory_entries),
+        program_fingerprint(program))
+    stats = executed.sim.memory_stats
+    if mode == "hybrid":
+        assert stats["guarded_loads"] and stats["guarded_stores"]
+        directory = stats["directory"]
+        assert directory["hits" if target == "a" else "misses"] > 0
+    else:
+        assert stats["lm_reads"] > 0 and stats["directory"]["lookups"] == 0
+    retimed = PTLSIM_CONFIG.with_overrides({"memory.l1_latency": 4,
+                                            "core.issue_width": 2})
+    for machine, expected in ((PTLSIM_CONFIG, executed.sim),
+                              (retimed, run_kernel(_aliasing_kernel(target),
+                                                   mode=mode,
+                                                   machine=retimed).sim)):
+        replayed = _fused_replay_of(program, trace, mode, machine)
+        assert replayed.cycles == expected.cycles
+        assert replayed.phase_cycles == expected.phase_cycles
+        assert replayed.mispredictions == expected.mispredictions
+        assert replayed.memory_stats == expected.memory_stats
+        assert replayed.core_stats == expected.core_stats
+
+
 def test_lm_timing_access_matches_real_lm_accesses():
     """``lm_timing_access`` is the reference implementation of the LM fast
     path the replay loop inlines: its counter/latency/bookkeeping effects
