@@ -18,8 +18,7 @@ recorded stream instead of the execution frontend:
   and the real cache hierarchy, but without the
   :class:`~repro.core.hybrid.HybridSystem` ``load``/``store`` call: the LM
   latency, the hierarchy access and the store-collapse latch are inline
-  and the counters those calls would change are added back at the end.
-  Only a system with a protocol checker still takes the full calls;
+  and the counters those calls would change are added back at the end;
 * DMA commands, dma-sync and set-bufsize are issued to the system with
   their recorded operands (the DMA controller snoops and counts but moves
   no data words);
@@ -517,7 +516,8 @@ def _cached_flags(trace: Trace, decoded, cold, config, hot,
     ``parent_hash`` enables the artifact tier as in :func:`_cached_decode`.
     Both engines share the memo and the artifacts; the lookup reports its
     phase and counters under the asking engine's prefix (``"vector"`` or
-    ``"replay"`` for fused), so each engine's profile shows its own cost.
+    ``"replay"`` for fused), so each engine's profile shows its own cost and
+    a vector run that falls back to fused records no ``vector.*`` pass.
     """
     key = (trace.program_fingerprint, trace.stream_digest(),
            config.predictor_entries, config.btb_entries, config.btb_assoc)
@@ -738,12 +738,12 @@ class _FusedLane:
     ``load``/``store`` calls would change are folded in :meth:`finish`.
     ``system`` — a :class:`~repro.core.hybrid.HybridSystem` for single-core
     replay, a :class:`~repro.core.multicore.CoreView` (ownership-checked
-    facade) for multicore — is called only for DMA commands, dma-sync,
-    set-bufsize and, when ``mem`` tracks the protocol
-    (``mem.checker``), for every load and store.  ``mem`` is the underlying
-    per-core :class:`~repro.core.hybrid.HybridSystem` whose components the
-    loop drives and whose counters it writes back (the same object as
-    ``system`` in the single-core case).
+    facade) for multicore — is called only for DMA commands, dma-sync and
+    set-bufsize.  ``mem`` is the underlying per-core
+    :class:`~repro.core.hybrid.HybridSystem` whose components the loop
+    drives and whose counters it writes back (the same object as ``system``
+    in the single-core case); replay builds it without a protocol checker,
+    which would have to see every access.
     """
 
     __slots__ = ("order", "trace", "config", "timing", "fetch_time", "done",
@@ -752,6 +752,7 @@ class _FusedLane:
 
     def __init__(self, order: int, program, cold, phase_names, decoded,
                  trace: Trace, system, mem, config, flags):
+        assert mem.checker is None, "replay systems track no protocol"
         seq, mem_addrs, dma_words, fu_counts = (decoded[0], decoded[2],
                                                 decoded[3], decoded[4])
         self.order = order
@@ -848,18 +849,12 @@ class _FusedLane:
             lm_lat = 0.0
             dir_lookup = dir_peek = None
         # Loads and stores outside the LM range are timing-only (see the
-        # class docstring) unless a protocol checker follows every access,
-        # or a guarded access would reach the cache-based system (the real
-        # call raises for it).  Per pc: 1 guarded, 2 oracle-divert, 4
-        # collapse candidate (the second store of a double store).
+        # class docstring).  Per pc: 1 guarded, 2 oracle-divert, 4 collapse
+        # candidate (the second store of a double store).
         hier_access = mem.hierarchy.access
-        timing_only = mem.checker is None and (
-            use_lm or not any(c[2] for c in cold))
         mcls = [(1 if c[2] else 2 if c[3] and use_lm else 0)
                 | (4 if c[4] else 0) for c in cold]
         check_ownership = getattr(system, "check_ownership", None)
-        sys_load = system.load
-        sys_store = system.store
 
         # Per-cycle reservation state as flat lists (see module docstring).
         issue_slots = [0] * 8192
@@ -876,16 +871,14 @@ class _FusedLane:
         lsq_collapsed = 0
         contended = 0.0    # fus.contended_cycles
 
-        # Access accumulators.  ``total_lat`` mirrors the system's
-        # ``total_mem_latency`` and is synchronised around real load/store
-        # calls so the float additions happen in exactly the execution order
-        # (float addition is not associative); the integer counters are
-        # exact and are added back once at the end.
+        # Access accumulators, written back once at the end.  ``total_lat``
+        # is the system's ``total_mem_latency``, summed in exactly the
+        # execution order (float addition is not associative).
         total_lat = mem.total_mem_latency
         last_store_addr = mem._last_store_addr
         last_store_to_sm = mem._last_store_to_sm
         lm_loads = lm_stores = 0            # LM-range accesses
-        loads = stores = 0                  # timing-only accesses
+        loads = stores = 0                  # all other accesses
         sm_reads = sm_writes = collapsed_stores = 0
         g_loads = g_stores = g_hit_loads = g_hit_stores = 0
         div_loads = div_stores = 0
@@ -973,7 +966,7 @@ class _FusedLane:
                     lm_loads += 1
                     latency = lm_lat
                     total_lat += latency
-                elif timing_only:
+                else:
                     # HybridSystem.load past its LM-range branch.
                     if check_ownership is not None:
                         check_ownership(addr)
@@ -997,13 +990,6 @@ class _FusedLane:
                         latency = hier_access(addr, False, index, now).latency
                         sm_reads += 1
                     total_lat += latency
-                else:
-                    cm = cold[index]
-                    mem.total_mem_latency = total_lat
-                    latency = sys_load(addr, guarded=cm[2],
-                                       oracle_divert=cm[3], pc=index,
-                                       now=now).latency
-                    total_lat = mem.total_mem_latency
             elif kind == K_STORE:
                 addr = mem_addrs[mi]
                 mi += 1
@@ -1015,7 +1001,7 @@ class _FusedLane:
                     total_lat += latency
                     last_store_addr = addr
                     last_store_to_sm = False
-                elif timing_only:
+                else:
                     # HybridSystem.store past its LM-range branch.
                     if check_ownership is not None:
                         check_ownership(addr)
@@ -1055,20 +1041,6 @@ class _FusedLane:
                         last_store_addr = addr
                         last_store_to_sm = True
                     total_lat += latency
-                else:
-                    cm = cold[index]
-                    mem.total_mem_latency = total_lat
-                    mem._last_store_addr = last_store_addr
-                    mem._last_store_to_sm = last_store_to_sm
-                    outcome = sys_store(addr, 0.0, guarded=cm[2],
-                                        oracle_divert=cm[3],
-                                        collapse_with_prev=cm[4],
-                                        pc=index, now=now)
-                    last_store_addr = mem._last_store_addr
-                    last_store_to_sm = mem._last_store_to_sm
-                    latency = outcome.latency
-                    total_lat = mem.total_mem_latency
-                    collapsed = outcome.served_by == "collapsed"
             elif kind <= K_HALT:
                 pass            # branch, jump, halt: nothing to resolve
             elif kind == K_DGET:

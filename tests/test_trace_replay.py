@@ -219,7 +219,7 @@ def _fused_replay_of(program, trace, mode, machine):
     lane = replay_mod._FusedLane(0, program, cold, phase_names, decoded,
                                  trace, system, system, config, flags)
     lane.run_until(float("inf"), 0)
-    return lane_result(lane.finish(), system.stats_summary())
+    return lane_result(lane.finish(), system.stats_summary()), system
 
 
 @pytest.mark.parametrize("mode,target", [("hybrid", "a"), ("hybrid", "c"),
@@ -254,12 +254,100 @@ def test_fused_timing_only_accesses_match_execution(mode, target):
                               (retimed, run_kernel(_aliasing_kernel(target),
                                                    mode=mode,
                                                    machine=retimed).sim)):
-        replayed = _fused_replay_of(program, trace, mode, machine)
+        replayed, _ = _fused_replay_of(program, trace, mode, machine)
         assert replayed.cycles == expected.cycles
         assert replayed.phase_cycles == expected.phase_cycles
         assert replayed.mispredictions == expected.mispredictions
         assert replayed.memory_stats == expected.memory_stats
         assert replayed.core_stats == expected.core_stats
+
+
+def _in_flight_dma_program():
+    """A hand-built program whose guarded and oracle-divert accesses hit a
+    buffer while its dma-get is still in flight (the presence-bit stall of
+    Section 3.2), then miss the directory, collapse a double store and hit
+    again after the dma-sync."""
+    from repro.harness.systems import build_system
+    from repro.isa.builder import ProgramBuilder
+    from repro.isa.instructions import Opcode
+
+    b = ProgramBuilder()
+    b.declare_array("a", 128, alignment=1024)
+    b.declare_array("c", 16)
+    b.set_bufsize(1024)
+    b.li("r_lm", 0)             # patched below: LM virtual base, a, c
+    b.li("r_a", 0)
+    b.li("r_c", 0)
+    b.li("r_size", 1024)
+    b.li("f0", 1.0)
+    b.dma_get("r_lm", "r_a", "r_size", tag=1)
+    b.gld("f1", "r_a", 8)
+    b.gst("f0", "r_a", 16)
+    b.gld("f2", "r_a", 24)
+    b.ld("f3", "r_a", 32, oracle_divert=True)
+    b.st("f3", "r_a", 40, oracle_divert=True)
+    b.gld("f4", "r_c", 0)
+    b.gst("f4", "r_c", 8)
+    b.st("f4", "r_c", 8, collapse_with_prev=True)
+    b.ld("f5", "r_c", 16, oracle_divert=True)
+    b.dma_sync(1)
+    b.gld("f6", "r_a", 48)
+    b.gst("f6", "r_a", 56)
+    b.halt()
+    program = b.finish()
+    program.assign_addresses()
+    bases = {"r_lm": build_system("hybrid", PTLSIM_CONFIG).lm_virtual_base,
+             "r_a": program.arrays["a"].base, "r_c": program.arrays["c"].base}
+    for inst in program.instructions:
+        if inst.opcode is Opcode.LI and inst.dst in bases:
+            inst.imm = bases[inst.dst]
+    return program
+
+
+def test_fused_guarded_accesses_match_system_calls_under_presence_stall():
+    """Fused replay's inline guarded and oracle-divert branches against the
+    ``HybridSystem.load``/``store`` calls execution makes: accesses that hit
+    a buffer still being filled stall on its presence bit, and latency,
+    stall, directory, AGU and LM counters all agree, at the capture machine
+    and with a slower DMA engine."""
+    from repro.trace.capture import TraceRecorder
+    from repro.trace.format import program_fingerprint
+
+    program = _in_flight_dma_program()
+    recorder = TraceRecorder()
+    executed = run_program(program, mode="hybrid", recorder=recorder)
+    trace = recorder.finish(
+        TraceKey.create("stall", "hybrid", "-", kind="kernel",
+                        lm_size=PTLSIM_CONFIG.lm_size,
+                        directory_entries=PTLSIM_CONFIG.directory_entries),
+        program_fingerprint(program))
+    slower = PTLSIM_CONFIG.with_overrides({"dma_setup_latency": 300,
+                                           "memory.l1_latency": 4})
+    for machine, reference in ((PTLSIM_CONFIG, executed),
+                               (slower, run_program(program, mode="hybrid",
+                                                    machine=slower))):
+        replayed, system = _fused_replay_of(program, trace, "hybrid",
+                                            machine)
+        real = reference.system
+        directory = reference.sim.memory_stats["directory"]
+        assert directory["presence_stalls"] == 3
+        assert directory["hits"] == 5 and directory["misses"] == 2
+        assert real.collapsed_stores == 1
+        assert (real.agu.diverted_loads, real.agu.diverted_stores) == (3, 2)
+        assert real.lm.reads > real.agu.diverted_loads     # divert-load hit
+        assert replayed.cycles == reference.sim.cycles
+        assert replayed.phase_cycles == reference.sim.phase_cycles
+        assert replayed.memory_stats == reference.sim.memory_stats
+        assert replayed.core_stats == reference.sim.core_stats
+        assert system.total_mem_latency == real.total_mem_latency
+        assert vars(system.directory.stats) == vars(real.directory.stats)
+        for name in ("guarded_loads", "guarded_stores", "diverted_loads",
+                     "diverted_stores"):
+            assert getattr(system.agu, name) == getattr(real.agu, name)
+        assert (system.lm.reads, system.lm.writes) == (real.lm.reads,
+                                                        real.lm.writes)
+        assert (system._last_store_addr, system._last_store_to_sm) == (
+            real._last_store_addr, real._last_store_to_sm)
 
 
 def test_lm_timing_access_matches_real_lm_accesses():
