@@ -96,6 +96,13 @@ def _cmd_capture(args) -> int:
     return 0
 
 
+def _same_run(a, b) -> bool:
+    """Whether two runs agree on the whole simulated result — cycles,
+    instructions, phase breakdown, branch counts, memory and core
+    statistics (per core included) — and on every energy component."""
+    return a.sim == b.sim and a.energy.as_dict() == b.energy.as_dict()
+
+
 def _cmd_replay(args) -> int:
     overrides = _parse_overrides(args.overrides)
     machine = PTLSIM_CONFIG.with_overrides(overrides)
@@ -130,12 +137,7 @@ def _cmd_replay(args) -> int:
                                 scale=args.scale, machine=machine)
         exec_wall = time.perf_counter() - start
         print(_summary("execute", executed))
-        identical = (executed.cycles == result.cycles and
-                     executed.total_energy == result.total_energy and
-                     executed.sim.memory_stats == result.sim.memory_stats and
-                     (not hasattr(trace, "cores") or
-                      executed.sim.core_stats["per_core"] ==
-                      result.sim.core_stats["per_core"]))
+        identical = _same_run(executed, result)
         print(f"verify     execution-driven run took {exec_wall:.2f}s "
               f"({exec_wall / wall:.1f}x replay); "
               f"{'cycle- and energy-identical' if identical else 'MISMATCH'}")
@@ -144,13 +146,7 @@ def _cmd_replay(args) -> int:
         # The vectorized engine must agree with fused exactly — the epoch
         # batching is a pure reformulation of the same timing model.
         vector = replay_trace(trace, machine, engine="vector")
-        vector_identical = (
-            vector.cycles == result.cycles and
-            vector.total_energy == result.total_energy and
-            vector.sim.memory_stats == result.sim.memory_stats and
-            (not hasattr(trace, "cores") or
-             vector.sim.core_stats["per_core"] ==
-             result.sim.core_stats["per_core"]))
+        vector_identical = _same_run(vector, result)
         print(f"verify     vector engine vs fused replay: "
               f"{'identical' if vector_identical else 'MISMATCH'}")
         if not vector_identical:

@@ -38,7 +38,9 @@ from the fused shape in three places, none of which changes a result:
 The epoch structure maps onto the C/Python boundary: ``vr_run`` executes
 uncore-free slices entirely in C and returns at every *event* instruction
 (DMA issue, dma-sync, set-bufsize, halt, and — multicore — memory misses
-that arbitrate on the shared uncore); the Python caller performs the epoch
+that arbitrate on the shared uncore); the Python caller —
+``_VectorLane._loop`` in :mod:`repro.trace.vector`, one resumable lane per
+core under the replay driver both engines share — performs the epoch
 yield-check and the event's uncore/DMA bookkeeping, then re-enters C.  Both
 sides operate on the same state vectors, so interleaving them is seamless.
 """

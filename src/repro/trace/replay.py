@@ -51,20 +51,31 @@ workload and for guarded and oracle-divert accesses that hit the
 directory; any change to the execution lane's timing or to the load/store
 branches of ``hybrid.py`` must be mirrored here.
 
-**The fused loop is a lane state machine.**  :class:`_FusedLane` holds one
-core's fused replay state (decoded stream cursor, flat reservation tables,
-scalar timing state) and advances it with :meth:`_FusedLane.run_until`,
-which processes instructions until the lane's scheduling key
-``(fetch_time, order)`` passes a limit.  Single-core replay is one lane run
-with an infinite limit.  Multicore replay builds one lane per core against
-the shared :class:`~repro.mem.uncore.Uncore` and interleaves them with
+**One driver, lanes as state machines.**  :func:`replay_trace` validates
+the trace once and hands its per-core streams to :func:`_replay`, the one
+driver of both engines and every core count.  It builds the machine's
+system — a multicore one against the shared
+:class:`~repro.mem.uncore.Uncore` for more than one core — and one lane per
+core: :class:`_FusedLane` here, or the vector engine's lane
+(:mod:`repro.trace.vector`).  Both derive from :class:`_ReplayLane`, which
+holds a core's pass products, its timing model and the resumable-lane
+contract: ``run_until`` processes instructions until the lane's scheduling
+key ``(fetch_time, order)`` passes a limit.  The lanes are interleaved by
 :func:`~repro.cpu.multicore.run_resumable_lanes`, the scheduler
 execution-driven multicore runs use too — so the shared-bus arbitration
 sees the identical request sequence and multicore replay stays cycle- and
-energy-identical to execution at the capture configuration.  A lane yields
-only before an instruction that can touch shared state (a non-LM load or
-store, a DMA command, dma-sync, set-bufsize); private work between two such
-instructions commutes across cores, so lanes run ahead through it.
+energy-identical to execution at the capture configuration; a single-core
+run is one lane.  A lane yields only before an instruction that can touch
+shared state (a non-LM load or store, a DMA command, dma-sync,
+set-bufsize); private work between two such instructions commutes across
+cores, so lanes run ahead through it.
+
+**One lookup per pass.**  Every derivation a replay needs — the rebuilt
+program, the decoded stream, the L1I simulation, the branch flags and the
+vector engine's oracle and prelowered selector — goes through
+:func:`_tiered`: an in-process LRU memo, then (for the passes with an
+artifact kind) the on-disk artifact store next to the parent trace, then
+the computation itself.
 
 **Validity.**  The recorded stream depends on the *functional* machine
 parameters (``lm_size``, ``directory_entries``, ``num_cores`` — they shape
@@ -90,7 +101,11 @@ from repro.cpu.multicore import aggregate_results, run_resumable_lanes
 from repro.cpu.pipeline import CODE_BASE, CODE_INSTR_SIZE, OutOfOrderTimingModel
 from repro.harness.config import MachineConfig, PTLSIM_CONFIG
 from repro.harness.runner import RunResult
-from repro.harness.systems import build_system, core_config_for
+from repro.harness.systems import (
+    build_multicore_system,
+    build_system,
+    core_config_for,
+)
 from repro.energy.model import EnergyModel
 from repro.isa.instructions import Opcode
 from repro.trace import artifacts
@@ -122,8 +137,6 @@ _K_DGET, _K_DPUT, _K_DSYNC, _K_SETBUF = 6, 7, 8, 9
 
 #: Extension chunk for the cycle-indexed reservation lists.
 _ZEROS = [0] * 8192
-
-_INFINITY = float("inf")
 
 
 def check_replay_machine(key: TraceKey, machine: MachineConfig) -> None:
@@ -226,20 +239,22 @@ def _decode_trace(trace: Trace, hot, cold, fu_values):
     persistable projection; :func:`_cached_decode` builds the fused engine's
     per-instruction ``seq`` from it on request).  The walk visits basic
     blocks, not instructions: from any pc, execution runs straight to the
-    next conditional branch or jump, so each step emits a pc range and
-    consumes at most one branch outcome.  It also validates that the trace
-    matches the rebuilt program exactly.
+    next conditional branch, jump or halt, so each step emits a pc range
+    and consumes at most one branch outcome.  It also validates that the
+    trace matches the rebuilt program exactly — the stream must end where
+    execution stops, at a retired halt or past the last pc.
     """
     branches = trace.branch_outcomes()
     mem_addrs = list(trace.mem_addrs)
     dma_words = list(trace.dma_words)
     prog_len = len(hot)
     kind_of = [h[0] for h in hot]
-    # ends[pc]: the first branch or jump at or after pc (prog_len if none).
+    # ends[pc]: the first branch, jump or halt at or after pc (prog_len if
+    # none).
     ends = [prog_len] * prog_len
     end = prog_len
     for pc in range(prog_len - 1, -1, -1):
-        if kind_of[pc] == _K_CBR or kind_of[pc] == _K_JMP:
+        if kind_of[pc] in (_K_CBR, _K_JMP, _K_HALT):
             end = pc
         ends[pc] = end
     starts, lengths = [], []
@@ -256,13 +271,17 @@ def _decode_trace(trace: Trace, hot, cold, fu_values):
             lengths.append(length)
             done += length
             pc = start + length
-            if pc == end + 1:           # the block's branch or jump retired
+            if pc == end + 1:           # the block's last instruction retired
                 pc = end                # where a missing outcome is reported
-                if kind_of[end] == _K_JMP:
+                if kind_of[end] == _K_HALT:
+                    pc = prog_len       # execution stops
+                elif kind_of[end] == _K_JMP:
                     pc = cold[end][0]
                 else:
                     pc = cold[end][0] if branches[bi] else end + 1
                     bi += 1
+        if pc < prog_len:               # the stream ends before execution
+            raise IndexError
     except IndexError:
         raise TraceError(
             f"trace {trace.key.label} ran off its program or event streams "
@@ -347,21 +366,51 @@ def _remember(memo: OrderedDict, key, entry, cap: int) -> None:
         memo.popitem(last=False)
 
 
+def _tiered(memo: OrderedDict, cap: int, key, prefix: str, compute,
+            parent_hash=None, kind=None, to_artifact=None,
+            from_artifact=None):
+    """One derivation pass's lookup: memory -> disk -> compute.
+
+    The in-process LRU ``memo`` (capped at ``cap``) answers first; then,
+    given a ``parent_hash`` (the owning trace's — or multicore family's —
+    key hash) and an artifact ``kind``, the on-disk artifact store, whose
+    ``(meta, sections)`` entry ``from_artifact`` rebuilds (None reads as a
+    torn file and a miss); then ``compute()``, whose result ``to_artifact``
+    projects back onto the store.  Every lookup counts ``{prefix}.hit`` or
+    ``{prefix}.miss`` (plus ``{prefix}.disk.hit`` from the store) and the
+    compute runs under the ``prefix`` phase.
+    """
+    entry = memo.get(key)
+    if entry is not None:
+        obs.incr(f"{prefix}.hit")
+        memo.move_to_end(key)
+        return entry
+    store = artifacts.default_store() if parent_hash and kind else None
+    if store is not None:
+        loaded = store.get(parent_hash, kind, key)
+        if loaded is not None:
+            entry = from_artifact(*loaded)
+            if entry is not None:
+                obs.incr(f"{prefix}.hit")
+                obs.incr(f"{prefix}.disk.hit")
+                _remember(memo, key, entry, cap)
+                return entry
+    obs.incr(f"{prefix}.miss")
+    with obs.phase(prefix):
+        entry = compute()
+    _remember(memo, key, entry, cap)
+    if store is not None:
+        store.put(parent_hash, kind, key, *to_artifact(entry))
+    return entry
+
 
 def _cached_program(key: TraceKey):
-    entry = _PROGRAM_CACHE.get(key.key_hash)
-    if entry is None:
-        obs.incr("replay.program.miss")
-        with obs.phase("replay.program"):
-            program, compiled = _rebuild_program(key)
-            hot, cold, fu_values, phase_names = _program_meta(program)
-            entry = (program, compiled, hot, cold, fu_values, phase_names,
-                     program_fingerprint(program))
-        _remember(_PROGRAM_CACHE, key.key_hash, entry, _CACHE_CAP)
-    else:
-        obs.incr("replay.program.hit")
-        _PROGRAM_CACHE.move_to_end(key.key_hash)
-    return entry
+    def rebuild():
+        program, compiled = _rebuild_program(key)
+        return ((program, compiled) + _program_meta(program)
+                + (program_fingerprint(program),))
+    return _tiered(_PROGRAM_CACHE, _CACHE_CAP, key.key_hash,
+                   "replay.program", rebuild)
 
 
 def _cached_parallel_program(key: TraceKey, machine: MachineConfig):
@@ -373,66 +422,41 @@ def _cached_parallel_program(key: TraceKey, machine: MachineConfig):
     ``key_hash`` alone.  Cores whose shard programs are identical (same
     :func:`program_fingerprint`) share one set of hot/cold tables.
     """
-    entry = _MC_PROGRAM_CACHE.get(key.key_hash)
-    if entry is None:
-        obs.incr("replay.program.miss")
-        with obs.phase("replay.program"):
-            from repro.harness.runner import compile_parallel_workload
-            compiled = compile_parallel_workload(key.workload, key.mode,
-                                                 key.scale, machine,
-                                                 key.num_cores)
-            metas: dict = {}
-            cores = []
-            for comp in compiled:
-                fingerprint = program_fingerprint(comp.program)
-                meta = metas.get(fingerprint)
-                if meta is None:
-                    meta = metas[fingerprint] = _program_meta(comp.program)
-                hot, cold, fu_values, phase_names = meta
-                cores.append((comp.program, comp, hot, cold, fu_values,
-                              phase_names, fingerprint))
-            entry = tuple(cores)
-        _remember(_MC_PROGRAM_CACHE, key.key_hash, entry, _CACHE_CAP)
-    else:
-        obs.incr("replay.program.hit")
-        _MC_PROGRAM_CACHE.move_to_end(key.key_hash)
-    return entry
+    def compile_family():
+        from repro.harness.runner import compile_parallel_workload
+        compiled = compile_parallel_workload(key.workload, key.mode,
+                                             key.scale, machine,
+                                             key.num_cores)
+        metas: dict = {}
+        cores = []
+        for comp in compiled:
+            fingerprint = program_fingerprint(comp.program)
+            meta = metas.get(fingerprint)
+            if meta is None:
+                meta = metas[fingerprint] = _program_meta(comp.program)
+            cores.append((comp.program, comp) + meta + (fingerprint,))
+        return tuple(cores)
+    return _tiered(_MC_PROGRAM_CACHE, _CACHE_CAP, key.key_hash,
+                   "replay.program", compile_family)
 
 
 def _cached_decode(trace: Trace, hot, cold, fu_values, parent_hash=None,
                    with_seq: bool = False):
-    """Decoded dynamic sequence of one trace: memory -> disk -> compute.
+    """Decoded dynamic sequence of one trace (see :func:`_tiered`).
 
-    ``parent_hash`` (the owning trace's — or multicore family's — key hash)
-    enables the on-disk artifact tier; without it only the in-memory memo
-    is consulted.  A decode carries no ``seq``; ``with_seq=True`` (the
-    fused engine) materialises it from ``seq_pcs``, once per memo entry.
+    A decode carries no ``seq``; ``with_seq=True`` (the fused engine)
+    materialises it from ``seq_pcs``, once per memo entry.
     """
-    cache_key = (trace.program_fingerprint, trace.stream_digest())
-    entry = _DECODE_CACHE.get(cache_key)
-    if entry is not None:
-        obs.incr("replay.decode.hit")
-        _DECODE_CACHE.move_to_end(cache_key)
-    else:
-        store = artifacts.default_store() if parent_hash else None
-        loaded = (store.get(parent_hash, "decode", list(cache_key))
-                  if store is not None else None)
-        if loaded is not None:
-            entry = _decode_from_artifact(loaded[0], loaded[1], trace, hot)
-        if entry is not None:
-            obs.incr("replay.decode.hit")
-            obs.incr("replay.decode.disk.hit")
-        else:
-            obs.incr("replay.decode.miss")
-            with obs.phase("replay.decode"):
-                entry = _decode_trace(trace, hot, cold, fu_values)
-            if store is not None:
-                meta, sections = _decode_to_artifact(entry)
-                store.put(parent_hash, "decode", list(cache_key), meta,
-                          sections)
+    key = (trace.program_fingerprint, trace.stream_digest())
+    entry = _tiered(
+        _DECODE_CACHE, _CACHE_CAP, key, "replay.decode",
+        lambda: _decode_trace(trace, hot, cold, fu_values),
+        parent_hash, "decode", _decode_to_artifact,
+        lambda meta, sections: _decode_from_artifact(meta, sections, trace,
+                                                     hot))
     if with_seq and entry[0] is None:
-        entry = ([hot[pc] for pc in entry[5]],) + entry[1:]
-    _remember(_DECODE_CACHE, cache_key, entry, _CACHE_CAP)
+        entry = _DECODE_CACHE[key] = ([hot[pc] for pc in entry[5]],) \
+            + entry[1:]
     return entry
 
 
@@ -453,30 +477,26 @@ def _l1i_stats(trace: Trace, seq_pcs, config, mem_config):
     """
     import dataclasses as _dc
     from repro.mem.cache import Cache
-    cache_key = (trace.program_fingerprint, trace.stream_digest(),
-                 config.fetch_width, mem_config.l1i_size,
-                 mem_config.l1i_assoc, mem_config.line_size)
-    entry = _L1I_CACHE.get(cache_key)
-    if entry is None:
-        obs.incr("replay.l1i.miss")
-        with obs.phase("replay.l1i"):
-            l1i = Cache("L1I", mem_config.l1i_size, mem_config.l1i_assoc,
-                        mem_config.line_size, mem_config.l1i_latency,
-                        write_back=False)
-            fetch_width = config.fetch_width
-            # access_batch(..., fill_misses=True) is exactly access()+fill()
-            # per miss: the L1I is write-through, so fills never produce the
-            # dirty-victim writebacks that would make the two diverge.
-            pcs = np.frombuffer(seq_pcs, np.uint32)
-            fetched = pcs[pcs % fetch_width == 0].astype(np.int64)
-            addrs = (CODE_BASE + fetched * CODE_INSTR_SIZE).tolist()
-            l1i.access_batch(addrs, False, fill_misses=True)
-            entry = (l1i.stats, len(addrs))
-        _remember(_L1I_CACHE, cache_key, entry, _CACHE_CAP)
-    else:
-        obs.incr("replay.l1i.hit")
-        _L1I_CACHE.move_to_end(cache_key)
-    stats, accesses = entry
+
+    def simulate():
+        l1i = Cache("L1I", mem_config.l1i_size, mem_config.l1i_assoc,
+                    mem_config.line_size, mem_config.l1i_latency,
+                    write_back=False)
+        fetch_width = config.fetch_width
+        # access_batch(..., fill_misses=True) is exactly access()+fill() per
+        # miss: the L1I is write-through, so fills never produce the
+        # dirty-victim writebacks that would make the two diverge.
+        pcs = np.frombuffer(seq_pcs, np.uint32)
+        fetched = pcs[pcs % fetch_width == 0].astype(np.int64)
+        addrs = (CODE_BASE + fetched * CODE_INSTR_SIZE).tolist()
+        l1i.access_batch(addrs, False, fill_misses=True)
+        return l1i.stats, len(addrs)
+
+    key = (trace.program_fingerprint, trace.stream_digest(),
+           config.fetch_width, mem_config.l1i_size, mem_config.l1i_assoc,
+           mem_config.line_size)
+    stats, accesses = _tiered(_L1I_CACHE, _CACHE_CAP, key, "replay.l1i",
+                              simulate)
     return _dc.replace(stats), accesses
 
 
@@ -511,9 +531,8 @@ def _flags_from_artifact(meta, sections):
 
 def _cached_flags(trace: Trace, decoded, cold, config, hot,
                   parent_hash=None, engine: str = "vector") -> tuple:
-    """Branch flags of one stream: memory -> disk -> compute.
+    """Branch flags of one stream (see :func:`_tiered`).
 
-    ``parent_hash`` enables the artifact tier as in :func:`_cached_decode`.
     Both engines share the memo and the artifacts; the lookup reports its
     phase and counters under the asking engine's prefix (``"vector"`` or
     ``"replay"`` for fused), so each engine's profile shows its own cost and
@@ -521,29 +540,10 @@ def _cached_flags(trace: Trace, decoded, cold, config, hot,
     """
     key = (trace.program_fingerprint, trace.stream_digest(),
            config.predictor_entries, config.btb_entries, config.btb_assoc)
-    entry = _FLAGS_CACHE.get(key)
-    if entry is not None:
-        obs.incr(f"{engine}.flags.hit")
-        _FLAGS_CACHE.move_to_end(key)
-        return entry
-    store = artifacts.default_store() if parent_hash else None
-    if store is not None:
-        loaded = store.get(parent_hash, "flags", key)
-        if loaded is not None:
-            entry = _flags_from_artifact(loaded[0], loaded[1])
-            if entry is not None:
-                obs.incr(f"{engine}.flags.hit")
-                obs.incr(f"{engine}.flags.disk.hit")
-                _remember(_FLAGS_CACHE, key, entry, _FLAGS_CAP)
-                return entry
-    obs.incr(f"{engine}.flags.miss")
-    with obs.phase(f"{engine}.flags"):
-        entry = _branch_flags(decoded, cold, config, hot)
-    _remember(_FLAGS_CACHE, key, entry, _FLAGS_CAP)
-    if store is not None:
-        meta, sections = _flags_to_artifact(entry)
-        store.put(parent_hash, "flags", key, meta, sections)
-    return entry
+    return _tiered(_FLAGS_CACHE, _FLAGS_CAP, key, f"{engine}.flags",
+                   lambda: _branch_flags(decoded, cold, config, hot),
+                   parent_hash, "flags", _flags_to_artifact,
+                   _flags_from_artifact)
 
 
 def _branch_flags(decoded, cold, config, hot) -> tuple:
@@ -608,17 +608,6 @@ def _branch_flags(decoded, cold, config, hot) -> tuple:
     return (flags.tobytes(), n_ev, int(flags.sum()), btb.hits, btb.misses)
 
 
-def _install_branch_stats(timing: OutOfOrderTimingModel, flags) -> None:
-    """Write a flags-pass result's predictor and BTB counters into a lane's
-    timing model — what the per-branch ``update``/BTB calls would leave."""
-    timing.mispredictions = flags[2]
-    predictor = timing.predictor
-    predictor.predictions = flags[1]
-    predictor.mispredictions = flags[2]
-    predictor.btb.hits = flags[3]
-    predictor.btb.misses = flags[4]
-
-
 def _skip_dma_copies(systems) -> None:
     """Stop the DMA controllers of replay systems from moving data words.
 
@@ -656,27 +645,41 @@ def replay_trace(trace: Trace,
     if engine not in REPLAY_ENGINES:
         raise ValueError(f"unknown replay engine {engine!r}; "
                          f"expected one of {REPLAY_ENGINES}")
+    key = trace.key
+    check_replay_machine(key, machine)
+    if isinstance(trace, MulticoreTrace):
+        if key.kind != "kernel":
+            raise TraceError(f"multicore replay supports kernel traces only, "
+                             f"not {key.kind!r}")
+        if key.num_cores != len(trace.cores):
+            raise TraceError(
+                f"multicore trace {key.label} holds {len(trace.cores)} core "
+                f"streams but its key says {key.num_cores}")
+        traces = trace.cores
+        entries = _cached_parallel_program(key, machine)
+    else:
+        traces = (trace,)
+        entries = (_cached_program(key),)
+    for core_id, (core_trace, entry) in enumerate(zip(traces, entries)):
+        if entry[6] != core_trace.program_fingerprint:
+            raise TraceError(
+                f"trace {key.label} is stale: core {core_id} program "
+                f"fingerprint {core_trace.program_fingerprint} != rebuilt "
+                f"{entry[6]} (the compiler or workload changed since "
+                "capture)")
+    cores = list(zip(traces, entries))
     if engine == "vector":
         from repro import faults
         from repro.trace import _ckernel
-        from repro.trace.vector import (
-            replay_multicore_vector,
-            replay_single_vector,
-        )
         try:
             # Checked before any derivation pass runs: without a kernel the
             # oracle/prelower work would be thrown away.
             kernel = _ckernel.load()
-            if kernel is None:
-                obs.degraded("vector", "no C kernel (no compiler, or the "
-                             "compile failed): falling back to fused engine",
-                             trace=trace.key.label)
-            elif isinstance(trace, MulticoreTrace):
-                return replay_multicore_vector(trace, machine, kernel,
-                                               timeline=timeline)
-            else:
-                return replay_single_vector(trace, machine, kernel,
-                                            timeline=timeline)
+            if kernel is not None:
+                return _replay(key, cores, machine, kernel, timeline)
+            obs.degraded("vector", "no C kernel (no compiler, or the "
+                         "compile failed): falling back to fused engine",
+                         trace=key.label)
         except (faults.FaultError, OSError, MemoryError) as exc:
             # The vector engine is a pure accelerator: its C kernel or
             # prelowering infrastructure failing (injected or real — a
@@ -685,121 +688,203 @@ def replay_trace(trace: Trace,
             # construction.  Genuine replay errors (TraceError, validity,
             # ValueError) propagate — falling back would mask them.
             obs.degraded("vector", f"falling back to fused engine: {exc!r}",
-                         trace=trace.key.label)
-    if isinstance(trace, MulticoreTrace):
-        return _replay_multicore(trace, machine, timeline=timeline)
-    check_replay_machine(trace.key, machine)
-    program, compiled, hot, cold, fu_values, phase_names, fingerprint = \
-        _cached_program(trace.key)
-    if fingerprint != trace.program_fingerprint:
-        raise TraceError(
-            f"trace {trace.key.label} is stale: program fingerprint "
-            f"{trace.program_fingerprint} != rebuilt {fingerprint} "
-            "(the compiler or workload changed since capture)")
-    decoded = _cached_decode(trace, hot, cold, fu_values,
-                             parent_hash=trace.key.key_hash, with_seq=True)
+                         trace=key.label)
+    return _replay(key, cores, machine, None, timeline)
+
+
+def _replay(key: TraceKey, cores, machine: MachineConfig, kern=None,
+            timeline=None) -> RunResult:
+    """Replay validated per-core ``(trace, program entry)`` pairs.
+
+    The one driver of both engines and every core count: it builds the
+    machine's system (a multicore one, against the shared uncore, for more
+    than one core), one lane per core — :class:`_FusedLane`, or with a
+    loaded C kernel ``kern`` the vector engine's lane — and runs them under
+    :func:`~repro.cpu.multicore.run_resumable_lanes`.  A single-core run is
+    one lane.  The lanes' pass products are memoized and persisted under
+    ``key.key_hash`` — per-core streams have no stored file of their own,
+    so their artifacts hang off the multicore family's hash — and
+    re-parsing the same RPMT container, or replaying it under another
+    ablation point, pays no second derivation.  A program entry is a
+    :func:`_cached_program` tuple.
+    """
     config = core_config_for(machine)
-    flags = _cached_flags(trace, decoded, cold, config, hot,
-                          parent_hash=trace.key.key_hash, engine="replay")
-    system = build_system(trace.key.mode, machine)
-    _skip_dma_copies([system])
-    lane = _FusedLane(0, program, cold, phase_names, decoded, trace,
-                      system, system, config, flags)
-    with obs.phase("replay.timing"):
-        lane.run_until(_INFINITY, 0)
-        timing = lane.finish()
-    if timeline is not None:
-        timeline.lane_span(0, 0.0, lane.fetch_time)
-    sim = lane_result(timing, system.stats_summary())
+    num_cores = len(cores)
+    if num_cores > 1:
+        system = build_multicore_system(key.mode, machine,
+                                        num_cores=num_cores)
+        if timeline is not None:
+            system.uncore.timeline = timeline
+        attach = [(system.core(i), system.view(i), system.uncore.port(i))
+                  for i in range(num_cores)]
+        shared = system.uncore
+    else:
+        system = build_system(key.mode, machine)
+        attach = [(system, system, None)]
+        shared = system.hierarchy
+    _skip_dma_copies(mem for mem, _, _ in attach)
+    if kern is None:
+        lanes = [_FusedLane(core_id, trace, entry, config, key, mem, view)
+                 for core_id, ((trace, entry), (mem, view, _))
+                 in enumerate(zip(cores, attach))]
+    else:
+        from repro.trace.vector import _VectorLane, _apply_shared
+        lanes = [_VectorLane(core_id, trace, entry, config, key, mem,
+                             machine, kern, port)
+                 for core_id, ((trace, entry), (mem, _, port))
+                 in enumerate(zip(cores, attach))]
+    with obs.phase(f"{lanes[0]._engine}.timing"):
+        run_resumable_lanes(lanes, timeline=timeline)
+        timings = [lane.finish() for lane in lanes]
+    if kern is not None:
+        _apply_shared(shared, lanes)
+    per_core = [lane_result(timing, mem.stats_summary())
+                for timing, (mem, _, _) in zip(timings, attach)]
+    if num_cores > 1:
+        sim = aggregate_results(per_core, system.aggregate_summary(),
+                                topology=system.topology)
+    else:
+        (sim,) = per_core
     energy = EnergyModel(machine.energy).compute(sim)
-    return RunResult(workload=trace.key.workload, mode=trace.key.mode,
-                     compiled=compiled, sim=sim, energy=energy,
-                     system=system, scale=trace.key.scale)
+    return RunResult(workload=key.workload, mode=key.mode,
+                     compiled=cores[0][1][1], sim=sim, energy=energy,
+                     system=system, scale=key.scale, num_cores=num_cores)
 
 
-class _FusedLane:
-    """One core's fused replay loop as a resumable state machine.
+class _ReplayLane:
+    """One core's replay lane: what the fused and vector lanes share.
 
-    The per-instruction math is the transcription of the out-of-order model
-    described in the module docstring, operating on this lane's own
-    timing-model objects and flat reservation tables.  The loop lives in a
-    *generator* (:meth:`_loop`) whose locals — stream cursors, the scalar
-    timing state, every cached bound method — survive across yields, so
-    handing control between lanes costs one ``send`` instead of saving and
-    restoring the loop state.  Lanes yield only before shared-state
-    instructions (see the module docstring), so in multicore a switch comes
-    once per run of private work, not per instruction.
-
-    Branches read their mispredict flags from ``flags`` (a
-    :func:`_cached_flags` result).  Loads and stores are timing-only: the
-    LM latency, the real directory lookup of a guarded access (its
-    presence-bit stall included), the hierarchy access of an SM-served one
-    and the store-collapse latch run inline, and the counters the skipped
-    ``load``/``store`` calls would change are folded in :meth:`finish`.
-    ``system`` — a :class:`~repro.core.hybrid.HybridSystem` for single-core
-    replay, a :class:`~repro.core.multicore.CoreView` (ownership-checked
-    facade) for multicore — is called only for DMA commands, dma-sync and
-    set-bufsize.  ``mem`` is the underlying per-core
-    :class:`~repro.core.hybrid.HybridSystem` whose components the loop
-    drives and whose counters it writes back (the same object as ``system``
-    in the single-core case); replay builds it without a protocol checker,
-    which would have to see every access.
+    Holds the core's pass products (decoded stream, branch flags), its
+    fresh :class:`~repro.cpu.pipeline.OutOfOrderTimingModel` and the
+    resumable-lane contract of
+    :func:`~repro.cpu.multicore.run_resumable_lanes`: the engine's loop is
+    a *generator* (``_loop``) whose locals survive across yields, so handing
+    control between lanes costs one ``send``.  On exhaustion the loop packs
+    its final state into ``_state``; the engine's ``finish`` writes it back
+    through :meth:`_install_timing`.  ``mem`` is the core's
+    :class:`~repro.core.hybrid.HybridSystem`, built without a protocol
+    checker (which would have to see every access).  ``_engine`` prefixes
+    the flags pass's counters and phase (see :func:`_cached_flags`).
     """
 
     __slots__ = ("order", "trace", "config", "timing", "fetch_time", "done",
-                 "_seq_pcs", "_fu_counts", "_phase_names", "_phase_acc",
-                 "_mem", "_flags", "_n", "_gen", "_state")
+                 "_mem", "_seq_pcs", "_n", "_fu_counts", "_phase_names",
+                 "_phase_acc", "_flags", "_gen", "_state")
+    _engine = "replay"
 
-    def __init__(self, order: int, program, cold, phase_names, decoded,
-                 trace: Trace, system, mem, config, flags):
-        assert mem.checker is None, "replay systems track no protocol"
-        seq, mem_addrs, dma_words, fu_counts = (decoded[0], decoded[2],
-                                                decoded[3], decoded[4])
+    def __init__(self, order: int, trace: Trace, entry, decoded, config,
+                 key: TraceKey, mem):
+        hot, cold, phase_names = entry[2], entry[3], entry[5]
         self.order = order
         self.trace = trace
         self.config = config
+        self._mem = mem
         self._seq_pcs = decoded[5]
-        self._n = len(seq)
-        self._fu_counts = fu_counts
+        self._n = len(decoded[5])
+        self._fu_counts = decoded[4]
         self._phase_names = phase_names
         self._phase_acc = [0.0] * len(phase_names)
-        self._mem = mem
-        self._flags = flags
-        timing = OutOfOrderTimingModel(config, hierarchy=mem.hierarchy)
-        self.timing = timing
+        self._flags = _cached_flags(trace, decoded, cold, config, hot,
+                                    parent_hash=key.key_hash,
+                                    engine=self._engine)
+        self.timing = OutOfOrderTimingModel(config, hierarchy=mem.hierarchy)
         self.fetch_time = 0.0
-        self.done = self._n == 0
-
-        # Pre-seed every register name so the hot loop can use direct
-        # indexing (missing keys read as 0.0 in the original, which this
-        # reproduces).
-        reg_ready = timing.reg_ready
-        for inst in program.instructions:
-            for src in inst.srcs:
-                reg_ready.setdefault(src, 0.0)
-
-        if self._n:
-            self._gen = self._loop(seq, cold, mem_addrs, dma_words, system)
-            next(self._gen)     # run the loop's setup to the first yield
-        else:   # defensive: programs always retire at least a HALT
-            self._gen = None
-            self._state = ((0, 0.0, 0.0, 0.0, 0.0, 0.0, 0, 0.0,
-                            mem.total_mem_latency, mem._last_store_addr,
-                            mem._last_store_to_sm), (0,) * 13)
+        self.done = False
 
     def run_until(self, limit: float, limit_order: int) -> None:
-        """Advance the lane until it reaches a shared-state instruction with
-        its key ``(fetch_time, order)`` past ``(limit, limit_order)`` — the
+        """Advance the lane until it reaches an instruction it yields before
+        (a shared-state one: see each engine's loop) with its key
+        ``(fetch_time, order)`` past ``(limit, limit_order)`` — the
         multicore scheduling contract.  At least one instruction is
         processed per call (the caller only schedules the earliest lane);
         ``limit=inf`` runs to completion.
         """
-        if self._gen is None:       # empty stream: born done, nothing to run
-            return
         try:
             self._gen.send((limit, limit_order))
         except StopIteration:
             self.done = True
+
+    def _install_timing(self, fetch_time, last_commit, rob_bw, rob_stalls,
+                        lsq_stalls, memory_ops, collapsed,
+                        contended) -> OutOfOrderTimingModel:
+        """Write the loop's final scalar timing state, the phase totals, the
+        precomputed FU op counts, the branch flags' predictor/BTB counters
+        and the out-of-band instruction-fetch activity (see
+        :func:`_l1i_stats`) back into the timing model and the L1I, so they
+        report exactly what execution-driven simulation would; returns the
+        timing model."""
+        timing = self.timing
+        hierarchy = self._mem.hierarchy
+        hierarchy.l1i.stats, hierarchy.icache_accesses = _l1i_stats(
+            self.trace, self._seq_pcs, self.config, hierarchy.config)
+        timing.fetch_time = fetch_time
+        timing.committed = self._n
+        timing.last_commit_time = last_commit
+        timing.fu_op_counts.update(self._fu_counts)
+        # Commit deltas are strictly positive, so a phase accumulated exactly
+        # 0.0 iff no instruction of that phase retired — execution's
+        # defaultdict would not contain it either.
+        phase_acc = self._phase_acc
+        for idx, name in enumerate(self._phase_names):
+            if phase_acc[idx] != 0.0:
+                timing.phase_cycles[name] = phase_acc[idx]
+        timing.rob._last_commit_time = last_commit
+        timing.rob._commit_bandwidth_time = rob_bw
+        timing.rob.dispatch_stalls = rob_stalls
+        timing.lsq.occupancy_stalls = lsq_stalls
+        timing.lsq.memory_ops = memory_ops
+        timing.lsq.collapsed_stores = collapsed
+        timing.fus.contended_cycles = contended
+        flags = self._flags
+        timing.mispredictions = flags[2]
+        predictor = timing.predictor
+        predictor.predictions = flags[1]
+        predictor.mispredictions = flags[2]
+        predictor.btb.hits = flags[3]
+        predictor.btb.misses = flags[4]
+        return timing
+
+
+class _FusedLane(_ReplayLane):
+    """One core's fused replay loop as a resumable state machine.
+
+    The per-instruction math is the transcription of the out-of-order model
+    described in the module docstring, operating on this lane's own
+    timing-model objects and flat reservation tables.  Lanes yield only
+    before shared-state instructions (see the module docstring), so in
+    multicore a switch comes once per run of private work, not per
+    instruction.
+
+    Branches read their mispredict flags from the flags pass.  Loads and
+    stores are timing-only: the LM latency, the real directory lookup of a
+    guarded access (its presence-bit stall included), the hierarchy access
+    of an SM-served one and the store-collapse latch run inline, and the
+    counters the skipped ``load``/``store`` calls would change are folded
+    in :meth:`finish`.  ``system`` — the core's own system for single-core
+    replay, a :class:`~repro.core.multicore.CoreView` (ownership-checked
+    facade) for multicore — is called only for DMA commands, dma-sync and
+    set-bufsize; the loop drives ``mem``'s components directly.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, order: int, trace: Trace, entry, config,
+                 key: TraceKey, mem, system):
+        assert mem.checker is None, "replay systems track no protocol"
+        hot, cold, fu_values = entry[2], entry[3], entry[4]
+        decoded = _cached_decode(trace, hot, cold, fu_values,
+                                 parent_hash=key.key_hash, with_seq=True)
+        super().__init__(order, trace, entry, decoded, config, key, mem)
+        # Pre-seed every register name so the hot loop can use direct
+        # indexing (missing keys read as 0.0 in the original, which this
+        # reproduces).
+        reg_ready = self.timing.reg_ready
+        for h in hot:
+            for src in h[4]:
+                reg_ready.setdefault(src, 0.0)
+        self._gen = self._loop(decoded[0], cold, decoded[2], decoded[3],
+                               system)
+        next(self._gen)     # run the loop's setup to the first yield
 
     def _loop(self, seq, cold, mem_addrs, dma_words, system):
         """The fused per-instruction loop, as a generator.
@@ -1150,10 +1235,10 @@ class _FusedLane:
             last_commit = rob_bw
 
         self.fetch_time = fetch_time
-        self._state = ((mi, fetch_time, last_commit, rob_bw, rob_stalls,
-                        lsq_stalls, lsq_collapsed, contended, total_lat,
-                        last_store_addr, last_store_to_sm),
-                       (lm_loads, lm_stores, loads, stores, sm_reads,
+        self._state = ((fetch_time, last_commit, rob_bw, rob_stalls,
+                        lsq_stalls, mi, lsq_collapsed, contended),
+                       (total_lat, last_store_addr, last_store_to_sm,
+                        lm_loads, lm_stores, loads, stores, sm_reads,
                         sm_writes, collapsed_stores, g_loads, g_stores,
                         g_hit_loads, g_hit_stores, div_loads, div_stores))
 
@@ -1162,41 +1247,16 @@ class _FusedLane:
         system (so they report exactly what execution-driven simulation
         would) and return the timing model.  Call once, after ``done``.
         """
-        ((mi, fetch_time, last_commit, rob_bw, rob_stalls, lsq_stalls,
-          lsq_collapsed, contended, total_lat, last_store_addr,
-          last_store_to_sm),
-         (lm_loads, lm_stores, loads, stores, sm_reads, sm_writes,
-          collapsed_stores, g_loads, g_stores, g_hit_loads, g_hit_stores,
-          div_loads, div_stores)) = self._state
-        timing = self.timing
-        system = self._mem
-        phase_acc = self._phase_acc
-
-        # -- out-of-band instruction-fetch activity (see _l1i_stats) --
-        hierarchy = system.hierarchy
-        hierarchy.l1i.stats, hierarchy.icache_accesses = _l1i_stats(
-            self.trace, self._seq_pcs, self.config, hierarchy.config)
-
-        timing.fetch_time = fetch_time
-        timing.committed = self._n
-        timing.last_commit_time = last_commit
-        timing.fu_op_counts.update(self._fu_counts)
-        # Commit deltas are strictly positive, so a phase accumulated exactly
-        # 0.0 iff no instruction of that phase retired — execution's
-        # defaultdict would not contain it either.
-        for idx, name in enumerate(self._phase_names):
-            if phase_acc[idx] != 0.0:
-                timing.phase_cycles[name] = phase_acc[idx]
-        timing.rob._last_commit_time = last_commit
-        timing.rob._commit_bandwidth_time = rob_bw
-        timing.rob.dispatch_stalls = rob_stalls
-        timing.lsq.occupancy_stalls = lsq_stalls
-        timing.lsq.memory_ops = mi
-        timing.lsq.collapsed_stores = lsq_collapsed
-        timing.fus.contended_cycles = contended
-        _install_branch_stats(timing, self._flags)
+        timing_state, accesses = self._state
+        (total_lat, last_store_addr, last_store_to_sm, lm_loads, lm_stores,
+         loads, stores, sm_reads, sm_writes, collapsed_stores, g_loads,
+         g_stores, g_hit_loads, g_hit_stores, div_loads,
+         div_stores) = accesses
+        timing = self._install_timing(*timing_state)
 
         # -- what the skipped load/store calls would have counted --
+        system = self._mem
+        hierarchy = system.hierarchy
         system.loads += lm_loads + loads
         system.stores += lm_stores + stores
         system.guarded_loads += g_loads
@@ -1218,79 +1278,3 @@ class _FusedLane:
             agu.diverted_loads += g_hit_loads
             agu.diverted_stores += g_hit_stores
         return timing
-
-
-# --------------------------------------------------------------- multicore replay
-def _check_multicore_trace(mtrace: MulticoreTrace,
-                           machine: MachineConfig) -> int:
-    """Shared validity gate of both multicore engines; returns num_cores."""
-    key = mtrace.key
-    check_replay_machine(key, machine)
-    if key.kind != "kernel":
-        raise TraceError(f"multicore replay supports kernel traces only, "
-                         f"not {key.kind!r}")
-    num_cores = key.num_cores
-    if num_cores != len(mtrace.cores):
-        raise TraceError(
-            f"multicore trace {key.label} holds {len(mtrace.cores)} core "
-            f"streams but its key says {num_cores}")
-    return num_cores
-
-
-def _replay_multicore(mtrace: MulticoreTrace,
-                      machine: MachineConfig,
-                      timeline=None) -> RunResult:
-    """Fused multicore replay: one :class:`_FusedLane` per core, interleaved
-    under the shared uncore.
-
-    Rebuilds every core's shard program (cached per trace family —
-    compilation is deterministic given the family key) and decodes every
-    per-core stream once (cached by program fingerprint + stream digest, so
-    re-parsing the same RPMT container, or replaying it under another
-    ablation point, pays no second walk).  The lanes advance under
-    :func:`~repro.cpu.multicore.run_resumable_lanes`' min-fetch-time
-    contract — the same global clock as execution's lane runner — so at the
-    capture machine configuration cycles, activity and energy are identical
-    to the execution-driven run, and under timing-parameter overrides the
-    whole multicore, uncore contention included, is re-timed at fused
-    speed.
-    """
-    from repro.harness.systems import build_multicore_system
-
-    key = mtrace.key
-    num_cores = _check_multicore_trace(mtrace, machine)
-    entries = _cached_parallel_program(key, machine)
-    for core_id, (entry, trace) in enumerate(zip(entries, mtrace.cores)):
-        if entry[6] != trace.program_fingerprint:
-            raise TraceError(
-                f"multicore trace {key.label} is stale: core {core_id} "
-                f"program fingerprint {trace.program_fingerprint} != rebuilt "
-                f"{entry[6]} (the compiler or workload changed since "
-                "capture)")
-    system = build_multicore_system(key.mode, machine, num_cores=num_cores)
-    _skip_dma_copies(system.cores)
-    if timeline is not None:
-        system.uncore.timeline = timeline
-    config = core_config_for(machine)
-    lanes = []
-    for core_id, (entry, trace) in enumerate(zip(entries, mtrace.cores)):
-        program, comp, hot, cold, fu_values, phase_names, fingerprint = entry
-        decoded = _cached_decode(trace, hot, cold, fu_values,
-                                 parent_hash=key.key_hash, with_seq=True)
-        flags = _cached_flags(trace, decoded, cold, config, hot,
-                              parent_hash=key.key_hash, engine="replay")
-        lanes.append(_FusedLane(core_id, program, cold, phase_names, decoded,
-                                trace, system.view(core_id),
-                                system.core(core_id), config, flags))
-    with obs.phase("replay.timing"):
-        run_resumable_lanes(lanes, timeline=timeline)
-    per_core = [lane_result(lane.finish(),
-                            system.core(core_id).stats_summary())
-                for core_id, lane in enumerate(lanes)]
-    sim = aggregate_results(per_core, system.aggregate_summary(),
-                            topology=system.topology)
-    energy = EnergyModel(machine.energy).compute(sim)
-    return RunResult(workload=key.workload, mode=key.mode,
-                     compiled=entries[0][1], sim=sim, energy=energy,
-                     system=system, scale=key.scale, num_cores=num_cores)
-

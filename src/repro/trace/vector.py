@@ -52,6 +52,15 @@ work by *data dependence* instead:
   order and multicore identity is preserved while lane switches drop from
   every-other-instruction to per-uncore-event.
 
+This module holds only what is the vector engine's own: the oracle and
+prelower passes, the variant tables and :class:`_VectorLane`.  The driver
+is :mod:`repro.trace.replay`'s — ``replay_trace`` validates the trace and
+its one ``_replay`` builds the system and one lane per core for both
+engines and every core count; the lane derives from ``_ReplayLane``
+(decode and flags passes, timing write-back, resumable-lane contract), and
+every pass lookup goes through the shared ``_tiered`` memory -> disk ->
+compute policy.
+
 The result is bit-identical to ``engine="fused"`` and to execution: same
 cycles, same phase breakdown, same activity counters, same energy —
 enforced by ``tests/test_vector_replay.py`` over every NAS kernel, both
@@ -70,33 +79,24 @@ import numpy as np
 
 from repro import obs
 from repro.cpu.branch_predictor import HybridBranchPredictor
-from repro.cpu.core import lane_result
-from repro.cpu.multicore import aggregate_results, run_resumable_lanes
-from repro.cpu.pipeline import CODE_BASE, CODE_INSTR_SIZE, OutOfOrderTimingModel
-from repro.energy.model import EnergyModel
+from repro.cpu.pipeline import CODE_BASE, CODE_INSTR_SIZE
 from repro.harness.config import MachineConfig
-from repro.harness.runner import RunResult
-from repro.harness.systems import build_system, core_config_for
+from repro.harness.systems import build_system
 from repro.mem.cache import CacheStats
-from repro.trace import _ckernel, artifacts
-from repro.trace.format import MulticoreTrace, Trace, TraceError
+from repro.trace import _ckernel
+from repro.trace.format import Trace, TraceKey
 from repro.trace.replay import (  # noqa: F401 (flags pass re-exported)
     _FLAGS_CACHE,
-    _INFINITY,
+    _ReplayLane,
     _branch_flags,
     _cached_decode,
-    _cached_flags,
-    _cached_parallel_program,
-    _cached_program,
-    _check_multicore_trace,
-    _install_branch_stats,
-    _l1i_stats,
     _remember,
     _skip_dma_copies,
-    check_replay_machine,
+    _tiered,
 )
 
-__all__ = ["replay_multicore_vector", "replay_single_vector"]
+#: No public names: ``replay_trace(engine="vector")`` is the entry point.
+__all__: list = []
 
 # Dense route codes, one per memory operation (LM-plain ops included):
 # which structure serves it, resolved once per (trace, geometry) by the
@@ -233,32 +233,13 @@ def _pass_key(trace: Trace, mode: str, machine: MachineConfig,
 def _cached_oracle(trace: Trace, decoded, cold, hot, mode: str,
                    machine: MachineConfig, multicore: bool,
                    parent_hash=None) -> _OracleRoutes:
-    key = _pass_key(trace, mode, machine, multicore)
-    entry = _ORACLE_CACHE.get(key)
-    if entry is not None:
-        obs.incr("vector.oracle.hit")
-        _ORACLE_CACHE.move_to_end(key)
-        return entry
-    store = artifacts.default_store() if parent_hash else None
-    if store is not None:
-        loaded = store.get(parent_hash, "oracle", key)
-        if loaded is not None:
-            entry = _oracle_from_artifact(loaded[0], loaded[1],
-                                          len(decoded[2]))
-            if entry is not None:
-                obs.incr("vector.oracle.hit")
-                obs.incr("vector.oracle.disk.hit")
-                _remember(_ORACLE_CACHE, key, entry, _ORACLE_CAP)
-                return entry
-    obs.incr("vector.oracle.miss")
-    with obs.phase("vector.oracle"):
-        entry = _oracle_routes(decoded, cold, hot, mode, machine,
-                               multicore)
-    _remember(_ORACLE_CACHE, key, entry, _ORACLE_CAP)
-    if store is not None:
-        meta, sections = _oracle_to_artifact(entry)
-        store.put(parent_hash, "oracle", key, meta, sections)
-    return entry
+    return _tiered(
+        _ORACLE_CACHE, _ORACLE_CAP,
+        _pass_key(trace, mode, machine, multicore), "vector.oracle",
+        lambda: _oracle_routes(decoded, cold, hot, mode, machine, multicore),
+        parent_hash, "oracle", _oracle_to_artifact,
+        lambda meta, sections: _oracle_from_artifact(meta, sections,
+                                                     len(decoded[2])))
 
 
 def _oracle_event(S, kind: int, tag, dma_words, di: int, multicore: bool,
@@ -860,35 +841,20 @@ def _cached_vstream(trace: Trace, seq_pcs, vtab: _VTab,
     """
     from repro import faults
     faults.check("vector.prelower", key=trace.stream_digest())
-    key = _pass_key(trace, mode, machine, multicore)
-    entry = _PRELOWER_CACHE.get(key)
-    if entry is not None:
-        obs.incr("vector.prelower.hit")
-        _PRELOWER_CACHE.move_to_end(key)
-        return entry
-    store = artifacts.default_store() if parent_hash else None
-    if store is not None:
-        loaded = store.get(parent_hash, "prelower", key)
-        if loaded is not None:
-            entry = _vstream_from_artifact(loaded[1], len(seq_pcs), oracle)
-            if entry is not None:
-                obs.incr("vector.prelower.hit")
-                obs.incr("vector.prelower.disk.hit")
-                _remember(_PRELOWER_CACHE, key, entry, _ORACLE_CAP)
-                return entry
-    obs.incr("vector.prelower.miss")
-    with obs.phase("vector.prelower"):
+
+    def prelower():
         pcs = np.frombuffer(seq_pcs, np.uint32)
         routes = np.frombuffer(oracle.routes, np.uint8)
         picked = _SEL_BY_ROUTE[routes]
         sel = np.zeros(len(pcs), np.uint8)
         sel[vtab.is_mem[pcs]] = picked
-        entry = (sel.tobytes(), routes[picked == _S_LIVE].tobytes())
-    _remember(_PRELOWER_CACHE, key, entry, _ORACLE_CAP)
-    if store is not None:
-        meta, sections = _vstream_to_artifact(entry)
-        store.put(parent_hash, "prelower", key, meta, sections)
-    return entry
+        return sel.tobytes(), routes[picked == _S_LIVE].tobytes()
+    return _tiered(
+        _PRELOWER_CACHE, _ORACLE_CAP,
+        _pass_key(trace, mode, machine, multicore), "vector.prelower",
+        prelower, parent_hash, "prelower", _vstream_to_artifact,
+        lambda meta, sections: _vstream_from_artifact(sections, len(seq_pcs),
+                                                      oracle))
 
 
 def _build_vtab(hot, cold) -> _VTab:
@@ -928,57 +894,41 @@ def _build_vtab(hot, cold) -> _VTab:
                  unpip, is_mem, events, len(reg_ids))
 
 
-class _VectorLane:
+class _VectorLane(_ReplayLane):
     """One core's vector replay loop as a resumable state machine.
 
     The issue/retire arithmetic is the compiled transcription of the fused
     recurrence (:mod:`repro.trace._ckernel`); memory and branch outcomes
-    come from the precomputed route/flag streams; the only live structures
-    are the point system's MSHR file and (multicore) the shared uncore.
-    Lanes yield to the scheduler only immediately before an uncore event —
-    see the module docstring.
+    come from the precomputed route/flag streams, derived here (oracle,
+    variant tables, prelowered selector) on top of the decode and flags
+    passes the base class reads.  The only live structures are the point
+    system's MSHR file and, multicore, the shared uncore behind ``uncore``
+    (this core's port; None for a single-core run).  Lanes yield to the
+    scheduler only immediately before an uncore event — see the module
+    docstring.
     """
 
-    __slots__ = ("order", "trace", "config", "timing", "fetch_time", "done",
-                 "_seq_pcs", "_n", "_fu_counts", "_phase_names", "_phase_acc",
-                 "_mem", "_oracle", "_flags", "_gen", "_state")
+    __slots__ = ("_oracle",)
+    _engine = "vector"
 
-    def __init__(self, order: int, phase_names, decoded, vtab: _VTab,
-                 vstream, trace: Trace, mem, config, oracle: _OracleRoutes,
-                 flags, kern, uncore=None):
-        fu_counts, seq_pcs = decoded[4], decoded[5]
-        self.order = order
-        self.trace = trace
-        self.config = config
-        self._seq_pcs = seq_pcs
-        self._n = len(seq_pcs)
-        self._fu_counts = fu_counts
-        self._phase_names = phase_names
-        self._phase_acc = [0.0] * len(phase_names)
-        self._mem = mem
-        self._oracle = oracle
-        self._flags = flags
-        timing = OutOfOrderTimingModel(config, hierarchy=mem.hierarchy)
-        self.timing = timing
-        self.fetch_time = 0.0
-        self.done = self._n == 0
-        if self._n:
-            self._gen = self._loop(seq_pcs, vtab, vstream, uncore, kern)
-            next(self._gen)     # run the loop's setup to the first yield
-        else:   # defensive: programs always retire at least a HALT
-            self._gen = None
-            self._state = (0.0, 0.0, 0.0, 0.0, 0.0, 0.0,
-                           mem.total_mem_latency, 0.0, 0)
-
-    def run_until(self, limit: float, limit_order: int) -> None:
-        """Advance the lane while its key ``(fetch_time, order)`` stays below
-        ``(limit, limit_order)`` — the multicore scheduling contract."""
-        if self._gen is None:
-            return
-        try:
-            self._gen.send((limit, limit_order))
-        except StopIteration:
-            self.done = True
+    def __init__(self, order: int, trace: Trace, entry, config,
+                 key: TraceKey, mem, machine: MachineConfig, kern,
+                 uncore=None):
+        hot, cold, fu_values = entry[2], entry[3], entry[4]
+        parent_hash = key.key_hash
+        decoded = _cached_decode(trace, hot, cold, fu_values,
+                                 parent_hash=parent_hash)
+        super().__init__(order, trace, entry, decoded, config, key, mem)
+        multicore = uncore is not None
+        oracle = self._oracle = _cached_oracle(
+            trace, decoded, cold, hot, key.mode, machine, multicore,
+            parent_hash=parent_hash)
+        vtab = _cached_vtab(trace, hot, cold)
+        vstream = _cached_vstream(trace, decoded[5], vtab, oracle, key.mode,
+                                  machine, multicore,
+                                  parent_hash=parent_hash)
+        self._gen = self._loop(decoded[5], vtab, vstream, uncore, kern)
+        next(self._gen)     # run the loop's setup to the first yield
 
     def _loop(self, seq_pcs, vtab: _VTab, vstream, uncore, kern):
         """The vector loop around the compiled inner kernel, as a generator.
@@ -1192,45 +1142,23 @@ class _VectorLane:
         self._phase_acc = [float(x) for x in phase_acc]
         fetch_time = float(fs[0])
         self.fetch_time = fetch_time
-        self._state = (fetch_time, float(fs[1]), float(fs[2]), float(fs[3]),
-                       float(fs[4]), float(fs[5]), float(fs[6]), float(fs[7]),
-                       int(iv[7]))
+        self._state = ((fetch_time, float(fs[1]), float(fs[2]), float(fs[3]),
+                        float(fs[4]), len(oracle.routes), oracle.collapsed,
+                        float(fs[5])),
+                       (float(fs[6]), float(fs[7]), int(iv[7])))
 
-    def finish(self) -> OutOfOrderTimingModel:
+    def finish(self):
         """Install the accumulated timing state and the oracle's activity
         counters into the live timing model / memory system and return the
         timing model.  Shared memory/bus counters are *not* written here —
         the caller applies them once via :func:`_apply_shared` (they are
         shared objects in multicore).  Call once, after ``done``.
         """
-        (fetch_time, last_commit, rob_bw, rob_stalls, lsq_stalls, contended,
-         total_lat, hier_lat, presence_stalls) = self._state
-        timing = self.timing
+        timing_state, (total_lat, hier_lat, presence_stalls) = self._state
+        timing = self._install_timing(*timing_state)
         system = self._mem
-        oracle = self._oracle
-        patch = oracle.patch
-        phase_acc = self._phase_acc
-
+        patch = self._oracle.patch
         hierarchy = system.hierarchy
-        hierarchy.l1i.stats, hierarchy.icache_accesses = _l1i_stats(
-            self.trace, self._seq_pcs, self.config, hierarchy.config)
-
-        timing.fetch_time = fetch_time
-        timing.committed = self._n
-        timing.last_commit_time = last_commit
-        timing.fu_op_counts.update(self._fu_counts)
-        for idx, name in enumerate(self._phase_names):
-            if phase_acc[idx] != 0.0:
-                timing.phase_cycles[name] = phase_acc[idx]
-        timing.rob._last_commit_time = last_commit
-        timing.rob._commit_bandwidth_time = rob_bw
-        timing.rob.dispatch_stalls = rob_stalls
-        timing.lsq.occupancy_stalls = lsq_stalls
-        timing.lsq.memory_ops = len(oracle.routes)
-        timing.lsq.collapsed_stores = oracle.collapsed
-        timing.fus.contended_cycles = contended
-        _install_branch_stats(timing, self._flags)
-
         system.loads = patch["loads"]
         system.stores = patch["stores"]
         system.guarded_loads = patch["guarded_loads"]
@@ -1271,8 +1199,10 @@ class _VectorLane:
         return timing
 
 
-def _apply_shared(memory, bus, patches, uncore=None) -> None:
-    """Install the summed shared memory/bus activity of all lanes.
+def _apply_shared(owner, lanes) -> None:
+    """Install the summed shared memory/bus activity of all ``lanes`` on
+    ``owner`` — the shared uncore in multicore, the core's own hierarchy
+    otherwise (both hold ``memory`` and ``bus``).
 
     Must run after every lane's :meth:`_VectorLane.finish` and *before* any
     ``stats_summary()`` is collected — in multicore, every per-core summary
@@ -1284,110 +1214,11 @@ def _apply_shared(memory, bus, patches, uncore=None) -> None:
     in ``mem_path``) and recorded its demand hits — subtract those so the
     installed total matches what execution observes.
     """
-    memory.reads = sum(p["memory_reads"] for p in patches)
-    if uncore is not None:
-        memory.reads -= getattr(uncore, "llc_demand_hits", 0)
+    patches = [lane._oracle.patch for lane in lanes]
+    memory, bus = owner.memory, owner.bus
+    memory.reads = (sum(p["memory_reads"] for p in patches)
+                    - getattr(owner, "llc_demand_hits", 0))
     memory.writes = sum(p["memory_writes"] for p in patches)
     bus.transactions = sum(p["bus_transactions"] for p in patches)
     bus.dma_transactions = sum(p["bus_dma_transactions"] for p in patches)
     bus.bytes_transferred = sum(p["bus_bytes"] for p in patches)
-
-
-def replay_single_vector(trace: Trace, machine: MachineConfig, kern,
-                         timeline=None) -> RunResult:
-    """Single-core vector replay on the loaded C kernel ``kern`` —
-    bit-identical to the fused engine."""
-    check_replay_machine(trace.key, machine)
-    program, compiled, hot, cold, fu_values, phase_names, fingerprint = \
-        _cached_program(trace.key)
-    if fingerprint != trace.program_fingerprint:
-        raise TraceError(
-            f"trace {trace.key.label} is stale: program fingerprint "
-            f"{trace.program_fingerprint} != rebuilt {fingerprint} "
-            "(the compiler or workload changed since capture)")
-    parent_hash = trace.key.key_hash
-    decoded = _cached_decode(trace, hot, cold, fu_values,
-                             parent_hash=parent_hash)
-    config = core_config_for(machine)
-    mode = trace.key.mode
-    oracle = _cached_oracle(trace, decoded, cold, hot, mode, machine, False,
-                            parent_hash=parent_hash)
-    flags = _cached_flags(trace, decoded, cold, config, hot,
-                          parent_hash=parent_hash)
-    vtab = _cached_vtab(trace, hot, cold)
-    vstream = _cached_vstream(trace, decoded[5], vtab, oracle, mode, machine,
-                              False, parent_hash=parent_hash)
-    system = build_system(mode, machine)
-    lane = _VectorLane(0, phase_names, decoded, vtab, vstream, trace,
-                       system, config, oracle, flags, kern)
-    with obs.phase("vector.timing"):
-        lane.run_until(_INFINITY, 0)
-        timing = lane.finish()
-    if timeline is not None:
-        timeline.lane_span(0, 0.0, lane.fetch_time)
-    _apply_shared(system.hierarchy.memory, system.hierarchy.bus,
-                  [oracle.patch])
-    sim = lane_result(timing, system.stats_summary())
-    energy = EnergyModel(machine.energy).compute(sim)
-    return RunResult(workload=trace.key.workload, mode=mode,
-                     compiled=compiled, sim=sim, energy=energy,
-                     system=system, scale=trace.key.scale)
-
-
-def replay_multicore_vector(mtrace: MulticoreTrace,
-                            machine: MachineConfig, kern,
-                            timeline=None) -> RunResult:
-    """Multicore vector replay: one :class:`_VectorLane` per core under the
-    shared uncore, interleaved by the same min-fetch-time scheduler as the
-    fused engine — epoch breaks at uncore events keep the arbitration order
-    identical (see the module docstring)."""
-    from repro.harness.systems import build_multicore_system
-
-    key = mtrace.key
-    num_cores = _check_multicore_trace(mtrace, machine)
-    entries = _cached_parallel_program(key, machine)
-    for core_id, (entry, trace) in enumerate(zip(entries, mtrace.cores)):
-        if entry[6] != trace.program_fingerprint:
-            raise TraceError(
-                f"multicore trace {key.label} is stale: core {core_id} "
-                f"program fingerprint {trace.program_fingerprint} != rebuilt "
-                f"{entry[6]} (the compiler or workload changed since "
-                "capture)")
-    system = build_multicore_system(key.mode, machine, num_cores=num_cores)
-    if timeline is not None:
-        system.uncore.timeline = timeline
-    config = core_config_for(machine)
-    lanes = []
-    patches = []
-    for core_id, (entry, trace) in enumerate(zip(entries, mtrace.cores)):
-        program, comp, hot, cold, fu_values, phase_names, fingerprint = entry
-        # Per-core streams have no stored file of their own: artifacts hang
-        # off the multicore *family* hash (the key every core shares).
-        decoded = _cached_decode(trace, hot, cold, fu_values,
-                                 parent_hash=key.key_hash)
-        oracle = _cached_oracle(trace, decoded, cold, hot, key.mode, machine,
-                                True, parent_hash=key.key_hash)
-        flags = _cached_flags(trace, decoded, cold, config, hot,
-                              parent_hash=key.key_hash)
-        vtab = _cached_vtab(trace, hot, cold)
-        vstream = _cached_vstream(trace, decoded[5], vtab, oracle, key.mode,
-                                  machine, True, parent_hash=key.key_hash)
-        lanes.append(_VectorLane(core_id, phase_names, decoded, vtab, vstream,
-                                 trace, system.core(core_id), config, oracle,
-                                 flags, kern,
-                                 uncore=system.uncore.port(core_id)))
-        patches.append(oracle.patch)
-    with obs.phase("vector.timing"):
-        run_resumable_lanes(lanes, timeline=timeline)
-        timings = [lane.finish() for lane in lanes]
-    _apply_shared(system.uncore.memory, system.uncore.bus, patches,
-                  uncore=system.uncore)
-    per_core = [lane_result(timing,
-                            system.core(core_id).stats_summary())
-                for core_id, timing in enumerate(timings)]
-    sim = aggregate_results(per_core, system.aggregate_summary(),
-                            topology=system.topology)
-    energy = EnergyModel(machine.energy).compute(sim)
-    return RunResult(workload=key.workload, mode=key.mode,
-                     compiled=entries[0][1], sim=sim, energy=energy,
-                     system=system, scale=key.scale, num_cores=num_cores)

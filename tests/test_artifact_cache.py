@@ -373,6 +373,95 @@ def test_warm_replay_identity_clustered(fresh_cache):
     assert warm.sim.core_stats["per_core"] == fused.sim.core_stats["per_core"]
 
 
+def _clear_every_memo():
+    """Forget every ``*_CACHE`` memo of both replay modules (rebuilt
+    programs and L1I simulations included)."""
+    for module in (replay_mod, vector_mod):
+        for name, memo in vars(module).items():
+            if name.endswith("_CACHE") and isinstance(memo, dict):
+                memo.clear()
+
+
+# Per engine: (counters, phases) of a cold replay (empty memos and artifact
+# store), a warm one (memos cleared, artifacts on disk) and a hot one (memos
+# kept).  Pass counters are pinned by value; the rest of the counter set
+# (the vector engine's epoch/bounce counts) by name.
+_PASS_COUNTS = {
+    "fused": {
+        "cold": {"replay.program.miss": 1, "replay.decode.miss": 2,
+                 "replay.flags.miss": 2, "replay.l1i.miss": 2},
+        "warm": {"replay.program.miss": 1, "replay.decode.hit": 2,
+                 "replay.decode.disk.hit": 2, "replay.flags.hit": 2,
+                 "replay.flags.disk.hit": 2, "replay.l1i.miss": 2},
+        "hot": {"replay.program.hit": 1, "replay.decode.hit": 2,
+                "replay.flags.hit": 2, "replay.l1i.hit": 2},
+    },
+    "vector": {
+        "cold": {"replay.program.miss": 1, "replay.decode.miss": 2,
+                 "replay.l1i.miss": 2, "vector.oracle.miss": 2,
+                 "vector.flags.miss": 2, "vector.prelower.miss": 2},
+        "warm": {"replay.program.miss": 1, "replay.decode.hit": 2,
+                 "replay.decode.disk.hit": 2, "replay.l1i.miss": 2,
+                 "vector.oracle.hit": 2, "vector.oracle.disk.hit": 2,
+                 "vector.flags.hit": 2, "vector.flags.disk.hit": 2,
+                 "vector.prelower.hit": 2, "vector.prelower.disk.hit": 2},
+        "hot": {"replay.program.hit": 1, "replay.decode.hit": 2,
+                "replay.l1i.hit": 2, "vector.oracle.hit": 2,
+                "vector.flags.hit": 2, "vector.prelower.hit": 2},
+    },
+}
+_PHASES = {
+    "fused": {
+        "cold": {"replay.program", "replay.decode", "replay.flags",
+                 "replay.l1i", "replay.timing"},
+        "warm": {"replay.program", "replay.l1i", "replay.timing"},
+        "hot": {"replay.timing"},
+    },
+    "vector": {
+        "cold": {"replay.program", "replay.decode", "replay.l1i",
+                 "vector.oracle", "vector.flags", "vector.prelower",
+                 "vector.timing"},
+        # The variant tables have no artifact: a fresh process rebuilds
+        # them under the prelower phase, counting no lookup.
+        "warm": {"replay.program", "replay.l1i", "vector.prelower",
+                 "vector.timing"},
+        "hot": {"vector.timing"},
+    },
+}
+_KERNEL_COUNTERS = {"vector.ckernel.epochs", "vector.bounce.dma",
+                    "vector.bounce.dma_sync", "vector.bounce.mem_miss",
+                    "vector.bounce.set_bufsize"}
+
+
+@pytest.mark.parametrize("engine", ["fused", "vector"])
+def test_pass_counters_and_phases_pinned(engine, fresh_cache):
+    """Every memo/disk/compute lookup of a 2-core replay reports exactly
+    the counters and phases listed above: cold, warm from the artifact
+    store, and hot from the in-process memos."""
+    if engine == "vector":
+        from repro.trace import _ckernel
+        if _ckernel.load() is None:
+            pytest.skip("no C kernel: vector replay runs the fused engine")
+    machine = _machine(2)
+    _, mtrace = capture_workload("CG", "hybrid", "tiny", machine=machine)
+    with artifacts.scoped(disabled=True):
+        reference = replay_trace(mtrace, machine, engine="fused")
+    _clear_every_memo()
+    kernel = _KERNEL_COUNTERS if engine == "vector" else set()
+    for label in ("cold", "warm", "hot"):
+        if label == "warm":
+            _clear_every_memo()
+        with obs.recording() as rec:
+            run = replay_trace(mtrace, machine, engine=engine)
+        expected = _PASS_COUNTS[engine][label]
+        assert set(rec.counters) == set(expected) | kernel, (label,
+                                                             rec.counters)
+        assert {name: rec.counters[name] for name in expected} == expected, \
+            label
+        assert set(rec.phases) == _PHASES[engine][label], (label, rec.phases)
+        _assert_same_run(run, reference)
+
+
 def _assert_same_run(run, fused):
     assert run.cycles == fused.cycles
     assert run.total_energy == fused.total_energy

@@ -172,6 +172,32 @@ def test_replay_rejects_a_mutated_branch_stream(mutation, where):
             replay_trace(bad)
 
 
+@pytest.mark.parametrize("engine", ["fused", "vector"])
+@pytest.mark.parametrize("count", ["-1", "-2", "0"])
+def test_replay_rejects_a_stream_that_stops_before_its_program(count,
+                                                               engine):
+    """Execution stops only at a retired halt or past the last pc: a stream
+    cut short by one or two instructions, or holding none at all, does not
+    match the rebuilt program."""
+    import dataclasses
+
+    from repro.trace import artifacts
+
+    _, trace = capture_workload("CG", "hybrid", "tiny")
+    if count == "0":
+        bad = dataclasses.replace(trace, instructions=0, branch_count=0,
+                                  branch_bits=b"", mem_addrs=array("Q"),
+                                  dma_words=array("q"), mem_pcs=array("I"),
+                                  _stream_digest=None)
+    else:
+        bad = dataclasses.replace(trace,
+                                  instructions=trace.instructions
+                                  + int(count), _stream_digest=None)
+    with artifacts.scoped(disabled=True):
+        with pytest.raises(TraceError, match="ran off"):
+            replay_trace(bad, engine=engine)
+
+
 def _aliasing_kernel(target):
     """The Figure 2 kernel of ``examples/aliasing_kernel.py``: streams
     through LM-mapped arrays, an SM store, then ``ptr[idx[i]] += 1``
@@ -203,30 +229,34 @@ def _aliasing_kernel(target):
     return kernel
 
 
-def _fused_replay_of(program, trace, mode, machine):
-    """Fused replay of a captured hand-built program (replay_trace rebuilds
-    programs by key, which a hand-built kernel has not)."""
+def _replay_of(program, trace, machine, engine):
+    """Replay of a captured hand-built program on ``engine`` (replay_trace
+    rebuilds programs by key, which a hand-built kernel has not): the one
+    replay driver, fed the program entry ``_cached_program`` would build."""
     import repro.trace.replay as replay_mod
-    from repro.cpu.core import lane_result
-    from repro.harness.systems import build_system, core_config_for
+    from repro.trace import _ckernel, artifacts
+    from repro.trace.format import program_fingerprint
 
-    hot, cold, fu_values, phase_names = replay_mod._program_meta(program)
-    decoded = replay_mod._decode_trace(trace, hot, cold, fu_values)
-    decoded = ([hot[pc] for pc in decoded[5]],) + decoded[1:]
-    config = core_config_for(machine)
-    flags = replay_mod._branch_flags(decoded, cold, config, hot)
-    system = build_system(mode, machine)
-    lane = replay_mod._FusedLane(0, program, cold, phase_names, decoded,
-                                 trace, system, system, config, flags)
-    lane.run_until(float("inf"), 0)
-    return lane_result(lane.finish(), system.stats_summary()), system
+    kern = None
+    if engine == "vector":
+        kern = _ckernel.load()
+        if kern is None:
+            pytest.skip("no C kernel: vector replay runs the fused engine")
+    entry = ((program, None) + replay_mod._program_meta(program)
+             + (program_fingerprint(program),))
+    with artifacts.scoped(disabled=True):
+        result = replay_mod._replay(trace.key, [(trace, entry)], machine,
+                                    kern)
+    return result.sim, result.system
 
 
+@pytest.mark.parametrize("engine", ["fused", "vector"])
 @pytest.mark.parametrize("mode,target", [("hybrid", "a"), ("hybrid", "c"),
                                          ("hybrid-oracle", "a")])
-def test_fused_timing_only_accesses_match_execution(mode, target):
+def test_fused_timing_only_accesses_match_execution(mode, target, engine):
     """Guarded accesses that hit and miss the directory, and oracle-divert
-    accesses that hit it, take fused replay's timing-only path; the result
+    accesses that hit it, take fused replay's timing-only path (and the
+    vector engine's guard and divert routes); on both engines the result
     equals execution at the capture machine and re-timed at another."""
     from repro.harness.runner import run_kernel
     from repro.trace.capture import TraceRecorder
@@ -254,7 +284,7 @@ def test_fused_timing_only_accesses_match_execution(mode, target):
                               (retimed, run_kernel(_aliasing_kernel(target),
                                                    mode=mode,
                                                    machine=retimed).sim)):
-        replayed, _ = _fused_replay_of(program, trace, mode, machine)
+        replayed, _ = _replay_of(program, trace, machine, engine)
         assert replayed.cycles == expected.cycles
         assert replayed.phase_cycles == expected.phase_cycles
         assert replayed.mispredictions == expected.mispredictions
@@ -304,10 +334,13 @@ def _in_flight_dma_program():
     return program
 
 
-def test_fused_guarded_accesses_match_system_calls_under_presence_stall():
-    """Fused replay's inline guarded and oracle-divert branches against the
-    ``HybridSystem.load``/``store`` calls execution makes: accesses that hit
-    a buffer still being filled stall on its presence bit, and latency,
+@pytest.mark.parametrize("engine", ["fused", "vector"])
+def test_fused_guarded_accesses_match_system_calls_under_presence_stall(
+        engine):
+    """Fused replay's inline guarded and oracle-divert branches, and the
+    vector engine's guard route with its in-kernel presence bits, against
+    the ``HybridSystem.load``/``store`` calls execution makes: accesses that
+    hit a buffer still being filled stall on its presence bit, and latency,
     stall, directory, AGU and LM counters all agree, at the capture machine
     and with a slower DMA engine."""
     from repro.trace.capture import TraceRecorder
@@ -326,8 +359,7 @@ def test_fused_guarded_accesses_match_system_calls_under_presence_stall():
     for machine, reference in ((PTLSIM_CONFIG, executed),
                                (slower, run_program(program, mode="hybrid",
                                                     machine=slower))):
-        replayed, system = _fused_replay_of(program, trace, "hybrid",
-                                            machine)
+        replayed, system = _replay_of(program, trace, machine, engine)
         real = reference.system
         directory = reference.sim.memory_stats["directory"]
         assert directory["presence_stalls"] == 3
