@@ -43,7 +43,7 @@ def guard_exit(ok: bool) -> int:
     return 0 if ok else 1
 
 
-def profile_engines(trace, machine, engines=("fused", "vector")) -> dict:
+def profile_engines(trace, machine, engines=("vector",)) -> dict:
     """Per-engine phase/counter profile of one replay (observability layer).
 
     Runs one *extra* recorded replay per engine — never the timed ones, so

@@ -13,15 +13,14 @@ NAS kernels (hybrid vs. cache-based) through the sweep engine:
   sweeps vs. execution-driven ones.
 
 Writes the numbers to ``BENCH_multicore.json`` at the repository root.
-With ``--replay-speedup`` only the fused-replay-vs-execution timing section
-is measured and *merged* into the existing report (the same pattern as
-``bench_trace_replay --vector-speedup``): per core count, one warm fused
-replay against one execution-driven run, plus the 6-point machine-ablation
-sweep at 2 cores — capture once, re-time six configs — which is the
-headline ``replay_speedup`` acceptance number.  In that mode the exit code
-doubles as a perf guard: non-zero unless every fused replay beats its
-execution run (and replay stays cycle/energy-identical at the capture
-config).
+With ``--replay-speedup`` only the replay-vs-execution timing section is
+measured and *merged* into the existing report (the same pattern as
+``bench_trace_replay --vector-speedup``): per core count, one warm replay
+against one execution-driven run, plus the 6-point machine-ablation sweep
+at 2 cores — capture once, re-time six configs — which is the headline
+``replay_speedup`` acceptance number.  In that mode the exit code doubles
+as a perf guard: non-zero unless every replay beats its execution run (and
+replay stays cycle/energy-identical at the capture config).
 
 With ``--scaling-curve`` only the flat-vs-clustered hybrid scaling curve of
 the first workload is measured and merged into the report (section
@@ -87,10 +86,9 @@ def measure_scalability(workloads, modes, core_counts, scale: str) -> dict:
 def measure_replay(workloads, modes, core_counts, scale: str) -> dict:
     """Capture -> replay identity per (workload, mode, core count) cell.
 
-    The fused engine is compared against the execution-driven capture run
-    (cycles, full energy breakdown and memory statistics, the shared
-    uncore's included) — the acceptance identity matrix of the fused
-    multicore engine.
+    Replay is compared against the execution-driven capture run (cycles,
+    full energy breakdown and memory statistics, the shared uncore's
+    included) — the acceptance identity matrix of multicore replay.
 
     Returns ``(section, captured)`` where ``captured`` maps hybrid-mode
     ``(workload, cores)`` cells to their ``(executed, trace)`` pair so the
@@ -135,10 +133,10 @@ def measure_replay(workloads, modes, core_counts, scale: str) -> dict:
 
 def measure_replay_speedup(workloads, core_counts, scale: str,
                            captured=None) -> dict:
-    """Wall-clock of the fused multicore replay engine vs execution.
+    """Wall-clock of multicore replay vs execution.
 
     Per (workload, core count): one execution-driven run against one warm
-    fused replay of the same cell (the trace decode is cached, as it is in
+    replay of the same cell (the trace decode is cached, as it is in
     any real sweep).  Then the acceptance measurement — the 6-point
     machine-ablation sweep at 2 cores, execution-driven vs capture-once
     replay.  ``captured`` may carry ``(workload, cores) -> (executed,
@@ -183,7 +181,7 @@ def measure_replay_speedup(workloads, core_counts, scale: str,
                 "identical": identical,
             }
             print(f"speedup {workload:3s} x{cores}: execute {execute_s:.2f}s, "
-                  f"fused replay {replay_s:.2f}s -> {speedup:.1f}x, "
+                  f"replay {replay_s:.2f}s -> {speedup:.1f}x, "
                   f"identical={identical}")
 
     # The acceptance number: the 2-core machine-ablation sweep, re-timed
@@ -214,7 +212,7 @@ def measure_replay_speedup(workloads, core_counts, scale: str,
     }
     section["all_pass"] &= execute_s > replay_s
     print(f"speedup {workload:3s} x2 ablation sweep ({len(points)} points): "
-          f"execute {execute_s:.2f}s, fused replay {replay_s:.2f}s "
+          f"execute {execute_s:.2f}s, replay {replay_s:.2f}s "
           f"-> {speedup:.1f}x")
     return section
 
@@ -296,7 +294,7 @@ def main() -> int:
                         help="report path (default: BENCH_multicore.json "
                              "at the repository root)")
     parser.add_argument("--replay-speedup", action="store_true",
-                        help="measure only execute-vs-fused-replay timing "
+                        help="measure only execute-vs-replay timing "
                              "(hybrid mode; --modes is ignored) and merge "
                              "it into the existing report; exit non-zero "
                              "unless replay is identical and faster (CI "

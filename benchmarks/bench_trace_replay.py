@@ -12,10 +12,10 @@ Measures, for every NAS workload on the hybrid machine:
   through its encoded bytes (the acceptance gate).
 
 Writes the numbers to ``BENCH_trace.json`` at the repository root.  With
-``--vector-speedup`` just the vector-vs-fused multicore replay sweep is
-measured and *merged* into the existing report (the timing sweeps are
-expensive), exiting nonzero unless the vectorized engine is
-result-identical and >= 3x faster.
+``--vector-speedup`` just the multicore replay sweep is measured against
+the same sweep run execution-driven and *merged* into the existing report
+(the timing sweeps are expensive), exiting nonzero unless the vector replay
+is result-identical to execution and >= 3x faster.
 With ``--pass-speedup`` the same 6-point sweep is run cold (empty artifact
 store, in-memory memos dropped before every point) and then warm (every
 derivation pass served from the on-disk artifact cache), exiting nonzero
@@ -49,7 +49,7 @@ from _bench_util import (
 from repro.harness.config import PTLSIM_CONFIG
 from repro.harness.experiments import MACHINE_ABLATION_POINTS
 from repro.harness.runner import run_workload
-from repro.trace import Trace, capture_workload, replay_trace
+from repro.trace import Trace, capture_workload, execute_key, replay_trace
 from repro.workloads import BENCHMARK_ORDER
 
 #: The 6-point ablation: timing-only machine parameters (cache geometry,
@@ -62,11 +62,12 @@ def measure_vector_speedup(scale: str, report: dict, cores: int = 2,
                            workload: str = "CG") -> bool:
     """Fill ``report["vector_speedup"]`` for ``scale``; returns the gate.
 
-    Times the 2-core 6-point machine-ablation replay sweep twice over one
-    captured multicore trace — once with the fused engine, once with the
-    vectorized epoch-batched engine — and checks per-point result identity
+    Times the 2-core 6-point machine-ablation sweep twice: run
+    execution-driven at every point, and replayed by the vector engine from
+    one captured multicore trace — and checks per-point result identity
     (cycles, energy breakdown, phase cycles, memory stats).  The gate is
-    identity at every point AND vector >= 3x faster than fused.
+    identity at every point AND the replay sweep >= 3x faster than
+    execution.
     """
     from repro.trace import artifacts
 
@@ -81,44 +82,42 @@ def measure_vector_speedup(scale: str, report: dict, cores: int = 2,
     # encode/write cost — both effects are measure_pass_speedup's to
     # report, not this gate's.
     with artifacts.scoped(disabled=True):
-        # Warm both engines once: the first replay pays the per-trace decode
-        # and (for vector) the one-time C-kernel compile, not a sweep cost.
-        replay_trace(trace, machines[0], engine="fused")
-        replay_trace(trace, machines[0], engine="vector")
+        # Warm the replay once: the first one pays the per-trace decode and
+        # the one-time C-kernel compile, not a sweep cost.
+        replay_trace(trace, machines[0])
 
         start = time.perf_counter()
-        fused_results = [replay_trace(trace, m, engine="fused")
-                         for m in machines]
-        fused_wall = time.perf_counter() - start
+        executed = [execute_key(trace.key, m)[0] for m in machines]
+        execute_wall = time.perf_counter() - start
         start = time.perf_counter()
-        vector_results = [replay_trace(trace, m, engine="vector")
-                          for m in machines]
+        vector_results = [replay_trace(trace, m) for m in machines]
         vector_wall = time.perf_counter() - start
-        # One extra recorded replay per engine (outside the timed sweeps):
-        # where the wall-clock goes, per phase, and the engine's counters.
+        # One extra recorded replay (outside the timed sweeps): where the
+        # wall-clock goes, per phase, and the engine's counters.
         phase_profile = profile_engines(trace, machines[0])
 
     identical = all(
-        v.cycles == f.cycles and
-        v.energy.as_dict() == f.energy.as_dict() and
-        v.sim.phase_cycles == f.sim.phase_cycles and
-        v.sim.memory_stats == f.sim.memory_stats
-        for v, f in zip(vector_results, fused_results))
-    speedup = fused_wall / vector_wall
+        v.cycles == x.cycles and
+        v.energy.as_dict() == x.energy.as_dict() and
+        v.sim.phase_cycles == x.sim.phase_cycles and
+        v.sim.memory_stats == x.sim.memory_stats
+        for v, x in zip(vector_results, executed))
+    speedup = execute_wall / vector_wall
     section = report.setdefault("vector_speedup", {})
     section[scale] = {
         "workload": workload,
         "cores": cores,
         "points": len(machines),
         "instructions": trace.instructions,
-        "fused_sweep_seconds": round(fused_wall, 3),
+        "execute_sweep_seconds": round(execute_wall, 3),
         "vector_sweep_seconds": round(vector_wall, 3),
         "speedup": round(speedup, 2),
         "identical": identical,
         "phase_profile": phase_profile,
     }
-    print(f"vector  {workload} {scale} {cores}-core: fused {fused_wall:.2f}s, "
-          f"vector {vector_wall:.2f}s ({speedup:.1f}x, identical={identical})")
+    print(f"vector  {workload} {scale} {cores}-core: execute "
+          f"{execute_wall:.2f}s, vector {vector_wall:.2f}s ({speedup:.1f}x, "
+          f"identical={identical})")
     return identical and speedup >= 3.0
 
 
@@ -153,7 +152,7 @@ def measure_pass_speedup(scale: str, report: dict, cores: int = 2,
     _, trace = capture_workload(workload, "hybrid", scale, machine=machine)
     machines = [machine.with_overrides(point) for point in ABLATION_POINTS]
     # One-time C-kernel compile: not a per-process pass cost.
-    replay_trace(trace, machines[0], engine="vector")
+    replay_trace(trace, machines[0])
 
     with tempfile.TemporaryDirectory(prefix="repro-pass-bench-") as tmp:
         with artifacts.scoped(cache_root=tmp):
@@ -161,21 +160,21 @@ def measure_pass_speedup(scale: str, report: dict, cores: int = 2,
             cold_results = []
             for m in machines:
                 _forget_pass_memos()
-                cold_results.append(replay_trace(trace, m, engine="vector"))
+                cold_results.append(replay_trace(trace, m))
             cold_wall = time.perf_counter() - start
 
             start = time.perf_counter()
             warm_results = []
             for m in machines:
                 _forget_pass_memos()
-                warm_results.append(replay_trace(trace, m, engine="vector"))
+                warm_results.append(replay_trace(trace, m))
             warm_wall = time.perf_counter() - start
 
             # One extra recorded warm replay (outside the timed sweeps):
             # the counters prove the passes were served from disk.
             _forget_pass_memos()
             with obs.recording() as rec:
-                replay_trace(trace, machines[0], engine="vector")
+                replay_trace(trace, machines[0])
             counters = {k: v for k, v in sorted(rec.counters.items())
                         if ".disk." in k or k.endswith(".miss")}
         _forget_pass_memos()    # drop memos pinned to the temp store
@@ -226,9 +225,10 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--scale", default="small")
     parser.add_argument("--vector-speedup", action="store_true",
-                        help="measure only the vector-vs-fused multicore "
-                             "replay sweep and merge it into the existing "
-                             "report (exit 1 unless identical and >= 3x)")
+                        help="measure only the multicore replay sweep "
+                             "against execution and merge it into the "
+                             "existing report (exit 1 unless identical and "
+                             ">= 3x)")
     parser.add_argument("--pass-speedup", action="store_true",
                         help="measure only the cold-vs-warm artifact-cache "
                              "replay sweep and merge it into the existing "

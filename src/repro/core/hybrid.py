@@ -247,31 +247,6 @@ class HybridSystem:
             self._apply_protocol(vaddr, ProtocolAction.DOUBLE_STORE)
         return result
 
-    def lm_timing_access(self, vaddr: int, is_store: bool) -> float:
-        """Stat-identical LM-range access without data movement.
-
-        Reference implementation of the fast path the trace-replay engine
-        inlines (:mod:`repro.trace.replay` keeps a hand-fused copy in its hot
-        loop): updates exactly the counters the LM branches of :meth:`load` /
-        :meth:`store` update (including the double-store bookkeeping) and
-        returns the same latency, but skips reading/writing the scratchpad
-        word — data values never influence timing or activity statistics.
-        Kept callable so tests can pin the inline copy against it
-        (``tests/test_trace_replay.py``).
-        """
-        latency = float(self.lm.latency)
-        if is_store:
-            self.stores += 1
-            self.lm.count_write()
-            self._last_store_addr = vaddr
-            self._last_store_to_sm = False
-        else:
-            self.loads += 1
-            self.lm.count_read()
-        self.mem_ops += 1
-        self.total_mem_latency += latency
-        return latency
-
     def _sm_store(self, vaddr: int, value, pc: int, now: float) -> MemoryOutcome:
         result = self.hierarchy.access(vaddr, is_write=True, pc=pc, now=now)
         self.hierarchy.write_word(vaddr, value)

@@ -14,10 +14,10 @@ accounting inline over locals.  The memory system sees each instruction's
 estimated issue time as its clock (``now``), so MSHR occupancy, DMA
 completion and directory presence stalls see a consistent notion of time.
 
-The replay engines (:mod:`repro.trace.replay`, :mod:`repro.trace.vector`)
-carry their own transcriptions of the model and are checked against this
-one; nothing here is shared with them, so the identity checks compare
-independent implementations.
+The replay engine's C kernel (:mod:`repro.trace._ckernel`) carries its own
+transcription of the model and is checked against this one; nothing here
+is shared with it, so the identity checks compare independent
+implementations.
 
 **Resumable lane.**  The loop is a generator whose locals survive across
 yields.  :meth:`ExecutionLane.run_until` advances it while the lane's key

@@ -13,15 +13,14 @@ the foundation of the multicore capture -> replay cycle/energy identity.
 
 :func:`run_resumable_lanes` is the one scheduler.  It drives resumable lane
 state machines: execution's :class:`~repro.cpu.executor.ExecutionLane` and
-the replay engines' :class:`~repro.trace.replay._FusedLane` and
-:class:`~repro.trace.vector._VectorLane` (both derive from
-:class:`~repro.trace.replay._ReplayLane`; replay runs one per core for any
-core count, so a single-core replay is one lane).  Each scheduled lane is
+replay's :class:`~repro.trace.vector._VectorLane` (replay runs one per core
+for any core count, so a single-core replay is one lane).  Each scheduled
+lane is
 handed the key of the next-earliest lane, so it can batch instructions
 internally and yield exactly when stepping one instruction at a time would
 have switched lanes (``tests/test_multicore_timing.py`` checks it against such
 a step-at-a-time loop).  The replay lanes go further and yield only before
-an instruction that can touch shared state: private work commutes across
+an instruction that touches the shared uncore: private work commutes across
 cores, so every shared-state access still happens in global key order.
 """
 

@@ -78,7 +78,7 @@ class EnergyModel:
 
         The list order is a *contract*: :meth:`compute` folds these terms
         left to right, one float addition per term, and every engine
-        (execution-driven, fused, lanes, vector) reaches its breakdown
+        (execution-driven and vector replay) reaches its breakdown
         through this same reduction.  Floating-point addition is not
         associative, so any engine that accumulated the same terms in a
         different order (per-epoch partial sums, ``np.sum`` pairwise

@@ -1,7 +1,8 @@
 """Deterministic fault injection for the sweep/replay/store pipeline.
 
 Every recovery path in the engine — cell retry, pool rebuild, store
-degradation, vector-to-fused fallback — exists because something can fail
+degradation, replay's fallback from the vector engine to execution-driven
+simulation — exists because something can fail
 in production; none of it is trustworthy unless a test can provoke that
 failure *on demand* and *reproducibly*.  This module is the one switchboard:
 named **injection sites** threaded through the pipeline call
@@ -44,7 +45,7 @@ Examples::
     worker.exec=errx1            every cell fails once, succeeds on retry
     worker.exec=crash@3f9a       permanently crash cells whose key contains 3f9a
     store.put=os                 every result write raises ENOSPC
-    ckernel.compile=err          C-kernel unavailable -> engine degradation
+    ckernel.compile=err          C-kernel unavailable -> replay executes
     worker.exec=hang5x1;seed=7   first attempt of each cell stalls 5 seconds
 
 Determinism: whether a clause fires is a pure function of

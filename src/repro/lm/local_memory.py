@@ -50,15 +50,6 @@ class LocalMemory:
         self.writes += 1
         self._words[self._index(offset)] = value
 
-    # -- stat-only accesses (trace replay) ----------------------------------------
-    def count_read(self) -> None:
-        """Account a timed read without touching data (timing replay)."""
-        self.reads += 1
-
-    def count_write(self) -> None:
-        """Account a timed write without touching data (timing replay)."""
-        self.writes += 1
-
     # -- untimed accesses (DMA engine and tests) ----------------------------------
     def peek(self, offset: int):
         return self._words[self._index(offset)]

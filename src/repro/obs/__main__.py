@@ -13,9 +13,8 @@ Subcommands::
 
 Examples::
 
-    python -m repro.obs report --workload CG --scale medium --engine vector
-    python -m repro.obs report --workload CG --engine vector \\
-        --bench-json BENCH_trace.json
+    python -m repro.obs report --workload CG --scale medium
+    python -m repro.obs report --workload CG --bench-json BENCH_trace.json
     python -m repro.obs overhead --scale small --threshold 2.0
 """
 
@@ -52,12 +51,14 @@ def _cmd_report(args) -> int:
         # the steady-state cost of re-replaying at this exact config.  The
         # default cold run records those passes too — they are what a
         # sweep pays at every new machine point.
-        replay_trace(trace, machine, engine=args.engine)
+        replay_trace(trace, machine)
     with obs.recording() as rec:
         start = time.perf_counter()
-        result = replay_trace(trace, machine, engine=args.engine)
+        result = replay_trace(trace, machine)
         wall = time.perf_counter() - start
-    print(f"replay {key.label} engine={args.engine}: "
+    # A replay that could not run the vector engine ran execution-driven.
+    engine = "execution" if rec.counters.get("degraded.vector") else "vector"
+    print(f"replay {key.label} engine={engine}: "
           f"cycles={result.cycles:.0f} instr={result.instructions} "
           f"energy={result.total_energy:.0f} nJ in {wall:.2f}s"
           f"{' (warm)' if args.warm else ''}")
@@ -70,7 +71,7 @@ def _cmd_report(args) -> int:
             print(f"{name:<{width}s} {rec.counters[name]:>12d}")
     snapshot = rec.snapshot()
     snapshot["cell"] = {"workload": key.workload, "mode": key.mode,
-                        "scale": key.scale, "engine": args.engine,
+                        "scale": key.scale, "engine": engine,
                         "wall_seconds": round(wall, 3), "warm": args.warm}
     if args.json_path:
         with open(args.json_path, "w", encoding="utf-8") as fh:
@@ -86,7 +87,7 @@ def _cmd_report(args) -> int:
         if not isinstance(report, dict):
             report = {}
         section = report.setdefault("obs_report", {})
-        section[f"{key.workload}:{key.mode}:{key.scale}:{args.engine}"] = snapshot
+        section[f"{key.workload}:{key.mode}:{key.scale}:{engine}"] = snapshot
         with open(args.bench_json, "w", encoding="utf-8") as fh:
             json.dump(report, fh, indent=2)
             fh.write("\n")
@@ -170,8 +171,6 @@ def _cmd_overhead(args) -> int:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    from repro.trace.replay import REPLAY_ENGINES
-
     parser = argparse.ArgumentParser(
         prog="python -m repro.obs",
         description="Inspect and guard the instrumentation layer.")
@@ -183,9 +182,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     p_report.add_argument("--mode", default="hybrid",
                           help="system mode (hybrid/.../cache)")
     p_report.add_argument("--scale", default="small", help="tiny/small/medium")
-    p_report.add_argument("--engine", default="vector",
-                          choices=REPLAY_ENGINES,
-                          help="replay engine to profile (default vector)")
     p_report.add_argument("--set", dest="overrides", action="append",
                           default=[], metavar="KEY=VALUE",
                           help="machine-config override (dotted paths allowed)")

@@ -11,8 +11,9 @@ Hook points:
 
 * :func:`repro.cpu.multicore.run_resumable_lanes` wraps each lane in a
   timing proxy when given a recorder, emitting one run span per scheduler
-  grant.  Fused lanes bounce every one or two instructions, so adjacent
-  grants of the same core are **coalesced**: a new span whose start is
+  grant.  Lanes can trade the clock every few instructions (execution
+  lanes do while their cores contend), so adjacent grants of the same core
+  are **coalesced**: a new span whose start is
   within ``merge_gap`` cycles of the previous span's end extends it instead
   of emitting a new event.  Real stalls (uncore queueing, DMA syncs) exceed
   the gap and break the span — which is exactly the run/stall structure the
@@ -104,9 +105,11 @@ class TimelineRecorder:
     def lane_span(self, core: int, start: float, end: float) -> None:
         """One scheduler grant of ``core`` running ``[start, end)`` cycles.
 
-        Adjacent grants within ``merge_gap`` cycles coalesce (lockstepped
-        fused lanes trade the clock every instruction or two; emitting each
-        grant would swamp the trace without adding structure).
+        Adjacent grants within ``merge_gap`` cycles coalesce (lanes in
+        lockstep trade the clock every few instructions; emitting each
+        grant would swamp the trace without adding structure).  Vector
+        replay lanes yield only before uncore events, so their grants are
+        fewer and longer and mostly pass through unmerged.
         """
         if end <= start:
             return

@@ -14,10 +14,11 @@ latencies or functional-unit counts.  This package exploits that:
 * :mod:`repro.trace.store` keeps traces content-addressed on disk alongside
   the sweep engine's result store;
 * :mod:`repro.trace.replay` re-times a trace under any machine configuration
-  by driving the real memory hierarchy, directory and FU/ROB/LSQ/predictor
-  models from the recorded stream — cycle-identical at the capture config,
-  several times faster than execution because the whole functional frontend
-  (fetch/decode/register file/ALU evaluation/compile) is skipped.
+  on the vector engine (:mod:`repro.trace.vector`: batched derivation
+  passes over the recorded stream, then a compiled timing kernel) —
+  cycle-identical to execution at any replay-valid machine and several
+  times faster, because functional execution is skipped and structure
+  updates leave the timing loop.
 
 ``RunSpec(kind="replay")`` cells in :mod:`repro.harness.sweep` resolve
 through :func:`run_replay_spec` (capture-then-replay, both stores consulted),
@@ -38,7 +39,12 @@ from repro.trace.format import (
     parse_trace_bytes,
     program_fingerprint,
 )
-from repro.trace.capture import TraceRecorder, capture_micro, capture_workload
+from repro.trace.capture import (
+    TraceRecorder,
+    capture_micro,
+    capture_workload,
+    execute_key,
+)
 from repro.trace.replay import (
     REPLAY_ENGINES,
     ReplayValidityError,
@@ -63,6 +69,7 @@ __all__ = [
     "capture_workload",
     "check_replay_machine",
     "ensure_trace",
+    "execute_key",
     "family_key_for",
     "parse_trace_bytes",
     "program_fingerprint",
@@ -108,30 +115,15 @@ def ensure_trace(key: TraceKey, store: Optional[TraceStore] = None,
 
     Returns ``(trace, capture_result)`` where ``capture_result`` is the live
     :class:`~repro.harness.runner.RunResult` of the capture run when one had
-    to happen now (``None`` on a store hit).  Kernel keys capture through
-    :func:`capture_workload` (multicore keys run the interleaved multicore
-    capture), micro keys through :func:`capture_micro`.
+    to happen now (``None`` on a store hit).  The capture runs through
+    :func:`~repro.trace.capture.execute_key`.
     """
     store = store if store is not None else TraceStore()
     trace = store.get(key)
     if trace is not None:
         return trace, None
-    machine = capture_machine_for(key, capture_machine)
-    if key.kind == "kernel":
-        result, trace = capture_workload(key.workload, key.mode, key.scale,
-                                         machine=machine)
-    elif key.kind == "micro":
-        params = dict(key.params)
-        result, trace = capture_micro(
-            micro_mode=params.get("micro_mode", "baseline"),
-            guarded_fraction=float(params.get("guarded_fraction", 0.0)),
-            iterations=int(params.get("iterations", 200)),
-            unroll=int(params.get("unroll", 1)),
-            system_mode=key.mode, machine=machine)
-    else:
-        raise TraceError(
-            f"no stored trace for {key.label} and traces of kind "
-            f"{key.kind!r} cannot be captured on demand")
+    result, trace = execute_key(key, capture_machine_for(key, capture_machine),
+                                capture=True)
     store.put(trace)
     return trace, result
 

@@ -24,6 +24,7 @@ import sys
 import time
 from typing import Optional, Sequence
 
+from repro import obs
 from repro.harness.config import PTLSIM_CONFIG
 from repro.harness.sweep import _parse_overrides
 from repro.trace import (
@@ -34,6 +35,7 @@ from repro.trace import (
     artifacts,
     capture_workload,
     ensure_trace,
+    execute_key,
     replay_trace,
 )
 
@@ -119,37 +121,33 @@ def _cmd_replay(args) -> int:
         from repro.obs.timeline import TimelineRecorder
         timeline = TimelineRecorder(bucket_cycles=args.timeline_bucket)
     start = time.perf_counter()
-    result = replay_trace(trace, machine, timeline=timeline)
+    with obs.recording() as rec:
+        result = replay_trace(trace, machine, timeline=timeline)
     wall = time.perf_counter() - start
+    # A replay that could not run the vector engine ran execution-driven.
+    engine = ("execution fallback" if rec.counters.get("degraded.vector")
+              else "vector replay")
     print(_summary("replay", result))
     if overrides:
         print(f"overrides  {', '.join(f'{k}={v}' for k, v in sorted(overrides.items()))}")
-    print(f"replayed   {trace.instructions} instructions in {wall:.2f}s")
+    print(f"replayed   {trace.instructions} instructions in {wall:.2f}s "
+          f"({engine})")
     store.persist_stats()
     if timeline is not None:
         count = timeline.write(args.timeline_path)
         print(f"timeline   {count} event(s) written to {args.timeline_path}")
     if args.verify:
-        from repro.harness.runner import run_workload
         start = time.perf_counter()
         # No recorder: the baseline should not pay trace-capture overhead.
-        executed = run_workload(args.workload, mode=args.mode,
-                                scale=args.scale, machine=machine)
+        executed, _ = execute_key(key, machine)
         exec_wall = time.perf_counter() - start
         print(_summary("execute", executed))
         identical = _same_run(executed, result)
         print(f"verify     execution-driven run took {exec_wall:.2f}s "
-              f"({exec_wall / wall:.1f}x replay); "
+              f"({exec_wall / wall:.1f}x replay)")
+        print(f"verify     {engine} vs execution: "
               f"{'cycle- and energy-identical' if identical else 'MISMATCH'}")
         if not identical:
-            return 1
-        # The vectorized engine must agree with fused exactly — the epoch
-        # batching is a pure reformulation of the same timing model.
-        vector = replay_trace(trace, machine, engine="vector")
-        vector_identical = _same_run(vector, result)
-        print(f"verify     vector engine vs fused replay: "
-              f"{'identical' if vector_identical else 'MISMATCH'}")
-        if not vector_identical:
             return 1
     return 0
 

@@ -8,41 +8,44 @@ that kernel at import-from-use time with the system C compiler and exposes
 it through :mod:`ctypes`:
 
 * no compiler or a failed compile -> :func:`load` returns ``None`` and
-  :func:`~repro.trace.replay.replay_trace` runs the fused engine instead,
-  recording a ``degraded.vector`` event (bit-identical, just slower);
+  :func:`~repro.trace.replay.replay_trace` runs the trace's program
+  execution-driven instead, recording a ``degraded.vector`` event
+  (bit-identical, just slower);
 * the compiled shared object is cached on disk keyed by the source hash, so
   the one-time compile cost (~1s) is paid once per machine.
 
-Identity is preserved by construction: the C code transcribes the fused
-recurrence (``_FusedLane._loop`` in :mod:`repro.trace.replay`) using the
+Identity is preserved by construction: the C code mirrors the timing
+recurrence of the execution lane (``ExecutionLane._loop`` in
+:mod:`repro.cpu.executor`, stated in :mod:`repro.cpu.pipeline`) using the
 same IEEE-754 doubles in the same operation order (compiled with
 ``-ffp-contract=off`` so no FMA contraction reorders rounding), the same
 truncation (C integer casts equal Python ``int()`` for the non-negative
 times involved), and the same MSHR merge/expire/full-stall decisions; the
-tests check it against the fused engine and against execution.  It departs
-from the fused shape in three places, none of which changes a result:
+tests check it against execution.  It departs from the execution lane's
+shape in three places, none of which changes a result:
 
-* the fused engine's ``if t > fetch_time: fetch_time = t`` bump is deferred
-  from the issue estimate to the top of retire.  Nothing reads
-  ``fetch_time`` in between *except* the epoch-break checks, which must
-  observe the pre-instruction value — the key the fused scheduler sorts
-  lanes by when it parks a lane between instructions;
+* the per-cycle issue-slot and functional-unit reservation dicts become
+  flat tables indexed by cycle (an entry below the front end is never
+  consulted again — dispatch time is monotonic — so ``get(cycle, 0)`` and
+  ``table[cycle]`` see the same counts);
+* the ``if t > fetch_time: fetch_time = t`` bump is deferred from the
+  issue estimate to the top of retire.  Nothing reads ``fetch_time`` in
+  between *except* the epoch-break checks, which must observe the
+  pre-instruction value — the key the scheduler sorts lanes by when it
+  parks a lane between instructions;
 * the ROB/LSQ deques become fixed rings prefilled with 0.0: before the
-  deque would be full the fused code skips the occupancy check, and
+  deque would be full execution skips the occupancy check, and
   ``0.0 > t`` is never true for ``t >= 0``, so the prefilled slots are
-  exact no-ops;
-* ``int(now)`` / ``int(start)`` in retire are replaced by the cycle cursor
-  the issue-slot scan already holds: ``now`` is either ``ready`` (whose
-  ``int`` was just taken) or ``float(cycle)`` from a scan.
+  exact no-ops.
 
 The epoch structure maps onto the C/Python boundary: ``vr_run`` executes
 uncore-free slices entirely in C and returns at every *event* instruction
 (DMA issue, dma-sync, set-bufsize, halt, and — multicore — memory misses
 that arbitrate on the shared uncore); the Python caller —
 ``_VectorLane._loop`` in :mod:`repro.trace.vector`, one resumable lane per
-core under the replay driver both engines share — performs the epoch
-yield-check and the event's uncore/DMA bookkeeping, then re-enters C.  Both
-sides operate on the same state vectors, so interleaving them is seamless.
+core under the replay driver — performs the epoch yield-check and the
+event's uncore/DMA bookkeeping, then re-enters C.  Both sides operate on
+the same state vectors, so interleaving them is seamless.
 """
 
 from __future__ import annotations

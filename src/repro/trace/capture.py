@@ -10,7 +10,8 @@ DMA operands (see :mod:`repro.trace.format`).
 *once* with a recorder attached and return both the live result and the
 finished :class:`~repro.trace.format.Trace`; the result is exactly what the
 un-instrumented run would have produced, so capture doubles as a normal
-simulation of the capture configuration.
+simulation of the capture configuration.  :func:`execute_key` runs the
+program a trace key names, with or without capture.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from repro.harness.systems import check_micro_mode
 from repro.trace.format import (
     MulticoreTrace,
     Trace,
+    TraceError,
     TraceKey,
     pack_bits,
     program_fingerprint,
@@ -138,3 +140,45 @@ def capture_micro(micro_mode: str, guarded_fraction: float = 1.0,
                           lm_size=machine.lm_size,
                           directory_entries=machine.directory_entries)
     return result, recorder.finish(key, program_fingerprint(program))
+
+
+def micro_args(key: TraceKey) -> tuple:
+    """The ``(micro_mode, guarded_fraction, iterations, unroll)`` a
+    microbenchmark trace key carries, in the positional order of both
+    :func:`capture_micro` and
+    :func:`~repro.workloads.microbenchmark.build_microbenchmark`."""
+    params = dict(key.params)
+    return (params.get("micro_mode", "baseline"),
+            float(params.get("guarded_fraction", 0.0)),
+            int(params.get("iterations", 200)),
+            int(params.get("unroll", 1)))
+
+
+def execute_key(key: TraceKey, machine: MachineConfig,
+                capture: bool = False) -> Tuple[RunResult, Optional[Trace]]:
+    """Run the program a trace key names, execution-driven, on ``machine``.
+
+    The one key-to-execution dispatch: a missing trace is captured through
+    it (``capture=True``), and replay falls back to it when the vector
+    engine cannot run (replay at a machine equals execution at it).  Kernel
+    keys run through :func:`~repro.harness.runner.run_workload` (a
+    multicore key interleaves one lane per core), micro keys through
+    :func:`~repro.harness.runner.run_program`.  Returns ``(result,
+    trace)``; ``trace`` is None unless ``capture``.
+    """
+    if key.kind == "kernel":
+        if capture:
+            return capture_workload(key.workload, key.mode, key.scale,
+                                    machine=machine)
+        return run_workload(key.workload, mode=key.mode, scale=key.scale,
+                            machine=machine), None
+    if key.kind == "micro":
+        args = micro_args(key)
+        if capture:
+            return capture_micro(*args, system_mode=key.mode,
+                                 machine=machine)
+        from repro.workloads.microbenchmark import build_microbenchmark
+        return run_program(build_microbenchmark(*args), mode=key.mode,
+                           machine=machine, workload=f"micro-{args[0]}"), None
+    raise TraceError(f"trace {key.label} is of kind {key.kind!r}, which "
+                     "names no program to run")

@@ -709,7 +709,7 @@ class MulticoreTrace:
     def container_digest(self) -> str:
         """Cheap identity of the whole RPMT container: family key plus the
         per-core :meth:`Trace.stream_digest` values, without serialising.
-        The fused replay engine's decode/L1I caches consume the per-core
+        The replay engine's decode/L1I caches consume the per-core
         :meth:`Trace.stream_digest` components directly; this container
         roll-up is the matching identity for whole-container memoization
         (and the round-trip checks in the tests).

@@ -1,10 +1,8 @@
-"""Epoch-batched vectorized replay: ``replay_trace(engine="vector")``.
+"""The vector replay engine: derivation passes plus a compiled timing loop.
 
-The fused replay engine (:mod:`repro.trace.replay`) already skips the
-frontend, but it still re-times one instruction at a time through the *real*
-memory-system objects — every SM access walks the directory and
-``MemoryHierarchy.access`` in program order.  The vector engine splits that
-work by *data dependence* instead:
+:func:`~repro.trace.replay.replay_trace` re-times every trace on this
+engine.  Instead of walking the memory system one instruction at a time, it
+splits the work by *data dependence*:
 
 * **Structure updates are batched out of the timing loop.**  Cache tag/LRU
   evolution, directory hit/miss outcomes, prefetcher training and branch
@@ -22,50 +20,46 @@ work by *data dependence* instead:
   predictor geometry) resolves every conditional branch through the batched
   :meth:`~repro.cpu.branch_predictor.HybridBranchPredictor.update_batch`
   entry point (provably equivalent to N scalar updates) and every jump
-  through the BTB, yielding a flat mispredict-flag stream (the pass lives
-  in :mod:`repro.trace.replay`: the fused engine reads the same flags).
-  Ablation points that share a geometry share the pass — the 6-point
-  ``medium`` machine sweep pays 3 oracle passes and 1 flags pass instead
-  of 6 full re-walks.
+  through the BTB, yielding a flat mispredict-flag stream.  Ablation points
+  that share a geometry share the pass — the 6-point ``medium`` machine
+  sweep pays 3 oracle passes and 1 flags pass instead of 6 full re-walks.
 
-* **Inside an epoch, the scalar lane recurrence remains.**  Issue/retire
-  times form a data-dependent recurrence (ROB/LSQ occupancy, register
-  readiness, issue-slot and FU reservations), so the in-epoch timing walk
-  stays the fused scalar transcription — but stripped to pure arithmetic
-  and compiled (:mod:`repro.trace._ckernel`).  The kernel reads small
-  per-pc tables built once per program: each pc has four variants (LM,
-  L1, live, collapsed), and a **prelower** pass — a few numpy operations
-  over the decoded pc stream and the oracle's routes — picks one per
-  retired instruction as a one-byte selector.  Static latencies (``lm``,
-  ``l1``) are written into the table per machine point, live ones come
-  from ``mshr.request(line, now, beyond)``, mispredict redirects from the
-  flag stream, registers from a dense-int remap.  Only two *live*
-  structures remain in the loop: the MSHR file (merge/occupancy depends on
-  real clocks) and, multicore, the shared uncore arbiter.
+* **Inside an epoch, the scalar recurrence remains.**  Issue/retire times
+  form a data-dependent recurrence (ROB/LSQ occupancy, register readiness,
+  issue-slot and FU reservations), so the in-epoch timing walk stays the
+  execution lane's recurrence — but stripped to pure arithmetic and
+  compiled (:mod:`repro.trace._ckernel`).  The kernel reads small per-pc
+  tables built once per program: each pc has four variants (LM, L1, live,
+  collapsed), and a **prelower** pass — a few numpy operations over the
+  decoded pc stream and the oracle's routes — picks one per retired
+  instruction as a one-byte selector.  Static latencies (``lm``, ``l1``)
+  are written into the table per machine point, live ones come from
+  ``mshr.request(line, now, beyond)``, mispredict redirects from the flag
+  stream, registers from a dense-int remap.  Only two *live* structures
+  remain in the loop: the MSHR file (merge/occupancy depends on real
+  clocks) and, multicore, the shared uncore arbiter.
 
 * **Epochs break only at contention-relevant events.**  Multicore lanes run
   free — whole slices of private work per resume — and yield to the global
   min-fetch-time scheduler only immediately *before* an instruction that
   touches the shared uncore (a DMA burst or a demand miss routed to
   memory).  Everything between two uncore events commutes across cores, so
-  the shared arbiter still observes the exact fused/execution request
-  order and multicore identity is preserved while lane switches drop from
-  every-other-instruction to per-uncore-event.
+  the shared arbiter still observes the exact execution request order and
+  multicore identity is preserved.
 
-This module holds only what is the vector engine's own: the oracle and
-prelower passes, the variant tables and :class:`_VectorLane`.  The driver
-is :mod:`repro.trace.replay`'s — ``replay_trace`` validates the trace and
-its one ``_replay`` builds the system and one lane per core for both
-engines and every core count; the lane derives from ``_ReplayLane``
-(decode and flags passes, timing write-back, resumable-lane contract), and
-every pass lookup goes through the shared ``_tiered`` memory -> disk ->
+This module holds the engine's passes, the variant tables and
+:class:`_VectorLane`; the driver is :mod:`repro.trace.replay`'s —
+``replay_trace`` validates the trace and its one ``_replay`` builds the
+system and one lane per core; the decode and L1I passes are shared there
+too, and every pass lookup goes through its ``_tiered`` memory -> disk ->
 compute policy.
 
-The result is bit-identical to ``engine="fused"`` and to execution: same
-cycles, same phase breakdown, same activity counters, same energy —
-enforced by ``tests/test_vector_replay.py`` over every NAS kernel, both
-system modes and 1/2/4 cores.  Without a compiled kernel
-:func:`~repro.trace.replay.replay_trace` runs the fused engine instead.
+The result is bit-identical to execution: same cycles, same phase
+breakdown, same activity counters, same energy — enforced by
+``tests/test_vector_replay.py`` over every NAS kernel, both system modes
+and 1/2/4 cores.  Without a compiled kernel
+:func:`~repro.trace.replay.replay_trace` runs the program execution-driven
+instead.
 """
 
 from __future__ import annotations
@@ -79,23 +73,27 @@ import numpy as np
 
 from repro import obs
 from repro.cpu.branch_predictor import HybridBranchPredictor
-from repro.cpu.pipeline import CODE_BASE, CODE_INSTR_SIZE
+from repro.cpu.pipeline import (
+    CODE_BASE,
+    CODE_INSTR_SIZE,
+    OutOfOrderTimingModel,
+)
 from repro.harness.config import MachineConfig
 from repro.harness.systems import build_system
 from repro.mem.cache import CacheStats
 from repro.trace import _ckernel
 from repro.trace.format import Trace, TraceKey
-from repro.trace.replay import (  # noqa: F401 (flags pass re-exported)
-    _FLAGS_CACHE,
-    _ReplayLane,
-    _branch_flags,
+from repro.trace.replay import (
+    _K_CBR,
+    _K_JMP,
     _cached_decode,
+    _l1i_stats,
     _remember,
-    _skip_dma_copies,
     _tiered,
 )
 
-#: No public names: ``replay_trace(engine="vector")`` is the entry point.
+#: No public names: :func:`~repro.trace.replay.replay_trace` is the entry
+#: point.
 __all__: list = []
 
 # Dense route codes, one per memory operation (LM-plain ops included):
@@ -239,7 +237,19 @@ def _cached_oracle(trace: Trace, decoded, cold, hot, mode: str,
         lambda: _oracle_routes(decoded, cold, hot, mode, machine, multicore),
         parent_hash, "oracle", _oracle_to_artifact,
         lambda meta, sections: _oracle_from_artifact(meta, sections,
-                                                     len(decoded[2])))
+                                                     len(decoded.mem_addrs)))
+
+
+def _scratch_system(mode: str, machine: MachineConfig):
+    """The oracle's scratch system: the per-core :func:`build_system`
+    product of the replay point, with a DMA controller that moves no data
+    words — a replayed run reads no data (loads take recorded addresses,
+    stores write nothing), and the block copies change no counter, so a
+    transfer only has to snoop the caches and count."""
+    S = build_system(mode, machine)
+    if S.dmac is not None:
+        S.dmac.copy_data = False
+    return S
 
 
 def _oracle_event(S, kind: int, tag, dma_words, di: int, multicore: bool,
@@ -247,8 +257,8 @@ def _oracle_event(S, kind: int, tag, dma_words, di: int, multicore: bool,
     """Drive one DMA, dma-sync or set-bufsize event through the scratch
     system at ``now=0.0``, recording the dget/dput side arrays.  The
     scratch DMA controller moves no data words (see
-    :func:`~repro.trace.replay._skip_dma_copies`): its snoops and counters
-    are all the oracle reads."""
+    :func:`_scratch_system`): its snoops and counters are all the oracle
+    reads."""
     if kind == 8:        # dma-sync (timing only; keeps the syncs counter)
         S.dma_sync(tag, now=0.0)
         return
@@ -332,96 +342,11 @@ def _oracle_result(S, routes, miss_lines, guard_entries, dma_nlines,
                          dma_addrs, dget_entries, n_dir, patch)
 
 
-def _oracle_routes_scalar(decoded, cold, hot, mode: str,
-                          machine: MachineConfig,
-                          multicore: bool) -> _OracleRoutes:
-    """Resolve every memory/DMA event of a stream against a scratch system.
-
-    The scratch system is the same per-core :func:`build_system` product the
-    replay point uses; it is driven with the *real* ``load``/``store``/DMA
-    calls at ``now=0.0``.  Cache, directory and prefetcher state evolution is
-    timing-independent (tag/LRU/valid updates never consult the clock), so
-    the served-by level of every access — and every final activity counter —
-    is exactly what any re-timed run observes.  Clock-dependent scratch state
-    (MSHR contents, presence stalls, latencies) is simply discarded: the
-    timing loop recomputes those against the live point system.  In
-    multicore, the per-core systems are independent for everything functional
-    (private caches/LM/directory; the shared memory/bus counters commute and
-    are summed at apply time), and the multicore wrapper's dma-put directory
-    unmap is transcribed in :func:`_oracle_event` so guarded hit/miss
-    sequences match.
-
-    This is the reference walk; :func:`_oracle_routes` is the array version
-    with identical output (randomized equivalence enforced by
-    ``tests/test_artifact_cache.py``).
-    """
-    mem_addrs, dma_words, seq_pcs = decoded[2], decoded[3], decoded[5]
-    S = build_system(mode, machine)
-    _skip_dma_copies([S])
-    line_size = S.hierarchy.config.line_size
-    directory = S.directory
-    load = S.load
-    store = S.store
-    lm_lo, lm_hi = S._lm_lo, S._lm_hi
-    routes = bytearray()
-    routes_append = routes.append
-    miss_lines = array("q")
-    guard_entries = array("i")
-    dma_nlines = array("i")
-    dma_addrs = array("q")
-    dget_entries = array("i")
-    lm_plain_loads = lm_plain_stores = 0
-    mi = di = 0
-    for index in seq_pcs:
-        kind = hot[index][0]
-        if kind == 1 or kind == 2:
-            addr = mem_addrs[mi]
-            mi += 1
-            if lm_lo <= addr < lm_hi:
-                routes_append(_R_LM)
-                if kind == 1:
-                    lm_plain_loads += 1
-                else:
-                    lm_plain_stores += 1
-                    S._last_store_addr = addr
-                    S._last_store_to_sm = False
-                continue
-            cm = cold[index]
-            if kind == 1:
-                out = load(addr, guarded=cm[2], oracle_divert=cm[3],
-                           pc=index, now=0.0)
-            else:
-                out = store(addr, 0.0, guarded=cm[2], oracle_divert=cm[3],
-                            collapse_with_prev=cm[4], pc=index, now=0.0)
-            served = out.served_by
-            if served == "LM":
-                if cm[2]:   # guarded hit: presence stall recomputed live
-                    routes_append(_R_GUARD)
-                    guard_entries.append(
-                        directory._tag_index[addr & directory.base_mask])
-                else:       # oracle-divert hit: plain LM latency
-                    routes_append(_R_LM)
-            elif served == "collapsed":
-                routes_append(_R_COLLAPSED)
-            elif served == "L1":
-                routes_append(_R_L1)
-            else:
-                routes_append(_R_L2 if served == "L2" else
-                              _R_L3 if served == "L3" else _R_MEM)
-                miss_lines.append(addr - addr % line_size)
-        elif kind >= 6:      # dma-get / dma-put / dma-sync / set-bufsize
-            _oracle_event(S, kind, cold[index][1], dma_words, di, multicore,
-                          dma_nlines, dma_addrs, dget_entries)
-            if kind <= 7:
-                di += 3
-    return _oracle_result(S, routes, miss_lines, guard_entries, dma_nlines,
-                          dma_addrs, dget_entries, lm_plain_loads,
-                          lm_plain_stores)
-
-
 def _oracle_routes(decoded, cold, hot, mode: str, machine: MachineConfig,
                    multicore: bool) -> _OracleRoutes:
-    """Array oracle pass — bit-identical to :func:`_oracle_routes_scalar`.
+    """Array oracle pass — bit-identical to a scalar walk that drives the
+    scratch system's real ``load``/``store``/DMA calls in stream order (the
+    reference in ``tests/test_artifact_cache.py``).
 
     Between two DMA or set-bufsize events the directory is fixed, so every
     access's fate up to the cache hierarchy is known without walking it:
@@ -458,9 +383,9 @@ def _oracle_routes(decoded, cold, hot, mode: str, machine: MachineConfig,
     counters, ``demand_accesses``) is folded in at the end; the functional
     data words themselves are scratch nothing reads back and are skipped.
     """
-    mem_addrs, dma_words, seq_pcs = decoded[2], decoded[3], decoded[5]
-    S = build_system(mode, machine)
-    _skip_dma_copies([S])
+    mem_addrs, dma_words, seq_pcs = (decoded.mem_addrs, decoded.dma_words,
+                                     decoded.seq_pcs)
+    S = _scratch_system(mode, machine)
     hierarchy = S.hierarchy
     l1, l2, l3 = hierarchy.l1, hierarchy.l2, hierarchy.l3
     memory = hierarchy.memory
@@ -684,63 +609,104 @@ def _oracle_routes(decoded, cold, hot, mode: str, machine: MachineConfig,
                           dma_addrs, dget_entries, n_lm_loads, n_lm_stores)
 
 
-def _branch_flags_scalar(decoded, cold, config, hot) -> tuple:
-    """Mispredict flag per branch event, resolved through the real predictor.
+# ------------------------------------------------------------ branch flags
+# One mispredict flag per conditional branch and jump, in retirement order:
+# predictor and BTB state evolve with the recorded outcomes only, never with
+# the clock, so a lane reads the flags of one pass per (stream, predictor
+# geometry) instead of walking the predictor per branch.
+_FLAGS_CACHE: "OrderedDict[tuple, tuple]" = OrderedDict()
 
-    The direction tables (gshare/bimodal/selector/history) and the BTB are
-    disjoint structures: conditional outcomes depend only on the former, jump
-    flags only on the latter.  So the conditional stream goes through the
-    batched :meth:`update_batch` (exactly equivalent to N sequential
-    updates), and one in-order pass replays the BTB: jumps probe it, every
-    taken branch (conditional or jump) installs its target — the same
-    sequence execution performs.
 
-    This is the reference pass; :func:`_branch_flags` is the vectorized
-    version with identical output.
+def _flags_to_artifact(entry) -> tuple:
+    """Persistable (meta, sections) projection of a flags-pass result."""
+    flags, predictions, mispredictions, btb_hits, btb_misses = entry
+    meta = {"predictions": predictions, "mispredictions": mispredictions,
+            "btb_hits": btb_hits, "btb_misses": btb_misses}
+    return meta, [("flags", bytes(flags))]
+
+
+def _flags_from_artifact(meta, sections):
+    """Rebuild a flags-pass tuple from its artifact (None if torn)."""
+    try:
+        flags = sections["flags"]
+        if len(flags) != int(meta["predictions"]):
+            return None
+        return (flags, int(meta["predictions"]), int(meta["mispredictions"]),
+                int(meta["btb_hits"]), int(meta["btb_misses"]))
+    except (KeyError, TypeError, ValueError):
+        return None
+
+
+def _cached_flags(trace: Trace, decoded, cold, config, hot,
+                  parent_hash=None) -> tuple:
+    """Branch flags of one stream (see :func:`~repro.trace.replay._tiered`)."""
+    key = (trace.program_fingerprint, trace.stream_digest(),
+           config.predictor_entries, config.btb_entries, config.btb_assoc)
+    return _tiered(_FLAGS_CACHE, _SMALL_CAP, key, "vector.flags",
+                   lambda: _branch_flags(decoded, cold, config, hot),
+                   parent_hash, "flags", _flags_to_artifact,
+                   _flags_from_artifact)
+
+
+def _branch_flags(decoded, cold, config, hot) -> tuple:
+    """Mispredict flag per branch event — the vectorized flags pass.
+
+    Identical output to a per-event interleave walk of the predictor (the
+    reference in ``tests/test_artifact_cache.py``), without the walk:
+    branch-event extraction is a numpy mask over the decoded pc stream,
+    conditionals go through the predictor's batched :meth:`update_batch`
+    whose flags land back in event order via one vectorized scatter, and
+    only the (sparse) BTB probe/install walk of jumps and taken branches
+    remains scalar.
 
     Returns ``(flags, predictions, mispredictions, btb_hits, btb_misses)``
     with one flag per conditional-branch/jump in retirement order.
     """
-    branches, seq_pcs = decoded[1], decoded[5]
+    branches = decoded.branches
     predictor = HybridBranchPredictor(entries=config.predictor_entries,
                                       btb_entries=config.btb_entries,
                                       btb_assoc=config.btb_assoc,
                                       ras_entries=config.ras_entries)
-    cbr_pcs = []
-    cbr_takens = []
-    events = []     # (is_jmp, pc_addr, taken, target_addr)
-    events_append = events.append
-    bi = 0
-    for index in seq_pcs:
-        kind = hot[index][0]
-        if kind == 3:
-            taken = branches[bi]
-            bi += 1
-            pc_addr = CODE_BASE + index * CODE_INSTR_SIZE
-            cbr_pcs.append(pc_addr)
-            cbr_takens.append(taken)
-            next_pc = cold[index][0] if taken else index + 1
-            events_append((False, pc_addr, taken,
-                           CODE_BASE + next_pc * CODE_INSTR_SIZE))
-        elif kind == 4:
-            pc_addr = CODE_BASE + index * CODE_INSTR_SIZE
-            events_append((True, pc_addr, True,
-                           CODE_BASE + cold[index][0] * CODE_INSTR_SIZE))
-    cbr_flags = predictor.update_batch(cbr_pcs, cbr_takens)
+    pcs = np.frombuffer(decoded.seq_pcs, np.uint32).astype(np.int64)
+    kind_by_pc = np.fromiter((h[0] for h in hot), np.uint8, len(hot))
+    target_by_pc = np.fromiter((c[0] for c in cold), np.int64, len(cold))
+    kinds = kind_by_pc[pcs]
+    ev_mask = (kinds == _K_CBR) | (kinds == _K_JMP)
+    ev_pcs = pcs[ev_mask]
+    is_jmp = kinds[ev_mask] == _K_JMP
+    n_ev = len(ev_pcs)
+    cbr_mask = ~is_jmp
+    takens = np.ones(n_ev, np.bool_)
+    takens[cbr_mask] = np.fromiter(branches, np.bool_, len(branches))
+    pc_addrs = CODE_BASE + ev_pcs * CODE_INSTR_SIZE
+    next_pc = np.where(takens, target_by_pc[ev_pcs], ev_pcs + 1)
+    target_addrs = CODE_BASE + next_pc * CODE_INSTR_SIZE
+
+    # Direction tables: one batched update over the conditional stream, its
+    # flags scattered back into event order.
+    cbr_flags = predictor.update_batch(pc_addrs[cbr_mask].tolist(),
+                                       list(branches))
+    flags = np.zeros(n_ev, np.uint8)
+    if cbr_flags:
+        flags[cbr_mask] = np.fromiter(cbr_flags, np.uint8, len(cbr_flags))
+
+    # BTB: jumps probe, every taken branch installs — the in-order sequence
+    # execution performs, restricted to the events that actually touch it.
     btb = predictor.btb
     btb_lookup = btb.lookup
     btb_update = btb.update
-    flags = bytearray(len(events))
-    ci = 0
-    for ei, (is_jmp, pc_addr, taken, target) in enumerate(events):
-        if is_jmp:
-            flags[ei] = btb_lookup(pc_addr) is None
-        else:
-            flags[ei] = cbr_flags[ci]
-            ci += 1
-        if taken:
-            btb_update(pc_addr, target)
-    return (bytes(flags), len(events), sum(flags), btb.hits, btb.misses)
+    walk = np.flatnonzero(is_jmp | takens)
+    if len(walk):
+        w_pc = pc_addrs[walk].tolist()
+        w_ta = target_addrs[walk].tolist()
+        w_jmp = is_jmp[walk].tolist()
+        w_ei = walk.tolist()
+        for k in range(len(w_ei)):
+            pc_addr = w_pc[k]
+            if w_jmp[k]:
+                flags[w_ei[k]] = btb_lookup(pc_addr) is None
+            btb_update(pc_addr, w_ta[k])
+    return (flags.tobytes(), n_ev, int(flags.sum()), btb.hits, btb.misses)
 
 
 def _vstream_to_artifact(entry) -> tuple:
@@ -787,10 +753,10 @@ class _VTab(NamedTuple):
     fills per machine point.  ``fu``/``dst``/``phase``/``unpip`` are per pc
     and the sources are CSR (``soff[npc + 1]``, ``sid``); registers are
     remapped to dense ints, ``dst`` -1 for none, so a fresh
-    ``[0.0] * n_regs`` readiness vector reproduces the fused engine's
-    missing-key-reads-as-0.0 dict.  ``events[pc]`` is the payload the
-    Python bounce handler reads: the DMA tag of a dma-get/put/sync, the
-    latency of a set-bufsize/halt, None elsewhere.
+    ``[0.0] * n_regs`` readiness vector reads every register as ready at
+    0.0 until it is written, as execution's does.  ``events[pc]`` is the
+    payload the Python bounce handler reads: the DMA tag of a
+    dma-get/put/sync, the latency of a set-bufsize/halt, None elsewhere.
     """
 
     vk: np.ndarray
@@ -871,8 +837,8 @@ def _build_vtab(hot, cold) -> _VTab:
     sid: list = []
     events: list = [None] * npc
     reg_ids: dict = {}
-    for pc, (kind, fu_index, latency, d, srcs, ph, unpipelined,
-             _index) in enumerate(hot):
+    for pc, (kind, fu_index, latency, d, srcs, ph,
+             unpipelined) in enumerate(hot):
         dst[pc] = -1 if d is None else reg_ids.setdefault(d, len(reg_ids))
         sid.extend(reg_ids.setdefault(s, len(reg_ids)) for s in srcs)
         soff[pc + 1] = len(sid)
@@ -894,52 +860,81 @@ def _build_vtab(hot, cold) -> _VTab:
                  unpip, is_mem, events, len(reg_ids))
 
 
-class _VectorLane(_ReplayLane):
-    """One core's vector replay loop as a resumable state machine.
+class _VectorLane:
+    """One core's replay lane, as a resumable state machine.
 
-    The issue/retire arithmetic is the compiled transcription of the fused
-    recurrence (:mod:`repro.trace._ckernel`); memory and branch outcomes
-    come from the precomputed route/flag streams, derived here (oracle,
-    variant tables, prelowered selector) on top of the decode and flags
-    passes the base class reads.  The only live structures are the point
-    system's MSHR file and, multicore, the shared uncore behind ``uncore``
-    (this core's port; None for a single-core run).  Lanes yield to the
-    scheduler only immediately before an uncore event — see the module
-    docstring.
+    Holds the core's pass products — decoded stream, branch flags, oracle
+    routes, variant tables and prelowered selector — its fresh
+    :class:`~repro.cpu.pipeline.OutOfOrderTimingModel` and the
+    resumable-lane contract of
+    :func:`~repro.cpu.multicore.run_resumable_lanes`: the loop is a
+    *generator* (:meth:`_loop`) whose locals survive across yields, so
+    handing control between lanes costs one ``send``.  The issue/retire
+    arithmetic runs in the compiled kernel :mod:`repro.trace._ckernel`;
+    memory and branch outcomes come from the precomputed route/flag
+    streams.  The only live structures are the point system's MSHR file
+    and, multicore, the shared uncore behind ``uncore`` (this core's port;
+    None for a single-core run).  ``mem`` is the core's
+    :class:`~repro.core.hybrid.HybridSystem`, whose counters :meth:`finish`
+    installs.  Lanes yield to the scheduler only immediately before an
+    uncore event — see the module docstring.
     """
 
-    __slots__ = ("_oracle",)
-    _engine = "vector"
+    __slots__ = ("order", "trace", "config", "timing", "fetch_time", "done",
+                 "_mem", "_seq_pcs", "_fu_counts", "_phase_names", "_flags",
+                 "_oracle", "_gen", "_state")
 
     def __init__(self, order: int, trace: Trace, entry, config,
                  key: TraceKey, mem, machine: MachineConfig, kern,
                  uncore=None):
-        hot, cold, fu_values = entry[2], entry[3], entry[4]
+        hot, cold, fu_values, phase_names = entry[2:6]
         parent_hash = key.key_hash
         decoded = _cached_decode(trace, hot, cold, fu_values,
                                  parent_hash=parent_hash)
-        super().__init__(order, trace, entry, decoded, config, key, mem)
+        self.order = order
+        self.trace = trace
+        self.config = config
+        self._mem = mem
+        self._seq_pcs = decoded.seq_pcs
+        self._fu_counts = decoded.fu_counts
+        self._phase_names = phase_names
+        self._flags = _cached_flags(trace, decoded, cold, config, hot,
+                                    parent_hash=parent_hash)
+        self.timing = OutOfOrderTimingModel(config, hierarchy=mem.hierarchy)
+        self.fetch_time = 0.0
+        self.done = False
         multicore = uncore is not None
         oracle = self._oracle = _cached_oracle(
             trace, decoded, cold, hot, key.mode, machine, multicore,
             parent_hash=parent_hash)
         vtab = _cached_vtab(trace, hot, cold)
-        vstream = _cached_vstream(trace, decoded[5], vtab, oracle, key.mode,
-                                  machine, multicore,
+        vstream = _cached_vstream(trace, decoded.seq_pcs, vtab, oracle,
+                                  key.mode, machine, multicore,
                                   parent_hash=parent_hash)
-        self._gen = self._loop(decoded[5], vtab, vstream, uncore, kern)
+        self._gen = self._loop(decoded.seq_pcs, vtab, vstream, uncore, kern)
         next(self._gen)     # run the loop's setup to the first yield
 
-    def _loop(self, seq_pcs, vtab: _VTab, vstream, uncore, kern):
-        """The vector loop around the compiled inner kernel, as a generator.
+    def run_until(self, limit: float, limit_order: int) -> None:
+        """Advance the lane until it reaches an uncore event with its key
+        ``(fetch_time, order)`` past ``(limit, limit_order)`` — the
+        multicore scheduling contract.  At least one instruction is
+        processed per call (the caller only schedules the earliest lane);
+        ``limit=inf`` runs to completion.
+        """
+        try:
+            self._gen.send((limit, limit_order))
+        except StopIteration:
+            self.done = True
 
-        Same resume protocol as the fused lane: every ``send`` delivers the
-        next ``(limit, limit_order)`` key; the final scalar state is packed
-        into ``_state`` for :meth:`finish`.  ``vr_run`` executes entire
-        epochs of uncore-free instructions; this generator handles only the
-        *event* instructions it stops at — the epoch yield-check,
-        DMA/uncore/dsync bookkeeping (which stays in Python, on the same
-        shared state vectors) and the re-entry.  It reads the bounced
+    def _loop(self, seq_pcs, vtab: _VTab, vstream, uncore, kern):
+        """The loop around the compiled inner kernel, as a generator.
+
+        Every ``send`` delivers the next ``(limit, limit_order)`` key; the
+        final scalar state is packed into ``_state`` for :meth:`finish`.
+        ``vr_run`` executes entire epochs of uncore-free instructions; this
+        generator handles only the *event* instructions it stops at — the
+        epoch yield-check, DMA/uncore/dsync bookkeeping (which stays in
+        Python, on the same shared state vectors) and the re-entry.  It reads the bounced
         instruction's vkind and event payload (DMA tag, halt latency) from
         the per-pc tables, through the same ``pcs[i] * 4 + sel[i]`` index
         as the kernel.
@@ -1030,7 +1025,7 @@ class _VectorLane(_ReplayLane):
         retire = kern.retire
         mshr_c = kern.mshr
         i = 0
-        n = self._n
+        n = len(seq_pcs)
         # Epoch/bounce accounting: local ints (bounces are rare by design),
         # reported once to the recorder after the loop.
         epochs = b_mem_miss = b_dma = b_dsync = b_setbuf = 0
@@ -1139,26 +1134,54 @@ class _VectorLane(_ReplayLane):
         mshr.allocations = int(iv[9])
         mshr.merges = int(iv[10])
         mshr.full_stalls = int(iv[11])
-        self._phase_acc = [float(x) for x in phase_acc]
-        fetch_time = float(fs[0])
-        self.fetch_time = fetch_time
-        self._state = ((fetch_time, float(fs[1]), float(fs[2]), float(fs[3]),
-                        float(fs[4]), len(oracle.routes), oracle.collapsed,
-                        float(fs[5])),
-                       (float(fs[6]), float(fs[7]), int(iv[7])))
+        self.fetch_time = float(fs[0])
+        self._state = (fs.tolist(), int(iv[7]), phase_acc.tolist())
 
-    def finish(self):
-        """Install the accumulated timing state and the oracle's activity
-        counters into the live timing model / memory system and return the
-        timing model.  Shared memory/bus counters are *not* written here —
-        the caller applies them once via :func:`_apply_shared` (they are
-        shared objects in multicore).  Call once, after ``done``.
+    def finish(self) -> OutOfOrderTimingModel:
+        """Install the accumulated timing state, the branch flags' predictor
+        and BTB counters, the out-of-band instruction-fetch activity (see
+        :func:`~repro.trace.replay._l1i_stats`) and the oracle's activity
+        counters into the live timing model and memory system, so they
+        report exactly what execution-driven simulation would, and return
+        the timing model.  Shared memory/bus counters are *not* written
+        here — the caller applies them once via :func:`_apply_shared` (they
+        are shared objects in multicore).  Call once, after ``done``.
         """
-        timing_state, (total_lat, hier_lat, presence_stalls) = self._state
-        timing = self._install_timing(*timing_state)
+        fs, presence_stalls, phase_acc = self._state
+        (fetch_time, last_commit, rob_bw, rob_stalls, lsq_stalls, contended,
+         total_lat, hier_lat) = fs[:8]
+        timing = self.timing
         system = self._mem
-        patch = self._oracle.patch
         hierarchy = system.hierarchy
+        oracle = self._oracle
+        hierarchy.l1i.stats, hierarchy.icache_accesses = _l1i_stats(
+            self.trace, self._seq_pcs, self.config, hierarchy.config)
+        timing.fetch_time = fetch_time
+        timing.committed = len(self._seq_pcs)
+        timing.last_commit_time = last_commit
+        timing.fu_op_counts.update(self._fu_counts)
+        # Commit deltas are strictly positive, so a phase accumulated exactly
+        # 0.0 iff no instruction of that phase retired — execution's
+        # accumulator would not report it either.
+        for name, cycles in zip(self._phase_names, phase_acc):
+            if cycles != 0.0:
+                timing.phase_cycles[name] = cycles
+        timing.rob._last_commit_time = last_commit
+        timing.rob._commit_bandwidth_time = rob_bw
+        timing.rob.dispatch_stalls = rob_stalls
+        timing.lsq.occupancy_stalls = lsq_stalls
+        timing.lsq.memory_ops = len(oracle.routes)
+        timing.lsq.collapsed_stores = oracle.collapsed
+        timing.fus.contended_cycles = contended
+        flags = self._flags
+        timing.mispredictions = flags[2]
+        predictor = timing.predictor
+        predictor.predictions = flags[1]
+        predictor.mispredictions = flags[2]
+        predictor.btb.hits = flags[3]
+        predictor.btb.misses = flags[4]
+
+        patch = oracle.patch
         system.loads = patch["loads"]
         system.stores = patch["stores"]
         system.guarded_loads = patch["guarded_loads"]

@@ -4,17 +4,17 @@ Three families:
 
 * **Batched == scalar.**  :func:`repro.trace.vector._oracle_routes` (the
   array oracle pass) must emit exactly what the reference walk
-  :func:`~repro.trace.vector._oracle_routes_scalar` emits — routes,
-  out-of-band miss lines, guard/DMA side arrays and the final counter
-  patch — over every route kind (LM / guarded / L1 / L2 / L3 / MEM /
-  collapsed / DMA get / DMA put), randomized cache geometries included.
-  Same for :func:`~repro.trace.vector._branch_flags` against
-  :func:`~repro.trace.vector._branch_flags_scalar`.
+  :func:`_oracle_routes_scalar` below emits — routes, out-of-band miss
+  lines, guard/DMA side arrays and the final counter patch — over every
+  route kind (LM / guarded / L1 / L2 / L3 / MEM / collapsed / DMA get /
+  DMA put), randomized cache geometries included.  Same for
+  :func:`~repro.trace.vector._branch_flags` against
+  :func:`_branch_flags_scalar`.
 
 * **Warm replay is pass-free.**  A vector replay in a fresh "process"
   (cleared in-memory memo caches) against a warm artifact store must
   satisfy decode/oracle/flags/prelower from disk — hit counters up, zero
-  pass misses — and stay bit-identical to the fused engine.
+  pass misses — and stay bit-identical to execution.
 
 * **Store mechanics.**  Artifact files are byte-identical across
   processes regardless of ``PYTHONHASHSEED``; torn/stale files read as
@@ -35,7 +35,10 @@ from array import array
 import pytest
 
 from repro import obs
+from repro.cpu.branch_predictor import HybridBranchPredictor
+from repro.cpu.pipeline import CODE_BASE, CODE_INSTR_SIZE
 from repro.harness.config import PTLSIM_CONFIG
+from repro.harness.runner import run_workload
 from repro.harness.systems import build_system, core_config_for
 from repro.trace import artifacts, capture_workload, replay_trace
 from repro.trace.artifacts import (
@@ -101,6 +104,151 @@ def _assert_same_oracle(a, b):
 _R = vector_mod  # route-code namespace shorthand
 
 
+# ------------------------------------------------------- scalar references
+def _oracle_routes_scalar(decoded, cold, hot, mode, machine, multicore):
+    """Resolve every memory/DMA event of a stream against a scratch system.
+
+    The scratch system is the same per-core ``build_system`` product the
+    replay point uses; it is driven with the *real* ``load``/``store``/DMA
+    calls at ``now=0.0``.  Cache, directory and prefetcher state evolution is
+    timing-independent (tag/LRU/valid updates never consult the clock), so
+    the served-by level of every access — and every final activity counter —
+    is exactly what any re-timed run observes.  Clock-dependent scratch state
+    (MSHR contents, presence stalls, latencies) is simply discarded: the
+    timing loop recomputes those against the live point system.  In
+    multicore, the per-core systems are independent for everything functional
+    (private caches/LM/directory; the shared memory/bus counters commute and
+    are summed at apply time), and the multicore wrapper's dma-put directory
+    unmap is transcribed in ``_oracle_event`` so guarded hit/miss
+    sequences match.
+
+    This is the reference walk; :func:`~repro.trace.vector._oracle_routes`
+    is the array version with identical output (enforced below).
+    """
+    mem_addrs, dma_words, seq_pcs = (decoded.mem_addrs, decoded.dma_words,
+                                     decoded.seq_pcs)
+    S = vector_mod._scratch_system(mode, machine)
+    line_size = S.hierarchy.config.line_size
+    directory = S.directory
+    load = S.load
+    store = S.store
+    lm_lo, lm_hi = S._lm_lo, S._lm_hi
+    routes = bytearray()
+    routes_append = routes.append
+    miss_lines = array("q")
+    guard_entries = array("i")
+    dma_nlines = array("i")
+    dma_addrs = array("q")
+    dget_entries = array("i")
+    lm_plain_loads = lm_plain_stores = 0
+    mi = di = 0
+    for index in seq_pcs:
+        kind = hot[index][0]
+        if kind == 1 or kind == 2:
+            addr = mem_addrs[mi]
+            mi += 1
+            if lm_lo <= addr < lm_hi:
+                routes_append(_R._R_LM)
+                if kind == 1:
+                    lm_plain_loads += 1
+                else:
+                    lm_plain_stores += 1
+                    S._last_store_addr = addr
+                    S._last_store_to_sm = False
+                continue
+            cm = cold[index]
+            if kind == 1:
+                out = load(addr, guarded=cm[2], oracle_divert=cm[3],
+                           pc=index, now=0.0)
+            else:
+                out = store(addr, 0.0, guarded=cm[2], oracle_divert=cm[3],
+                            collapse_with_prev=cm[4], pc=index, now=0.0)
+            served = out.served_by
+            if served == "LM":
+                if cm[2]:   # guarded hit: presence stall recomputed live
+                    routes_append(_R._R_GUARD)
+                    guard_entries.append(
+                        directory._tag_index[addr & directory.base_mask])
+                else:       # oracle-divert hit: plain LM latency
+                    routes_append(_R._R_LM)
+            elif served == "collapsed":
+                routes_append(_R._R_COLLAPSED)
+            elif served == "L1":
+                routes_append(_R._R_L1)
+            else:
+                routes_append(_R._R_L2 if served == "L2" else
+                              _R._R_L3 if served == "L3" else _R._R_MEM)
+                miss_lines.append(addr - addr % line_size)
+        elif kind >= 6:      # dma-get / dma-put / dma-sync / set-bufsize
+            vector_mod._oracle_event(S, kind, cold[index][1], dma_words, di,
+                                     multicore, dma_nlines, dma_addrs,
+                                     dget_entries)
+            if kind <= 7:
+                di += 3
+    return vector_mod._oracle_result(S, routes, miss_lines, guard_entries,
+                                     dma_nlines, dma_addrs, dget_entries,
+                                     lm_plain_loads, lm_plain_stores)
+
+
+def _branch_flags_scalar(decoded, cold, config, hot):
+    """Mispredict flag per branch event, resolved through the real predictor.
+
+    The direction tables (gshare/bimodal/selector/history) and the BTB are
+    disjoint structures: conditional outcomes depend only on the former, jump
+    flags only on the latter.  So the conditional stream goes through the
+    batched :meth:`update_batch` (exactly equivalent to N sequential
+    updates), and one in-order pass replays the BTB: jumps probe it, every
+    taken branch (conditional or jump) installs its target — the same
+    sequence execution performs.
+
+    This is the reference pass; :func:`~repro.trace.vector._branch_flags`
+    is the vectorized version with identical output (enforced below).
+
+    Returns ``(flags, predictions, mispredictions, btb_hits, btb_misses)``
+    with one flag per conditional-branch/jump in retirement order.
+    """
+    branches, seq_pcs = decoded.branches, decoded.seq_pcs
+    predictor = HybridBranchPredictor(entries=config.predictor_entries,
+                                      btb_entries=config.btb_entries,
+                                      btb_assoc=config.btb_assoc,
+                                      ras_entries=config.ras_entries)
+    cbr_pcs = []
+    cbr_takens = []
+    events = []     # (is_jmp, pc_addr, taken, target_addr)
+    events_append = events.append
+    bi = 0
+    for index in seq_pcs:
+        kind = hot[index][0]
+        if kind == 3:
+            taken = branches[bi]
+            bi += 1
+            pc_addr = CODE_BASE + index * CODE_INSTR_SIZE
+            cbr_pcs.append(pc_addr)
+            cbr_takens.append(taken)
+            next_pc = cold[index][0] if taken else index + 1
+            events_append((False, pc_addr, taken,
+                           CODE_BASE + next_pc * CODE_INSTR_SIZE))
+        elif kind == 4:
+            pc_addr = CODE_BASE + index * CODE_INSTR_SIZE
+            events_append((True, pc_addr, True,
+                           CODE_BASE + cold[index][0] * CODE_INSTR_SIZE))
+    cbr_flags = predictor.update_batch(cbr_pcs, cbr_takens)
+    btb = predictor.btb
+    btb_lookup = btb.lookup
+    btb_update = btb.update
+    flags = bytearray(len(events))
+    ci = 0
+    for ei, (is_jmp, pc_addr, taken, target) in enumerate(events):
+        if is_jmp:
+            flags[ei] = btb_lookup(pc_addr) is None
+        else:
+            flags[ei] = cbr_flags[ci]
+            ci += 1
+        if taken:
+            btb_update(pc_addr, target)
+    return (bytes(flags), len(events), sum(flags), btb.hits, btb.misses)
+
+
 @pytest.mark.parametrize("mode,workload", [("hybrid", "CG"), ("hybrid", "IS"),
                                            ("cache", "CG")])
 def test_batched_oracle_matches_scalar_randomized(mode, workload, fresh_cache):
@@ -125,7 +273,7 @@ def test_batched_oracle_matches_scalar_randomized(mode, workload, fresh_cache):
         machine = machine0.with_overrides(overrides)
         batched = vector_mod._oracle_routes(decoded, cold, hot, mode,
                                             machine, False)
-        scalar = vector_mod._oracle_routes_scalar(decoded, cold, hot, mode,
+        scalar = _oracle_routes_scalar(decoded, cold, hot, mode,
                                                   machine, False)
         _assert_same_oracle(batched, scalar)
         seen |= set(batched.routes)
@@ -137,7 +285,7 @@ def test_batched_oracle_matches_scalar_randomized(mode, workload, fresh_cache):
         assert {_R._R_L1, _R._R_L2, _R._R_L3, _R._R_MEM} <= seen
     if mode == "hybrid":
         assert _R._R_LM in seen
-        assert decoded[5] and batched.dma_nlines   # DMA gets/puts resolved
+        assert decoded.seq_pcs and batched.dma_nlines  # DMA gets/puts resolved
         assert batched.patch["guarded_loads"] > 0  # guarded bounce exercised
     if workload == "IS" and mode == "hybrid":
         assert _R._R_COLLAPSED in seen
@@ -154,7 +302,7 @@ def test_batched_oracle_matches_scalar_multicore(fresh_cache):
         decoded = replay_mod._decode_trace(trace, hot, cold, fu_values)
         batched = vector_mod._oracle_routes(decoded, cold, hot, "hybrid",
                                             machine, True)
-        scalar = vector_mod._oracle_routes_scalar(decoded, cold, hot,
+        scalar = _oracle_routes_scalar(decoded, cold, hot,
                                                   "hybrid", machine, True)
         _assert_same_oracle(batched, scalar)
         assert batched.dma_nlines                  # dget/dput both present
@@ -170,8 +318,8 @@ def _guard_stream(machine):
     sm = 1 << 20
 
     def h(kind, pc):
-        # The oracle walk reads only h[0] (kind) and h[7] (pc).
-        return (kind, None, None, None, None, None, None, pc)
+        # The oracle walks read only h[0] (kind).
+        return (kind, None, None, None, None, None, None)
 
     # cold[pc] = (target, tag/value, guarded, oracle_divert, collapse)
     cold = [
@@ -191,7 +339,8 @@ def _guard_stream(machine):
                  sm + 9 * chunk, sm + 9 * chunk]
     dma_words = [base, sm, chunk, base, sm, chunk]
     seq_pcs = array("I", range(len(seq)))   # each pc retires once, in order
-    return (seq, [], mem_addrs, dma_words, {}, seq_pcs), cold, seq
+    return (replay_mod._Decoded([], mem_addrs, dma_words, {}, seq_pcs),
+            cold, seq)
 
 
 def test_batched_oracle_guarded_divert_and_collapse_synthetic():
@@ -201,7 +350,7 @@ def test_batched_oracle_guarded_divert_and_collapse_synthetic():
     decoded, cold, hot = _guard_stream(machine)
     batched = vector_mod._oracle_routes(decoded, cold, hot, "hybrid",
                                         machine, False)
-    scalar = vector_mod._oracle_routes_scalar(decoded, cold, hot, "hybrid",
+    scalar = _oracle_routes_scalar(decoded, cold, hot, "hybrid",
                                               machine, False)
     _assert_same_oracle(batched, scalar)
     assert list(batched.routes) == [_R._R_GUARD, _R._R_MEM, _R._R_GUARD,
@@ -247,7 +396,7 @@ def _event_stream(events, lm):
     hot, cold, mem_addrs, dma_words = [], [], [], []
     for pc, (name, operand, *rest) in enumerate(events):
         flags = rest[0] if rest else ""
-        hot.append((kinds[name], None, None, None, None, None, None, pc))
+        hot.append((kinds[name], None, None, None, None, None, None))
         cold.append((0, operand if name == "setbuf" else 0, "g" in flags,
                      "d" in flags, "c" in flags))
         if name in ("ld", "st"):
@@ -255,7 +404,8 @@ def _event_stream(events, lm):
         elif name != "setbuf":
             dma_words += [lm, operand, _CHUNK]
     seq_pcs = array("I", range(len(events)))
-    return (hot, [], mem_addrs, dma_words, {}, seq_pcs), cold, hot
+    return (replay_mod._Decoded([], mem_addrs, dma_words, {}, seq_pcs),
+            cold, hot)
 
 
 @pytest.mark.parametrize("name", sorted(_LATCH_STREAMS))
@@ -269,7 +419,7 @@ def test_array_oracle_latch_and_directory_synthetic(name):
     decoded, cold, hot = _event_stream(events(lm), lm)
     array_oracle = vector_mod._oracle_routes(decoded, cold, hot, "hybrid",
                                              machine, False)
-    scalar = vector_mod._oracle_routes_scalar(decoded, cold, hot, "hybrid",
+    scalar = _oracle_routes_scalar(decoded, cold, hot, "hybrid",
                                               machine, False)
     _assert_same_oracle(array_oracle, scalar)
     assert list(array_oracle.routes) == routes
@@ -297,7 +447,7 @@ def test_batched_flags_match_scalar_randomized(fresh_cache):
             })
             config = core_config_for(machine)
             batched = vector_mod._branch_flags(decoded, cold, config, hot)
-            scalar = vector_mod._branch_flags_scalar(decoded, cold, config,
+            scalar = _branch_flags_scalar(decoded, cold, config,
                                                      hot)
             assert batched == scalar
 
@@ -306,18 +456,18 @@ def test_batched_flags_match_scalar_randomized(fresh_cache):
 def test_warm_vector_replay_is_pass_free(fresh_cache):
     """Cold replay persists one artifact per (pass, core); a fresh-process
     warm replay satisfies every pass from disk and stays bit-identical to
-    the fused engine."""
+    execution."""
     machine = _machine(2)
-    _, mtrace = capture_workload("CG", "hybrid", "tiny", machine=machine)
-    fused = replay_trace(mtrace, machine)
-    cold_run = replay_trace(mtrace, machine, engine="vector")
+    executed, mtrace = capture_workload("CG", "hybrid", "tiny",
+                                        machine=machine)
+    cold_run = replay_trace(mtrace, machine)
     store = artifacts.default_store()
     assert store is not None
     assert store.writes == 8        # decode/oracle/flags/prelower x 2 cores
 
     _clear_memo_caches()
     with obs.recording() as rec:
-        warm = replay_trace(mtrace, machine, engine="vector")
+        warm = replay_trace(mtrace, machine)
     counters = rec.counters
     for pass_hit in ("replay.decode.disk.hit", "vector.oracle.disk.hit",
                      "vector.flags.disk.hit", "vector.prelower.disk.hit"):
@@ -326,51 +476,44 @@ def test_warm_vector_replay_is_pass_free(fresh_cache):
                       "vector.flags.miss", "vector.prelower.miss"):
         assert pass_miss not in counters, (pass_miss, counters)
     for run in (cold_run, warm):
-        assert run.cycles == fused.cycles
-        assert run.total_energy == fused.total_energy
-        assert run.sim.memory_stats == fused.sim.memory_stats
-        assert run.sim.core_stats["per_core"] == \
-            fused.sim.core_stats["per_core"]
+        _assert_same_run(run, executed)
 
 
 def test_warm_vector_replay_builds_no_seq(fresh_cache, monkeypatch):
-    """A decode read from disk carries only the pc stream: the vector engine
-    replays from it without building the per-instruction ``seq`` and equals
-    fused; a later fused replay materialises ``seq`` once, in the memo."""
+    """A decode read from disk carries only the pc stream: a warm replay
+    runs no decode walk, builds no per-instruction sequence (the decode
+    holds the event streams and one ``uint32`` pc per retired instruction)
+    and equals execution."""
     machine = _machine(2)
-    _, mtrace = capture_workload("CG", "hybrid", "tiny", machine=machine)
-    fused = replay_trace(mtrace, machine)
-    replay_trace(mtrace, machine, engine="vector")      # cold: writes
+    executed, mtrace = capture_workload("CG", "hybrid", "tiny",
+                                        machine=machine)
+    replay_trace(mtrace, machine)      # cold: writes
 
     def no_walk(*args):
         raise AssertionError("the decode walk ran on a warm replay")
 
     _clear_memo_caches()
     monkeypatch.setattr(replay_mod, "_decode_trace", no_walk)
-    warm = replay_trace(mtrace, machine, engine="vector")
+    warm = replay_trace(mtrace, machine)
     entries = list(replay_mod._DECODE_CACHE.values())
-    assert len(entries) == 2 and all(e[0] is None for e in entries)
-    _assert_same_run(warm, fused)
-
-    _assert_same_run(replay_trace(mtrace, machine), fused)
-    entries = list(replay_mod._DECODE_CACHE.values())
-    assert all(len(e[0]) == mtrace.cores[i].instructions
-               for i, e in enumerate(entries))
+    assert len(entries) == 2
+    for core_trace, entry in zip(mtrace.cores, entries):
+        assert entry._fields == ("branches", "mem_addrs", "dma_words",
+                                 "fu_counts", "seq_pcs")
+        assert entry.seq_pcs.typecode == "I"
+        assert len(entry.seq_pcs) == core_trace.instructions
+    _assert_same_run(warm, executed)
 
 
 def test_warm_replay_identity_clustered(fresh_cache):
     """Artifact-fed replay on a clustered uncore (2 clusters x 4 cores)
-    matches the fused engine exactly, warm and cold."""
+    matches execution exactly, warm and cold."""
     machine = _machine(4, num_clusters=2)
-    _, mtrace = capture_workload("CG", "hybrid", "tiny", machine=machine)
-    fused = replay_trace(mtrace, machine)
-    replay_trace(mtrace, machine, engine="vector")      # cold: writes
+    executed, mtrace = capture_workload("CG", "hybrid", "tiny",
+                                        machine=machine)
+    _assert_same_run(replay_trace(mtrace, machine), executed)  # cold: writes
     _clear_memo_caches()
-    warm = replay_trace(mtrace, machine, engine="vector")
-    assert warm.cycles == fused.cycles
-    assert warm.total_energy == fused.total_energy
-    assert warm.sim.memory_stats == fused.sim.memory_stats
-    assert warm.sim.core_stats["per_core"] == fused.sim.core_stats["per_core"]
+    _assert_same_run(replay_trace(mtrace, machine), executed)
 
 
 def _clear_every_memo():
@@ -382,19 +525,17 @@ def _clear_every_memo():
                 memo.clear()
 
 
-# Per engine: (counters, phases) of a cold replay (empty memos and artifact
+# Per path: (counters, phases) of a cold replay (empty memos and artifact
 # store), a warm one (memos cleared, artifacts on disk) and a hot one (memos
 # kept).  Pass counters are pinned by value; the rest of the counter set
-# (the vector engine's epoch/bounce counts) by name.
+# (the vector engine's epoch/bounce counts) by name.  The "execution" path
+# is replay without a C kernel: it validates the trace against its rebuilt
+# program, records its degradation and runs no derivation pass.
 _PASS_COUNTS = {
-    "fused": {
-        "cold": {"replay.program.miss": 1, "replay.decode.miss": 2,
-                 "replay.flags.miss": 2, "replay.l1i.miss": 2},
-        "warm": {"replay.program.miss": 1, "replay.decode.hit": 2,
-                 "replay.decode.disk.hit": 2, "replay.flags.hit": 2,
-                 "replay.flags.disk.hit": 2, "replay.l1i.miss": 2},
-        "hot": {"replay.program.hit": 1, "replay.decode.hit": 2,
-                "replay.flags.hit": 2, "replay.l1i.hit": 2},
+    "execution": {
+        "cold": {"replay.program.miss": 1, "degraded.vector": 1},
+        "warm": {"replay.program.miss": 1, "degraded.vector": 1},
+        "hot": {"replay.program.hit": 1, "degraded.vector": 1},
     },
     "vector": {
         "cold": {"replay.program.miss": 1, "replay.decode.miss": 2,
@@ -411,11 +552,10 @@ _PASS_COUNTS = {
     },
 }
 _PHASES = {
-    "fused": {
-        "cold": {"replay.program", "replay.decode", "replay.flags",
-                 "replay.l1i", "replay.timing"},
-        "warm": {"replay.program", "replay.l1i", "replay.timing"},
-        "hot": {"replay.timing"},
+    "execution": {
+        "cold": {"replay.program"},
+        "warm": {"replay.program"},
+        "hot": set(),
     },
     "vector": {
         "cold": {"replay.program", "replay.decode", "replay.l1i",
@@ -433,26 +573,27 @@ _KERNEL_COUNTERS = {"vector.ckernel.epochs", "vector.bounce.dma",
                     "vector.bounce.set_bufsize"}
 
 
-@pytest.mark.parametrize("engine", ["fused", "vector"])
-def test_pass_counters_and_phases_pinned(engine, fresh_cache):
+@pytest.mark.parametrize("engine", ["execution", "vector"])
+def test_pass_counters_and_phases_pinned(engine, fresh_cache, monkeypatch):
     """Every memo/disk/compute lookup of a 2-core replay reports exactly
     the counters and phases listed above: cold, warm from the artifact
-    store, and hot from the in-process memos."""
-    if engine == "vector":
-        from repro.trace import _ckernel
-        if _ckernel.load() is None:
-            pytest.skip("no C kernel: vector replay runs the fused engine")
+    store, and hot from the in-process memos — on the vector engine, and
+    on the execution-driven fallback taken without a C kernel."""
+    from repro.trace import _ckernel
+    if engine == "vector" and _ckernel.load() is None:
+        pytest.skip("no C kernel: replay runs the program instead")
+    if engine == "execution":
+        monkeypatch.setattr(_ckernel, "load", lambda: None)
     machine = _machine(2)
-    _, mtrace = capture_workload("CG", "hybrid", "tiny", machine=machine)
-    with artifacts.scoped(disabled=True):
-        reference = replay_trace(mtrace, machine, engine="fused")
+    reference, mtrace = capture_workload("CG", "hybrid", "tiny",
+                                         machine=machine)
     _clear_every_memo()
     kernel = _KERNEL_COUNTERS if engine == "vector" else set()
     for label in ("cold", "warm", "hot"):
         if label == "warm":
             _clear_every_memo()
         with obs.recording() as rec:
-            run = replay_trace(mtrace, machine, engine=engine)
+            run = replay_trace(mtrace, machine)
         expected = _PASS_COUNTS[engine][label]
         assert set(rec.counters) == set(expected) | kernel, (label,
                                                              rec.counters)
@@ -462,31 +603,32 @@ def test_pass_counters_and_phases_pinned(engine, fresh_cache):
         _assert_same_run(run, reference)
 
 
-def _assert_same_run(run, fused):
-    assert run.cycles == fused.cycles
-    assert run.total_energy == fused.total_energy
-    assert run.sim.memory_stats == fused.sim.memory_stats
-    assert run.sim.core_stats["per_core"] == fused.sim.core_stats["per_core"]
+def _assert_same_run(run, reference):
+    assert run.cycles == reference.cycles
+    assert run.total_energy == reference.total_energy
+    assert run.sim.memory_stats == reference.sim.memory_stats
+    assert (run.sim.core_stats["per_core"]
+            == reference.sim.core_stats["per_core"])
 
 
 def test_latency_points_share_prelower_artifact(tmp_path):
     """The prelower key holds no latency: points that change only the L1 or
-    LM latency read the base point's prelower artifacts and still equal the
-    fused engine (the latencies go into the per-point table)."""
+    LM latency read the base point's prelower artifacts and still equal
+    execution (the latencies go into the per-point table)."""
     machine = _machine(2)
     _, mtrace = capture_workload("CG", "hybrid", "tiny", machine=machine)
     with artifacts.scoped(cache_root=tmp_path):
         _clear_memo_caches()
-        replay_trace(mtrace, machine, engine="vector")
+        replay_trace(mtrace, machine)
         for override in ({"memory.l1_latency": 4}, {"lm_latency": 4}):
             point = machine.with_overrides(override)
-            fused = replay_trace(mtrace, point)
+            executed = run_workload("CG", "hybrid", "tiny", machine=point)
             _clear_memo_caches()
             with obs.recording() as rec:
-                run = replay_trace(mtrace, point, engine="vector")
+                run = replay_trace(mtrace, point)
             assert rec.counters.get("vector.prelower.disk.hit") == 2, override
             assert "vector.prelower.miss" not in rec.counters, override
-            _assert_same_run(run, fused)
+            _assert_same_run(run, executed)
     _clear_memo_caches()
 
 
@@ -496,11 +638,11 @@ def test_artifact_out_of_step_with_its_routes_reads_as_miss(
         kind, section, cut, fresh_cache):
     """A parseable artifact whose side array is shorter than its routes
     imply would send the C kernel past the end of that array: it reads as a
-    miss, the pass is recomputed and the replay still equals fused."""
+    miss, the pass is recomputed and the replay still equals execution."""
     machine = _machine(2)
-    _, mtrace = capture_workload("CG", "hybrid", "tiny", machine=machine)
-    fused = replay_trace(mtrace, machine)
-    replay_trace(mtrace, machine, engine="vector")      # cold: writes
+    executed, mtrace = capture_workload("CG", "hybrid", "tiny",
+                                        machine=machine)
+    replay_trace(mtrace, machine)      # cold: writes
     paths = sorted(artifacts.default_store().root.glob(
         f"{mtrace.key.key_hash}/{kind}-*.art"))
     assert len(paths) == 2
@@ -512,10 +654,10 @@ def test_artifact_out_of_step_with_its_routes_reads_as_miss(
                                          list(sections.items())))
     _clear_memo_caches()
     with obs.recording() as rec:
-        warm = replay_trace(mtrace, machine, engine="vector")
+        warm = replay_trace(mtrace, machine)
     assert rec.counters.get(f"vector.{kind}.miss") == 2, rec.counters
     assert f"vector.{kind}.disk.hit" not in rec.counters, rec.counters
-    _assert_same_run(warm, fused)
+    _assert_same_run(warm, executed)
 
 
 def _corrupt(sections, name, fn):
@@ -530,7 +672,7 @@ def test_artifact_validation_rejects_each_inconsistency(fresh_cache):
     decoded, cold, hot = _guard_stream(machine)
     oracle = vector_mod._oracle_routes(decoded, cold, hot, "hybrid",
                                        machine, False)
-    n_mem = len(decoded[2])
+    n_mem = len(decoded.mem_addrs)
     meta, sections = vector_mod._oracle_to_artifact(oracle)
     sections = dict(sections)
     assert oracle.miss_lines and oracle.guard_entries
@@ -547,7 +689,7 @@ def test_artifact_validation_rejects_each_inconsistency(fresh_cache):
     assert vector_mod._oracle_from_artifact(meta, sections, n_mem + 1) is None
 
     _, trace = capture_workload("CG", "hybrid", "tiny", machine=machine)
-    replay_trace(trace, machine, engine="vector")
+    replay_trace(trace, machine)
     (oracle,) = vector_mod._ORACLE_CACHE.values()
     (vstream,) = vector_mod._PRELOWER_CACHE.values()
     n = trace.instructions
@@ -572,7 +714,7 @@ from repro.harness.config import PTLSIM_CONFIG
 from repro.trace import capture_workload, replay_trace
 m = dataclasses.replace(PTLSIM_CONFIG, num_cores=2)
 _, t = capture_workload('CG', 'hybrid', 'tiny', machine=m)
-r = replay_trace(t, m, engine='vector')
+r = replay_trace(t, m)
 root = Path(os.environ['REPRO_CACHE_DIR']) / 'traces' / 'artifacts'
 files = sorted(root.glob('*/*.art'))
 digest = hashlib.sha256(
@@ -679,7 +821,7 @@ def test_no_artifacts_escape_hatch(tmp_path, monkeypatch):
         assert artifacts.default_store() is None
         machine = _machine(1)
         _, trace = capture_workload("CG", "hybrid", "tiny", machine=machine)
-        replay_trace(trace, machine, engine="vector")
+        replay_trace(trace, machine)
     assert not (tmp_path / "traces" / "artifacts").exists()
     _clear_memo_caches()
 

@@ -5,8 +5,8 @@ arbiters (randomized equivalence of the hierarchical acquire path against
 the reference per-window walk), the address-interleaved home-node
 directory, the ``num_clusters=1`` bit-identity contract (cycles, energy
 and spec hashes), the per-cluster timeline lanes, and the acceptance
-identity matrix: fused == vector == execution on a
-2-cluster x 2-core machine for every NAS kernel at small scale.
+identity matrix: replay == execution on a 2-cluster x 2-core machine for
+every NAS kernel at small scale.
 """
 
 import dataclasses
@@ -370,21 +370,19 @@ def test_spec_hash_cluster_knobs_stable_across_processes():
 # ------------------------------------------------------- engine identity matrix
 @pytest.mark.parametrize("workload", BENCHMARK_ORDER)
 def test_engine_identity_two_clusters(workload):
-    """fused == vector == execution on the 2-cluster x 2-core
-    machine, for every NAS kernel at small scale — the acceptance matrix of
-    the hierarchical uncore (cluster buses, NUMA, LLC slices all exercised
-    at globally-ordered arbitration points)."""
+    """replay == execution on the 2-cluster x 2-core machine, for every
+    NAS kernel at small scale — the acceptance matrix of the hierarchical
+    uncore (cluster buses, NUMA, LLC slices all exercised at
+    globally-ordered arbitration points)."""
     machine = _machine(4, clusters=2)
     executed, mtrace = capture_workload(workload, "hybrid", "small",
                                         machine=machine)
-    fused = replay_trace(parse_trace_bytes(mtrace.to_bytes()), machine)
-    vector = replay_trace(mtrace, machine, engine="vector")
-    for replayed in (fused, vector):
-        assert replayed.cycles == executed.cycles
-        assert replayed.energy.as_dict() == executed.energy.as_dict()
-        assert replayed.sim.memory_stats == executed.sim.memory_stats
-        assert (replayed.sim.core_stats["per_core"]
-                == executed.sim.core_stats["per_core"])
+    replayed = replay_trace(parse_trace_bytes(mtrace.to_bytes()), machine)
+    assert replayed.cycles == executed.cycles
+    assert replayed.energy.as_dict() == executed.energy.as_dict()
+    assert replayed.sim.memory_stats == executed.sim.memory_stats
+    assert (replayed.sim.core_stats["per_core"]
+            == executed.sim.core_stats["per_core"])
     uncore = executed.sim.memory_stats["uncore"]
     assert uncore["num_clusters"] == 2
     assert uncore["requests"] > 0
@@ -405,10 +403,9 @@ def test_cluster_overrides_retime_from_flat_capture():
     _, mtrace = capture_workload("CG", "hybrid", "tiny", machine=flat)
     executed = run_parallel_workload("CG", "hybrid", "tiny",
                                      machine=clustered, num_cores=4)
-    for engine in ("fused", "vector"):
-        replayed = replay_trace(mtrace, clustered, engine=engine)
-        assert replayed.cycles == executed.cycles, engine
-        assert replayed.energy.as_dict() == executed.energy.as_dict(), engine
+    replayed = replay_trace(mtrace, clustered)
+    assert replayed.cycles == executed.cycles
+    assert replayed.energy.as_dict() == executed.energy.as_dict()
 
 
 # ------------------------------------------------------------- timeline lanes

@@ -273,23 +273,44 @@ def test_capture_pool_crash_falls_back_to_inline_capture(monkeypatch,
 
 
 # ------------------------------------------------------- degraded-mode identity
+@pytest.mark.parametrize("shape", ["1-core", "2-core", "micro"])
 @pytest.mark.parametrize("fault_spec", ["vector.prelower=err",
                                         "ckernel.compile=err"])
-def test_vector_degrades_to_fused_with_identical_results(
-        monkeypatch, fault_spec):
-    """C-kernel / prelowering faults degrade the vector replay engine to
-    the fused interpreter — slower, never different."""
-    from repro.trace import capture_workload, replay_trace
+def test_vector_degrades_to_execution_with_identical_results(
+        monkeypatch, fault_spec, shape):
+    """C-kernel / prelowering faults make replay run the trace key's
+    program execution-driven at the requested machine — slower, never
+    different — on single-core, 2-core and microbenchmark traces, with one
+    ``degraded.vector`` event per replay."""
+    import dataclasses
 
-    _, trace = capture_workload("CG", "hybrid", "tiny")
-    clean = replay_trace(trace, engine="vector")
+    from repro.harness.config import PTLSIM_CONFIG
+    from repro.trace import (
+        capture_micro,
+        capture_workload,
+        execute_key,
+        replay_trace,
+    )
+
+    if shape == "micro":
+        _, trace = capture_micro("RD/WR", guarded_fraction=0.5,
+                                 iterations=200, unroll=4)
+        machine = PTLSIM_CONFIG
+    else:
+        machine = dataclasses.replace(
+            PTLSIM_CONFIG, num_cores=1 if shape == "1-core" else 2)
+        _, trace = capture_workload("CG", "hybrid", "tiny", machine=machine)
+    machine = machine.with_overrides({"memory.l1_latency": 4})
+    clean = replay_trace(trace, machine)
     monkeypatch.setenv(faults.FAULTS_ENV, fault_spec)
     with obs.recording() as rec:
-        degraded = replay_trace(trace, engine="vector")
-    assert rec.counters["degraded.vector"] >= 1
-    assert degraded.cycles == clean.cycles
-    assert degraded.total_energy == clean.total_energy
-    assert degraded.memory_stats == clean.memory_stats
+        degraded = replay_trace(trace, machine)
+    monkeypatch.delenv(faults.FAULTS_ENV)
+    executed, _ = execute_key(trace.key, machine)
+    assert rec.counters["degraded.vector"] == 1
+    for run in (degraded, clean):
+        assert run.sim == executed.sim
+        assert run.energy.as_dict() == executed.energy.as_dict()
 
 
 def test_chaos_run_is_bit_identical_to_clean_run(monkeypatch, tmp_path):

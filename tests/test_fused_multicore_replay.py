@@ -1,13 +1,18 @@
-"""Tests for the fused multicore replay engine and the uncore hot path.
+"""Tests for multicore replay and the uncore hot path.
 
-The fused engine (one :class:`repro.trace.replay._FusedLane` per core,
+Multicore replay (one :class:`repro.trace.vector._VectorLane` per core,
 interleaved by :func:`repro.cpu.multicore.run_resumable_lanes`) must be
 indistinguishable from execution-driven simulation (one
 :class:`repro.cpu.executor.ExecutionLane` per core under the same
-scheduler): cycles, energy, per-core results
-and uncore queue statistics, at the capture config and re-timed under
-timing-parameter overrides (the uncore window knobs included).  The optimized :meth:`repro.mem.uncore.Uncore.acquire` must be
-decision-for-decision identical to the reference per-window walk.
+scheduler): cycles, energy, per-core results and uncore queue statistics,
+at the capture config and re-timed under timing-parameter overrides (the
+uncore window knobs included).  The optimized
+:meth:`repro.mem.uncore.Uncore.acquire` must be decision-for-decision
+identical to the reference per-window walk.
+
+The ``test_fused_*`` tests were written against the fused replay engine
+that multicore replay once ran on; they keep their names and now check the
+one replay engine against execution.
 """
 
 import dataclasses
@@ -18,6 +23,7 @@ import sys
 
 import pytest
 
+from repro import obs
 from repro.harness.config import PTLSIM_CONFIG
 from repro.harness.runner import run_workload
 from repro.mem.uncore import Uncore
@@ -44,38 +50,42 @@ def _assert_same_run(a, b):
     assert a.sim.core_stats["per_core"] == b.sim.core_stats["per_core"]
 
 
-# ----------------------------------------- fused engine == execution lane runner
+# ------------------------------------------- replay == execution lane runner
 @pytest.mark.parametrize("mode", ["hybrid", "hybrid-oracle", "cache"])
 @pytest.mark.parametrize("cores", [2, 4])
 def test_fused_identical_to_lane_replay(mode, cores):
-    """The fused engine must match the execution-driven lane runner on every
+    """Replay must match the execution-driven lane runner on every
     observable: cycles, energy, per-core results, and the shared uncore's
     queue statistics (same arbitration decisions, not just same totals)."""
     machine = _machine(cores)
     executed, mtrace = capture_workload("CG", mode, "tiny", machine=machine)
-    fused = replay_trace(parse_trace_bytes(mtrace.to_bytes()), machine)
-    _assert_same_run(fused, executed)
-    uncore_f = fused.sim.memory_stats["uncore"]
+    replayed = replay_trace(parse_trace_bytes(mtrace.to_bytes()), machine)
+    _assert_same_run(replayed, executed)
+    uncore_f = replayed.sim.memory_stats["uncore"]
     uncore_x = executed.sim.memory_stats["uncore"]
     assert uncore_f == uncore_x
     assert uncore_f["requests"] > 0
 
 
 def test_fused_replay_makes_no_per_access_system_calls(monkeypatch):
-    """Fused replay resolves guarded accesses, plain SM accesses and
-    branches inline: no ``HybridSystem.load``/``store``, no
+    """Replay resolves guarded accesses, plain SM accesses and branches in
+    batched passes: no ``HybridSystem.load``/``store``, no
     ``GuardedAGU.generate``, no predictor ``update`` runs, and each DMA
-    transfer snoops the caches with one call."""
+    transfer of the oracle pass snoops the caches with one call."""
     from collections import Counter
 
+    import repro.trace.vector as vector_mod
     from repro.core.guarded import GuardedAGU
     from repro.core.hybrid import HybridSystem
     from repro.cpu.branch_predictor import HybridBranchPredictor
     from repro.mem.hierarchy import MemoryHierarchy
+    from repro.trace import artifacts
 
     machine = _machine(2)
     executed, mtrace = capture_workload("CG", "hybrid", "tiny",
                                         machine=machine)
+    # The oracle pass is the one that snoops: make this replay run it.
+    vector_mod._ORACLE_CACHE.clear()
     calls = Counter()
     for cls, name in ((HybridSystem, "load"), (HybridSystem, "store"),
                       (GuardedAGU, "generate"),
@@ -86,11 +96,12 @@ def test_fused_replay_makes_no_per_access_system_calls(monkeypatch):
             calls[_name] += 1
             return _real(*args, **kwargs)
         monkeypatch.setattr(cls, name, counting)
-    fused = replay_trace(mtrace, machine)
-    _assert_same_run(fused, executed)
+    with artifacts.scoped(disabled=True):
+        replayed = replay_trace(mtrace, machine)
+    _assert_same_run(replayed, executed)
     assert calls["load"] == calls["store"] == 0
     assert calls["generate"] == calls["update"] == 0
-    stats = fused.sim.memory_stats
+    stats = replayed.sim.memory_stats
     assert stats["guarded_loads"] > 0 and stats["dma"]["gets"] > 0
     assert calls["snoop_read_lines"] == stats["dma"]["gets"]
     assert calls["snoop_invalidate_lines"] == stats["dma"]["puts"]
@@ -134,17 +145,16 @@ def test_fused_retime_under_core_and_memory_overrides():
 def test_fused_refuses_wrong_core_count():
     machine = _machine(2)
     _, mtrace = capture_workload("CG", "hybrid", "tiny", machine=machine)
-    for engine in ("fused", "vector"):
-        with pytest.raises(ReplayValidityError):
-            replay_trace(mtrace, PTLSIM_CONFIG, engine=engine)
-        with pytest.raises(ReplayValidityError):
-            replay_trace(mtrace, _machine(4), engine=engine)
+    with pytest.raises(ReplayValidityError):
+        replay_trace(mtrace, PTLSIM_CONFIG)
+    with pytest.raises(ReplayValidityError):
+        replay_trace(mtrace, _machine(4))
 
 
 def test_fused_rejects_unknown_engine():
     machine = _machine(2)
     _, mtrace = capture_workload("CG", "hybrid", "tiny", machine=machine)
-    for engine in ("warp", "lanes"):
+    for engine in ("warp", "lanes", "fused"):
         with pytest.raises(ValueError, match="unknown replay engine"):
             replay_trace(mtrace, machine, engine=engine)
 
@@ -153,9 +163,23 @@ def test_fused_detects_stale_core_fingerprint():
     machine = _machine(2)
     _, mtrace = capture_workload("CG", "hybrid", "tiny", machine=machine)
     mtrace.cores[1].program_fingerprint = "0" * 16
-    for engine in ("fused", "vector"):
-        with pytest.raises(TraceError, match="core 1"):
-            replay_trace(mtrace, machine, engine=engine)
+    with pytest.raises(TraceError, match="core 1"):
+        replay_trace(mtrace, machine)
+
+
+def test_per_core_stream_refused_before_compile():
+    """One core's stream of a multicore capture, replayed on its own, is
+    refused as invalid before any program is compiled — not diagnosed as
+    stale after compiling the single-core kernel its key resembles."""
+    machine = _machine(2)
+    _, mtrace = capture_workload("CG", "hybrid", "tiny", machine=machine)
+    for core_trace in mtrace.cores:
+        with obs.recording() as rec:
+            with pytest.raises(ReplayValidityError,
+                               match="one core's stream"):
+                replay_trace(core_trace, machine)
+        # No program lookup ran, so nothing was compiled (or even asked for).
+        assert rec.counters == {} and rec.phases == {}
 
 
 # ------------------------------------------------------------ caching behaviour
@@ -213,7 +237,7 @@ def test_stream_digest_tracks_content():
 
 # ------------------------------------------------------- cross-process identity
 def test_fused_multicore_deterministic_across_processes():
-    """The fused engine's numbers must not depend on the interpreter hash
+    """Multicore replay's numbers must not depend on the interpreter hash
     seed (mirrors the single-core and sweep determinism tests)."""
     script = (
         "import dataclasses;"

@@ -256,9 +256,8 @@ def test_mixed_chunk_sizes_do_not_alias():
 
 def test_ownership_check_sees_every_configured_size():
     """Two cores at different buffer sizes, one of them reconfigured: the
-    check each SM access passes (the one fused replay calls) probes both
-    current chunk sizes and still catches a touch of the other core's
-    chunk."""
+    check each SM access passes probes both current chunk sizes and still
+    catches a touch of the other core's chunk."""
     m = MulticoreHybridSystem(num_cores=2, memory_config=SMALL_MEM,
                               lm_size=8 * 1024)
     m.set_buffer_size(0, 1024)

@@ -25,32 +25,38 @@ def _machine(cores):
 
 
 # --------------------------------------------------------- recorder identity
-@pytest.mark.parametrize("engine", ["fused", "vector"])
-def test_recording_does_not_change_results(engine):
+@pytest.mark.parametrize("engine", ["execution", "vector"])
+def test_recording_does_not_change_results(engine, monkeypatch):
     """Cycles, energy and memory stats must be bit-identical whether the
-    null recorder, a metrics recorder, or a timeline is attached."""
+    null recorder, a metrics recorder, or a timeline is attached — on the
+    vector engine and on the execution-driven fallback without a C
+    kernel."""
+    from repro.trace import _ckernel
+    if engine == "execution":
+        monkeypatch.setattr(_ckernel, "load", lambda: None)
     _, trace = capture_workload("CG", "hybrid", "tiny")
-    bare = replay_trace(trace, PTLSIM_CONFIG, engine=engine)
+    bare = replay_trace(trace, PTLSIM_CONFIG)
     with obs.recording() as rec:
-        recorded = replay_trace(trace, PTLSIM_CONFIG, engine=engine)
+        recorded = replay_trace(trace, PTLSIM_CONFIG)
     timeline = TimelineRecorder()
-    timed = replay_trace(trace, PTLSIM_CONFIG, engine=engine,
-                         timeline=timeline)
+    timed = replay_trace(trace, PTLSIM_CONFIG, timeline=timeline)
     for other in (recorded, timed):
         assert other.cycles == bare.cycles
         assert other.energy.as_dict() == bare.energy.as_dict()
         assert other.sim.memory_stats == bare.sim.memory_stats
     # The recorded run actually recorded something.
-    assert rec.phases
-    assert any(name.endswith(".timing") for name in rec.phases)
+    if engine == "vector":
+        assert "vector.timing" in rec.phases
+    else:
+        assert rec.counters["degraded.vector"] == 1
 
 
 def test_recording_multicore_identity_and_counters():
     machine = _machine(2)
     _, mtrace = capture_workload("CG", "hybrid", "tiny", machine=machine)
-    bare = replay_trace(mtrace, machine, engine="vector")
+    bare = replay_trace(mtrace, machine)
     with obs.recording() as rec:
-        recorded = replay_trace(mtrace, machine, engine="vector")
+        recorded = replay_trace(mtrace, machine)
     assert recorded.cycles == bare.cycles
     assert recorded.energy.as_dict() == bare.energy.as_dict()
     assert recorded.sim.core_stats["per_core"] == bare.sim.core_stats["per_core"]
@@ -261,7 +267,6 @@ def test_obs_report_cli(tmp_path, capsys, monkeypatch):
     bench = tmp_path / "BENCH_trace.json"
     bench.write_text(json.dumps({"existing": {"kept": True}}))
     assert obs_main(["report", "--workload", "CG", "--scale", "tiny",
-                     "--engine", "vector",
                      "--json", str(tmp_path / "snap.json"),
                      "--bench-json", str(bench)]) == 0
     out = capsys.readouterr().out

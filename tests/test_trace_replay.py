@@ -27,6 +27,7 @@ from repro.harness.sweep import (
     run_sweep,
 )
 from repro.trace import (
+    REPLAY_ENGINES,
     TRACE_SCHEMA,
     EphemeralTraceStore,
     ReplayValidityError,
@@ -172,7 +173,7 @@ def test_replay_rejects_a_mutated_branch_stream(mutation, where):
             replay_trace(bad)
 
 
-@pytest.mark.parametrize("engine", ["fused", "vector"])
+@pytest.mark.parametrize("engine", REPLAY_ENGINES)
 @pytest.mark.parametrize("count", ["-1", "-2", "0"])
 def test_replay_rejects_a_stream_that_stops_before_its_program(count,
                                                                engine):
@@ -237,11 +238,10 @@ def _replay_of(program, trace, machine, engine):
     from repro.trace import _ckernel, artifacts
     from repro.trace.format import program_fingerprint
 
-    kern = None
-    if engine == "vector":
-        kern = _ckernel.load()
-        if kern is None:
-            pytest.skip("no C kernel: vector replay runs the fused engine")
+    assert engine in REPLAY_ENGINES
+    kern = _ckernel.load()
+    if kern is None:
+        pytest.skip("no C kernel: replay would run the program instead")
     entry = ((program, None) + replay_mod._program_meta(program)
              + (program_fingerprint(program),))
     with artifacts.scoped(disabled=True):
@@ -250,14 +250,15 @@ def _replay_of(program, trace, machine, engine):
     return result.sim, result.system
 
 
-@pytest.mark.parametrize("engine", ["fused", "vector"])
+@pytest.mark.parametrize("engine", REPLAY_ENGINES)
 @pytest.mark.parametrize("mode,target", [("hybrid", "a"), ("hybrid", "c"),
                                          ("hybrid-oracle", "a")])
 def test_fused_timing_only_accesses_match_execution(mode, target, engine):
     """Guarded accesses that hit and miss the directory, and oracle-divert
-    accesses that hit it, take fused replay's timing-only path (and the
-    vector engine's guard and divert routes); on both engines the result
-    equals execution at the capture machine and re-timed at another."""
+    accesses that hit it, take the vector engine's guard and divert routes
+    (the fused engine, for which the test is named, had a timing-only path
+    for them); the result equals execution at the capture machine and
+    re-timed at another."""
     from repro.harness.runner import run_kernel
     from repro.trace.capture import TraceRecorder
     from repro.trace.format import TraceKey, program_fingerprint
@@ -334,15 +335,15 @@ def _in_flight_dma_program():
     return program
 
 
-@pytest.mark.parametrize("engine", ["fused", "vector"])
+@pytest.mark.parametrize("engine", REPLAY_ENGINES)
 def test_fused_guarded_accesses_match_system_calls_under_presence_stall(
         engine):
-    """Fused replay's inline guarded and oracle-divert branches, and the
-    vector engine's guard route with its in-kernel presence bits, against
-    the ``HybridSystem.load``/``store`` calls execution makes: accesses that
-    hit a buffer still being filled stall on its presence bit, and latency,
-    stall, directory, AGU and LM counters all agree, at the capture machine
-    and with a slower DMA engine."""
+    """The vector engine's guard route with its in-kernel presence bits,
+    and its oracle-divert route, against the ``HybridSystem.load``/``store``
+    calls execution makes: accesses that hit a buffer still being filled
+    stall on its presence bit, and latency, stall, directory, AGU and LM
+    counters all agree, at the capture machine and with a slower DMA
+    engine."""
     from repro.trace.capture import TraceRecorder
     from repro.trace.format import program_fingerprint
 
@@ -380,27 +381,6 @@ def test_fused_guarded_accesses_match_system_calls_under_presence_stall(
                                                         real.lm.writes)
         assert (system._last_store_addr, system._last_store_to_sm) == (
             real._last_store_addr, real._last_store_to_sm)
-
-
-def test_lm_timing_access_matches_real_lm_accesses():
-    """``lm_timing_access`` is the reference implementation of the LM fast
-    path the replay loop inlines: its counter/latency/bookkeeping effects
-    must equal those of real LM-range loads and stores."""
-    from repro.core.hybrid import HybridSystem
-
-    def snapshot(system):
-        return (system.loads, system.stores, system.mem_ops,
-                system.total_mem_latency, system.lm.reads, system.lm.writes,
-                system._last_store_addr, system._last_store_to_sm)
-
-    real, fast = HybridSystem(), HybridSystem()
-    addr = real.lm_virtual_base + 64
-    load_latency = real.load(addr, pc=0, now=0.0).latency
-    assert fast.lm_timing_access(addr, is_store=False) == load_latency
-    assert snapshot(fast) == snapshot(real)
-    store_latency = real.store(addr, 1.0, pc=1, now=1.0).latency
-    assert fast.lm_timing_access(addr, is_store=True) == store_latency
-    assert snapshot(fast) == snapshot(real)
 
 
 def test_no_cache_replay_sweep_touches_no_disk(tmp_path, monkeypatch):

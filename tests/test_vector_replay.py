@@ -1,12 +1,11 @@
 """Tests for the vectorized epoch-batched replay engine.
 
-``replay_trace(..., engine="vector")`` lowers each program into per-pc tables
-and each trace into one variant-selector byte per retired instruction, and
-executes uncore-free epochs inside a C kernel (falling back to the fused
-engine when no kernel can be built).  It must be bit-identical to the
-fused engine and to execution — cycles, full energy breakdown, phase cycles,
-memory stats and per-core results — at the capture config and under
-re-timing.
+``replay_trace`` lowers each program into per-pc tables and each trace into
+one variant-selector byte per retired instruction, and executes uncore-free
+epochs inside a C kernel (running the program execution-driven instead
+when no kernel can be built).  It must be bit-identical to execution —
+cycles, full energy breakdown, phase cycles, memory stats and per-core
+results — at the capture config and under re-timing.
 
 The engine leans on the batched structure updates (cache ``access_batch``,
 prefetcher ``train_batch``, predictor ``update_batch``) and on the shared
@@ -26,7 +25,12 @@ from repro.harness.config import PTLSIM_CONFIG
 from repro.harness.runner import run_workload
 from repro.mem.cache import Cache
 from repro.mem.prefetcher import StreamPrefetcher
-from repro.trace import capture_workload, replay_trace
+from repro.trace import (
+    capture_micro,
+    capture_workload,
+    execute_key,
+    replay_trace,
+)
 from repro.workloads import BENCHMARK_ORDER
 
 
@@ -45,21 +49,18 @@ def _assert_same_run(a, b):
         assert a.sim.core_stats["per_core"] == b.sim.core_stats["per_core"]
 
 
-# ------------------------------------------------- vector engine == fused engine
+# --------------------------------------------------- vector engine == execution
 @pytest.mark.parametrize("cores", [1, 2, 4])
 @pytest.mark.parametrize("mode", ["hybrid", "cache"])
 @pytest.mark.parametrize("workload", BENCHMARK_ORDER)
 def test_vector_identical_full_tiny_matrix(workload, mode, cores):
     """Every NAS kernel x {hybrid, cache} x {1, 2, 4} cores: the vector
-    engine must match both the fused replay and the execution-driven run at
-    the capture config (the small/medium-scale matrix is measured by
-    ``bench_trace_replay.py --vector-speedup`` into ``BENCH_trace.json``)."""
+    engine must match the execution-driven run at the capture config (the
+    small/medium-scale matrix is measured by ``bench_trace_replay.py
+    --vector-speedup`` into ``BENCH_trace.json``)."""
     machine = _machine(cores)
     executed, trace = capture_workload(workload, mode, "tiny", machine=machine)
-    fused = replay_trace(trace, machine, engine="fused")
-    vector = replay_trace(trace, machine, engine="vector")
-    _assert_same_run(vector, fused)
-    _assert_same_run(vector, executed)
+    _assert_same_run(replay_trace(trace, machine), executed)
 
 
 def test_vector_identity_small_scale_spot_check():
@@ -67,41 +68,53 @@ def test_vector_identity_small_scale_spot_check():
     machine = _machine(2)
     executed, mtrace = capture_workload("SP", "hybrid", "small",
                                         machine=machine)
-    fused = replay_trace(mtrace, machine, engine="fused")
-    vector = replay_trace(mtrace, machine, engine="vector")
-    _assert_same_run(vector, fused)
-    _assert_same_run(vector, executed)
+    _assert_same_run(replay_trace(mtrace, machine), executed)
 
 
 def test_vector_retime_under_ablation_overrides():
     """Re-timing is the whole point of the engine: under core, memory and
-    uncore overrides the vector replay must equal both the fused replay and
-    execution under the same machine."""
+    uncore overrides the vector replay must equal execution under the same
+    machine."""
     machine = _machine(2)
     _, mtrace = capture_workload("CG", "hybrid", "tiny", machine=machine)
     for overrides in ({"core.issue_width": 2},
                       {"memory.l2_size": 64 * 1024, "core.rob_size": 64},
                       {"uncore_window_cycles": 16, "uncore_window_lines": 8}):
         retimed = machine.with_overrides(overrides)
-        fused = replay_trace(mtrace, retimed, engine="fused")
-        vector = replay_trace(mtrace, retimed, engine="vector")
         executed = run_workload("CG", "hybrid", "tiny", machine=retimed)
-        _assert_same_run(vector, fused)
-        _assert_same_run(vector, executed)
+        _assert_same_run(replay_trace(mtrace, retimed), executed)
 
 
-def test_vector_without_ckernel_falls_back_to_fused(monkeypatch):
-    """With no C kernel (no compiler, or a failed compile) the vector
-    engine runs the fused engine instead: bit-identical, one visible
+def _fallback_cell(shape):
+    """A captured trace, its capture run and a re-timed machine for one
+    fallback shape: a single-core kernel, a 2-core kernel, or a
+    microbenchmark.  The machine differs from the capture's in timing
+    only."""
+    retime = {"memory.l1_latency": 4, "core.issue_width": 2}
+    if shape == "micro":
+        captured, trace = capture_micro("RD/WR", guarded_fraction=0.5,
+                                        iterations=200, unroll=4)
+        return trace, captured, PTLSIM_CONFIG.with_overrides(retime)
+    machine = _machine(1 if shape == "1-core" else 2)
+    captured, trace = capture_workload("CG", "hybrid", "tiny",
+                                       machine=machine)
+    return trace, captured, machine.with_overrides(retime)
+
+
+@pytest.mark.parametrize("shape", ["1-core", "2-core", "micro"])
+def test_vector_without_ckernel_falls_back_to_execution(monkeypatch, shape):
+    """With no C kernel (no compiler, or a failed compile) replay runs the
+    trace key's program execution-driven at the requested machine:
+    identical to execution there (not to the capture run), one visible
     ``degraded.vector`` event, and no derivation pass spent on the way."""
     from repro.trace import _ckernel
-    machine = _machine(2)
-    _, mtrace = capture_workload("CG", "hybrid", "tiny", machine=machine)
-    fused = replay_trace(mtrace, machine, engine="fused")
+    trace, captured, machine = _fallback_cell(shape)
     monkeypatch.setattr(_ckernel, "load", lambda: None)
     with obs.recording() as rec:
-        fallback = replay_trace(mtrace, machine, engine="vector")
-    _assert_same_run(fallback, fused)
+        fallback = replay_trace(trace, machine)
+    executed, _ = execute_key(trace.key, machine)
+    _assert_same_run(fallback, executed)
+    assert fallback.cycles != captured.cycles
     assert rec.counters["degraded.vector"] == 1
     assert [name for name in rec.counters if name.startswith("vector.")] == []
 
@@ -135,8 +148,9 @@ def test_ckernel_negative_compile_cache(monkeypatch, tmp_path):
 def test_vector_rejects_unknown_engine():
     machine = _machine(2)
     _, mtrace = capture_workload("CG", "hybrid", "tiny", machine=machine)
-    with pytest.raises(ValueError, match="unknown replay engine"):
-        replay_trace(mtrace, machine, engine="epoch")
+    for engine in ("epoch", "fused"):
+        with pytest.raises(ValueError, match="unknown replay engine"):
+            replay_trace(mtrace, machine, engine=engine)
 
 
 # ------------------------------------------- batched structure update equivalence
