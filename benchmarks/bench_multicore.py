@@ -231,7 +231,7 @@ def measure_scaling_curve(workload: str, core_counts, scale: str,
     * an explicit ``num_clusters=1`` override stays cycle-identical to the
       flat machine (the bit-identity contract of the hierarchy refactor).
     """
-    from repro.harness.runner import run_parallel_workload
+    from repro.harness.runner import run_workload
 
     multicore_counts = [n for n in core_counts if n > 1]
     section = {"workload": workload, "scale": scale,
@@ -268,9 +268,8 @@ def measure_scaling_curve(workload: str, core_counts, scale: str,
 
     # Bit-identity guard: num_clusters=1 must take the flat-bus path.
     n = min(multicore_counts) if multicore_counts else 2
-    flat_run = run_parallel_workload(workload, "hybrid", scale,
-                                     num_cores=n)
-    one_cluster = run_parallel_workload(
+    flat_run = run_workload(workload, "hybrid", scale, num_cores=n)
+    one_cluster = run_workload(
         workload, "hybrid", scale,
         machine=PTLSIM_CONFIG.with_overrides({"num_clusters": 1}),
         num_cores=n)

@@ -126,9 +126,6 @@ class Ref:
     array: str
     index: IndexExpr
 
-    def is_strided(self) -> bool:
-        return isinstance(self.index, AffineIndex)
-
 
 @dataclass(frozen=True)
 class Const:
@@ -236,9 +233,6 @@ class Kernel:
             return self.pointers[name].actual_target
         raise KeyError(f"unknown storage {name!r}")
 
-    def is_pointer(self, name: str) -> bool:
-        return name in self.pointers
-
     def all_refs(self) -> List[Ref]:
         """Every distinct reference appearing in the kernel, in program order."""
         seen: List[Ref] = []
@@ -285,12 +279,6 @@ def refs_of_statement(stmt: Statement) -> List[Ref]:
     if isinstance(stmt, Reduce):
         return refs_of_expr(stmt.expr)
     raise TypeError(f"unknown statement {stmt!r}")
-
-
-def written_refs_of_statement(stmt: Statement) -> List[Ref]:
-    if isinstance(stmt, Assign):
-        return [stmt.target]
-    return []
 
 
 def scalars_of_expr(expr: Expr) -> List[str]:

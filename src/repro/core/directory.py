@@ -180,11 +180,6 @@ class CoherenceDirectory:
         if self._tag_index.get(entry.tag) == index:
             del self._tag_index[entry.tag]
 
-    def mark_present(self, lm_offset: int) -> None:
-        """Set the presence bit of the buffer at ``lm_offset`` (dma-get done)."""
-        index = self.buffer_index(lm_offset)
-        self.entries[index].present = True
-
     # -- lookup (driven by guarded memory instructions) ------------------------------
     def lookup(self, sm_addr: int, now: float = 0.0) -> Tuple[bool, int, float]:
         """CAM lookup for a potentially incoherent SM address.

@@ -1,14 +1,14 @@
 """The simulated core: functional execution + out-of-order timing.
 
 :class:`Core` runs a program on a memory system
-(:class:`~repro.core.hybrid.HybridSystem`) through one
-:class:`~repro.cpu.executor.ExecutionLane` — functional execution and the
-out-of-order timing of :mod:`repro.cpu.pipeline` in one loop — producing a
-:class:`SimulationResult` with cycle counts, per-phase breakdowns,
-instruction statistics and the memory system's activity summary.
-:func:`lane_result` builds that result from a finished timing model; the
-multicore runner and the replay engines build their per-core results with
-it too.
+(:class:`~repro.core.hybrid.HybridSystem`) as the one-core case of
+:func:`~repro.cpu.multicore.run_programs`, the execution driver for any
+core count: one :class:`~repro.cpu.executor.ExecutionLane` — functional
+execution and the out-of-order timing of :mod:`repro.cpu.pipeline` in one
+loop — producing a :class:`SimulationResult` with cycle counts, per-phase
+breakdowns, instruction statistics and the memory system's activity
+summary.  :func:`lane_result` builds that result from a finished timing
+model; execution and replay build every per-core result with it.
 """
 
 from __future__ import annotations
@@ -18,11 +18,8 @@ from typing import Dict, Optional
 
 from repro.core.hybrid import HybridSystem
 from repro.cpu.config import CoreConfig
-from repro.cpu.executor import ExecutionLane
 from repro.cpu.pipeline import OutOfOrderTimingModel
 from repro.isa.program import Program, WORD_SIZE
-
-_INFINITY = float("inf")
 
 
 @dataclass
@@ -64,25 +61,13 @@ class Core:
         self.config = config or CoreConfig()
         self.max_instructions = max_instructions
 
-    def _load_program_data(self, program: Program) -> None:
-        """Copy the declared arrays' initial contents into system memory."""
-        for decl in program.arrays.values():
-            if decl.base is None:
-                raise RuntimeError(
-                    f"array {decl.name!r} has no address; call assign_addresses()")
-            if decl.data is None:
-                continue
-            for i, value in enumerate(decl.data):
-                self.system.write_sm_word(decl.base + i * WORD_SIZE, float(value))
-
     def read_array(self, program: Program, name: str):
         """Read back an array's current SM contents (after execution)."""
         decl = program.arrays[name]
         return [self.system.read_sm_word(decl.base + i * WORD_SIZE)
                 for i in range(decl.length)]
 
-    def run(self, program: Program, load_data: bool = True,
-            recorder=None) -> SimulationResult:
+    def run(self, program: Program, recorder=None) -> SimulationResult:
         """Execute ``program`` to completion and return the simulation result.
 
         ``recorder`` is an optional :class:`~repro.trace.capture.TraceRecorder`
@@ -90,15 +75,10 @@ class Core:
         (branch outcomes, memory addresses, DMA operands) for later timing
         replay under other machine configs.
         """
-        if not program.is_laid_out:
-            program.assign_addresses()
-        if load_data:
-            self._load_program_data(program)
-        lane = ExecutionLane(program, self.system, self.config,
-                             recorder=recorder,
-                             max_instructions=self.max_instructions)
-        lane.run_until(_INFINITY, 0)
-        return lane_result(lane.finish(), self.system.stats_summary())
+        from repro.cpu.multicore import run_programs
+        (result,) = run_programs([program], [self.system], self.config,
+                                 [recorder], self.max_instructions)
+        return result
 
 
 def lane_result(timing: OutOfOrderTimingModel,

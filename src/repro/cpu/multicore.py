@@ -1,34 +1,39 @@
-"""Interleaved multicore simulation: N cores, one global clock.
+"""Interleaved simulation: N >= 1 cores, one global clock.
 
-A multicore run keeps one *lane* per core and repeatedly advances the lane
-whose front end is earliest in time, so the cores advance together against
-the shared uncore: a memory access core A issues at cycle ``t`` has
-consumed shared-bus slots by the time core B's access at ``t' >= t``
-arbitrates, which is what makes contention deterministic.
+A run keeps one *lane* per core and repeatedly advances the lane whose
+front end is earliest in time, so the cores advance together against the
+shared uncore: a memory access core A issues at cycle ``t`` has consumed
+shared-bus slots by the time core B's access at ``t' >= t`` arbitrates,
+which is what makes contention deterministic.
 
 The lane order is a pure function of the per-core timing state
 (``fetch_time``, ties broken by core id), so an execution-driven run and a
 trace replay that issue identical per-core streams interleave identically —
 the foundation of the multicore capture -> replay cycle/energy identity.
 
-:func:`run_resumable_lanes` is the one scheduler.  It drives resumable lane
-state machines: execution's :class:`~repro.cpu.executor.ExecutionLane` and
-replay's :class:`~repro.trace.vector._VectorLane` (replay runs one per core
-for any core count, so a single-core replay is one lane).  Each scheduled
-lane is
-handed the key of the next-earliest lane, so it can batch instructions
-internally and yield exactly when stepping one instruction at a time would
-have switched lanes (``tests/test_multicore_timing.py`` checks it against such
-a step-at-a-time loop).  The replay lanes go further and yield only before
+:func:`run_programs` is the one execution driver (:meth:`Core.run
+<repro.cpu.core.Core.run>` is its one-core case) and
+:func:`run_resumable_lanes` the one scheduler, which drives resumable
+lane state machines: execution's
+:class:`~repro.cpu.executor.ExecutionLane` and replay's
+:class:`~repro.trace.vector._VectorLane`, one per core.  Each scheduled
+lane is handed the key of the next-earliest lane, so it can batch
+instructions internally and yield exactly when stepping one instruction
+at a time would have switched lanes
+(``tests/test_multicore_timing.py`` checks it against such a
+step-at-a-time loop).  The replay lanes go further and yield only before
 an instruction that touches the shared uncore: private work commutes across
 cores, so every shared-state access still happens in global key order.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Sequence
+from typing import Dict, List, Optional, Sequence
 
-from repro.cpu.core import SimulationResult
+from repro.cpu.config import CoreConfig
+from repro.cpu.core import SimulationResult, lane_result
+from repro.cpu.executor import ExecutionLane
+from repro.isa.program import Program, WORD_SIZE
 
 _INFINITY = float("inf")
 
@@ -122,6 +127,32 @@ def run_resumable_lanes(lanes: Sequence, timeline=None) -> None:
                     break
     if active:
         active[0].run_until(_INFINITY, active[0].order)
+
+
+def run_programs(programs: Sequence[Program], memories: Sequence,
+                 config: CoreConfig, recorders: Optional[Sequence] = None,
+                 max_instructions: int = 50_000_000) -> List[SimulationResult]:
+    """Run one program per core to completion and return the per-core
+    results.  Core ``i`` loads its program's data through, and runs
+    against, ``memories[i]``; ``recorders[i]`` optionally captures its
+    stream."""
+    for program, memory in zip(programs, memories):
+        if not program.is_laid_out:
+            program.assign_addresses()
+        write = memory.write_sm_word
+        for decl in program.arrays.values():
+            if decl.data is not None:
+                for i, value in enumerate(decl.data):
+                    write(decl.base + i * WORD_SIZE, float(value))
+    recorders = recorders or [None] * len(programs)
+    lanes = [ExecutionLane(program, memory, config, order=core_id,
+                           recorder=recorder,
+                           max_instructions=max_instructions)
+             for core_id, (program, memory, recorder)
+             in enumerate(zip(programs, memories, recorders))]
+    run_resumable_lanes(lanes)
+    return [lane_result(lane.finish(), memory.stats_summary())
+            for lane, memory in zip(lanes, memories)]
 
 
 def aggregate_results(per_core: Sequence[SimulationResult],

@@ -20,7 +20,7 @@ from repro.harness.systems import (
 from repro.harness.runner import (
     ExperimentContext,
     RunResult,
-    run_parallel_workload,
+    run_compiled,
     run_program,
     run_workload,
 )
@@ -47,7 +47,7 @@ __all__ = [
     "build_uncore",
     "core_config_for",
     "RunResult",
-    "run_parallel_workload",
+    "run_compiled",
     "run_program",
     "run_workload",
     "ExperimentContext",

@@ -1,9 +1,11 @@
 """Run compiled kernels or raw programs on simulated machines.
 
 :func:`run_workload` is the main entry point: it compiles a NAS-like kernel
-for a given mode, builds the matching system, runs it on the simulated core
-and returns a :class:`RunResult` bundling the compiled kernel, the simulation
-result and the energy breakdown.
+for a given mode, one program per core (:func:`compile_workload`), runs it
+on the matching system and returns a :class:`RunResult` bundling the
+compiled kernel, the simulation result and the energy breakdown.  Every
+run, trace capture included, goes through :func:`run_compiled` for any
+core count and ends in :func:`run_result`, which trace replay shares.
 
 :class:`RunResult` exposes the same plain accessor surface as the sweep
 engine's :class:`~repro.harness.sweep.RunRecord` (``cycles``, ``phase_cycles``,
@@ -22,16 +24,12 @@ disk caching or parallel fan-out — should use
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Optional, Tuple
-
-from typing import List, Sequence
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.compiler.codegen import CompiledKernel, compile_kernel
 from repro.compiler.ir import Kernel
-from repro.core.hybrid import HybridSystem
-from repro.cpu.core import Core, SimulationResult, lane_result
-from repro.cpu.executor import ExecutionLane
-from repro.cpu.multicore import aggregate_results, run_resumable_lanes
+from repro.cpu.core import Core, SimulationResult
+from repro.cpu.multicore import aggregate_results, run_programs
 from repro.energy.model import EnergyBreakdown, EnergyModel
 from repro.harness.config import (
     MachineConfig,
@@ -44,7 +42,7 @@ from repro.harness.systems import (
     check_micro_mode,
     core_config_for,
 )
-from repro.isa.program import Program, WORD_SIZE
+from repro.isa.program import Program
 from repro.workloads import get_workload, shard_kernel
 
 # PARALLEL_CORE_SPAN (re-exported above) lives in repro.harness.config now:
@@ -164,19 +162,83 @@ class RunResult:
         )
 
 
+def compile_workload(name: str, mode: str, scale: str,
+                     machine: Optional[MachineConfig] = None,
+                     num_cores: int = 1) -> List[CompiledKernel]:
+    """Compile kernel ``name`` into one program per core.
+
+    Core ``c`` runs its shard of the domain-decomposed kernel (one core's
+    shard is the whole kernel), laid out in its own SM window (see
+    :data:`PARALLEL_CORE_SPAN`).  Deterministic given ``(name, mode, scale,
+    lm_size, directory_entries, num_cores)``, so trace replay rebuilds the
+    same programs from the trace key.
+    """
+    machine = machine or PTLSIM_CONFIG
+    kernel = get_workload(name, scale)
+    return [compile_kernel(shard_kernel(kernel, core_id, num_cores),
+                           mode=mode, lm_size=machine.lm_size,
+                           max_buffers=machine.directory_entries,
+                           data_base=(Program.DATA_BASE
+                                      + core_id * PARALLEL_CORE_SPAN))
+            for core_id in range(num_cores)]
+
+
+def run_compiled(programs: Sequence[Program], mode: str,
+                 machine: Optional[MachineConfig] = None, *,
+                 workload: str = "program",
+                 compiled: Optional[CompiledKernel] = None,
+                 scale: str = "-", track_protocol: bool = False,
+                 recorders: Optional[Sequence] = None) -> RunResult:
+    """Execution-driven run of one program per core: the one run entry.
+
+    One core runs on a bare :class:`~repro.core.hybrid.HybridSystem` through
+    :meth:`Core.run <repro.cpu.core.Core.run>`, more cores on a multicore
+    system through :func:`~repro.cpu.multicore.run_programs` (the driver
+    ``Core.run`` wraps).  ``recorders[i]`` optionally captures core ``i``'s
+    stream; ``compiled`` is the compiler output the result reports.
+    """
+    machine = machine or PTLSIM_CONFIG
+    num_cores = len(programs)
+    recorders = recorders or [None] * num_cores
+    config = core_config_for(machine)
+    if num_cores == 1:
+        system = build_system(mode, machine, track_protocol=track_protocol)
+        per_core = [Core(system, config).run(programs[0], recorders[0])]
+    else:
+        system = build_multicore_system(mode, machine, num_cores=num_cores,
+                                        track_protocol=track_protocol)
+        per_core = run_programs(programs, [system.view(core_id) for core_id
+                                           in range(num_cores)],
+                                config, recorders)
+    return run_result(system, per_core, machine, workload=workload,
+                      mode=mode, compiled=compiled, scale=scale)
+
+
+def run_result(system, per_core: Sequence[SimulationResult],
+               machine: MachineConfig, *, workload: str, mode: str,
+               compiled: Optional[CompiledKernel] = None,
+               scale: str = "-") -> RunResult:
+    """The :class:`RunResult` of a finished run, execution's or replay's:
+    more than one per-core result is aggregated over the machine."""
+    if len(per_core) > 1:
+        sim = aggregate_results(per_core, system.aggregate_summary(),
+                                topology=system.topology)
+    else:
+        (sim,) = per_core
+    energy = EnergyModel(machine.energy).compute(sim)
+    return RunResult(workload=workload, mode=mode, compiled=compiled,
+                     sim=sim, energy=energy, system=system, scale=scale,
+                     num_cores=len(per_core))
+
+
 def run_program(program: Program, mode: str = "hybrid",
                 machine: Optional[MachineConfig] = None,
                 workload: str = "program",
                 track_protocol: bool = False,
                 recorder=None) -> RunResult:
     """Run an already-built program on the system for ``mode``."""
-    machine = machine or PTLSIM_CONFIG
-    system = build_system(mode, machine, track_protocol=track_protocol)
-    core = Core(system, config=core_config_for(machine))
-    sim = core.run(program, recorder=recorder)
-    energy = EnergyModel(machine.energy).compute(sim)
-    return RunResult(workload=workload, mode=mode, compiled=None, sim=sim,
-                     energy=energy, system=system)
+    return run_compiled([program], mode, machine, workload=workload,
+                        track_protocol=track_protocol, recorders=[recorder])
 
 
 def run_kernel(kernel: Kernel, mode: str = "hybrid",
@@ -188,112 +250,32 @@ def run_kernel(kernel: Kernel, mode: str = "hybrid",
     machine = machine or PTLSIM_CONFIG
     compiled = compile_kernel(kernel, mode=mode, lm_size=machine.lm_size,
                               max_buffers=machine.directory_entries)
-    system = build_system(mode, machine, track_protocol=track_protocol)
-    core = Core(system, config=core_config_for(machine))
-    sim = core.run(compiled.program, recorder=recorder)
-    energy = EnergyModel(machine.energy).compute(sim)
-    return RunResult(workload=kernel.name, mode=mode, compiled=compiled, sim=sim,
-                     energy=energy, system=system, scale=scale)
+    return run_compiled([compiled.program], mode, machine,
+                        workload=kernel.name, compiled=compiled, scale=scale,
+                        track_protocol=track_protocol, recorders=[recorder])
 
 
 def run_workload(name: str, mode: str = "hybrid", scale: str = "small",
                  machine: Optional[MachineConfig] = None,
                  track_protocol: bool = False,
-                 recorder=None,
                  num_cores: Optional[int] = None) -> RunResult:
     """Build, compile and run the NAS-like kernel ``name``.
 
     Mode and scale are normalised here (the workload registry already
     normalises the name), so ``run_workload("cg", "Hybrid", "TINY")`` is the
-    same run as ``run_workload("CG", "hybrid", "tiny")``.
-
-    ``num_cores`` (default: the machine config's) selects the multicore
-    path: the kernel is domain-decomposed into per-core shards that run
-    interleaved against the shared uncore (``recorder`` is then a sequence
-    of per-core recorders).  ``num_cores=1`` is the unchanged single-core
-    simulation.
+    same run as ``run_workload("CG", "hybrid", "tiny")``.  ``num_cores``
+    (default: the machine config's) shards the kernel over that many cores
+    (:func:`compile_workload`), interleaved against the shared uncore.
     """
     mode = mode.strip().lower()
     scale = scale.strip().lower()
     machine = machine or PTLSIM_CONFIG
     num_cores = machine.num_cores if num_cores is None else int(num_cores)
-    if num_cores > 1:
-        return run_parallel_workload(name, mode=mode, scale=scale,
-                                     machine=machine, num_cores=num_cores,
-                                     recorders=recorder)
-    kernel = get_workload(name, scale)
-    return run_kernel(kernel, mode=mode, machine=machine,
-                      track_protocol=track_protocol, scale=scale,
-                      recorder=recorder)
-
-
-def compile_parallel_workload(name: str, mode: str, scale: str,
-                              machine: Optional[MachineConfig] = None,
-                              num_cores: int = 2) -> List[CompiledKernel]:
-    """Compile the per-core shard programs of a domain-decomposed kernel.
-
-    Deterministic given ``(name, mode, scale, lm_size, directory_entries,
-    num_cores)`` — the trace-replay engine rebuilds the same programs from
-    the trace key.  Core ``c``'s program is laid out in its own SM window
-    (see :data:`PARALLEL_CORE_SPAN`).
-    """
-    machine = machine or PTLSIM_CONFIG
-    kernel = get_workload(name, scale)
-    compiled = []
-    for core_id in range(num_cores):
-        shard = shard_kernel(kernel, core_id, num_cores)
-        compiled.append(compile_kernel(
-            shard, mode=mode, lm_size=machine.lm_size,
-            max_buffers=machine.directory_entries,
-            data_base=Program.DATA_BASE + core_id * PARALLEL_CORE_SPAN))
-    return compiled
-
-
-def run_parallel_workload(name: str, mode: str = "hybrid",
-                          scale: str = "small",
-                          machine: Optional[MachineConfig] = None,
-                          num_cores: int = 2,
-                          recorders=None) -> RunResult:
-    """Execution-driven multicore run of a domain-decomposed kernel."""
-    machine = machine or PTLSIM_CONFIG
-    compiled = compile_parallel_workload(name, mode, scale, machine, num_cores)
-    return run_parallel_compiled(compiled, mode=mode, scale=scale,
-                                 machine=machine, recorders=recorders)
-
-
-def run_parallel_compiled(compiled: Sequence[CompiledKernel], mode: str,
-                          scale: str, machine: Optional[MachineConfig] = None,
-                          recorders=None) -> RunResult:
-    """Execution-driven multicore run of already-compiled per-core shards."""
-    machine = machine or PTLSIM_CONFIG
-    num_cores = len(compiled)
-    system = build_multicore_system(mode, machine, num_cores=num_cores)
-    # Load every core's initial array data into the shared main memory (the
-    # per-core windows are disjoint, so order does not matter).
-    memory = system.uncore.memory
-    for comp in compiled:
-        for decl in comp.program.arrays.values():
-            if decl.data is None:
-                continue
-            base = decl.base
-            for i, value in enumerate(decl.data):
-                memory.poke(base + i * WORD_SIZE, float(value))
-    # One execution lane per core under the shared uncore, interleaved by
-    # the scheduler the replay engines use too.
-    config = core_config_for(machine)
-    recorders = recorders or [None] * num_cores
-    lanes = [ExecutionLane(comp.program, system.view(core_id), config,
-                           order=core_id, recorder=recorders[core_id])
-             for core_id, comp in enumerate(compiled)]
-    run_resumable_lanes(lanes)
-    per_core = [lane_result(lane.finish(), system.core(i).stats_summary())
-                for i, lane in enumerate(lanes)]
-    sim = aggregate_results(per_core, system.aggregate_summary(),
-                            topology=system.topology)
-    energy = EnergyModel(machine.energy).compute(sim)
-    return RunResult(workload=compiled[0].kernel.name, mode=mode,
-                     compiled=compiled[0], sim=sim, energy=energy,
-                     system=system, scale=scale, num_cores=num_cores)
+    compiled = compile_workload(name, mode, scale, machine, num_cores)
+    return run_compiled([comp.program for comp in compiled], mode, machine,
+                        workload=compiled[0].kernel.name,
+                        compiled=compiled[0], scale=scale,
+                        track_protocol=track_protocol)
 
 
 class ExperimentContext:

@@ -39,20 +39,17 @@ def check_micro_mode(system_mode: str) -> str:
     return mode
 
 
-def build_system(mode: str, machine: Optional[MachineConfig] = None,
-                 track_protocol: bool = False) -> HybridSystem:
-    """Instantiate the memory system for ``mode``."""
+def _core_kwargs(mode: str, machine: MachineConfig,
+                 track_protocol: bool) -> dict:
+    """The :class:`~repro.core.hybrid.HybridSystem` arguments of one core of
+    the ``mode`` machine (the cache-based baseline gets the doubled L1, no
+    LM and no protocol checker)."""
     if mode not in SYSTEM_MODES:
         raise ValueError(f"unknown system mode {mode!r}; expected one of {SYSTEM_MODES}")
-    machine = machine or PTLSIM_CONFIG
     if mode == "cache":
-        cache_machine = machine.cache_based()
-        return HybridSystem(
-            memory_config=cache_machine.memory,
-            use_lm=False,
-            track_protocol=False,
-        )
-    return HybridSystem(
+        return dict(memory_config=machine.cache_based().memory,
+                    use_lm=False, track_protocol=False)
+    return dict(
         memory_config=machine.memory,
         lm_size=machine.lm_size,
         lm_latency=machine.lm_latency,
@@ -63,6 +60,13 @@ def build_system(mode: str, machine: Optional[MachineConfig] = None,
         oracle=(mode == "hybrid-oracle"),
         track_protocol=track_protocol,
     )
+
+
+def build_system(mode: str, machine: Optional[MachineConfig] = None,
+                 track_protocol: bool = False) -> HybridSystem:
+    """Instantiate the memory system for ``mode``."""
+    return HybridSystem(**_core_kwargs(mode, machine or PTLSIM_CONFIG,
+                                       track_protocol))
 
 
 def build_uncore(machine: Optional[MachineConfig] = None,
@@ -107,33 +111,12 @@ def build_multicore_system(mode: str, machine: Optional[MachineConfig] = None,
     and the inter-core bus are shared through one arbitrated
     :class:`~repro.mem.uncore.Uncore`.
     """
-    if mode not in SYSTEM_MODES:
-        raise ValueError(f"unknown system mode {mode!r}; expected one of {SYSTEM_MODES}")
     machine = machine or PTLSIM_CONFIG
+    core_kwargs = _core_kwargs(mode, machine, track_protocol)
     num_cores = machine.num_cores if num_cores is None else num_cores
-    uncore = build_uncore(machine, num_cores=num_cores)
-    if mode == "cache":
-        cache_machine = machine.cache_based()
-        return MulticoreHybridSystem(
-            num_cores=num_cores,
-            memory_config=cache_machine.memory,
-            uncore=uncore,
-            use_lm=False,
-            track_protocol=False,
-        )
     return MulticoreHybridSystem(
-        num_cores=num_cores,
-        memory_config=machine.memory,
-        uncore=uncore,
-        lm_size=machine.lm_size,
-        lm_latency=machine.lm_latency,
-        directory_entries=machine.directory_entries,
-        dma_setup_latency=machine.dma_setup_latency,
-        dma_per_line_latency=machine.dma_per_line_latency,
-        use_lm=True,
-        oracle=(mode == "hybrid-oracle"),
-        track_protocol=track_protocol,
-    )
+        num_cores=num_cores, uncore=build_uncore(machine, num_cores=num_cores),
+        **core_kwargs)
 
 
 def core_config_for(machine: Optional[MachineConfig] = None) -> CoreConfig:

@@ -66,11 +66,6 @@ class MainMemory:
         for i, v in enumerate(values):
             self._words[base + i * WORD_SIZE] = v
 
-    @property
-    def footprint_words(self) -> int:
-        """Number of distinct words ever written (for tests)."""
-        return len(self._words)
-
     def reset_stats(self) -> None:
         self.reads = 0
         self.writes = 0

@@ -7,7 +7,7 @@ parameters (``lm_size``, ``directory_entries``) — never on cache sizes,
 latencies or functional-unit counts.  This package exploits that:
 
 * :mod:`repro.trace.capture` records the stream once, during an ordinary
-  execution-driven run (``Core.run(recorder=...)``);
+  execution-driven run (one recorder per core's execution lane);
 * :mod:`repro.trace.format` defines the compact, versioned,
   machine-config-independent artifact (branch outcomes + memory addresses +
   DMA operands) and its content hashing;

@@ -1,26 +1,33 @@
 """Trace capture: record the dynamic stream of one execution-driven run.
 
-:class:`TraceRecorder` is handed to :meth:`repro.cpu.core.Core.run` (one per
-core in a multicore run), whose execution lane appends to its lists only
-what functional execution resolved and the machine configuration cannot
-change: conditional-branch outcomes, memory addresses with their pcs and
-DMA operands (see :mod:`repro.trace.format`).
+:class:`TraceRecorder` records one core's stream: the execution lane it is
+handed appends to its lists only what functional execution resolved and
+the machine configuration cannot change: conditional-branch outcomes,
+memory addresses with their pcs and DMA operands (see
+:mod:`repro.trace.format`).
 
 :func:`capture_workload` / :func:`capture_micro` run a cell execution-driven
-*once* with a recorder attached and return both the live result and the
-finished :class:`~repro.trace.format.Trace`; the result is exactly what the
-un-instrumented run would have produced, so capture doubles as a normal
-simulation of the capture configuration.  :func:`execute_key` runs the
-program a trace key names, with or without capture.
+*once* with one recorder per core attached and return both the live result
+and the finished trace; the result is exactly what the un-instrumented run
+would have produced, so capture doubles as a normal simulation of the
+capture configuration.  :func:`execute_key` runs the program a trace key
+names, with or without capture.
 """
 
 from __future__ import annotations
 
 from array import array
-from typing import Optional, Tuple
+from dataclasses import replace
+from typing import Optional, Tuple, Union
 
 from repro.harness.config import MachineConfig, PTLSIM_CONFIG
-from repro.harness.runner import RunResult, run_program, run_workload
+from repro.harness.runner import (
+    RunResult,
+    compile_workload,
+    run_compiled,
+    run_program,
+    run_workload,
+)
 from repro.harness.systems import check_micro_mode
 from repro.trace.format import (
     MulticoreTrace,
@@ -67,55 +74,35 @@ def capture_workload(workload: str, mode: str = "hybrid",
                      scale: str = "small",
                      machine: Optional[MachineConfig] = None,
                      num_cores: Optional[int] = None
-                     ) -> Tuple[RunResult, Trace]:
+                     ) -> Tuple[RunResult, Union[Trace, MulticoreTrace]]:
     """Run a NAS-like kernel execution-driven and capture its trace.
 
-    With ``num_cores > 1`` (explicit or from the machine config) the run is
-    the interleaved multicore simulation: one recorder per core captures
-    that core's stream, and the result is a
-    :class:`~repro.trace.format.MulticoreTrace` containing all of them.
+    One recorder per core (``num_cores``: explicit or the machine
+    config's) captures that core's stream: one core yields a
+    :class:`~repro.trace.format.Trace`, more a
+    :class:`~repro.trace.format.MulticoreTrace` of per-core traces.
     """
     machine = machine or PTLSIM_CONFIG
     num_cores = machine.num_cores if num_cores is None else int(num_cores)
-    if num_cores > 1:
-        return _capture_parallel_workload(workload, mode, scale, machine,
-                                          num_cores)
-    recorder = TraceRecorder()
-    result = run_workload(workload, mode=mode, scale=scale, machine=machine,
-                          recorder=recorder)
     key = TraceKey.create(workload, mode, scale, kind="kernel",
                           lm_size=machine.lm_size,
-                          directory_entries=machine.directory_entries)
-    fingerprint = program_fingerprint(result.compiled.program)
-    return result, recorder.finish(key, fingerprint)
-
-
-def _capture_parallel_workload(workload: str, mode: str, scale: str,
-                               machine: MachineConfig, num_cores: int
-                               ) -> Tuple[RunResult, MulticoreTrace]:
-    from repro.harness.runner import (
-        compile_parallel_workload,
-        run_parallel_compiled,
-    )
-    recorders = [TraceRecorder() for _ in range(num_cores)]
-    compiled = compile_parallel_workload(workload, mode, scale, machine,
-                                         num_cores)
-    result = run_parallel_compiled(compiled, mode=mode, scale=scale,
-                                   machine=machine, recorders=recorders)
-    family = TraceKey.create(workload, mode, scale, kind="kernel",
-                             lm_size=machine.lm_size,
-                             directory_entries=machine.directory_entries,
-                             num_cores=num_cores)
-    cores = []
-    for core_id, (recorder, comp) in enumerate(zip(recorders, compiled)):
-        core_key = TraceKey.create(
-            workload, mode, scale, kind="kernel",
-            lm_size=machine.lm_size,
-            directory_entries=machine.directory_entries,
-            num_cores=num_cores, params={"core": core_id})
-        cores.append(recorder.finish(
-            core_key, program_fingerprint(comp.program)))
-    return result, MulticoreTrace(key=family, cores=cores)
+                          directory_entries=machine.directory_entries,
+                          num_cores=num_cores)
+    compiled = compile_workload(workload, key.mode, key.scale, machine,
+                                num_cores)
+    recorders = [TraceRecorder() for _ in compiled]
+    result = run_compiled([comp.program for comp in compiled], key.mode,
+                          machine, workload=compiled[0].kernel.name,
+                          compiled=compiled[0], scale=key.scale,
+                          recorders=recorders)
+    if num_cores == 1:
+        return result, recorders[0].finish(
+            key, program_fingerprint(compiled[0].program))
+    cores = [recorder.finish(replace(key, params=(("core", core_id),)),
+                             program_fingerprint(comp.program))
+             for core_id, (recorder, comp)
+             in enumerate(zip(recorders, compiled))]
+    return result, MulticoreTrace(key=key, cores=cores)
 
 
 def capture_micro(micro_mode: str, guarded_fraction: float = 1.0,

@@ -1,9 +1,10 @@
 """Timing replay: re-time a captured dynamic stream under any machine config.
 
-The replay engine rebuilds the static program (compilation is deterministic
-given the trace key), instantiates a *fresh* memory system for the
-requested machine configuration, and re-times the recorded stream on it
-instead of executing the program:
+The replay engine rebuilds the static per-core programs
+(:func:`_cached_programs`; compilation is deterministic given the trace
+key), instantiates a *fresh* memory system for the requested machine
+configuration, and re-times the recorded stream on it instead of executing
+the program:
 
 * the instruction sequence is re-derived once per trace by walking the
   static program's basic blocks with the recorded conditional-branch
@@ -40,9 +41,8 @@ builds the machine's system — a multicore one against the shared
 :class:`~repro.mem.uncore.Uncore` for more than one core — and one
 :class:`~repro.trace.vector._VectorLane` per core.  The lanes are
 interleaved by :func:`~repro.cpu.multicore.run_resumable_lanes`, the
-scheduler execution-driven multicore runs use too, so the shared-bus
-arbitration sees the identical request sequence; a single-core run is one
-lane.
+scheduler execution-driven runs use too, so the shared-bus arbitration sees
+the identical request sequence; a single-core run is one lane.
 
 **One lookup per pass.**  Every derivation a replay needs — the rebuilt
 program, the decoded stream, the L1I simulation and the vector engine's
@@ -71,16 +71,15 @@ import numpy as np
 
 from repro import obs
 from repro.cpu.core import lane_result
-from repro.cpu.multicore import aggregate_results, run_resumable_lanes
+from repro.cpu.multicore import run_resumable_lanes
 from repro.cpu.pipeline import CODE_BASE, CODE_INSTR_SIZE
 from repro.harness.config import MachineConfig, PTLSIM_CONFIG
-from repro.harness.runner import RunResult
+from repro.harness.runner import RunResult, compile_workload, run_result
 from repro.harness.systems import (
     build_multicore_system,
     build_system,
     core_config_for,
 )
-from repro.energy.model import EnergyModel
 from repro.isa.instructions import Opcode
 from repro.trace import artifacts
 from repro.trace.capture import execute_key, micro_args
@@ -128,26 +127,6 @@ def check_replay_machine(key: TraceKey, machine: MachineConfig) -> None:
             + "; ".join(problems)
             + " (these parameters change the compiled program / dynamic "
               "stream; capture a new trace instead)")
-
-
-def _rebuild_program(key: TraceKey):
-    """Deterministically rebuild the program a trace was captured from."""
-    if key.kind == "kernel":
-        from repro.compiler.codegen import compile_kernel
-        from repro.workloads import get_workload
-        kernel = get_workload(key.workload, key.scale)
-        compiled = compile_kernel(kernel, mode=key.mode, lm_size=key.lm_size,
-                                  max_buffers=key.directory_entries)
-        program = compiled.program
-    elif key.kind == "micro":
-        from repro.workloads.microbenchmark import build_microbenchmark
-        program = build_microbenchmark(*micro_args(key))
-        compiled = None
-    else:
-        raise TraceError(f"unknown trace kind {key.kind!r}")
-    if not program.is_laid_out:
-        program.assign_addresses()
-    return program, compiled
 
 
 def _program_meta(program):
@@ -321,13 +300,12 @@ def _decode_from_artifact(meta, sections, trace: Trace, hot):
 # Rebuilt programs, decoded dynamic sequences and instruction-fetch cache
 # simulations are cached in-process so an ablation sweep replaying one trace
 # under many machine configs pays each cost once.  Programs are keyed by
-# trace identity (single-core) or family identity (multicore shards);
+# the trace (or multicore family) key, one entry per core;
 # decodes and L1I simulations are keyed by *content* — program fingerprint
 # plus the stream digest of the per-core trace — so per-core streams of one
 # RPMT container, and identical streams across containers, share one entry.
 # All caches are capped LRU.
 _PROGRAM_CACHE: "OrderedDict[str, tuple]" = OrderedDict()
-_MC_PROGRAM_CACHE: "OrderedDict[str, tuple]" = OrderedDict()
 _DECODE_CACHE: "OrderedDict[tuple, _Decoded]" = OrderedDict()
 _L1I_CACHE: "OrderedDict[tuple, tuple]" = OrderedDict()
 _CACHE_CAP = 8
@@ -378,40 +356,40 @@ def _tiered(memo: OrderedDict, cap: int, key, prefix: str, compute,
     return entry
 
 
-def _cached_program(key: TraceKey):
-    def rebuild():
-        program, compiled = _rebuild_program(key)
-        return ((program, compiled) + _program_meta(program)
-                + (program_fingerprint(program),))
-    return _tiered(_PROGRAM_CACHE, _CACHE_CAP, key.key_hash,
-                   "replay.program", rebuild)
+def _cached_programs(key: TraceKey, machine: MachineConfig):
+    """Per-core ``(program, compiled, hot, cold, fu_values, phase_names,
+    fingerprint)`` entries of the run a trace key names, shared across
+    ablation points.
 
-
-def _cached_parallel_program(key: TraceKey, machine: MachineConfig):
-    """Per-core shard programs + flattened replay metadata of one multicore
-    trace family, compiled once and shared across ablation points.
-
-    Compilation depends only on the key's functional parameters (already
-    validated against ``machine``), so the entry is keyed by the family
-    ``key_hash`` alone.  Cores whose shard programs are identical (same
-    :func:`program_fingerprint`) share one set of hot/cold tables.
+    Kernel keys compile through
+    :func:`~repro.harness.runner.compile_workload`, as execution does;
+    micro keys build their one program.  Compilation depends only on the
+    key's functional parameters (already validated against ``machine``),
+    so the entry is keyed by ``key_hash`` alone.  Cores with identical
+    programs share one set of hot/cold tables.
     """
-    def compile_family():
-        from repro.harness.runner import compile_parallel_workload
-        compiled = compile_parallel_workload(key.workload, key.mode,
-                                             key.scale, machine,
-                                             key.num_cores)
+    def rebuild():
+        if key.kind == "kernel":
+            built = [(comp.program, comp) for comp in compile_workload(
+                key.workload, key.mode, key.scale, machine, key.num_cores)]
+        elif key.kind == "micro":
+            from repro.workloads.microbenchmark import build_microbenchmark
+            built = [(build_microbenchmark(*micro_args(key)), None)]
+        else:
+            raise TraceError(f"unknown trace kind {key.kind!r}")
         metas: dict = {}
         cores = []
-        for comp in compiled:
-            fingerprint = program_fingerprint(comp.program)
+        for program, compiled in built:
+            if not program.is_laid_out:
+                program.assign_addresses()
+            fingerprint = program_fingerprint(program)
             meta = metas.get(fingerprint)
             if meta is None:
-                meta = metas[fingerprint] = _program_meta(comp.program)
-            cores.append((comp.program, comp) + meta + (fingerprint,))
+                meta = metas[fingerprint] = _program_meta(program)
+            cores.append((program, compiled) + meta + (fingerprint,))
         return tuple(cores)
-    return _tiered(_MC_PROGRAM_CACHE, _CACHE_CAP, key.key_hash,
-                   "replay.program", compile_family)
+    return _tiered(_PROGRAM_CACHE, _CACHE_CAP, key.key_hash,
+                   "replay.program", rebuild)
 
 
 def _cached_decode(trace: Trace, hot, cold, fu_values,
@@ -498,20 +476,19 @@ def replay_trace(trace: Trace,
         if key.kind != "kernel":
             raise TraceError(f"multicore replay supports kernel traces only, "
                              f"not {key.kind!r}")
-        if key.num_cores != len(trace.cores):
-            raise TraceError(
-                f"multicore trace {key.label} holds {len(trace.cores)} core "
-                f"streams but its key says {key.num_cores}")
         traces = trace.cores
-        entries = _cached_parallel_program(key, machine)
+    elif "core" in dict(key.params):
+        raise ReplayValidityError(
+            f"trace {key.label} is one core's stream of a "
+            f"{key.num_cores}-core capture and cannot be replayed on its "
+            "own; replay the multicore trace it belongs to")
     else:
-        if "core" in dict(key.params):
-            raise ReplayValidityError(
-                f"trace {key.label} is one core's stream of a "
-                f"{key.num_cores}-core capture and cannot be replayed on its "
-                "own; replay the multicore trace it belongs to")
         traces = (trace,)
-        entries = (_cached_program(key),)
+    if key.num_cores != len(traces):
+        raise TraceError(
+            f"trace {key.label} holds {len(traces)} core streams but its "
+            f"key says {key.num_cores}")
+    entries = _cached_programs(key, machine)
     for core_id, (core_trace, entry) in enumerate(zip(traces, entries)):
         if entry[6] != core_trace.program_fingerprint:
             raise TraceError(
@@ -555,8 +532,8 @@ def _replay(key: TraceKey, cores, machine: MachineConfig, kern,
     under ``key.key_hash`` — per-core streams have no stored file of their
     own, so their artifacts hang off the multicore family's hash — and
     re-parsing the same RPMT container, or replaying it under another
-    ablation point, pays no second derivation.  A program entry is a
-    :func:`_cached_program` tuple.
+    ablation point, pays no second derivation.  A program entry is one
+    core's :func:`_cached_programs` tuple.
     """
     from repro.trace.vector import _VectorLane, _apply_shared
     config = core_config_for(machine)
@@ -583,12 +560,5 @@ def _replay(key: TraceKey, cores, machine: MachineConfig, kern,
     _apply_shared(shared, lanes)
     per_core = [lane_result(timing, mem.stats_summary())
                 for timing, (mem, _) in zip(timings, attach)]
-    if num_cores > 1:
-        sim = aggregate_results(per_core, system.aggregate_summary(),
-                                topology=system.topology)
-    else:
-        (sim,) = per_core
-    energy = EnergyModel(machine.energy).compute(sim)
-    return RunResult(workload=key.workload, mode=key.mode,
-                     compiled=cores[0][1][1], sim=sim, energy=energy,
-                     system=system, scale=key.scale, num_cores=num_cores)
+    return run_result(system, per_core, machine, workload=key.workload,
+                      mode=key.mode, compiled=cores[0][1][1], scale=key.scale)

@@ -128,11 +128,3 @@ def build_microbenchmark(mode: str = "baseline",
     program.assign_addresses()
     base_li.imm = program.arrays["a"].base
     return program
-
-
-def expected_final_value(iterations: int, constant: int = 3,
-                         unroll: int = 20) -> int:
-    """Functional expectation: ``a[k] == k * c`` after the run (a starts at 0)."""
-    groups = (iterations + unroll - 1) // unroll
-    total_iters = groups * unroll
-    return total_iters * constant

@@ -81,7 +81,8 @@ def fresh_cache(tmp_path, monkeypatch):
 
 
 def _decoded_for(trace):
-    _, _, hot, cold, fu_values, _, _ = replay_mod._cached_program(trace.key)
+    ((_, _, hot, cold, fu_values, _, _),) = replay_mod._cached_programs(
+        trace.key, PTLSIM_CONFIG)
     return replay_mod._decode_trace(trace, hot, cold, fu_values), cold, hot
 
 
@@ -296,7 +297,7 @@ def test_batched_oracle_matches_scalar_multicore(fresh_cache):
     unmap transcription included) route identically."""
     machine = _machine(2)
     _, mtrace = capture_workload("CG", "hybrid", "tiny", machine=machine)
-    entries = replay_mod._cached_parallel_program(mtrace.key, machine)
+    entries = replay_mod._cached_programs(mtrace.key, machine)
     for entry, trace in zip(entries, mtrace.cores):
         _, _, hot, cold, fu_values, _, _ = entry
         decoded = replay_mod._decode_trace(trace, hot, cold, fu_values)

@@ -23,7 +23,7 @@ from repro.harness.config import (
     PARALLEL_DATA_BASE,
     PTLSIM_CONFIG,
 )
-from repro.harness.runner import run_parallel_workload
+from repro.harness.runner import run_workload
 from repro.harness.sweep import RunSpec
 from repro.mem.cache import Cache
 from repro.mem.uncore import ClusterTopology, ClusterUncore, Uncore
@@ -310,10 +310,10 @@ def test_ownership_enforced_across_clusters():
 def test_one_cluster_is_bit_identical_to_flat():
     """`num_clusters=1` must build the flat uncore and reproduce the flat
     machine exactly: cycles, energy, full memory stats."""
-    flat = run_parallel_workload("CG", "hybrid", "tiny",
-                                 machine=_machine(2), num_cores=2)
-    one = run_parallel_workload("CG", "hybrid", "tiny",
-                                machine=_machine(2, clusters=1), num_cores=2)
+    flat = run_workload("CG", "hybrid", "tiny",
+                        machine=_machine(2), num_cores=2)
+    one = run_workload("CG", "hybrid", "tiny",
+                       machine=_machine(2, clusters=1), num_cores=2)
     assert one.cycles == flat.cycles
     assert one.energy.as_dict() == flat.energy.as_dict()
     assert one.sim.memory_stats == flat.sim.memory_stats
@@ -401,8 +401,8 @@ def test_cluster_overrides_retime_from_flat_capture():
     clustered = _machine(4, clusters=2,
                          numa_remote_latency=100, llc_size=64 * 1024)
     _, mtrace = capture_workload("CG", "hybrid", "tiny", machine=flat)
-    executed = run_parallel_workload("CG", "hybrid", "tiny",
-                                     machine=clustered, num_cores=4)
+    executed = run_workload("CG", "hybrid", "tiny",
+                            machine=clustered, num_cores=4)
     replayed = replay_trace(mtrace, clustered)
     assert replayed.cycles == executed.cycles
     assert replayed.energy.as_dict() == executed.energy.as_dict()

@@ -3,6 +3,8 @@
 import pytest
 
 from repro.core.multicore import MulticoreHybridSystem, OwnershipViolation
+from repro.core.protocol import ProtocolChecker
+from repro.harness.runner import run_workload
 from repro.mem.hierarchy import MemoryHierarchyConfig
 
 
@@ -86,3 +88,19 @@ def test_stats_summary_per_core(machine):
 def test_invalid_core_count_rejected():
     with pytest.raises(ValueError):
         MulticoreHybridSystem(num_cores=0)
+
+
+@pytest.mark.parametrize("mode", ["hybrid", "hybrid-oracle"])
+@pytest.mark.parametrize("workload", ["CG", "IS"])
+def test_multicore_run_tracks_the_protocol(workload, mode):
+    """``track_protocol=True`` reaches every core of a multicore run: each
+    core carries a strict checker, no Figure 6 transition of the run
+    raises, and checking leaves the result unchanged."""
+    checked = run_workload(workload, mode, "tiny", track_protocol=True,
+                           num_cores=2)
+    plain = run_workload(workload, mode, "tiny", num_cores=2)
+    for core in checked.system.cores:
+        assert isinstance(core.checker, ProtocolChecker)
+        assert core.checker.chunks          # the checker saw transitions
+        assert core.checker.violations == []
+    assert checked.to_record().as_dict() == plain.to_record().as_dict()

@@ -420,13 +420,13 @@ def test_batching_scheduler_matches_step_at_a_time(monkeypatch, workload,
     batches wrongly; this pins it against the one-instruction-per-grant
     reference: same records (per-core results and uncore stats included)
     and the same captured traces."""
-    from repro.harness import runner
+    from repro.cpu import multicore
     from repro.trace import capture_workload
     machine = dataclasses.replace(PTLSIM_CONFIG, num_cores=cores,
                                   num_clusters=clusters)
     batched, batched_trace = capture_workload(workload, "hybrid", "tiny",
                                               machine=machine)
-    monkeypatch.setattr(runner, "run_resumable_lanes", _step_one_at_a_time)
+    monkeypatch.setattr(multicore, "run_resumable_lanes", _step_one_at_a_time)
     stepped, stepped_trace = capture_workload(workload, "hybrid", "tiny",
                                               machine=machine)
     assert stepped.to_record().as_dict() == batched.to_record().as_dict()

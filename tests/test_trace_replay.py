@@ -233,7 +233,7 @@ def _aliasing_kernel(target):
 def _replay_of(program, trace, machine, engine):
     """Replay of a captured hand-built program on ``engine`` (replay_trace
     rebuilds programs by key, which a hand-built kernel has not): the one
-    replay driver, fed the program entry ``_cached_program`` would build."""
+    replay driver, fed the program entry ``_cached_programs`` would build."""
     import repro.trace.replay as replay_mod
     from repro.trace import _ckernel, artifacts
     from repro.trace.format import program_fingerprint

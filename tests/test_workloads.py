@@ -5,7 +5,8 @@ import pytest
 
 from repro.compiler.classify import classify_kernel
 from repro.compiler.codegen import compile_kernel
-from repro.harness.runner import run_kernel
+from repro.harness.config import PTLSIM_CONFIG
+from repro.harness.runner import compile_workload, run_kernel
 from repro.isa.program import WORD_SIZE
 from repro.workloads import BENCHMARK_ORDER, available_workloads, get_workload
 from repro.workloads.microbenchmark import (
@@ -14,6 +15,7 @@ from repro.workloads.microbenchmark import (
     build_microbenchmark,
 )
 from repro.harness.runner import run_program
+from repro.trace.format import program_fingerprint
 
 
 def test_registry_contains_the_six_nas_benchmarks():
@@ -87,6 +89,23 @@ def test_sp_has_no_guarded_accesses_at_runtime():
 
 
 # ------------------------------------------------------------------- microbenchmark
+@pytest.mark.parametrize("mode", ["hybrid", "hybrid-oracle", "cache"])
+@pytest.mark.parametrize("name", BENCHMARK_ORDER)
+def test_one_core_compile_is_the_whole_kernel(name, mode):
+    """One core's shard is the whole kernel: ``compile_workload`` at one
+    core compiles the program ``compile_kernel`` builds from the
+    unsharded kernel (catches ``shard_kernel(k, 0, 1)`` drifting from
+    ``k``)."""
+    (shard,) = compile_workload(name, mode, "tiny", PTLSIM_CONFIG, 1)
+    whole = compile_kernel(get_workload(name, "tiny"), mode=mode,
+                           lm_size=PTLSIM_CONFIG.lm_size,
+                           max_buffers=PTLSIM_CONFIG.directory_entries)
+    assert (program_fingerprint(shard.program)
+            == program_fingerprint(whole.program))
+    assert shard.guarded_references == whole.guarded_references
+    assert shard.total_references == whole.total_references
+
+
 def test_micro_modes_and_validation():
     assert set(MICRO_MODES) == {"baseline", "RD", "WR", "RD/WR"}
     with pytest.raises(ValueError):
