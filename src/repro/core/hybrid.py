@@ -30,6 +30,7 @@ from typing import Optional
 from repro.core.directory import CoherenceDirectory
 from repro.core.guarded import GuardedAGU
 from repro.core.protocol import ProtocolAction, ProtocolChecker
+from repro.isa.program import WORD_SIZE
 from repro.lm.address_map import LMAddressMap
 from repro.lm.dma import DMAController
 from repro.lm.local_memory import LocalMemory
@@ -98,9 +99,15 @@ class HybridSystem:
                 per_line_latency=dma_per_line_latency)
             self.directory = CoherenceDirectory(directory_entries)
             self.agu = GuardedAGU(self.directory)
-            # LM range bounds, flattened for the per-access range check.
+            # LM range bounds and latency, flattened for the per-access
+            # path.  The map and the LM span the same bytes from physical
+            # offset 0, so an address inside the range indexes LM word
+            # ``(vaddr - _lm_lo) // WORD_SIZE`` with no further check.
+            assert self.address_map.physical_base == 0 and \
+                self.address_map.size == self.lm.size
             self._lm_lo = self.address_map.virtual_base
             self._lm_hi = self._lm_lo + self.address_map.size
+            self._lm_latency = float(lm_latency)
         else:
             self.address_map = None
             self.lm = None
@@ -129,9 +136,6 @@ class HybridSystem:
             raise RuntimeError("the cache-based system has no local memory")
         return self.address_map.virtual_base
 
-    def _is_lm_address(self, vaddr: int) -> bool:
-        return self._lm_lo <= vaddr < self._lm_hi
-
     def _account(self, outcome: MemoryOutcome) -> MemoryOutcome:
         self.mem_ops += 1
         self.total_mem_latency += outcome.latency
@@ -154,12 +158,18 @@ class HybridSystem:
              pc: int = 0, now: float = 0.0) -> MemoryOutcome:
         """Execute a load at virtual address ``vaddr``."""
         self.loads += 1
-        # Regular access whose address already points into the LM range
-        # (_is_lm_address, inlined on this per-instruction path).
-        if self._lm_lo <= vaddr < self._lm_hi:
-            offset = self.address_map.translate(vaddr)
-            value = self.lm.read(offset)
-            return self._account(MemoryOutcome(value, float(self.lm.latency), "LM"))
+        # Regular access whose address already points into the LM range:
+        # the flat hit path (the range test, ``lm.read`` and ``_account``
+        # inlined, see ``__init__``).
+        lo = self._lm_lo
+        if lo <= vaddr < self._lm_hi:
+            lm = self.lm
+            lm.reads += 1
+            latency = self._lm_latency
+            self.mem_ops += 1
+            self.total_mem_latency += latency
+            return MemoryOutcome(lm._words[(vaddr - lo) // WORD_SIZE],
+                                 latency, "LM")
         if guarded:
             if not self.use_lm:
                 raise RuntimeError("guarded load executed on the cache-based system")
@@ -170,7 +180,7 @@ class HybridSystem:
                 value = self.lm.read(offset)
                 self._apply_protocol(vaddr, ProtocolAction.GUARDED_LOAD)
                 return self._account(MemoryOutcome(
-                    value, float(self.lm.latency) + outcome.stall_cycles,
+                    value, self._lm_latency + outcome.stall_cycles,
                     "LM", diverted=True, stall_cycles=outcome.stall_cycles))
             # Directory miss: served by the cache hierarchy at the SM address.
             return self._sm_load(vaddr, pc, now)
@@ -180,7 +190,7 @@ class HybridSystem:
                 offset = self.address_map.translate(target)
                 value = self.lm.read(offset)
                 return self._account(MemoryOutcome(
-                    value, float(self.lm.latency), "LM", diverted=True))
+                    value, self._lm_latency, "LM", diverted=True))
         return self._sm_load(vaddr, pc, now)
 
     def _sm_load(self, vaddr: int, pc: int, now: float) -> MemoryOutcome:
@@ -195,12 +205,17 @@ class HybridSystem:
               pc: int = 0, now: float = 0.0) -> MemoryOutcome:
         """Execute a store of ``value`` to virtual address ``vaddr``."""
         self.stores += 1
-        if self._lm_lo <= vaddr < self._lm_hi:
-            offset = self.address_map.translate(vaddr)
-            self.lm.write(offset, value)
+        lo = self._lm_lo
+        if lo <= vaddr < self._lm_hi:   # the flat LM path, as in ``load``
+            lm = self.lm
+            lm.writes += 1
+            lm._words[(vaddr - lo) // WORD_SIZE] = value
             self._last_store_addr = vaddr
             self._last_store_to_sm = False
-            return self._account(MemoryOutcome(None, float(self.lm.latency), "LM"))
+            latency = self._lm_latency
+            self.mem_ops += 1
+            self.total_mem_latency += latency
+            return MemoryOutcome(None, latency, "LM")
         if guarded:
             if not self.use_lm:
                 raise RuntimeError("guarded store executed on the cache-based system")
@@ -213,7 +228,7 @@ class HybridSystem:
                 self._last_store_addr = vaddr
                 self._last_store_to_sm = False
                 return self._account(MemoryOutcome(
-                    None, float(self.lm.latency) + outcome.stall_cycles,
+                    None, self._lm_latency + outcome.stall_cycles,
                     "LM", diverted=True, stall_cycles=outcome.stall_cycles))
             # Directory miss: the guarded store updates the SM copy.
             result = self._sm_store(vaddr, value, pc, now)
@@ -228,7 +243,7 @@ class HybridSystem:
                 self._last_store_addr = vaddr
                 self._last_store_to_sm = False
                 return self._account(MemoryOutcome(
-                    None, float(self.lm.latency), "LM", diverted=True))
+                    None, self._lm_latency, "LM", diverted=True))
         # The second store of a double store: if the guarded store that just
         # executed missed the directory and already wrote this same SM
         # address, the LSQ collapses the two stores into one cache access.

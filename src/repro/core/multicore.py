@@ -56,24 +56,41 @@ class CoreView:
     """Per-core facade over a :class:`MulticoreHybridSystem`.
 
     Exposes the :class:`~repro.core.hybrid.HybridSystem` surface an
-    execution lane consumes, but routes memory and DMA operations through
-    the multicore wrapper so the ownership bookkeeping sees every access.  Everything else (``hierarchy``,
-    ``use_lm``, ``stats_summary``, ...) delegates to the underlying
-    per-core system.
+    execution lane consumes.  Loads and stores are one call each: the LM
+    range test runs inline on the core's bounds, only an SM address takes
+    the ownership check, and the access goes straight to the core's
+    :meth:`~repro.core.hybrid.HybridSystem.load`/``store``.  DMA and
+    buffer-size commands go through the multicore wrapper, which keeps the
+    ownership bookkeeping.  Everything else (``hierarchy``, ``use_lm``,
+    ``stats_summary``, ...) delegates to the underlying per-core system.
     """
 
-    __slots__ = ("_machine", "_core", "core_id")
+    __slots__ = ("_machine", "_core", "core_id", "_lm_lo", "_lm_hi")
 
     def __init__(self, machine: "MulticoreHybridSystem", core_id: int):
         self._machine = machine
-        self._core = machine.cores[core_id]
+        self._core = core = machine.cores[core_id]
         self.core_id = core_id
+        self._lm_lo = core._lm_lo
+        self._lm_hi = core._lm_hi
 
-    def load(self, vaddr: int, **kwargs) -> MemoryOutcome:
-        return self._machine.load(self.core_id, vaddr, **kwargs)
+    def load(self, vaddr: int, *, guarded: bool = False,
+             oracle_divert: bool = False, pc: int = 0,
+             now: float = 0.0) -> MemoryOutcome:
+        if not self._lm_lo <= vaddr < self._lm_hi:
+            self._machine._check_ownership(self.core_id, vaddr)
+        return self._core.load(vaddr, guarded=guarded,
+                               oracle_divert=oracle_divert, pc=pc, now=now)
 
-    def store(self, vaddr: int, value, **kwargs) -> MemoryOutcome:
-        return self._machine.store(self.core_id, vaddr, value, **kwargs)
+    def store(self, vaddr: int, value, *, guarded: bool = False,
+              oracle_divert: bool = False, collapse_with_prev: bool = False,
+              pc: int = 0, now: float = 0.0) -> MemoryOutcome:
+        if not self._lm_lo <= vaddr < self._lm_hi:
+            self._machine._check_ownership(self.core_id, vaddr)
+        return self._core.store(vaddr, value, guarded=guarded,
+                                oracle_divert=oracle_divert,
+                                collapse_with_prev=collapse_with_prev,
+                                pc=pc, now=now)
 
     def check_ownership(self, sm_addr: int) -> None:
         """The ownership check every SM access of this core passes: raises
@@ -222,16 +239,10 @@ class MulticoreHybridSystem:
 
     # -- per-core operations ----------------------------------------------------------
     def load(self, core_id: int, vaddr: int, **kwargs) -> MemoryOutcome:
-        core = self.cores[core_id]
-        if core.address_map is None or not core.address_map.contains(vaddr):
-            self._check_ownership(core_id, vaddr)
-        return core.load(vaddr, **kwargs)
+        return CoreView(self, core_id).load(vaddr, **kwargs)
 
     def store(self, core_id: int, vaddr: int, value, **kwargs) -> MemoryOutcome:
-        core = self.cores[core_id]
-        if core.address_map is None or not core.address_map.contains(vaddr):
-            self._check_ownership(core_id, vaddr)
-        return core.store(vaddr, value, **kwargs)
+        return CoreView(self, core_id).store(vaddr, value, **kwargs)
 
     def dma_get(self, core_id: int, lm_vaddr: int, sm_addr: int, size: int,
                 tag: int = 0, now: float = 0.0) -> float:

@@ -21,11 +21,15 @@ implementations.
 
 **Resumable lane.**  The loop is a generator whose locals survive across
 yields.  :meth:`ExecutionLane.run_until` advances it while the lane's key
-``(fetch_time, order)`` stays below a limit key, which is the contract of
-:func:`repro.cpu.multicore.run_resumable_lanes`: a single-core run is one
-call with an infinite limit, a multicore run interleaves one lane per core
-against the shared uncore.  :meth:`ExecutionLane.finish` writes the final
-state back into the lane's
+``(fetch_time, order)`` stays below a limit key, and past it through
+private instructions: the lane yields only right before an instruction
+that calls into the memory system (load, store, dma-get, dma-put,
+dma-sync, set-bufsize), the only way one core can affect another.  That
+is the contract of :func:`repro.cpu.multicore.run_resumable_lanes`: a
+single-core run is one call with an infinite limit, a multicore run
+interleaves one lane per core against the shared uncore, and every
+memory-system call still happens in global key order.
+:meth:`ExecutionLane.finish` writes the final state back into the lane's
 :class:`~repro.cpu.pipeline.OutOfOrderTimingModel`, which results are read
 from.
 
@@ -60,6 +64,10 @@ class ExecutionError(RuntimeError):
 _K_LOAD, _K_STORE, _K_ALU_RR, _K_ALU_RI, _K_LI, _K_UNARY, _K_NOP = range(7)
 _K_SETBUF, _K_DGET, _K_DPUT, _K_BAD = 7, 8, 9, 10
 _K_CBR, _K_JMP, _K_HALT, _K_DSYNC = 11, 12, 13, 14
+#: Kinds that call into the memory system — the only instructions through
+#: which one core can affect another, so the only ones a lane yields before.
+_SHARED_KINDS = frozenset(
+    (_K_LOAD, _K_STORE, _K_SETBUF, _K_DGET, _K_DPUT, _K_DSYNC))
 
 #: Dense register indices reserved before the program's names: a source
 #: slot that reads 0 and is ready at 0.0, and a sink for ``dst=None``.
@@ -176,8 +184,8 @@ class ExecutionLane:
 
     def run_until(self, limit: float, limit_order: int) -> None:
         """Advance while the key ``(fetch_time, order)`` stays below
-        ``(limit, limit_order)``; at least one instruction per call, and
-        ``limit=inf`` runs to completion."""
+        ``(limit, limit_order)``, and past it up to the next memory-system
+        instruction; ``limit=inf`` runs to completion."""
         if self._gen is None:
             return
         try:
@@ -188,8 +196,9 @@ class ExecutionLane:
 
     def _loop(self, decoded, system, max_instructions):
         """The per-instruction loop, as a generator (see the module
-        docstring).  Yields whenever the scheduling contract hands control
-        to another lane; on exhaustion packs its counters into ``_state``."""
+        docstring).  Yields before a memory-system instruction whenever
+        the scheduling contract hands control to another lane; on
+        exhaustion packs its counters into ``_state``."""
         timing = self.timing
         config = timing.config
         my_order = self.order
@@ -248,7 +257,11 @@ class ExecutionLane:
 
         while True:
             (kind, a, b, dst, fn, imm, more, fa, table, table_get, capacity,
-             unpipelined, fu, phase, latency) = decoded[pc]
+             unpipelined, fu, phase, latency, shared) = decoded[pc]
+            if shared and (fetch_time > limit or (fetch_time == limit
+                                                  and my_order > limit_order)):
+                self.fetch_time = fetch_time
+                limit, limit_order = yield
             if i >= checkpoint:
                 if i >= max_instructions:
                     raise ExecutionError(
@@ -434,10 +447,6 @@ class ExecutionLane:
 
             if pc >= n:
                 break
-            if fetch_time > limit or (fetch_time == limit
-                                      and my_order > limit_order):
-                self.fetch_time = fetch_time
-                limit, limit_order = yield
 
         self.fetch_time = fetch_time
         self._state = (i, fetch_time, last_commit, rob_stalls, lsq_stalls,
@@ -491,13 +500,15 @@ def _decode(program: Program, names: Dict[str, int],
     in ``names`` (from ``_FIRST_REG``); each tuple carries its phase as an
     index into ``phase_names`` (phases in program order).  Tuple
     fields: ``(kind, a, b, dst, fn, imm, more, fa, table, table_get,
-    capacity, unpipelined, fu, phase, latency)`` — ``a``/``b`` the first two
-    source registers (``_NO_REG`` when absent), ``more`` any further ones,
-    ``fn`` the evaluator (memory ops: their ``(guarded, oracle_divert,
-    collapse_with_prev)`` flags; ``_K_BAD``: the error message), ``imm``
-    the immediate, address offset, branch target pc or DMA tag, ``fa`` the
-    I-cache address fetched before this pc (0 when it starts no fetch
-    group), ``table`` the functional-unit reservation table of its class.
+    capacity, unpipelined, fu, phase, latency, shared)`` — ``a``/``b`` the
+    first two source registers (``_NO_REG`` when absent), ``more`` any
+    further ones, ``fn`` the evaluator (memory ops: their ``(guarded,
+    oracle_divert, collapse_with_prev)`` flags; ``_K_BAD``: the error
+    message), ``imm`` the immediate, address offset, branch target pc or
+    DMA tag, ``fa`` the I-cache address fetched before this pc (0 when it
+    starts no fetch group), ``table`` the functional-unit reservation table
+    of its class, ``shared`` whether the kind is in ``_SHARED_KINDS`` (a
+    yield point).
     """
     def reg(name):
         idx = names.get(name)
@@ -556,5 +567,6 @@ def _decode(program: Program, names: Dict[str, int],
         table = fus._schedule[inst.fu_index]
         decoded.append((kind, a, b, dst, fn, imm, more, fa, table, table.get,
                         fus._capacity[inst.fu_index], inst.unpipelined,
-                        inst.fu_index, phase, float(inst.latency)))
+                        inst.fu_index, phase, float(inst.latency),
+                        kind in _SHARED_KINDS))
     return decoded, list(phase_index)

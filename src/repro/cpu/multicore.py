@@ -18,22 +18,24 @@ lane state machines: execution's
 :class:`~repro.cpu.executor.ExecutionLane` and replay's
 :class:`~repro.trace.vector._VectorLane`, one per core.  Each scheduled
 lane is handed the key of the next-earliest lane, so it can batch
-instructions internally and yield exactly when stepping one instruction
-at a time would have switched lanes
-(``tests/test_multicore_timing.py`` checks it against such a
-step-at-a-time loop).  The replay lanes go further and yield only before
-an instruction that touches the shared uncore: private work commutes across
-cores, so every shared-state access still happens in global key order.
+instructions internally.  Both lane kinds yield only before an
+instruction that touches shared state (execution: any memory-system
+call; replay: an uncore event) once their key has reached that limit:
+private work commutes across cores, so every shared-state access still
+happens in global key order, exactly as when stepping one instruction at
+a time (``tests/test_multicore_timing.py`` checks it against such a
+step-at-a-time loop).
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
+from repro import obs
 from repro.cpu.config import CoreConfig
 from repro.cpu.core import SimulationResult, lane_result
 from repro.cpu.executor import ExecutionLane
-from repro.isa.program import Program, WORD_SIZE
+from repro.isa.program import Program
 
 _INFINITY = float("inf")
 
@@ -74,22 +76,26 @@ def run_resumable_lanes(lanes: Sequence, timeline=None) -> None:
     A *resumable lane* exposes ``fetch_time`` (its front-end clock),
     ``order`` (its tie-break rank — the core id), ``done`` and
     ``run_until(limit, limit_order)``, which must process at least one
-    instruction and keep going exactly while the lane's key
-    ``(fetch_time, order)`` stays below ``(limit, limit_order)``.  Handing
-    the scheduled lane the key of the next-earliest lane lets it batch the
-    whole run it is entitled to in one call — the interleaving (and with it
-    every shared-uncore arbitration decision) is identical to stepping one
-    instruction at a time, without paying a scheduler round per
-    instruction.
+    instruction and keep going while the lane's key ``(fetch_time, order)``
+    stays below ``(limit, limit_order)``, and past it through private
+    instructions: it stops only right before an instruction that touches
+    shared state once its key is no longer below the limit.  Handing the
+    scheduled lane the key of the next-earliest lane lets it batch the
+    whole run it is entitled to in one call — every shared-state access
+    (and with it every uncore arbitration decision) happens in the same
+    order as stepping one instruction at a time, without paying a
+    scheduler round per instruction.
 
     ``timeline`` (a :class:`repro.obs.timeline.TimelineRecorder`) wraps each
     lane in a timing proxy that records per-grant run spans; the scheduling
     decisions are unchanged because the proxies mirror ``fetch_time`` /
-    ``order`` / ``done`` exactly.
+    ``order`` / ``done`` exactly.  The number of grants is reported once
+    per call as the ``lanes.grants`` counter.
     """
     if timeline is not None:
         lanes = [_TimedLane(lane, timeline) for lane in lanes]
     active = [lane for lane in lanes if not lane.done]
+    grants = 0
     while len(active) > 2:
         best = active[0]
         best_key = (best.fetch_time, best.order)
@@ -103,6 +109,7 @@ def run_resumable_lanes(lanes: Sequence, timeline=None) -> None:
             elif second_key is None or key < second_key:
                 second_key = key
         best.run_until(second_key[0], second_key[1])
+        grants += 1
         if best.done:
             active.remove(best)
     if len(active) == 2:
@@ -113,6 +120,7 @@ def run_resumable_lanes(lanes: Sequence, timeline=None) -> None:
         if a.order > b.order:   # pragma: no cover - callers pass rank order
             a, b = b, a
         while True:
+            grants += 1
             ta = a.fetch_time
             tb = b.fetch_time
             if ta <= tb:        # ties go to the lower order (a)
@@ -127,23 +135,24 @@ def run_resumable_lanes(lanes: Sequence, timeline=None) -> None:
                     break
     if active:
         active[0].run_until(_INFINITY, active[0].order)
+        grants += 1
+    obs.incr("lanes.grants", grants)
 
 
 def run_programs(programs: Sequence[Program], memories: Sequence,
                  config: CoreConfig, recorders: Optional[Sequence] = None,
                  max_instructions: int = 50_000_000) -> List[SimulationResult]:
     """Run one program per core to completion and return the per-core
-    results.  Core ``i`` loads its program's data through, and runs
-    against, ``memories[i]``; ``recorders[i]`` optionally captures its
-    stream."""
+    results.  Core ``i`` runs against ``memories[i]``, whose main memory
+    receives its program's initial data (one untimed block write per
+    array); ``recorders[i]`` optionally captures its stream."""
     for program, memory in zip(programs, memories):
         if not program.is_laid_out:
             program.assign_addresses()
-        write = memory.write_sm_word
+        write_block = memory.hierarchy.memory.write_block
         for decl in program.arrays.values():
             if decl.data is not None:
-                for i, value in enumerate(decl.data):
-                    write(decl.base + i * WORD_SIZE, float(value))
+                write_block(decl.base, map(float, decl.data))
     recorders = recorders or [None] * len(programs)
     lanes = [ExecutionLane(program, memory, config, order=core_id,
                            recorder=recorder,

@@ -9,6 +9,7 @@ evaluation.
 
 from __future__ import annotations
 
+from itertools import count
 from typing import Dict, List
 
 from repro.isa.program import WORD_SIZE
@@ -61,10 +62,10 @@ class MainMemory:
         return [self._words.get(base + i * WORD_SIZE, 0) for i in range(n)]
 
     def write_block(self, addr: int, values) -> None:
-        """Write consecutive words starting at ``addr``."""
-        base = self._word_addr(addr)
-        for i, v in enumerate(values):
-            self._words[base + i * WORD_SIZE] = v
+        """Write consecutive words starting at ``addr`` without updating
+        statistics (DMA write-back and the program loader)."""
+        self._words.update(zip(count(self._word_addr(addr), WORD_SIZE),
+                               values))
 
     def reset_stats(self) -> None:
         self.reads = 0

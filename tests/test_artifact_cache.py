@@ -529,7 +529,8 @@ def _clear_every_memo():
 # Per path: (counters, phases) of a cold replay (empty memos and artifact
 # store), a warm one (memos cleared, artifacts on disk) and a hot one (memos
 # kept).  Pass counters are pinned by value; the rest of the counter set
-# (the vector engine's epoch/bounce counts) by name.  The "execution" path
+# (the vector engine's epoch/bounce counts and the lane scheduler's grant
+# count) by name.  The "execution" path
 # is replay without a C kernel: it validates the trace against its rebuilt
 # program, records its degradation and runs no derivation pass.
 _PASS_COUNTS = {
@@ -589,7 +590,8 @@ def test_pass_counters_and_phases_pinned(engine, fresh_cache, monkeypatch):
     reference, mtrace = capture_workload("CG", "hybrid", "tiny",
                                          machine=machine)
     _clear_every_memo()
-    kernel = _KERNEL_COUNTERS if engine == "vector" else set()
+    kernel = {"lanes.grants"} | (_KERNEL_COUNTERS if engine == "vector"
+                                 else set())
     for label in ("cold", "warm", "hot"):
         if label == "warm":
             _clear_every_memo()

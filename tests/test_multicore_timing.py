@@ -399,39 +399,176 @@ def test_micro_replay_backed_sweep_identity():
 
 
 # ------------------------------------------------- scheduler reference check
-def _step_one_at_a_time(lanes):
-    """Reference scheduler: one instruction per grant, lowest
-    ``(fetch_time, order)`` first — what ``run_resumable_lanes`` batches."""
+def _step_one_at_a_time(lanes, grants):
+    """Reference scheduler: lowest ``(fetch_time, order)`` first, with a
+    limit below every key — what ``run_resumable_lanes`` batches.  Appends
+    one entry to ``grants`` per ``run_until`` call."""
     active = [lane for lane in lanes if not lane.done]
     while active:
         lane = min(active, key=lambda ln: (ln.fetch_time, ln.order))
         lane.run_until(float("-inf"), -1)
+        grants.append(lane.order)
         if lane.done:
             active.remove(lane)
 
 
+def _use_step_reference(monkeypatch):
+    """Make multicore execution step one instruction per grant: every
+    instruction kind becomes a yield point and the scheduler is the
+    reference.  Returns the list the grants are logged to."""
+    from repro.cpu import executor, multicore
+    grants = []
+    monkeypatch.setattr(executor, "_SHARED_KINDS",
+                        frozenset(range(executor._K_DSYNC + 1)))
+    monkeypatch.setattr(multicore, "run_resumable_lanes",
+                        lambda lanes: _step_one_at_a_time(lanes, grants))
+    return grants
+
+
 @pytest.mark.parametrize("clusters", [1, 2])
 @pytest.mark.parametrize("cores", [2, 4])
-@pytest.mark.parametrize("workload", ["CG", "IS"])
+@pytest.mark.parametrize("workload", ["CG", "IS", "FT", "MG"])
 def test_batching_scheduler_matches_step_at_a_time(monkeypatch, workload,
                                                    cores, clusters):
     """Multicore execution and replay share ``run_resumable_lanes``, so the
     execution-vs-replay identity checks cannot catch a scheduler that
     batches wrongly; this pins it against the one-instruction-per-grant
     reference: same records (per-core results and uncore stats included)
-    and the same captured traces."""
-    from repro.cpu import multicore
+    and the same captured traces.
+
+    A lane yields only before the instructions its shared-kind set names,
+    so the reference marks every kind shared: each grant then runs exactly
+    one instruction, after one empty opening grant per lane (a lane stops
+    before its first instruction when handed a limit below its key).  A
+    lane that misclassified a memory-system kind as private would not
+    share the bug with this reference."""
     from repro.trace import capture_workload
     machine = dataclasses.replace(PTLSIM_CONFIG, num_cores=cores,
                                   num_clusters=clusters)
     batched, batched_trace = capture_workload(workload, "hybrid", "tiny",
                                               machine=machine)
-    monkeypatch.setattr(multicore, "run_resumable_lanes", _step_one_at_a_time)
+    grants = _use_step_reference(monkeypatch)
     stepped, stepped_trace = capture_workload(workload, "hybrid", "tiny",
                                               machine=machine)
+    assert len(grants) == stepped.sim.instructions + cores
     assert stepped.to_record().as_dict() == batched.to_record().as_dict()
     assert stepped.sim.core_stats["per_core"] == \
         batched.sim.core_stats["per_core"]
     assert stepped.sim.memory_stats["uncore"] == \
         batched.sim.memory_stats["uncore"]
     assert stepped_trace.to_bytes() == batched_trace.to_bytes()
+
+
+def _store_stream(base, lines, alu_ops):
+    """A loop of ``alu_ops`` dependent ALU operations and one SM store to
+    a fresh line, ``lines`` times."""
+    from repro.isa.builder import ProgramBuilder
+    b = ProgramBuilder()
+    b.li("p", base)
+    b.li("end", base + lines * 64)
+    b.li("v", 1.0)
+    b.li("x", 0)
+    top = b.label(b.new_label("top"))
+    for _ in range(alu_ops):
+        b.add("x", "x", imm=1)
+    b.st("v", "p")
+    b.add("p", "p", imm=64)
+    b.blt("p", "end", top)
+    b.halt()
+    return b.finish()
+
+
+def test_batching_scheduler_orders_contended_sm_stores(monkeypatch):
+    """Store misses of two cores queue for one bus slot per window, so the
+    order in which they arbitrate sets each store's latency (seen in the
+    memory stats' AMAT): the batched run must match the
+    one-instruction-per-grant reference."""
+    from repro.cpu import multicore
+    from repro.cpu.config import CoreConfig
+
+    def run():
+        m = MulticoreHybridSystem(num_cores=2, memory_config=SMALL_MEM,
+                                  uncore=Uncore(window_lines=1))
+        programs = [_store_stream(0x10_0000 * (core + 1), 48, 3 + 2 * core)
+                    for core in range(2)]
+        results = multicore.run_programs(programs, [m.view(0), m.view(1)],
+                                         CoreConfig())
+        return ([(r.cycles, r.memory_stats) for r in results],
+                m.uncore.stats_summary())
+
+    batched = run()
+    _use_step_reference(monkeypatch)
+    stepped = run()
+    assert batched[1]["contended_requests"] > 0
+    assert stepped == batched
+
+
+def _count_memory_system_calls(monkeypatch):
+    """Count every call into a core's memory system (one per load, store,
+    dma-get, dma-put, dma-sync and set-bufsize instruction)."""
+    from repro.core.hybrid import HybridSystem
+    calls = []
+    for name in ("load", "store", "dma_get", "dma_put", "dma_sync",
+                 "set_buffer_size"):
+        method = getattr(HybridSystem, name)
+
+        def counted(self, *args, _method=method, **kwargs):
+            calls.append(None)
+            return _method(self, *args, **kwargs)
+        monkeypatch.setattr(HybridSystem, name, counted)
+    return calls
+
+
+class _GrantProbe:
+    """Resumable-lane proxy that logs, for each grant after the lane's
+    first, how many memory-system calls (``calls`` entries) it made."""
+
+    def __init__(self, lane, calls, log):
+        self._lane, self._calls, self._log = lane, calls, log
+        self.order = lane.order
+        self._first = True
+
+    @property
+    def fetch_time(self):
+        return self._lane.fetch_time
+
+    @property
+    def done(self):
+        return self._lane.done
+
+    def run_until(self, limit, limit_order):
+        before = len(self._calls)
+        self._lane.run_until(limit, limit_order)
+        if not self._first:
+            self._log.append(len(self._calls) - before)
+        self._first = False
+
+
+def test_execution_lanes_yield_only_before_memory_system_calls(monkeypatch):
+    """Execution lanes run through private work and hand over only right
+    before a memory-system instruction: every grant after a lane's first
+    opens with a memory-system call, so a 2-core capture makes at most one
+    grant per such instruction plus each lane's first, and a 1-core run
+    makes one grant.  A lane that yielded after private instructions
+    would make grants without a memory-system call."""
+    from repro import obs
+    from repro.cpu import multicore
+    from repro.trace import capture_workload
+    calls = _count_memory_system_calls(monkeypatch)
+    later_grants = []
+    run = multicore.run_resumable_lanes
+    monkeypatch.setattr(
+        multicore, "run_resumable_lanes",
+        lambda lanes: run([_GrantProbe(lane, calls, later_grants)
+                           for lane in lanes]))
+    machine = dataclasses.replace(PTLSIM_CONFIG, num_cores=2)
+    with obs.recording() as rec:
+        result, _ = capture_workload("CG", "hybrid", "tiny", machine=machine)
+    grants = rec.counters["lanes.grants"]
+    assert grants == len(later_grants) + 2
+    assert 2 < grants <= len(calls) + 2
+    assert min(later_grants) >= 1
+    assert len(calls) < result.sim.instructions
+    with obs.recording() as rec:
+        capture_workload("CG", "hybrid", "tiny", num_cores=1)
+    assert rec.counters["lanes.grants"] == 1
