@@ -101,8 +101,9 @@ class HybridSystem:
             self.agu = GuardedAGU(self.directory)
             # LM range bounds and latency, flattened for the per-access
             # path.  The map and the LM span the same bytes from physical
-            # offset 0, so an address inside the range indexes LM word
-            # ``(vaddr - _lm_lo) // WORD_SIZE`` with no further check.
+            # offset 0, so an address inside the range is LM offset
+            # ``vaddr - _lm_lo`` (word ``(vaddr - _lm_lo) // WORD_SIZE``)
+            # with no further check.
             assert self.address_map.physical_base == 0 and \
                 self.address_map.size == self.lm.size
             self._lm_lo = self.address_map.virtual_base
@@ -116,6 +117,11 @@ class HybridSystem:
             self.agu = None
             self._lm_lo = self._lm_hi = -1
         self.checker = ProtocolChecker(strict=True) if track_protocol else None
+        # The SM demand path and the functional SM words, flattened for the
+        # per-access path (the data lives in main memory; see
+        # :mod:`repro.mem.cache`).
+        self._demand = self.hierarchy.demand
+        self._memory = self.hierarchy.memory
         # Activity counters
         self.loads = 0
         self.stores = 0
@@ -154,22 +160,21 @@ class HybridSystem:
             self.checker.apply(chunk, action)
 
     # --------------------------------------------------------------------- loads --
-    def load(self, vaddr: int, *, guarded: bool = False, oracle_divert: bool = False,
+    def private_lm(self) -> Optional["HybridSystem"]:
+        """The system whose plain LM-range accesses an execution lane may run
+        inline, as :meth:`load`/:meth:`store` would: this one, or None
+        without a local memory.  The LM is private to its core, so such
+        an access touches no state another core can see."""
+        return self if self.use_lm else None
+
+    def load(self, vaddr: int, guarded: bool = False, oracle_divert: bool = False,
              pc: int = 0, now: float = 0.0) -> MemoryOutcome:
         """Execute a load at virtual address ``vaddr``."""
         self.loads += 1
-        # Regular access whose address already points into the LM range:
-        # the flat hit path (the range test, ``lm.read`` and ``_account``
-        # inlined, see ``__init__``).
-        lo = self._lm_lo
-        if lo <= vaddr < self._lm_hi:
-            lm = self.lm
-            lm.reads += 1
-            latency = self._lm_latency
-            self.mem_ops += 1
-            self.total_mem_latency += latency
-            return MemoryOutcome(lm._words[(vaddr - lo) // WORD_SIZE],
-                                 latency, "LM")
+        # Regular access whose address already points into the LM range.
+        if self._lm_lo <= vaddr < self._lm_hi:
+            return self._account(MemoryOutcome(
+                self.lm.read(vaddr - self._lm_lo), self._lm_latency, "LM"))
         if guarded:
             if not self.use_lm:
                 raise RuntimeError("guarded load executed on the cache-based system")
@@ -183,39 +188,36 @@ class HybridSystem:
                     value, self._lm_latency + outcome.stall_cycles,
                     "LM", diverted=True, stall_cycles=outcome.stall_cycles))
             # Directory miss: served by the cache hierarchy at the SM address.
-            return self._sm_load(vaddr, pc, now)
-        if oracle_divert and self.use_lm and self.directory is not None:
+        elif oracle_divert and self.use_lm and self.directory is not None:
             hit, target = self.directory.peek_lookup(vaddr)
             if hit:
                 offset = self.address_map.translate(target)
                 value = self.lm.read(offset)
                 return self._account(MemoryOutcome(
                     value, self._lm_latency, "LM", diverted=True))
-        return self._sm_load(vaddr, pc, now)
-
-    def _sm_load(self, vaddr: int, pc: int, now: float) -> MemoryOutcome:
-        result = self.hierarchy.access(vaddr, is_write=False, pc=pc, now=now)
-        value = self.hierarchy.read_word(vaddr)
-        self._apply_protocol(vaddr, ProtocolAction.CM_ACCESS)
-        return self._account(MemoryOutcome(value, result.latency, result.level))
+        # The SM access: the flat demand path, the functional read of the
+        # word and the accounting inline (see ``__init__``).
+        latency, level = self._demand(vaddr, False, pc, now)
+        memory = self._memory
+        memory.reads += 1
+        value = memory._words.get(vaddr - vaddr % WORD_SIZE, 0)
+        if self.checker is not None:
+            self._apply_protocol(vaddr, ProtocolAction.CM_ACCESS)
+        self.mem_ops += 1
+        self.total_mem_latency += latency
+        return MemoryOutcome(value, latency, level)
 
     # -------------------------------------------------------------------- stores --
-    def store(self, vaddr: int, value, *, guarded: bool = False,
+    def store(self, vaddr: int, value, guarded: bool = False,
               oracle_divert: bool = False, collapse_with_prev: bool = False,
               pc: int = 0, now: float = 0.0) -> MemoryOutcome:
         """Execute a store of ``value`` to virtual address ``vaddr``."""
         self.stores += 1
-        lo = self._lm_lo
-        if lo <= vaddr < self._lm_hi:   # the flat LM path, as in ``load``
-            lm = self.lm
-            lm.writes += 1
-            lm._words[(vaddr - lo) // WORD_SIZE] = value
+        if self._lm_lo <= vaddr < self._lm_hi:
+            self.lm.write(vaddr - self._lm_lo, value)
             self._last_store_addr = vaddr
             self._last_store_to_sm = False
-            latency = self._lm_latency
-            self.mem_ops += 1
-            self.total_mem_latency += latency
-            return MemoryOutcome(None, latency, "LM")
+            return self._account(MemoryOutcome(None, self._lm_latency, "LM"))
         if guarded:
             if not self.use_lm:
                 raise RuntimeError("guarded store executed on the cache-based system")
@@ -230,43 +232,46 @@ class HybridSystem:
                 return self._account(MemoryOutcome(
                     None, self._lm_latency + outcome.stall_cycles,
                     "LM", diverted=True, stall_cycles=outcome.stall_cycles))
-            # Directory miss: the guarded store updates the SM copy.
-            result = self._sm_store(vaddr, value, pc, now)
-            self._last_store_addr = vaddr
-            self._last_store_to_sm = True
-            return result
-        if oracle_divert and self.use_lm and self.directory is not None:
-            hit, target = self.directory.peek_lookup(vaddr)
-            if hit:
-                offset = self.address_map.translate(target)
-                self.lm.write(offset, value)
-                self._last_store_addr = vaddr
-                self._last_store_to_sm = False
-                return self._account(MemoryOutcome(
-                    None, self._lm_latency, "LM", diverted=True))
-        # The second store of a double store: if the guarded store that just
-        # executed missed the directory and already wrote this same SM
-        # address, the LSQ collapses the two stores into one cache access.
-        if collapse_with_prev and self._last_store_to_sm and \
-                self._last_store_addr == vaddr:
-            self.collapsed_stores += 1
-            self.hierarchy.write_word(vaddr, value)
-            return self._account(MemoryOutcome(None, 0.0, "collapsed"))
-        result = self._sm_store(vaddr, value, pc, now)
+            # Directory miss: the guarded store updates the SM copy below.
+        else:
+            if oracle_divert and self.use_lm and self.directory is not None:
+                hit, target = self.directory.peek_lookup(vaddr)
+                if hit:
+                    offset = self.address_map.translate(target)
+                    self.lm.write(offset, value)
+                    self._last_store_addr = vaddr
+                    self._last_store_to_sm = False
+                    return self._account(MemoryOutcome(
+                        None, self._lm_latency, "LM", diverted=True))
+            if collapse_with_prev:
+                # The second store of a double store: if the guarded store
+                # that just executed missed the directory and already wrote
+                # this same SM address, the LSQ collapses the two stores into
+                # one cache access.
+                if self._last_store_to_sm and self._last_store_addr == vaddr:
+                    self.collapsed_stores += 1
+                    memory = self._memory
+                    memory.writes += 1
+                    memory._words[vaddr - vaddr % WORD_SIZE] = value
+                    self.mem_ops += 1   # at latency 0.0
+                    return MemoryOutcome(None, 0.0, "collapsed")
+        # The SM access, flat as in ``load``.
+        latency, level = self._demand(vaddr, True, pc, now)
+        memory = self._memory
+        memory.writes += 1
+        memory._words[vaddr - vaddr % WORD_SIZE] = value
+        if self.checker is not None:
+            self._apply_protocol(vaddr, ProtocolAction.CM_ACCESS)
+            if collapse_with_prev and not guarded:
+                # A double store whose guarded half went to the LM: this SM
+                # store keeps the cache copy up to date (LM-CM state with
+                # identical replicas).
+                self._apply_protocol(vaddr, ProtocolAction.DOUBLE_STORE)
         self._last_store_addr = vaddr
         self._last_store_to_sm = True
-        if collapse_with_prev:
-            # Double store whose guarded half went to the LM: this SM store
-            # keeps the cache copy up to date (LM-CM state with identical
-            # replicas).
-            self._apply_protocol(vaddr, ProtocolAction.DOUBLE_STORE)
-        return result
-
-    def _sm_store(self, vaddr: int, value, pc: int, now: float) -> MemoryOutcome:
-        result = self.hierarchy.access(vaddr, is_write=True, pc=pc, now=now)
-        self.hierarchy.write_word(vaddr, value)
-        self._apply_protocol(vaddr, ProtocolAction.CM_ACCESS)
-        return self._account(MemoryOutcome(None, result.latency, result.level))
+        self.mem_ops += 1
+        self.total_mem_latency += latency
+        return MemoryOutcome(None, latency, level)
 
     # ----------------------------------------------------------------------- DMA --
     def set_buffer_size(self, size_bytes: int) -> float:

@@ -31,7 +31,8 @@ allows exactly this ``LM-writeback`` then ``LM-unmap`` sequence);
 reconfiguring a core's buffer size drops all its claims (the directory
 invalidates all its mappings then too).  Every checked access is a
 constant-time slice probe per distinct configured chunk size instead of a
-scan over every core's directory.  On the flat machine the directory is a
+scan over every core's directory; a dma-get or dma-put probes every chunk
+its transfer covers.  On the flat machine the directory is a
 single slice (the previous single-dict behaviour); with a clustered uncore
 it is address-interleaved into one slice per cluster, homed by the
 uncore's NUMA mapping.
@@ -74,23 +75,20 @@ class CoreView:
         self._lm_lo = core._lm_lo
         self._lm_hi = core._lm_hi
 
-    def load(self, vaddr: int, *, guarded: bool = False,
+    def load(self, vaddr: int, guarded: bool = False,
              oracle_divert: bool = False, pc: int = 0,
              now: float = 0.0) -> MemoryOutcome:
         if not self._lm_lo <= vaddr < self._lm_hi:
             self._machine._check_ownership(self.core_id, vaddr)
-        return self._core.load(vaddr, guarded=guarded,
-                               oracle_divert=oracle_divert, pc=pc, now=now)
+        return self._core.load(vaddr, guarded, oracle_divert, pc, now)
 
-    def store(self, vaddr: int, value, *, guarded: bool = False,
+    def store(self, vaddr: int, value, guarded: bool = False,
               oracle_divert: bool = False, collapse_with_prev: bool = False,
               pc: int = 0, now: float = 0.0) -> MemoryOutcome:
         if not self._lm_lo <= vaddr < self._lm_hi:
             self._machine._check_ownership(self.core_id, vaddr)
-        return self._core.store(vaddr, value, guarded=guarded,
-                                oracle_divert=oracle_divert,
-                                collapse_with_prev=collapse_with_prev,
-                                pc=pc, now=now)
+        return self._core.store(vaddr, value, guarded, oracle_divert,
+                                collapse_with_prev, pc, now)
 
     def check_ownership(self, sm_addr: int) -> None:
         """The ownership check every SM access of this core passes: raises
@@ -220,6 +218,24 @@ class MulticoreHybridSystem:
                     f"core {core_id} accessed SM address {sm_addr:#x} that is "
                     f"mapped to the LM of core {owner}")
 
+    def _check_transfer(self, core_id: int, sm_addr: int, size: int) -> None:
+        """The ownership check of a DMA transfer: every chunk that
+        ``[sm_addr, sm_addr+size)`` covers, at every configured chunk size,
+        must be unmapped or mapped to ``core_id``."""
+        if not self.enforce_ownership or not self.home_directory.total_entries:
+            return
+        directory = self.home_directory
+        last = sm_addr + max(size, 1) - 1
+        for chunk in self._distinct_sizes:
+            mask = ~(chunk - 1)
+            for base in range(sm_addr & mask, (last & mask) + chunk, chunk):
+                owner = directory.owner((chunk, base))
+                if owner is not None and owner != core_id:
+                    raise OwnershipViolation(
+                        f"core {core_id} transferred SM address "
+                        f"{max(base, sm_addr):#x} that is mapped to the LM "
+                        f"of core {owner}")
+
     def _claim(self, core_id: int, sm_addr: int, size: int) -> None:
         for key in self._chunk_keys(core_id, sm_addr, size):
             self.home_directory.claim(key, core_id)
@@ -246,7 +262,7 @@ class MulticoreHybridSystem:
 
     def dma_get(self, core_id: int, lm_vaddr: int, sm_addr: int, size: int,
                 tag: int = 0, now: float = 0.0) -> float:
-        self._check_ownership(core_id, sm_addr)
+        self._check_transfer(core_id, sm_addr, size)
         core = self.cores[core_id]
         # The buffer being refilled unmaps whatever chunk it previously held:
         # release that chunk's ownership before registering the new mapping.
@@ -262,6 +278,7 @@ class MulticoreHybridSystem:
 
     def dma_put(self, core_id: int, lm_vaddr: int, sm_addr: int, size: int,
                 tag: int = 0, now: float = 0.0) -> float:
+        self._check_transfer(core_id, sm_addr, size)
         core = self.cores[core_id]
         result = core.dma_put(lm_vaddr, sm_addr, size, tag, now)
         # Write-back returns the chunk to the SM and, at this multicore

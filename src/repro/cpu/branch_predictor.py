@@ -13,26 +13,15 @@ from typing import Dict, List
 
 
 class SaturatingCounterTable:
-    """A table of 2-bit saturating counters."""
+    """A table of 2-bit saturating counters, indexed by ``key % entries``;
+    a counter at 2 or more predicts taken.  The predictor updates the
+    ``counters`` list in place."""
 
     def __init__(self, entries: int, initial: int = 2):
         if entries <= 0:
             raise ValueError("table needs at least one entry")
         self.entries = entries
         self.counters: List[int] = [initial] * entries
-
-    def index(self, key: int) -> int:
-        return key % self.entries
-
-    def predict(self, key: int) -> bool:
-        return self.counters[self.index(key)] >= 2
-
-    def update(self, key: int, taken: bool) -> None:
-        idx = self.index(key)
-        if taken:
-            self.counters[idx] = min(3, self.counters[idx] + 1)
-        else:
-            self.counters[idx] = max(0, self.counters[idx] - 1)
 
 
 class BranchTargetBuffer:
@@ -55,8 +44,11 @@ class BranchTargetBuffer:
         return None
 
     def update(self, pc: int, target: int) -> None:
-        s = self._sets.setdefault(pc % self.num_sets, OrderedDict())
-        if pc in s:
+        sets = self._sets
+        s = sets.get(pc % self.num_sets)
+        if s is None:
+            s = sets[pc % self.num_sets] = OrderedDict()
+        elif pc in s:
             s.move_to_end(pc)
         elif len(s) >= self.assoc:
             s.popitem(last=False)
@@ -100,35 +92,45 @@ class HybridBranchPredictor:
         self.predictions = 0
         self.mispredictions = 0
 
-    def _gshare_key(self, pc: int) -> int:
-        return (pc ^ self.history) & ((1 << self.history_bits) - 1)
-
-    def predict(self, pc: int) -> bool:
-        """Predict the direction of the conditional branch at ``pc``."""
-        use_gshare = self.selector.predict(pc)
-        if use_gshare:
-            return self.gshare.predict(self._gshare_key(pc))
-        return self.bimodal.predict(pc)
-
     def update(self, pc: int, taken: bool) -> bool:
-        """Update all tables with the outcome; returns True on a misprediction."""
+        """Predict the conditional branch at ``pc`` (the selector picks the
+        g-share or the bimodal prediction), then train every table with the
+        outcome; returns True on a misprediction."""
         self.predictions += 1
-        gshare_key = self._gshare_key(pc)
-        gshare_pred = self.gshare.predict(gshare_key)
-        bimodal_pred = self.bimodal.predict(pc)
-        use_gshare = self.selector.predict(pc)
-        prediction = gshare_pred if use_gshare else bimodal_pred
+        gshare = self.gshare.counters
+        bimodal = self.bimodal.counters
+        selector = self.selector.counters
+        history = self.history
+        mask = (1 << self.history_bits) - 1
+        gi = ((pc ^ history) & mask) % self.gshare.entries
+        bi = pc % self.bimodal.entries
+        si = pc % self.selector.entries
+        gshare_pred = gshare[gi] >= 2
+        bimodal_pred = bimodal[bi] >= 2
+        prediction = gshare_pred if selector[si] >= 2 else bimodal_pred
         mispredicted = prediction != taken
         if mispredicted:
             self.mispredictions += 1
-        # Selector learns which component was right (only when they disagree).
+        # The selector learns which component was right (only when they
+        # disagree).
         if gshare_pred != bimodal_pred:
-            self.selector.update(pc, gshare_pred == taken)
-        self.gshare.update(gshare_key, taken)
-        self.bimodal.update(pc, taken)
+            if gshare_pred == taken:
+                if selector[si] < 3:
+                    selector[si] += 1
+            elif selector[si] > 0:
+                selector[si] -= 1
+        if taken:
+            if gshare[gi] < 3:
+                gshare[gi] += 1
+            if bimodal[bi] < 3:
+                bimodal[bi] += 1
+        else:
+            if gshare[gi] > 0:
+                gshare[gi] -= 1
+            if bimodal[bi] > 0:
+                bimodal[bi] -= 1
         # Global history update.
-        self.history = ((self.history << 1) | int(taken)) & \
-            ((1 << self.history_bits) - 1)
+        self.history = ((history << 1) | int(taken)) & mask
         return mispredicted
 
     def update_batch(self, pcs: List[int], outcomes: List[bool]) -> List[bool]:

@@ -14,6 +14,16 @@ accounting inline over locals.  The memory system sees each instruction's
 estimated issue time as its clock (``now``), so MSHR occupancy, DMA
 completion and directory presence stalls see a consistent notion of time.
 
+Two parts of the memory system are private to the core and run without a
+call.  A plain load or store whose address falls in the core's LM range
+(see ``HybridSystem.private_lm``) indexes the LM words at the LM latency
+inside the loop, updating the system's counters and store-collapse latch
+exactly as :meth:`~repro.core.hybrid.HybridSystem.load`/``store`` would.
+Instruction fetch only appends each fetch group's I-cache address to a
+per-lane buffer: the front end ignores fetch latency and nothing else
+touches the core's L1I, so :meth:`ExecutionLane.finish` settles the whole
+stream with one :meth:`~repro.mem.hierarchy.MemoryHierarchy.fetch`.
+
 The replay engine's C kernel (:mod:`repro.trace._ckernel`) carries its own
 transcription of the model and is checked against this one; nothing here
 is shared with it, so the identity checks compare independent
@@ -23,15 +33,16 @@ implementations.
 yields.  :meth:`ExecutionLane.run_until` advances it while the lane's key
 ``(fetch_time, order)`` stays below a limit key, and past it through
 private instructions: the lane yields only right before an instruction
-that calls into the memory system (load, store, dma-get, dma-put,
-dma-sync, set-bufsize), the only way one core can affect another.  That
-is the contract of :func:`repro.cpu.multicore.run_resumable_lanes`: a
-single-core run is one call with an infinite limit, a multicore run
+that calls into the memory system (an SM load or store, dma-get,
+dma-put, dma-sync, set-bufsize), the only way one core can affect
+another; an access to its own LM is private and never a yield point.
+That is the contract of :func:`repro.cpu.multicore.run_resumable_lanes`:
+a single-core run is one call with an infinite limit, a multicore run
 interleaves one lane per core against the shared uncore, and every
 memory-system call still happens in global key order.
-:meth:`ExecutionLane.finish` writes the final state back into the lane's
-:class:`~repro.cpu.pipeline.OutOfOrderTimingModel`, which results are read
-from.
+:meth:`ExecutionLane.finish` settles the L1I and writes the final state
+back into the lane's :class:`~repro.cpu.pipeline.OutOfOrderTimingModel`,
+which results are read from.
 
 A :class:`~repro.trace.capture.TraceRecorder` passed as ``recorder`` gets
 the machine-config-independent stream appended straight to its lists:
@@ -42,6 +53,7 @@ operands.
 from __future__ import annotations
 
 import operator
+from array import array
 from typing import Dict, Optional
 
 from repro.cpu.config import CoreConfig
@@ -51,7 +63,7 @@ from repro.cpu.pipeline import (
     OutOfOrderTimingModel,
 )
 from repro.isa.instructions import FuClass, Opcode
-from repro.isa.program import Program
+from repro.isa.program import WORD_SIZE, Program
 
 
 class ExecutionError(RuntimeError):
@@ -65,7 +77,8 @@ _K_LOAD, _K_STORE, _K_ALU_RR, _K_ALU_RI, _K_LI, _K_UNARY, _K_NOP = range(7)
 _K_SETBUF, _K_DGET, _K_DPUT, _K_BAD = 7, 8, 9, 10
 _K_CBR, _K_JMP, _K_HALT, _K_DSYNC = 11, 12, 13, 14
 #: Kinds that call into the memory system — the only instructions through
-#: which one core can affect another, so the only ones a lane yields before.
+#: which one core can affect another, so the only ones a lane yields before
+#: (a load or store only when its address is outside the core's LM).
 _SHARED_KINDS = frozenset(
     (_K_LOAD, _K_STORE, _K_SETBUF, _K_DGET, _K_DPUT, _K_DSYNC))
 
@@ -150,7 +163,8 @@ class ExecutionLane:
     """
 
     __slots__ = ("order", "fetch_time", "done", "timing", "_names", "_regs",
-                 "_ready", "_phase_names", "_recorder", "_gen", "_state")
+                 "_ready", "_phase_names", "_recorder", "_fetches", "_gen",
+                 "_state")
 
     def __init__(self, program: Program, system,
                  config: Optional[CoreConfig] = None, *, order: int = 0,
@@ -164,6 +178,9 @@ class ExecutionLane:
                                             hierarchy=system.hierarchy)
         self._recorder = recorder
         self._state = None
+        # The I-cache address of every fetch group, in order; settled into
+        # the L1I at ``finish``.
+        self._fetches = array("q")
         names: Dict[str, int] = {}
         decoded, self._phase_names = _decode(program, names, self.timing)
         self._names = names
@@ -223,11 +240,22 @@ class ExecutionLane:
         slots = timing._issue_slots
         slots_get = slots.get
         tables = [slots, *timing.fus._schedule]   # pruned in place
-        hierarchy = timing.hierarchy
-        fetch_access = (hierarchy.fetch_access if hierarchy is not None
-                        else None)
+        fetch_append = self._fetches.append
         sys_load = system.load
         sys_store = system.store
+        # The core's private LM: plain accesses inside its range run here,
+        # exactly as HybridSystem.load/store would run them (the counters
+        # are summed up at the end, the float latency total in order).
+        core = system.private_lm()
+        if core is not None:
+            lm = core.lm
+            lm_words = lm._words
+            lm_lo = core._lm_lo
+            lm_hi = core._lm_hi
+            lm_latency = core._lm_latency
+        else:
+            lm_lo = lm_hi = -1      # an empty range
+        lm_loads = lm_stores = 0
 
         recorder = self._recorder
         recording = recorder is not None
@@ -258,10 +286,13 @@ class ExecutionLane:
         while True:
             (kind, a, b, dst, fn, imm, more, fa, table, table_get, capacity,
              unpipelined, fu, phase, latency, shared) = decoded[pc]
-            if shared and (fetch_time > limit or (fetch_time == limit
-                                                  and my_order > limit_order)):
-                self.fetch_time = fetch_time
-                limit, limit_order = yield
+            if shared and (fetch_time > limit or (
+                    fetch_time == limit and my_order > limit_order)):
+                # A plain LM access is private: no yield before it.
+                if kind > K_STORE or not lm_lo <= int(
+                        regs[a if kind == K_LOAD else b]) + imm < lm_hi:
+                    self.fetch_time = fetch_time
+                    limit, limit_order = yield
             if i >= checkpoint:
                 if i >= max_instructions:
                     raise ExecutionError(
@@ -278,7 +309,7 @@ class ExecutionLane:
 
             # ---- dispatch: fetch group, ROB and LSQ occupancy ----
             if fa:
-                fetch_access(fa)
+                fetch_append(fa)
             t = fetch_time
             if i >= rob_size:
                 oldest = rob_times[0]
@@ -294,7 +325,7 @@ class ExecutionLane:
                 fetch_time = t
 
             # ---- issue estimate: operands ready, then a free issue slot;
-            # ``cycle`` ends as int(now) ----
+            # ``cycle`` ends as int(now), ``taken_slots`` as its count ----
             ready = t
             r = rdy[a]
             if r > ready:
@@ -308,12 +339,15 @@ class ExecutionLane:
                     if r > ready:
                         ready = r
             cycle = int(ready)
-            if slots_get(cycle, 0) < issue_width:
+            taken_slots = slots_get(cycle, 0)
+            if taken_slots < issue_width:
                 now = ready
             else:
                 cycle += 1
-                while slots_get(cycle, 0) >= issue_width:
+                taken_slots = slots_get(cycle, 0)
+                while taken_slots >= issue_width:
                     cycle += 1
+                    taken_slots = slots_get(cycle, 0)
                 now = float(cycle)
 
             # ---- execute ----
@@ -326,23 +360,35 @@ class ExecutionLane:
                 pc += 1
             elif kind == K_LOAD:
                 addr = int(regs[a]) + imm
-                guarded, divert, _ = fn
-                outcome = sys_load(addr, guarded=guarded, oracle_divert=divert,
-                                   pc=pc, now=now)
-                regs[dst] = outcome.value
-                latency = outcome.latency
+                if lm_lo <= addr < lm_hi:
+                    regs[dst] = lm_words[(addr - lm_lo) // WORD_SIZE]
+                    latency = lm_latency
+                    lm_loads += 1
+                    core.total_mem_latency += latency
+                else:
+                    outcome = sys_load(addr, fn[0], fn[1], pc, now)
+                    regs[dst] = outcome.value
+                    latency = outcome.latency
                 if recording:
                     rec_addr(addr)
                     rec_pc(pc)
                 pc += 1
             elif kind == K_STORE:
                 addr = int(regs[b]) + imm
-                guarded, divert, collapse = fn
-                outcome = sys_store(addr, regs[a], guarded=guarded,
-                                    oracle_divert=divert,
-                                    collapse_with_prev=collapse,
-                                    pc=pc, now=now)
-                latency = outcome.latency
+                if lm_lo <= addr < lm_hi:
+                    lm_words[(addr - lm_lo) // WORD_SIZE] = regs[a]
+                    core._last_store_addr = addr
+                    core._last_store_to_sm = False
+                    latency = lm_latency
+                    lm_stores += 1
+                    core.total_mem_latency += latency
+                else:
+                    guarded, divert, collapse = fn
+                    outcome = sys_store(addr, regs[a], guarded, divert,
+                                        collapse, pc, now)
+                    latency = outcome.latency
+                    if outcome.served_by == "collapsed":
+                        lsq_collapsed += 1
                 if recording:
                     rec_addr(addr)
                     rec_pc(pc)
@@ -384,7 +430,8 @@ class ExecutionLane:
 
             # ---- retire: a free functional unit from int(now) on, then
             # the issue slot of the start cycle (``cycle`` ends as
-            # int(start)) ----
+            # int(start); its slot count is the one read at issue unless
+            # the cycle moved) ----
             fu_n[fu] += 1
             count = table_get(cycle, 0)
             if count < capacity:
@@ -397,20 +444,19 @@ class ExecutionLane:
                     count = table_get(cycle, 0)
                 start = float(cycle)
                 contended += start - now
+                taken_slots = slots_get(cycle, 0)
             if unpipelined:
                 for c in range(cycle, cycle + max(1, int(latency))):
                     table[c] = table_get(c, 0) + 1
             else:
                 table[cycle] = count + 1
-            slots[cycle] = slots_get(cycle, 0) + 1
+            slots[cycle] = taken_slots + 1
             completion = start + latency
             rdy[dst] = completion
             commit_completion = completion
             if kind < 2:
-                if kind == K_STORE:
-                    commit_completion = start + min(latency, 2.0)
-                    if outcome.served_by == "collapsed":
-                        lsq_collapsed += 1
+                if kind == K_STORE and latency > 2.0:
+                    commit_completion = start + 2.0
                 lsq_append(completion)
                 nmem += 1
                 fetch_time = fetch_time + inv_fetch
@@ -447,22 +493,32 @@ class ExecutionLane:
 
             if pc >= n:
                 break
-
+        if lm_loads or lm_stores:
+            # The integer counters of the inline LM accesses.
+            core.loads += lm_loads
+            core.stores += lm_stores
+            core.mem_ops += lm_loads + lm_stores
+            lm.reads += lm_loads
+            lm.writes += lm_stores
         self.fetch_time = fetch_time
         self._state = (i, fetch_time, last_commit, rob_stalls, lsq_stalls,
                        contended, mispredictions, lsq_collapsed, nmem,
                        phase_acc, fu_n)
 
     def finish(self) -> OutOfOrderTimingModel:
-        """Write the lane's final state back into its timing model (and the
-        recorder's instruction count) and return the timing model.  Call
-        once, after ``done``."""
+        """Settle the buffered instruction fetches into the L1I, write the
+        lane's final state back into its timing model (and the recorder's
+        instruction count) and return the timing model.  Call once, after
+        ``done``."""
         timing = self.timing
         if self._state is None:     # an empty program retires nothing
             return timing
         (committed, fetch_time, last_commit, rob_stalls, lsq_stalls,
          contended, mispredictions, lsq_collapsed, nmem, phase_acc,
          fu_n) = self._state
+        if timing.hierarchy is not None:
+            timing.hierarchy.fetch(self._fetches)
+        self._fetches = None
         timing.fetch_time = fetch_time
         timing.committed = committed
         timing.mispredictions = mispredictions
@@ -508,7 +564,7 @@ def _decode(program: Program, names: Dict[str, int],
     DMA tag, ``fa`` the I-cache address fetched before this pc (0 when it
     starts no fetch group), ``table`` the functional-unit reservation table
     of its class, ``shared`` whether the kind is in ``_SHARED_KINDS`` (a
-    yield point).
+    yield point; a load or store only outside the LM range).
     """
     def reg(name):
         idx = names.get(name)

@@ -17,16 +17,16 @@ dividers/square roots, which occupy their unit for the full latency.
 The reservation tables are list-indexed by the dense
 :data:`~repro.isa.instructions.FU_INDEX` (pre-computed per instruction)
 rather than dict-keyed by the :class:`FuClass` enum — enum hashing on every
-issued instruction was a measured hot path.
+issued instruction was a measured hot path.  The execution lane
+(:mod:`repro.cpu.executor`) reserves and prunes the tables inline; this class
+holds them and the contention counter.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List
 
-from repro.isa.instructions import FU_INDEX, UNPIPELINED_OPS, FuClass, Opcode
-
-__all__ = ["FunctionalUnitPool", "UNPIPELINED_OPS"]
+from repro.isa.instructions import FU_INDEX, FuClass
 
 
 class FunctionalUnitPool:
@@ -46,45 +46,4 @@ class FunctionalUnitPool:
         for cls, cap in capacity.items():
             self._capacity[FU_INDEX[cls]] = cap
         self._schedule: List[Dict[int, int]] = [dict() for _ in FU_INDEX]
-        self.contended_cycles = 0.0
-
-    def acquire(self, fu_class: FuClass, ready_time: float, opcode: Opcode,
-                latency: float) -> float:
-        """Return the time at which an instruction can start executing.
-
-        ``ready_time`` is when its operands are available; the returned start
-        time is the first cycle with a free unit of the class.  Unpipelined
-        operations reserve their unit for ``latency`` consecutive cycles.
-        """
-        return self.acquire_index(FU_INDEX[fu_class], ready_time,
-                                  opcode in UNPIPELINED_OPS, latency)
-
-    def acquire_index(self, fu_index: int, ready_time: float,
-                      unpipelined: bool, latency: float) -> float:
-        """Hot-path variant of :meth:`acquire` taking pre-computed values."""
-        capacity = self._capacity[fu_index]
-        table = self._schedule[fu_index]
-        cycle = int(ready_time)
-        while table.get(cycle, 0) >= capacity:
-            cycle += 1
-        start = float(cycle)
-        if ready_time > start:
-            start = ready_time
-        else:
-            self.contended_cycles += start - ready_time
-        occupancy = int(latency) if unpipelined else 1
-        for c in range(cycle, cycle + max(1, occupancy)):
-            table[c] = table.get(c, 0) + 1
-        return start
-
-    def prune(self, horizon: float) -> None:
-        """Drop reservations before ``horizon`` (no future op can use them)."""
-        h = int(horizon)
-        for i, table in enumerate(self._schedule):
-            if len(table) > 2048:
-                self._schedule[i] = {c: n for c, n in table.items() if c >= h}
-
-    def reset(self) -> None:
-        for table in self._schedule:
-            table.clear()
         self.contended_cycles = 0.0

@@ -6,7 +6,9 @@ second (plain SM) store of a compiler-generated double store reaches the LSQ
 while the first store to the same address is still queued, the two are
 collapsed into a single cache access.  The functional collapse is performed
 by :class:`repro.core.hybrid.HybridSystem`; the LSQ tracks how often stores
-are collapsed and how much pressure the extra stores add.
+are collapsed and how much pressure the extra stores add.  The execution
+lane (:mod:`repro.cpu.executor`) applies the occupancy rule inline; this
+class holds the queue's state and its results.
 """
 
 from __future__ import annotations
@@ -22,29 +24,6 @@ class LoadStoreQueue:
             raise ValueError("LSQ size must be positive")
         self.size = size
         self._completion_times: deque = deque(maxlen=size)
-        self.occupancy_stalls = 0.0
-        self.memory_ops = 0
-        self.collapsed_stores = 0
-
-    def dispatch_constraint(self, dispatch_time: float) -> float:
-        """Earliest time a new memory op may dispatch given LSQ occupancy."""
-        if len(self._completion_times) < self.size:
-            return dispatch_time
-        oldest = self._completion_times[0]
-        if oldest > dispatch_time:
-            self.occupancy_stalls += oldest - dispatch_time
-            return oldest
-        return dispatch_time
-
-    def insert(self, completion_time: float, collapsed: bool = False) -> None:
-        """Record a memory operation completing at ``completion_time``."""
-        self.memory_ops += 1
-        if collapsed:
-            self.collapsed_stores += 1
-        self._completion_times.append(completion_time)
-
-    def reset(self) -> None:
-        self._completion_times.clear()
         self.occupancy_stalls = 0.0
         self.memory_ops = 0
         self.collapsed_stores = 0

@@ -20,7 +20,9 @@ lane state machines: execution's
 lane is handed the key of the next-earliest lane, so it can batch
 instructions internally.  Both lane kinds yield only before an
 instruction that touches shared state (execution: any memory-system
-call; replay: an uncore event) once their key has reached that limit:
+call — an access to the core's own LM runs inside the lane, and the lane
+settles its private L1I at ``finish``; replay: an uncore event) once their
+key has reached that limit:
 private work commutes across cores, so every shared-state access still
 happens in global key order, exactly as when stepping one instruction at
 a time (``tests/test_multicore_timing.py`` checks it against such a

@@ -3,9 +3,11 @@
 The model follows each dynamic instruction through a simplified pipeline,
 in this order:
 
-* **dispatch** — one I-cache access per fetch group, then the front-end
-  time ``fetch_time`` delayed by a full reorder buffer (and, for memory
-  ops, a full load/store queue); a dispatch stall stalls the front end too;
+* **dispatch** — one I-cache access per fetch group (its latency is not
+  modelled and nothing else touches the L1I, so the accesses are settled
+  in order when the run finishes), then the front-end time ``fetch_time``
+  delayed by a full reorder buffer (and, for memory ops, a full load/store
+  queue); a dispatch stall stalls the front end too;
 * **issue estimate** — the dispatch time delayed by the sources' ready
   times, then moved to the first cycle with a free global issue slot
   (``issue_width`` per cycle); this is the clock (``now``) the memory
@@ -13,8 +15,9 @@ in this order:
 * **execute** — ALU latencies are fixed (see
   :data:`repro.isa.instructions.ALU_LATENCY`); memory latencies are
   whatever the hybrid memory system returned for the access (local memory,
-  L1/L2/L3 or main memory, plus presence-bit stalls); a ``dma-synch`` adds
-  its stall;
+  L1/L2/L3 or main memory, plus presence-bit stalls; a plain access to the
+  core's private LM is served at the LM latency without a call); a
+  ``dma-synch`` adds its stall;
 * **retire** — the instruction starts in the first cycle at or after
   ``now`` with a free functional unit of its class (unpipelined units stay
   busy for the whole latency) and takes that cycle's issue slot; stores
@@ -35,7 +38,8 @@ is why the double store costs up to 28% in the microbenchmark's tight loop).
 
 The model is stated here once and executed by
 :class:`~repro.cpu.executor.ExecutionLane`, which runs functional execution
-and this timing as one per-instruction loop and writes its final state back
+and this timing as one per-instruction loop over the state of the ROB, LSQ,
+functional-unit pool and branch predictor, and writes its final state back
 into an :class:`OutOfOrderTimingModel`, which results are read from.  The
 replay engines (:mod:`repro.trace.replay` and the C kernel of
 :mod:`repro.trace.vector`) re-time recorded streams with their own

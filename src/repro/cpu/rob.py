@@ -3,7 +3,8 @@
 The ROB bounds the number of in-flight instructions: a new instruction cannot
 be dispatched until the instruction ``rob_size`` positions earlier has
 committed.  Commit is in order and limited to ``commit_width`` instructions
-per cycle.
+per cycle.  The execution lane (:mod:`repro.cpu.executor`) applies both rules
+inline; this class holds the buffer's state and its results.
 """
 
 from __future__ import annotations
@@ -24,34 +25,6 @@ class ReorderBuffer:
         self._commit_bandwidth_time = 0.0
         self.dispatch_stalls = 0.0
 
-    def dispatch_constraint(self, dispatch_time: float) -> float:
-        """Earliest time a new instruction may dispatch given ROB occupancy."""
-        if len(self._commit_times) < self.size:
-            return dispatch_time
-        oldest = self._commit_times[0]
-        if oldest > dispatch_time:
-            self.dispatch_stalls += oldest - dispatch_time
-            return oldest
-        return dispatch_time
-
-    def commit(self, completion_time: float) -> float:
-        """Record the in-order commit of an instruction completing at ``completion_time``."""
-        # In-order commit: an instruction cannot commit before the previous one.
-        commit_time = max(completion_time, self._last_commit_time)
-        # Commit bandwidth: at most commit_width instructions per cycle.
-        self._commit_bandwidth_time = max(
-            self._commit_bandwidth_time + 1.0 / self.commit_width, commit_time)
-        commit_time = self._commit_bandwidth_time
-        self._last_commit_time = commit_time
-        self._commit_times.append(commit_time)
-        return commit_time
-
     @property
     def last_commit_time(self) -> float:
         return self._last_commit_time
-
-    def reset(self) -> None:
-        self._commit_times.clear()
-        self._last_commit_time = 0.0
-        self._commit_bandwidth_time = 0.0
-        self.dispatch_stalls = 0.0

@@ -2,11 +2,12 @@
 
 :class:`MemoryHierarchy` glues together the L1 data cache, L2, L3, the
 IP-based stream prefetcher, the MSHR file, the bus and main memory.  It
-provides three entry points:
+provides these entry points:
 
-* :meth:`access` — demand loads/stores issued by the core (the cache-served
-  path of the hybrid memory system, and every access of the cache-based
-  baseline);
+* :meth:`access` / :meth:`demand` — demand loads/stores issued by the core
+  (the cache-served path of the hybrid memory system, and every access of
+  the cache-based baseline);
+* :meth:`fetch` — the instruction fetches of a run, settled in one batch;
 * :meth:`snoop_read_lines` — the coherent bus requests of one dma-get
   burst, looking up the caches for the valid copy of each line before
   falling back to main memory (Section 2.1);
@@ -18,26 +19,23 @@ provides three entry points:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Tuple
 
 from repro.mem.bus import Bus
 from repro.mem.cache import Cache
 from repro.mem.main_memory import MainMemory
 from repro.mem.mshr import MSHRFile
-from repro.mem.prefetcher import StreamPrefetcher
+from repro.mem.prefetcher import StreamPrefetcher, _StreamEntry
 
 
 @dataclass(slots=True)
 class AccessResult:
-    """Outcome of a demand access (allocated once per access — slots keep it
-    cheap)."""
+    """Outcome of a demand access made through :meth:`MemoryHierarchy.access`
+    (the memory system's own path, :meth:`MemoryHierarchy.demand`, returns
+    the same two values as a tuple)."""
 
     latency: float
     level: str  # "L1", "L2", "L3" or "MEM"
-
-    @property
-    def hit_l1(self) -> bool:
-        return self.level == "L1"
 
 
 @dataclass
@@ -113,33 +111,73 @@ class MemoryHierarchy:
         self.demand_accesses = 0
         self.total_latency = 0.0
         self.icache_accesses = 0
-        # Flattened per-access constants (the demand path runs per retired
-        # memory instruction).
+        # Flattened per-access constants and the L1 set and prefetcher
+        # tables, which live as long as the hierarchy (the demand path runs
+        # per retired memory instruction).
         self._prefetch_enabled = c.prefetch_enabled
         self._l1_latency = float(c.l1_latency)
+        self._line_size = c.line_size
+        self._l1_sets = self.l1._sets
+        self._l1_num_sets = self.l1.num_sets
+        self._prefetch_table = self.prefetcher._table
 
     # -- demand path -----------------------------------------------------------
     def access(self, addr: int, is_write: bool, pc: int = 0,
                now: float = 0.0) -> AccessResult:
         """Demand access from the core.  Returns latency and serving level."""
-        self.demand_accesses += 1
+        return AccessResult(*self.demand(addr, is_write, pc, now))
 
-        hit_l1 = self.l1.access(addr, is_write)
-        if hit_l1:
-            result = AccessResult(latency=self._l1_latency, level="L1")
+    def demand(self, addr: int, is_write: bool, pc: int,
+               now: float) -> Tuple[float, str]:
+        """The demand path of :meth:`access`, returning ``(latency,
+        level)``.
+
+        The L1 lookup (:meth:`Cache.access` of a demand access; the L1 is
+        write-through, so a hit never dirties its line) and the
+        prefetcher's quiet cases (a new stream, or an access to the
+        stream's current line, where :meth:`StreamPrefetcher.train` only
+        updates its table) run inline; misses and strides take the full
+        calls.  This runs once per SM load or store.
+        """
+        self.demand_accesses += 1
+        line_size = self._line_size
+        line = addr - addr % line_size
+        stats = self.l1.stats
+        stats.accesses += 1
+        stats.demand_accesses += 1
+        s = self._l1_sets.get((line // line_size) % self._l1_num_sets)
+        if s is not None and line in s:
+            stats.hits += 1
+            s.move_to_end(line)
+            latency = self._l1_latency
+            level = "L1"
             if is_write:
                 # Write-through L1: propagate the write to L2 off the critical
                 # path (write buffer), updating L2 state if the line is there.
                 self._writethrough(addr)
         else:
-            result = self._miss_path(addr, is_write, now)
+            stats.misses += 1
+            latency, level = self._miss_path(addr, is_write, now)
         # Train the prefetcher on every demand access to the L1D, like an
         # IP-based stream prefetcher observing the load/store stream.
         if self._prefetch_enabled:
-            for pf_line in self.prefetcher.train(pc, addr):
-                self._prefetch_fill(pf_line)
-        self.total_latency += result.latency
-        return result
+            table = self._prefetch_table
+            entry = table.get(pc)
+            if entry is None:
+                prefetcher = self.prefetcher
+                prefetcher.trainings += 1
+                if len(table) >= prefetcher.table_size:
+                    table.popitem(last=False)
+                    prefetcher.collisions += 1
+                table[pc] = _StreamEntry(line)
+            elif entry.last_addr == line:
+                self.prefetcher.trainings += 1
+                table.move_to_end(pc)
+            else:
+                for pf_line in self.prefetcher.train(pc, addr):
+                    self._prefetch_fill(pf_line)
+        self.total_latency += latency
+        return latency, level
 
     def _writethrough(self, addr: int) -> None:
         """Propagate a write-through from L1 into L2 (no latency charged)."""
@@ -149,8 +187,10 @@ class MemoryHierarchy:
             # (counted as activity only).
             self.l3.access(addr, True, kind="writethrough")
 
-    def _miss_path(self, addr: int, is_write: bool, now: float) -> AccessResult:
-        """Handle an L1 demand miss: walk L2/L3/memory, fill upwards."""
+    def _miss_path(self, addr: int, is_write: bool,
+                   now: float) -> Tuple[float, str]:
+        """Handle an L1 demand miss: walk L2/L3/memory, fill upwards.
+        Returns ``(latency, level)``."""
         c = self.config
         line = self.l1.line_address(addr)
         hit_l2 = self.l2.access(addr, False)
@@ -188,7 +228,7 @@ class MemoryHierarchy:
         self._fill_level(self.l1, line, next_cache=self.l2)
         if is_write:
             self._writethrough(addr)
-        return AccessResult(latency=float(c.l1_latency) + effective, level=level)
+        return float(c.l1_latency) + effective, level
 
     def _fill_level(self, cache: Cache, line: int, next_cache: Optional[Cache],
                     is_prefetch: bool = False) -> None:
@@ -216,14 +256,16 @@ class MemoryHierarchy:
         self._fill_level(self.l1, line, self.l2, is_prefetch=True)
 
     # -- instruction fetch -----------------------------------------------------
-    def fetch_access(self, pc_addr: int) -> float:
-        """Instruction-cache access; counted for energy, almost always a hit."""
-        self.icache_accesses += 1
-        hit = self.l1i.access(pc_addr, False)
-        if not hit:
-            self.l1i.fill(pc_addr)
-            return float(self.config.l1i_latency + self.config.l2_latency)
-        return float(self.config.l1i_latency)
+    def fetch(self, addrs) -> None:
+        """Instruction-cache accesses of a whole fetch stream, in order (one
+        per fetch group; counted for energy, almost always hits).
+
+        The L1I is private to the core and touched by nothing else, and the
+        front end ignores its latency, so a run settles it once at the end:
+        one :meth:`Cache.access_batch` with ``fill_misses`` (the L1I is
+        write-through, so a fill never writes a victim back)."""
+        self.l1i.access_batch(addrs, False, fill_misses=True)
+        self.icache_accesses += len(addrs)
 
     def uncore_delay(self, now: float, lines: int = 1,
                      sm_addr: Optional[int] = None) -> float:

@@ -81,6 +81,7 @@ from repro.harness.systems import (
     core_config_for,
 )
 from repro.isa.instructions import Opcode
+from repro.mem.hierarchy import MemoryHierarchy
 from repro.trace import artifacts
 from repro.trace.capture import execute_key, micro_args
 from repro.trace.format import (
@@ -408,33 +409,27 @@ def _l1i_stats(trace: Trace, seq_pcs, config, mem_config):
     """Instruction-fetch activity of a replay, simulated stand-alone.
 
     The L1I is completely decoupled from the rest of the machine: only
-    ``fetch_access`` touches it, its return latency is ignored by the
-    front-end model, and no data-path or DMA event ever invalidates it —
-    multicore included, where each core fetches from its own private L1I.
-    Its activity is therefore a pure function of the retired pc stream,
+    instruction fetch touches it, its latency is ignored by the front-end
+    model, and no data-path or DMA event ever invalidates it — multicore
+    included, where each core fetches from its own private L1I.  Its
+    activity is therefore a pure function of the retired pc stream,
     ``fetch_width`` and the L1I geometry — so replay simulates it here, once,
-    through the real :class:`~repro.mem.cache.Cache` model, and memoizes the
+    through :meth:`~repro.mem.hierarchy.MemoryHierarchy.fetch` (what an
+    execution lane settles its fetches with at ``finish``), and memoizes the
     resulting counters across ablation points that keep these parameters.
 
     Returns ``(stats, icache_accesses)`` where ``stats`` is a
     :class:`~repro.mem.cache.CacheStats` to install on the hierarchy's L1I.
     """
     import dataclasses as _dc
-    from repro.mem.cache import Cache
 
     def simulate():
-        l1i = Cache("L1I", mem_config.l1i_size, mem_config.l1i_assoc,
-                    mem_config.line_size, mem_config.l1i_latency,
-                    write_back=False)
+        hierarchy = MemoryHierarchy(mem_config)
         fetch_width = config.fetch_width
-        # access_batch(..., fill_misses=True) is exactly access()+fill() per
-        # miss: the L1I is write-through, so fills never produce the
-        # dirty-victim writebacks that would make the two diverge.
         pcs = np.frombuffer(seq_pcs, np.uint32)
         fetched = pcs[pcs % fetch_width == 0].astype(np.int64)
-        addrs = (CODE_BASE + fetched * CODE_INSTR_SIZE).tolist()
-        l1i.access_batch(addrs, False, fill_misses=True)
-        return l1i.stats, len(addrs)
+        hierarchy.fetch((CODE_BASE + fetched * CODE_INSTR_SIZE).tolist())
+        return hierarchy.l1i.stats, hierarchy.icache_accesses
 
     key = (trace.program_fingerprint, trace.stream_digest(),
            config.fetch_width, mem_config.l1i_size, mem_config.l1i_assoc,

@@ -494,7 +494,7 @@ def _oracle_routes(decoded, cold, hot, mode: str, machine: MachineConfig,
                 if is_write:
                     writethrough(addr)
             else:
-                level = miss_path(addr, is_write, 0.0).level
+                level = miss_path(addr, is_write, 0.0)[1]
                 routes[d_pos[j]] = (_R_L2 if level == "L2" else
                                     _R_L3 if level == "L3" else _R_MEM)
                 lines_append(addr - addr % line_size)

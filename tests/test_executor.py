@@ -151,3 +151,76 @@ def test_unknown_register_reads_zero():
     b.halt()
     lane, _, _ = run_program(b)
     assert lane.registers["r1"] == 3
+
+
+def _lm_and_double_store_program(lm_base):
+    b = ProgramBuilder()
+    b.set_bufsize(1024)
+    b.li("lm", lm_base)
+    b.li("p", 0x10_0000)
+    b.li("v", 2.0)
+    for i in range(4):
+        b.st("v", "lm", offset=8 * i)
+        b.ld("x", "lm", offset=8 * i)
+    b.gst("v", "p")             # directory miss: writes the SM copy
+    b.st("v", "lm")             # an LM store between the two halves...
+    b.st("v", "p", collapse_with_prev=True)     # ...so no collapse here
+    b.gst("v", "p", offset=8)
+    b.st("v", "p", offset=8, collapse_with_prev=True)   # collapses
+    b.halt()
+    return b.finish()
+
+
+def test_inline_lm_accesses_equal_memory_system_calls(monkeypatch):
+    """A lane runs plain LM-range loads and stores itself; every counter,
+    the store-collapse latch and the timing must come out exactly as when
+    they go through ``HybridSystem.load``/``store``."""
+    def run():
+        system = make_system()
+        program = _lm_and_double_store_program(system.lm_virtual_base)
+        lane, timing = run_lane(program, system)
+        return (timing.cycles, timing.lsq.collapsed_stores,
+                dict(timing.phase_cycles), lane.registers,
+                system.stats_summary(), list(system.lm._words[:8]))
+
+    inline = run()
+    monkeypatch.setattr(HybridSystem, "private_lm", lambda self: None)
+    called = run()
+    assert inline == called
+    assert inline[1] == 1 and inline[4]["lm_writes"] == 5
+    assert inline[4]["mem_ops"] == 13
+
+
+@pytest.mark.parametrize("cores", [1, 2])
+def test_l1i_settled_at_finish_equals_scalar_fetch_walk(monkeypatch, cores):
+    """A lane buffers its fetch-group addresses and settles the L1I in one
+    batch at ``finish``; on an L1I that evicts, that must equal accessing
+    (and filling on a miss) once per fetch group, and replay, which derives
+    the fetches from the recorded stream instead, must agree too (MG
+    thrashes a 512-byte 2-way L1I)."""
+    import dataclasses
+
+    from repro.harness.config import PTLSIM_CONFIG
+    from repro.mem.hierarchy import MemoryHierarchy
+    from repro.trace import capture_workload, replay_trace
+
+    machine = dataclasses.replace(
+        PTLSIM_CONFIG, num_cores=cores,
+        memory=PTLSIM_CONFIG.memory.copy_with(l1i_size=512, l1i_assoc=2))
+    batched, trace = capture_workload("MG", "hybrid", "tiny",
+                                      machine=machine)
+    replayed = replay_trace(trace, machine)
+
+    def scalar_fetch(self, addrs):
+        for addr in addrs:
+            self.icache_accesses += 1
+            if not self.l1i.access(addr, False):
+                self.l1i.fill(addr)
+    monkeypatch.setattr(MemoryHierarchy, "fetch", scalar_fetch)
+    scalar, _ = capture_workload("MG", "hybrid", "tiny", machine=machine)
+
+    l1i = batched.sim.memory_stats["hierarchy"]["L1I"]
+    assert l1i["evictions"] > 0
+    assert l1i == scalar.sim.memory_stats["hierarchy"]["L1I"]
+    assert l1i == replayed.sim.memory_stats["hierarchy"]["L1I"]
+    assert batched.to_record().as_dict() == scalar.to_record().as_dict()

@@ -96,10 +96,10 @@ def test_functional_words_live_in_main_memory():
 
 def test_fetch_access_counts_icache():
     h = MemoryHierarchy(small_config())
-    h.fetch_access(0x400000)
-    h.fetch_access(0x400000)
+    h.fetch([0x400000, 0x400000])
     assert h.icache_accesses == 2
-    assert h.l1i.stats.accesses >= 2
+    assert h.l1i.stats.accesses == 3            # two lookups and one fill
+    assert (h.l1i.stats.hits, h.l1i.stats.misses) == (1, 1)
 
 
 def test_stats_summary_keys():

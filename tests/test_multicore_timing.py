@@ -278,6 +278,30 @@ def test_ownership_check_sees_every_configured_size():
     assert m.owner_of(0x8c00) is None
 
 
+def test_dma_put_into_another_cores_chunk_is_a_violation(machine2):
+    machine2.dma_get(0, machine2.core(0).lm_virtual_base, 0x8000, 1024)
+    with pytest.raises(OwnershipViolation):
+        machine2.dma_put(1, machine2.core(1).lm_virtual_base, 0x8000, 1024)
+    assert machine2.owner_of(0x8000) == 0
+
+
+def test_dma_get_checks_every_chunk_it_covers():
+    """A transfer whose first byte is free but whose tail lies in another
+    core's chunk is a violation too (core 1 moves 2 KB chunks, core 0 holds
+    the upper 1 KB of them)."""
+    m = MulticoreHybridSystem(num_cores=2, memory_config=SMALL_MEM,
+                              lm_size=8 * 1024)
+    m.set_buffer_size(0, 1024)
+    m.set_buffer_size(1, 2048)
+    m.dma_get(0, m.core(0).lm_virtual_base, 0x8400, 1024)
+    with pytest.raises(OwnershipViolation):
+        m.dma_get(1, m.core(1).lm_virtual_base, 0x8000, 2048)
+    with pytest.raises(OwnershipViolation):
+        m.dma_put(1, m.core(1).lm_virtual_base, 0x8000, 2048)
+    m.dma_get(1, m.core(1).lm_virtual_base, 0x9000, 2048)   # clear of it
+    assert m.owner_of(0x8400) == 0 and m.owner_of(0x9000) == 1
+
+
 def test_core_view_routes_through_ownership(machine2):
     view0, view1 = machine2.view(0), machine2.view(1)
     view0.dma_get(view0.lm_virtual_base, 0x8000, 1024)
@@ -414,12 +438,16 @@ def _step_one_at_a_time(lanes, grants):
 
 def _use_step_reference(monkeypatch):
     """Make multicore execution step one instruction per grant: every
-    instruction kind becomes a yield point and the scheduler is the
-    reference.  Returns the list the grants are logged to."""
+    instruction kind becomes a yield point, LM-range accesses go through
+    the memory system (and so are yield points) instead of running inside
+    the lane, and the scheduler is the reference.  Returns the list the
+    grants are logged to."""
+    from repro.core.hybrid import HybridSystem
     from repro.cpu import executor, multicore
     grants = []
     monkeypatch.setattr(executor, "_SHARED_KINDS",
                         frozenset(range(executor._K_DSYNC + 1)))
+    monkeypatch.setattr(HybridSystem, "private_lm", lambda self: None)
     monkeypatch.setattr(multicore, "run_resumable_lanes",
                         lambda lanes: _step_one_at_a_time(lanes, grants))
     return grants
@@ -436,12 +464,14 @@ def test_batching_scheduler_matches_step_at_a_time(monkeypatch, workload,
     reference: same records (per-core results and uncore stats included)
     and the same captured traces.
 
-    A lane yields only before the instructions its shared-kind set names,
-    so the reference marks every kind shared: each grant then runs exactly
-    one instruction, after one empty opening grant per lane (a lane stops
-    before its first instruction when handed a limit below its key).  A
-    lane that misclassified a memory-system kind as private would not
-    share the bug with this reference."""
+    A lane yields only before the instructions its shared-kind set names
+    (and never before an access to its private LM), so the reference marks
+    every kind shared and routes LM accesses through the memory system:
+    each grant then runs exactly one instruction, after one empty opening
+    grant per lane (a lane stops before its first instruction when handed
+    a limit below its key).  A lane that misclassified a memory-system
+    kind or an SM address as private would not share the bug with this
+    reference."""
     from repro.trace import capture_workload
     machine = dataclasses.replace(PTLSIM_CONFIG, num_cores=cores,
                                   num_clusters=clusters)
@@ -503,9 +533,92 @@ def test_batching_scheduler_orders_contended_sm_stores(monkeypatch):
     assert stepped == batched
 
 
+def _lm_and_sm_streams(m):
+    """Core 0 fills its LM by DMA, then runs three long loops of LM loads
+    and stores, each followed by a few SM store misses, and writes the LM
+    back; core 1 mixes SM store misses with its own dma-get/dma-put
+    bursts."""
+    from repro.isa.builder import ProgramBuilder
+    b = ProgramBuilder()
+    b.set_bufsize(1024)
+    b.li("lm", m.core(0).lm_virtual_base)
+    b.li("sm", 0x10_0000)
+    b.li("size", 1024)
+    b.dma_get("lm", "sm", "size")
+    b.dma_sync()
+    for sweep in range(3):
+        b.li("i", 0)
+        b.li("end", 1024)
+        top = b.label(b.new_label("top"))
+        b.add("q", "lm", "i")
+        b.ld("x", "q")
+        b.fadd("x", "x", imm=1.0)
+        b.st("x", "q")
+        b.add("i", "i", imm=8)
+        b.blt("i", "end", top)
+        b.li("p", 0x40_0000 + sweep * 4096)
+        for line in range(8):
+            b.st("x", "p", offset=64 * line)
+    b.dma_put("lm", "sm", "size")
+    b.dma_sync()
+    b.halt()
+    lm_program = b.finish()
+
+    b = ProgramBuilder()
+    b.set_bufsize(1024)
+    b.li("lm", m.core(1).lm_virtual_base)
+    b.li("size", 1024)
+    b.li("v", 2.0)
+    for burst in range(4):
+        b.li("sm", 0x20_0000 + burst * 1024)
+        b.dma_get("lm", "sm", "size")
+        b.li("p", 0x30_0000 + burst * 4096)
+        for line in range(24):
+            b.st("v", "p", offset=64 * line)
+        b.dma_put("lm", "sm", "size")
+        b.dma_sync()
+    b.halt()
+    return [lm_program, b.finish()]
+
+
+def test_private_lm_traffic_runs_past_sm_stores_and_dma(monkeypatch):
+    """Core 0's LM loop never yields, so it runs far ahead of core 1's SM
+    store misses and DMA bursts on a one-line-per-window uncore; results,
+    LM and SM contents must equal the one-instruction-per-grant
+    reference, which takes every LM access through the memory system."""
+    from repro.cpu import multicore
+    from repro.cpu.config import CoreConfig
+
+    def run():
+        m = MulticoreHybridSystem(num_cores=2, memory_config=SMALL_MEM,
+                                  lm_size=8 * 1024,
+                                  uncore=Uncore(window_lines=1))
+        for word in range(128):
+            m.core(0).write_sm_word(0x10_0000 + 8 * word, float(word))
+        results = multicore.run_programs(_lm_and_sm_streams(m),
+                                         [m.view(0), m.view(1)],
+                                         CoreConfig())
+        return ([(r.cycles, r.instructions, r.phase_cycles, r.core_stats,
+                  r.memory_stats) for r in results],
+                m.uncore.stats_summary(),
+                [m.core(0).read_sm_word(0x10_0000 + 8 * word)
+                 for word in range(128)],
+                [list(core.lm._words) for core in m.cores])
+
+    batched = run()
+    assert batched[0][0][4]["lm_reads"] == 3 * 128
+    assert batched[1]["contended_requests"] > 0
+    assert batched[2] == [word + 3.0 for word in range(128)]
+    grants = _use_step_reference(monkeypatch)
+    stepped = run()
+    assert len(grants) == sum(core[1] for core in stepped[0]) + 2
+    assert stepped == batched
+
+
 def _count_memory_system_calls(monkeypatch):
-    """Count every call into a core's memory system (one per load, store,
-    dma-get, dma-put, dma-sync and set-bufsize instruction)."""
+    """Count every call into a core's memory system: one per SM load or
+    store (an LM-range access runs inside the lane and calls nothing) and
+    per dma-get, dma-put, dma-sync and set-bufsize instruction."""
     from repro.core.hybrid import HybridSystem
     calls = []
     for name in ("load", "store", "dma_get", "dma_put", "dma_sync",
@@ -545,11 +658,12 @@ class _GrantProbe:
 
 
 def test_execution_lanes_yield_only_before_memory_system_calls(monkeypatch):
-    """Execution lanes run through private work and hand over only right
-    before a memory-system instruction: every grant after a lane's first
-    opens with a memory-system call, so a 2-core capture makes at most one
-    grant per such instruction plus each lane's first, and a 1-core run
-    makes one grant.  A lane that yielded after private instructions
+    """Execution lanes run through private work (LM-range accesses
+    included) and hand over only right before an SM access or a DMA or
+    directory command: every grant after a lane's first opens with a
+    memory-system call, so a 2-core capture makes at most one grant per
+    such call plus each lane's first, and a 1-core run makes one grant.  A
+    lane that yielded after private instructions, or before an LM access,
     would make grants without a memory-system call."""
     from repro import obs
     from repro.cpu import multicore
