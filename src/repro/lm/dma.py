@@ -31,7 +31,7 @@ from repro.mem.hierarchy import MemoryHierarchy
 
 @dataclass
 class DMATransfer:
-    """Record of one issued DMA transfer."""
+    """One issued DMA transfer, tracked until a dma-synch retires it."""
 
     kind: str              # "get" or "put"
     lm_offset: int         # LM physical offset of the buffer
@@ -74,7 +74,6 @@ class DMAController:
         self.setup_latency = setup_latency
         self.per_line_latency = per_line_latency
         self.copy_data = True
-        self.transfers: List[DMATransfer] = []
         self._outstanding: Dict[int, List[DMATransfer]] = {}
         self.gets = 0
         self.puts = 0
@@ -83,18 +82,32 @@ class DMAController:
         self.lines_transferred = 0
 
     # -- helpers -----------------------------------------------------------------
-    def _lines_of(self, sm_addr: int, size: int) -> List[int]:
+    def _lines_of(self, sm_addr: int, size: int) -> range:
         line_size = self.hierarchy.config.line_size
         first = sm_addr - (sm_addr % line_size)
         last = (sm_addr + size - 1) - ((sm_addr + size - 1) % line_size)
-        return list(range(first, last + 1, line_size))
+        return range(first, last + 1, line_size)
 
-    def _transfer_latency(self, num_lines: int) -> float:
-        return float(self.setup_latency + num_lines * self.per_line_latency)
-
-    def _record(self, transfer: DMATransfer) -> DMATransfer:
-        self.transfers.append(transfer)
-        self._outstanding.setdefault(transfer.tag, []).append(transfer)
+    def _launch(self, kind: str, lm_offset: int, sm_addr: int, size: int,
+               tag: int, now: float, lines: int) -> DMATransfer:
+        """Count a transfer of ``lines`` lines and track it until a
+        dma-synch retires it."""
+        self.words_transferred += size // WORD_SIZE
+        self.lines_transferred += lines
+        # Shared-uncore arbitration (multicore): a burst queues behind other
+        # cores' traffic before its pipelined transfer begins.  0.0 when the
+        # hierarchy has no uncore (every single-core system).  The SM
+        # address routes the burst to its home cluster on a clustered
+        # uncore (NUMA local vs. remote).
+        queue = self.hierarchy.uncore_delay(now, lines, sm_addr)
+        transfer = DMATransfer(kind, lm_offset, sm_addr, size, tag, now,
+                               now + queue + float(self.setup_latency + lines
+                                                   * self.per_line_latency))
+        outstanding = self._outstanding.get(tag)
+        if outstanding is None:
+            self._outstanding[tag] = [transfer]
+        else:
+            outstanding.append(transfer)
         return transfer
 
     # -- operations ---------------------------------------------------------------
@@ -116,17 +129,8 @@ class DMAController:
             values = self.hierarchy.memory.read_block(sm_addr, size)
             self.lm.write_block(lm_offset, values)
         self.gets += 1
-        self.words_transferred += size // WORD_SIZE
-        self.lines_transferred += len(lines)
-        # Shared-uncore arbitration (multicore): a burst queues behind other
-        # cores' traffic before its pipelined transfer begins.  0.0 when the
-        # hierarchy has no uncore (every single-core system).  The SM
-        # address routes the burst to its home cluster on a clustered
-        # uncore (NUMA local vs. remote).
-        queue = self.hierarchy.uncore_delay(now, len(lines), sm_addr)
-        completion = now + queue + self._transfer_latency(len(lines))
-        return self._record(DMATransfer("get", lm_offset, sm_addr, size, tag,
-                                        now, completion))
+        return self._launch("get", lm_offset, sm_addr, size, tag, now,
+                           len(lines))
 
     def dma_put(self, lm_vaddr: int, sm_addr: int, size: int, tag: int,
                 now: float) -> DMATransfer:
@@ -145,12 +149,8 @@ class DMAController:
         lines = self._lines_of(sm_addr, size)
         self.hierarchy.snoop_invalidate_lines(lines)
         self.puts += 1
-        self.words_transferred += size // WORD_SIZE
-        self.lines_transferred += len(lines)
-        queue = self.hierarchy.uncore_delay(now, len(lines), sm_addr)
-        completion = now + queue + self._transfer_latency(len(lines))
-        return self._record(DMATransfer("put", lm_offset, sm_addr, size, tag,
-                                        now, completion))
+        return self._launch("put", lm_offset, sm_addr, size, tag, now,
+                           len(lines))
 
     def dma_sync(self, tag: Optional[int], now: float) -> float:
         """Wait for transfers with ``tag`` (or all transfers when ``None``).

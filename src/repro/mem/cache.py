@@ -268,6 +268,37 @@ class Cache:
         dirty = s.pop(line)
         return (True, dirty)
 
+    def snoop_batch(self, lines, invalidate: bool) -> list:
+        """The coherent DMA snoops of one burst of line addresses, in order:
+        one ``access(line, False, kind="dma")`` each (a dma-get lookup), or
+        with ``invalidate`` one :meth:`invalidate` each (a dma-put).  Same
+        contents, LRU order and statistics; returns the lines the cache
+        does not hold (all of them after an invalidation).
+
+        A burst's lines are mostly absent, so one comprehension finds the
+        held ones and only those are touched."""
+        line_size = self.line_size
+        num_sets = self.num_sets
+        get = self._sets.get
+        empty = ()
+        held = [line for line in lines
+                if line in (get(line // line_size % num_sets) or empty)]
+        stats = self.stats
+        count = len(lines)
+        stats.accesses += count
+        if invalidate:
+            stats.invalidations += count
+            for line in held:
+                del get(line // line_size % num_sets)[line]
+            return lines
+        stats.dma_lookups += count
+        if not held:
+            return lines
+        for line in held:
+            get(line // line_size % num_sets).move_to_end(line)
+        held = set(held)
+        return [line for line in lines if line not in held]
+
     def probe(self, addr: int) -> bool:
         """Check presence without disturbing LRU or statistics."""
         line = self.line_address(addr)

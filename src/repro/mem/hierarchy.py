@@ -134,10 +134,11 @@ class MemoryHierarchy:
 
         The L1 lookup (:meth:`Cache.access` of a demand access; the L1 is
         write-through, so a hit never dirties its line) and the
-        prefetcher's quiet cases (a new stream, or an access to the
-        stream's current line, where :meth:`StreamPrefetcher.train` only
-        updates its table) run inline; misses and strides take the full
-        calls.  This runs once per SM load or store.
+        prefetcher's training (:meth:`StreamPrefetcher.train`: a new
+        stream, an access to the stream's current line, a new stride) run
+        inline; misses and repeated strides, which prefetch, take the full
+        calls.  This runs once per SM load or store, on execution and in
+        the vector oracle pass alike.
         """
         self.demand_accesses += 1
         line_size = self._line_size
@@ -167,15 +168,27 @@ class MemoryHierarchy:
                 prefetcher = self.prefetcher
                 prefetcher.trainings += 1
                 if len(table) >= prefetcher.table_size:
-                    table.popitem(last=False)
+                    # The evicted stream's entry becomes the new one's.
+                    _, entry = table.popitem(last=False)
                     prefetcher.collisions += 1
-                table[pc] = _StreamEntry(line)
-            elif entry.last_addr == line:
-                self.prefetcher.trainings += 1
-                table.move_to_end(pc)
+                    entry.last_addr = line
+                    entry.stride = entry.confidence = 0
+                    table[pc] = entry
+                else:
+                    table[pc] = _StreamEntry(line)
             else:
-                for pf_line in self.prefetcher.train(pc, addr):
-                    self._prefetch_fill(pf_line)
+                prefetcher = self.prefetcher
+                prefetcher.trainings += 1
+                table.move_to_end(pc)
+                stride = line - entry.last_addr
+                if stride == entry.stride:
+                    if stride:
+                        for pf_line in prefetcher.repeat(entry, line):
+                            self._prefetch_fill(pf_line)
+                elif stride:
+                    entry.stride = stride
+                    entry.confidence = 0
+                    entry.last_addr = line
         self.total_latency += latency
         return latency, level
 
@@ -287,12 +300,12 @@ class MemoryHierarchy:
         """dma-get bus requests: find the valid copy of each line in the SM.
 
         One bus transfer carries the whole burst.  The caches are looked up
-        top-down, one level at a time: every line probes the L1, the L1
-        misses probe the L2, the L2 misses the L3, and what no cache holds
-        is read from main memory.  Each cache sees its lines in burst order,
-        so its state and statistics are exactly those of looking the lines
-        up one after the other.  Returns the summed latency of sourcing the
-        lines.
+        top-down, one level at a time (:meth:`Cache.snoop_batch`): every
+        line probes the L1, the L1 misses probe the L2, the L2 misses the
+        L3, and what no cache holds is read from main memory.  Each cache
+        sees its lines in burst order, so its state and statistics are
+        exactly those of looking the lines up one after the other.  Returns
+        the summed latency of sourcing the lines.
         """
         c = self.config
         lat = float(self.bus.transfer(len(lines), c.line_size, dma=True))
@@ -302,21 +315,21 @@ class MemoryHierarchy:
                                (self.l3, c.l3_latency)):
             if not missed:
                 break
-            hits = cache.access_batch(missed, False, kind="dma")
-            lat += sum(hits) * latency
-            missed = [line for line, hit in zip(missed, hits) if not hit]
+            held = len(missed)
+            missed = cache.snoop_batch(missed, False)
+            lat += (held - len(missed)) * latency
         return lat + len(missed) * c.memory_latency
 
     def snoop_invalidate_lines(self, lines) -> float:
         """dma-put bus requests: write each line to main memory and
-        invalidate it in the whole hierarchy (one bus transfer per burst).
-        Returns the summed latency of the write-backs."""
+        invalidate it in the whole hierarchy (one bus transfer per burst,
+        one :meth:`Cache.snoop_batch` per level — a line's invalidations at
+        different levels commute).  Returns the summed latency of the
+        write-backs."""
         c = self.config
         lat = self.bus.transfer(len(lines), c.line_size, dma=True)
         for cache in (self.l1, self.l2, self.l3):
-            invalidate = cache.invalidate
-            for line in lines:
-                invalidate(line)
+            cache.snoop_batch(lines, True)
         self.memory.writes += len(lines)
         return float(lat + len(lines) * c.memory_latency)
 

@@ -66,8 +66,10 @@ class StreamPrefetcher:
         alive without perturbing the detected stride, and once two identical
         line-to-line strides are seen the stream prefetches ``degree`` lines
         starting ``distance`` strides ahead of the demand access.  The
-        no-prefetch paths return an empty tuple (not a fresh list): this runs
-        once per demand access and the allocation was measurable.
+        no-prefetch paths return an empty tuple (not a fresh list).
+        :meth:`MemoryHierarchy.demand
+        <repro.mem.hierarchy.MemoryHierarchy.demand>` runs the same
+        detector inline, calling :meth:`repeat` for a repeated stride.
         """
         self.trainings += 1
         line_addr = addr - (addr % self.line_size)
@@ -75,22 +77,33 @@ class StreamPrefetcher:
         entry = table.get(pc)
         if entry is None:
             if len(table) >= self.table_size:
-                table.popitem(last=False)
+                # A full table evicts its LRU stream; the entry object is
+                # reused for the new one (no allocation per collision).
+                _, entry = table.popitem(last=False)
                 self.collisions += 1
-            table[pc] = _StreamEntry(line_addr)
+                entry.last_addr = line_addr
+                entry.stride = entry.confidence = 0
+                table[pc] = entry
+            else:
+                table[pc] = _StreamEntry(line_addr)
             return ()
         table.move_to_end(pc)
         stride = line_addr - entry.last_addr
         if stride == 0:
             return ()
-        if stride == entry.stride:
-            entry.confidence = min(entry.confidence + 1, 3)
-        else:
+        if stride != entry.stride:
             entry.stride = stride
             entry.confidence = 0
-        entry.last_addr = line_addr
-        if entry.confidence < 1:
+            entry.last_addr = line_addr
             return ()
+        return self.repeat(entry, line_addr)
+
+    def repeat(self, entry: _StreamEntry, line_addr: int):
+        """A stream's access to ``line_addr`` repeated its stride: raise its
+        confidence and return the lines to prefetch (the confident case of
+        :meth:`train`, which ``MemoryHierarchy.demand`` also calls)."""
+        entry.confidence = min(entry.confidence + 1, 3)
+        entry.last_addr = line_addr
         prefetches = []
         base = line_addr + entry.stride * self.distance
         for i in range(1, self.degree + 1):
@@ -100,61 +113,6 @@ class StreamPrefetcher:
                 prefetches.append(line)
         self.issued += len(prefetches)
         return prefetches
-
-    def train_batch(self, pcs, addrs):
-        """Observe a whole slice of demand accesses; one result per access.
-
-        Exactly equivalent to ``[self.train(pc, a) for pc, a in zip(pcs,
-        addrs)]`` — same table/stride/confidence state, same counters, same
-        per-access prefetch lists — with the table and geometry bound to
-        locals so batch replay pays them once per slice.
-        """
-        line_size = self.line_size
-        table = self._table
-        table_size = self.table_size
-        degree = self.degree
-        distance = self.distance
-        issued = 0
-        collisions = 0
-        out = []
-        append = out.append
-        for pc, addr in zip(pcs, addrs):
-            line_addr = addr - (addr % line_size)
-            entry = table.get(pc)
-            if entry is None:
-                if len(table) >= table_size:
-                    table.popitem(last=False)
-                    collisions += 1
-                table[pc] = _StreamEntry(line_addr)
-                append(())
-                continue
-            table.move_to_end(pc)
-            stride = line_addr - entry.last_addr
-            if stride == 0:
-                append(())
-                continue
-            if stride == entry.stride:
-                entry.confidence = min(entry.confidence + 1, 3)
-            else:
-                entry.stride = stride
-                entry.confidence = 0
-            entry.last_addr = line_addr
-            if entry.confidence < 1:
-                append(())
-                continue
-            prefetches = []
-            base = line_addr + entry.stride * distance
-            for i in range(1, degree + 1):
-                target = base + entry.stride * i
-                line = target - (target % line_size)
-                if line not in prefetches:
-                    prefetches.append(line)
-            issued += len(prefetches)
-            append(prefetches)
-        self.trainings += len(out)
-        self.issued += issued
-        self.collisions += collisions
-        return out
 
     def reset(self) -> None:
         self._table.clear()

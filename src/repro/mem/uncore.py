@@ -37,6 +37,7 @@ path and stays bit-identical.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right, insort
 from typing import Dict, List, Optional
 
 from repro.mem.bus import Bus
@@ -75,22 +76,23 @@ class Uncore:
         self.bus = bus if bus is not None else Bus(bus_latency_per_line)
         self.window_cycles = window_cycles
         self.window_lines = window_lines
-        #: Window index -> line slots consumed in that window.
-        self._windows: Dict[int, int] = {}
         #: First window that may still have free slots.  Windows below it
         #: are full — a full window can never regain capacity, so skipping
-        #: (and dropping) them is always correct no matter how requests'
-        #: ``now`` values interleave.  This bounds the dict to the span
-        #: between the frontier and the furthest claimed window and keeps
-        #: each acquire's scan near the bandwidth frontier.
+        #: (and forgetting) them is always correct no matter how requests'
+        #: ``now`` values interleave.
         self._frontier = 0
-        #: Upper bound on the highest window index holding any claimed
-        #: slots.  Every window above ``max(_max_window, _frontier - 1)``
-        #: is untouched, which is what lets :meth:`acquire` claim a
-        #: multi-line burst at the bandwidth frontier in O(1) — advance the
-        #: frontier over the windows the burst fills instead of writing
-        #: (and then deleting) one dict entry per window.
-        self._max_window = -1
+        #: Window index -> line slots consumed, for each partially claimed
+        #: window above the frontier; ``_partial`` holds the same indices
+        #: sorted.
+        self._windows: Dict[int, int] = {}
+        self._partial: List[int] = []
+        #: The full windows above the frontier, as maximal runs
+        #: ``[_run_lo[i], _run_hi[i])``: sorted, disjoint, never adjacent to
+        #: each other or to the frontier.  Every other window above the
+        #: frontier is untouched, so a claim crosses a run, or a span of
+        #: untouched windows, in one step.
+        self._run_lo: List[int] = []
+        self._run_hi: List[int] = []
         # Arbitration counters.
         self.requests = 0
         self.lines_requested = 0
@@ -117,70 +119,64 @@ class Uncore:
         """Claim ``lines`` transfer slots at or after ``now``; returns the
         queueing delay (cycles) until the request's first slot is available.
 
-        The common cases are O(1) in the burst length: a request landing at
-        the bandwidth frontier (the contended steady state — every queued
-        DMA burst and miss behind other traffic) advances the frontier
-        arithmetically over the windows it fills, and a request landing
-        beyond every claimed window (the uncontended case) bulk-claims an
-        untouched range.  Only requests that interleave into partially
-        claimed windows walk them one by one.
+        The claim takes free slots in window order, as a slot-by-slot walk
+        would, but in O(log n) steps per run of full windows, span of
+        untouched windows or partial window it meets (n: the runs and
+        partial windows held): a multi-line DMA burst costs a few steps
+        whatever its length, and one that starts at the bandwidth frontier
+        (the contended steady state) only advances the frontier.
         """
         if lines <= 0:
             return 0.0
-        windows = self._windows
         capacity = self.window_lines
-        frontier = self._frontier
+        windows = self._windows
+        partial = self._partial
+        run_lo = self._run_lo
         w = int(now) // self.window_cycles
-        if w < frontier:
-            w = frontier
-        if w > self._max_window:
-            # Every window at or after w is untouched: claim arithmetically.
-            start_window = w
-            full, rem = divmod(lines, capacity)
-            if w == frontier:
-                # The windows the burst fills sit exactly at the frontier;
-                # advancing it over them *is* the claim (a window below the
-                # frontier is full by definition), so nothing is stored but
-                # the trailing partial window.
-                frontier += full
-                self._frontier = frontier
-                if rem:
-                    windows[frontier] = rem
-                    self._max_window = frontier
-                else:
-                    self._max_window = frontier - 1
+        if w < self._frontier:
+            w = self._frontier
+        start_window = -1
+        remaining = lines
+        run_hi = self._run_hi
+        while True:
+            if run_hi and w < run_hi[-1]:
+                i = bisect_right(run_lo, w) - 1
+                if i >= 0 and w < run_hi[i]:
+                    w = run_hi[i]               # a full run: skip it
+            else:                               # past every run
+                i = len(run_lo) - 1
+            if start_window < 0:
+                start_window = w
+            used = windows.get(w)
+            if used is not None:                # a partial window: top it up
+                if used + remaining < capacity:
+                    windows[w] = used + remaining
+                    break
+                remaining -= capacity - used
+                del windows[w]
+                del partial[bisect_left(partial, w)]
+                self._fill(w, w + 1)
+                w += 1
+            elif remaining < capacity:          # an untouched window takes
+                windows[w] = remaining          # the rest
+                insort(partial, w)
+                break
             else:
-                # A gap of free windows stays behind this claim (the
-                # request's ``now`` outran the frontier), so its full
-                # windows must be recorded individually.
-                for ci in range(w, w + full):
-                    windows[ci] = capacity
-                if rem:
-                    windows[w + full] = rem
-                    self._max_window = w + full
-                else:
-                    self._max_window = w + full - 1
-        else:
-            # Interleaved case: walk windows, topping up partial ones.
-            while windows.get(w, 0) >= capacity:
-                w += 1
-            start_window = w
-            remaining = lines
-            while remaining > 0:
-                used = windows.get(w, 0)
-                free = capacity - used
-                if free > 0:
-                    take = free if free < remaining else remaining
-                    windows[w] = used + take
-                    remaining -= take
-                w += 1
-            if w - 1 > self._max_window:
-                self._max_window = w - 1
-            # Advance the frontier over (and drop) windows that just filled.
-            while windows.get(frontier, 0) >= capacity:
-                del windows[frontier]
-                frontier += 1
-            self._frontier = frontier
+                # Fill untouched windows up to the next partial window or
+                # run.
+                end = w + remaining // capacity
+                j = bisect_right(partial, w)
+                if j < len(partial) and partial[j] < end:
+                    end = partial[j]
+                if i + 1 < len(run_lo) and run_lo[i + 1] < end:
+                    end = run_lo[i + 1]
+                self._fill(w, end)
+                remaining -= (end - w) * capacity
+                w = end
+            if not remaining:
+                break
+            if w < self._frontier:
+                w = self._frontier
         start = start_window * self.window_cycles
         delay = start - now if start > now else 0.0
         self.requests += 1
@@ -193,6 +189,29 @@ class Uncore:
                                     self.window_cycles, self.window_lines,
                                     bus=self.bus_id)
         return delay
+
+    def _fill(self, lo: int, hi: int) -> None:
+        """Record windows ``[lo, hi)`` (none of them full before) as full:
+        merge them with the runs they touch, or advance the frontier over
+        them when they start at it."""
+        run_lo, run_hi = self._run_lo, self._run_hi
+        if lo == self._frontier:
+            # Only the first run can start where these windows end.
+            if run_lo and run_lo[0] == hi:
+                hi = run_hi[0]
+                del run_lo[0], run_hi[0]
+            self._frontier = hi
+            return
+        i = bisect_left(run_lo, lo)
+        if i and run_hi[i - 1] == lo:
+            i -= 1
+            lo = run_lo[i]
+            del run_lo[i], run_hi[i]
+        if i < len(run_lo) and run_lo[i] == hi:
+            hi = run_hi[i]
+            del run_lo[i], run_hi[i]
+        run_lo.insert(i, lo)
+        run_hi.insert(i, hi)
 
     def stats_summary(self) -> dict:
         return {

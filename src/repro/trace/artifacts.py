@@ -61,7 +61,7 @@ __all__ = [
 #: Subdirectory of the trace store root holding derived artifacts.
 ARTIFACT_SUBDIR = "artifacts"
 ARTIFACT_MAGIC = b"RPDA"
-ARTIFACT_SCHEMA = 2
+ARTIFACT_SCHEMA = 3
 #: Deliberately not ``.trace``: artifact files must never match the trace
 #: store's ``*/*.trace`` globs (they are not parseable traces).
 ARTIFACT_SUFFIX = ".art"

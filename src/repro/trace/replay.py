@@ -180,14 +180,102 @@ def _program_meta(program):
 
 class _Decoded(NamedTuple):
     """The decode pass's product: the trace's event streams, the FU visit
-    histogram and the retired pc sequence (``seq_pcs``, one ``uint32`` per
-    retired instruction)."""
+    histogram, the retired pc sequence (``seq_pcs``, one ``uint32`` per
+    retired instruction) and the classification of its memory operations
+    (:class:`_Classes`; None for a stream decoded without an LM range)."""
 
     branches: list
-    mem_addrs: list
+    mem_addrs: array
     dma_words: list
     fu_counts: dict
     seq_pcs: array
+    classes: Optional["_Classes"] = None
+
+
+# Class bits of an SM memory operation (see :class:`_Classes`).
+_C_STORE, _C_GUARDED, _C_DIVERT, _C_COLLAPSE = 1, 2, 4, 8
+
+
+class _Classes(NamedTuple):
+    """What the vector oracle needs of a stream's memory operations beyond
+    the cache geometry: which ops fall in the LM range (counted, never
+    visited), and per SM op its position, address, pc, class bits
+    (``_C_*``: store, guarded, oracle-divert, collapse candidate) and the
+    SM-op index of the store before it when that store was an SM store
+    (-1 when there is none or it was an LM-range store, which clears the
+    store-collapse latch).  ``cuts[e]`` is the SM-op index at which DMA,
+    dma-sync or set-bufsize event ``e`` (retired pc ``ev_pcs[e]``) falls.
+    It depends on the stream and the LM range only, so every cache
+    geometry of one trace and mode shares it."""
+
+    lm_range: tuple
+    n_mem: int
+    lm_loads: int
+    lm_stores: int
+    final_lm_store: Optional[int]   # the stream's last store, if LM-range
+    sm_pos: np.ndarray
+    sm_addr: np.ndarray
+    sm_pc: np.ndarray
+    sm_cls: np.ndarray
+    sm_prev: np.ndarray
+    cuts: np.ndarray
+    ev_pcs: np.ndarray
+
+
+#: ``_Classes`` array fields and their dtypes, in artifact section order.
+_CLASS_ARRAYS = (("sm_pos", np.int32), ("sm_addr", np.int64),
+                 ("sm_pc", np.int32), ("sm_cls", np.uint8),
+                 ("sm_prev", np.int32), ("cuts", np.int32),
+                 ("ev_pcs", np.int32))
+
+
+def _classify(decoded: "_Decoded", hot, cold, lm_range: tuple) -> _Classes:
+    """Classify every memory operation of a decoded stream against the LM
+    range ``[lo, hi)`` (``(-1, -1)`` on a system without an LM, where
+    oracle-divert is a no-op and a guarded access is an error).
+
+    Array program: per-pc kind and flag tables indexed by the retired pc
+    stream, a range mask over the address stream, and each SM op's previous
+    store from a running maximum over store indices.
+    """
+    lo, hi = lm_range
+    kind_by_pc = np.fromiter((h[0] for h in hot), np.uint8, len(hot))
+    flag_by_pc = np.fromiter(
+        ((c[2] * _C_GUARDED) | (c[3] * _C_DIVERT) | (c[4] * _C_COLLAPSE)
+         for c in cold), np.uint8, len(cold))
+    pcs = np.frombuffer(decoded.seq_pcs, np.uint32)
+    kinds = kind_by_pc[pcs]
+    is_mem = (kinds == _K_LOAD) | (kinds == _K_STORE)
+    mem_pcs = pcs[is_mem]
+    n_mem = len(mem_pcs)
+    addrs = np.asarray(decoded.mem_addrs).astype(np.int64, copy=False)
+    is_store = kind_by_pc[mem_pcs] == _K_STORE
+    in_lm = (addrs >= lo) & (addrs < hi)
+    sm = np.flatnonzero(~in_lm)
+    last_store = np.maximum.accumulate(
+        np.where(is_store, np.arange(n_mem), -1)) if n_mem else is_store
+    prev_store = np.where(sm > 0, last_store[sm - 1], -1)
+    prev_is_sm = prev_store >= 0
+    prev_is_sm[prev_is_sm] = ~in_lm[prev_store[prev_is_sm]]
+    sm_prev = np.where(prev_is_sm, np.searchsorted(sm, prev_store), -1)
+    sm_cls = flag_by_pc[mem_pcs[sm]] | is_store[sm].astype(np.uint8)
+    if lo < 0:
+        if np.any(sm_cls & _C_GUARDED):
+            raise RuntimeError(
+                "guarded access executed on the cache-based system")
+        sm_cls &= np.uint8(~_C_DIVERT & 0xFF)
+    final_lm_store = None
+    if n_mem and last_store[-1] >= 0 and in_lm[last_store[-1]]:
+        final_lm_store = int(addrs[last_store[-1]])
+    ev_pos = np.flatnonzero(kinds >= _K_DGET)
+    cuts = np.searchsorted(sm, np.searchsorted(np.flatnonzero(is_mem),
+                                               ev_pos))
+    return _Classes(tuple(lm_range), n_mem,
+                    int(np.count_nonzero(in_lm & ~is_store)),
+                    int(np.count_nonzero(in_lm & is_store)), final_lm_store,
+                    *(a.astype(dtype) for a, (_, dtype) in zip(
+                        (sm, addrs[sm], mem_pcs[sm], sm_cls, sm_prev, cuts,
+                         pcs[ev_pos]), _CLASS_ARRAYS)))
 
 
 def _decode_trace(trace: Trace, hot, cold, fu_values) -> _Decoded:
@@ -201,7 +289,7 @@ def _decode_trace(trace: Trace, hot, cold, fu_values) -> _Decoded:
     last pc.
     """
     branches = trace.branch_outcomes()
-    mem_addrs = list(trace.mem_addrs)
+    mem_addrs = trace.mem_addrs
     dma_words = list(trace.dma_words)
     prog_len = len(hot)
     kind_of = [h[0] for h in hot]
@@ -269,20 +357,28 @@ def _decode_trace(trace: Trace, hot, cold, fu_values) -> _Decoded:
 def _decode_to_artifact(decoded: _Decoded):
     """Project a decode result onto its persistable (meta, sections) form.
 
-    Only the retired PC stream and the FU visit histogram need storing:
-    branch/memory/DMA event streams live in the trace itself.
+    Only the retired PC stream, the FU visit histogram and the memory-op
+    classification need storing: branch/memory/DMA event streams live in
+    the trace itself.
     """
+    classes = decoded.classes
     meta = {"n": len(decoded.seq_pcs),
-            "fu_counts": dict(sorted(decoded.fu_counts.items()))}
-    return meta, [("seq_pcs", decoded.seq_pcs.tobytes())]
+            "fu_counts": dict(sorted(decoded.fu_counts.items())),
+            "lm_range": list(classes.lm_range), "n_mem": classes.n_mem,
+            "lm_loads": classes.lm_loads, "lm_stores": classes.lm_stores,
+            "final_lm_store": classes.final_lm_store}
+    return meta, [("seq_pcs", decoded.seq_pcs.tobytes())] + [
+        (name, getattr(classes, name).tobytes()) for name, _ in _CLASS_ARRAYS]
 
 
-def _decode_from_artifact(meta, sections, trace: Trace, hot):
+def _decode_from_artifact(meta, sections, trace: Trace, hot,
+                          lm_range: tuple):
     """Rebuild a decode result from its artifact, or None if implausible.
 
-    Skips the control-flow walk entirely — validity was established when
-    the artifact was written under the same (fingerprint, digest) key.  A
-    pc outside the program reads as torn.
+    Skips the control-flow walk and the classification entirely — validity
+    was established when the artifact was written under the same
+    (fingerprint, digest, LM range) key.  A pc outside the program, or a
+    classification out of step with the stream, reads as torn.
     """
     try:
         seq_pcs = array("I")
@@ -292,10 +388,42 @@ def _decode_from_artifact(meta, sections, trace: Trace, hot):
                     >= len(hot))):
             return None
         fu_counts = {k: int(v) for k, v in meta["fu_counts"].items()}
+        final = meta["final_lm_store"]
+        classes = _Classes(
+            tuple(meta["lm_range"]), int(meta["n_mem"]),
+            int(meta["lm_loads"]), int(meta["lm_stores"]),
+            None if final is None else int(final),
+            **{name: np.frombuffer(sections[name], dtype)
+               for name, dtype in _CLASS_ARRAYS})
+        if not _classes_in_step(classes, lm_range, len(trace.mem_addrs),
+                                hot):
+            return None
     except (KeyError, ValueError, TypeError):
         return None
-    return _Decoded(trace.branch_outcomes(), list(trace.mem_addrs),
-                    list(trace.dma_words), fu_counts, seq_pcs)
+    return _Decoded(trace.branch_outcomes(), trace.mem_addrs,
+                    list(trace.dma_words), fu_counts, seq_pcs, classes)
+
+
+def _classes_in_step(c: _Classes, lm_range: tuple, n_mem: int, hot) -> bool:
+    """Whether a classification read from disk fits its stream and LM
+    range: the arrays the oracle indexes by one another agree in length,
+    every index is in range, the event cuts are in order and every event
+    pc is a DMA, dma-sync or set-bufsize instruction."""
+    n_sm = len(c.sm_pos)
+    if (c.lm_range != tuple(lm_range) or c.n_mem != n_mem or n_sm > n_mem
+            or {len(c.sm_addr), len(c.sm_pc), len(c.sm_cls),
+                len(c.sm_prev)} != {n_sm}
+            or len(c.cuts) != len(c.ev_pcs)):
+        return False
+    if n_sm and not (0 <= c.sm_pos.min() and c.sm_pos.max() < n_mem
+                     and -1 <= c.sm_prev.min()
+                     and np.all(c.sm_prev < np.arange(n_sm))):
+        return False
+    return not len(c.cuts) or bool(
+        0 <= c.cuts.min() and c.cuts.max() <= n_sm
+        and np.all(np.diff(c.cuts) >= 0)
+        and all(0 <= pc < len(hot) and hot[pc][0] >= _K_DGET
+                for pc in set(c.ev_pcs.tolist())))
 
 
 # Rebuilt programs, decoded dynamic sequences and instruction-fetch cache
@@ -393,16 +521,21 @@ def _cached_programs(key: TraceKey, machine: MachineConfig):
                    "replay.program", rebuild)
 
 
-def _cached_decode(trace: Trace, hot, cold, fu_values,
+def _cached_decode(trace: Trace, hot, cold, fu_values, lm_range: tuple,
                    parent_hash=None) -> _Decoded:
-    """Decoded dynamic sequence of one trace (see :func:`_tiered`)."""
+    """Decoded dynamic sequence of one trace, its memory operations
+    classified against the LM range ``lm_range`` of the replayed mode
+    (see :func:`_tiered` and :func:`_classify`)."""
+    def decode():
+        decoded = _decode_trace(trace, hot, cold, fu_values)
+        return decoded._replace(
+            classes=_classify(decoded, hot, cold, lm_range))
     return _tiered(
         _DECODE_CACHE, _CACHE_CAP,
-        (trace.program_fingerprint, trace.stream_digest()), "replay.decode",
-        lambda: _decode_trace(trace, hot, cold, fu_values),
-        parent_hash, "decode", _decode_to_artifact,
+        (trace.program_fingerprint, trace.stream_digest()) + tuple(lm_range),
+        "replay.decode", decode, parent_hash, "decode", _decode_to_artifact,
         lambda meta, sections: _decode_from_artifact(meta, sections, trace,
-                                                     hot))
+                                                     hot, lm_range))
 
 
 def _l1i_stats(trace: Trace, seq_pcs, config, mem_config):

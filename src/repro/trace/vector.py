@@ -11,13 +11,16 @@ splits the work by *data dependence*:
   pass** per (trace, cache-geometry) pair resolves the stream against a
   scratch memory system built for that geometry and records, per memory
   op, which level serves it (a dense route code), the miss line addresses,
-  and the final activity counters.  It is an array program: numpy masks
-  over the pc and address streams classify every op, LM-range ops are
-  counted without a visit, guarded and divert accesses look up the
-  directory inline (it changes only at DMA and set-bufsize events), and
-  the cache hierarchy takes the remaining demand accesses in batches
-  flushed only before DMA transfers.  One **flags pass** per (trace,
-  predictor geometry) resolves every conditional branch through the batched
+  and the final activity counters.  It is an array program over the
+  decode pass's classification of the stream (LM-range or SM, class bits,
+  previous store; computed once per trace and mode, shared by every
+  geometry): LM-range ops are counted without a visit, each
+  DMA-delimited segment resolves its guarded and divert lookups against
+  the directory (fixed between DMA and set-bufsize events) and its store
+  collapses as one array step, and only the remaining demand accesses and
+  the events walk the scratch hierarchy, in stream order.  One **flags
+  pass** per (trace, predictor geometry) resolves every conditional branch
+  through the batched
   :meth:`~repro.cpu.branch_predictor.HybridBranchPredictor.update_batch`
   entry point (provably equivalent to N scalar updates) and every jump
   through the BTB, yielding a flat mispredict-flag stream.  Ablation points
@@ -84,9 +87,14 @@ from repro.mem.cache import CacheStats
 from repro.trace import _ckernel
 from repro.trace.format import Trace, TraceKey
 from repro.trace.replay import (
+    _C_COLLAPSE,
+    _C_DIVERT,
+    _C_GUARDED,
+    _C_STORE,
     _K_CBR,
     _K_JMP,
     _cached_decode,
+    _classify,
     _l1i_stats,
     _remember,
     _tiered,
@@ -100,6 +108,7 @@ __all__: list = []
 # which structure serves it, resolved once per (trace, geometry) by the
 # oracle pass.  Routes 3/4/5 carry their miss line address out-of-band.
 _R_LM, _R_GUARD, _R_L1, _R_L2, _R_L3, _R_MEM, _R_COLLAPSED = 0, 1, 2, 3, 4, 5, 6
+_ROUTE_OF_LEVEL = {"L1": _R_L1, "L2": _R_L2, "L3": _R_L3, "MEM": _R_MEM}
 
 # Oracle routes and the prelowered selector are shared across every ablation
 # point with the same cache geometry (both use the oracle's key); flags and
@@ -348,265 +357,188 @@ def _oracle_routes(decoded, cold, hot, mode: str, machine: MachineConfig,
     scratch system's real ``load``/``store``/DMA calls in stream order (the
     reference in ``tests/test_artifact_cache.py``).
 
-    Between two DMA or set-bufsize events the directory is fixed, so every
-    access's fate up to the cache hierarchy is known without walking it:
-
-    * **Classification by mask.**  A per-pc kind/flag table (as in
-      :func:`_branch_flags`) indexed by the retired pc stream, and a range
-      mask over the address stream, sort every memory op into LM-range or
-      SM, load or store, guarded / oracle-divert / collapse candidate.
-      LM-range ops are counted, never visited: their route is ``_R_LM``.
-    * **The store-collapse latch from array indices.**  LM-range stores set
-      the ``_last_store_*`` latch too.  Each SM store's previous store
-      (a ``maximum.accumulate`` over store indices) says whether an LM
-      store cleared the latch since the last SM store; the final latch
-      comes from the stream's last store.
-    * **Python visits only SM ops and DMA/sync/set-bufsize events.**
-      Guarded and divert accesses resolve the directory inline through the
-      real ``lookup``/``peek_lookup`` (same directory and AGU counters).
-      Directory misses and plain SM ops queue as demand accesses.
-    * **Demand accesses are flushed in batches**, only before a DMA
-      transfer (its per-line snoops read and invalidate the caches the
-      queued accesses fill) and at the end.  Within a flush, prefetcher
-      training is one ``StreamPrefetcher.train_batch`` (exactly N
-      ``train()`` calls) whose fill lists land at each access's
-      position, and a maximal run of prefetch-quiet L1 hits goes through
-      :meth:`~repro.mem.cache.Cache.access_batch` — an L1 hit disturbs only
-      LRU order (write-through, no fills), so the ``probe`` outcome of later
-      run members cannot change, and the run's store write-throughs keep
-      their per-cache order when replayed as L2/L3 batches after it
-      (write-throughs never fill, so L2 outcomes are independent of the
-      interleaved L3 traffic).
+    * **Classification comes with the decode.**  Which memory ops fall in
+      the LM range, and each SM op's class and previous store, depend on
+      neither the geometry nor the clock: the decode pass computes them
+      once per trace and mode (:func:`~repro.trace.replay._classify`;
+      a stream decoded without them is classified here).  LM-range ops are
+      counted, never visited: their route is ``_R_LM``.
+    * **Each DMA-delimited segment resolves as arrays.**  Between two DMA
+      or set-bufsize events the directory is fixed, so a segment's guarded
+      and oracle-divert lookups are one ``searchsorted`` of their chunk
+      bases against the directory's valid tags.  The store-collapse latch
+      is the previous store's: a candidate collapses when that store was
+      an SM store that reached the SM (not a directory or divert hit) at
+      the same address.
+    * **Python visits only the demand accesses**, in stream order, through
+      the hierarchy's own :meth:`~repro.mem.hierarchy.MemoryHierarchy.demand`
+      path — the one a scalar walk's ``load``/``store`` take — and the DMA,
+      dma-sync and set-bufsize events (:func:`_oracle_event`).
 
     Everything the skipped ``load``/``store`` calls would have incremented
-    (system, AGU and LM counters, functional ``MainMemory`` word-touch
-    counters, ``demand_accesses``) is folded in at the end; the functional
-    data words themselves are scratch nothing reads back and are skipped.
+    (system, AGU, directory and LM counters, functional ``MainMemory``
+    word-touch counters) is folded in at the end; the functional data words
+    themselves are scratch nothing reads back and are skipped.
     """
-    mem_addrs, dma_words, seq_pcs = (decoded.mem_addrs, decoded.dma_words,
-                                     decoded.seq_pcs)
     S = _scratch_system(mode, machine)
+    lm_range = (S._lm_lo, S._lm_hi)
+    classes = decoded.classes
+    if classes is None or classes.lm_range != lm_range:
+        classes = _classify(decoded, hot, cold, lm_range)
     hierarchy = S.hierarchy
-    l1, l2, l3 = hierarchy.l1, hierarchy.l2, hierarchy.l3
-    memory = hierarchy.memory
-    prefetcher = hierarchy.prefetcher
-    prefetch_enabled = hierarchy._prefetch_enabled
-    line_size = hierarchy.config.line_size
-    use_lm = S.use_lm
+    demand = hierarchy.demand
     directory = S.directory
-
-    # -- classification: per-pc tables, then masks over the whole stream --
-    # Per-SM-op class bits: 1 store, 2 guarded, 4 oracle-divert, 8 collapse
-    # candidate, 16 an LM-range store is the latest store before it.
-    kind_by_pc = np.fromiter((h[0] for h in hot), np.uint8, len(hot))
-    flag_by_pc = np.fromiter(((c[2] << 1) | (c[3] << 2) | (c[4] << 3)
-                              for c in cold), np.uint8, len(cold))
-    pcs = np.frombuffer(seq_pcs, np.uint32)
-    kinds = kind_by_pc[pcs]
-    is_mem = (kinds == 1) | (kinds == 2)
-    mem_pcs = pcs[is_mem]
-    n_mem = len(mem_pcs)
-    addrs = np.array(mem_addrs, np.int64)
-    is_store = kind_by_pc[mem_pcs] == 2
-    in_lm = (addrs >= S._lm_lo) & (addrs < S._lm_hi)
-    sm = np.flatnonzero(~in_lm)
-    last_store = np.maximum.accumulate(
-        np.where(is_store, np.arange(n_mem), -1))
-    prev_store = np.where(sm > 0, last_store[sm - 1], -1)
-    sm_cls = (is_store[sm] | flag_by_pc[mem_pcs[sm]]
-              | (((prev_store >= 0) & in_lm[prev_store]) << 4))
-    if not use_lm:
-        if np.any(sm_cls & 2):
-            raise RuntimeError(
-                "guarded access executed on the cache-based system")
-        sm_cls &= ~4                # no directory: oracle-divert is a no-op
-    n_lm_loads = int(np.count_nonzero(in_lm & ~is_store))
-    n_lm_stores = int(np.count_nonzero(in_lm & is_store))
-    ev_pos = np.flatnonzero(kinds >= 6)
-    cuts = np.searchsorted(
-        sm, np.searchsorted(np.flatnonzero(is_mem), ev_pos)).tolist()
-    ev_kinds = kinds[ev_pos].tolist()
-    ev_tags = [cold[pc][1] for pc in pcs[ev_pos].tolist()]
-    # Only the SM subset becomes Python lists.
-    sm_pos = sm.tolist()
-    sm_addr = addrs[sm].tolist()
-    sm_pc = mem_pcs[sm].tolist()
-    sm_cls = sm_cls.tolist()
-    final_lm_store = None       # the stream's last store, if LM-range
-    if n_mem and last_store[-1] >= 0 and in_lm[last_store[-1]]:
-        final_lm_store = int(addrs[last_store[-1]])
-    n_stores = int(np.count_nonzero(is_store))
-    # Only the SM lists above are needed past here: free the whole-stream
-    # arrays before the walk (peak RSS).
-    del kinds, is_mem, mem_pcs, addrs, is_store, in_lm, last_store, prev_store
-
-    routes = bytearray(n_mem)           # all _R_LM (code 0) to start with
-    miss_lines = array("q")
-    lines_append = miss_lines.append
-    guard_entries = array("i")
+    dma_words = decoded.dma_words
+    sm_addr, sm_cls, sm_prev = classes.sm_addr, classes.sm_cls, classes.sm_prev
+    n_sm = len(sm_cls)
+    is_store = (sm_cls & _C_STORE).astype(np.bool_)
+    guarded = (sm_cls & _C_GUARDED).astype(np.bool_)
+    looked = (sm_cls & (_C_GUARDED | _C_DIVERT)) != 0
+    candidate = (((sm_cls & (_C_STORE | _C_GUARDED | _C_COLLAPSE))
+                  == (_C_STORE | _C_COLLAPSE)) & (sm_prev >= 0))
+    looked_at = np.flatnonzero(looked)
+    cand_at = np.flatnonzero(candidate)
+    looked_upto = np.concatenate(([0], np.cumsum(looked))).tolist()
+    cand_upto = np.concatenate(([0], np.cumsum(candidate))).tolist()
+    hit = np.zeros(n_sm, np.bool_)          # directory or divert hit
+    collapsed = np.zeros(n_sm, np.bool_)
+    # The demand path's arguments, one Python list each.
+    addr_l = sm_addr.tolist()
+    store_l = is_store.tolist()
+    pc_l = classes.sm_pc.tolist()
+    guard_parts: list = []
+    levels: list = []
+    levels_append = levels.append
     dma_nlines = array("i")
     dma_addrs = array("q")
     dget_entries = array("i")
+    tags = entry_of = None      # the directory's valid tags, sorted
 
-    probe = l1.probe
-    l1_access = l1.access
-    writethrough = hierarchy._writethrough
-    miss_path = hierarchy._miss_path
-    prefetch_fill = hierarchy._prefetch_fill
-
-    d_pos: list = []      # queued demand accesses, in stream order
-    d_addr: list = []
-    d_pc: list = []
-    d_store: list = []
-
-    def flush() -> None:
-        n_demand = len(d_addr)
-        if not n_demand:
-            return
-        pf_lists = (prefetcher.train_batch(d_pc, d_addr)
-                    if prefetch_enabled else None)
-        run_addrs: list = []
-        run_wt: list = []
-
-        def close_run() -> None:
-            l1.access_batch(run_addrs, False)
-            if run_wt:
-                wt_hits = l2.access_batch(run_wt, True, kind="writethrough")
-                l3_wt = [a for a, hit in zip(run_wt, wt_hits) if not hit]
-                if l3_wt:
-                    l3.access_batch(l3_wt, True, kind="writethrough")
-            run_addrs.clear()
-            run_wt.clear()
-
-        for j in range(n_demand):
-            addr = d_addr[j]
-            is_write = d_store[j]
-            if (pf_lists is None or not pf_lists[j]) and probe(addr):
-                run_addrs.append(addr)
-                if is_write:
-                    run_wt.append(addr)
-                routes[d_pos[j]] = _R_L1
-                continue
-            if run_addrs:
-                close_run()
-            if l1_access(addr, is_write):
-                routes[d_pos[j]] = _R_L1
-                if is_write:
-                    writethrough(addr)
-            else:
-                level = miss_path(addr, is_write, 0.0)[1]
-                routes[d_pos[j]] = (_R_L2 if level == "L2" else
-                                    _R_L3 if level == "L3" else _R_MEM)
-                lines_append(addr - addr % line_size)
-            if pf_lists is not None:
-                for pf_line in pf_lists[j]:
-                    prefetch_fill(pf_line)
-        if run_addrs:
-            close_run()
-        hierarchy.demand_accesses += n_demand
-        d_pos.clear()
-        d_addr.clear()
-        d_pc.clear()
-        d_store.clear()
-
-    if use_lm:
-        lookup = directory.lookup
-        peek = directory.peek_lookup
-        tag_index = directory._tag_index
-    guard_append = guard_entries.append
-    p_pos, p_addr, p_pc, p_store = (d_pos.append, d_addr.append,
-                                    d_pc.append, d_store.append)
-    g_loads = g_stores = hit_loads = hit_stores = collapsed = 0
-    div_loads = div_stores = sm_loads = sm_stores = 0
-    last_addr = None
-    last_sm = False
-    n_ev = len(ev_kinds)
+    cuts = classes.cuts.tolist()
+    ev_pcs = classes.ev_pcs.tolist()
+    n_ev = len(ev_pcs)
     start = di = 0
     for e in range(n_ev + 1):
-        stop = cuts[e] if e < n_ev else len(sm_pos)
-        for k in range(start, stop):
-            c = sm_cls[k]
-            addr = sm_addr[k]
-            if c & 2:                       # guarded: one directory lookup
-                if lookup(addr, 0.0)[0]:
-                    routes[sm_pos[k]] = _R_GUARD
-                    guard_append(tag_index[addr & directory.base_mask])
-                    if c & 1:
-                        g_stores += 1
-                        hit_stores += 1
-                        last_addr = addr
-                        last_sm = False
-                    else:
-                        g_loads += 1
-                        hit_loads += 1
-                    continue
-                if c & 1:                   # miss: the store updates SM
-                    g_stores += 1
-                    sm_stores += 1
-                    last_addr = addr
-                    last_sm = True
+        stop = cuts[e] if e < n_ev else n_sm
+        if stop > start:
+            skipped = False     # a hit or a collapse leaves the demand path
+            if looked_upto[stop] > looked_upto[start]:
+                at = looked_at[looked_upto[start]:looked_upto[stop]]
+                if not directory.is_configured:
+                    if guarded[at].any():
+                        raise RuntimeError("directory used before "
+                                           "configuring the buffer size")
                 else:
-                    g_loads += 1
-                    sm_loads += 1
-            elif c & 4 and peek(addr)[0]:   # oracle-divert hit: LM latency
-                if c & 1:
-                    div_stores += 1
-                    last_addr = addr
-                    last_sm = False
-                else:
-                    div_loads += 1
-                continue
-            elif c & 1:
-                if c & 16:                  # an LM store cleared the latch
-                    last_sm = False
-                if c & 8 and last_sm and last_addr == addr:
-                    routes[sm_pos[k]] = _R_COLLAPSED
-                    collapsed += 1
-                    continue
-                sm_stores += 1
-                last_addr = addr
-                last_sm = True
+                    if tags is None:
+                        valid = sorted(
+                            (tag, index)
+                            for tag, index in directory._tag_index.items()
+                            if directory.entries[index].valid)
+                        tags = np.array([t for t, _ in valid], np.int64)
+                        entry_of = np.array([i for _, i in valid], np.int32)
+                    if len(tags):
+                        bases = sm_addr[at] & directory.base_mask
+                        slot = np.minimum(np.searchsorted(tags, bases),
+                                          len(tags) - 1)
+                        found = tags[slot] == bases
+                        if found.any():
+                            skipped = True
+                            hit[at] = found
+                            g = found & guarded[at]
+                            if g.any():
+                                guard_parts.append(entry_of[slot[g]])
+            if cand_upto[stop] > cand_upto[start]:
+                at = cand_at[cand_upto[start]:cand_upto[stop]]
+                at = at[~hit[at]]
+                prev = sm_prev[at]
+                same = ~hit[prev] & (sm_addr[prev] == sm_addr[at])
+                if same.any():
+                    skipped = True
+                    collapsed[at] = same
+            if skipped:
+                for k in (start + np.flatnonzero(
+                        ~(hit[start:stop] | collapsed[start:stop]))).tolist():
+                    levels_append(demand(addr_l[k], store_l[k], pc_l[k],
+                                         0.0)[1])
             else:
-                sm_loads += 1
-            p_pos(sm_pos[k])
-            p_addr(addr)
-            p_pc(sm_pc[k])
-            p_store(c & 1)
+                for addr, is_write, pc in zip(addr_l[start:stop],
+                                              store_l[start:stop],
+                                              pc_l[start:stop]):
+                    levels_append(demand(addr, is_write, pc, 0.0)[1])
         start = stop
         if e == n_ev:
             break
-        kind = ev_kinds[e]
-        if kind <= 7:                       # DMA snoops touch the caches
-            flush()
-        _oracle_event(S, kind, ev_tags[e], dma_words, di, multicore,
+        pc = ev_pcs[e]
+        kind = hot[pc][0]
+        _oracle_event(S, kind, cold[pc][1], dma_words, di, multicore,
                       dma_nlines, dma_addrs, dget_entries)
+        if kind != 8:                   # DMA and set-bufsize move the tags
+            tags = None
         if kind <= 7:
             di += 3
-    flush()
+
+    # -- routes and side arrays in stream order --
+    routes = np.zeros(classes.n_mem, np.uint8)
+    sm_pos = classes.sm_pos
+    routes[sm_pos[hit & guarded]] = _R_GUARD
+    routes[sm_pos[collapsed]] = _R_COLLAPSED
+    served = np.flatnonzero(~(hit | collapsed))   # in demand-path order
+    codes = np.fromiter(map(_ROUTE_OF_LEVEL.__getitem__, levels), np.uint8,
+                        len(levels))
+    routes[sm_pos[served]] = codes
+    missed = sm_addr[served[codes != _R_L1]]
+    miss_lines = array("q")
+    miss_lines.frombytes(
+        (missed - missed % hierarchy.config.line_size).tobytes())
+    guard_entries = array("i")
+    if guard_parts:
+        guard_entries.frombytes(
+            np.concatenate(guard_parts).astype(np.int32).tobytes())
 
     # -- fold what the skipped load()/store() calls would have counted --
-    S.loads += n_mem - n_stores - n_lm_loads
-    S.stores += n_stores - n_lm_stores
-    S.mem_ops += n_mem - n_lm_loads - n_lm_stores
-    S.guarded_loads += g_loads
+    n_guarded = int(np.count_nonzero(guarded))
+    g_stores = int(np.count_nonzero(guarded & is_store))
+    g_hit = hit & guarded
+    hit_stores = int(np.count_nonzero(g_hit & is_store))
+    hit_loads = int(np.count_nonzero(g_hit)) - hit_stores
+    div_hit = hit & ~guarded
+    div_stores = int(np.count_nonzero(div_hit & is_store))
+    div_loads = int(np.count_nonzero(div_hit)) - div_stores
+    n_collapsed = int(np.count_nonzero(collapsed))
+    n_stores = int(np.count_nonzero(is_store))
+    S.loads += n_sm - n_stores
+    S.stores += n_stores
+    S.mem_ops += n_sm
+    S.guarded_loads += n_guarded - g_stores
     S.guarded_stores += g_stores
-    S.collapsed_stores += collapsed
-    memory.reads += sm_loads            # _sm_load's read_word
-    memory.writes += sm_stores + collapsed  # write_word, collapsed included
-    if use_lm:
+    S.collapsed_stores += n_collapsed
+    memory = hierarchy.memory
+    # The functional word reads and writes of the SM accesses (a collapsed
+    # store writes its word too).
+    memory.reads += int(np.count_nonzero(~(is_store | hit)))
+    memory.writes += n_stores - hit_stores - div_stores
+    if S.use_lm:
         agu = S.agu
-        agu.guarded_loads += g_loads
+        agu.guarded_loads += n_guarded - g_stores
         agu.guarded_stores += g_stores
         agu.diverted_loads += hit_loads
         agu.diverted_stores += hit_stores
         S.lm.reads += hit_loads + div_loads
         S.lm.writes += hit_stores + div_stores
-    if final_lm_store is not None:
-        last_addr, last_sm = final_lm_store, False
-    S._last_store_addr = last_addr
-    S._last_store_to_sm = last_sm
+        stats = directory.stats
+        stats.lookups += n_guarded
+        stats.hits += hit_loads + hit_stores
+        stats.misses += n_guarded - hit_loads - hit_stores
+    if classes.final_lm_store is not None:
+        S._last_store_addr = classes.final_lm_store
+        S._last_store_to_sm = False
+    elif n_stores:
+        last = int(np.flatnonzero(is_store)[-1])
+        S._last_store_addr = int(sm_addr[last])
+        S._last_store_to_sm = not bool(hit[last])
     return _oracle_result(S, routes, miss_lines, guard_entries, dma_nlines,
-                          dma_addrs, dget_entries, n_lm_loads, n_lm_stores)
+                          dma_addrs, dget_entries, classes.lm_loads,
+                          classes.lm_stores)
 
 
 # ------------------------------------------------------------ branch flags
@@ -890,6 +822,7 @@ class _VectorLane:
         hot, cold, fu_values, phase_names = entry[2:6]
         parent_hash = key.key_hash
         decoded = _cached_decode(trace, hot, cold, fu_values,
+                                 (mem._lm_lo, mem._lm_hi),
                                  parent_hash=parent_hash)
         self.order = order
         self.trace = trace

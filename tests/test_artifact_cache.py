@@ -309,6 +309,42 @@ def test_batched_oracle_matches_scalar_multicore(fresh_cache):
         assert batched.dma_nlines                  # dget/dput both present
 
 
+def test_geometry_sweep_classifies_each_stream_once(fresh_cache,
+                                                    monkeypatch):
+    """Three cache geometries of one 2-core trace share the decode pass's
+    classification — one per core stream — and each geometry's oracle
+    still equals the scalar walk."""
+    machine0 = _machine(2)
+    _, mtrace = capture_workload("CG", "hybrid", "tiny", machine=machine0)
+    calls = []
+    real = replay_mod._classify
+
+    def counting(*args):
+        calls.append(args[3])
+        return real(*args)
+
+    monkeypatch.setattr(replay_mod, "_classify", counting)
+    monkeypatch.setattr(vector_mod, "_classify", counting)
+    machines = [machine0,
+                machine0.with_overrides({"memory.l2_size": 128 * 1024}),
+                machine0.with_overrides({"memory.prefetch_enabled": False})]
+    with obs.recording() as rec:
+        for machine in machines:
+            replay_trace(mtrace, machine)
+    assert len(calls) == 2
+    assert rec.counters["replay.decode.miss"] == 2
+    assert rec.counters["vector.oracle.miss"] == 6
+    entries = replay_mod._cached_programs(mtrace.key, machine0)
+    for entry, trace in zip(entries, mtrace.cores):
+        _, _, hot, cold, fu_values, _, _ = entry
+        decoded = replay_mod._decode_trace(trace, hot, cold, fu_values)
+        for machine in machines:
+            cached = vector_mod._ORACLE_CACHE[vector_mod._pass_key(
+                trace, "hybrid", machine, True)]
+            _assert_same_oracle(cached, _oracle_routes_scalar(
+                decoded, cold, hot, "hybrid", machine, True))
+
+
 def _guard_stream(machine):
     """A hand-built ``(decoded, cold, hot)`` stream that reaches the GUARD
     route (guarded access served by a directory hit), which never occurs in
@@ -481,10 +517,11 @@ def test_warm_vector_replay_is_pass_free(fresh_cache):
 
 
 def test_warm_vector_replay_builds_no_seq(fresh_cache, monkeypatch):
-    """A decode read from disk carries only the pc stream: a warm replay
-    runs no decode walk, builds no per-instruction sequence (the decode
-    holds the event streams and one ``uint32`` pc per retired instruction)
-    and equals execution."""
+    """A decode read from disk carries only the pc stream and the memory-op
+    classification: a warm replay runs no decode walk, builds no
+    per-instruction sequence (the decode holds the event streams, one
+    ``uint32`` pc per retired instruction and per-SM-op arrays) and equals
+    execution."""
     machine = _machine(2)
     executed, mtrace = capture_workload("CG", "hybrid", "tiny",
                                         machine=machine)
@@ -500,8 +537,9 @@ def test_warm_vector_replay_builds_no_seq(fresh_cache, monkeypatch):
     assert len(entries) == 2
     for core_trace, entry in zip(mtrace.cores, entries):
         assert entry._fields == ("branches", "mem_addrs", "dma_words",
-                                 "fu_counts", "seq_pcs")
+                                 "fu_counts", "seq_pcs", "classes")
         assert entry.seq_pcs.typecode == "I"
+        assert entry.classes.n_mem == len(core_trace.mem_addrs)
         assert len(entry.seq_pcs) == core_trace.instructions
     _assert_same_run(warm, executed)
 
@@ -660,6 +698,36 @@ def test_artifact_out_of_step_with_its_routes_reads_as_miss(
         warm = replay_trace(mtrace, machine)
     assert rec.counters.get(f"vector.{kind}.miss") == 2, rec.counters
     assert f"vector.{kind}.disk.hit" not in rec.counters, rec.counters
+    _assert_same_run(warm, executed)
+
+
+@pytest.mark.parametrize("section,corrupt", [
+    ("sm_cls", lambda b: b[:-1]),
+    ("sm_prev", lambda b: b[:-4] + struct.pack("<i", 1 << 30)),
+    ("cuts", lambda b: array("i", sorted(array("i", b), reverse=True))
+     .tobytes())])
+def test_decode_classes_out_of_step_read_as_miss(section, corrupt,
+                                                 fresh_cache):
+    """A decode artifact whose memory-op classification is out of step
+    with itself (a short class array, a previous store after its op,
+    event cuts out of order) reads as a miss: the decode is recomputed and
+    the replay still equals execution."""
+    machine = _machine(2)
+    executed, mtrace = capture_workload("CG", "hybrid", "tiny",
+                                        machine=machine)
+    replay_trace(mtrace, machine)      # cold: writes
+    paths = sorted(artifacts.default_store().root.glob(
+        f"{mtrace.key.key_hash}/decode-*.art"))
+    assert len(paths) == 2
+    for path in paths:
+        stored_kind, meta, sections = decode_artifact(path.read_bytes())
+        sections[section] = corrupt(sections[section])
+        path.write_bytes(encode_artifact(stored_kind, meta,
+                                         list(sections.items())))
+    _clear_memo_caches()
+    with obs.recording() as rec:
+        warm = replay_trace(mtrace, machine)
+    assert rec.counters.get("replay.decode.miss") == 2, rec.counters
     _assert_same_run(warm, executed)
 
 

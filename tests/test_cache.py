@@ -121,3 +121,46 @@ def test_hit_ratio_property():
     c.access(0x0, False)
     c.access(0x1000, False)
     assert c.stats.hit_ratio == pytest.approx(0.5)
+
+
+@pytest.mark.parametrize("write_back", [False, True])
+@pytest.mark.parametrize("invalidate", [False, True])
+def test_snoop_batch_matches_per_line_calls(write_back, invalidate):
+    """A DMA burst's batched snoop equals one ``access(kind="dma")`` (or
+    one ``invalidate``) per line: same sets in LRU order, same dirty bits,
+    every statistics field, and the lines left unheld — on a write-through
+    L1 and on write-back levels holding dirty lines."""
+    import random
+
+    rng = random.Random(write_back * 2 + invalidate)
+    for _ in range(30):
+        batched = make_cache(size_bytes=2048, assoc=4,
+                             write_back=write_back)
+        scalar = make_cache(size_bytes=2048, assoc=4, write_back=write_back)
+        seed = rng.random()
+        for cache in (batched, scalar):
+            warm = random.Random(seed)
+            for _ in range(60):
+                addr = warm.randrange(0, 96) * 64 + warm.randrange(64)
+                if warm.random() < 0.5:
+                    cache.fill(addr, dirty=warm.random() < 0.5)
+                else:
+                    cache.access(addr, warm.random() < 0.5)
+        if write_back:
+            assert any(d for s in batched._sets.values() for d in s.values())
+        for _ in range(4):
+            first = rng.randrange(0, 96)
+            lines = [(first + k) * 64 for k in range(rng.randrange(1, 40))]
+            unheld = batched.snoop_batch(lines, invalidate)
+            if invalidate:
+                for line in lines:
+                    scalar.invalidate(line)
+                assert list(unheld) == lines
+            else:
+                hits = [scalar.access(line, False, kind="dma")
+                        for line in lines]
+                assert list(unheld) == [line for line, hit
+                                        in zip(lines, hits) if not hit]
+            assert {i: list(s.items()) for i, s in batched._sets.items()} \
+                == {i: list(s.items()) for i, s in scalar._sets.items()}
+            assert batched.stats.as_dict() == scalar.stats.as_dict()

@@ -68,6 +68,69 @@ def test_prefetcher_table_collisions_evict_streams():
     assert pf.live_streams == 2
 
 
+def test_full_stream_table_reuses_the_evicted_entry():
+    """A collision recycles the LRU stream's entry object, reset for the new
+    stream, on both training paths (``train`` and the hierarchy's inline
+    demand path)."""
+    pf = StreamPrefetcher(table_size=2)
+    for pc in range(2):
+        pf.train(pc=pc, addr=pc * 10_000 + 64)
+        pf.train(pc=pc, addr=pc * 10_000 + 128)   # a stride: non-zero state
+    lru = pf._table[0]
+    pf.train(pc=5, addr=50_000)
+    assert pf._table[5] is lru and 0 not in pf._table
+    assert (lru.last_addr, lru.stride, lru.confidence) == (50_000 - 50_000 % 64,
+                                                           0, 0)
+
+    from repro.mem.hierarchy import MemoryHierarchy, MemoryHierarchyConfig
+    h = MemoryHierarchy(MemoryHierarchyConfig(prefetch_table_size=2))
+    for pc in range(2):
+        h.demand(pc * 10_000 + 64, False, pc, 0.0)
+        h.demand(pc * 10_000 + 128, False, pc, 0.0)
+    table = h.prefetcher._table
+    lru = table[0]
+    h.demand(50_000, False, 5, 0.0)
+    assert table[5] is lru and 0 not in table
+    assert (lru.last_addr, lru.stride, lru.confidence) == (50_000 - 50_000 % 64,
+                                                           0, 0)
+    assert h.prefetcher.collisions == 1
+
+
+def test_demand_path_trains_like_the_stand_alone_prefetcher():
+    """``MemoryHierarchy.demand`` runs the stream detector inline; on random
+    strided and irregular streams (more pcs than table entries) it must
+    leave the table, its LRU order and every counter exactly as
+    :meth:`StreamPrefetcher.train` does."""
+    import random
+
+    from repro.mem.hierarchy import MemoryHierarchy, MemoryHierarchyConfig
+
+    rng = random.Random(20261019)
+    for _ in range(20):
+        config = MemoryHierarchyConfig(
+            prefetch_table_size=rng.choice([2, 4, 16]),
+            prefetch_degree=rng.choice([1, 2, 4]),
+            prefetch_distance=rng.choice([1, 2, 4]))
+        h = MemoryHierarchy(config)
+        ref = StreamPrefetcher(config.prefetch_table_size,
+                               config.prefetch_degree,
+                               config.prefetch_distance, config.line_size)
+        cursor = {}
+        for _ in range(300):
+            pc = rng.randrange(0, 12) * 4
+            step = rng.choice([0, 8, 64, 64, 128, -64, rng.randrange(8192)])
+            cursor[pc] = cursor.get(pc, pc * 4096) + step
+            h.demand(cursor[pc], rng.random() < 0.3, pc, 0.0)
+            ref.train(pc, cursor[pc])
+            got, want = h.prefetcher, ref
+            assert [(pc, e.last_addr, e.stride, e.confidence)
+                    for pc, e in got._table.items()] == \
+                [(pc, e.last_addr, e.stride, e.confidence)
+                 for pc, e in want._table.items()]
+            assert (got.trainings, got.issued, got.collisions) == \
+                (want.trainings, want.issued, want.collisions)
+
+
 def test_prefetcher_zero_stride_ignored():
     pf = StreamPrefetcher()
     pf.train(pc=3, addr=100)

@@ -8,7 +8,7 @@ cycles, full energy breakdown, phase cycles, memory stats and per-core
 results — at the capture config and under re-timing.
 
 The engine leans on the batched structure updates (cache ``access_batch``,
-prefetcher ``train_batch``, predictor ``update_batch``) and on the shared
+predictor ``update_batch``) and on the shared
 ordered energy reduction (``EnergyModel.energy_terms``); the randomized
 equivalence suites here pin each of those against its scalar counterpart.
 """
@@ -24,7 +24,6 @@ from repro.energy.model import EnergyBreakdown, EnergyModel
 from repro.harness.config import PTLSIM_CONFIG
 from repro.harness.runner import run_workload
 from repro.mem.cache import Cache
-from repro.mem.prefetcher import StreamPrefetcher
 from repro.trace import (
     capture_micro,
     capture_workload,
@@ -195,33 +194,6 @@ def test_cache_access_batch_matches_scalar_randomized():
                     scalar.fill(addr)
             assert got == want
             _assert_same_cache(batched, scalar)
-
-
-def test_prefetcher_train_batch_matches_sequential_randomized():
-    rng = random.Random(20260808)
-    for trial in range(25):
-        batched = StreamPrefetcher(table_size=rng.choice([2, 4, 16]),
-                                   degree=rng.choice([1, 2, 4]),
-                                   distance=rng.choice([1, 2]))
-        sequential = StreamPrefetcher(batched.table_size, batched.degree,
-                                      batched.distance)
-        pcs = [rng.randrange(0, 8) * 4 for _ in range(200)]
-        # Mostly strided streams (what trains the detector), a few wild jumps.
-        addrs, cursor = [], {}
-        for pc in pcs:
-            base = cursor.get(pc, pc * 4096)
-            step = rng.choice([64, 64, 64, 128, -64, rng.randrange(0, 8192)])
-            cursor[pc] = base + step
-            addrs.append(cursor[pc])
-        got = batched.train_batch(pcs, addrs)
-        want = [sequential.train(pc, a) for pc, a in zip(pcs, addrs)]
-        assert [list(g) for g in got] == [list(w) for w in want]
-        assert (batched.trainings, batched.issued, batched.collisions) == \
-            (sequential.trainings, sequential.issued, sequential.collisions)
-        assert {pc: (e.last_addr, e.stride, e.confidence)
-                for pc, e in batched._table.items()} == \
-            {pc: (e.last_addr, e.stride, e.confidence)
-             for pc, e in sequential._table.items()}
 
 
 def test_predictor_update_batch_matches_sequential_randomized():
