@@ -28,7 +28,6 @@ from repro.cpu import Core, CoreConfig, SimulationResult
 from repro.compiler import compile_kernel, CompilationTarget, Kernel
 from repro.energy import EnergyModel, EnergyParameters
 from repro.harness import (
-    ExperimentContext,
     MachineConfig,
     PTLSIM_CONFIG,
     run_program,
@@ -51,7 +50,6 @@ __all__ = [
     "Kernel",
     "EnergyModel",
     "EnergyParameters",
-    "ExperimentContext",
     "MachineConfig",
     "PTLSIM_CONFIG",
     "run_program",

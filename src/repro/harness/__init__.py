@@ -6,8 +6,11 @@ The sweep engine (:mod:`repro.harness.sweep`) is the main entry point for
 evaluations: declare a :class:`SweepSpec`, resolve it into content-hashed
 :class:`RunSpec` cells, and let :func:`run_sweep` / :class:`SweepContext`
 fan the cells out over worker processes while filling the on-disk
-:class:`ResultStore`.  ``python -m repro.harness.sweep --help`` exposes the
-same engine on the command line."""
+:class:`ResultStore`.  :class:`SweepContext` is the one experiment context
+the figure/table drivers (:mod:`repro.harness.experiments`) read cells
+through; :func:`run_workload` and :func:`run_program` return a single run's
+live simulation objects.  ``python -m repro.harness.sweep --help`` exposes
+the same engine on the command line."""
 
 from repro.harness.config import MachineConfig, PTLSIM_CONFIG, table1_rows
 from repro.harness.systems import (
@@ -18,7 +21,6 @@ from repro.harness.systems import (
     core_config_for,
 )
 from repro.harness.runner import (
-    ExperimentContext,
     RunResult,
     run_compiled,
     run_program,
@@ -50,7 +52,6 @@ __all__ = [
     "run_compiled",
     "run_program",
     "run_workload",
-    "ExperimentContext",
     "ResultStore",
     "RunRecord",
     "RunSpec",

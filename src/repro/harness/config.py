@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import Any, List, Mapping, Tuple
+from typing import Any, Dict, Iterable, List, Mapping, Tuple
 
 from repro.cpu.config import CoreConfig
 from repro.energy.parameters import EnergyParameters
@@ -98,6 +98,31 @@ def _replace_path(obj, parts: List[str], value):
         return dataclasses.replace(obj, **{name: value})
     return dataclasses.replace(
         obj, **{name: _replace_path(getattr(obj, name), parts[1:], value)})
+
+
+def _parse_value(text: str):
+    """Parse a command-line override value: bool / int / float / string."""
+    low = text.strip().lower()
+    if low in ("true", "false"):
+        return low == "true"
+    for cast in (int, float):
+        try:
+            return cast(text)
+        except ValueError:
+            continue
+    return text
+
+
+def parse_overrides(items: Iterable[str]) -> Dict[str, Any]:
+    """The command lines' ``--set KEY=VALUE`` items as the mapping
+    :meth:`MachineConfig.with_overrides` takes (dotted keys kept whole)."""
+    overrides = {}
+    for item in items:
+        if "=" not in item:
+            raise SystemExit(f"--set expects key=value, got {item!r}")
+        key, _, value = item.partition("=")
+        overrides[key.strip()] = _parse_value(value)
+    return overrides
 
 
 #: The simulated machine of Table 1.

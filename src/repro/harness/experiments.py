@@ -7,11 +7,12 @@ The ``PAPER_*`` constants record the values reported in the paper, used by
 absolute numbers — the substrate is a different simulator — but the shape:
 who wins, by roughly what factor, and where the overheads appear).
 
-The drivers are written against the sweep engine's accessor surface: the
-``ctx`` argument accepts either a :class:`~repro.harness.sweep.SweepContext`
-(disk-cached, parallel) or the legacy in-process
-:class:`~repro.harness.runner.ExperimentContext`; both expose
-``run(workload, mode)`` and ``run_micro(...)``.
+The drivers read their cells through the ``ctx`` argument, a
+:class:`~repro.harness.sweep.SweepContext` (``run(workload, mode)`` and
+``run_micro(...)``, memoised, disk-cached with a store and parallel with
+workers); without one each driver makes a fresh store-less context.  The
+cells are plain :class:`~repro.harness.sweep.RunRecord` data, whose
+accessor surface the live :class:`~repro.harness.runner.RunResult` shares.
 """
 
 from __future__ import annotations
@@ -28,8 +29,7 @@ from repro.harness.metrics import (
     speedup,
     table3_row,
 )
-from repro.harness.runner import ExperimentContext
-from repro.harness.sweep import RunSpec, run_sweep
+from repro.harness.sweep import RunSpec, SweepContext, run_sweep
 from repro.workloads import BENCHMARK_ORDER
 from repro.workloads.microbenchmark import MICRO_MODES, build_microbenchmark
 
@@ -122,11 +122,11 @@ def figure7(percentages: Sequence[int] = (0, 10, 20, 30, 40, 50, 60, 70, 80, 90,
     """Figure 7: microbenchmark overhead vs. the fraction of guarded accesses.
 
     Returns, per non-baseline mode, the overhead (cycles relative to the
-    baseline mode) at each guarded percentage.  With a ``ctx`` the points go
-    through the sweep engine (memoized, and disk-cached/parallel for a
-    :class:`~repro.harness.sweep.SweepContext`).
+    baseline mode) at each guarded percentage.  The points go through the
+    sweep engine via ``ctx`` (memoised, and disk-cached/parallel when the
+    :class:`~repro.harness.sweep.SweepContext` has a store/workers).
     """
-    ctx = ctx or ExperimentContext()
+    ctx = ctx or SweepContext()
     baseline = ctx.run_micro("baseline", 0.0, iterations, unroll)
     results: Dict[str, List[Figure7Point]] = {}
     for mode in ("RD", "WR", "RD/WR"):
@@ -153,7 +153,7 @@ class Figure8Row:
 def figure8(ctx=None,
             benchmarks: Optional[Sequence[str]] = None) -> List[Figure8Row]:
     """Figure 8: overhead of the coherence protocol vs. the oracle baseline."""
-    ctx = ctx or ExperimentContext()
+    ctx = ctx or SweepContext()
     benchmarks = list(benchmarks or BENCHMARK_ORDER)
     rows = []
     for name in benchmarks:
@@ -178,7 +178,7 @@ def figure8(ctx=None,
 def table3(ctx=None,
            benchmarks: Optional[Sequence[str]] = None) -> List[Table3Row]:
     """Table 3: memory-subsystem activity, hybrid coherent vs. cache-based."""
-    ctx = ctx or ExperimentContext()
+    ctx = ctx or SweepContext()
     benchmarks = list(benchmarks or BENCHMARK_ORDER)
     rows = []
     for name in benchmarks:
@@ -204,7 +204,7 @@ class Figure9Row:
 def figure9(ctx=None,
             benchmarks: Optional[Sequence[str]] = None) -> List[Figure9Row]:
     """Figure 9: execution-time reduction and its phase breakdown."""
-    ctx = ctx or ExperimentContext()
+    ctx = ctx or SweepContext()
     benchmarks = list(benchmarks or BENCHMARK_ORDER)
     rows = []
     for name in benchmarks:
@@ -249,7 +249,7 @@ class Figure10Row:
 def figure10(ctx=None,
              benchmarks: Optional[Sequence[str]] = None) -> List[Figure10Row]:
     """Figure 10: energy reduction and its component breakdown."""
-    ctx = ctx or ExperimentContext()
+    ctx = ctx or SweepContext()
     benchmarks = list(benchmarks or BENCHMARK_ORDER)
     rows = []
     for name in benchmarks:

@@ -14,17 +14,17 @@ figure/table drivers in :mod:`repro.harness.experiments` accept either, and
 :meth:`RunResult.to_record` converts a live result into the JSON-serialisable
 record the on-disk result store holds.
 
-:class:`ExperimentContext` is the legacy in-process memoizing runner, kept as
-a thin compatibility shim for callers that need the *live* simulation objects
-(``result.sim``, ``result.system``).  New code — and everything that wants
-disk caching or parallel fan-out — should use
-:class:`~repro.harness.sweep.SweepContext` instead.
+The drivers read their cells through
+:class:`~repro.harness.sweep.SweepContext` (memoised, disk-cached,
+parallel); callers that need the live simulation objects (``result.sim``,
+``result.compiled``, ``result.system``) call :func:`run_workload` or
+:func:`run_program` directly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence
 
 from repro.compiler.codegen import CompiledKernel, compile_kernel
 from repro.compiler.ir import Kernel
@@ -39,7 +39,6 @@ from repro.harness.config import (
 from repro.harness.systems import (
     build_multicore_system,
     build_system,
-    check_micro_mode,
     core_config_for,
 )
 from repro.isa.program import Program
@@ -118,27 +117,20 @@ class RunResult:
     def to_record(self, spec=None, sim_wall_seconds: float = 0.0):
         """Flatten this live result into a plain-data sweep record.
 
-        Without an explicit ``spec`` a normalised one is synthesised from the
-        result's own (workload, mode, scale) via
-        :meth:`ExperimentContext.normalize_key`, so stand-alone records carry
-        a real scale and spec hash instead of empty placeholders.
+        Without an explicit ``spec`` one is synthesised from the result's own
+        (workload, mode, scale) by :meth:`RunSpec.create
+        <repro.harness.sweep.RunSpec.create>`, which normalises every key
+        part, so stand-alone records carry a real scale and spec hash instead
+        of empty placeholders.  Raw programs (microbenchmarks, hand-built
+        tests) are ``"program"`` cells and keep their label's case.
         """
         from repro.harness.sweep import RunRecord, RunSpec
         if spec is None:
-            machine = {"num_cores": self.num_cores} if self.num_cores > 1 else None
-            if self.compiled is not None:
-                workload, mode, scale = ExperimentContext.normalize_key(
-                    self.workload, self.mode, self.scale or "-")
-                kind = "kernel"
-            else:
-                # Raw programs (microbenchmarks, hand-built tests) keep their
-                # label's case; they are not cells of the kernel matrix.
-                workload = self.workload.strip()
-                mode = self.mode.strip().lower()
-                scale = (self.scale or "-").strip().lower()
-                kind = "program"
-            spec = RunSpec.create(workload, mode, scale, kind=kind,
-                                  machine=machine)
+            spec = RunSpec.create(
+                self.workload, self.mode, self.scale or "-",
+                kind="kernel" if self.compiled is not None else "program",
+                machine=({"num_cores": self.num_cores}
+                         if self.num_cores > 1 else None))
         return RunRecord(
             workload=spec.workload,
             mode=spec.mode,
@@ -277,53 +269,3 @@ def run_workload(name: str, mode: str = "hybrid", scale: str = "small",
                         compiled=compiled[0], scale=scale,
                         track_protocol=track_protocol)
 
-
-class ExperimentContext:
-    """Legacy in-process memoizing runner (thin compatibility shim).
-
-    Keyed by the *normalised* (workload, mode, scale) triple — every part is
-    case- and whitespace-normalised, so ``run("cg", "Hybrid")`` and
-    ``run("CG", "hybrid")`` share one simulation.  Unlike
-    :class:`~repro.harness.sweep.SweepContext` this context returns live
-    :class:`RunResult` objects (with ``.sim`` and ``.system``) and never
-    touches the disk store; use it when a test needs the simulation objects
-    themselves.
-    """
-
-    def __init__(self, scale: str = "small",
-                 machine: Optional[MachineConfig] = None):
-        self.scale = scale.strip().lower()
-        self.machine = machine or PTLSIM_CONFIG
-        self._cache: Dict[Tuple[str, str, str], RunResult] = {}
-        self._micro_cache: Dict[Tuple[str, float, int, int, str], RunResult] = {}
-
-    @staticmethod
-    def normalize_key(workload: str, mode: str, scale: str) -> Tuple[str, str, str]:
-        """Canonical cache key: every part normalised, not just the workload."""
-        return (workload.strip().upper(), mode.strip().lower(),
-                scale.strip().lower())
-
-    def run(self, workload: str, mode: str) -> RunResult:
-        key = self.normalize_key(workload, mode, self.scale)
-        if key not in self._cache:
-            self._cache[key] = run_workload(
-                key[0], mode=key[1], scale=key[2], machine=self.machine)
-        return self._cache[key]
-
-    def run_micro(self, micro_mode: str, guarded_fraction: float = 1.0,
-                  iterations: int = 200, unroll: int = 1,
-                  system_mode: str = "hybrid") -> RunResult:
-        """Memoized microbenchmark run (same interface as SweepContext)."""
-        from repro.workloads.microbenchmark import build_microbenchmark
-        key = (micro_mode, float(guarded_fraction), int(iterations),
-               int(unroll), check_micro_mode(system_mode))
-        if key not in self._micro_cache:
-            program = build_microbenchmark(micro_mode, float(guarded_fraction),
-                                           int(iterations), int(unroll))
-            self._micro_cache[key] = run_program(
-                program, mode=key[4], machine=self.machine,
-                workload=f"micro-{micro_mode}")
-        return self._micro_cache[key]
-
-    def cached_runs(self) -> Dict[Tuple[str, str, str], RunResult]:
-        return dict(self._cache)

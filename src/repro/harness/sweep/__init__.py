@@ -1,33 +1,27 @@
 """Parallel experiment-sweep engine with a content-hashed on-disk result store.
 
 The paper's evaluation is a matrix of (workload x mode x scale x machine
-config) simulations.  This module turns that matrix into first-class objects:
+config) simulations.  The package turns that matrix into first-class
+objects, in four modules:
 
-* :class:`RunSpec` — one fully-resolved cell of the matrix, frozen and
-  content-hashed (the hash is a SHA-256 over the canonical JSON of the spec,
-  so identical specs always produce identical hashes regardless of how the
-  spec was constructed or how dicts were ordered);
-* :class:`SweepSpec` — a declarative cartesian product of workloads, modes,
-  scales and machine-config overrides that resolves into a list of
-  :class:`RunSpec` cells;
-* :class:`RunRecord` — the plain-data result of one cell: cycles,
-  instructions, phase breakdown, memory-system activity and the energy
-  breakdown.  Records are JSON-serialisable, so they can cross process
-  boundaries and live in the on-disk store;
-* :class:`ResultStore` — the content-addressed disk cache.  Layout:
-  ``<root>/<hash[:2]>/<hash>.json``, one file per cell, written atomically.
-  Corrupted or schema-incompatible entries are treated as misses and
-  removed;
-* :func:`run_sweep` — the executor: resolves store hits, fans cell misses
-  out over a :class:`concurrent.futures.ProcessPoolExecutor` (``workers > 1``)
-  or runs them inline, and fills the store;
-* :class:`SweepContext` — the engine-backed replacement for the legacy
-  :class:`~repro.harness.runner.ExperimentContext`: same ``run(workload,
-  mode)`` interface, but store-backed and able to prefetch a whole sweep in
-  parallel.  The figure/table drivers in
-  :mod:`repro.harness.experiments` accept either context.
-
-Command line::
+* :mod:`~repro.harness.sweep.spec` — spec identity: :class:`RunSpec`, one
+  frozen cell of the matrix, content-hashed (SHA-256 over the canonical
+  JSON of the spec, so identical specs always hash identically however they
+  were built); :class:`SweepSpec`, a declarative cartesian product of
+  workloads, modes, scales and machine-config overrides; and
+  :class:`RunRecord`, the JSON-serialisable result of one cell (cycles,
+  instructions, phase breakdown, memory-system activity, energy);
+* :mod:`~repro.harness.sweep.store` — :class:`ResultStore`, the
+  content-addressed disk cache: ``<root>/<hash[:2]>/<hash>.json``, one file
+  per cell, written atomically; corrupted or schema-incompatible entries
+  are misses;
+* this module — the engine: :func:`execute_spec` simulates one cell,
+  :func:`run_sweep_report` / :func:`run_sweep` serve store hits, fan misses
+  out over a process pool (``workers > 1``) or run them inline, retry or
+  quarantine failing cells and fill the store, and :class:`SweepContext`
+  is the experiment context the figure/table drivers of
+  :mod:`repro.harness.experiments` read cells through;
+* :mod:`~repro.harness.sweep.cli` — the command line::
 
     python -m repro.harness.sweep --workloads CG,IS --modes hybrid,cache \
         --scales tiny --workers 2 --cache-dir .repro-cache
@@ -40,318 +34,23 @@ when a simulator change invalidates old results, or key any cross-run cache
 
 from __future__ import annotations
 
-import argparse
-import dataclasses
-import hashlib
-import json
 import os
 import time
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro import faults, obs
-from repro.diskstore import DEFAULT_CACHE_DIR, DiskStore, resolve_cache_root
-from repro.harness.config import MachineConfig, PTLSIM_CONFIG
-from repro.harness.systems import SYSTEM_MODES, check_micro_mode
-
-#: Version of the store schema; a mismatch turns a disk entry into a miss.
-STORE_SCHEMA = 1
-
-_OverrideItems = Tuple[Tuple[str, Any], ...]
-
-
-def _freeze_mapping(mapping: Optional[Mapping[str, Any]]) -> _OverrideItems:
-    """Canonicalise a mapping into a sorted, hashable tuple of items."""
-    if not mapping:
-        return ()
-    return tuple(sorted(mapping.items()))
-
-
-#: Overrides that restate the paper-default machine and must hash the same
-#: as omitting the key: single-core, the flat (1-cluster) uncore and its
-#: NUMA/LLC knobs, and the Table 1 directory size.  Values are read off
-#: PTLSIM_CONFIG so this set can never drift from the config defaults.
-_DEFAULT_MACHINE_ITEMS = frozenset(
-    (name, getattr(PTLSIM_CONFIG, name))
-    for name in ("num_cores", "num_clusters", "directory_entries",
-                 "numa_remote_latency", "llc_size", "llc_assoc",
-                 "llc_latency"))
-
-
-def _freeze_machine(mapping: Optional[Mapping[str, Any]]) -> _OverrideItems:
-    """Canonicalise machine overrides for hashing.
-
-    Overrides that restate a paper default (``num_cores=1``,
-    ``num_clusters=1``, ``directory_entries=32``, and the cluster-mode
-    NUMA/LLC knobs at their defaults) are dropped: a cell built as
-    ``{"num_cores": 1, ...}`` (the sweep CLI spells every ``--cores`` cell
-    that way) must hash — and hit the result store — the same as one that
-    simply omits the key.  Every other override, including the same knobs
-    at non-default values, is kept verbatim.
-    """
-    return tuple(kv for kv in _freeze_mapping(mapping)
-                 if kv not in _DEFAULT_MACHINE_ITEMS)
-
-
-# ------------------------------------------------------------------------ RunSpec
-@dataclass(frozen=True)
-class RunSpec:
-    """One frozen, content-hashed cell of the evaluation matrix.
-
-    ``kind`` selects the workload family: ``"kernel"`` runs a NAS-like
-    kernel through the compiler (``workload`` names it), ``"micro"`` runs
-    the Table 2 / Figure 7 microbenchmark (``params`` carries ``micro_mode``,
-    ``guarded_fraction``, ``iterations`` and ``unroll``).
-    """
-
-    workload: str
-    mode: str
-    scale: str = "small"
-    machine: _OverrideItems = ()
-    kind: str = "kernel"
-    params: _OverrideItems = ()
-
-    #: Spec kinds the executor understands.  ``"replay"`` is a kernel cell
-    #: resolved through the trace subsystem: the dynamic stream is captured
-    #: once per (workload, mode, scale, functional machine parameters) and
-    #: re-timed under this cell's machine overrides (see :mod:`repro.trace`).
-    KINDS = ("kernel", "micro", "replay")
-
-    @classmethod
-    def create(cls, workload: str, mode: str, scale: str = "small",
-               machine: Optional[Mapping[str, Any]] = None,
-               kind: str = "kernel",
-               params: Optional[Mapping[str, Any]] = None) -> "RunSpec":
-        """Build a spec with every key part normalised (case, whitespace)."""
-        return cls(
-            # Replay cells are kernel cells resolved through the trace
-            # subsystem, so they normalise (and hash) identically.
-            workload=(workload.strip().upper() if kind in ("kernel", "replay")
-                      else workload.strip()),
-            mode=mode.strip().lower(),
-            scale=scale.strip().lower(),
-            machine=_freeze_machine(machine),
-            kind=kind,
-            params=_freeze_mapping(params),
-        )
-
-    def as_dict(self) -> Dict[str, Any]:
-        return {
-            "workload": self.workload,
-            "mode": self.mode,
-            "scale": self.scale,
-            "machine": dict(self.machine),
-            "kind": self.kind,
-            "params": dict(self.params),
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "RunSpec":
-        return cls.create(
-            workload=data["workload"], mode=data["mode"], scale=data["scale"],
-            machine=data.get("machine"), kind=data.get("kind", "kernel"),
-            params=data.get("params"))
-
-    @property
-    def spec_hash(self) -> str:
-        """Content hash: SHA-256 of the canonical JSON of the spec."""
-        payload = json.dumps(
-            {"schema": STORE_SCHEMA, **self.as_dict()},
-            sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(payload.encode()).hexdigest()[:16]
-
-    @property
-    def label(self) -> str:
-        parts = [self.workload, self.mode, self.scale]
-        if self.machine:
-            parts.append(",".join(f"{k}={v}" for k, v in self.machine))
-        if self.params:
-            parts.append(",".join(f"{k}={v}" for k, v in self.params))
-        return ":".join(parts)
-
-    def resolve_machine(self, base: Optional[MachineConfig] = None) -> MachineConfig:
-        """Apply this spec's overrides to ``base`` (default: Table 1)."""
-        machine = base or PTLSIM_CONFIG
-        if self.machine:
-            machine = machine.with_overrides(dict(self.machine))
-        return machine
-
-
-# ----------------------------------------------------------------------- SweepSpec
-@dataclass(frozen=True)
-class SweepSpec:
-    """A declarative sweep: the cartesian product of its four axes.
-
-    ``machines`` is a tuple of override sets (each a frozen items-tuple of
-    :class:`~repro.harness.config.MachineConfig` field overrides, with dotted
-    paths such as ``memory.prefetch_enabled`` reaching into sub-configs).  An
-    empty override set is the Table 1 machine.
-    """
-
-    workloads: Tuple[str, ...]
-    modes: Tuple[str, ...]
-    scales: Tuple[str, ...] = ("small",)
-    machines: Tuple[_OverrideItems, ...] = ((),)
-
-    @classmethod
-    def create(cls, workloads: Sequence[str], modes: Sequence[str],
-               scales: Sequence[str] = ("small",),
-               machines: Optional[Sequence[Mapping[str, Any]]] = None) -> "SweepSpec":
-        return cls(
-            workloads=tuple(w.strip().upper() for w in workloads),
-            modes=tuple(m.strip().lower() for m in modes),
-            scales=tuple(s.strip().lower() for s in scales),
-            machines=tuple(_freeze_mapping(m) for m in machines) if machines else ((),),
-        )
-
-    def cells(self) -> List[RunSpec]:
-        """Resolve the product into frozen specs, in deterministic order."""
-        out = []
-        for machine in self.machines:
-            for scale in self.scales:
-                for workload in self.workloads:
-                    for mode in self.modes:
-                        out.append(RunSpec.create(
-                            workload, mode, scale, machine=dict(machine)))
-        return out
-
-
-# ----------------------------------------------------------------------- RunRecord
-@dataclass
-class RunRecord:
-    """Plain-data result of one cell — everything the drivers consume.
-
-    The record intentionally mirrors the accessor surface of the legacy
-    :class:`~repro.harness.runner.RunResult` (``cycles``, ``instructions``,
-    ``total_energy``, ``phase_cycles``, ``memory_stats``, ``energy_groups``,
-    guarded-reference counters), so the figure/table drivers work with
-    either.
-    """
-
-    workload: str
-    mode: str
-    scale: str
-    kind: str
-    spec_hash: str
-    machine_overrides: Dict[str, Any]
-    params: Dict[str, Any]
-    cycles: float
-    instructions: int
-    phase_cycles: Dict[str, float]
-    mispredictions: int
-    branch_predictions: int
-    memory_stats: Dict[str, Any]
-    core_stats: Dict[str, Any]
-    energy: Dict[str, float]
-    guarded_references: int = 0
-    total_references: int = 0
-    emits_guards: bool = False
-    sim_wall_seconds: float = 0.0
-
-    # -- derived -----------------------------------------------------------------
-    @property
-    def total_energy(self) -> float:
-        return self.energy.get("total", 0.0)
-
-    @property
-    def energy_groups(self) -> Dict[str, float]:
-        """The Figure 10 component grouping (CPU / Caches / LM / Others)."""
-        return {
-            "CPU": self.energy.get("cpu", 0.0),
-            "Caches": self.energy.get("caches", 0.0),
-            "LM": self.energy.get("lm", 0.0),
-            "Others": self.energy.get("others", 0.0),
-        }
-
-    @property
-    def ipc(self) -> float:
-        return self.instructions / self.cycles if self.cycles > 0 else 0.0
-
-    # -- serialisation ------------------------------------------------------------
-    def as_dict(self) -> Dict[str, Any]:
-        return dataclasses.asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "RunRecord":
-        known = {f.name for f in dataclasses.fields(cls)}
-        return cls(**{k: v for k, v in data.items() if k in known})
-
-
-# --------------------------------------------------------------------- ResultStore
-class ResultStore(DiskStore):
-    """Content-addressed disk cache of :class:`RunRecord` objects.
-
-    Layout: ``<root>/<hash[:2]>/<hash>.json``; each file holds the schema
-    version, the spec (for debuggability) and the record.  A file that
-    cannot be parsed, fails the schema check, or does not round-trip into a
-    record is a corrupted miss (:meth:`~repro.diskstore.DiskStore._read`).
-    """
-
-    NAME = "result"
-    FAULT_SITE = "store.put"
-    PUT_ERROR_COUNTER = "sweep.store.put_error"
-    SUFFIX = ".json"
-    CORRUPT = (OSError, ValueError, TypeError, KeyError, AttributeError)
-    COUNTERS = DiskStore.COUNTERS + ("cell_retries", "cell_failures",
-                                     "cell_quarantined")
-
-    def __init__(self, root: Optional[os.PathLike] = None):
-        super().__init__(resolve_cache_root(root))
-        self.cell_retries = 0
-        self.cell_failures = 0
-        self.cell_quarantined = 0
-
-    def path_for(self, spec: RunSpec) -> Path:
-        h = spec.spec_hash
-        return self.root / h[:2] / f"{h}.json"
-
-    def is_current(self, path: Path) -> bool:
-        try:
-            return json.loads(path.read_bytes()).get("schema") == STORE_SCHEMA
-        except (OSError, ValueError, AttributeError):
-            return False
-
-    def get(self, spec: RunSpec) -> Optional[RunRecord]:
-        def load(path: Path, stat: os.stat_result) -> RunRecord:
-            payload = json.loads(path.read_bytes())
-            if payload.get("schema") != STORE_SCHEMA:
-                raise ValueError(f"schema {payload.get('schema')!r} != {STORE_SCHEMA}")
-            return RunRecord.from_dict(payload["record"])
-        return self._read(self.path_for(spec), load)
-
-    def put(self, spec: RunSpec, record: RunRecord) -> Optional[Path]:
-        """Write one record; None when the write failed or was skipped (see
-        :meth:`~repro.diskstore.DiskStore._write`)."""
-        payload = {"schema": STORE_SCHEMA, "spec": spec.as_dict(),
-                   "record": record.as_dict()}
-        return self._write(self.path_for(spec), json.dumps(payload).encode(),
-                           spec.spec_hash)
-
-    def clear(self) -> int:
-        """Remove every entry; returns the number of files removed."""
-        removed = 0
-        for entry in self._entry_paths():
-            try:
-                entry.unlink()
-                removed += 1
-            except OSError:
-                pass
-        return removed
-
-    def prune(self, max_bytes: Optional[int] = None,
-              max_age_days: Optional[float] = None) -> int:
-        """:meth:`DiskStore.prune <repro.diskstore.DiskStore.prune>`;
-        returns the number of files removed.
-
-        Bumping :data:`STORE_SCHEMA` turns old entries into permanent misses
-        that :meth:`get` never touches again (their hashes embed the old
-        schema); this sweeps those dead files out.  The trace store's
-        subtree nests one level deeper and is left to its own prune().
-        """
-        counts = super().prune(max_bytes=max_bytes, max_age_days=max_age_days)
-        return sum(counts[bucket] for bucket in self.PRUNE_BUCKETS)
-
+from repro.harness.config import MachineConfig
+from repro.harness.systems import check_micro_mode
+# Spec identity and the store are re-exported: the package is their public
+# home (``from repro.harness.sweep import RunSpec, ResultStore``).
+from repro.harness.sweep.spec import (  # noqa: F401
+    STORE_SCHEMA,
+    RunRecord,
+    RunSpec,
+    SweepSpec,
+)
+from repro.harness.sweep.store import ResultStore
 
 # ----------------------------------------------------------------------- execution
 def execute_spec(spec: RunSpec,
@@ -517,6 +216,18 @@ def _prepare_replay_traces(misses: Sequence[RunSpec], trace_store,
 
 
 # ------------------------------------------------------------------ fault tolerance
+def _terminate(pool) -> None:
+    """Discard a process pool, terminating its workers first: a broken or
+    hung pool cannot be shut down politely, as a clean shutdown() would join
+    workers that never return."""
+    for proc in list(getattr(pool, "_processes", {}).values()):
+        try:
+            proc.terminate()
+        except (OSError, AttributeError):
+            pass
+    pool.shutdown(wait=False, cancel_futures=True)
+
+
 #: Exception types that mark a misconfigured cell (unknown workload, mode
 #: or config field) rather than a failed execution: retrying cannot fix a
 #: bad spec and ``keep_going`` must not hide one, so they always propagate.
@@ -662,47 +373,54 @@ def run_sweep_report(specs: Sequence[RunSpec], workers: int = 1,
                                tid=tid, args={"spec_hash": record.spec_hash})
         say(f"  done {spec.label}")
 
-    def backoff_for(attempt: int) -> float:
-        return retry_backoff * (2 ** attempt)
+    def retry_or_fail(spec: RunSpec, attempt: int, exc: BaseException,
+                      kind: str, isolated: bool = False) -> bool:
+        """Charge ``spec`` its failed ``attempt``: requeue it after a backoff
+        while its retry budget lasts, else record its terminal failure.
 
-    def note_retry(spec: RunSpec, attempt: int, exc: BaseException,
-                   kind: str) -> None:
-        report.retries += 1
-        rec.incr("sweep.cell.retry")
-        if store is not None:
-            store.cell_retries += 1
-        log.warning("cell %s attempt %d failed [%s]: %r; retrying",
-                    spec.label, attempt + 1, kind, exc)
-        say(f"  retry {spec.label} [{kind}] "
-            f"(attempt {attempt + 2}/{max_retries + 1})")
-
-    def fail(spec: RunSpec, kind: str, exc: BaseException, attempts: int,
-             quarantined: bool = False) -> None:
+        An ``isolated`` cell (one re-run alone after killing or hanging a
+        worker) retries in place at once, so it is not requeued, and on
+        running out it is quarantined.  Returns whether a retry is due.
+        """
+        if attempt < max_retries:
+            report.retries += 1
+            rec.incr("sweep.cell.retry")
+            if store is not None:
+                store.cell_retries += 1
+            log.warning("cell %s attempt %d failed [%s]: %r; retrying",
+                        spec.label, attempt + 1, kind, exc)
+            say(f"  retry {spec.label} [{kind}] "
+                f"(attempt {attempt + 2}/{max_retries + 1})")
+            if not isolated:
+                pending.append([spec, attempt + 1, time.monotonic()
+                                + retry_backoff * (2 ** attempt)])
+            return True
         failure = CellFailure(spec=spec, kind=kind, error=repr(exc),
-                              attempts=attempts, quarantined=quarantined)
+                              attempts=attempt + 1, quarantined=isolated)
         failures[spec] = failure
         report.failures.append(failure)
         rec.incr("sweep.cell.failed")
-        if quarantined:
-            rec.incr("sweep.cell.quarantined")
         if store is not None:
             store.cell_failures += 1
-            if quarantined:
+        if isolated:
+            rec.incr("sweep.cell.quarantined")
+            if store is not None:
                 store.cell_quarantined += 1
         rec.event("sweep.cell.failed", spec=spec.label, kind=kind,
-                  attempts=attempts, quarantined=quarantined)
+                  attempts=failure.attempts, quarantined=isolated)
         log.error("cell FAILED %s after %d attempt(s) [%s]: %s",
-                  spec.label, attempts, kind, failure.error)
+                  spec.label, failure.attempts, kind, failure.error)
         if timeline is not None:
             timeline.instant(f"FAILED {spec.label}",
                              (time.perf_counter() - sweep_start) * 1e6,
-                             args={"kind": kind, "attempts": attempts,
-                                   "quarantined": quarantined,
+                             args={"kind": kind, "attempts": failure.attempts,
+                                   "quarantined": isolated,
                                    "error": failure.error})
-        say(f"  FAILED {spec.label} after {attempts} attempt(s) [{kind}]"
-            + (" — quarantined" if quarantined else ""))
+        say(f"  FAILED {spec.label} after {failure.attempts} attempt(s) "
+            f"[{kind}]" + (" — quarantined" if isolated else ""))
         if not keep_going:
             raise SweepCellError(failure)
+        return False
 
     # A live base_machine cannot cross the process boundary (workers rebuild
     # the machine from the spec's overrides), so it forces inline execution.
@@ -747,28 +465,22 @@ def run_sweep_report(specs: Sequence[RunSpec], workers: int = 1,
         if pending and use_pool:
             pool: Optional[cf.ProcessPoolExecutor] = None
             in_flight: Dict[Any, Tuple[RunSpec, int, float]] = {}
+            overrun = TimeoutError(
+                f"cell exceeded cell_timeout={cell_timeout}s")
 
             def kill_pool() -> None:
-                # A broken or hung pool cannot be shut down politely: a
-                # clean shutdown() would join workers that will never
-                # return.  Terminate them, then discard the executor.
                 nonlocal pool
-                if pool is None:
-                    return
-                for proc in list(getattr(pool, "_processes", {}).values()):
-                    try:
-                        proc.terminate()
-                    except (OSError, AttributeError):
-                        pass
-                pool.shutdown(wait=False, cancel_futures=True)
-                pool = None
+                if pool is not None:
+                    _terminate(pool)
+                    pool = None
 
             def probe(spec: RunSpec, attempt: int) -> None:
                 # After a pool break nothing says *which* in-flight cell
                 # killed it, and charging (or quarantining) an innocent cell
                 # would violate the retry contract.  So each suspect re-runs
                 # alone in a private single-worker pool: only the cell that
-                # again kills its own worker is charged a "crash" attempt.
+                # again kills (or hangs) its own worker is charged a "crash"
+                # (or "timeout") attempt.
                 while True:
                     probe_pool = cf.ProcessPoolExecutor(max_workers=1)
                     try:
@@ -776,50 +488,28 @@ def run_sweep_report(specs: Sequence[RunSpec], workers: int = 1,
                         future = probe_pool.submit(_execute_payload,
                                                    payload_for(spec, attempt))
                         result = future.result(timeout=cell_timeout)
-                    except cf.BrokenExecutor as exc:
-                        if attempt < max_retries:
-                            note_retry(spec, attempt, exc, "crash")
-                            attempt += 1
-                            continue
-                        fail(spec, "crash", exc, attempt + 1,
-                             quarantined=True)
-                        return
-                    except cf.TimeoutError:
-                        exc = TimeoutError(
-                            f"cell exceeded cell_timeout={cell_timeout}s")
-                        rec.incr("sweep.cell.timeout")
-                        if attempt < max_retries:
-                            note_retry(spec, attempt, exc, "timeout")
-                            attempt += 1
-                            continue
-                        fail(spec, "timeout", exc, attempt + 1,
-                             quarantined=True)
-                        return
+                    except (cf.BrokenExecutor, cf.TimeoutError) as exc:
+                        kind = "crash"
+                        if not isinstance(exc, cf.BrokenExecutor):
+                            kind, exc = "timeout", overrun
+                            rec.incr("sweep.cell.timeout")
+                        if not retry_or_fail(spec, attempt, exc, kind,
+                                             isolated=True):
+                            return
+                        attempt += 1
                     except _FATAL_ERRORS:
                         raise
                     except Exception as exc:
                         # An ordinary in-worker exception: this cell is not
                         # a pool-killer, so its retries go back to the
                         # shared pool's queue.
-                        if attempt < max_retries:
-                            note_retry(spec, attempt, exc, "error")
-                            pending.append([spec, attempt + 1,
-                                            time.monotonic()
-                                            + backoff_for(attempt)])
-                        else:
-                            fail(spec, "error", exc, attempt + 1)
+                        retry_or_fail(spec, attempt, exc, "error")
                         return
                     else:
                         finish(spec, RunRecord.from_dict(result))
                         return
                     finally:
-                        for proc in list(getattr(probe_pool, "_processes",
-                                                 {}).values()):
-                            try:
-                                proc.terminate()
-                            except (OSError, AttributeError):
-                                pass
-                        probe_pool.shutdown(wait=False, cancel_futures=True)
+                        _terminate(probe_pool)
 
             try:
                 while pending or in_flight:
@@ -868,13 +558,7 @@ def run_sweep_report(specs: Sequence[RunSpec], workers: int = 1,
                         except _FATAL_ERRORS:
                             raise
                         except Exception as exc:
-                            if attempt < max_retries:
-                                note_retry(spec, attempt, exc, "error")
-                                pending.append([spec, attempt + 1,
-                                                time.monotonic()
-                                                + backoff_for(attempt)])
-                            else:
-                                fail(spec, "error", exc, attempt + 1)
+                            retry_or_fail(spec, attempt, exc, "error")
                     if broken is not None:
                         suspects.extend((s, a)
                                         for s, a, _ in in_flight.values())
@@ -920,16 +604,7 @@ def run_sweep_report(specs: Sequence[RunSpec], workers: int = 1,
                         say(f"sweep: {len(overruns)} cell(s) exceeded "
                             f"cell_timeout={cell_timeout}s; pool rebuilt")
                         for spec, attempt in overruns:
-                            exc = TimeoutError(
-                                f"cell exceeded cell_timeout="
-                                f"{cell_timeout}s")
-                            if attempt < max_retries:
-                                note_retry(spec, attempt, exc, "timeout")
-                                pending.append([spec, attempt + 1,
-                                                time.monotonic()
-                                                + backoff_for(attempt)])
-                            else:
-                                fail(spec, "timeout", exc, attempt + 1)
+                            retry_or_fail(spec, attempt, overrun, "timeout")
                         pending.extend([s, a, 0.0] for s, a in victims)
             except OSError as exc:
                 # The pool *infrastructure* failed (cannot fork, pipe
@@ -964,14 +639,9 @@ def run_sweep_report(specs: Sequence[RunSpec], workers: int = 1,
             except _FATAL_ERRORS:
                 raise
             except Exception as exc:
-                kind = ("crash" if isinstance(exc, faults.FaultCrash)
-                        else "error")
-                if attempt < max_retries:
-                    note_retry(spec, attempt, exc, kind)
-                    pending.append([spec, attempt + 1,
-                                    time.monotonic() + backoff_for(attempt)])
-                else:
-                    fail(spec, kind, exc, attempt + 1)
+                retry_or_fail(spec, attempt, exc,
+                              "crash" if isinstance(exc, faults.FaultCrash)
+                              else "error")
     finally:
         # Counters must survive interrupts (KeyboardInterrupt included) and
         # fail-fast aborts: both stores fold their session deltas into the
@@ -1024,13 +694,15 @@ def run_sweep(specs: Sequence[RunSpec], workers: int = 1,
 
 # -------------------------------------------------------------------- SweepContext
 class SweepContext:
-    """Engine-backed experiment context shared by the figure/table drivers.
+    """The experiment context the figure/table drivers read cells through.
 
-    Drop-in for the legacy :class:`~repro.harness.runner.ExperimentContext`
-    interface (``run(workload, mode)``), but returns plain
-    :class:`RunRecord` data, consults the on-disk :class:`ResultStore`, and
-    can :meth:`prefetch` a whole sweep across worker processes before the
-    drivers consume individual cells.
+    ``run(workload, mode)`` and ``run_micro(...)`` resolve one cell each as
+    a plain :class:`RunRecord`, memoised per context (every key part
+    normalised by :meth:`RunSpec.create`) and served from the on-disk
+    :class:`ResultStore` when one is given; :meth:`prefetch` resolves a
+    whole block across worker processes before the drivers consume it.
+    Callers that need the live simulation objects (``result.sim``,
+    ``result.compiled``) call :func:`~repro.harness.runner.run_workload`.
     """
 
     def __init__(self, scale: str = "small",
@@ -1100,246 +772,6 @@ class SweepContext:
                  for workload in workloads for mode in modes]
         return self.run_specs(specs, echo=echo)
 
-    def cached_runs(self) -> Dict[Tuple[str, str, str], RunRecord]:
-        """Resolved cells keyed by (workload, mode, scale), legacy-shaped."""
-        return {(s.workload, s.mode, s.scale): r
-                for s, r in self._records.items()}
 
-
-# ------------------------------------------------------------------------- CLI
-def _parse_value(text: str):
-    """Parse a CLI override value: bool / int / float / string."""
-    low = text.strip().lower()
-    if low in ("true", "false"):
-        return low == "true"
-    for cast in (int, float):
-        try:
-            return cast(text)
-        except ValueError:
-            continue
-    return text
-
-
-def _parse_overrides(items: Iterable[str]) -> Dict[str, Any]:
-    overrides = {}
-    for item in items:
-        if "=" not in item:
-            raise SystemExit(f"--set expects key=value, got {item!r}")
-        key, _, value = item.partition("=")
-        overrides[key.strip()] = _parse_value(value)
-    return overrides
-
-
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    from repro.workloads import BENCHMARK_ORDER
-
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.harness.sweep",
-        description="Run a (workload x mode x scale x machine) simulation "
-                    "sweep with the content-hashed result store.")
-    parser.add_argument("--workloads", default=",".join(BENCHMARK_ORDER),
-                        help="comma-separated NAS kernels (default: all six)")
-    parser.add_argument("--modes", default="hybrid,cache",
-                        help=f"comma-separated system modes from {SYSTEM_MODES}")
-    parser.add_argument("--scales", default="small",
-                        help="comma-separated scales (tiny/small/medium)")
-    parser.add_argument("--set", dest="overrides", action="append", default=[],
-                        metavar="KEY=VALUE",
-                        help="machine-config override, dotted paths allowed "
-                             "(e.g. --set directory_entries=16 "
-                             "--set memory.prefetch_enabled=false)")
-    parser.add_argument("--cores", default=None,
-                        help="comma-separated core counts; each becomes a "
-                             "machine-axis point (e.g. --cores 1,2,4 for a "
-                             "scalability sweep over the parallel kernels)")
-    parser.add_argument("--workers", type=int, default=1,
-                        help="worker processes for cache misses (default 1)")
-    parser.add_argument("--max-retries", type=int, default=1,
-                        help="retries per failing cell before it is "
-                             "declared failed (default 1)")
-    parser.add_argument("--cell-timeout", type=float, default=None,
-                        metavar="SECONDS",
-                        help="per-cell wall-clock budget; an overrunning "
-                             "cell's worker is killed and the cell retried "
-                             "(pool mode only, i.e. --workers > 1)")
-    going = parser.add_mutually_exclusive_group()
-    going.add_argument("--keep-going", action="store_true",
-                       help="on a cell failure, keep simulating the other "
-                            "cells and report partial results (exit code 2)")
-    going.add_argument("--fail-fast", action="store_true",
-                       help="abort on the first cell whose retries are "
-                            "exhausted (the default)")
-    parser.add_argument("--replay", action="store_true",
-                        help="resolve kernel cells through the trace "
-                             "subsystem: capture each (workload, mode, "
-                             "scale) stream once, re-time it per machine "
-                             "config (cycle-identical, several times faster)")
-    parser.add_argument("--cache-dir", default=None,
-                        help=f"result-store directory (default "
-                             f"$REPRO_CACHE_DIR or {DEFAULT_CACHE_DIR})")
-    parser.add_argument("--no-cache", action="store_true",
-                        help="do not read or write the result store")
-    parser.add_argument("--clear-cache", action="store_true",
-                        help="empty the result store before running")
-    parser.add_argument("--prune", action="store_true",
-                        help="delete stale-schema entries and leaked tmp "
-                             "files from the result AND trace stores before "
-                             "running")
-    parser.add_argument("--trace-max-bytes", type=int, default=None,
-                        help="with --prune: LRU-evict traces until the trace "
-                             "store fits this many bytes")
-    parser.add_argument("--trace-max-age-days", type=float, default=None,
-                        help="with --prune: evict traces not accessed within "
-                             "this many days")
-    parser.add_argument("--stats", action="store_true",
-                        help="print result- and trace-store statistics and exit")
-    parser.add_argument("--json", dest="json_path", default=None,
-                        help="also dump the records to this JSON file")
-    parser.add_argument("--timeline", dest="timeline_path", default=None,
-                        metavar="OUT.json",
-                        help="write a wall-clock pipeline timeline of the "
-                             "sweep (Chrome trace-event JSON; open in "
-                             "Perfetto or chrome://tracing)")
-    args = parser.parse_args(argv)
-
-    overrides = _parse_overrides(args.overrides)
-    if args.cores:
-        if "num_cores" in overrides:
-            raise SystemExit("--cores and --set num_cores are mutually "
-                             "exclusive (--cores is the num_cores axis)")
-        try:
-            core_counts = [int(c) for c in args.cores.split(",")]
-        except ValueError:
-            raise SystemExit(f"--cores expects integers, got {args.cores!r}")
-        # num_cores=1 is safe to spell explicitly: _freeze_machine drops it,
-        # so the 1-core cell hashes identically to a plain single-core spec.
-        machines = [dict(overrides, num_cores=n) for n in core_counts]
-    else:
-        machines = [overrides]
-    sweep = SweepSpec.create(
-        workloads=args.workloads.split(","), modes=args.modes.split(","),
-        scales=args.scales.split(","), machines=machines)
-    store = None if args.no_cache else ResultStore(args.cache_dir)
-    if args.stats:
-        if store is None:
-            raise SystemExit("--stats is meaningless with --no-cache")
-
-        def _lifetime_line(lifetime: Dict[str, int]) -> str:
-            return (f"  lifetime: {lifetime.get('hits', 0)} hit(s), "
-                    f"{lifetime.get('misses', 0)} miss(es), "
-                    f"{lifetime.get('writes', 0)} write(s), "
-                    f"{lifetime.get('evictions', 0)} eviction(s), "
-                    f"{lifetime.get('corrupted', 0)} corrupted")
-
-        disk = store.disk_stats()
-        print(f"result store at {store.root}: {disk['entries']} entr"
-              f"{'y' if disk['entries'] == 1 else 'ies'}, {disk['bytes']} "
-              f"bytes, {disk['stale_schema']} stale-schema file(s), "
-              f"{disk['tmp_files']} leaked tmp file(s) "
-              f"(schema {STORE_SCHEMA})")
-        print(_lifetime_line(disk["lifetime"]))
-        life = disk["lifetime"]
-        print(f"  failures: {life.get('cell_retries', 0)} cell retr"
-              f"{'y' if life.get('cell_retries', 0) == 1 else 'ies'}, "
-              f"{life.get('cell_failures', 0)} failed, "
-              f"{life.get('cell_quarantined', 0)} quarantined, "
-              f"{life.get('put_errors', 0)} store write error(s)")
-        from repro.trace import TRACE_SCHEMA, TraceStore
-        traces = TraceStore(store.root)
-        tdisk = traces.disk_stats()
-        print(f"trace store at {traces.root}: {tdisk['entries']} trace(s), "
-              f"{tdisk['bytes']} bytes, {tdisk['stale_schema']} stale-schema "
-              f"file(s), {tdisk['tmp_files']} leaked tmp file(s) "
-              f"(schema {TRACE_SCHEMA})")
-        tlife = tdisk["lifetime"]
-        print(_lifetime_line(tlife)
-              + f", {tlife.get('put_errors', 0)} write error(s)")
-        return 0
-    if store is not None and args.clear_cache:
-        print(f"cleared {store.clear()} store entries under {store.root}")
-    if store is not None and args.prune:
-        print(f"pruned {store.prune()} stale/tmp store files under {store.root}")
-        from repro.trace import TraceStore
-        traces = TraceStore(store.root)
-        tcounts = traces.prune(max_bytes=args.trace_max_bytes,
-                               max_age_days=args.trace_max_age_days)
-        print(f"pruned traces under {traces.root}: "
-              f"{tcounts['stale_schema']} stale-schema, "
-              f"{tcounts['tmp_files']} tmp, {tcounts['evicted']} LRU-evicted "
-              f"({tcounts['freed_bytes']} bytes freed, {tcounts['kept']} kept)")
-
-    cells = sweep.cells()
-    if args.replay:
-        cells = [RunSpec.create(c.workload, c.mode, c.scale,
-                                machine=dict(c.machine), kind="replay")
-                 for c in cells]
-    timeline = None
-    if args.timeline_path:
-        from repro.obs.timeline import TimelineRecorder
-        timeline = TimelineRecorder()
-    start = time.perf_counter()
-    try:
-        report = run_sweep_report(
-            cells, workers=args.workers, store=store, echo=print,
-            timeline=timeline, max_retries=args.max_retries,
-            cell_timeout=args.cell_timeout, keep_going=args.keep_going)
-    except (KeyError, ValueError) as exc:
-        # Unknown workload / mode / config field: show the message, not a
-        # worker-process traceback.
-        raise SystemExit(f"error: {exc}")
-    except SweepCellError as exc:
-        # Fail-fast: one cell exhausted its retries.  Already-finished
-        # cells are in the store; rerunning picks up where this left off.
-        raise SystemExit(f"error: {exc} (use --keep-going for partial "
-                         f"results; finished cells are already cached)")
-    records = report.records
-    wall = time.perf_counter() - start
-    if store is not None:
-        store.persist_stats()
-    if timeline is not None:
-        count = timeline.write(args.timeline_path)
-        print(f"pipeline timeline ({count} event(s)) written to "
-              f"{args.timeline_path}")
-
-    failed_by_spec = {f.spec: f for f in report.failures}
-    print(f"\n{'Workload':<10s} {'Mode':<14s} {'Scale':<7s} {'Cycles':>14s} "
-          f"{'Instr':>10s} {'IPC':>6s} {'Energy (nJ)':>14s}  {'Hash':<16s}")
-    print("-" * 98)
-    for cell, record in zip(cells, records):
-        if record is None:
-            failure = failed_by_spec.get(cell)
-            detail = (f"FAILED [{failure.kind}"
-                      + ("; quarantined" if failure.quarantined else "")
-                      + f" after {failure.attempts} attempt(s)]"
-                      if failure is not None else "FAILED")
-            print(f"{cell.workload:<10s} {cell.mode:<14s} {cell.scale:<7s} "
-                  f"{detail:>55s}  {cell.spec_hash:<16s}")
-            continue
-        print(f"{record.workload:<10s} {record.mode:<14s} {record.scale:<7s} "
-              f"{record.cycles:>14.0f} {record.instructions:>10d} "
-              f"{record.ipc:>6.2f} {record.total_energy:>14.0f}  "
-              f"{record.spec_hash:<16s}")
-    summary = f"\n{len(cells)} cell(s) in {wall:.2f}s"
-    if report.retries or report.failures or report.pool_rebuilds:
-        summary += (f" — {report.retries} retr"
-                    f"{'y' if report.retries == 1 else 'ies'}, "
-                    f"{len(report.failures)} failed, "
-                    f"{report.pool_rebuilds} pool rebuild(s)")
-    if store is not None:
-        s = store.stats()
-        summary += (f" — store: {s['hits']} hit(s), {s['writes']} new, "
-                    f"{s['corrupted']} corrupted, root={store.root}")
-        if store.degraded:
-            summary += " [store DEGRADED: memory-only]"
-    print(summary)
-    for failure in report.failures:
-        print(f"  FAILED {failure.spec.label}: {failure.error} "
-              f"[{failure.kind}, {failure.attempts} attempt(s)"
-              + (", quarantined" if failure.quarantined else "") + "]")
-
-    if args.json_path:
-        with open(args.json_path, "w", encoding="utf-8") as fh:
-            json.dump([r.as_dict() for r in records if r is not None],
-                      fh, indent=2)
-        print(f"records written to {args.json_path}")
-    return 2 if report.failures else 0
+# The command line imports the engine above, so it loads last.
+from repro.harness.sweep.cli import main  # noqa: E402

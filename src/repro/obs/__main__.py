@@ -31,11 +31,10 @@ from repro import obs
 
 
 def _cmd_report(args) -> int:
-    from repro.harness.config import PTLSIM_CONFIG
-    from repro.harness.sweep import _parse_overrides
+    from repro.harness.config import PTLSIM_CONFIG, parse_overrides
     from repro.trace import TraceKey, TraceStore, ensure_trace, replay_trace
 
-    overrides = _parse_overrides(args.overrides)
+    overrides = parse_overrides(args.overrides)
     machine = PTLSIM_CONFIG.with_overrides(overrides)
     store = TraceStore(args.cache_dir)
     key = TraceKey.create(args.workload, args.mode, args.scale, kind="kernel",

@@ -25,8 +25,7 @@ import time
 from typing import Optional, Sequence
 
 from repro import obs
-from repro.harness.config import PTLSIM_CONFIG
-from repro.harness.sweep import _parse_overrides
+from repro.harness.config import PTLSIM_CONFIG, parse_overrides
 from repro.trace import (
     ReplayValidityError,
     TraceError,
@@ -60,7 +59,7 @@ def _summary(label: str, result) -> str:
 
 
 def _cmd_capture(args) -> int:
-    machine = PTLSIM_CONFIG.with_overrides(_parse_overrides(args.overrides))
+    machine = PTLSIM_CONFIG.with_overrides(parse_overrides(args.overrides))
     store = TraceStore(args.cache_dir)
     key = TraceKey.create(args.workload, args.mode, args.scale, kind="kernel",
                           lm_size=machine.lm_size,
@@ -106,7 +105,7 @@ def _same_run(a, b) -> bool:
 
 
 def _cmd_replay(args) -> int:
-    overrides = _parse_overrides(args.overrides)
+    overrides = parse_overrides(args.overrides)
     machine = PTLSIM_CONFIG.with_overrides(overrides)
     store = TraceStore(args.cache_dir)
     key = TraceKey.create(args.workload, args.mode, args.scale, kind="kernel",

@@ -3,12 +3,12 @@
 import pytest
 
 from repro.harness import experiments, reporting
-from repro.harness.runner import ExperimentContext
+from repro.harness.sweep import SweepContext
 
 
 @pytest.fixture(scope="module")
 def ctx():
-    return ExperimentContext(scale="tiny")
+    return SweepContext(scale="tiny")
 
 
 BENCHES = ["CG", "IS"]

@@ -5,14 +5,21 @@ import pytest
 from repro.cpu.core import SimulationResult
 from repro.energy.model import EnergyBreakdown, EnergyModel
 from repro.energy.parameters import EnergyParameters
-from repro.harness.config import MachineConfig, PTLSIM_CONFIG, table1_rows
+from repro.harness.config import (
+    MachineConfig,
+    PTLSIM_CONFIG,
+    parse_overrides,
+    table1_rows,
+)
 from repro.harness.metrics import (
     energy_reduction,
     overhead,
     speedup,
     table3_row,
 )
-from repro.harness.runner import ExperimentContext, run_workload
+import repro.harness.runner as runner_mod
+from repro.harness.runner import run_workload
+from repro.harness.sweep import SweepContext
 from repro.harness.systems import SYSTEM_MODES, build_system
 
 
@@ -25,6 +32,20 @@ def test_table1_rows_reflect_configuration():
     assert "4 MB" in rows["L3 cache"]
     assert "Local memory" in rows
     assert "3 INT ALUs" in rows["Functional units"]
+
+
+def test_parse_overrides_types_and_dotted_keys():
+    overrides = parse_overrides([
+        "memory.prefetch_enabled=false", "core.rob_size=64", "lm_latency=TRUE",
+        "energy.l1_per_access=0.5", "label=fast", " directory_entries = 16"])
+    assert overrides == {
+        "memory.prefetch_enabled": False, "core.rob_size": 64,
+        "lm_latency": True, "energy.l1_per_access": 0.5, "label": "fast",
+        "directory_entries": 16}
+    assert type(overrides["core.rob_size"]) is int
+    assert type(overrides["lm_latency"]) is bool
+    with pytest.raises(SystemExit, match="key=value"):
+        parse_overrides(["num_cores"])
 
 
 def test_cache_based_machine_doubles_l1():
@@ -51,11 +72,11 @@ def test_build_system_modes():
 # ----------------------------------------------------------------------------- runner
 @pytest.fixture(scope="module")
 def tiny_ctx():
-    return ExperimentContext(scale="tiny")
+    return SweepContext(scale="tiny")
 
 
-def test_run_workload_produces_consistent_result(tiny_ctx):
-    result = tiny_ctx.run("CG", "hybrid")
+def test_run_workload_produces_consistent_result():
+    result = run_workload("CG", "hybrid", scale="tiny")
     assert result.cycles > 0
     assert result.instructions > 0
     assert result.total_energy > 0
@@ -63,11 +84,20 @@ def test_run_workload_produces_consistent_result(tiny_ctx):
     assert result.sim.ipc > 0
 
 
-def test_experiment_context_memoizes_runs(tiny_ctx):
-    first = tiny_ctx.run("CG", "hybrid")
-    second = tiny_ctx.run("CG", "hybrid")
+def test_experiment_context_memoizes_runs(monkeypatch):
+    calls = []
+    real = runner_mod.run_workload
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(runner_mod, "run_workload", counting)
+    ctx = SweepContext(scale="tiny")
+    first = ctx.run("CG", "hybrid")
+    second = ctx.run("CG", "hybrid")
     assert first is second
-    assert ("CG", "hybrid", "tiny") in tiny_ctx.cached_runs()
+    assert len(calls) == 1
 
 
 def test_metrics_relations(tiny_ctx):

@@ -16,7 +16,7 @@ import pytest
 
 from repro.harness.config import PTLSIM_CONFIG
 from repro.harness.experiments import MACHINE_ABLATION_POINTS
-from repro.harness.runner import ExperimentContext, run_program, run_workload
+from repro.harness.runner import run_program, run_workload
 from repro.harness.sweep import (
     STORE_SCHEMA,
     ResultStore,
@@ -101,9 +101,7 @@ def test_micro_needs_a_coherence_directory():
     for start in (lambda: capture_micro("baseline", 0.0, 100, 20,
                                         system_mode="cache"),
                   lambda: SweepContext().micro_spec("baseline", 0.0, 100, 20,
-                                                    system_mode="Cache"),
-                  lambda: ExperimentContext().run_micro(
-                      "baseline", 0.0, 100, 20, system_mode="cache")):
+                                                    system_mode="Cache")):
         with pytest.raises(ValueError, match="hybrid-oracle"):
             start()
     executed, trace = capture_micro("baseline", 0.0, 100, 20,
