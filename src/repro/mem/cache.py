@@ -17,7 +17,9 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional, Set, Tuple
+
+import numpy as np
 
 
 @dataclass
@@ -105,6 +107,10 @@ class Cache:
         # Each set is an OrderedDict mapping line address -> dirty flag,
         # ordered from LRU (first) to MRU (last).
         self._sets: Dict[int, "OrderedDict[int, bool]"] = {}
+        # The union of the sets' lines, kept in step with every fill,
+        # eviction, invalidation and flush: a DMA burst finds the lines
+        # the cache holds with one intersection (see snoop_batch).
+        self._resident: Set[int] = set()
         self.stats = CacheStats()
 
     # -- address helpers -------------------------------------------------------
@@ -160,68 +166,64 @@ class Cache:
                 stats.misses += 1
         return hit
 
-    def access_batch(self, addrs, is_write: bool = False, *,
-                     kind: str = "demand", fill_misses: bool = False):
-        """Perform one :meth:`access` per address; returns the hit flags.
+    def settle_fetches(self, addrs) -> None:
+        """Settle a stream of instruction fetches: one demand read
+        :meth:`access` per byte address of ``addrs`` (a sequence of ints or
+        an ``int64`` array), each miss followed by a :meth:`fill` of its
+        line.  Same contents, LRU order and statistics as that walk.
 
-        Exactly equivalent to ``[self.access(a, is_write, kind=kind) for a
-        in addrs]`` — same tag/LRU/dirty state, same statistics — and, with
-        ``fill_misses``, to additionally calling :meth:`fill(a)` after every
-        miss (the instruction-fetch pattern).  Set/tag math and the set table
-        are bound to locals so batch replay pays them once per slice instead
-        of once per access.
+        The walk is settled set by set.  A fetch of the line fetched just
+        before hits the set's MRU line and changes nothing, so the walk
+        only sees line changes, grouped by set with numpy (sets evolve
+        independently).  A set that starts empty and sees no more distinct
+        lines than it has ways never evicts: each distinct line misses
+        once, and the set ends holding its lines in last-touch order.  Only
+        the other sets are walked, one fetch at a time.
         """
+        lines = np.asarray(addrs, np.int64)
+        count = len(lines)
+        if not count:
+            return
         line_size = self.line_size
         num_sets = self.num_sets
+        lines = lines - lines % line_size
+        change = np.empty(count, np.bool_)
+        change[0] = True
+        np.not_equal(lines[1:], lines[:-1], out=change[1:])
+        heads = lines[change]
+        set_of = heads // line_size % num_sets
+        distinct, first_rev = np.unique(heads[::-1], return_index=True)
+        last_touch = len(heads) - 1 - first_rev
+        distinct_set = distinct // line_size % num_sets
+        per_set = np.bincount(distinct_set, minlength=num_sets)
+        fast = per_set <= self.assoc
         sets = self._sets
-        assoc = self.assoc
-        write_back = self.write_back
-        dirty_on_hit = is_write and write_back
-        setdefault = sets.setdefault
-        flags = []
-        append = flags.append
-        hits = 0
-        fills = 0
-        evictions = 0
-        writebacks = 0
-        for addr in addrs:
-            line = addr - (addr % line_size)
-            s = sets.get((line // line_size) % num_sets)
-            hit = s is not None and line in s
-            if hit:
+        held = [idx for idx, s in sets.items() if s]
+        if held:
+            fast[held] = False
+        # Sets that never evict: one miss and one fill per distinct line,
+        # filled in last-touch order.
+        settled = fast[distinct_set]
+        new_lines = distinct[settled]
+        misses = len(new_lines)
+        hits = count - len(heads) + int(np.count_nonzero(fast[set_of])) - misses
+        fill = self.fill
+        for line in new_lines[np.argsort(last_touch[settled])].tolist():
+            fill(line)
+        # The other sets, walked in stream order.
+        for line in heads[~fast[set_of]].tolist():
+            s = sets.get(line // line_size % num_sets)
+            if s is not None and line in s:
                 hits += 1
                 s.move_to_end(line)
-                if dirty_on_hit:
-                    s[line] = True
-            elif fill_misses:
-                if s is None:
-                    s = setdefault((line // line_size) % num_sets,
-                                   OrderedDict())
-                fills += 1
-                if len(s) >= assoc:
-                    _, victim_dirty = s.popitem(last=False)
-                    evictions += 1
-                    if victim_dirty and write_back:
-                        writebacks += 1
-                s[line] = False
-            append(hit)
+            else:
+                misses += 1
+                fill(line)
         stats = self.stats
-        count = len(flags)
-        stats.accesses += count + fills
-        if kind == "demand":
-            stats.demand_accesses += count
-            stats.hits += hits
-            stats.misses += count - hits
-        elif kind == "prefetch":
-            stats.prefetch_lookups += count
-        elif kind == "writethrough":
-            stats.writethrough_accesses += count
-        elif kind == "dma":
-            stats.dma_lookups += count
-        stats.fills += fills
-        stats.evictions += evictions
-        stats.writebacks += writebacks
-        return flags
+        stats.accesses += count
+        stats.demand_accesses += count
+        stats.hits += hits
+        stats.misses += misses
 
     def fill(self, addr: int, dirty: bool = False,
              is_prefetch: bool = False) -> Optional[Tuple[int, bool]]:
@@ -246,11 +248,13 @@ class Cache:
         evicted = None
         if len(s) >= self.assoc:
             victim_line, victim_dirty = s.popitem(last=False)
+            self._resident.discard(victim_line)
             self.stats.evictions += 1
             if victim_dirty and self.write_back:
                 self.stats.writebacks += 1
             evicted = (victim_line, victim_dirty and self.write_back)
         s[line] = dirty and self.write_back
+        self._resident.add(line)
         return evicted
 
     def invalidate(self, addr: int) -> Tuple[bool, bool]:
@@ -266,6 +270,7 @@ class Cache:
         if s is None or line not in s:
             return (False, False)
         dirty = s.pop(line)
+        self._resident.discard(line)
         return (True, dirty)
 
     def snoop_batch(self, lines, invalidate: bool) -> list:
@@ -275,28 +280,32 @@ class Cache:
         contents, LRU order and statistics; returns the lines the cache
         does not hold (all of them after an invalidation).
 
-        A burst's lines are mostly absent, so one comprehension finds the
-        held ones and only those are touched."""
-        line_size = self.line_size
-        num_sets = self.num_sets
-        get = self._sets.get
-        empty = ()
-        held = [line for line in lines
-                if line in (get(line // line_size % num_sets) or empty)]
+        A burst's lines are mostly absent, so one intersection with the
+        resident lines finds the held ones, and only those are touched, in
+        burst order (a lookup moves its line to MRU)."""
+        held = self._resident.intersection(lines)
         stats = self.stats
         count = len(lines)
         stats.accesses += count
         if invalidate:
             stats.invalidations += count
-            for line in held:
-                del get(line // line_size % num_sets)[line]
+            if held:
+                sets = self._sets
+                line_size = self.line_size
+                num_sets = self.num_sets
+                for line in held:
+                    del sets[line // line_size % num_sets][line]
+                self._resident -= held
             return lines
         stats.dma_lookups += count
         if not held:
             return lines
-        for line in held:
-            get(line // line_size % num_sets).move_to_end(line)
-        held = set(held)
+        sets = self._sets
+        line_size = self.line_size
+        num_sets = self.num_sets
+        for line in lines:
+            if line in held:
+                sets[line // line_size % num_sets].move_to_end(line)
         return [line for line in lines if line not in held]
 
     def probe(self, addr: int) -> bool:
@@ -316,12 +325,13 @@ class Cache:
         dirty = sum(
             1 for s in self._sets.values() for d in s.values() if d)
         self._sets.clear()
+        self._resident.clear()
         return dirty
 
     @property
     def resident_lines(self) -> int:
         """Number of lines currently resident (for tests)."""
-        return sum(len(s) for s in self._sets.values())
+        return len(self._resident)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"Cache({self.name}, {self.size_bytes // 1024}KB, "

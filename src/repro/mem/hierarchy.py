@@ -275,9 +275,10 @@ class MemoryHierarchy:
 
         The L1I is private to the core and touched by nothing else, and the
         front end ignores its latency, so a run settles it once at the end:
-        one :meth:`Cache.access_batch` with ``fill_misses`` (the L1I is
+        one :meth:`Cache.settle_fetches`, which settles the stream set by
+        set and walks only the sets that may evict (the L1I is
         write-through, so a fill never writes a victim back)."""
-        self.l1i.access_batch(addrs, False, fill_misses=True)
+        self.l1i.settle_fetches(addrs)
         self.icache_accesses += len(addrs)
 
     def uncore_delay(self, now: float, lines: int = 1,

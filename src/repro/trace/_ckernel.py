@@ -11,8 +11,9 @@ it through :mod:`ctypes`:
   :func:`~repro.trace.replay.replay_trace` runs the trace's program
   execution-driven instead, recording a ``degraded.vector`` event
   (bit-identical, just slower);
-* the compiled shared object is cached on disk keyed by the source hash, so
-  the one-time compile cost (~1s) is paid once per machine.
+* the compiled shared object is cached on disk keyed by the hash of the
+  source and the compiler flags, so the one-time compile cost (~1s) is
+  paid once per machine.
 
 Identity is preserved by construction: the C code mirrors the timing
 recurrence of the execution lane (``ExecutionLane._loop`` in
@@ -30,18 +31,26 @@ shape in three places, none of which changes a result:
   ``table[cycle]`` see the same counts);
 * the ``if t > fetch_time: fetch_time = t`` bump is deferred from the
   issue estimate to the top of retire.  Nothing reads ``fetch_time`` in
-  between *except* the epoch-break checks, which must observe the
+  between *except* the epoch-break check, which must observe the
   pre-instruction value — the key the scheduler sorts lanes by when it
-  parks a lane between instructions;
+  parks a lane at an event;
 * the ROB/LSQ deques become fixed rings prefilled with 0.0: before the
   deque would be full execution skips the occupancy check, and
   ``0.0 > t`` is never true for ``t >= 0``, so the prefilled slots are
   exact no-ops.
 
-The epoch structure maps onto the C/Python boundary: ``vr_run`` executes
-uncore-free slices entirely in C and returns at every *event* instruction
-(DMA issue, dma-sync, set-bufsize, halt, and — multicore — memory misses
-that arbitrate on the shared uncore); the Python caller —
+The epoch structure maps onto the C/Python boundary, one ``vr_run`` call
+per *event* instruction (DMA issue, dma-sync, set-bufsize, halt, and —
+multicore — memory misses that arbitrate on the shared uncore).  A call
+retires the pending event with the result the caller passes in (its
+latency, or for an uncore miss the uncore's latency beyond the L1, which
+the kernel sends through the MSHR file), runs the uncore-free slice that
+follows entirely in C, and issues the next event before it returns.  The
+issue estimate reads only lane-private state and leaves ``fetch_time``
+alone, so it may run before the caller's yield check.  It is parked in
+``FS_TSAVE``/``FS_NOWSAVE``/``IS_CYCSAVE`` until the next call retires
+the event; the caller reads the event's issue time from ``FS_NOWSAVE``
+and an uncore miss's line from ``IS_LINE``.  The Python caller —
 ``_VectorLane._loop`` in :mod:`repro.trace.vector`, one resumable lane per
 core under the replay driver — performs the epoch yield-check and the
 event's uncore/DMA bookkeeping, then re-enters C.  Both sides operate on
@@ -66,8 +75,8 @@ FS_LSQST = 4        # lsq occupancy stalls
 FS_CONT = 5         # fu contended cycles
 FS_TOTAL = 6        # total memory latency
 FS_HIER = 7         # hierarchy latency
-FS_TSAVE = 8        # issue-estimate t, between vr_issue and vr_retire
-FS_NOWSAVE = 9      # issue-estimate now, between vr_issue and vr_retire
+FS_TSAVE = 8        # pending event's issue-estimate t
+FS_NOWSAVE = 9      # pending event's issue time (read by the caller)
 FS_LEN = 10
 
 # is (int64): cursors + integer counters
@@ -77,13 +86,14 @@ IS_LI = 2           # miss-line cursor
 IS_GI = 3           # guard-entry cursor
 IS_FI = 4           # branch-flag cursor
 IS_RI = 5           # live-route cursor
-IS_CYCSAVE = 6      # issue-estimate cycle, between vr_issue and vr_retire
+IS_CYCSAVE = 6      # pending event's issue-estimate cycle
 IS_PRES = 7         # presence stalls
 IS_MSHR_CNT = 8     # live MSHR entries
 IS_MSHR_ALLOC = 9   # MSHR allocations
 IS_MSHR_MERGE = 10  # MSHR merges
 IS_MSHR_FULL = 11   # MSHR full stalls
-IS_LEN = 12
+IS_LINE = 12        # pending uncore miss's line (read by the caller)
+IS_LEN = 13
 
 _C_SOURCE = r"""
 #include <stdint.h>
@@ -112,7 +122,9 @@ typedef struct {
     double inv_fetch, inv_commit, mispredict_penalty;
     double l1_lat, lm_lat, b_l2, b_l3, b_mem;
     int64_t issue_width, rob_size, lsq_size, mshr_entries, n_fu;
-    int64_t multicore;
+    int64_t multicore, n;
+    /* kernel-owned cursor: the next instruction, or the pending event */
+    int64_t cur; int pending;
     /* kernel-owned per-cycle reservation tables (grown on demand) */
     int32_t *slots; int64_t slots_cap;
     int32_t **fut; int64_t *fut_cap;
@@ -148,7 +160,8 @@ VCtx *vr_new(double *fs, int64_t *is,
              double l1_lat, double lm_lat,
              double b_l2, double b_l3, double b_mem,
              int64_t issue_width, int64_t rob_size, int64_t lsq_size,
-             int64_t mshr_entries, int64_t n_fu, int64_t multicore)
+             int64_t mshr_entries, int64_t n_fu, int64_t multicore,
+             int64_t n)
 {
     VCtx *g = (VCtx *)calloc(1, sizeof(VCtx));
     if (!g) return NULL;
@@ -168,7 +181,7 @@ VCtx *vr_new(double *fs, int64_t *is,
     g->b_l2 = b_l2; g->b_l3 = b_l3; g->b_mem = b_mem;
     g->issue_width = issue_width; g->rob_size = rob_size;
     g->lsq_size = lsq_size; g->mshr_entries = mshr_entries;
-    g->n_fu = n_fu; g->multicore = multicore;
+    g->n_fu = n_fu; g->multicore = multicore; g->n = n;
     g->slots = (int32_t *)calloc(INIT_CAP, sizeof(int32_t));
     g->slots_cap = INIT_CAP;
     g->fut = (int32_t **)calloc((size_t)n_fu, sizeof(int32_t *));
@@ -241,9 +254,10 @@ static double mshr_req(VCtx *g, int64_t line, double now, double full_latency)
 /* Issue estimate: ROB/LSQ occupancy stalls, register readiness, issue-slot
  * scan.  Writes the stall accumulators, leaves fetch_time untouched (the
  * occupancy bump is deferred to retire_one so the caller's epoch checks see
- * the pre-instruction key).  Returns now; t/cycle go to the out-params. */
-static double issue_one(VCtx *g, int64_t pc, int ismem,
-                        double *t_out, int64_t *cycle_out)
+ * the pre-instruction key).  Returns now, or -1.0 on allocation failure;
+ * t/cycle go to the out-params. */
+static inline double issue_one(VCtx *g, int64_t pc, int ismem,
+                               double *t_out, int64_t *cycle_out)
 {
     double *fs = g->fs;
     int64_t *is = g->is;
@@ -285,8 +299,9 @@ static double issue_one(VCtx *g, int64_t pc, int ismem,
 /* Retire: deferred fetch-time bump, FU scan, reservation bookkeeping,
  * commit/ROB/phase accounting for one instruction at pc with vkind k.
  * Returns 0, or -1 on allocation failure. */
-static int retire_one(VCtx *g, int64_t pc, uint8_t k, double latency,
-                      double t, int64_t cycle, double now)
+static inline int retire_one(VCtx *g, int64_t pc, uint8_t k,
+                             double latency, double t, int64_t cycle,
+                             double now)
 {
     double *fs = g->fs;
     int64_t *is = g->is;
@@ -362,96 +377,105 @@ static int retire_one(VCtx *g, int64_t pc, uint8_t k, double latency,
     return 0;
 }
 
-/* Run instructions [i, n) until an event the caller must handle: any DMA /
- * sync / set-bufsize / halt (vk >= 8), or — multicore — a live memory op
- * routed to the shared uncore (route 5).  Every memory miss that touches
- * the uncore bounces here, so the clustered hierarchy (per-cluster buses,
- * NUMA home routing, LLC slices) runs entirely in the Python bounce
- * handler; this kernel needs no cluster awareness.  Returns the index of
- * the first unprocessed instruction (== n when the stream is finished),
- * or -1 on allocation failure. */
-int64_t vr_run(VCtx *g, int64_t i, int64_t n)
+/* One call per event.  If an event is pending (issued by the previous
+ * call), retire it with `result`: its latency, or — a multicore memory
+ * miss routed to the shared uncore — the uncore's latency beyond the L1,
+ * which goes through the MSHR here.  Then run instructions until the next
+ * event the caller must handle: any DMA / sync / set-bufsize / halt
+ * (vk >= 8), or — multicore — a live memory op routed to the shared
+ * uncore (route 5).  Every memory miss that touches the uncore stops
+ * here, so the clustered hierarchy (per-cluster buses, NUMA home routing,
+ * LLC slices) runs entirely in the caller; this kernel needs no cluster
+ * awareness.  The event is issued before returning: its issue time goes
+ * to FS_NOWSAVE and a miss's line to IS_LINE.  Issuing reads only
+ * lane-private state and leaves fetch_time (the scheduler's key) as it
+ * was, so the caller's yield check sees what it would before the issue.
+ * Returns the event's index, n when the stream is finished, or -1 on
+ * allocation failure. */
+int64_t vr_run(VCtx *g, double result)
 {
     const uint32_t *pcs = g->pcs;
     const uint8_t *sel = g->sel;
     const uint8_t *vk = g->vk;
     double *fs = g->fs;
     int64_t *is = g->is;
+    int64_t i = g->cur, n = g->n;
+    int resume = g->pending;
     for (; i < n; i++) {
         int64_t pc = pcs[i];
         int64_t v = pc * 4 + sel[i];
         uint8_t k = vk[v];
-        if (k >= 8) break;
         int ismem = (k >= 1 && k <= 6);
-        uint8_t r = 0;
-        if (k >= 5 && k <= 6) {
-            r = g->lroutes[is[5]];
-            if (r == 5 && g->multicore) break;
-        }
-        double t;
+        double t, now, latency;
         int64_t cycle;
-        double now = issue_one(g, pc, ismem, &t, &cycle);
-        if (now < 0.0) return -1;
-        double latency = g->lat[v];
-        if (ismem) {
-            if (k <= 4) {                   /* static LM / L1 route */
+        if (resume) {                       /* the pending event */
+            resume = 0;
+            g->pending = 0;
+            t = fs[8]; now = fs[9]; cycle = is[6];
+            if (ismem) {                    /* uncore miss: result = beyond */
+                latency = g->l1_lat + mshr_req(g, is[12], now, result);
                 fs[6] += latency;
-                if (k >= 3) fs[7] += latency;
-            } else {                        /* live route */
-                is[5] += 1;
-                if (r == 1) {               /* guarded directory hit */
-                    int32_t e = g->gent[is[3]];
-                    is[3] += 1;
-                    double stall = 0.0;
-                    double rt = g->ready_t[e];
-                    if (!g->present[e] && now < rt) {
-                        stall = rt - now;
-                        is[7] += 1;
-                    }
-                    if (now >= rt) g->present[e] = 1;
-                    latency = g->lm_lat + stall;
-                    fs[6] += latency;
-                } else {                    /* L2 / L3 / memory miss */
-                    int64_t line = g->mlines[is[2]];
+                fs[7] += latency;
+            } else {
+                latency = result;
+            }
+        } else {
+            int event = k >= 8;
+            uint8_t r = 0;
+            if (k >= 5 && k <= 6) {
+                r = g->lroutes[is[5]];
+                if (r == 5 && g->multicore) event = 1;
+            }
+            now = issue_one(g, pc, ismem, &t, &cycle);
+            if (now < 0.0) return -1;
+            if (event) {
+                if (ismem) {                /* consume the route and line */
+                    is[5] += 1;
+                    is[12] = g->mlines[is[2]];   /* IS_LINE */
                     is[2] += 1;
-                    double beyond = r == 3 ? g->b_l2
-                                  : r == 4 ? g->b_l3 : g->b_mem;
-                    latency = g->l1_lat + mshr_req(g, line, now, beyond);
+                }
+                fs[8] = t;                  /* FS_TSAVE */
+                fs[9] = now;                /* FS_NOWSAVE */
+                is[6] = cycle;              /* IS_CYCSAVE */
+                g->cur = i;
+                g->pending = 1;
+                return i;
+            }
+            latency = g->lat[v];
+            if (ismem) {
+                if (k <= 4) {               /* static LM / L1 route */
                     fs[6] += latency;
-                    fs[7] += latency;
+                    if (k >= 3) fs[7] += latency;
+                } else {                    /* live route */
+                    is[5] += 1;
+                    if (r == 1) {           /* guarded directory hit */
+                        int32_t e = g->gent[is[3]];
+                        is[3] += 1;
+                        double stall = 0.0;
+                        double rt = g->ready_t[e];
+                        if (!g->present[e] && now < rt) {
+                            stall = rt - now;
+                            is[7] += 1;
+                        }
+                        if (now >= rt) g->present[e] = 1;
+                        latency = g->lm_lat + stall;
+                        fs[6] += latency;
+                    } else {                /* L2 / L3 / memory miss */
+                        int64_t line = g->mlines[is[2]];
+                        is[2] += 1;
+                        double beyond = r == 3 ? g->b_l2
+                                      : r == 4 ? g->b_l3 : g->b_mem;
+                        latency = g->l1_lat + mshr_req(g, line, now, beyond);
+                        fs[6] += latency;
+                        fs[7] += latency;
+                    }
                 }
             }
         }
         if (retire_one(g, pc, k, latency, t, cycle, now)) return -1;
     }
-    return i;
-}
-
-/* Single-instruction halves for the Python-handled event ops. */
-double vr_issue(VCtx *g, int64_t i)
-{
-    int64_t pc = g->pcs[i];
-    uint8_t k = g->vk[pc * 4 + g->sel[i]];
-    int ismem = (k >= 1 && k <= 6);
-    double t;
-    int64_t cycle;
-    double now = issue_one(g, pc, ismem, &t, &cycle);
-    g->fs[8] = t;           /* FS_TSAVE */
-    g->fs[9] = now;         /* FS_NOWSAVE */
-    g->is[6] = cycle;       /* IS_CYCSAVE */
-    return now;
-}
-
-int64_t vr_retire(VCtx *g, int64_t i, double latency)
-{
-    int64_t pc = g->pcs[i];
-    return retire_one(g, pc, g->vk[pc * 4 + g->sel[i]], latency,
-                      g->fs[8], g->is[6], g->fs[9]);
-}
-
-double vr_mshr(VCtx *g, int64_t line, double now, double beyond)
-{
-    return mshr_req(g, line, now, beyond);
+    g->cur = n;
+    return n;
 }
 """
 
@@ -469,22 +493,13 @@ class _Kernel:
         self.lib = lib
         self.new = lib.vr_new
         self.new.restype = P
-        self.new.argtypes = [P] * 25 + [D] * 8 + [I] * 6
+        self.new.argtypes = [P] * 25 + [D] * 8 + [I] * 7
         self.free = lib.vr_free
         self.free.restype = None
         self.free.argtypes = [P]
         self.run = lib.vr_run
         self.run.restype = I
-        self.run.argtypes = [P, I, I]
-        self.issue = lib.vr_issue
-        self.issue.restype = D
-        self.issue.argtypes = [P, I]
-        self.retire = lib.vr_retire
-        self.retire.restype = I
-        self.retire.argtypes = [P, I, D]
-        self.mshr = lib.vr_mshr
-        self.mshr.restype = D
-        self.mshr.argtypes = [P, I, D, D]
+        self.run.argtypes = [P, D]
 
 
 class CtxHandle:
@@ -516,23 +531,38 @@ def _cache_dir() -> str:
             or os.path.join(tempfile.gettempdir(), "repro-vector-cc"))
 
 
+#: Compiler arguments besides the output and source paths.  Identity
+#: depends on them (``-ffp-contract=off`` keeps every rounding step of the
+#: Python recurrence), so they are part of the compile-cache key.
+_CFLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off")
+
+
+def _cache_stem(cflags) -> str:
+    """The compile cache's path stem for the kernel source built with
+    ``cflags``: a library built from other source or other flags has
+    another name, so it is never loaded in place of this one."""
+    h = hashlib.sha256(_C_SOURCE.encode())
+    for flag in cflags:
+        h.update(b"\0" + flag.encode())
+    return os.path.join(_cache_dir(), f"vrkernel-{h.hexdigest()[:16]}")
+
+
 def _compile() -> "_Kernel | None":
-    digest = hashlib.sha256(_C_SOURCE.encode()).hexdigest()[:16]
-    cache_dir = _cache_dir()
-    so_path = os.path.join(cache_dir, f"vrkernel-{digest}.so")
+    stem = _cache_stem(_CFLAGS)
+    so_path = stem + ".so"
     # Negative-result marker: when no compiler on this machine can build
-    # this exact source, every pool worker of every sweep process would
-    # otherwise re-discover that by running the full cc/gcc/clang probe
-    # (~seconds each).  The marker caches the failure on disk, so the probe
-    # runs once per machine per source digest; delete the file (or install
-    # a compiler, which changes nothing here — so bump/clear the cache) to
-    # retry.
-    failed_marker = os.path.join(cache_dir, f"vrkernel-{digest}.failed")
+    # this exact source with these flags, every pool worker of every sweep
+    # process would otherwise re-discover that by running the full
+    # cc/gcc/clang probe (~seconds each).  The marker caches the failure on
+    # disk, so the probe runs once per machine per cache key; delete the
+    # file (or install a compiler, which changes nothing here — so
+    # bump/clear the cache) to retry.
+    failed_marker = stem + ".failed"
     if not os.path.exists(so_path):
         if os.path.exists(failed_marker):
             return None
-        os.makedirs(cache_dir, exist_ok=True)
-        src_path = os.path.join(cache_dir, f"vrkernel-{digest}.c")
+        os.makedirs(os.path.dirname(stem), exist_ok=True)
+        src_path = stem + ".c"
         with open(src_path, "w") as fh:
             fh.write(_C_SOURCE)
         tmp_so = so_path + f".tmp{os.getpid()}"
@@ -540,8 +570,7 @@ def _compile() -> "_Kernel | None":
         for cc in ("cc", "gcc", "clang"):
             try:
                 proc = subprocess.run(
-                    [cc, "-O2", "-shared", "-fPIC", "-ffp-contract=off",
-                     "-o", tmp_so, src_path],
+                    [cc, *_CFLAGS, "-o", tmp_so, src_path],
                     capture_output=True, timeout=120)
             except (OSError, subprocess.TimeoutExpired) as exc:
                 errors.append(f"{cc}: {exc!r}")

@@ -170,9 +170,12 @@ def pack_bits(bits: Sequence[bool]) -> bytes:
     return bytes(out)
 
 
-def unpack_bits(data: bytes, count: int) -> List[bool]:
-    """Inverse of :func:`pack_bits`."""
-    return [bool(data[i >> 3] >> (i & 7) & 1) for i in range(count)]
+def unpack_bits(data: bytes, count: int) -> np.ndarray:
+    """Inverse of :func:`pack_bits`, as a bool array."""
+    if count > 8 * len(data):
+        raise IndexError(f"{count} bits do not fit in {len(data)} bytes")
+    return np.unpackbits(np.frombuffer(data, np.uint8), count=count,
+                         bitorder="little").view(np.bool_)
 
 
 def _le_bytes(arr: array) -> bytes:
@@ -386,7 +389,7 @@ class Trace:
 
     # -- derived -----------------------------------------------------------------
     def branch_outcomes(self) -> List[bool]:
-        return unpack_bits(self.branch_bits, self.branch_count)
+        return unpack_bits(self.branch_bits, self.branch_count).tolist()
 
     def stream_digest(self) -> str:
         """Cheap content digest of the dynamic-stream columns.

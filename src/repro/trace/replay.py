@@ -81,7 +81,7 @@ from repro.harness.systems import (
     core_config_for,
 )
 from repro.isa.instructions import Opcode
-from repro.mem.hierarchy import MemoryHierarchy
+from repro.mem.cache import Cache
 from repro.trace import artifacts
 from repro.trace.capture import execute_key, micro_args
 from repro.trace.format import (
@@ -179,14 +179,17 @@ def _program_meta(program):
 
 
 class _Decoded(NamedTuple):
-    """The decode pass's product: the trace's event streams, the FU visit
-    histogram, the retired pc sequence (``seq_pcs``, one ``uint32`` per
-    retired instruction) and the classification of its memory operations
-    (:class:`_Classes`; None for a stream decoded without an LM range)."""
+    """The decode pass's product: the trace's event streams (by reference:
+    the branch outcomes stay packed until the flags pass unpacks them),
+    the FU visit histogram, the retired pc sequence (``seq_pcs``, one
+    ``uint32`` per retired instruction) and the classification of its
+    memory operations (:class:`_Classes`; None for a stream decoded
+    without an LM range)."""
 
-    branches: list
+    branch_bits: bytes
+    branch_count: int
     mem_addrs: array
-    dma_words: list
+    dma_words: array
     fu_counts: dict
     seq_pcs: array
     classes: Optional["_Classes"] = None
@@ -290,7 +293,7 @@ def _decode_trace(trace: Trace, hot, cold, fu_values) -> _Decoded:
     """
     branches = trace.branch_outcomes()
     mem_addrs = trace.mem_addrs
-    dma_words = list(trace.dma_words)
+    dma_words = trace.dma_words
     prog_len = len(hot)
     kind_of = [h[0] for h in hot]
     # ends[pc]: the first branch, jump or halt at or after pc (prog_len if
@@ -351,7 +354,8 @@ def _decode_trace(trace: Trace, hot, cold, fu_values) -> _Decoded:
         fu_counts[fu_value] = fu_counts.get(fu_value, 0) + int(visits[pc])
     seq_pcs = array("I")
     seq_pcs.frombytes(pcs.tobytes())
-    return _Decoded(branches, mem_addrs, dma_words, fu_counts, seq_pcs)
+    return _Decoded(trace.branch_bits, trace.branch_count, mem_addrs,
+                    dma_words, fu_counts, seq_pcs)
 
 
 def _decode_to_artifact(decoded: _Decoded):
@@ -400,8 +404,8 @@ def _decode_from_artifact(meta, sections, trace: Trace, hot,
             return None
     except (KeyError, ValueError, TypeError):
         return None
-    return _Decoded(trace.branch_outcomes(), trace.mem_addrs,
-                    list(trace.dma_words), fu_counts, seq_pcs, classes)
+    return _Decoded(trace.branch_bits, trace.branch_count, trace.mem_addrs,
+                    trace.dma_words, fu_counts, seq_pcs, classes)
 
 
 def _classes_in_step(c: _Classes, lm_range: tuple, n_mem: int, hot) -> bool:
@@ -546,10 +550,11 @@ def _l1i_stats(trace: Trace, seq_pcs, config, mem_config):
     model, and no data-path or DMA event ever invalidates it — multicore
     included, where each core fetches from its own private L1I.  Its
     activity is therefore a pure function of the retired pc stream,
-    ``fetch_width`` and the L1I geometry — so replay simulates it here, once,
-    through :meth:`~repro.mem.hierarchy.MemoryHierarchy.fetch` (what an
-    execution lane settles its fetches with at ``finish``), and memoizes the
-    resulting counters across ablation points that keep these parameters.
+    ``fetch_width`` and the L1I geometry — so replay settles a fresh L1I
+    here, once, with :meth:`~repro.mem.cache.Cache.settle_fetches` (what
+    :meth:`~repro.mem.hierarchy.MemoryHierarchy.fetch` settles an execution
+    lane's fetches with at ``finish``), and memoizes the resulting counters
+    across ablation points that keep these parameters.
 
     Returns ``(stats, icache_accesses)`` where ``stats`` is a
     :class:`~repro.mem.cache.CacheStats` to install on the hierarchy's L1I.
@@ -557,12 +562,14 @@ def _l1i_stats(trace: Trace, seq_pcs, config, mem_config):
     import dataclasses as _dc
 
     def simulate():
-        hierarchy = MemoryHierarchy(mem_config)
+        l1i = Cache("L1I", mem_config.l1i_size, mem_config.l1i_assoc,
+                    mem_config.line_size, mem_config.l1i_latency,
+                    write_back=False)
         fetch_width = config.fetch_width
         pcs = np.frombuffer(seq_pcs, np.uint32)
         fetched = pcs[pcs % fetch_width == 0].astype(np.int64)
-        hierarchy.fetch((CODE_BASE + fetched * CODE_INSTR_SIZE).tolist())
-        return hierarchy.l1i.stats, hierarchy.icache_accesses
+        l1i.settle_fetches(CODE_BASE + fetched * CODE_INSTR_SIZE)
+        return l1i.stats, len(fetched)
 
     key = (trace.program_fingerprint, trace.stream_digest(),
            config.fetch_width, mem_config.l1i_size, mem_config.l1i_assoc,

@@ -85,7 +85,7 @@ from repro.harness.config import MachineConfig
 from repro.harness.systems import build_system
 from repro.mem.cache import CacheStats
 from repro.trace import _ckernel
-from repro.trace.format import Trace, TraceKey
+from repro.trace.format import Trace, TraceKey, unpack_bits
 from repro.trace.replay import (
     _C_COLLAPSE,
     _C_DIVERT,
@@ -594,7 +594,7 @@ def _branch_flags(decoded, cold, config, hot) -> tuple:
     Returns ``(flags, predictions, mispredictions, btb_hits, btb_misses)``
     with one flag per conditional-branch/jump in retirement order.
     """
-    branches = decoded.branches
+    branches = unpack_bits(decoded.branch_bits, decoded.branch_count)
     predictor = HybridBranchPredictor(entries=config.predictor_entries,
                                       btb_entries=config.btb_entries,
                                       btb_assoc=config.btb_assoc,
@@ -609,7 +609,7 @@ def _branch_flags(decoded, cold, config, hot) -> tuple:
     n_ev = len(ev_pcs)
     cbr_mask = ~is_jmp
     takens = np.ones(n_ev, np.bool_)
-    takens[cbr_mask] = np.fromiter(branches, np.bool_, len(branches))
+    takens[cbr_mask] = branches
     pc_addrs = CODE_BASE + ev_pcs * CODE_INSTR_SIZE
     next_pc = np.where(takens, target_by_pc[ev_pcs], ev_pcs + 1)
     target_addrs = CODE_BASE + next_pc * CODE_INSTR_SIZE
@@ -617,7 +617,7 @@ def _branch_flags(decoded, cold, config, hot) -> tuple:
     # Direction tables: one batched update over the conditional stream, its
     # flags scattered back into event order.
     cbr_flags = predictor.update_batch(pc_addrs[cbr_mask].tolist(),
-                                       list(branches))
+                                       branches.tolist())
     flags = np.zeros(n_ev, np.uint8)
     if cbr_flags:
         flags[cbr_mask] = np.fromiter(cbr_flags, np.uint8, len(cbr_flags))
@@ -687,7 +687,7 @@ class _VTab(NamedTuple):
     remapped to dense ints, ``dst`` -1 for none, so a fresh
     ``[0.0] * n_regs`` readiness vector reads every register as ready at
     0.0 until it is written, as execution's does.  ``events[pc]`` is the
-    payload the Python bounce handler reads: the DMA tag of a
+    payload the lane's event handler reads: the DMA tag of a
     dma-get/put/sync, the latency of a set-bufsize/halt, None elsewhere.
     """
 
@@ -864,13 +864,17 @@ class _VectorLane:
 
         Every ``send`` delivers the next ``(limit, limit_order)`` key; the
         final scalar state is packed into ``_state`` for :meth:`finish`.
-        ``vr_run`` executes entire epochs of uncore-free instructions; this
-        generator handles only the *event* instructions it stops at — the
-        epoch yield-check, DMA/uncore/dsync bookkeeping (which stays in
-        Python, on the same shared state vectors) and the re-entry.  It reads the bounced
-        instruction's vkind and event payload (DMA tag, halt latency) from
-        the per-pc tables, through the same ``pcs[i] * 4 + sel[i]`` index
-        as the kernel.
+        One ``vr_run`` call per *event* instruction: it retires the
+        previous event with the result computed here, executes the epoch
+        of uncore-free instructions that follows, and issues the next
+        event.  This generator handles only that event — the epoch
+        yield-check and the DMA/uncore/dsync bookkeeping, which stays in
+        Python on the same shared state vectors — and passes its result
+        (a latency, or an uncore miss's latency beyond the L1) to the next
+        call.  It reads the event's vkind and payload (DMA tag, halt
+        latency) from the per-pc tables, through the same
+        ``pcs[i] * 4 + sel[i]`` index as the kernel, and its issue time
+        from ``FS_NOWSAVE``.
         """
         config = self.config
         mem = self._mem
@@ -895,9 +899,8 @@ class _VectorLane:
         uncore_acquire = uncore.acquire if pause else None
         # Clustered uncore: the per-core port carries the hierarchical
         # demand path (cluster bus + NUMA + home LLC slice) and the homed
-        # DMA path; None on the flat bus.  Both run in the Python bounce
-        # handler — the C kernel already bounces every uncore-relevant
-        # instruction.
+        # DMA path; None on the flat bus.  Both run here — the C kernel
+        # stops at every uncore-relevant instruction.
         mem_path = getattr(uncore, "mem_path", None) if pause else None
         dma_path = getattr(uncore, "dma_path", None) if pause else None
         dma_addrs = oracle.dma_addrs
@@ -923,6 +926,7 @@ class _VectorLane:
         events = vtab.events
         lr_np = np.frombuffer(lroutes, np.uint8)
         miss_np = np.frombuffer(oracle.miss_lines, np.int64)
+        n = len(seq_pcs)
         gent_np = np.frombuffer(oracle.guard_entries, np.int32)
         flags_np = np.frombuffer(self._flags[0], np.uint8)
         dma_nlines = oracle.dma_nlines
@@ -946,7 +950,7 @@ class _VectorLane:
             l1_lat, lm_lat,
             float(c.l2_latency), float(c.l2_latency + c.l3_latency), b_mem,
             config.issue_width, timing.rob.size, timing.lsq.size,
-            mshr.num_entries, len(fu_capacity), 1 if pause else 0)
+            mshr.num_entries, len(fu_capacity), 1 if pause else 0, n)
         if not ptr:
             raise MemoryError("vector kernel context allocation failed")
         handle = _ckernel.CtxHandle(kern, ptr)
@@ -954,18 +958,20 @@ class _VectorLane:
         outstanding: dict = {}
         ni = gei = 0
         run = kern.run
-        issue = kern.issue
-        retire = kern.retire
-        mshr_c = kern.mshr
-        i = 0
-        n = len(seq_pcs)
+        # Python-float views of the state vectors: the event's issue time,
+        # the scheduler key and an uncore miss's line.
+        fs_v = memoryview(fs)
+        iv_v = memoryview(iv)
+        i_now = _ckernel.FS_NOWSAVE
+        i_line = _ckernel.IS_LINE
+        result = 0.0        # the pending event's result (none on entry)
         # Epoch/bounce accounting: local ints (bounces are rare by design),
         # reported once to the recorder after the loop.
         epochs = b_mem_miss = b_dma = b_dsync = b_setbuf = 0
         limit, limit_order = yield
         try:
             while True:
-                i = run(ptr, i, n)
+                i = run(ptr, result)
                 epochs += 1
                 if i < 0:
                     raise MemoryError("vector kernel allocation failure")
@@ -974,27 +980,22 @@ class _VectorLane:
                 pc = seq_pcs[i]
                 vk = vk_b[pc * 4 + sel[i]]
                 # Epoch break before any shared-uncore touch: a route-5 miss
-                # (vk 5/6 — the only live ops the kernel bounces when
-                # multicore) or a DMA burst (vk 8/9).
+                # (vk 5/6 — the only live ops the kernel stops at when
+                # multicore) or a DMA burst (vk 8/9).  The kernel issued
+                # the event without moving the key.
                 if pause and vk <= 9:
-                    fetch_time = fs[0]
+                    fetch_time = fs_v[0]
                     if fetch_time > limit or (fetch_time == limit
                                               and my_order > limit_order):
-                        self.fetch_time = float(fetch_time)
+                        self.fetch_time = fetch_time
                         limit, limit_order = yield
-                now = issue(ptr, i)
+                now = fs_v[i_now]
                 if vk <= 6:         # route-5 load/store (multicore only)
                     b_mem_miss += 1
-                    iv[5] += 1      # consume the peeked live route
-                    line = int(miss_np[iv[2]])
-                    iv[2] += 1
                     if mem_path is not None:
-                        beyond = b_l3 + mem_path(now, line)
+                        result = b_l3 + mem_path(now, iv_v[i_line])
                     else:
-                        beyond = b_mem + uncore_acquire(now, 1)
-                    latency = l1_lat + mshr_c(ptr, line, now, beyond)
-                    fs[6] += latency
-                    fs[7] += latency
+                        result = b_mem + uncore_acquire(now, 1)
                 elif vk <= 9:       # dma-get / dma-put issue
                     b_dma += 1
                     nlines = dma_nlines[ni]
@@ -1019,7 +1020,7 @@ class _VectorLane:
                         if e >= 0:
                             present[e] = 0
                             ready_t[e] = completion_d
-                    latency = 1.0
+                    result = 1.0
                 elif vk == 11:      # dma-sync (DMAController.dma_sync)
                     b_dsync += 1
                     tag = events[pc]
@@ -1040,17 +1041,14 @@ class _VectorLane:
                             else:
                                 del outstanding[k]
                         stall = finish_t - now
-                        latency = 1.0 + stall if stall > 0.0 else 1.0
+                        result = 1.0 + stall if stall > 0.0 else 1.0
                     else:
-                        latency = 1.0
+                        result = 1.0
                 elif vk == 10:      # set-bufsize
                     b_setbuf += 1
-                    latency = 1.0
+                    result = 1.0
                 else:               # halt: its static latency
-                    latency = events[pc]
-                if retire(ptr, i, latency) < 0:
-                    raise MemoryError("vector kernel allocation failure")
-                i += 1
+                    result = events[pc]
         finally:
             handle.close()
 

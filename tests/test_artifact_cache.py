@@ -48,6 +48,7 @@ from repro.trace.artifacts import (
     decode_artifact,
     encode_artifact,
 )
+from repro.trace.format import unpack_bits
 from repro.trace.store import TraceStore
 
 import repro.trace.replay as replay_mod
@@ -208,7 +209,9 @@ def _branch_flags_scalar(decoded, cold, config, hot):
     Returns ``(flags, predictions, mispredictions, btb_hits, btb_misses)``
     with one flag per conditional-branch/jump in retirement order.
     """
-    branches, seq_pcs = decoded.branches, decoded.seq_pcs
+    branches = unpack_bits(decoded.branch_bits,
+                           decoded.branch_count).tolist()
+    seq_pcs = decoded.seq_pcs
     predictor = HybridBranchPredictor(entries=config.predictor_entries,
                                       btb_entries=config.btb_entries,
                                       btb_assoc=config.btb_assoc,
@@ -376,7 +379,8 @@ def _guard_stream(machine):
                  sm + 9 * chunk, sm + 9 * chunk]
     dma_words = [base, sm, chunk, base, sm, chunk]
     seq_pcs = array("I", range(len(seq)))   # each pc retires once, in order
-    return (replay_mod._Decoded([], mem_addrs, dma_words, {}, seq_pcs),
+    return (replay_mod._Decoded(b"", 0, mem_addrs, dma_words, {},
+                                seq_pcs),
             cold, seq)
 
 
@@ -441,7 +445,8 @@ def _event_stream(events, lm):
         elif name != "setbuf":
             dma_words += [lm, operand, _CHUNK]
     seq_pcs = array("I", range(len(events)))
-    return (replay_mod._Decoded([], mem_addrs, dma_words, {}, seq_pcs),
+    return (replay_mod._Decoded(b"", 0, mem_addrs, dma_words, {},
+                                seq_pcs),
             cold, hot)
 
 
@@ -536,8 +541,12 @@ def test_warm_vector_replay_builds_no_seq(fresh_cache, monkeypatch):
     entries = list(replay_mod._DECODE_CACHE.values())
     assert len(entries) == 2
     for core_trace, entry in zip(mtrace.cores, entries):
-        assert entry._fields == ("branches", "mem_addrs", "dma_words",
-                                 "fu_counts", "seq_pcs", "classes")
+        assert entry._fields == ("branch_bits", "branch_count", "mem_addrs",
+                                 "dma_words", "fu_counts", "seq_pcs",
+                                 "classes")
+        # The event streams are the trace's own, the outcomes still packed.
+        assert entry.branch_bits is core_trace.branch_bits
+        assert entry.dma_words is core_trace.dma_words
         assert entry.seq_pcs.typecode == "I"
         assert entry.classes.n_mem == len(core_trace.mem_addrs)
         assert len(entry.seq_pcs) == core_trace.instructions

@@ -1,6 +1,7 @@
 """Unit tests for the set-associative cache model."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.mem.cache import Cache
 
@@ -164,3 +165,109 @@ def test_snoop_batch_matches_per_line_calls(write_back, invalidate):
             assert {i: list(s.items()) for i, s in batched._sets.items()} \
                 == {i: list(s.items()) for i, s in scalar._sets.items()}
             assert batched.stats.as_dict() == scalar.stats.as_dict()
+
+
+# ------------------------------------------------ set-wise fetch settle
+
+
+def _walk_fetches(cache, addrs):
+    """The reference settle: one demand read per fetch, a fill per miss."""
+    for addr in addrs:
+        if not cache.access(addr, False):
+            cache.fill(addr)
+
+
+def _contents(cache):
+    return {i: list(s.items()) for i, s in cache._sets.items() if s}
+
+
+def _assert_resident_in_step(cache):
+    assert cache._resident == {line for s in cache._sets.values()
+                               for line in s}
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_settle_fetches_equals_access_then_fill_walk(data):
+    """The set-wise settle equals the access-then-fill walk: statistics,
+    every set's lines in LRU order with their dirty bits, and the resident
+    lines.  Caches of 1-8 ways and 1-16 sets, with prior (possibly dirty)
+    contents, fetching from a span of lines sized to the cache so that sets
+    fit their ways, fill them exactly, or overflow them by one or two."""
+    assoc = data.draw(st.integers(1, 8), label="assoc")
+    num_sets = data.draw(st.integers(1, 16), label="num_sets")
+    write_back = data.draw(st.booleans(), label="write_back")
+    # Each set draws from the same number of candidate lines: fewer than
+    # its ways, exactly as many, or one or two more.
+    per_set = data.draw(st.integers(1, assoc + 2), label="per_set")
+    line = st.integers(0, num_sets * per_set - 1)
+    prior = data.draw(st.lists(st.tuples(line, st.booleans()),
+                               max_size=num_sets), label="prior")
+    # Runs of fetches within one line, as a fetch stream has.
+    runs = data.draw(st.lists(st.tuples(line, st.integers(1, 5),
+                                        st.integers(0, 63)),
+                              max_size=120), label="runs")
+    settled = make_cache(size_bytes=assoc * num_sets * 64, assoc=assoc,
+                         write_back=write_back)
+    walked = make_cache(size_bytes=assoc * num_sets * 64, assoc=assoc,
+                        write_back=write_back)
+    for cache in (settled, walked):
+        for index, dirty in prior:
+            cache.fill(index * 64, dirty=dirty)
+    addrs = [index * 64 + (offset + k) % 64
+             for index, length, offset in runs for k in range(length)]
+    settled.settle_fetches(addrs)
+    _walk_fetches(walked, addrs)
+    assert settled.stats.as_dict() == walked.stats.as_dict()
+    assert _contents(settled) == _contents(walked)
+    _assert_resident_in_step(settled)
+
+
+@pytest.mark.parametrize("assoc", [1, 2, 3])
+def test_settle_fetches_equals_the_walk_on_every_short_stream(assoc):
+    """Every stream of up to five fetches over a one-set cache's ways plus
+    two lines: the streams whose distinct lines just overflow the set and
+    come back to an evicted line are the ones random streams rarely hit."""
+    import itertools
+
+    for length in range(1, 6):
+        for stream in itertools.product(range(assoc + 2), repeat=length):
+            addrs = [index * 64 for index in stream]
+            settled = make_cache(size_bytes=assoc * 64, assoc=assoc)
+            walked = make_cache(size_bytes=assoc * 64, assoc=assoc)
+            settled.settle_fetches(addrs)
+            _walk_fetches(walked, addrs)
+            assert settled.stats.as_dict() == walked.stats.as_dict(), stream
+            assert _contents(settled) == _contents(walked), stream
+
+
+@settings(max_examples=100, deadline=None)
+@given(write_back=st.booleans(),
+       ops=st.lists(st.tuples(
+           st.sampled_from(["fill", "access", "invalidate", "snoop-get",
+                            "snoop-put", "settle", "flush"]),
+           st.integers(0, 47), st.integers(1, 12), st.booleans()),
+           max_size=60))
+def test_resident_lines_track_the_sets(write_back, ops):
+    """The resident-line set a DMA snoop intersects with stays the union of
+    the sets' lines after any sequence of fills, accesses, invalidations,
+    snoops, fetch settles and flushes."""
+    cache = make_cache(size_bytes=1024, assoc=2, write_back=write_back)
+    for op, line, count, flag in ops:
+        addr = line * 64
+        if op == "fill":
+            cache.fill(addr, dirty=flag)
+        elif op == "access":
+            cache.access(addr, flag)
+        elif op == "invalidate":
+            cache.invalidate(addr)
+        elif op in ("snoop-get", "snoop-put"):
+            cache.snoop_batch(range(addr, addr + count * 64, 64),
+                              op == "snoop-put")
+        elif op == "settle":
+            cache.settle_fetches([addr + 64 * (k // 3)
+                                  for k in range(count)])
+        else:
+            cache.flush()
+        _assert_resident_in_step(cache)
+        assert cache.resident_lines == len(cache._resident)

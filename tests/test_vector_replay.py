@@ -7,10 +7,11 @@ when no kernel can be built).  It must be bit-identical to execution —
 cycles, full energy breakdown, phase cycles, memory stats and per-core
 results — at the capture config and under re-timing.
 
-The engine leans on the batched structure updates (cache ``access_batch``,
-predictor ``update_batch``) and on the shared
-ordered energy reduction (``EnergyModel.energy_terms``); the randomized
-equivalence suites here pin each of those against its scalar counterpart.
+The engine leans on the batched predictor update (``update_batch``) and
+on the shared ordered energy reduction (``EnergyModel.energy_terms``); the
+randomized equivalence suites here pin each of those against its scalar
+counterpart (the cache's batched settle and snoops are pinned in
+``tests/test_cache.py``).
 """
 
 import dataclasses
@@ -144,6 +145,90 @@ def test_ckernel_negative_compile_cache(monkeypatch, tmp_path):
     assert calls == ["cc", "gcc", "clang"]
 
 
+def test_ckernel_cache_key_covers_the_flags(monkeypatch, tmp_path):
+    """The compile cache names a library by its source *and* its compiler
+    flags: after a flag change the kernel is rebuilt with the new flags
+    instead of a library built with the old ones being loaded."""
+    from repro.trace import _ckernel
+
+    monkeypatch.setenv("REPRO_CKERNEL_CACHE", str(tmp_path))
+    flags = _ckernel._CFLAGS
+    changed = tuple(f for f in flags if f != "-ffp-contract=off")
+    assert _ckernel._cache_stem(flags) != _ckernel._cache_stem(changed)
+    assert _ckernel._cache_stem(flags) != _ckernel._cache_stem(
+        flags + ("-O3",))
+    assert _ckernel._cache_stem(flags) == _ckernel._cache_stem(tuple(flags))
+    argvs = []
+
+    def failing_run(argv, **kwargs):
+        argvs.append(argv)
+        raise OSError("no such compiler")
+
+    monkeypatch.setattr(_ckernel.subprocess, "run", failing_run)
+    # A library built with the old flags sits in the cache.
+    open(_ckernel._cache_stem(flags) + ".so", "w").close()
+    monkeypatch.setattr(_ckernel, "_CFLAGS", changed)
+    assert _ckernel._compile() is None      # the old .so is not loaded
+    assert argvs and all(argv[1:1 + len(changed)] == list(changed)
+                         for argv in argvs)
+    (marker,) = tmp_path.glob("vrkernel-*.failed")
+    assert str(marker) == _ckernel._cache_stem(changed) + ".failed"
+
+
+def test_ckernel_compiles_warning_free(tmp_path):
+    """The kernel source compiles with every warning an error, under the
+    flag identity depends on."""
+    import shutil
+    import subprocess
+
+    from repro.trace import _ckernel
+
+    cc = next((c for c in ("cc", "gcc", "clang") if shutil.which(c)), None)
+    if cc is None:
+        pytest.skip("no C compiler")
+    src = tmp_path / "vrkernel.c"
+    src.write_text(_ckernel._C_SOURCE)
+    proc = subprocess.run(
+        [cc, "-O2", "-shared", "-fPIC", "-Wall", "-Wextra", "-Werror",
+         "-ffp-contract=off", "-o", str(tmp_path / "vrkernel.so"),
+         str(src)], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("shape", ["1-core", "2-core"])
+def test_kernel_allocation_failure_degrades_to_execution(monkeypatch,
+                                                         shape):
+    """A kernel that cannot grow a table returns -1 from its one entry
+    point.  A stub that fails at the first event makes replay record
+    ``degraded.vector`` and run execution-driven, equal to execution."""
+    from repro.trace import _ckernel
+
+    real = _ckernel.load()
+    if real is None:
+        pytest.skip("no C kernel")
+
+    calls = []
+
+    class FailingKernel:
+        new, free = real.new, real.free
+
+        @staticmethod
+        def run(ptr, result):
+            i = real.run(ptr, result)
+            calls.append(i)
+            return -1 if len(calls) == 1 else i
+
+    trace, _, machine = _fallback_cell(shape)
+    monkeypatch.setattr(_ckernel, "load", lambda: FailingKernel)
+    from repro.trace import artifacts
+    with artifacts.scoped(disabled=True), obs.recording() as rec:
+        replayed = replay_trace(trace, machine)
+    executed, _ = execute_key(trace.key, machine)
+    _assert_same_run(replayed, executed)
+    assert rec.counters["degraded.vector"] == 1
+    assert calls[0] >= 0        # the first call stopped at an event
+
+
 def test_vector_rejects_unknown_engine():
     machine = _machine(2)
     _, mtrace = capture_workload("CG", "hybrid", "tiny", machine=machine)
@@ -153,49 +238,6 @@ def test_vector_rejects_unknown_engine():
 
 
 # ------------------------------------------- batched structure update equivalence
-def _clone_cache(cache):
-    clone = Cache(cache.name, cache.size_bytes, cache.assoc, cache.line_size,
-                  cache.latency, write_back=cache.write_back,
-                  write_allocate=cache.write_allocate)
-    for idx, lines in cache._sets.items():
-        clone._sets[idx] = lines.copy()
-    clone.stats = dataclasses.replace(cache.stats)
-    return clone
-
-
-def _assert_same_cache(a, b):
-    assert a.stats.as_dict() == b.stats.as_dict()
-    assert {idx: list(lines.items()) for idx, lines in a._sets.items() if lines} \
-        == {idx: list(lines.items()) for idx, lines in b._sets.items() if lines}
-
-
-def test_cache_access_batch_matches_scalar_randomized():
-    """``access_batch`` must be indistinguishable from N scalar accesses:
-    same hit flags, same tag/LRU/dirty state, same statistics — across
-    random mixes of kinds, read/write and the fill-misses fetch pattern."""
-    rng = random.Random(20260807)
-    for trial in range(25):
-        batched = Cache("L", 4 * 1024, rng.choice([2, 4]), 64,
-                        latency=2, write_back=rng.random() < 0.5)
-        scalar = _clone_cache(batched)
-        for _ in range(rng.randrange(1, 6)):
-            addrs = [rng.randrange(0, 64 * 1024) for _ in
-                     range(rng.randrange(0, 40))]
-            is_write = rng.random() < 0.5
-            kind = rng.choice(["demand", "prefetch", "writethrough", "dma"])
-            fill_misses = rng.random() < 0.5
-            got = batched.access_batch(addrs, is_write, kind=kind,
-                                       fill_misses=fill_misses)
-            want = []
-            for addr in addrs:
-                hit = scalar.access(addr, is_write, kind=kind)
-                want.append(hit)
-                if fill_misses and not hit:
-                    scalar.fill(addr)
-            assert got == want
-            _assert_same_cache(batched, scalar)
-
-
 def test_predictor_update_batch_matches_sequential_randomized():
     rng = random.Random(20260809)
     for trial in range(25):
