@@ -180,6 +180,30 @@ class CoherenceDirectory:
         if self._tag_index.get(entry.tag) == index:
             del self._tag_index[entry.tag]
 
+    # -- the directory side of DMA commands ----------------------------------------
+    # The only changes to the valid tags besides :meth:`configure`; the
+    # hybrid systems and the replay oracle's directory pre-pass both go
+    # through these two calls.
+    def map_dma_get(self, lm_offset: int, lm_base_vaddr: int, sm_addr: int,
+                    ready_time: float = 0.0) -> None:
+        """A dma-get maps its destination buffer to ``sm_addr`` — once the
+        buffer size is configured (before that the directory tracks
+        nothing)."""
+        if self.is_configured:
+            self.update(lm_offset, lm_base_vaddr, sm_addr, ready_time)
+
+    def unmap_dma_put(self, lm_offset: int, sm_addr: int) -> bool:
+        """A multicore dma-put ends its chunk's LM residence: unmap the
+        buffer at ``lm_offset`` if it still maps ``sm_addr``'s chunk.
+        Returns whether it did."""
+        if not self.is_configured:
+            return False
+        entry = self.entries[self.buffer_index(lm_offset)]
+        if not (entry.valid and entry.tag == (sm_addr & self.base_mask)):
+            return False
+        self.invalidate_buffer(lm_offset)
+        return True
+
     # -- lookup (driven by guarded memory instructions) ------------------------------
     def lookup(self, sm_addr: int, now: float = 0.0) -> Tuple[bool, int, float]:
         """CAM lookup for a potentially incoherent SM address.

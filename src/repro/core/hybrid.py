@@ -297,12 +297,8 @@ class HybridSystem:
             if old.valid:
                 self.checker.apply(old.tag, ProtocolAction.LM_UNMAP)
         transfer = self.dmac.dma_get(lm_vaddr, sm_addr, size, tag, now)
-        if self.directory.is_configured:
-            self.directory.update(
-                lm_offset=transfer.lm_offset,
-                lm_base_vaddr=lm_vaddr,
-                sm_addr=sm_addr,
-                ready_time=transfer.completion_time)
+        self.directory.map_dma_get(transfer.lm_offset, lm_vaddr, sm_addr,
+                                   transfer.completion_time)
         self._apply_protocol(sm_addr, ProtocolAction.LM_MAP)
         return 1.0
 

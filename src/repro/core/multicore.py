@@ -288,12 +288,9 @@ class MulticoreHybridSystem:
         # Figure 6 allows the sequence: LM-writeback keeps the LM state,
         # LM-unmap then moves LM -> MM (or LM-CM -> CM).
         directory = core.directory
-        if directory is not None and directory.is_configured:
-            lm_offset = core.address_map.translate(lm_vaddr)
-            entry = directory.entries[directory.buffer_index(lm_offset)]
-            if entry.valid and entry.tag == (sm_addr & directory.base_mask):
-                core._apply_protocol(sm_addr, ProtocolAction.LM_UNMAP)
-                directory.invalidate_buffer(lm_offset)
+        if directory is not None and directory.unmap_dma_put(
+                core.address_map.translate(lm_vaddr), sm_addr):
+            core._apply_protocol(sm_addr, ProtocolAction.LM_UNMAP)
         self._release(core_id, sm_addr, size)
         return result
 

@@ -514,6 +514,8 @@ def run_sweep_report(specs: Sequence[RunSpec], workers: int = 1,
             try:
                 while pending or in_flight:
                     now = time.monotonic()
+                    broken: Optional[BaseException] = None
+                    suspects: List[Tuple[RunSpec, int]] = []
                     for entry in [e for e in pending if e[2] <= now]:
                         if len(in_flight) >= workers:
                             break
@@ -523,11 +525,18 @@ def run_sweep_report(specs: Sequence[RunSpec], workers: int = 1,
                         if pool is None:
                             pool = cf.ProcessPoolExecutor(max_workers=workers)
                         spec, attempt, _ = entry
+                        try:
+                            future = pool.submit(_execute_payload,
+                                                 payload_for(spec, attempt))
+                        except cf.BrokenExecutor as exc:
+                            # A worker died since the last wait: this cell
+                            # stays queued, and the break is handled as if
+                            # the wait below had seen it.
+                            broken = exc
+                            break
                         rec.incr("sweep.pool.dispatched")
                         log.info("cell start %s (attempt %d)", spec.label,
                                  attempt + 1)
-                        future = pool.submit(_execute_payload,
-                                             payload_for(spec, attempt))
                         pending.remove(entry)
                         # The in-flight cap equals the worker count, so a
                         # submitted cell starts (almost) immediately and its
@@ -536,15 +545,15 @@ def run_sweep_report(specs: Sequence[RunSpec], workers: int = 1,
                             spec, attempt,
                             now + cell_timeout if cell_timeout is not None
                             else float("inf"))
-                    if not in_flight:
+                    if broken is None and not in_flight:
                         # Everything is backing off; sleep to the earliest.
                         time.sleep(max(0.0, min(e[2] for e in pending)
                                        - time.monotonic()))
                         continue
-                    done, _ = cf.wait(list(in_flight), timeout=0.05,
-                                      return_when=cf.FIRST_COMPLETED)
-                    broken: Optional[BaseException] = None
-                    suspects: List[Tuple[RunSpec, int]] = []
+                    done: set = set()
+                    if broken is None:
+                        done, _ = cf.wait(list(in_flight), timeout=0.05,
+                                          return_when=cf.FIRST_COMPLETED)
                     for future in done:
                         spec, attempt, _ = in_flight.pop(future)
                         try:

@@ -257,6 +257,20 @@ class Cache:
         self._resident.add(line)
         return evicted
 
+    def install(self, lines) -> None:
+        """Make ``lines`` resident, clean, counting nothing: what
+        :meth:`fill` leaves of line addresses that are not resident, in
+        sets with room for them (the caller counts the fills)."""
+        sets = self._sets
+        line_size = self.line_size
+        num_sets = self.num_sets
+        for line in lines:
+            s = sets.get(line // line_size % num_sets)
+            if s is None:
+                s = sets[line // line_size % num_sets] = OrderedDict()
+            s[line] = False
+        self._resident.update(lines)
+
     def invalidate(self, addr: int) -> Tuple[bool, bool]:
         """Invalidate the line containing ``addr``.
 

@@ -14,11 +14,13 @@ splits the work by *data dependence*:
   and the final activity counters.  It is an array program over the
   decode pass's classification of the stream (LM-range or SM, class bits,
   previous store; computed once per trace and mode, shared by every
-  geometry): LM-range ops are counted without a visit, each
-  DMA-delimited segment resolves its guarded and divert lookups against
-  the directory (fixed between DMA and set-bufsize events) and its store
-  collapses as one array step, and only the remaining demand accesses and
-  the events walk the scratch hierarchy, in stream order.  One **flags
+  geometry): LM-range ops are counted without a visit, every guarded and
+  divert lookup resolves against the directory's tags of its
+  DMA-delimited segment and every store collapse as one array step, the
+  remaining demand accesses are counted from arrays when no cache set or
+  prefetch entry can evict (walked through the scratch hierarchy
+  otherwise), and the DMA events run through the scratch system in
+  stream order.  One **flags
   pass** per (trace, predictor geometry) resolves every conditional branch
   through the batched
   :meth:`~repro.cpu.branch_predictor.HybridBranchPredictor.update_batch`
@@ -76,6 +78,7 @@ import numpy as np
 
 from repro import obs
 from repro.cpu.branch_predictor import HybridBranchPredictor
+from repro.core.directory import CoherenceDirectory
 from repro.cpu.pipeline import (
     CODE_BASE,
     CODE_INSTR_SIZE,
@@ -288,13 +291,10 @@ def _oracle_event(S, kind: int, tag, dma_words, di: int, multicore: bool,
             if directory.is_configured else -1)
         return
     S.dma_put(lm_v, sm, size, tag=tag, now=0.0)
-    if multicore and directory.is_configured:
+    if multicore:
         # MulticoreHybridSystem.dma_put: write-back ends the chunk's LM
         # residence, unmapping the issuing core's directory entry.
-        lm_offset = S.address_map.translate(lm_v)
-        entry = directory.entries[directory.buffer_index(lm_offset)]
-        if entry.valid and entry.tag == (sm & directory.base_mask):
-            directory.invalidate_buffer(lm_offset)
+        directory.unmap_dma_put(S.address_map.translate(lm_v), sm)
 
 
 def _oracle_result(S, routes, miss_lines, guard_entries, dma_nlines,
@@ -351,6 +351,148 @@ def _oracle_result(S, routes, miss_lines, guard_entries, dma_nlines,
                          dma_addrs, dget_entries, n_dir, patch)
 
 
+def _directory_hits(S, classes, looked_at, ev_kinds, ev_tags, dma_words,
+                    multicore) -> tuple:
+    """Directory outcomes of the looked-up SM ops ``looked_at``: per op,
+    whether its chunk is mapped (a guarded or divert hit) and by which
+    entry.
+
+    The valid tags change only at set-bufsize, dma-get and (multicore)
+    dma-put events, through the calls the hybrid systems make
+    (:meth:`~repro.core.directory.CoherenceDirectory.configure`,
+    ``map_dma_get``, ``unmap_dma_put``), and depend on nothing but the
+    event operands.  So one walk of the events over a bare directory gives
+    every DMA-delimited segment's tags, each a new *version* of the
+    table, and every lookup is one ``searchsorted`` over
+    ``(version, tag)`` keys.
+    """
+    directory = CoherenceDirectory(S.directory.num_entries)
+    translate = S.address_map.translate
+    tag_index = directory._tag_index        # tag -> entry, valid entries
+    masks: list = []                        # per version
+    sizes: list = []
+    tags: list = []
+    entries: list = []
+    version = [-1]                          # per segment; -1: unconfigured
+    di = 0
+    for kind, tag in zip(ev_kinds, ev_tags):
+        moved = kind == 9
+        if moved:
+            directory.configure(tag)
+        elif kind <= 7:
+            lm_v, sm = dma_words[di], dma_words[di + 1]
+            di += 3
+            if kind == 6:
+                directory.map_dma_get(translate(lm_v), lm_v, sm)
+                moved = True
+            elif multicore:
+                moved = directory.unmap_dma_put(translate(lm_v), sm)
+        if moved and directory.is_configured:
+            masks.append(directory.base_mask)
+            sizes.append(len(tag_index))
+            tags.extend(tag_index)
+            entries.extend(tag_index.values())
+        version.append(len(masks) - 1)
+    seg = np.asarray(version)[np.searchsorted(classes.cuts, looked_at,
+                                              side="right")]
+    if np.any(classes.sm_cls[looked_at[seg < 0]] & _C_GUARDED):
+        raise RuntimeError("directory used before configuring the buffer size")
+    found = np.zeros(len(looked_at), np.bool_)
+    entry = np.zeros(len(looked_at), np.int32)
+    if not tags:
+        return found, entry
+    tags = np.array(tags, np.int64)
+    values = np.sort(tags)
+    values = values[np.concatenate(([True], values[1:] != values[:-1]))]
+    width = len(values)
+    keys = (np.repeat(np.arange(len(sizes)), sizes) * width
+            + np.searchsorted(values, tags))
+    by_key = np.argsort(keys)
+    keys = keys[by_key]
+    ok = np.flatnonzero(seg >= 0)
+    v = seg[ok]
+    bases = classes.sm_addr[looked_at[ok]] & np.array(masks, np.int64)[v]
+    rank = np.minimum(np.searchsorted(values, bases), width - 1)
+    probe = v * width + rank
+    slot = np.minimum(np.searchsorted(keys, probe), len(keys) - 1)
+    hits = (values[rank] == bases) & (keys[slot] == probe)
+    found[ok] = hits
+    entry[ok[hits]] = np.array(entries, np.int32)[by_key[slot[hits]]]
+    return found, entry
+
+
+def _settle_demand(hierarchy, lines, pcs, inv_lines, inv_at):
+    """Settle a stream of demand accesses without walking it, or return
+    None when it may evict.
+
+    ``lines`` and ``pcs`` are the demand-path accesses' lines and pcs in
+    stream order; ``inv_lines`` are the lines dma-puts invalidate, each
+    before the access at its ``inv_at`` position.  The gate: the prefetch
+    table never evicts (prefetching off, or no more distinct pcs than
+    entries), and in each of L1, L2 and L3 no set receives more distinct
+    lines than it has ways — counting the demand lines and the prefetch
+    targets, the only fill sources.  Under it, LRU order is never read and
+    the three levels hold the same lines: those touched (demanded or
+    prefetched) since their last dma-put.  So an access hits the L1 iff its
+    line's previous touch or invalidation is a touch, and misses every
+    level otherwise; a prefetch target fills iff its line is not resident.
+
+    Prefetch triggers come from per-pc line strides: an access triggers
+    when its nonzero stride repeats that pc's previous nonzero stride, and
+    prefetches :meth:`~repro.mem.prefetcher.StreamPrefetcher.repeat`'s
+    targets.  Events are keyed ``3 * position``: an invalidation before
+    access ``p`` at ``3p``, its demand touch at ``3p + 1``, its prefetches
+    at ``3p + 2``; one sort by line and key orders each line's history.
+
+    Returns ``(l1_hit, fill_key, fill_line, prefetch_fills, issued)``: the
+    hit mask, the key and line of every fill (demand miss or prefetch
+    fill) in key order, and the numbers of prefetch fills and of
+    prefetches issued.
+    """
+    c = hierarchy.config
+    n = len(lines)
+    targets = trig_key = np.zeros(0, np.int64)
+    if c.prefetch_enabled and n:
+        order = np.argsort(pcs, kind="stable")
+        by_pc = pcs[order]
+        new_pc = by_pc[1:] != by_pc[:-1]
+        if np.count_nonzero(new_pc) >= c.prefetch_table_size:
+            return None
+        stride = np.diff(lines[order])
+        stride[new_pc] = 0
+        nz = np.flatnonzero(stride)
+        rep = nz[1:][(by_pc[nz[1:]] == by_pc[nz[:-1]])
+                     & (stride[nz[1:]] == stride[nz[:-1]])]
+        trig = order[rep + 1]
+        steps = np.arange(1, c.prefetch_degree + 1) + c.prefetch_distance
+        targets = (lines[trig][:, None]
+                   + stride[rep][:, None] * steps).ravel()
+        trig_key = np.repeat(3 * trig + 2, len(steps))
+    n_touch = n + len(targets)
+    key = np.concatenate((3 * np.arange(n) + 1, trig_key, 3 * inv_at))
+    line = np.concatenate((lines, targets, inv_lines))
+    order = np.lexsort((key, line))
+    touch = order < n_touch
+    sorted_line = line[order]
+    touched = sorted_line[touch]
+    first = np.ones(len(touched), np.bool_)
+    first[1:] = touched[1:] != touched[:-1]
+    distinct = touched[first]
+    for cache in (hierarchy.l1, hierarchy.l2, hierarchy.l3):
+        per_set = np.bincount(distinct // c.line_size % cache.num_sets)
+        if per_set.max(initial=0) > cache.assoc:
+            return None
+    resident = np.zeros(len(key), np.bool_)
+    resident[order[1:]] = touch[:-1] & (sorted_line[1:] == sorted_line[:-1])
+    l1_hit = resident[:n]
+    pf_fill = ~resident[n:n_touch]
+    fill_key = np.concatenate((key[:n][~l1_hit], trig_key[pf_fill]))
+    by_key = np.argsort(fill_key, kind="stable")
+    fill_line = np.concatenate((lines[~l1_hit], targets[pf_fill]))[by_key]
+    return (l1_hit, fill_key[by_key], fill_line,
+            int(np.count_nonzero(pf_fill)), len(targets))
+
+
 def _oracle_routes(decoded, cold, hot, mode: str, machine: MachineConfig,
                    multicore: bool) -> _OracleRoutes:
     """Array oracle pass — bit-identical to a scalar walk that drives the
@@ -363,21 +505,32 @@ def _oracle_routes(decoded, cold, hot, mode: str, machine: MachineConfig,
       once per trace and mode (:func:`~repro.trace.replay._classify`;
       a stream decoded without them is classified here).  LM-range ops are
       counted, never visited: their route is ``_R_LM``.
-    * **Each DMA-delimited segment resolves as arrays.**  Between two DMA
-      or set-bufsize events the directory is fixed, so a segment's guarded
-      and oracle-divert lookups are one ``searchsorted`` of their chunk
-      bases against the directory's valid tags.  The store-collapse latch
-      is the previous store's: a candidate collapses when that store was
-      an SM store that reached the SM (not a directory or divert hit) at
-      the same address.
-    * **Python visits only the demand accesses**, in stream order, through
-      the hierarchy's own :meth:`~repro.mem.hierarchy.MemoryHierarchy.demand`
-      path — the one a scalar walk's ``load``/``store`` take — and the DMA,
-      dma-sync and set-bufsize events (:func:`_oracle_event`).
+    * **The directory resolves for the whole stream first**
+      (:func:`_directory_hits`): a pre-pass over the events gives each
+      DMA-delimited segment's valid tags, and every guarded and
+      oracle-divert lookup is one array step.  The store-collapse latch is
+      the previous store's: a candidate collapses when that store was an
+      SM store that reached the SM (not a directory or divert hit) at the
+      same address.  What is left is the demand path, one access per SM
+      op that neither hit nor collapsed.
+    * **The gate** (:func:`_settle_demand`) asks whether that stream can
+      evict anything at this geometry: a prefetch table entry, or a line
+      in any cache set.
+    * **The settle**, when it cannot: every L1 hit, miss and prefetch fill
+      is counted from arrays, and the lines filled before each event are
+      installed in the scratch caches
+      (:meth:`~repro.mem.cache.Cache.install`) before it runs, so its
+      snoops see the real contents.
+    * **The walk**, otherwise: each access goes through the hierarchy's own
+      :meth:`~repro.mem.hierarchy.MemoryHierarchy.demand` — the path a
+      scalar walk's ``load``/``store`` take — in stream order.  The
+      counter ``vector.oracle.walked`` counts the accesses walked.
 
-    Everything the skipped ``load``/``store`` calls would have incremented
-    (system, AGU, directory and LM counters, functional ``MainMemory``
-    word-touch counters) is folded in at the end; the functional data words
+    Either way the DMA, dma-sync and set-bufsize events run through the
+    scratch system in stream order (:func:`_oracle_event`).  Everything
+    the skipped ``load``/``store`` calls would have incremented (system,
+    AGU, directory and LM counters, functional ``MainMemory`` word-touch
+    counters) is folded in at the end; the functional data words
     themselves are scratch nothing reads back and are skipped.
     """
     S = _scratch_system(mode, machine)
@@ -386,114 +539,137 @@ def _oracle_routes(decoded, cold, hot, mode: str, machine: MachineConfig,
     if classes is None or classes.lm_range != lm_range:
         classes = _classify(decoded, hot, cold, lm_range)
     hierarchy = S.hierarchy
-    demand = hierarchy.demand
-    directory = S.directory
     dma_words = decoded.dma_words
     sm_addr, sm_cls, sm_prev = classes.sm_addr, classes.sm_cls, classes.sm_prev
     n_sm = len(sm_cls)
     is_store = (sm_cls & _C_STORE).astype(np.bool_)
     guarded = (sm_cls & _C_GUARDED).astype(np.bool_)
-    looked = (sm_cls & (_C_GUARDED | _C_DIVERT)) != 0
-    candidate = (((sm_cls & (_C_STORE | _C_GUARDED | _C_COLLAPSE))
-                  == (_C_STORE | _C_COLLAPSE)) & (sm_prev >= 0))
-    looked_at = np.flatnonzero(looked)
-    cand_at = np.flatnonzero(candidate)
-    looked_upto = np.concatenate(([0], np.cumsum(looked))).tolist()
-    cand_upto = np.concatenate(([0], np.cumsum(candidate))).tolist()
+    ev_pcs = classes.ev_pcs.tolist()
+    ev_kinds = [hot[pc][0] for pc in ev_pcs]
+    ev_tags = [cold[pc][1] for pc in ev_pcs]
+    n_ev = len(ev_pcs)
+
+    # -- directory hits, guard entries and store collapses --
     hit = np.zeros(n_sm, np.bool_)          # directory or divert hit
+    guard_entries = array("i")
+    looked_at = np.flatnonzero((sm_cls & (_C_GUARDED | _C_DIVERT)) != 0)
+    if len(looked_at):
+        found, entry = _directory_hits(S, classes, looked_at, ev_kinds,
+                                       ev_tags, dma_words, multicore)
+        hit[looked_at] = found
+        guard_entries.frombytes(entry[found & guarded[looked_at]].tobytes())
+    cand = np.flatnonzero(
+        ((sm_cls & (_C_STORE | _C_GUARDED | _C_COLLAPSE))
+         == (_C_STORE | _C_COLLAPSE)) & (sm_prev >= 0) & ~hit)
+    prev = sm_prev[cand]
     collapsed = np.zeros(n_sm, np.bool_)
-    # The demand path's arguments, one Python list each.
-    addr_l = sm_addr.tolist()
-    store_l = is_store.tolist()
-    pc_l = classes.sm_pc.tolist()
-    guard_parts: list = []
-    levels: list = []
-    levels_append = levels.append
+    collapsed[cand[~hit[prev] & (sm_addr[prev] == sm_addr[cand])]] = True
+
+    # -- the demand path: settled when nothing can evict, else walked --
+    served = np.flatnonzero(~(hit | collapsed))
+    n_served = len(served)
+    line_size = hierarchy.config.line_size
+    addrs = sm_addr[served]
+    lines = addrs - addrs % line_size
+    ev_at = np.searchsorted(served, classes.cuts).tolist()  # before event e
+    # The lines each dma-put invalidates (DMAController._lines_of), before
+    # the access at its event's position.
+    kinds = np.asarray(ev_kinds, np.int64)
+    words = np.asarray(dma_words, np.int64).reshape(-1, 3)
+    put = kinds[kinds <= 7] == 7
+    first = words[put, 1] - words[put, 1] % line_size
+    count = np.maximum((words[put, 1] + words[put, 2] - 1 - first)
+                       // line_size + 1, 0)
+    offset = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count,
+                                                count)
+    settled = _settle_demand(
+        hierarchy, lines, classes.sm_pc[served],
+        np.repeat(first, count) + offset * line_size,
+        np.repeat(np.asarray(ev_at, np.int64)[kinds == 7], count))
+    if settled is None:
+        walked = n_served
+        demand = hierarchy.demand
+        addr_l = addrs.tolist()
+        store_l = is_store[served].tolist()
+        pc_l = classes.sm_pc[served].tolist()
+        levels: list = []
+        levels_append = levels.append
+    else:
+        walked = 0
+        l1_hit, fill_key, fill_line, n_pf, issued = settled
+        fill_upto = np.searchsorted(fill_key,
+                                    3 * np.asarray(ev_at, np.int64)).tolist()
+        fill_line = fill_line.tolist()
+        caches = (hierarchy.l1, hierarchy.l2, hierarchy.l3)
     dma_nlines = array("i")
     dma_addrs = array("q")
     dget_entries = array("i")
-    tags = entry_of = None      # the directory's valid tags, sorted
-
-    cuts = classes.cuts.tolist()
-    ev_pcs = classes.ev_pcs.tolist()
-    n_ev = len(ev_pcs)
     start = di = 0
     for e in range(n_ev + 1):
-        stop = cuts[e] if e < n_ev else n_sm
-        if stop > start:
-            skipped = False     # a hit or a collapse leaves the demand path
-            if looked_upto[stop] > looked_upto[start]:
-                at = looked_at[looked_upto[start]:looked_upto[stop]]
-                if not directory.is_configured:
-                    if guarded[at].any():
-                        raise RuntimeError("directory used before "
-                                           "configuring the buffer size")
-                else:
-                    if tags is None:
-                        valid = sorted(
-                            (tag, index)
-                            for tag, index in directory._tag_index.items()
-                            if directory.entries[index].valid)
-                        tags = np.array([t for t, _ in valid], np.int64)
-                        entry_of = np.array([i for _, i in valid], np.int32)
-                    if len(tags):
-                        bases = sm_addr[at] & directory.base_mask
-                        slot = np.minimum(np.searchsorted(tags, bases),
-                                          len(tags) - 1)
-                        found = tags[slot] == bases
-                        if found.any():
-                            skipped = True
-                            hit[at] = found
-                            g = found & guarded[at]
-                            if g.any():
-                                guard_parts.append(entry_of[slot[g]])
-            if cand_upto[stop] > cand_upto[start]:
-                at = cand_at[cand_upto[start]:cand_upto[stop]]
-                at = at[~hit[at]]
-                prev = sm_prev[at]
-                same = ~hit[prev] & (sm_addr[prev] == sm_addr[at])
-                if same.any():
-                    skipped = True
-                    collapsed[at] = same
-            if skipped:
-                for k in (start + np.flatnonzero(
-                        ~(hit[start:stop] | collapsed[start:stop]))).tolist():
-                    levels_append(demand(addr_l[k], store_l[k], pc_l[k],
-                                         0.0)[1])
-            else:
-                for addr, is_write, pc in zip(addr_l[start:stop],
-                                              store_l[start:stop],
-                                              pc_l[start:stop]):
-                    levels_append(demand(addr, is_write, pc, 0.0)[1])
-        start = stop
+        if settled is None:
+            stop = ev_at[e] if e < n_ev else n_served
+            for k in range(start, stop):
+                levels_append(demand(addr_l[k], store_l[k], pc_l[k], 0.0)[1])
+            start = stop
+        elif e < n_ev and fill_upto[e] > start:
+            # The fills before the event, which its snoops may see.
+            for cache in caches:
+                cache.install(fill_line[start:fill_upto[e]])
+            start = fill_upto[e]
         if e == n_ev:
             break
-        pc = ev_pcs[e]
-        kind = hot[pc][0]
-        _oracle_event(S, kind, cold[pc][1], dma_words, di, multicore,
+        kind = ev_kinds[e]
+        _oracle_event(S, kind, ev_tags[e], dma_words, di, multicore,
                       dma_nlines, dma_addrs, dget_entries)
-        if kind != 8:                   # DMA and set-bufsize move the tags
-            tags = None
         if kind <= 7:
             di += 3
+    obs.incr("vector.oracle.walked", walked)
+
+    if settled is None:
+        codes = np.fromiter(map(_ROUTE_OF_LEVEL.__getitem__, levels),
+                            np.uint8, len(levels))
+    else:
+        # Count what the settled accesses' demand() calls would have: an
+        # L1 hit is a lookup (plus an L2 write-through for a store); a miss
+        # looks up and misses every level, reads memory and fills every
+        # level; a prefetch fill looks up L2 and L3, reads memory and fills
+        # every level.
+        n_hit = int(np.count_nonzero(l1_hit))
+        n_miss = n_served - n_hit
+        n_fill = n_miss + n_pf
+        n_wt = int(np.count_nonzero(is_store[served]))
+        for cache in caches:
+            stats = cache.stats
+            stats.accesses += n_fill
+            stats.fills += n_fill
+            stats.prefetch_fills += n_pf
+            stats.misses += n_miss
+            if cache is hierarchy.l1:
+                stats.accesses += n_served
+                stats.demand_accesses += n_served
+                stats.hits += n_hit
+            else:
+                stats.accesses += n_miss + n_pf
+                stats.demand_accesses += n_miss
+                stats.prefetch_lookups += n_pf
+        l2 = hierarchy.l2.stats
+        l2.accesses += n_wt
+        l2.writethrough_accesses += n_wt
+        hierarchy.memory.reads += n_fill
+        hierarchy.demand_accesses += n_served
+        if hierarchy.config.prefetch_enabled:
+            hierarchy.prefetcher.trainings += n_served
+            hierarchy.prefetcher.issued += issued
+        codes = np.where(l1_hit, _R_L1, _R_MEM).astype(np.uint8)
 
     # -- routes and side arrays in stream order --
     routes = np.zeros(classes.n_mem, np.uint8)
     sm_pos = classes.sm_pos
     routes[sm_pos[hit & guarded]] = _R_GUARD
     routes[sm_pos[collapsed]] = _R_COLLAPSED
-    served = np.flatnonzero(~(hit | collapsed))   # in demand-path order
-    codes = np.fromiter(map(_ROUTE_OF_LEVEL.__getitem__, levels), np.uint8,
-                        len(levels))
     routes[sm_pos[served]] = codes
-    missed = sm_addr[served[codes != _R_L1]]
     miss_lines = array("q")
-    miss_lines.frombytes(
-        (missed - missed % hierarchy.config.line_size).tobytes())
-    guard_entries = array("i")
-    if guard_parts:
-        guard_entries.frombytes(
-            np.concatenate(guard_parts).astype(np.int32).tobytes())
+    miss_lines.frombytes(lines[codes != _R_L1].tobytes())
 
     # -- fold what the skipped load()/store() calls would have counted --
     n_guarded = int(np.count_nonzero(guarded))
@@ -525,7 +701,7 @@ def _oracle_routes(decoded, cold, hot, mode: str, machine: MachineConfig,
         agu.diverted_stores += hit_stores
         S.lm.reads += hit_loads + div_loads
         S.lm.writes += hit_stores + div_stores
-        stats = directory.stats
+        stats = S.directory.stats
         stats.lookups += n_guarded
         stats.hits += hit_loads + hit_stores
         stats.misses += n_guarded - hit_loads - hit_stores
@@ -589,7 +765,8 @@ def _branch_flags(decoded, cold, config, hot) -> tuple:
     conditionals go through the predictor's batched :meth:`update_batch`
     whose flags land back in event order via one vectorized scatter, and
     only the (sparse) BTB probe/install walk of jumps and taken branches
-    remains scalar.
+    remains scalar, without the repeated installs of back-to-back loop
+    branches.
 
     Returns ``(flags, predictions, mispredictions, btb_hits, btb_misses)``
     with one flag per conditional-branch/jump in retirement order.
@@ -624,11 +801,18 @@ def _branch_flags(decoded, cold, config, hot) -> tuple:
 
     # BTB: jumps probe, every taken branch installs — the in-order sequence
     # execution performs, restricted to the events that actually touch it.
+    # A conditional branch that installs the previous install's pc and
+    # target again re-installs the MRU entry unchanged, and installs count
+    # nothing, so it is dropped; jumps stay, as their lookups count.
     btb = predictor.btb
     btb_lookup = btb.lookup
     btb_update = btb.update
     walk = np.flatnonzero(is_jmp | takens)
     if len(walk):
+        repeat = np.zeros(len(walk), np.bool_)
+        repeat[1:] = ((pc_addrs[walk[1:]] == pc_addrs[walk[:-1]])
+                      & (target_addrs[walk[1:]] == target_addrs[walk[:-1]]))
+        walk = walk[~(repeat & ~is_jmp[walk])]
         w_pc = pc_addrs[walk].tolist()
         w_ta = target_addrs[walk].tolist()
         w_jmp = is_jmp[walk].tolist()

@@ -33,6 +33,7 @@ import sys
 from array import array
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro import obs
 from repro.cpu.branch_predictor import HybridBranchPredictor
@@ -48,7 +49,7 @@ from repro.trace.artifacts import (
     decode_artifact,
     encode_artifact,
 )
-from repro.trace.format import unpack_bits
+from repro.trace.format import pack_bits, unpack_bits
 from repro.trace.store import TraceStore
 
 import repro.trace.replay as replay_mod
@@ -428,23 +429,34 @@ _LATCH_STREAMS = {
 
 
 def _event_stream(events, lm):
-    """A hand-built ``(decoded, cold, hot)`` stream, one pc per event, each
-    retired once in order.  Events are ``("ld" | "st", addr[, flags])``
-    with flags from ``g`` (guarded), ``d`` (oracle-divert) and ``c``
-    (collapse candidate), ``("dget" | "dput", sm)`` moving one chunk
-    through LM buffer 0, and ``("setbuf", size)``."""
+    """A hand-built ``(decoded, cold, hot)`` stream, retired in order.
+    Events are ``("ld" | "st", addr[, flags[, label]])`` with flags from
+    ``g`` (guarded), ``d`` (oracle-divert) and ``c`` (collapse candidate),
+    ``("dget" | "dput", sm[, buffer])`` moving one chunk through LM buffer
+    ``buffer`` (0 by default), and ``("setbuf", size)``.  Each event has a
+    pc of its own, except that memory ops with the same kind, flags and
+    ``label`` share one (a loop body the prefetcher trains on)."""
     kinds = {"ld": 1, "st": 2, "dget": 6, "dput": 7, "setbuf": 9}
-    hot, cold, mem_addrs, dma_words = [], [], [], []
-    for pc, (name, operand, *rest) in enumerate(events):
-        flags = rest[0] if rest else ""
-        hot.append((kinds[name], None, None, None, None, None, None))
-        cold.append((0, operand if name == "setbuf" else 0, "g" in flags,
-                     "d" in flags, "c" in flags))
-        if name in ("ld", "st"):
+    hot, cold, mem_addrs, dma_words, seq_pcs = [], [], [], [], array("I")
+    shared = {}
+    for name, operand, *rest in events:
+        is_mem = name in ("ld", "st")
+        flags = rest[0] if rest and is_mem else ""
+        label = (name, flags, rest[1]) if is_mem and len(rest) > 1 else None
+        pc = shared.get(label)
+        if pc is None:
+            pc = len(hot)
+            hot.append((kinds[name], None, None, None, None, None, None))
+            cold.append((0, operand if name == "setbuf" else 0,
+                         "g" in flags, "d" in flags, "c" in flags))
+            if label is not None:
+                shared[label] = pc
+        seq_pcs.append(pc)
+        if is_mem:
             mem_addrs.append(operand)
         elif name != "setbuf":
-            dma_words += [lm, operand, _CHUNK]
-    seq_pcs = array("I", range(len(events)))
+            dma_words += [lm + (rest[0] if rest else 0) * _CHUNK, operand,
+                          _CHUNK]
     return (replay_mod._Decoded(b"", 0, mem_addrs, dma_words, {},
                                 seq_pcs),
             cold, hot)
@@ -470,6 +482,137 @@ def test_array_oracle_latch_and_directory_synthetic(name):
         assert array_oracle.patch["last_store_to_sm"] is False
 
 
+def _oracle_or_error(oracle, *args):
+    try:
+        return oracle(*args)
+    except (RuntimeError, ValueError) as exc:
+        return type(exc)
+
+
+_MEM_FLAGS = {"ld": ["", "g", "d"], "st": ["", "g", "d", "c", "dc", "gc"]}
+
+
+@st.composite
+def _oracle_cases(draw):
+    """A random stream over a line pool (small: the stream settles; large:
+    it may evict and is walked) at a random geometry.  Loads and stores
+    from a few pcs, each either at a random line or one stride (per pc)
+    past its pc's previous line, so the prefetcher triggers; guarded,
+    divert and collapse classes; dma-get and dma-put bursts over the
+    pool's first lines; a set-bufsize at the start and possibly one
+    mid-stream."""
+    n_lines = draw(st.sampled_from([4, 12, 64]), label="n_lines")
+    n_pcs = draw(st.integers(1, 6), label="n_pcs")
+    # Each pc is one load or store instruction with fixed flags and a
+    # stride of its own.
+    pcs = draw(st.lists(st.tuples(st.sampled_from(["ld", "st"]),
+                                  st.integers(0, 5),
+                                  st.sampled_from([-2, -1, 1, 2, 3])),
+                        min_size=n_pcs, max_size=n_pcs), label="pcs")
+    mem_op = st.tuples(st.just("mem"), st.integers(0, n_pcs - 1),
+                       st.integers(0, 2).map(bool),      # mostly strided
+                       st.integers(0, n_lines - 1), st.integers(0, 7))
+    dma_op = st.tuples(st.sampled_from(["dget", "dput"]),
+                       st.sampled_from([0, 2, 4, 6]), st.integers(0, 3))
+    setbuf_op = st.tuples(st.just("setbuf"),
+                          st.sampled_from([_CHUNK, 2 * _CHUNK]))
+    # Memory ops make up most of a stream, as in a loop body.
+    op = st.one_of(mem_op, mem_op, mem_op, mem_op, dma_op, setbuf_op)
+    size = draw(st.integers(4, 60), label="size")
+    body = draw(st.lists(op, min_size=size, max_size=size), label="ops")
+    events = [("setbuf", _CHUNK)]
+    last = [0] * n_pcs
+    for name, *args in body:
+        if name == "mem":
+            label, strided, line, word = args
+            name, flag, stride = pcs[label]
+            if strided:
+                line = (last[label] + stride) % n_lines
+            last[label] = line
+            flags = _MEM_FLAGS[name][flag % len(_MEM_FLAGS[name])]
+            events.append((name, _SM + line * 64 + word * 8, flags, label))
+        elif name == "setbuf":
+            events.append((name, args[0]))
+        else:
+            events.append((name, _SM + args[0] * _CHUNK, args[1]))
+    overrides = {
+        "memory.prefetch_enabled": draw(st.booleans()),
+        "memory.prefetch_table_size": draw(st.sampled_from([2, 16])),
+        "memory.prefetch_degree": draw(st.sampled_from([1, 4])),
+        "memory.prefetch_distance": draw(st.sampled_from([0, 2])),
+    }
+    if draw(st.booleans(), label="small caches"):
+        overrides.update({
+            "memory.l1_size": draw(st.sampled_from([512, 2048])),
+            "memory.l1_assoc": draw(st.sampled_from([1, 2, 8])),
+            "memory.l2_size": draw(st.sampled_from([2048, 8192])),
+            "memory.l2_assoc": draw(st.sampled_from([2, 8])),
+            "memory.l3_size": draw(st.sampled_from([4096, 16384])),
+            "memory.l3_assoc": draw(st.sampled_from([4, 32])),
+        })
+    return events, overrides, draw(st.booleans(), label="multicore")
+
+
+@settings(max_examples=120, deadline=None)
+@given(case=_oracle_cases())
+@example(case=([("setbuf", _CHUNK), ("dget", _SM)]
+               + [("ld", _SM + (i % 4) * 64, "g" if i % 3 else "", 0)
+                  for i in range(12)]
+               + [("dput", _SM), ("st", _SM + 8, "", 1),
+                  ("st", _SM + 8, "c", 2)],
+               {"memory.l1_size": 512, "memory.l1_assoc": 8}, True))
+@example(case=([("setbuf", _CHUNK)]
+               + [("ld", _SM + i * 64 * 8, "", 0) for i in range(20)]
+               + [("dget", _SM), ("setbuf", 2 * _CHUNK),
+                  ("ld", _SM + 64, "g", 1), ("st", _SM, "", 1)],
+               {"memory.l1_size": 512, "memory.l1_assoc": 1}, False))
+def test_oracle_equals_scalar_walk_property(case):
+    """The oracle — settled or walked — equals the scalar walk field for
+    field: routes, miss lines, guard entries, DMA arrays and the patch.
+    The gate is all or nothing: a stream walks every demand-path access
+    or none."""
+    events, overrides, multicore = case
+    machine = _machine(2 if multicore else 1).with_overrides(overrides)
+    lm = build_system("hybrid", machine).address_map.virtual_base
+    decoded, cold, hot = _event_stream(events, lm)
+    args = (decoded, cold, hot, "hybrid", machine, multicore)
+    scalar = _oracle_or_error(_oracle_routes_scalar, *args)
+    with obs.recording() as rec:
+        oracle = _oracle_or_error(vector_mod._oracle_routes, *args)
+    if isinstance(scalar, type):
+        assert oracle is scalar
+        return
+    _assert_same_oracle(oracle, scalar)
+    assert rec.counters["vector.oracle.walked"] in (
+        0, oracle.patch["demand_accesses"])
+
+
+def test_oracle_walks_only_what_can_evict(fresh_cache):
+    """On the 2-core CG tiny trace no stream walks a demand access at the
+    default geometry; with an L1 whose sets overflow every stream walks
+    every one.  Both equal the scalar walk."""
+    machine0 = _machine(2)
+    _, mtrace = capture_workload("CG", "hybrid", "tiny", machine=machine0)
+    entries = replay_mod._cached_programs(mtrace.key, machine0)
+    for overrides, settles in (({}, True),
+                               ({"memory.l1_size": 512,
+                                 "memory.l1_assoc": 2}, False)):
+        machine = machine0.with_overrides(overrides)
+        for entry, trace in zip(entries, mtrace.cores):
+            _, _, hot, cold, fu_values, _, _ = entry
+            decoded = replay_mod._decode_trace(trace, hot, cold, fu_values)
+            with obs.recording() as rec:
+                oracle = vector_mod._oracle_routes(decoded, cold, hot,
+                                                   "hybrid", machine, True)
+            demand = oracle.patch["demand_accesses"]
+            assert demand > 0
+            assert rec.counters["vector.oracle.walked"] == (
+                0 if settles else demand)
+            assert (oracle.patch["l1"].evictions == 0) == settles
+            _assert_same_oracle(oracle, _oracle_routes_scalar(
+                decoded, cold, hot, "hybrid", machine, True))
+
+
 # -------------------------------------------------- batched flags == scalar
 def test_batched_flags_match_scalar_randomized(fresh_cache):
     """The scatter-based flag resolution must equal the per-event
@@ -492,6 +635,32 @@ def test_batched_flags_match_scalar_randomized(fresh_cache):
             scalar = _branch_flags_scalar(decoded, cold, config,
                                                      hot)
             assert batched == scalar
+
+
+def test_batched_flags_loop_branches_between_jumps():
+    """Back-to-back taken loop branches (the repeated BTB installs the flags
+    pass drops) interleaved with jumps that probe and evict in the same
+    BTB sets, and not-taken branches that touch no BTB entry: the flags
+    and BTB counters equal the scalar walk."""
+    rng = random.Random(20261020)
+    # pcs 0-3: conditional branches (0 and 1 loop on themselves); pcs 4-6:
+    # jumps.  A 4-entry BTB maps pcs 0 and 4 (1 and 5) to one set.
+    hot = [(3,) + (None,) * 6] * 4 + [(4,) + (None,) * 6] * 3
+    cold = [(0,), (1,), (0,), (6,), (0,), (2,), (1,)]
+    seq, taken = [], []
+    for _ in range(300):
+        pc = rng.choice([0, 0, 0, 1, 1, 2, 3, 4, 5, 6])
+        for _ in range(rng.randint(1, 4) if pc < 2 else 1):
+            seq.append(pc)
+            if pc < 4:
+                taken.append(rng.random() < 0.8)
+    decoded = replay_mod._Decoded(pack_bits(taken), len(taken),
+                                  [], [], {}, array("I", seq))
+    for entries, assoc in ((4, 1), (4, 2), (64, 4)):
+        config = core_config_for(_machine(1).with_overrides(
+            {"core.btb_entries": entries, "core.btb_assoc": assoc}))
+        assert (vector_mod._branch_flags(decoded, cold, config, hot)
+                == _branch_flags_scalar(decoded, cold, config, hot))
 
 
 # ----------------------------------------------------- warm replay path
@@ -587,8 +756,11 @@ _PASS_COUNTS = {
         "hot": {"replay.program.hit": 1, "degraded.vector": 1},
     },
     "vector": {
+        # Both core streams of the default geometry settle: no demand
+        # access is walked.
         "cold": {"replay.program.miss": 1, "replay.decode.miss": 2,
                  "replay.l1i.miss": 2, "vector.oracle.miss": 2,
+                 "vector.oracle.walked": 0,
                  "vector.flags.miss": 2, "vector.prelower.miss": 2},
         "warm": {"replay.program.miss": 1, "replay.decode.hit": 2,
                  "replay.decode.disk.hit": 2, "replay.l1i.miss": 2,

@@ -134,6 +134,45 @@ def test_pool_quarantines_permanently_crashing_cell(monkeypatch, tmp_path):
         == {s.spec_hash for s in specs if s != doomed}
 
 
+def test_pool_break_seen_at_submit_quarantines_crashing_cell(monkeypatch,
+                                                             tmp_path):
+    """A worker that dies between one wait and the next submit makes the
+    submit raise BrokenProcessPool.  The sweep handles it as a break seen
+    at the wait: the unsubmitted cell stays queued, the in-flight cells
+    are probed in isolation (the crashing one is quarantined) and the pool
+    is rebuilt, so every other cell finishes."""
+    import concurrent.futures as cf
+    from concurrent.futures.process import BrokenProcessPool
+
+    specs = [_micro(i) for i in range(4)]
+    doomed = specs[0]
+    monkeypatch.setenv(faults.FAULTS_ENV,
+                       f"worker.exec@{doomed.spec_hash[:8]}=crash")
+    real_submit = cf.ProcessPoolExecutor.submit
+    submits = []
+
+    def submit(self, fn, *args, **kwargs):
+        submits.append(args)
+        if len(submits) == 2:       # the doomed cell is in flight
+            raise BrokenProcessPool("a worker died since the last wait")
+        return real_submit(self, fn, *args, **kwargs)
+
+    monkeypatch.setattr(cf.ProcessPoolExecutor, "submit", submit)
+    store = ResultStore(tmp_path / "cache")
+    with obs.recording() as rec:
+        report = run_sweep_report(specs, workers=2, store=store,
+                                  keep_going=True, retry_backoff=0.0)
+    assert len(submits) > 2
+    assert report.pool_rebuilds >= 1
+    assert report.completed == 3
+    (failure,) = report.failures
+    assert failure.spec == doomed
+    assert failure.kind == "crash" and failure.quarantined
+    assert rec.counters["sweep.cell.quarantined"] == 1
+    assert {r.spec_hash for r in report.records if r is not None} \
+        == {s.spec_hash for s in specs if s != doomed}
+
+
 def test_cell_timeout_preempts_hung_worker(monkeypatch):
     """A cell stalled past ``cell_timeout`` has its pool killed; the hang
     is charged to the overrunning cell (transient here: ``x1``), innocent
