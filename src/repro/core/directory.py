@@ -181,8 +181,8 @@ class CoherenceDirectory:
             del self._tag_index[entry.tag]
 
     # -- the directory side of DMA commands ----------------------------------------
-    # The only changes to the valid tags besides :meth:`configure`; the
-    # hybrid systems and the replay oracle's directory pre-pass both go
+    # With :meth:`configure`, the only tag changes a run makes: the hybrid
+    # systems and the replay oracle's directory pre-pass both make them
     # through these two calls.
     def map_dma_get(self, lm_offset: int, lm_base_vaddr: int, sm_addr: int,
                     ready_time: float = 0.0) -> None:

@@ -265,9 +265,10 @@ class Cache:
         line_size = self.line_size
         num_sets = self.num_sets
         for line in lines:
-            s = sets.get(line // line_size % num_sets)
+            idx = line // line_size % num_sets
+            s = sets.get(idx)
             if s is None:
-                s = sets[line // line_size % num_sets] = OrderedDict()
+                s = sets[idx] = OrderedDict()
             s[line] = False
         self._resident.update(lines)
 

@@ -571,7 +571,7 @@ def _oracle_routes(decoded, cold, hot, mode: str, machine: MachineConfig,
     line_size = hierarchy.config.line_size
     addrs = sm_addr[served]
     lines = addrs - addrs % line_size
-    ev_at = np.searchsorted(served, classes.cuts).tolist()  # before event e
+    ev_at = np.searchsorted(served, classes.cuts)   # accesses before event e
     # The lines each dma-put invalidates (DMAController._lines_of), before
     # the access at its event's position.
     kinds = np.asarray(ev_kinds, np.int64)
@@ -585,7 +585,7 @@ def _oracle_routes(decoded, cold, hot, mode: str, machine: MachineConfig,
     settled = _settle_demand(
         hierarchy, lines, classes.sm_pc[served],
         np.repeat(first, count) + offset * line_size,
-        np.repeat(np.asarray(ev_at, np.int64)[kinds == 7], count))
+        np.repeat(ev_at[kinds == 7], count))
     if settled is None:
         walked = n_served
         demand = hierarchy.demand
@@ -597,13 +597,13 @@ def _oracle_routes(decoded, cold, hot, mode: str, machine: MachineConfig,
     else:
         walked = 0
         l1_hit, fill_key, fill_line, n_pf, issued = settled
-        fill_upto = np.searchsorted(fill_key,
-                                    3 * np.asarray(ev_at, np.int64)).tolist()
+        fill_upto = np.searchsorted(fill_key, 3 * ev_at).tolist()
         fill_line = fill_line.tolist()
         caches = (hierarchy.l1, hierarchy.l2, hierarchy.l3)
     dma_nlines = array("i")
     dma_addrs = array("q")
     dget_entries = array("i")
+    ev_at = ev_at.tolist()
     start = di = 0
     for e in range(n_ev + 1):
         if settled is None:
