@@ -7,10 +7,12 @@ double store adds instructions), reaching ~28% at 100%.
 """
 
 from repro.harness import experiments, reporting
+from repro.harness.sweep import SweepContext
 
 
 def run_figure7():
-    return experiments.figure7(percentages=(0, 25, 50, 75, 100),
+    return experiments.figure7(SweepContext(),
+                               percentages=(0, 25, 50, 75, 100),
                                iterations=3000, unroll=20)
 
 

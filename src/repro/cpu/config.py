@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 
 @dataclass
@@ -37,6 +37,4 @@ class CoreConfig:
     frequency_ghz: float = 2.5
 
     def copy_with(self, **kwargs) -> "CoreConfig":
-        data = self.__dict__.copy()
-        data.update(kwargs)
-        return CoreConfig(**data)
+        return replace(self, **kwargs)

@@ -67,24 +67,10 @@ class MachineConfig:
 
     def cache_based(self) -> "MachineConfig":
         """The cache-based baseline: no LM, L1 doubled to match capacity."""
-        return MachineConfig(
-            core=self.core,
-            memory=self.memory.copy_with(l1_size=self.memory.l1_size + self.lm_size),
-            energy=self.energy,
-            lm_size=0,
-            lm_latency=self.lm_latency,
-            directory_entries=self.directory_entries,
-            dma_setup_latency=self.dma_setup_latency,
-            dma_per_line_latency=self.dma_per_line_latency,
-            num_cores=self.num_cores,
-            uncore_window_cycles=self.uncore_window_cycles,
-            uncore_window_lines=self.uncore_window_lines,
-            num_clusters=self.num_clusters,
-            numa_remote_latency=self.numa_remote_latency,
-            llc_size=self.llc_size,
-            llc_assoc=self.llc_assoc,
-            llc_latency=self.llc_latency,
-        )
+        return dataclasses.replace(
+            self, lm_size=0,
+            memory=self.memory.copy_with(
+                l1_size=self.memory.l1_size + self.lm_size))
 
 
 def _replace_path(obj, parts: List[str], value):

@@ -10,9 +10,10 @@ who wins, by roughly what factor, and where the overheads appear).
 The drivers read their cells through the ``ctx`` argument, a
 :class:`~repro.harness.sweep.SweepContext` (``run(workload, mode)`` and
 ``run_micro(...)``, memoised, disk-cached with a store and parallel with
-workers); without one each driver makes a fresh store-less context.  The
-cells are plain :class:`~repro.harness.sweep.RunRecord` data, whose
-accessor surface the live :class:`~repro.harness.runner.RunResult` shares.
+workers).  It is required: the drivers of one report share one context,
+so a cell two drivers read runs once.  The cells are plain
+:class:`~repro.harness.sweep.RunRecord` data, whose accessor surface
+the live :class:`~repro.harness.runner.RunResult` shares.
 """
 
 from __future__ import annotations
@@ -115,10 +116,10 @@ class Figure7Point:
     overhead: float   # ratio vs. the baseline mode (1.0 = no overhead)
 
 
-def figure7(percentages: Sequence[int] = (0, 10, 20, 30, 40, 50, 60, 70, 80, 90, 100),
+def figure7(ctx: SweepContext,
+            percentages: Sequence[int] = (0, 10, 20, 30, 40, 50, 60, 70, 80, 90, 100),
             iterations: int = 4000,
-            unroll: int = 20,
-            ctx=None) -> Dict[str, List[Figure7Point]]:
+            unroll: int = 20) -> Dict[str, List[Figure7Point]]:
     """Figure 7: microbenchmark overhead vs. the fraction of guarded accesses.
 
     Returns, per non-baseline mode, the overhead (cycles relative to the
@@ -126,7 +127,6 @@ def figure7(percentages: Sequence[int] = (0, 10, 20, 30, 40, 50, 60, 70, 80, 90,
     sweep engine via ``ctx`` (memoised, and disk-cached/parallel when the
     :class:`~repro.harness.sweep.SweepContext` has a store/workers).
     """
-    ctx = ctx or SweepContext()
     baseline = ctx.run_micro("baseline", 0.0, iterations, unroll)
     results: Dict[str, List[Figure7Point]] = {}
     for mode in ("RD", "WR", "RD/WR"):
@@ -150,10 +150,9 @@ class Figure8Row:
     paper_energy_overhead: float
 
 
-def figure8(ctx=None,
+def figure8(ctx: SweepContext,
             benchmarks: Optional[Sequence[str]] = None) -> List[Figure8Row]:
     """Figure 8: overhead of the coherence protocol vs. the oracle baseline."""
-    ctx = ctx or SweepContext()
     benchmarks = list(benchmarks or BENCHMARK_ORDER)
     rows = []
     for name in benchmarks:
@@ -175,10 +174,9 @@ def figure8(ctx=None,
 
 
 # ---------------------------------------------------------------------------- Table 3
-def table3(ctx=None,
+def table3(ctx: SweepContext,
            benchmarks: Optional[Sequence[str]] = None) -> List[Table3Row]:
     """Table 3: memory-subsystem activity, hybrid coherent vs. cache-based."""
-    ctx = ctx or SweepContext()
     benchmarks = list(benchmarks or BENCHMARK_ORDER)
     rows = []
     for name in benchmarks:
@@ -201,10 +199,9 @@ class Figure9Row:
     paper_time_reduction: float
 
 
-def figure9(ctx=None,
+def figure9(ctx: SweepContext,
             benchmarks: Optional[Sequence[str]] = None) -> List[Figure9Row]:
     """Figure 9: execution-time reduction and its phase breakdown."""
-    ctx = ctx or SweepContext()
     benchmarks = list(benchmarks or BENCHMARK_ORDER)
     rows = []
     for name in benchmarks:
@@ -246,10 +243,9 @@ class Figure10Row:
     paper_energy_reduction: float
 
 
-def figure10(ctx=None,
+def figure10(ctx: SweepContext,
              benchmarks: Optional[Sequence[str]] = None) -> List[Figure10Row]:
     """Figure 10: energy reduction and its component breakdown."""
-    ctx = ctx or SweepContext()
     benchmarks = list(benchmarks or BENCHMARK_ORDER)
     rows = []
     for name in benchmarks:

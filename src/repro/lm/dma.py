@@ -59,10 +59,6 @@ class DMAController:
         Fixed cost of programming and starting a transfer.
     per_line_latency:
         Pipelined per-cache-line transfer cost.
-
-    ``copy_data`` (default True) moves the functional data words; trace
-    replay clears it, because a replayed run reads no data and the copies
-    change no counter.
     """
 
     def __init__(self, hierarchy: MemoryHierarchy, local_memory: LocalMemory,
@@ -73,7 +69,6 @@ class DMAController:
         self.map = address_map
         self.setup_latency = setup_latency
         self.per_line_latency = per_line_latency
-        self.copy_data = True
         self._outstanding: Dict[int, List[DMATransfer]] = {}
         self.gets = 0
         self.puts = 0
@@ -125,9 +120,8 @@ class DMAController:
         lm_offset = self.map.translate(lm_vaddr)
         lines = self._lines_of(sm_addr, size)
         self.hierarchy.snoop_read_lines(lines)
-        if self.copy_data:
-            values = self.hierarchy.memory.read_block(sm_addr, size)
-            self.lm.write_block(lm_offset, values)
+        values = self.hierarchy.memory.read_block(sm_addr, size)
+        self.lm.write_block(lm_offset, values)
         self.gets += 1
         return self._launch("get", lm_offset, sm_addr, size, tag, now,
                            len(lines))
@@ -143,9 +137,8 @@ class DMAController:
         if size <= 0 or size % WORD_SIZE != 0:
             raise ValueError("DMA size must be a positive multiple of the word size")
         lm_offset = self.map.translate(lm_vaddr)
-        if self.copy_data:
-            values = self.lm.read_block(lm_offset, size)
-            self.hierarchy.memory.write_block(sm_addr, values)
+        values = self.lm.read_block(lm_offset, size)
+        self.hierarchy.memory.write_block(sm_addr, values)
         lines = self._lines_of(sm_addr, size)
         self.hierarchy.snoop_invalidate_lines(lines)
         self.puts += 1

@@ -69,6 +69,18 @@ class CacheStats:
         return self.hits / self.demand_accesses
 
 
+def sets_fit(lines, size_bytes: int, assoc: int,
+             line_size: int) -> np.ndarray:
+    """Per set of a ``size_bytes`` cache of ``assoc`` ways and
+    ``line_size``-byte lines: whether the distinct line addresses ``lines``
+    (an ``int64`` array) that map to it fit in its ways.  A set that starts
+    empty and receives no more distinct lines than it has ways never
+    evicts."""
+    num_sets = size_bytes // (assoc * line_size)
+    per_set = np.bincount(lines // line_size % num_sets, minlength=num_sets)
+    return per_set <= assoc
+
+
 class Cache:
     """A single set-associative cache level.
 
@@ -195,8 +207,7 @@ class Cache:
         distinct, first_rev = np.unique(heads[::-1], return_index=True)
         last_touch = len(heads) - 1 - first_rev
         distinct_set = distinct // line_size % num_sets
-        per_set = np.bincount(distinct_set, minlength=num_sets)
-        fast = per_set <= self.assoc
+        fast = sets_fit(distinct, self.size_bytes, self.assoc, line_size)
         sets = self._sets
         held = [idx for idx, s in sets.items() if s]
         if held:
@@ -256,21 +267,6 @@ class Cache:
         s[line] = dirty and self.write_back
         self._resident.add(line)
         return evicted
-
-    def install(self, lines) -> None:
-        """Make ``lines`` resident, clean, counting nothing: what
-        :meth:`fill` leaves of line addresses that are not resident, in
-        sets with room for them (the caller counts the fills)."""
-        sets = self._sets
-        line_size = self.line_size
-        num_sets = self.num_sets
-        for line in lines:
-            idx = line // line_size % num_sets
-            s = sets.get(idx)
-            if s is None:
-                s = sets[idx] = OrderedDict()
-            s[line] = False
-        self._resident.update(lines)
 
     def invalidate(self, addr: int) -> Tuple[bool, bool]:
         """Invalidate the line containing ``addr``.

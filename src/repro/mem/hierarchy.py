@@ -18,7 +18,7 @@ provides these entry points:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional, Tuple
 
 from repro.mem.bus import Bus
@@ -65,9 +65,7 @@ class MemoryHierarchyConfig:
 
     def copy_with(self, **kwargs) -> "MemoryHierarchyConfig":
         """Return a copy with some fields overridden."""
-        data = self.__dict__.copy()
-        data.update(kwargs)
-        return MemoryHierarchyConfig(**data)
+        return replace(self, **kwargs)
 
 
 class MemoryHierarchy:

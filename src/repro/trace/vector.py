@@ -8,19 +8,19 @@ splits the work by *data dependence*:
   evolution, directory hit/miss outcomes, prefetcher training and branch
   predictor table updates are all *timing-independent*: they depend only on
   the recorded program-order stream, never on the clock.  One **oracle
-  pass** per (trace, cache-geometry) pair resolves the stream against a
-  scratch memory system built for that geometry and records, per memory
-  op, which level serves it (a dense route code), the miss line addresses,
-  and the final activity counters.  It is an array program over the
-  decode pass's classification of the stream (LM-range or SM, class bits,
-  previous store; computed once per trace and mode, shared by every
-  geometry): LM-range ops are counted without a visit, every guarded and
-  divert lookup resolves against the directory's tags of its
-  DMA-delimited segment and every store collapse as one array step, the
-  remaining demand accesses are counted from arrays when no cache set or
-  prefetch entry can evict (walked through the scratch hierarchy
-  otherwise), and the DMA events run through the scratch system in
-  stream order.  One **flags
+  pass** per (trace, cache-geometry) pair resolves the stream for that
+  geometry and records, per memory op, which level serves it (a dense
+  route code), the miss line addresses, and the final activity counters.
+  It is an array program over the decode pass's classification of the
+  stream (LM-range or SM, class bits, previous store; computed once per
+  trace and mode, shared by every geometry): LM-range ops are counted
+  without a visit; one walk of the DMA events over a bare directory gives
+  every DMA-delimited segment's tags, so every guarded and divert lookup
+  and every store collapse is one array step; the DMA and bus counters
+  come from the events' operands; and the remaining demand accesses and
+  the DMA snoops among them are counted from arrays when no cache set or
+  prefetch entry can evict (walked through a scratch cache hierarchy, in
+  stream order, otherwise).  No scratch system is built.  One **flags
   pass** per (trace, predictor geometry) resolves every conditional branch
   through the batched
   :meth:`~repro.cpu.branch_predictor.HybridBranchPredictor.update_batch`
@@ -85,8 +85,10 @@ from repro.cpu.pipeline import (
     OutOfOrderTimingModel,
 )
 from repro.harness.config import MachineConfig
-from repro.harness.systems import build_system
-from repro.mem.cache import CacheStats
+from repro.isa.program import WORD_SIZE
+from repro.lm.address_map import LMAddressMap
+from repro.mem.cache import CacheStats, sets_fit
+from repro.mem.hierarchy import MemoryHierarchy
 from repro.trace import _ckernel
 from repro.trace.format import Trace, TraceKey, unpack_bits
 from repro.trace.replay import (
@@ -252,128 +254,36 @@ def _cached_oracle(trace: Trace, decoded, cold, hot, mode: str,
                                                      len(decoded.mem_addrs)))
 
 
-def _scratch_system(mode: str, machine: MachineConfig):
-    """The oracle's scratch system: the per-core :func:`build_system`
-    product of the replay point, with a DMA controller that moves no data
-    words — a replayed run reads no data (loads take recorded addresses,
-    stores write nothing), and the block copies change no counter, so a
-    transfer only has to snoop the caches and count."""
-    S = build_system(mode, machine)
-    if S.dmac is not None:
-        S.dmac.copy_data = False
-    return S
-
-
-def _oracle_event(S, kind: int, tag, dma_words, di: int, multicore: bool,
-                  dma_nlines, dma_addrs, dget_entries) -> None:
-    """Drive one DMA, dma-sync or set-bufsize event through the scratch
-    system at ``now=0.0``, recording the dget/dput side arrays.  The
-    scratch DMA controller moves no data words (see
-    :func:`_scratch_system`): its snoops and counters are all the oracle
-    reads."""
-    if kind == 8:        # dma-sync (timing only; keeps the syncs counter)
-        S.dma_sync(tag, now=0.0)
-        return
-    if kind == 9:        # set-bufsize
-        S.set_buffer_size(tag)
-        return
-    lm_v, sm, size = dma_words[di:di + 3]
-    line_size = S.hierarchy.config.line_size
-    end = sm + size - 1
-    dma_nlines.append((end - end % line_size - (sm - sm % line_size))
-                      // line_size + 1)
-    dma_addrs.append(sm)
-    directory = S.directory
-    if kind == 6:        # dma-get
-        S.dma_get(lm_v, sm, size, tag=tag, now=0.0)
-        dget_entries.append(
-            S.address_map.translate(lm_v) // directory.buffer_size
-            if directory.is_configured else -1)
-        return
-    S.dma_put(lm_v, sm, size, tag=tag, now=0.0)
-    if multicore:
-        # MulticoreHybridSystem.dma_put: write-back ends the chunk's LM
-        # residence, unmapping the issuing core's directory entry.
-        directory.unmap_dma_put(S.address_map.translate(lm_v), sm)
-
-
-def _oracle_result(S, routes, miss_lines, guard_entries, dma_nlines,
-                   dma_addrs, dget_entries, lm_loads: int,
-                   lm_stores: int) -> _OracleRoutes:
-    """Package a finished oracle walk: the side arrays plus the scratch
-    system's final activity counters, with ``lm_loads``/``lm_stores``
-    LM-range accesses the walk counted instead of issuing."""
-    hierarchy = S.hierarchy
-    prefetcher = hierarchy.prefetcher
-    patch = {
-        "loads": S.loads + lm_loads,
-        "stores": S.stores + lm_stores,
-        "guarded_loads": S.guarded_loads,
-        "guarded_stores": S.guarded_stores,
-        "collapsed_stores": S.collapsed_stores,
-        "mem_ops": S.mem_ops + lm_loads + lm_stores,
-        "last_store_addr": S._last_store_addr,
-        "last_store_to_sm": S._last_store_to_sm,
-        "demand_accesses": hierarchy.demand_accesses,
-        "l1": hierarchy.l1.stats,
-        "l2": hierarchy.l2.stats,
-        "l3": hierarchy.l3.stats,
-        "memory_reads": hierarchy.memory.reads,
-        "memory_writes": hierarchy.memory.writes,
-        "bus_transactions": hierarchy.bus.transactions,
-        "bus_dma_transactions": hierarchy.bus.dma_transactions,
-        "bus_bytes": hierarchy.bus.bytes_transferred,
-        "pf_trainings": prefetcher.trainings,
-        "pf_issued": prefetcher.issued,
-        "pf_collisions": prefetcher.collisions,
-    }
-    n_dir = 0
-    if S.use_lm:
-        directory = S.directory
-        n_dir = len(directory.entries)
-        patch.update({
-            "lm_reads": S.lm.reads + lm_loads,
-            "lm_writes": S.lm.writes + lm_stores,
-            "agu": (S.agu.guarded_loads, S.agu.guarded_stores,
-                    S.agu.diverted_loads, S.agu.diverted_stores),
-            "dir_lookups": directory.stats.lookups,
-            "dir_hits": directory.stats.hits,
-            "dir_misses": directory.stats.misses,
-            "dir_updates": directory.stats.updates,
-            "dir_configurations": directory.stats.configurations,
-            "dma_gets": S.dmac.gets,
-            "dma_puts": S.dmac.puts,
-            "dma_syncs": S.dmac.syncs,
-            "dma_words": S.dmac.words_transferred,
-            "dma_lines": S.dmac.lines_transferred,
-        })
-    return _OracleRoutes(bytes(routes), miss_lines, guard_entries, dma_nlines,
-                         dma_addrs, dget_entries, n_dir, patch)
-
-
-def _directory_hits(S, classes, looked_at, ev_kinds, ev_tags, dma_words,
-                    multicore) -> tuple:
-    """Directory outcomes of the looked-up SM ops ``looked_at``: per op,
-    whether its chunk is mapped (a guarded or divert hit) and by which
-    entry.
+def _directory_hits(classes, looked_at, ev_kinds, ev_tags, dma_words,
+                    multicore, num_entries: int, address_map) -> tuple:
+    """The stream's directory, for the whole stream at once: whether each
+    looked-up SM op of ``looked_at`` finds its chunk mapped (a guarded or
+    divert hit) and by which entry, each dma-get's entry, and the
+    directory's statistics.
 
     The valid tags change only at set-bufsize, dma-get and (multicore)
     dma-put events, through the calls the hybrid systems make
     (:meth:`~repro.core.directory.CoherenceDirectory.configure`,
-    ``map_dma_get``, ``unmap_dma_put``), and depend on nothing but the
-    event operands.  So one walk of the events over a bare directory gives
-    every DMA-delimited segment's tags, each a new *version* of the
-    table, and every lookup is one ``searchsorted`` over
-    ``(version, tag)`` keys.
+    ``map_dma_get``, and ``MulticoreHybridSystem.dma_put``'s
+    ``unmap_dma_put``), and depend on nothing but the event operands.  So
+    this one walk of the events over a bare directory is the only place
+    the oracle touches a directory.  It records every DMA-delimited
+    segment's tags, each a new *version* of the table, so every lookup
+    is one ``searchsorted`` over ``(version, tag)`` keys.  Each dma-get's
+    entry is ``translate(lm_v) // buffer_size`` (-1 while the directory is
+    unconfigured).
+
+    Returns ``(found, entry, dget_entries, stats)``.
     """
-    directory = CoherenceDirectory(S.directory.num_entries)
-    translate = S.address_map.translate
+    directory = CoherenceDirectory(num_entries)
+    translate = address_map.translate
     tag_index = directory._tag_index        # tag -> entry, valid entries
     masks: list = []                        # per version
     sizes: list = []
     tags: list = []
     entries: list = []
     version = [-1]                          # per segment; -1: unconfigured
+    dget_entries = array("i")
     di = 0
     for kind, tag in zip(ev_kinds, ev_tags):
         moved = kind == 9
@@ -383,7 +293,10 @@ def _directory_hits(S, classes, looked_at, ev_kinds, ev_tags, dma_words,
             lm_v, sm = dma_words[di], dma_words[di + 1]
             di += 3
             if kind == 6:
-                directory.map_dma_get(translate(lm_v), lm_v, sm)
+                offset = translate(lm_v)
+                directory.map_dma_get(offset, lm_v, sm)
+                dget_entries.append(offset // directory.buffer_size
+                                    if directory.is_configured else -1)
                 moved = True
             elif multicore:
                 moved = directory.unmap_dma_put(translate(lm_v), sm)
@@ -400,7 +313,7 @@ def _directory_hits(S, classes, looked_at, ev_kinds, ev_tags, dma_words,
     found = np.zeros(len(looked_at), np.bool_)
     entry = np.zeros(len(looked_at), np.int32)
     if not tags:
-        return found, entry
+        return found, entry, dget_entries, directory.stats
     tags = np.array(tags, np.int64)
     values = np.sort(tags)
     values = values[np.concatenate(([True], values[1:] != values[:-1]))]
@@ -418,38 +331,42 @@ def _directory_hits(S, classes, looked_at, ev_kinds, ev_tags, dma_words,
     hits = (values[rank] == bases) & (keys[slot] == probe)
     found[ok] = hits
     entry[ok[hits]] = np.array(entries, np.int32)[by_key[slot[hits]]]
-    return found, entry
+    return found, entry, dget_entries, directory.stats
 
 
-def _settle_demand(hierarchy, lines, pcs, inv_lines, inv_at):
-    """Settle a stream of demand accesses without walking it, or return
-    None when it may evict.
+def _settle_demand(c, lines, pcs, dma_lines, dma_at, dma_put):
+    """Settle a stream of demand accesses and the DMA snoops among them
+    without walking it, or return None when it may evict.
 
-    ``lines`` and ``pcs`` are the demand-path accesses' lines and pcs in
-    stream order; ``inv_lines`` are the lines dma-puts invalidate, each
-    before the access at its ``inv_at`` position.  The gate: the prefetch
-    table never evicts (prefetching off, or no more distinct pcs than
-    entries), and in each of L1, L2 and L3 no set receives more distinct
-    lines than it has ways — counting the demand lines and the prefetch
-    targets, the only fill sources.  Under it, LRU order is never read and
-    the three levels hold the same lines: those touched (demanded or
-    prefetched) since their last dma-put.  So an access hits the L1 iff its
-    line's previous touch or invalidation is a touch, and misses every
-    level otherwise; a prefetch target fills iff its line is not resident.
+    ``c`` is the hierarchy's config; ``lines`` and ``pcs`` are the
+    demand-path accesses' lines and pcs in stream order; ``dma_lines``
+    are the burst lines of the dma-gets and dma-puts in stream order, each
+    before the access at its ``dma_at`` position, ``dma_put`` marking a
+    put's.  The gate: the prefetch table never evicts (prefetching off, or
+    no more distinct pcs than entries), and in each of L1, L2 and L3 no set
+    receives more distinct lines than it has ways (:func:`sets_fit`) —
+    counting the demand lines and the prefetch targets, the only fill
+    sources.  Under it, LRU order is never read and the three levels hold
+    the same lines: those touched (demanded or prefetched) since their last
+    dma-put.  So an access hits the L1 iff its line's previous touch or
+    invalidation is a touch, and misses every level otherwise; a prefetch
+    target fills iff its line is not resident; and a dma-get line that is
+    resident hits the L1, while one that is not misses every level.
 
     Prefetch triggers come from per-pc line strides: an access triggers
     when its nonzero stride repeats that pc's previous nonzero stride, and
     prefetches :meth:`~repro.mem.prefetcher.StreamPrefetcher.repeat`'s
-    targets.  Events are keyed ``3 * position``: an invalidation before
-    access ``p`` at ``3p``, its demand touch at ``3p + 1``, its prefetches
-    at ``3p + 2``; one sort by line and key orders each line's history.
+    targets.  Events are keyed ``3 * position``: a DMA line before access
+    ``p`` at ``3p``, its demand touch at ``3p + 1``, its prefetches at
+    ``3p + 2``; one stable sort by line and key orders each line's history,
+    and the DMA lines of one position keep their stream order (a put and
+    then a get of one chunk: the get finds the lines gone).  A dma-get
+    lookup changes no line's residency.
 
-    Returns ``(l1_hit, fill_key, fill_line, prefetch_fills, issued)``: the
-    hit mask, the key and line of every fill (demand miss or prefetch
-    fill) in key order, and the numbers of prefetch fills and of
-    prefetches issued.
+    Returns ``(l1_hit, prefetch_fills, issued, get_held)``: the hit mask,
+    the numbers of prefetch fills and of prefetches issued, and the number
+    of dma-get lines the caches hold when looked up.
     """
-    c = hierarchy.config
     n = len(lines)
     targets = trig_key = np.zeros(0, np.int64)
     if c.prefetch_enabled and n:
@@ -469,8 +386,8 @@ def _settle_demand(hierarchy, lines, pcs, inv_lines, inv_at):
                    + stride[rep][:, None] * steps).ravel()
         trig_key = np.repeat(3 * trig + 2, len(steps))
     n_touch = n + len(targets)
-    key = np.concatenate((3 * np.arange(n) + 1, trig_key, 3 * inv_at))
-    line = np.concatenate((lines, targets, inv_lines))
+    key = np.concatenate((3 * np.arange(n) + 1, trig_key, 3 * dma_at))
+    line = np.concatenate((lines, targets, dma_lines))
     order = np.lexsort((key, line))
     touch = order < n_touch
     sorted_line = line[order]
@@ -478,25 +395,30 @@ def _settle_demand(hierarchy, lines, pcs, inv_lines, inv_at):
     first = np.ones(len(touched), np.bool_)
     first[1:] = touched[1:] != touched[:-1]
     distinct = touched[first]
-    for cache in (hierarchy.l1, hierarchy.l2, hierarchy.l3):
-        per_set = np.bincount(distinct // c.line_size % cache.num_sets)
-        if per_set.max(initial=0) > cache.assoc:
+    for size, assoc in ((c.l1_size, c.l1_assoc), (c.l2_size, c.l2_assoc),
+                        (c.l3_size, c.l3_assoc)):
+        if not sets_fit(distinct, size, assoc, c.line_size).all():
             return None
+    # A line is resident after a touch and gone after a dma-put: each
+    # entry reads the last of those before it on its line.
+    lookup = np.zeros(len(key), np.bool_)
+    lookup[n_touch:] = ~dma_put
+    sets = np.flatnonzero(~lookup[order])
+    last = np.full(len(order) + 1, -1)
+    last[sets + 1] = sets
+    last = np.maximum.accumulate(last[:-1])
     resident = np.zeros(len(key), np.bool_)
-    resident[order[1:]] = touch[:-1] & (sorted_line[1:] == sorted_line[:-1])
-    l1_hit = resident[:n]
+    resident[order] = ((last >= 0) & touch[last]
+                       & (sorted_line[last] == sorted_line))
     pf_fill = ~resident[n:n_touch]
-    fill_key = np.concatenate((key[:n][~l1_hit], trig_key[pf_fill]))
-    by_key = np.argsort(fill_key, kind="stable")
-    fill_line = np.concatenate((lines[~l1_hit], targets[pf_fill]))[by_key]
-    return (l1_hit, fill_key[by_key], fill_line,
-            int(np.count_nonzero(pf_fill)), len(targets))
+    return (resident[:n], int(np.count_nonzero(pf_fill)), len(targets),
+            int(np.count_nonzero(resident[n_touch:] & lookup[n_touch:])))
 
 
 def _oracle_routes(decoded, cold, hot, mode: str, machine: MachineConfig,
                    multicore: bool) -> _OracleRoutes:
-    """Array oracle pass — bit-identical to a scalar walk that drives the
-    scratch system's real ``load``/``store``/DMA calls in stream order (the
+    """Array oracle pass — bit-identical to a scalar walk that drives a
+    real system's ``load``/``store``/DMA calls in stream order (the
     reference in ``tests/test_artifact_cache.py``).
 
     * **Classification comes with the decode.**  Which memory ops fall in
@@ -506,40 +428,49 @@ def _oracle_routes(decoded, cold, hot, mode: str, machine: MachineConfig,
       a stream decoded without them is classified here).  LM-range ops are
       counted, never visited: their route is ``_R_LM``.
     * **The directory resolves for the whole stream first**
-      (:func:`_directory_hits`): a pre-pass over the events gives each
-      DMA-delimited segment's valid tags, and every guarded and
-      oracle-divert lookup is one array step.  The store-collapse latch is
-      the previous store's: a candidate collapses when that store was an
-      SM store that reached the SM (not a directory or divert hit) at the
-      same address.  What is left is the demand path, one access per SM
-      op that neither hit nor collapsed.
-    * **The gate** (:func:`_settle_demand`) asks whether that stream can
-      evict anything at this geometry: a prefetch table entry, or a line
-      in any cache set.
+      (:func:`_directory_hits`): one walk over the events gives each
+      DMA-delimited segment's valid tags, each dma-get's entry and the
+      directory's update counts, and every guarded and oracle-divert
+      lookup is one array step.  The store-collapse latch is the previous
+      store's: a candidate collapses when that store was an SM store that
+      reached the SM (not a directory or divert hit) at the same address.
+      What is left is the demand path, one access per SM op that neither
+      hit nor collapsed.
+    * **The operand counters come from the event arrays.**  Every DMA
+      counter, the bus traffic (the oracle's only bus traffic) and the
+      put lines' memory writes depend on nothing but the events' operands,
+      checked as the DMA controller checks them.
+    * **The gate** (:func:`_settle_demand`) asks whether the demand path
+      can evict anything at this geometry: a prefetch table entry, or a
+      line in any cache set.
     * **The settle**, when it cannot: every L1 hit, miss and prefetch fill
-      is counted from arrays, and the lines filled before each event are
-      installed in the scratch caches
-      (:meth:`~repro.mem.cache.Cache.install`) before it runs, so its
-      snoops see the real contents.
-    * **The walk**, otherwise: each access goes through the hierarchy's own
+      and every DMA snoop is counted from arrays; no cache is built.
+    * **The walk**, otherwise: a scratch
+      :class:`~repro.mem.hierarchy.MemoryHierarchy` of the mode's geometry
+      runs each access through its own
       :meth:`~repro.mem.hierarchy.MemoryHierarchy.demand` — the path a
-      scalar walk's ``load``/``store`` take — in stream order.  The
-      counter ``vector.oracle.walked`` counts the accesses walked.
+      scalar walk's ``load``/``store`` take — and each dma-get's and
+      dma-put's snoops, in stream order.  The counter
+      ``vector.oracle.walked`` counts the accesses walked.
 
-    Either way the DMA, dma-sync and set-bufsize events run through the
-    scratch system in stream order (:func:`_oracle_event`).  Everything
-    the skipped ``load``/``store`` calls would have incremented (system,
-    AGU, directory and LM counters, functional ``MainMemory`` word-touch
-    counters) is folded in at the end; the functional data words
-    themselves are scratch nothing reads back and are skipped.
+    Each cache level's statistics and the demand-side counters come from
+    the path that ran; the system, AGU, LM and directory-lookup counters
+    (and the functional ``MainMemory`` word-touch counters of the skipped
+    ``load``/``store`` calls) from the classification.  Nothing moves data
+    words: a replayed run reads none, and the copies change no counter.
     """
-    S = _scratch_system(mode, machine)
-    lm_range = (S._lm_lo, S._lm_hi)
+    use_lm = mode != "cache"
+    if use_lm:
+        config = machine.memory
+        address_map = LMAddressMap(size=machine.lm_size)
+        lm_lo = address_map.virtual_base
+        lm_range = (lm_lo, lm_lo + address_map.size)
+    else:
+        config = machine.cache_based().memory
+        lm_range = (-1, -1)
     classes = decoded.classes
     if classes is None or classes.lm_range != lm_range:
         classes = _classify(decoded, hot, cold, lm_range)
-    hierarchy = S.hierarchy
-    dma_words = decoded.dma_words
     sm_addr, sm_cls, sm_prev = classes.sm_addr, classes.sm_cls, classes.sm_prev
     n_sm = len(sm_cls)
     is_store = (sm_cls & _C_STORE).astype(np.bool_)
@@ -547,15 +478,33 @@ def _oracle_routes(decoded, cold, hot, mode: str, machine: MachineConfig,
     ev_pcs = classes.ev_pcs.tolist()
     ev_kinds = [hot[pc][0] for pc in ev_pcs]
     ev_tags = [cold[pc][1] for pc in ev_pcs]
-    n_ev = len(ev_pcs)
+    if ev_kinds and not use_lm:
+        raise RuntimeError("the cache-based system has no DMA controller")
+
+    # -- the DMA events' operands: bursts, checks and counters --
+    line_size = config.line_size
+    kinds = np.asarray(ev_kinds, np.int64)
+    words = np.asarray(decoded.dma_words, np.int64).reshape(-1, 3)
+    lm_v, sm, size = words[:, 0], words[:, 1], words[:, 2]
+    if np.any((size <= 0) | (size % WORD_SIZE != 0)):
+        raise ValueError("DMA size must be a positive multiple of the word size")
+    if np.any((lm_v < lm_range[0]) | (lm_v >= lm_range[1])):
+        raise ValueError("DMA local-memory address is not in the LM range")
+    put = kinds[kinds <= 7] == 7
+    first = sm - sm % line_size
+    count = (sm + size - 1 - first) // line_size + 1     # lines per burst
+    n_dma_lines = int(count.sum())
+    n_put_lines = int(count[put].sum())
 
     # -- directory hits, guard entries and store collapses --
     hit = np.zeros(n_sm, np.bool_)          # directory or divert hit
     guard_entries = array("i")
-    looked_at = np.flatnonzero((sm_cls & (_C_GUARDED | _C_DIVERT)) != 0)
-    if len(looked_at):
-        found, entry = _directory_hits(S, classes, looked_at, ev_kinds,
-                                       ev_tags, dma_words, multicore)
+    dget_entries = array("i")
+    if use_lm:
+        looked_at = np.flatnonzero((sm_cls & (_C_GUARDED | _C_DIVERT)) != 0)
+        found, entry, dget_entries, dir_stats = _directory_hits(
+            classes, looked_at, ev_kinds, ev_tags, decoded.dma_words,
+            multicore, machine.directory_entries, address_map)
         hit[looked_at] = found
         guard_entries.frombytes(entry[found & guarded[looked_at]].tobytes())
     cand = np.flatnonzero(
@@ -565,102 +514,82 @@ def _oracle_routes(decoded, cold, hot, mode: str, machine: MachineConfig,
     collapsed = np.zeros(n_sm, np.bool_)
     collapsed[cand[~hit[prev] & (sm_addr[prev] == sm_addr[cand])]] = True
 
-    # -- the demand path: settled when nothing can evict, else walked --
+    # -- the demand path and the DMA snoops: settled when nothing can
+    # evict, else walked --
     served = np.flatnonzero(~(hit | collapsed))
     n_served = len(served)
-    line_size = hierarchy.config.line_size
     addrs = sm_addr[served]
     lines = addrs - addrs % line_size
-    ev_at = np.searchsorted(served, classes.cuts)   # accesses before event e
-    # The lines each dma-put invalidates (DMAController._lines_of), before
-    # the access at its event's position.
-    kinds = np.asarray(ev_kinds, np.int64)
-    words = np.asarray(dma_words, np.int64).reshape(-1, 3)
-    put = kinds[kinds <= 7] == 7
-    first = words[put, 1] - words[put, 1] % line_size
-    count = np.maximum((words[put, 1] + words[put, 2] - 1 - first)
-                       // line_size + 1, 0)
-    offset = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count,
-                                                count)
+    # Accesses before each DMA event.
+    dma_at = np.searchsorted(served, classes.cuts)[kinds <= 7]
+    offset = np.arange(n_dma_lines) - np.repeat(np.cumsum(count) - count,
+                                                 count)
     settled = _settle_demand(
-        hierarchy, lines, classes.sm_pc[served],
+        config, lines, classes.sm_pc[served],
         np.repeat(first, count) + offset * line_size,
-        np.repeat(ev_at[kinds == 7], count))
+        np.repeat(dma_at, count), np.repeat(put, count))
     if settled is None:
-        walked = n_served
+        hierarchy = MemoryHierarchy(config)
         demand = hierarchy.demand
         addr_l = addrs.tolist()
         store_l = is_store[served].tolist()
         pc_l = classes.sm_pc[served].tolist()
         levels: list = []
         levels_append = levels.append
-    else:
-        walked = 0
-        l1_hit, fill_key, fill_line, n_pf, issued = settled
-        fill_upto = np.searchsorted(fill_key, 3 * ev_at).tolist()
-        fill_line = fill_line.tolist()
-        caches = (hierarchy.l1, hierarchy.l2, hierarchy.l3)
-    dma_nlines = array("i")
-    dma_addrs = array("q")
-    dget_entries = array("i")
-    ev_at = ev_at.tolist()
-    start = di = 0
-    for e in range(n_ev + 1):
-        if settled is None:
-            stop = ev_at[e] if e < n_ev else n_served
+        start = 0
+        for stop, base, n_lines, is_put in zip(
+                dma_at.tolist(), first.tolist(), count.tolist(),
+                put.tolist()):
             for k in range(start, stop):
                 levels_append(demand(addr_l[k], store_l[k], pc_l[k], 0.0)[1])
             start = stop
-        elif e < n_ev and fill_upto[e] > start:
-            # The fills before the event, which its snoops may see.
-            for cache in caches:
-                cache.install(fill_line[start:fill_upto[e]])
-            start = fill_upto[e]
-        if e == n_ev:
-            break
-        kind = ev_kinds[e]
-        _oracle_event(S, kind, ev_tags[e], dma_words, di, multicore,
-                      dma_nlines, dma_addrs, dget_entries)
-        if kind <= 7:
-            di += 3
-    obs.incr("vector.oracle.walked", walked)
-
-    if settled is None:
+            burst = range(base, base + n_lines * line_size, line_size)
+            if is_put:
+                hierarchy.snoop_invalidate_lines(burst)
+            else:
+                hierarchy.snoop_read_lines(burst)
+        for k in range(start, n_served):
+            levels_append(demand(addr_l[k], store_l[k], pc_l[k], 0.0)[1])
         codes = np.fromiter(map(_ROUTE_OF_LEVEL.__getitem__, levels),
                             np.uint8, len(levels))
+        l1, l2, l3 = (hierarchy.l1.stats, hierarchy.l2.stats,
+                      hierarchy.l3.stats)
+        fill_reads = hierarchy.memory.reads
+        prefetcher = hierarchy.prefetcher
+        pf = (prefetcher.trainings, prefetcher.issued, prefetcher.collisions)
+        walked = n_served
     else:
-        # Count what the settled accesses' demand() calls would have: an
-        # L1 hit is a lookup (plus an L2 write-through for a store); a miss
-        # looks up and misses every level, reads memory and fills every
-        # level; a prefetch fill looks up L2 and L3, reads memory and fills
-        # every level.
+        # Count what the settled accesses' demand() calls and the DMA
+        # snoops would have.  An L1 hit is a lookup (plus an L2
+        # write-through for a store); a miss looks up and misses every
+        # level, reads memory and fills every level; a prefetch fill looks
+        # up L2 and L3, reads memory and fills every level.  A dma-get
+        # line looks up the L1, and the L2 and L3 when the L1 misses; a
+        # dma-put line is invalidated at every level.
+        l1_hit, n_pf, issued, get_held = settled
         n_hit = int(np.count_nonzero(l1_hit))
         n_miss = n_served - n_hit
         n_fill = n_miss + n_pf
         n_wt = int(np.count_nonzero(is_store[served]))
-        for cache in caches:
-            stats = cache.stats
-            stats.accesses += n_fill
-            stats.fills += n_fill
-            stats.prefetch_fills += n_pf
-            stats.misses += n_miss
-            if cache is hierarchy.l1:
-                stats.accesses += n_served
-                stats.demand_accesses += n_served
-                stats.hits += n_hit
-            else:
-                stats.accesses += n_miss + n_pf
-                stats.demand_accesses += n_miss
-                stats.prefetch_lookups += n_pf
-        l2 = hierarchy.l2.stats
-        l2.accesses += n_wt
-        l2.writethrough_accesses += n_wt
-        hierarchy.memory.reads += n_fill
-        hierarchy.demand_accesses += n_served
-        if hierarchy.config.prefetch_enabled:
-            hierarchy.prefetcher.trainings += n_served
-            hierarchy.prefetcher.issued += issued
+        n_get_lines = n_dma_lines - n_put_lines
+        n_get_miss = n_get_lines - get_held
+        l1 = CacheStats(
+            accesses=n_served + n_fill + n_get_lines + n_put_lines,
+            demand_accesses=n_served, hits=n_hit, misses=n_miss,
+            fills=n_fill, invalidations=n_put_lines, prefetch_fills=n_pf,
+            dma_lookups=n_get_lines)
+        l2, l3 = (CacheStats(
+            accesses=n_fill + n_miss + n_pf + n_get_miss + n_put_lines + wt,
+            demand_accesses=n_miss, misses=n_miss, fills=n_fill,
+            invalidations=n_put_lines, prefetch_lookups=n_pf,
+            prefetch_fills=n_pf, dma_lookups=n_get_miss,
+            writethrough_accesses=wt) for wt in (n_wt, 0))
         codes = np.where(l1_hit, _R_L1, _R_MEM).astype(np.uint8)
+        fill_reads = n_fill
+        pf = ((n_served, issued, 0) if config.prefetch_enabled
+              else (0, 0, 0))
+        walked = 0
+    obs.incr("vector.oracle.walked", walked)
 
     # -- routes and side arrays in stream order --
     routes = np.zeros(classes.n_mem, np.uint8)
@@ -670,8 +599,12 @@ def _oracle_routes(decoded, cold, hot, mode: str, machine: MachineConfig,
     routes[sm_pos[served]] = codes
     miss_lines = array("q")
     miss_lines.frombytes(lines[codes != _R_L1].tobytes())
+    dma_nlines = array("i")
+    dma_nlines.frombytes(count.astype(np.int32).tobytes())
+    dma_addrs = array("q")
+    dma_addrs.frombytes(sm.tobytes())
 
-    # -- fold what the skipped load()/store() calls would have counted --
+    # -- the counters the skipped load()/store() calls would have kept --
     n_guarded = int(np.count_nonzero(guarded))
     g_stores = int(np.count_nonzero(guarded & is_store))
     g_hit = hit & guarded
@@ -680,41 +613,63 @@ def _oracle_routes(decoded, cold, hot, mode: str, machine: MachineConfig,
     div_hit = hit & ~guarded
     div_stores = int(np.count_nonzero(div_hit & is_store))
     div_loads = int(np.count_nonzero(div_hit)) - div_stores
-    n_collapsed = int(np.count_nonzero(collapsed))
     n_stores = int(np.count_nonzero(is_store))
-    S.loads += n_sm - n_stores
-    S.stores += n_stores
-    S.mem_ops += n_sm
-    S.guarded_loads += n_guarded - g_stores
-    S.guarded_stores += g_stores
-    S.collapsed_stores += n_collapsed
-    memory = hierarchy.memory
-    # The functional word reads and writes of the SM accesses (a collapsed
-    # store writes its word too).
-    memory.reads += int(np.count_nonzero(~(is_store | hit)))
-    memory.writes += n_stores - hit_stores - div_stores
-    if S.use_lm:
-        agu = S.agu
-        agu.guarded_loads += n_guarded - g_stores
-        agu.guarded_stores += g_stores
-        agu.diverted_loads += hit_loads
-        agu.diverted_stores += hit_stores
-        S.lm.reads += hit_loads + div_loads
-        S.lm.writes += hit_stores + div_stores
-        stats = S.directory.stats
-        stats.lookups += n_guarded
-        stats.hits += hit_loads + hit_stores
-        stats.misses += n_guarded - hit_loads - hit_stores
+    lm_loads, lm_stores = classes.lm_loads, classes.lm_stores
+    last_store_addr, last_store_to_sm = None, False
     if classes.final_lm_store is not None:
-        S._last_store_addr = classes.final_lm_store
-        S._last_store_to_sm = False
+        last_store_addr = classes.final_lm_store
     elif n_stores:
         last = int(np.flatnonzero(is_store)[-1])
-        S._last_store_addr = int(sm_addr[last])
-        S._last_store_to_sm = not bool(hit[last])
-    return _oracle_result(S, routes, miss_lines, guard_entries, dma_nlines,
-                          dma_addrs, dget_entries, classes.lm_loads,
-                          classes.lm_stores)
+        last_store_addr = int(sm_addr[last])
+        last_store_to_sm = not bool(hit[last])
+    patch = {
+        "loads": n_sm - n_stores + lm_loads,
+        "stores": n_stores + lm_stores,
+        "guarded_loads": n_guarded - g_stores,
+        "guarded_stores": g_stores,
+        "collapsed_stores": int(np.count_nonzero(collapsed)),
+        "mem_ops": n_sm + lm_loads + lm_stores,
+        "last_store_addr": last_store_addr,
+        "last_store_to_sm": last_store_to_sm,
+        "demand_accesses": n_served,
+        "l1": l1,
+        "l2": l2,
+        "l3": l3,
+        # Memory reads: the fills, plus the SM loads' functional word
+        # reads.  Memory writes: the L3's dirty victims, the put lines and
+        # the SM stores' functional word writes (a collapsed store writes
+        # its word too).
+        "memory_reads": fill_reads
+        + int(np.count_nonzero(~(is_store | hit))),
+        "memory_writes": l3.writebacks + n_put_lines
+        + n_stores - hit_stores - div_stores,
+        "bus_transactions": n_dma_lines,
+        "bus_dma_transactions": n_dma_lines,
+        "bus_bytes": n_dma_lines * line_size,
+        "pf_trainings": pf[0],
+        "pf_issued": pf[1],
+        "pf_collisions": pf[2],
+    }
+    n_dir = 0
+    if use_lm:
+        n_dir = machine.directory_entries
+        patch.update({
+            "lm_reads": hit_loads + div_loads + lm_loads,
+            "lm_writes": hit_stores + div_stores + lm_stores,
+            "agu": (n_guarded - g_stores, g_stores, hit_loads, hit_stores),
+            "dir_lookups": n_guarded,
+            "dir_hits": hit_loads + hit_stores,
+            "dir_misses": n_guarded - hit_loads - hit_stores,
+            "dir_updates": dir_stats.updates,
+            "dir_configurations": dir_stats.configurations,
+            "dma_gets": ev_kinds.count(6),
+            "dma_puts": ev_kinds.count(7),
+            "dma_syncs": ev_kinds.count(8),
+            "dma_words": int((size // WORD_SIZE).sum()),
+            "dma_lines": n_dma_lines,
+        })
+    return _OracleRoutes(bytes(routes), miss_lines, guard_entries,
+                         dma_nlines, dma_addrs, dget_entries, n_dir, patch)
 
 
 # ------------------------------------------------------------ branch flags
@@ -1346,8 +1301,8 @@ def _apply_shared(owner, lanes) -> None:
     ``stats_summary()`` is collected — in multicore, every per-core summary
     reads these shared objects.
 
-    The oracle's scratch systems have no LLC, so each patch counts every
-    demand MEM route as a memory read; on a clustered uncore the timing
+    The oracle models no LLC, so each patch counts every demand MEM route
+    as a memory read; on a clustered uncore the timing
     pass already counted the true reads itself (LLC demand *misses* only,
     in ``mem_path``) and recorded its demand hits — subtract those so the
     installed total matches what execution observes.

@@ -38,7 +38,7 @@ from hypothesis import example, given, settings, strategies as st
 from repro import obs
 from repro.cpu.branch_predictor import HybridBranchPredictor
 from repro.cpu.pipeline import CODE_BASE, CODE_INSTR_SIZE
-from repro.harness.config import PTLSIM_CONFIG
+from repro.harness.config import PTLSIM_CONFIG, MachineConfig
 from repro.harness.runner import run_workload
 from repro.harness.systems import build_system, core_config_for
 from repro.trace import artifacts, capture_workload, replay_trace
@@ -108,6 +108,100 @@ _R = vector_mod  # route-code namespace shorthand
 
 
 # ------------------------------------------------------- scalar references
+def _scratch_system(mode: str, machine: MachineConfig):
+    """The reference's scratch system: the per-core :func:`build_system`
+    product of the replay point.  Its DMA controller moves the data words
+    too, so the reference also checks that the block copies change no
+    counter."""
+    S = build_system(mode, machine)
+    return S
+
+
+def _oracle_event(S, kind: int, tag, dma_words, di: int, multicore: bool,
+                  dma_nlines, dma_addrs, dget_entries) -> None:
+    """Drive one DMA, dma-sync or set-bufsize event through the scratch
+    system at ``now=0.0``, recording the dget/dput side arrays."""
+    if kind == 8:        # dma-sync (timing only; keeps the syncs counter)
+        S.dma_sync(tag, now=0.0)
+        return
+    if kind == 9:        # set-bufsize
+        S.set_buffer_size(tag)
+        return
+    lm_v, sm, size = dma_words[di:di + 3]
+    line_size = S.hierarchy.config.line_size
+    end = sm + size - 1
+    dma_nlines.append((end - end % line_size - (sm - sm % line_size))
+                      // line_size + 1)
+    dma_addrs.append(sm)
+    directory = S.directory
+    if kind == 6:        # dma-get
+        S.dma_get(lm_v, sm, size, tag=tag, now=0.0)
+        dget_entries.append(
+            S.address_map.translate(lm_v) // directory.buffer_size
+            if directory.is_configured else -1)
+        return
+    S.dma_put(lm_v, sm, size, tag=tag, now=0.0)
+    if multicore:
+        # MulticoreHybridSystem.dma_put: write-back ends the chunk's LM
+        # residence, unmapping the issuing core's directory entry.
+        directory.unmap_dma_put(S.address_map.translate(lm_v), sm)
+
+
+def _oracle_result(S, routes, miss_lines, guard_entries, dma_nlines,
+                   dma_addrs, dget_entries, lm_loads: int,
+                   lm_stores: int) -> "vector_mod._OracleRoutes":
+    """Package a finished oracle walk: the side arrays plus the scratch
+    system's final activity counters, with ``lm_loads``/``lm_stores``
+    LM-range accesses the walk counted instead of issuing."""
+    hierarchy = S.hierarchy
+    prefetcher = hierarchy.prefetcher
+    patch = {
+        "loads": S.loads + lm_loads,
+        "stores": S.stores + lm_stores,
+        "guarded_loads": S.guarded_loads,
+        "guarded_stores": S.guarded_stores,
+        "collapsed_stores": S.collapsed_stores,
+        "mem_ops": S.mem_ops + lm_loads + lm_stores,
+        "last_store_addr": S._last_store_addr,
+        "last_store_to_sm": S._last_store_to_sm,
+        "demand_accesses": hierarchy.demand_accesses,
+        "l1": hierarchy.l1.stats,
+        "l2": hierarchy.l2.stats,
+        "l3": hierarchy.l3.stats,
+        "memory_reads": hierarchy.memory.reads,
+        "memory_writes": hierarchy.memory.writes,
+        "bus_transactions": hierarchy.bus.transactions,
+        "bus_dma_transactions": hierarchy.bus.dma_transactions,
+        "bus_bytes": hierarchy.bus.bytes_transferred,
+        "pf_trainings": prefetcher.trainings,
+        "pf_issued": prefetcher.issued,
+        "pf_collisions": prefetcher.collisions,
+    }
+    n_dir = 0
+    if S.use_lm:
+        directory = S.directory
+        n_dir = len(directory.entries)
+        patch.update({
+            "lm_reads": S.lm.reads + lm_loads,
+            "lm_writes": S.lm.writes + lm_stores,
+            "agu": (S.agu.guarded_loads, S.agu.guarded_stores,
+                    S.agu.diverted_loads, S.agu.diverted_stores),
+            "dir_lookups": directory.stats.lookups,
+            "dir_hits": directory.stats.hits,
+            "dir_misses": directory.stats.misses,
+            "dir_updates": directory.stats.updates,
+            "dir_configurations": directory.stats.configurations,
+            "dma_gets": S.dmac.gets,
+            "dma_puts": S.dmac.puts,
+            "dma_syncs": S.dmac.syncs,
+            "dma_words": S.dmac.words_transferred,
+            "dma_lines": S.dmac.lines_transferred,
+        })
+    return vector_mod._OracleRoutes(bytes(routes), miss_lines, guard_entries,
+                                    dma_nlines, dma_addrs, dget_entries,
+                                    n_dir, patch)
+
+
 def _oracle_routes_scalar(decoded, cold, hot, mode, machine, multicore):
     """Resolve every memory/DMA event of a stream against a scratch system.
 
@@ -130,7 +224,7 @@ def _oracle_routes_scalar(decoded, cold, hot, mode, machine, multicore):
     """
     mem_addrs, dma_words, seq_pcs = (decoded.mem_addrs, decoded.dma_words,
                                      decoded.seq_pcs)
-    S = vector_mod._scratch_system(mode, machine)
+    S = _scratch_system(mode, machine)
     line_size = S.hierarchy.config.line_size
     directory = S.directory
     load = S.load
@@ -183,12 +277,12 @@ def _oracle_routes_scalar(decoded, cold, hot, mode, machine, multicore):
                               _R._R_L3 if served == "L3" else _R._R_MEM)
                 miss_lines.append(addr - addr % line_size)
         elif kind >= 6:      # dma-get / dma-put / dma-sync / set-bufsize
-            vector_mod._oracle_event(S, kind, cold[index][1], dma_words, di,
+            _oracle_event(S, kind, cold[index][1], dma_words, di,
                                      multicore, dma_nlines, dma_addrs,
                                      dget_entries)
             if kind <= 7:
                 di += 3
-    return vector_mod._oracle_result(S, routes, miss_lines, guard_entries,
+    return _oracle_result(S, routes, miss_lines, guard_entries,
                                      dma_nlines, dma_addrs, dget_entries,
                                      lm_plain_loads, lm_plain_stores)
 
@@ -482,6 +576,21 @@ def test_array_oracle_latch_and_directory_synthetic(name):
         assert array_oracle.patch["last_store_to_sm"] is False
 
 
+@pytest.mark.parametrize("lm_offset, size", [
+    (0, 0), (0, 12), (-8, _CHUNK), (32 * 1024, _CHUNK)])
+def test_oracle_rejects_bad_dma_operands(lm_offset, size):
+    """A DMA whose size is not a positive multiple of the word, or whose
+    LM address lies outside the LM range, is refused with the
+    ``ValueError`` the DMA controller raises."""
+    machine = _machine(1)
+    lm = build_system("hybrid", machine).address_map.virtual_base
+    decoded, cold, hot = _event_stream(_MAP, lm)
+    decoded = decoded._replace(dma_words=[lm + lm_offset, _SM, size])
+    for oracle in (vector_mod._oracle_routes, _oracle_routes_scalar):
+        with pytest.raises(ValueError):
+            oracle(decoded, cold, hot, "hybrid", machine, False)
+
+
 _MEM_FLAGS = {"ld": ["", "g", "d"], "st": ["", "g", "d", "c", "dc", "gc"]}
 
 
@@ -546,7 +655,43 @@ def _oracle_cases(draw):
     return events, overrides, draw(st.booleans(), label="multicore")
 
 
+# The DMA orderings the settled oracle's snoops must get right.  Each
+# stream first touches chunk 2's lines and then chunk 0's, so chunk 0 is
+# held when its DMA events come: at the default geometry nothing evicts
+# and the stream settles; with a 1-way 512-byte L1 the chunks' lines
+# conflict and it is walked.
+_HELD = ([("ld", _SM + 2 * _CHUNK + i * 64, "", 0) for i in range(8)]
+         + [("ld", _SM + i * 64, "", 0) for i in range(8)])
+_DMA_ORDERINGS = {
+    # A put and then a get of one chunk at one position: the get finds
+    # the lines the put invalidated gone.
+    "put-then-get": [("dput", _SM), ("dget", _SM), ("ld", _SM + 8, "g", 1)],
+    # A get and then a put of a held chunk: the get finds its lines held.
+    "get-then-put": [("dget", _SM), ("dput", _SM), ("ld", _SM + 8, "", 1)],
+    # Two gets of overlapping lines back to back (one chunk into two
+    # buffers: the directory maps chunk-aligned data only).
+    "overlapping-gets": [("dget", _SM, 0), ("dget", _SM, 1),
+                         ("ld", _SM + 320, "g", 1)],
+    # A set-bufsize between two gets.
+    "set-bufsize-between-gets": [("dget", _SM), ("setbuf", 2 * _CHUNK),
+                                 ("dget", _SM + 2 * _CHUNK),
+                                 ("ld", _SM + 8, "g", 1)],
+}
+
+
+def _dma_ordering_examples(test):
+    """One explicit example per DMA ordering, in the settled and the
+    walked geometry, single-core and multicore."""
+    for events in _DMA_ORDERINGS.values():
+        for overrides in ({}, {"memory.l1_size": 512, "memory.l1_assoc": 1}):
+            for multicore in (False, True):
+                test = example(case=([("setbuf", _CHUNK)] + _HELD + events,
+                                     overrides, multicore))(test)
+    return test
+
+
 @settings(max_examples=120, deadline=None)
+@_dma_ordering_examples
 @given(case=_oracle_cases())
 @example(case=([("setbuf", _CHUNK), ("dget", _SM)]
                + [("ld", _SM + (i % 4) * 64, "g" if i % 3 else "", 0)
@@ -953,7 +1098,7 @@ def test_artifact_validation_rejects_each_inconsistency(fresh_cache):
 _DETERMINISM_SCRIPT = """
 import dataclasses, hashlib, os
 from pathlib import Path
-from repro.harness.config import PTLSIM_CONFIG
+from repro.harness.config import PTLSIM_CONFIG, MachineConfig
 from repro.trace import capture_workload, replay_trace
 m = dataclasses.replace(PTLSIM_CONFIG, num_cores=2)
 _, t = capture_workload('CG', 'hybrid', 'tiny', machine=m)

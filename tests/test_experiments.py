@@ -3,6 +3,7 @@
 import pytest
 
 from repro.harness import experiments, reporting
+from repro.harness import runner as runner_mod
 from repro.harness.sweep import SweepContext
 
 
@@ -33,7 +34,8 @@ def test_table2_mode_properties():
 
 
 def test_figure7_overheads_monotonic_shape():
-    results = experiments.figure7(percentages=(0, 50, 100), iterations=600, unroll=20)
+    results = experiments.figure7(SweepContext(), percentages=(0, 50, 100),
+                                  iterations=600, unroll=20)
     assert set(results) == {"RD", "WR", "RD/WR"}
     rd = [p.overhead for p in results["RD"]]
     wr = [p.overhead for p in results["WR"]]
@@ -83,6 +85,24 @@ def test_figure10_energy_groups(ctx):
         assert row.energy_reduction == pytest.approx(
             1 - row.hybrid_energy / row.cache_energy)
     assert "Figure 10" in reporting.format_figure10(rows)
+
+
+def test_figure_drivers_share_one_context(monkeypatch):
+    """Figures 8-10 and Table 3 over one context simulate each of their
+    three cells (hybrid, hybrid-oracle and cache CG) once."""
+    calls = []
+    real = runner_mod.run_workload
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(runner_mod, "run_workload", counting)
+    ctx = SweepContext(scale="tiny")
+    for driver in (experiments.figure8, experiments.table3,
+                   experiments.figure9, experiments.figure10):
+        driver(ctx, benchmarks=["CG"])
+    assert len(calls) == 3
 
 
 def test_ablation_directory_size_runs():

@@ -70,8 +70,10 @@ def test_fused_identical_to_lane_replay(mode, cores):
 def test_fused_replay_makes_no_per_access_system_calls(monkeypatch):
     """Replay resolves guarded accesses, plain SM accesses and branches in
     batched passes: no ``HybridSystem.load``/``store``, no
-    ``GuardedAGU.generate``, no predictor ``update`` runs, and each DMA
-    transfer of the oracle pass snoops the caches with one call."""
+    ``GuardedAGU.generate``, no predictor ``update`` runs.  An oracle pass
+    that settles its streams (the default geometry) counts the DMA snoops
+    from arrays and snoops no cache; one that walks them (an L1 whose sets
+    overflow) snoops the caches with one call per DMA transfer."""
     from collections import Counter
 
     import repro.trace.vector as vector_mod
@@ -81,11 +83,12 @@ def test_fused_replay_makes_no_per_access_system_calls(monkeypatch):
     from repro.mem.hierarchy import MemoryHierarchy
     from repro.trace import artifacts
 
-    machine = _machine(2)
-    executed, mtrace = capture_workload("CG", "hybrid", "tiny",
-                                        machine=machine)
-    # The oracle pass is the one that snoops: make this replay run it.
-    vector_mod._ORACLE_CACHE.clear()
+    runs = []
+    for overrides in ({}, {"memory.l1_size": 512, "memory.l1_assoc": 2}):
+        machine = _machine(2).with_overrides(overrides)
+        runs.append((machine, bool(overrides))
+                    + capture_workload("CG", "hybrid", "tiny",
+                                       machine=machine))
     calls = Counter()
     for cls, name in ((HybridSystem, "load"), (HybridSystem, "store"),
                       (GuardedAGU, "generate"),
@@ -96,15 +99,21 @@ def test_fused_replay_makes_no_per_access_system_calls(monkeypatch):
             calls[_name] += 1
             return _real(*args, **kwargs)
         monkeypatch.setattr(cls, name, counting)
-    with artifacts.scoped(disabled=True):
-        replayed = replay_trace(mtrace, machine)
-    _assert_same_run(replayed, executed)
-    assert calls["load"] == calls["store"] == 0
-    assert calls["generate"] == calls["update"] == 0
-    stats = replayed.sim.memory_stats
-    assert stats["guarded_loads"] > 0 and stats["dma"]["gets"] > 0
-    assert calls["snoop_read_lines"] == stats["dma"]["gets"]
-    assert calls["snoop_invalidate_lines"] == stats["dma"]["puts"]
+    for machine, walks, executed, mtrace in runs:
+        # The oracle pass is the one that snoops: make this replay run it.
+        vector_mod._ORACLE_CACHE.clear()
+        calls.clear()
+        with artifacts.scoped(disabled=True):
+            replayed = replay_trace(mtrace, machine)
+        _assert_same_run(replayed, executed)
+        assert calls["load"] == calls["store"] == 0
+        assert calls["generate"] == calls["update"] == 0
+        stats = replayed.sim.memory_stats
+        assert stats["guarded_loads"] > 0 and stats["dma"]["gets"] > 0
+        assert calls["snoop_read_lines"] == (
+            stats["dma"]["gets"] if walks else 0)
+        assert calls["snoop_invalidate_lines"] == (
+            stats["dma"]["puts"] if walks else 0)
 
 
 def test_fused_identity_small_scale_spot_check():

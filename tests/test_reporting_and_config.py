@@ -1,9 +1,12 @@
 """Tests for the reporting formatters and configuration helpers."""
 
+import dataclasses
+
 import pytest
 
 from repro.cpu.config import CoreConfig
 from repro.energy.model import EnergyBreakdown
+from repro.harness.config import MachineConfig
 from repro.harness.experiments import (
     Figure7Point,
     Figure8Row,
@@ -80,6 +83,43 @@ def test_core_config_copy_with():
     derived = base.copy_with(issue_width=2)
     assert derived.issue_width == 2
     assert derived.rob_size == base.rob_size
+
+
+def _leaves(obj, prefix=""):
+    """Every scalar field of a nested config dataclass, by dotted path."""
+    for f in dataclasses.fields(obj):
+        value = getattr(obj, f.name)
+        if dataclasses.is_dataclass(value):
+            yield from _leaves(value, f"{prefix}{f.name}.")
+        else:
+            yield prefix + f.name, value
+
+
+def _off_default(obj):
+    """``obj`` with every numeric and boolean field moved off its value."""
+    changes = {}
+    for f in dataclasses.fields(obj):
+        value = getattr(obj, f.name)
+        if dataclasses.is_dataclass(value):
+            changes[f.name] = _off_default(value)
+        elif isinstance(value, bool):
+            changes[f.name] = not value
+        elif isinstance(value, (int, float)):
+            changes[f.name] = value * 2 + 1
+    return dataclasses.replace(obj, **changes)
+
+
+def test_cache_based_keeps_every_other_field():
+    """The cache-based baseline empties the LM and grows the L1 by its
+    size; every other field, nested ones included, keeps its value."""
+    machine = _off_default(MachineConfig())
+    based = machine.cache_based()
+    kept, got = dict(_leaves(machine)), dict(_leaves(based))
+    assert got.pop("lm_size") == 0
+    assert got.pop("memory.l1_size") == machine.memory.l1_size + machine.lm_size
+    del kept["lm_size"], kept["memory.l1_size"]
+    assert got == kept
+    assert len(kept) > 40
 
 
 def test_energy_breakdown_group_totals_consistent():
