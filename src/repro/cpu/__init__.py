@@ -7,27 +7,22 @@ ISA and times it on a model that accounts for fetch/issue/commit
 bandwidth, the reorder buffer and load/store queue occupancy,
 functional-unit contention, branch prediction (hybrid gshare/bimodal with
 a selector, BTB and RAS) and the memory latencies returned by the hybrid
-memory system.
+memory system.  The model is stated in :mod:`repro.cpu.pipeline`; a lane
+holds its reorder buffer, load/store queue and reservation tables as loop
+state and reports a :class:`LaneTiming` record.
 """
 
 from repro.cpu.config import CoreConfig
 from repro.cpu.branch_predictor import HybridBranchPredictor
-from repro.cpu.functional_units import FunctionalUnitPool
-from repro.cpu.rob import ReorderBuffer
-from repro.cpu.lsq import LoadStoreQueue
 from repro.cpu.executor import ExecutionError, ExecutionLane
-from repro.cpu.pipeline import OutOfOrderTimingModel
-from repro.cpu.core import Core, SimulationResult
+from repro.cpu.core import Core, LaneTiming, SimulationResult
 
 __all__ = [
     "CoreConfig",
     "HybridBranchPredictor",
-    "FunctionalUnitPool",
-    "ReorderBuffer",
-    "LoadStoreQueue",
     "ExecutionError",
     "ExecutionLane",
-    "OutOfOrderTimingModel",
     "Core",
+    "LaneTiming",
     "SimulationResult",
 ]

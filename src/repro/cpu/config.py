@@ -3,6 +3,15 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from numbers import Integral
+from typing import List
+
+from repro.isa.instructions import FU_INDEX, FuClass
+
+#: The fields that count pipeline slots, buffer entries or units: a machine
+#: needs at least one of each to retire anything.
+_COUNTS = ("fetch_width", "issue_width", "commit_width", "rob_size",
+           "lsq_size", "int_alus", "fp_alus", "load_store_units")
 
 
 @dataclass
@@ -35,6 +44,27 @@ class CoreConfig:
     #: Frequency in GHz, used only to convert energy numbers (Wattch reports
     #: energy per access; execution time in seconds = cycles / frequency).
     frequency_ghz: float = 2.5
+
+    def __post_init__(self):
+        values = {name: getattr(self, name) for name in _COUNTS}
+        bad = [f"{name}={value!r}" for name, value in values.items()
+               if not isinstance(value, Integral) or value < 1]
+        if bad:
+            raise ValueError(f"core counts must be integers >= 1: "
+                             f"{', '.join(bad)}")
+
+    def fu_capacity(self) -> List[int]:
+        """Units per functional-unit class, indexed like
+        :data:`~repro.isa.instructions.FU_INDEX`.  Branches and the
+        unit-less instructions issue on the integer ALU ports."""
+        capacity = [0] * len(FU_INDEX)
+        for cls, units in ((FuClass.INT_ALU, self.int_alus),
+                           (FuClass.FP_ALU, self.fp_alus),
+                           (FuClass.LOAD_STORE, self.load_store_units),
+                           (FuClass.BRANCH, self.int_alus),
+                           (FuClass.NONE, self.int_alus)):
+            capacity[FU_INDEX[cls]] = units
+        return capacity
 
     def copy_with(self, **kwargs) -> "CoreConfig":
         return replace(self, **kwargs)

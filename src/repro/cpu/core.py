@@ -7,18 +7,18 @@ core count: one :class:`~repro.cpu.executor.ExecutionLane` — functional
 execution and the out-of-order timing of :mod:`repro.cpu.pipeline` in one
 loop — producing a :class:`SimulationResult` with cycle counts, per-phase
 breakdowns, instruction statistics and the memory system's activity
-summary.  :func:`lane_result` builds that result from a finished timing
-model; execution and replay build every per-core result with it.
+summary.  Every lane — execution's and replay's — finishes with one
+:class:`LaneTiming` record, and :func:`lane_result` builds each per-core
+result from it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict, NamedTuple, Optional
 
 from repro.core.hybrid import HybridSystem
 from repro.cpu.config import CoreConfig
-from repro.cpu.pipeline import OutOfOrderTimingModel
 from repro.isa.program import Program, WORD_SIZE
 
 
@@ -38,17 +38,26 @@ class SimulationResult:
     def ipc(self) -> float:
         return self.instructions / self.cycles if self.cycles > 0 else 0.0
 
-    @property
-    def work_cycles(self) -> float:
-        return self.phase_cycles.get("work", 0.0)
 
-    @property
-    def control_cycles(self) -> float:
-        return self.phase_cycles.get("control", 0.0)
+class LaneTiming(NamedTuple):
+    """One core's finished out-of-order timing, as a lane reports it.
 
-    @property
-    def sync_cycles(self) -> float:
-        return self.phase_cycles.get("sync", 0.0)
+    ``cycles`` is the time of the last commit; ``phase_cycles`` maps each
+    phase that retired an instruction to its commit cycles, in program
+    order of the phases; ``fu_op_counts`` counts the operations of every
+    functional-unit class that ran one.
+    """
+
+    cycles: float
+    committed: int
+    phase_cycles: Dict[str, float]
+    mispredictions: int
+    branch_predictions: int
+    fu_op_counts: Dict[str, int]
+    fu_contended_cycles: float
+    rob_dispatch_stalls: float
+    lsq_occupancy_stalls: float
+    lsq_collapsed_stores: int
 
 
 class Core:
@@ -81,23 +90,26 @@ class Core:
         return result
 
 
-def lane_result(timing: OutOfOrderTimingModel,
-                memory_stats: dict) -> SimulationResult:
-    """One core's :class:`SimulationResult` from its finished timing model."""
+def lane_result(timing: LaneTiming, memory_stats: dict) -> SimulationResult:
+    """One core's :class:`SimulationResult` from its finished lane's
+    timing record."""
+    predictions = timing.branch_predictions
     return SimulationResult(
         cycles=timing.cycles,
         instructions=timing.committed,
-        phase_cycles=timing.phase_breakdown(),
+        phase_cycles=dict(timing.phase_cycles),
         mispredictions=timing.mispredictions,
-        branch_predictions=timing.predictor.predictions,
+        branch_predictions=predictions,
         memory_stats=memory_stats,
         core_stats={
-            "ipc": timing.ipc,
+            "ipc": (timing.committed / timing.cycles
+                    if timing.cycles > 0 else 0.0),
             "fu_op_counts": dict(timing.fu_op_counts),
-            "fu_contended_cycles": timing.fus.contended_cycles,
-            "rob_dispatch_stalls": timing.rob.dispatch_stalls,
-            "lsq_occupancy_stalls": timing.lsq.occupancy_stalls,
-            "lsq_collapsed_stores": timing.lsq.collapsed_stores,
-            "misprediction_rate": timing.predictor.misprediction_rate,
+            "fu_contended_cycles": timing.fu_contended_cycles,
+            "rob_dispatch_stalls": timing.rob_dispatch_stalls,
+            "lsq_occupancy_stalls": timing.lsq_occupancy_stalls,
+            "lsq_collapsed_stores": timing.lsq_collapsed_stores,
+            "misprediction_rate": (timing.mispredictions / predictions
+                                   if predictions else 0.0),
         },
     )

@@ -24,9 +24,13 @@ per-lane buffer: the front end ignores fetch latency and nothing else
 touches the core's L1I, so :meth:`ExecutionLane.finish` settles the whole
 stream with one :meth:`~repro.mem.hierarchy.MemoryHierarchy.fetch`.
 
-The replay engine's C kernel (:mod:`repro.trace._ckernel`) carries its own
-transcription of the model and is checked against this one; nothing here
-is shared with it, so the identity checks compare independent
+The reorder buffer and load/store queue are deques of commit and
+completion times, the issue slots and the functional units per-cycle
+reservation tables (dicts from cycle to count; each pc's tuple carries its
+unit class's table): all of them are the loop's own state, as are the
+branch predictor and every counter.  The replay engine's C kernel
+(:mod:`repro.trace._ckernel`) runs the same model over a recorded stream;
+nothing here is shared with it, so the identity checks compare independent
 implementations.
 
 **Resumable lane.**  The loop is a generator whose locals survive across
@@ -40,9 +44,8 @@ That is the contract of :func:`repro.cpu.multicore.run_resumable_lanes`:
 a single-core run is one call with an infinite limit, a multicore run
 interleaves one lane per core against the shared uncore, and every
 memory-system call still happens in global key order.
-:meth:`ExecutionLane.finish` settles the L1I and writes the final state
-back into the lane's :class:`~repro.cpu.pipeline.OutOfOrderTimingModel`,
-which results are read from.
+:meth:`ExecutionLane.finish` settles the L1I and returns the lane's
+counters as a :class:`~repro.cpu.core.LaneTiming` record.
 
 A :class:`~repro.trace.capture.TraceRecorder` passed as ``recorder`` gets
 the machine-config-independent stream appended straight to its lists:
@@ -54,15 +57,14 @@ from __future__ import annotations
 
 import operator
 from array import array
+from collections import deque
 from typing import Dict, Optional
 
+from repro.cpu.branch_predictor import HybridBranchPredictor
 from repro.cpu.config import CoreConfig
-from repro.cpu.pipeline import (
-    CODE_BASE,
-    CODE_INSTR_SIZE,
-    OutOfOrderTimingModel,
-)
-from repro.isa.instructions import FuClass, Opcode
+from repro.cpu.core import LaneTiming
+from repro.cpu.pipeline import CODE_BASE, CODE_INSTR_SIZE
+from repro.isa.instructions import FU_INDEX, FuClass, Opcode
 from repro.isa.program import WORD_SIZE, Program
 
 
@@ -156,15 +158,14 @@ class ExecutionLane:
     """One core's execution-driven run as a resumable state machine.
 
     ``system`` is what memory and DMA operations are issued through; its
-    ``hierarchy`` serves instruction fetch and is attached to the timing
-    model.  ``order`` is the lane's tie-break rank in a multicore run (its
-    core id).  Exceeding ``max_instructions`` raises
-    :class:`ExecutionError`.
+    ``hierarchy`` serves instruction fetch.  ``order`` is the lane's
+    tie-break rank in a multicore run (its core id).  Exceeding
+    ``max_instructions`` raises :class:`ExecutionError`.
     """
 
-    __slots__ = ("order", "fetch_time", "done", "timing", "_names", "_regs",
-                 "_ready", "_phase_names", "_recorder", "_fetches", "_gen",
-                 "_state")
+    __slots__ = ("order", "fetch_time", "done", "_hierarchy", "_names",
+                 "_regs", "_ready", "_phase_names", "_recorder", "_fetches",
+                 "_gen", "_state")
 
     def __init__(self, program: Program, system,
                  config: Optional[CoreConfig] = None, *, order: int = 0,
@@ -172,24 +173,28 @@ class ExecutionLane:
         if not program.is_laid_out:
             program.assign_addresses()
         program.validate()
+        config = config or CoreConfig()
         self.order = order
         self.fetch_time = 0.0
-        self.timing = OutOfOrderTimingModel(config or CoreConfig(),
-                                            hierarchy=system.hierarchy)
+        self._hierarchy = system.hierarchy
         self._recorder = recorder
         self._state = None
         # The I-cache address of every fetch group, in order; settled into
         # the L1I at ``finish``.
         self._fetches = array("q")
         names: Dict[str, int] = {}
-        decoded, self._phase_names = _decode(program, names, self.timing)
+        fu_tables = [{} for _ in FU_INDEX]
+        decoded, self._phase_names = _decode(program, names, config,
+                                             fu_tables,
+                                             self._hierarchy is not None)
         self._names = names
         self._regs = [0] * (len(names) + _FIRST_REG)
         self._ready = [0.0] * (len(names) + _FIRST_REG)
         self.done = not decoded
         self._gen = None
         if decoded:
-            self._gen = self._loop(decoded, system, max_instructions)
+            self._gen = self._loop(decoded, fu_tables, system, config,
+                                   max_instructions)
             next(self._gen)     # run the loop's set-up to its first yield
 
     @property
@@ -198,6 +203,19 @@ class ExecutionLane:
         written)."""
         regs = self._regs
         return {name: regs[idx] for name, idx in self._names.items()}
+
+    @property
+    def ready_times(self) -> Dict[str, float]:
+        """Cycle at which every register the program names became ready
+        (0.0 if never written)."""
+        rdy = self._ready
+        return {name: rdy[idx] for name, idx in self._names.items()}
+
+    @property
+    def issue_slot_cycles(self) -> int:
+        """Cycles still holding issue-slot reservations when the loop ended
+        (the loop prunes the table below its front end as it runs)."""
+        return self._state[-1]
 
     def run_until(self, limit: float, limit_order: int) -> None:
         """Advance while the key ``(fetch_time, order)`` stays below
@@ -211,13 +229,11 @@ class ExecutionLane:
             self.done = True
             self._gen = None
 
-    def _loop(self, decoded, system, max_instructions):
+    def _loop(self, decoded, fu_tables, system, config, max_instructions):
         """The per-instruction loop, as a generator (see the module
         docstring).  Yields before a memory-system instruction whenever
         the scheduling contract hands control to another lane; on
         exhaustion packs its counters into ``_state``."""
-        timing = self.timing
-        config = timing.config
         my_order = self.order
         n = len(decoded)
         regs = self._regs
@@ -226,20 +242,27 @@ class ExecutionLane:
         issue_width = config.issue_width
         inv_fetch = 1.0 / config.fetch_width
         mispredict_penalty = config.mispredict_penalty
-        predictor = timing.predictor
+        predictor = HybridBranchPredictor(
+            entries=config.predictor_entries, btb_entries=config.btb_entries,
+            btb_assoc=config.btb_assoc, ras_entries=config.ras_entries)
         predictor_update = predictor.update
         btb = predictor.btb
-        rob = timing.rob
-        rob_size = rob.size
-        rob_times = rob._commit_times
+        # Commit times of the last rob_size instructions, completion times
+        # of the last lsq_size memory ops.
+        rob_size = config.rob_size
+        rob_times = deque(maxlen=rob_size)
         rob_append = rob_times.append
-        inv_commit = 1.0 / rob.commit_width
-        lsq_size = timing.lsq.size
-        lsq_times = timing.lsq._completion_times
+        inv_commit = 1.0 / config.commit_width
+        lsq_size = config.lsq_size
+        lsq_times = deque(maxlen=lsq_size)
         lsq_append = lsq_times.append
-        slots = timing._issue_slots
+        # Per-cycle issue-slot occupancy: cycle -> instructions issued in
+        # it.  This caps issue bandwidth at issue_width per cycle while
+        # still letting younger independent instructions issue before an
+        # older stalled one (out-of-order issue).
+        slots: Dict[int, int] = {}
         slots_get = slots.get
-        tables = [slots, *timing.fus._schedule]   # pruned in place
+        tables = [slots, *fu_tables]   # pruned in place
         fetch_append = self._fetches.append
         sys_load = system.load
         sys_store = system.store
@@ -501,55 +524,41 @@ class ExecutionLane:
             lm.reads += lm_loads
             lm.writes += lm_stores
         self.fetch_time = fetch_time
-        self._state = (i, fetch_time, last_commit, rob_stalls, lsq_stalls,
-                       contended, mispredictions, lsq_collapsed, nmem,
-                       phase_acc, fu_n)
+        self._state = (i, last_commit, rob_stalls, lsq_stalls, contended,
+                       mispredictions, predictor.predictions, lsq_collapsed,
+                       phase_acc, fu_n, len(slots))
 
-    def finish(self) -> OutOfOrderTimingModel:
-        """Settle the buffered instruction fetches into the L1I, write the
-        lane's final state back into its timing model (and the recorder's
-        instruction count) and return the timing model.  Call once, after
-        ``done``."""
-        timing = self.timing
+    def finish(self) -> LaneTiming:
+        """Settle the buffered instruction fetches into the L1I, set the
+        recorder's instruction count and return the lane's timing record.
+        Call once, after ``done``."""
         if self._state is None:     # an empty program retires nothing
-            return timing
-        (committed, fetch_time, last_commit, rob_stalls, lsq_stalls,
-         contended, mispredictions, lsq_collapsed, nmem, phase_acc,
-         fu_n) = self._state
-        if timing.hierarchy is not None:
-            timing.hierarchy.fetch(self._fetches)
+            return LaneTiming(0.0, 0, {}, 0, 0, {}, 0.0, 0.0, 0.0, 0)
+        (committed, last_commit, rob_stalls, lsq_stalls, contended,
+         mispredictions, predictions, lsq_collapsed, phase_acc, fu_n,
+         _) = self._state
+        if self._hierarchy is not None:
+            self._hierarchy.fetch(self._fetches)
         self._fetches = None
-        timing.fetch_time = fetch_time
-        timing.committed = committed
-        timing.mispredictions = mispredictions
-        timing.last_commit_time = last_commit
-        # Commit advances are strictly positive, so a phase accumulated 0.0
-        # exactly when none of its instructions retired.
-        for name, cycles in zip(self._phase_names, phase_acc):
-            if cycles != 0.0:
-                timing.phase_cycles[name] = cycles
-        for idx, count in enumerate(fu_n):
-            if count:
-                timing.fu_op_counts[_FU_NAMES[idx]] = count
-        rdy = self._ready
-        timing.reg_ready.update(
-            (name, rdy[idx]) for name, idx in self._names.items())
-        rob = timing.rob
-        rob._last_commit_time = last_commit
-        rob._commit_bandwidth_time = last_commit
-        rob.dispatch_stalls = rob_stalls
-        lsq = timing.lsq
-        lsq.occupancy_stalls = lsq_stalls
-        lsq.memory_ops = nmem
-        lsq.collapsed_stores = lsq_collapsed
-        timing.fus.contended_cycles = contended
         if self._recorder is not None:
             self._recorder.count = committed
-        return timing
+        # Commit advances are strictly positive, so a phase accumulated 0.0
+        # exactly when none of its instructions retired.
+        return LaneTiming(
+            cycles=last_commit, committed=committed,
+            phase_cycles={name: cycles for name, cycles
+                          in zip(self._phase_names, phase_acc)
+                          if cycles != 0.0},
+            mispredictions=mispredictions, branch_predictions=predictions,
+            fu_op_counts={_FU_NAMES[idx]: count
+                          for idx, count in enumerate(fu_n) if count},
+            fu_contended_cycles=contended, rob_dispatch_stalls=rob_stalls,
+            lsq_occupancy_stalls=lsq_stalls,
+            lsq_collapsed_stores=lsq_collapsed)
 
 
-def _decode(program: Program, names: Dict[str, int],
-            timing: OutOfOrderTimingModel):
+def _decode(program: Program, names: Dict[str, int], config: CoreConfig,
+            fu_tables, fetch: bool):
     """Flatten ``program`` into one tuple per pc for the lane's loop.
 
     Returns ``(decoded, phase_names)``.  Register names get dense indices
@@ -562,9 +571,11 @@ def _decode(program: Program, names: Dict[str, int],
     oracle_divert, collapse_with_prev)`` flags; ``_K_BAD``: the error
     message), ``imm`` the immediate, address offset, branch target pc or
     DMA tag, ``fa`` the I-cache address fetched before this pc (0 when it
-    starts no fetch group), ``table`` the functional-unit reservation table
-    of its class, ``shared`` whether the kind is in ``_SHARED_KINDS`` (a
-    yield point; a load or store only outside the LM range).
+    starts no fetch group, or when ``fetch`` is false), ``table`` the
+    reservation table in ``fu_tables`` of its functional-unit class,
+    ``capacity`` that class's units, ``shared`` whether the kind is in
+    ``_SHARED_KINDS`` (a yield point; a load or store only outside the LM
+    range).
     """
     def reg(name):
         idx = names.get(name)
@@ -572,9 +583,8 @@ def _decode(program: Program, names: Dict[str, int],
             idx = names[name] = len(names) + _FIRST_REG
         return idx
 
-    fus = timing.fus
-    fetch_width = timing.config.fetch_width
-    fetch = timing.hierarchy is not None
+    capacity = config.fu_capacity()
+    fetch_width = config.fetch_width
     phase_index: Dict[str, int] = {}
     decoded = []
     for pc, inst in enumerate(program.instructions):
@@ -620,9 +630,9 @@ def _decode(program: Program, names: Dict[str, int],
         phase = phase_index.setdefault(inst.phase, len(phase_index))
         fa = (CODE_BASE + pc * CODE_INSTR_SIZE
               if fetch and pc % fetch_width == 0 else 0)
-        table = fus._schedule[inst.fu_index]
+        table = fu_tables[inst.fu_index]
         decoded.append((kind, a, b, dst, fn, imm, more, fa, table, table.get,
-                        fus._capacity[inst.fu_index], inst.unpipelined,
+                        capacity[inst.fu_index], inst.unpipelined,
                         inst.fu_index, phase, float(inst.latency),
                         kind in _SHARED_KINDS))
     return decoded, list(phase_index)

@@ -111,6 +111,23 @@ def parse_overrides(items: Iterable[str]) -> Dict[str, Any]:
     return overrides
 
 
+def add_cell_args(parser) -> None:
+    """Declare the command lines' cell arguments on an
+    :class:`argparse.ArgumentParser`: ``--workload``, ``--mode``,
+    ``--scale``, ``--set`` (read by :func:`parse_overrides`) and
+    ``--cache-dir``."""
+    parser.add_argument("--workload", default="CG", help="NAS kernel name")
+    parser.add_argument("--mode", default="hybrid", help="system mode "
+                        "(hybrid/hybrid-oracle/hybrid-naive/cache)")
+    parser.add_argument("--scale", default="small", help="tiny/small/medium")
+    parser.add_argument("--set", dest="overrides", action="append", default=[],
+                        metavar="KEY=VALUE",
+                        help="machine-config override (dotted paths allowed)")
+    parser.add_argument("--cache-dir", default=None,
+                        help="cache root holding the trace store "
+                             "(default $REPRO_CACHE_DIR or .repro-cache)")
+
+
 #: The simulated machine of Table 1.
 PTLSIM_CONFIG = MachineConfig()
 

@@ -12,10 +12,12 @@ there; every line moved by a dma-put is written to main memory and the
 corresponding line is invalidated in the whole cache hierarchy.
 
 Timing: transfers are asynchronous.  A transfer issued at time ``t`` completes
-at ``t + setup + lines * per_line_cost``; ``dma-synch`` returns the number of
-stall cycles the core has to wait.  The per-line cost models a pipelined,
-bandwidth-limited engine rather than a serial sequence of full memory round
-trips.
+at ``t + setup + lines * per_line_cost`` (plus, multicore, its queueing at
+the shared uncore); ``dma-synch`` returns the number of stall cycles the core
+has to wait.  The per-line cost models a pipelined, bandwidth-limited engine
+rather than a serial sequence of full memory round trips.  The timing half
+(:meth:`DMAController.time_transfer` and :meth:`DMAController.dma_sync`)
+needs no data, so replay times its recorded transfers with it too.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from repro.mem.hierarchy import MemoryHierarchy
 
 @dataclass
 class DMATransfer:
-    """One issued DMA transfer, tracked until a dma-synch retires it."""
+    """One issued DMA transfer, as ``dma_get``/``dma_put`` report it."""
 
     kind: str              # "get" or "put"
     lm_offset: int         # LM physical offset of the buffer
@@ -69,7 +71,8 @@ class DMAController:
         self.map = address_map
         self.setup_latency = setup_latency
         self.per_line_latency = per_line_latency
-        self._outstanding: Dict[int, List[DMATransfer]] = {}
+        # Completion times of the transfers no dma-synch retired yet, by tag.
+        self._outstanding: Dict[int, List[float]] = {}
         self.gets = 0
         self.puts = 0
         self.syncs = 0
@@ -83,27 +86,27 @@ class DMAController:
         last = (sm_addr + size - 1) - ((sm_addr + size - 1) % line_size)
         return range(first, last + 1, line_size)
 
-    def _launch(self, kind: str, lm_offset: int, sm_addr: int, size: int,
-               tag: int, now: float, lines: int) -> DMATransfer:
-        """Count a transfer of ``lines`` lines and track it until a
-        dma-synch retires it."""
-        self.words_transferred += size // WORD_SIZE
-        self.lines_transferred += lines
-        # Shared-uncore arbitration (multicore): a burst queues behind other
-        # cores' traffic before its pipelined transfer begins.  0.0 when the
-        # hierarchy has no uncore (every single-core system).  The SM
-        # address routes the burst to its home cluster on a clustered
-        # uncore (NUMA local vs. remote).
+    def time_transfer(self, now: float, lines: int, sm_addr: int,
+                      tag: int) -> float:
+        """Time a transfer of ``lines`` lines issued at ``now`` and track it
+        under ``tag`` until a dma-synch retires it; returns its completion
+        time.
+
+        Shared-uncore arbitration (multicore): the burst queues behind other
+        cores' traffic before its pipelined transfer begins (0.0 when the
+        hierarchy has no uncore, as on every single-core system); the SM
+        address routes it to its home cluster on a clustered uncore (NUMA
+        local vs. remote).
+        """
         queue = self.hierarchy.uncore_delay(now, lines, sm_addr)
-        transfer = DMATransfer(kind, lm_offset, sm_addr, size, tag, now,
-                               now + queue + float(self.setup_latency + lines
-                                                   * self.per_line_latency))
+        completion = now + queue + float(self.setup_latency
+                                         + lines * self.per_line_latency)
         outstanding = self._outstanding.get(tag)
         if outstanding is None:
-            self._outstanding[tag] = [transfer]
+            self._outstanding[tag] = [completion]
         else:
-            outstanding.append(transfer)
-        return transfer
+            outstanding.append(completion)
+        return completion
 
     # -- operations ---------------------------------------------------------------
     def dma_get(self, lm_vaddr: int, sm_addr: int, size: int, tag: int,
@@ -123,8 +126,10 @@ class DMAController:
         values = self.hierarchy.memory.read_block(sm_addr, size)
         self.lm.write_block(lm_offset, values)
         self.gets += 1
-        return self._launch("get", lm_offset, sm_addr, size, tag, now,
-                           len(lines))
+        self.words_transferred += size // WORD_SIZE
+        self.lines_transferred += len(lines)
+        return DMATransfer("get", lm_offset, sm_addr, size, tag, now,
+                           self.time_transfer(now, len(lines), sm_addr, tag))
 
     def dma_put(self, lm_vaddr: int, sm_addr: int, size: int, tag: int,
                 now: float) -> DMATransfer:
@@ -142,8 +147,10 @@ class DMAController:
         lines = self._lines_of(sm_addr, size)
         self.hierarchy.snoop_invalidate_lines(lines)
         self.puts += 1
-        return self._launch("put", lm_offset, sm_addr, size, tag, now,
-                           len(lines))
+        self.words_transferred += size // WORD_SIZE
+        self.lines_transferred += len(lines)
+        return DMATransfer("put", lm_offset, sm_addr, size, tag, now,
+                           self.time_transfer(now, len(lines), sm_addr, tag))
 
     def dma_sync(self, tag: Optional[int], now: float) -> float:
         """Wait for transfers with ``tag`` (or all transfers when ``None``).
@@ -155,21 +162,24 @@ class DMAController:
         if tag is None:
             pending = [t for lst in self._outstanding.values() for t in lst]
         else:
-            pending = list(self._outstanding.get(tag, []))
+            pending = self._outstanding.get(tag)
         if not pending:
             return 0.0
-        finish = max(t.completion_time for t in pending)
+        finish = max(pending)
         # Retire everything that completes by the time we are done waiting.
         wait_until = max(now, finish)
         for key in list(self._outstanding):
-            self._outstanding[key] = [
-                t for t in self._outstanding[key] if t.completion_time > wait_until]
-            if not self._outstanding[key]:
+            kept = [t for t in self._outstanding[key] if t > wait_until]
+            if kept:
+                self._outstanding[key] = kept
+            else:
                 del self._outstanding[key]
         return max(0.0, finish - now)
 
     # -- introspection --------------------------------------------------------------
-    def outstanding_transfers(self, tag: Optional[int] = None) -> List[DMATransfer]:
+    def outstanding_transfers(self, tag: Optional[int] = None) -> List[float]:
+        """Completion times of the transfers (with ``tag``, or all) that no
+        dma-synch has retired yet."""
         if tag is None:
             return [t for lst in self._outstanding.values() for t in lst]
         return list(self._outstanding.get(tag, []))

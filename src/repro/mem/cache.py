@@ -61,13 +61,6 @@ class CacheStats:
             "writethrough_accesses": self.writethrough_accesses,
         }
 
-    @property
-    def hit_ratio(self) -> float:
-        """Demand hit ratio (hits / demand accesses), in [0, 1]."""
-        if self.demand_accesses == 0:
-            return 0.0
-        return self.hits / self.demand_accesses
-
 
 def sets_fit(lines, size_bytes: int, assoc: int,
              line_size: int) -> np.ndarray:

@@ -214,19 +214,7 @@ class MemoryHierarchy:
                 beyond_l1 = float(c.l2_latency + c.l3_latency)
                 level = "L3"
             else:
-                if self._mem_port is not None:
-                    # Clustered uncore: cluster-bus claims, NUMA penalty and
-                    # the home LLC slice replace the fixed memory round trip
-                    # (mem_path counts memory.reads itself, LLC misses only).
-                    beyond_l1 = float(c.l2_latency + c.l3_latency) \
-                        + self._mem_port.mem_path(now, line)
-                else:
-                    self.memory.reads += 1
-                    beyond_l1 = float(c.l2_latency + c.l3_latency + c.memory_latency)
-                    if self.uncore is not None:
-                        # Shared-uncore arbitration: concurrent misses from
-                        # other cores stretch this one's memory round trip.
-                        beyond_l1 += self.uncore.acquire(now, 1)
+                beyond_l1 = self.memory_beyond_l1(now, line)
                 level = "MEM"
                 # Fill L3 from memory.
                 self._fill_level(self.l3, line, next_cache=None)
@@ -240,6 +228,24 @@ class MemoryHierarchy:
         if is_write:
             self._writethrough(addr)
         return float(c.l1_latency) + effective, level
+
+    def memory_beyond_l1(self, now: float, line: int) -> float:
+        """Latency beyond the L1 of a demand miss to ``line`` that misses
+        the L3 at ``now``: the memory round trip, on the uncore's path."""
+        c = self.config
+        if self._mem_port is not None:
+            # Clustered uncore: cluster-bus claims, NUMA penalty and the home
+            # LLC slice replace the fixed memory round trip (mem_path counts
+            # memory.reads itself, LLC misses only).
+            return float(c.l2_latency + c.l3_latency) \
+                + self._mem_port.mem_path(now, line)
+        self.memory.reads += 1
+        beyond_l1 = float(c.l2_latency + c.l3_latency + c.memory_latency)
+        if self.uncore is not None:
+            # Shared-uncore arbitration: concurrent misses from other cores
+            # stretch this one's memory round trip.
+            beyond_l1 += self.uncore.acquire(now, 1)
+        return beyond_l1
 
     def _fill_level(self, cache: Cache, line: int, next_cache: Optional[Cache],
                     is_prefetch: bool = False) -> None:

@@ -28,10 +28,10 @@ import time
 from typing import Optional, Sequence
 
 from repro import obs
+from repro.harness.config import PTLSIM_CONFIG, add_cell_args, parse_overrides
 
 
 def _cmd_report(args) -> int:
-    from repro.harness.config import PTLSIM_CONFIG, parse_overrides
     from repro.trace import TraceKey, TraceStore, ensure_trace, replay_trace
 
     overrides = parse_overrides(args.overrides)
@@ -177,16 +177,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     p_report = sub.add_parser(
         "report", help="phase/counter breakdown of one recorded replay")
-    p_report.add_argument("--workload", default="CG", help="NAS kernel name")
-    p_report.add_argument("--mode", default="hybrid",
-                          help="system mode (hybrid/.../cache)")
-    p_report.add_argument("--scale", default="small", help="tiny/small/medium")
-    p_report.add_argument("--set", dest="overrides", action="append",
-                          default=[], metavar="KEY=VALUE",
-                          help="machine-config override (dotted paths allowed)")
-    p_report.add_argument("--cache-dir", default=None,
-                          help="cache root (default $REPRO_CACHE_DIR or "
-                               ".repro-cache)")
+    add_cell_args(p_report)
     p_report.add_argument("--warm", action="store_true",
                           help="run one unrecorded replay first, so the "
                                "report shows only the steady-state cost of "

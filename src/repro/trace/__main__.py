@@ -25,7 +25,7 @@ import time
 from typing import Optional, Sequence
 
 from repro import obs
-from repro.harness.config import PTLSIM_CONFIG, parse_overrides
+from repro.harness.config import PTLSIM_CONFIG, add_cell_args, parse_overrides
 from repro.trace import (
     ReplayValidityError,
     TraceError,
@@ -37,19 +37,6 @@ from repro.trace import (
     execute_key,
     replay_trace,
 )
-
-
-def _add_cell_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--workload", default="CG", help="NAS kernel name")
-    parser.add_argument("--mode", default="hybrid",
-                        help="system mode (hybrid/hybrid-oracle/hybrid-naive/cache)")
-    parser.add_argument("--scale", default="small", help="tiny/small/medium")
-    parser.add_argument("--set", dest="overrides", action="append", default=[],
-                        metavar="KEY=VALUE",
-                        help="machine-config override (dotted paths allowed)")
-    parser.add_argument("--cache-dir", default=None,
-                        help="cache root holding the trace store "
-                             "(default $REPRO_CACHE_DIR or .repro-cache)")
 
 
 def _summary(label: str, result) -> str:
@@ -205,13 +192,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_capture = sub.add_parser("capture", help="record one cell's trace")
-    _add_cell_args(p_capture)
+    add_cell_args(p_capture)
     p_capture.add_argument("--force", action="store_true",
                            help="re-capture even if the trace exists")
     p_capture.set_defaults(func=_cmd_capture)
 
     p_replay = sub.add_parser("replay", help="re-time a captured trace")
-    _add_cell_args(p_replay)
+    add_cell_args(p_replay)
     p_replay.add_argument("--verify", action="store_true",
                           help="also run execution-driven and check identity")
     p_replay.add_argument("--timeline", dest="timeline_path", default=None,

@@ -202,33 +202,6 @@ def encode_deltas(values: Sequence[int]) -> bytes:
     return bytes(out)
 
 
-def decode_deltas(data: bytes, count: int, pos: int = 0) -> Tuple[List[int], int]:
-    """Inverse of :func:`encode_deltas`: ``(values, next_pos)``."""
-    values = []
-    append = values.append
-    prev = 0
-    end = len(data)
-    try:
-        for _ in range(count):
-            zz = 0
-            shift = 0
-            while True:
-                if pos >= end:
-                    raise TraceError("truncated varint stream")
-                byte = data[pos]
-                pos += 1
-                zz |= (byte & 0x7F) << shift
-                if byte < 0x80:
-                    break
-                shift += 7
-            delta = (zz >> 1) if not (zz & 1) else -((zz + 1) >> 1)
-            prev += delta
-            append(prev)
-    except IndexError:  # pragma: no cover - defensive, end check raises first
-        raise TraceError("truncated varint stream") from None
-    return values, pos
-
-
 def encode_uvarints(values: Sequence[int]) -> bytes:
     """LEB128-encode a sequence of non-negative integers."""
     out = bytearray()
@@ -241,38 +214,14 @@ def encode_uvarints(values: Sequence[int]) -> bytes:
     return bytes(out)
 
 
-def decode_uvarints(data: bytes, count: int, pos: int = 0) -> Tuple[List[int], int]:
-    """Inverse of :func:`encode_uvarints`: ``(values, next_pos)``."""
-    values = []
-    append = values.append
-    end = len(data)
-    for _ in range(count):
-        value = 0
-        shift = 0
-        while True:
-            if pos >= end:
-                raise TraceError("truncated varint stream")
-            byte = data[pos]
-            pos += 1
-            value |= (byte & 0x7F) << shift
-            if byte < 0x80:
-                break
-            shift += 7
-        append(value)
-    return values, pos
-
-
 class _VarintColumn:
-    """Vectorised LEB128 scanner over one section payload.
+    """Vectorised LEB128 decoder over one section payload.
 
-    The scalar decoders above walk one byte at a time in Python; for
-    sections holding hundreds of thousands of varints that loop dominates
-    parse time.  This scanner finds every value terminator (high bit clear)
-    in one pass, then assembles any contiguous run of varints with numpy
-    array ops.  ``take`` mirrors the scalar decoders exactly — including the
-    truncation errors — and returns ``None`` when a value in the run is
-    wider than nine bytes (shift past 63 bits), which the callers handle by
-    falling back to the scalar decoder for that run.
+    Finds every value terminator (high bit clear) in one pass, then
+    assembles any contiguous run of varints with numpy array ops.  The
+    widest value the writer produces is the zig-zag delta of two u64s, 65
+    bits in ten bytes; ``take`` returns bit 64 beside the low 64 bits and
+    raises :class:`TraceError` on a wider value, as on truncation.
     """
 
     __slots__ = ("_bytes", "_ends")
@@ -284,12 +233,12 @@ class _VarintColumn:
     def take(self, pos: int, count: int):
         """Decode ``count`` varints starting at byte ``pos``.
 
-        Returns ``(zigzag_values_u64, next_pos)``, or ``None`` when a value
-        is too wide for the vectorised path.  Raises :class:`TraceError` on
-        truncation, like the scalar decoders.
+        Returns ``(low, high, next_pos)``: each value's low 64 bits as u64,
+        and its bit 64 as a u64 0/1 array — None when no value is ten bytes
+        long.
         """
         if count == 0:
-            return np.empty(0, dtype=np.uint64), pos
+            return np.empty(0, dtype=np.uint64), None, pos
         first = int(np.searchsorted(self._ends, pos))
         if first + count > self._ends.size:
             raise TraceError("truncated varint stream")
@@ -300,9 +249,15 @@ class _VarintColumn:
         if count > 1:
             starts[1:] = ends[:-1] + 1
         widths = ends - starts + 1
-        if int(widths.max()) > 9:
-            return None
         seg = self._bytes[pos:next_pos].astype(np.uint64)
+        high = None
+        if int(widths.max()) > 9:
+            # The tenth byte holds bits 63-69: only 63 and 64 can be set.
+            tenth = seg[ends - pos]
+            tenth[widths != 10] = 0
+            if int(widths.max()) > 10 or int(tenth.max()) > 3:
+                raise TraceError("varint wider than 65 bits")
+            high = tenth >> np.uint64(1)
         rel = starts - pos
         # Byte offset of each byte within its own value -> varint shift.
         offsets = (np.arange(seg.size, dtype=np.int64)
@@ -310,17 +265,21 @@ class _VarintColumn:
         parts = (seg & np.uint64(0x7F)) << (offsets.astype(np.uint64)
                                              * np.uint64(7))
         values = np.bitwise_or.reduceat(parts, rel)
-        return values, next_pos
+        return values, high, next_pos
 
 
-def _zigzag_cumsum(zz):
-    """Zig-zag decode a u64 array of deltas and accumulate (prev starts 0).
+def _zigzag_cumsum(zz, high=None):
+    """Zig-zag decode deltas and accumulate them (prev starts 0).
 
-    Arithmetic is mod 2**64, which matches the scalar decoder exactly for
-    every value that fits the u64/i64 columns the callers build.
+    ``zz`` holds each delta's low 64 bits, ``high`` its bit 64 (None: all
+    zero).  Arithmetic is mod 2**64, which is exact for every value that
+    fits the u64/i64 columns the callers build.
     """
     one = np.uint64(1)
-    deltas = np.where(zz & one, ~(zz >> one), zz >> one)
+    half = zz >> one
+    if high is not None:
+        half |= high << np.uint64(63)
+    deltas = np.where(zz & one, ~half, half)
     return np.cumsum(deltas, dtype=np.uint64)
 
 
@@ -562,12 +521,7 @@ class Trace:
 
     @staticmethod
     def _payload(data: bytes, pos: int, header) -> tuple:
-        """Column -> ndarray decode: no per-access Python loop.
-
-        Any stream holding a varint wider than the vectorised scanner
-        supports drops back to the scalar :func:`decode_deltas` for that
-        stream only.
-        """
+        """Column -> ndarray decode: no per-access Python loop."""
         streams_meta = header["v2"]["streams"]
         payloads, pos = Trace._sections(data, pos, header)
         stream_pcs = [s["pc"] for s in streams_meta]
@@ -585,13 +539,8 @@ class Trace:
             count = stream["n"]
             enc = stream["enc"]
             if enc == "delta":
-                got = column.take(mpos, count)
-                if got is None:
-                    values, mpos = decode_deltas(mem_payload, count, mpos)
-                    arr = np.array(values, dtype=np.uint64)
-                else:
-                    zz, mpos = got
-                    arr = _zigzag_cumsum(zz)
+                zz, high, mpos = column.take(mpos, count)
+                arr = _zigzag_cumsum(zz, high)
             elif enc == "raw":
                 chunk = mem_payload[mpos:mpos + 8 * count]
                 if len(chunk) != 8 * count:
@@ -609,12 +558,9 @@ class Trace:
         # to the k-th element of that stream's slice in the concatenation.
         if len(streams_meta) > 1:
             ids_payload = payloads.get("ids", b"")
-            got = _VarintColumn(ids_payload).take(0, mem_count)
-            if got is None:
-                values, ipos = decode_uvarints(ids_payload, mem_count)
-                ids = np.array(values, dtype=np.uint64)
-            else:
-                ids, ipos = got
+            ids, high, ipos = _VarintColumn(ids_payload).take(0, mem_count)
+            if high is not None:
+                raise TraceError("stream id out of range")
             if ipos != len(ids_payload):
                 raise TraceError("oversized ids section")
             ids = ids.astype(np.int64)
@@ -653,14 +599,8 @@ class Trace:
             dpos = 0
             cols = []
             for _ in range(3):
-                got = dma_column.take(dpos, per_col)
-                if got is None:
-                    values, dpos = decode_deltas(dma_payload, per_col, dpos)
-                    arr = np.array(values, dtype=np.int64)
-                else:
-                    zz, dpos = got
-                    arr = _zigzag_cumsum(zz).view(np.int64)
-                cols.append(arr)
+                zz, high, dpos = dma_column.take(dpos, per_col)
+                cols.append(_zigzag_cumsum(zz, high).view(np.int64))
             if dpos != len(dma_payload):
                 raise TraceError("oversized dma section")
             stacked = np.empty(dma_count, dtype=np.int64)

@@ -40,9 +40,11 @@ splits the work by *data dependence*:
   instruction as a one-byte selector.  Static latencies (``lm``, ``l1``)
   are written into the table per machine point, live ones come from
   ``mshr.request(line, now, beyond)``, mispredict redirects from the flag
-  stream, registers from a dense-int remap.  Only two *live* structures
-  remain in the loop: the MSHR file (merge/occupancy depends on real
-  clocks) and, multicore, the shared uncore arbiter.
+  stream, registers from a dense-int remap.  The live structures are the
+  MSHR file (merge/occupancy depends on real clocks), run inside the
+  kernel, and the ones the kernel stops for: the point system's DMA
+  controller and, multicore, the shared uncore.  The lane times those
+  events with the system's own methods, the ones execution calls.
 
 * **Epochs break only at contention-relevant events.**  Multicore lanes run
   free — whole slices of private work per resume — and yield to the global
@@ -79,11 +81,8 @@ import numpy as np
 from repro import obs
 from repro.cpu.branch_predictor import HybridBranchPredictor
 from repro.core.directory import CoherenceDirectory
-from repro.cpu.pipeline import (
-    CODE_BASE,
-    CODE_INSTR_SIZE,
-    OutOfOrderTimingModel,
-)
+from repro.cpu.core import LaneTiming
+from repro.cpu.pipeline import CODE_BASE, CODE_INSTR_SIZE
 from repro.harness.config import MachineConfig
 from repro.isa.program import WORD_SIZE
 from repro.lm.address_map import LMAddressMap
@@ -935,23 +934,26 @@ class _VectorLane:
     """One core's replay lane, as a resumable state machine.
 
     Holds the core's pass products — decoded stream, branch flags, oracle
-    routes, variant tables and prelowered selector — its fresh
-    :class:`~repro.cpu.pipeline.OutOfOrderTimingModel` and the
+    routes, variant tables and prelowered selector — and the
     resumable-lane contract of
     :func:`~repro.cpu.multicore.run_resumable_lanes`: the loop is a
     *generator* (:meth:`_loop`) whose locals survive across yields, so
     handing control between lanes costs one ``send``.  The issue/retire
     arithmetic runs in the compiled kernel :mod:`repro.trace._ckernel`;
     memory and branch outcomes come from the precomputed route/flag
-    streams.  The only live structures are the point system's MSHR file
-    and, multicore, the shared uncore behind ``uncore`` (this core's port;
-    None for a single-core run).  ``mem`` is the core's
+    streams.  Its events are timed by the point system's own code: DMA
+    transfers and syncs by the core's
+    :class:`~repro.lm.dma.DMAController`, a multicore demand miss that
+    reaches memory by the hierarchy's
+    :meth:`~repro.mem.hierarchy.MemoryHierarchy.memory_beyond_l1` on the
+    shared uncore behind ``uncore`` (this core's port; None for a
+    single-core run).  ``mem`` is the core's
     :class:`~repro.core.hybrid.HybridSystem`, whose counters :meth:`finish`
     installs.  Lanes yield to the scheduler only immediately before an
     uncore event — see the module docstring.
     """
 
-    __slots__ = ("order", "trace", "config", "timing", "fetch_time", "done",
+    __slots__ = ("order", "trace", "config", "fetch_time", "done",
                  "_mem", "_seq_pcs", "_fu_counts", "_phase_names", "_flags",
                  "_oracle", "_gen", "_state")
 
@@ -972,7 +974,6 @@ class _VectorLane:
         self._phase_names = phase_names
         self._flags = _cached_flags(trace, decoded, cold, config, hot,
                                     parent_hash=parent_hash)
-        self.timing = OutOfOrderTimingModel(config, hierarchy=mem.hierarchy)
         self.fetch_time = 0.0
         self.done = False
         multicore = uncore is not None
@@ -1007,8 +1008,9 @@ class _VectorLane:
         previous event with the result computed here, executes the epoch
         of uncore-free instructions that follows, and issues the next
         event.  This generator handles only that event — the epoch
-        yield-check and the DMA/uncore/dsync bookkeeping, which stays in
-        Python on the same shared state vectors — and passes its result
+        yield-check, the call that times it (the DMA controller's, or the
+        hierarchy's memory path) and a dma-get's presence stall, which the
+        kernel reads from the shared state vectors — and passes its result
         (a latency, or an uncore miss's latency beyond the L1) to the next
         call.  It reads the event's vkind and payload (DMA tag, halt
         latency) from the per-pc tables, through the same
@@ -1019,37 +1021,31 @@ class _VectorLane:
         mem = self._mem
         my_order = self.order
         oracle = self._oracle
-        timing = self.timing
-        fu_capacity = timing.fus._capacity
+        fu_capacity = config.fu_capacity()
 
-        c = mem.hierarchy.config
+        hierarchy = mem.hierarchy
+        c = hierarchy.config
         l1_lat = float(c.l1_latency)
-        b_l3 = float(c.l2_latency + c.l3_latency)
-        b_mem = float(c.l2_latency + c.l3_latency + c.memory_latency)
-        mshr = mem.hierarchy.mshr
+        mshr = hierarchy.mshr
+        # The system's own event timing; the C kernel stops at every
+        # instruction that needs it (a miss reaches the uncore only
+        # multicore).
+        memory_beyond_l1 = hierarchy.memory_beyond_l1
         if mem.use_lm:
             lm_lat = float(mem.lm.latency)
-            dma_setup = mem.dmac.setup_latency
-            dma_per_line = mem.dmac.per_line_latency
+            time_transfer = mem.dmac.time_transfer
+            dma_sync = mem.dmac.dma_sync
         else:
             lm_lat = 0.0
-            dma_setup = dma_per_line = 0
         pause = uncore is not None
-        uncore_acquire = uncore.acquire if pause else None
-        # Clustered uncore: the per-core port carries the hierarchical
-        # demand path (cluster bus + NUMA + home LLC slice) and the homed
-        # DMA path; None on the flat bus.  Both run here — the C kernel
-        # stops at every uncore-relevant instruction.
-        mem_path = getattr(uncore, "mem_path", None) if pause else None
-        dma_path = getattr(uncore, "dma_path", None) if pause else None
         dma_addrs = oracle.dma_addrs
 
         # -- shared state vectors (layout in _ckernel) and structure arrays --
         fs = np.zeros(_ckernel.FS_LEN)
         iv = np.zeros(_ckernel.IS_LEN, np.int64)
         reg_ready = np.zeros(vtab.n_regs)
-        rob_ring = np.zeros(timing.rob.size)
-        lsq_ring = np.zeros(timing.lsq.size)
+        rob_ring = np.zeros(config.rob_size)
+        lsq_ring = np.zeros(config.lsq_size)
         n_dir = oracle.n_dir
         present = np.ones(n_dir, np.uint8)
         ready_t = np.zeros(n_dir)
@@ -1084,17 +1080,17 @@ class _VectorLane:
             present.ctypes.data, ready_t.ctypes.data,
             mshr_ln.ctypes.data, mshr_tm.ctypes.data,
             phase_acc.ctypes.data, fu_caps.ctypes.data,
-            1.0 / config.fetch_width, 1.0 / timing.rob.commit_width,
+            1.0 / config.fetch_width, 1.0 / config.commit_width,
             float(config.mispredict_penalty),
             l1_lat, lm_lat,
-            float(c.l2_latency), float(c.l2_latency + c.l3_latency), b_mem,
-            config.issue_width, timing.rob.size, timing.lsq.size,
+            float(c.l2_latency), float(c.l2_latency + c.l3_latency),
+            float(c.l2_latency + c.l3_latency + c.memory_latency),
+            config.issue_width, config.rob_size, config.lsq_size,
             mshr.num_entries, len(fu_capacity), 1 if pause else 0, n)
         if not ptr:
             raise MemoryError("vector kernel context allocation failed")
         handle = _ckernel.CtxHandle(kern, ptr)
 
-        outstanding: dict = {}
         ni = gei = 0
         run = kern.run
         # Python-float views of the state vectors: the event's issue time,
@@ -1131,28 +1127,12 @@ class _VectorLane:
                 now = fs_v[i_now]
                 if vk <= 6:         # route-5 load/store (multicore only)
                     b_mem_miss += 1
-                    if mem_path is not None:
-                        result = b_l3 + mem_path(now, iv_v[i_line])
-                    else:
-                        result = b_mem + uncore_acquire(now, 1)
+                    result = memory_beyond_l1(now, iv_v[i_line])
                 elif vk <= 9:       # dma-get / dma-put issue
                     b_dma += 1
-                    nlines = dma_nlines[ni]
-                    if dma_path is not None:
-                        queue = dma_path(now, nlines, dma_addrs[ni])
-                    elif pause:
-                        queue = uncore_acquire(now, nlines)
-                    else:
-                        queue = 0.0
+                    completion_d = time_transfer(now, dma_nlines[ni],
+                                                 dma_addrs[ni], events[pc])
                     ni += 1
-                    completion_d = now + queue + float(
-                        dma_setup + nlines * dma_per_line)
-                    tag = events[pc]
-                    lst = outstanding.get(tag)
-                    if lst is None:
-                        outstanding[tag] = [completion_d]
-                    else:
-                        lst.append(completion_d)
                     if vk == 8:
                         e = dget_entries[gei]
                         gei += 1
@@ -1160,29 +1140,9 @@ class _VectorLane:
                             present[e] = 0
                             ready_t[e] = completion_d
                     result = 1.0
-                elif vk == 11:      # dma-sync (DMAController.dma_sync)
+                elif vk == 11:      # dma-sync
                     b_dsync += 1
-                    tag = events[pc]
-                    if tag is None:
-                        pending = [x for lst in outstanding.values()
-                                   for x in lst]
-                    else:
-                        lst = outstanding.get(tag)
-                        pending = lst if lst else None
-                    if pending:
-                        finish_t = max(pending)
-                        wait_until = finish_t if finish_t > now else now
-                        for k in list(outstanding):
-                            kept = [x for x in outstanding[k]
-                                    if x > wait_until]
-                            if kept:
-                                outstanding[k] = kept
-                            else:
-                                del outstanding[k]
-                        stall = finish_t - now
-                        result = 1.0 + stall if stall > 0.0 else 1.0
-                    else:
-                        result = 1.0
+                    result = 1.0 + dma_sync(events[pc], now)
                 elif vk == 10:      # set-bufsize
                     b_setbuf += 1
                     result = 1.0
@@ -1207,49 +1167,38 @@ class _VectorLane:
         self.fetch_time = float(fs[0])
         self._state = (fs.tolist(), int(iv[7]), phase_acc.tolist())
 
-    def finish(self) -> OutOfOrderTimingModel:
-        """Install the accumulated timing state, the branch flags' predictor
-        and BTB counters, the out-of-band instruction-fetch activity (see
+    def finish(self) -> LaneTiming:
+        """Install the out-of-band instruction-fetch activity (see
         :func:`~repro.trace.replay._l1i_stats`) and the oracle's activity
-        counters into the live timing model and memory system, so they
-        report exactly what execution-driven simulation would, and return
-        the timing model.  Shared memory/bus counters are *not* written
-        here — the caller applies them once via :func:`_apply_shared` (they
-        are shared objects in multicore).  Call once, after ``done``.
+        counters into the live memory system, so it reports exactly what
+        execution-driven simulation would, and return the lane's timing
+        record, with the branch counts of the flags pass.  Shared
+        memory/bus counters are *not* written here — the caller applies
+        them once via :func:`_apply_shared` (they are shared objects in
+        multicore).  Call once, after ``done``.
         """
         fs, presence_stalls, phase_acc = self._state
-        (fetch_time, last_commit, rob_bw, rob_stalls, lsq_stalls, contended,
-         total_lat, hier_lat) = fs[:8]
-        timing = self.timing
+        (_, last_commit, _, rob_stalls, lsq_stalls, contended, total_lat,
+         hier_lat) = fs[:8]
         system = self._mem
         hierarchy = system.hierarchy
         oracle = self._oracle
         hierarchy.l1i.stats, hierarchy.icache_accesses = _l1i_stats(
             self.trace, self._seq_pcs, self.config, hierarchy.config)
-        timing.fetch_time = fetch_time
-        timing.committed = len(self._seq_pcs)
-        timing.last_commit_time = last_commit
-        timing.fu_op_counts.update(self._fu_counts)
+        flags = self._flags
         # Commit deltas are strictly positive, so a phase accumulated exactly
         # 0.0 iff no instruction of that phase retired — execution's
         # accumulator would not report it either.
-        for name, cycles in zip(self._phase_names, phase_acc):
-            if cycles != 0.0:
-                timing.phase_cycles[name] = cycles
-        timing.rob._last_commit_time = last_commit
-        timing.rob._commit_bandwidth_time = rob_bw
-        timing.rob.dispatch_stalls = rob_stalls
-        timing.lsq.occupancy_stalls = lsq_stalls
-        timing.lsq.memory_ops = len(oracle.routes)
-        timing.lsq.collapsed_stores = oracle.collapsed
-        timing.fus.contended_cycles = contended
-        flags = self._flags
-        timing.mispredictions = flags[2]
-        predictor = timing.predictor
-        predictor.predictions = flags[1]
-        predictor.mispredictions = flags[2]
-        predictor.btb.hits = flags[3]
-        predictor.btb.misses = flags[4]
+        timing = LaneTiming(
+            cycles=last_commit, committed=len(self._seq_pcs),
+            phase_cycles={name: cycles for name, cycles
+                          in zip(self._phase_names, phase_acc)
+                          if cycles != 0.0},
+            mispredictions=flags[2], branch_predictions=flags[1],
+            fu_op_counts=dict(self._fu_counts),
+            fu_contended_cycles=contended, rob_dispatch_stalls=rob_stalls,
+            lsq_occupancy_stalls=lsq_stalls,
+            lsq_collapsed_stores=oracle.collapsed)
 
         patch = oracle.patch
         system.loads = patch["loads"]

@@ -116,14 +116,6 @@ def test_flush_reports_dirty_lines():
     assert c.resident_lines == 0
 
 
-def test_hit_ratio_property():
-    c = make_cache()
-    c.fill(0x0)
-    c.access(0x0, False)
-    c.access(0x1000, False)
-    assert c.stats.hit_ratio == pytest.approx(0.5)
-
-
 @pytest.mark.parametrize("write_back", [False, True])
 @pytest.mark.parametrize("invalidate", [False, True])
 def test_snoop_batch_matches_per_line_calls(write_back, invalidate):

@@ -1,7 +1,9 @@
 """Tests of the branch predictor and of the ROB, LSQ and functional-unit
-models as the execution lane runs them (tiny programs on one core)."""
+models as the execution lane runs them (tiny programs on one core), read
+through its timing record and its accessors."""
 
 import random
+import time
 
 import pytest
 
@@ -14,7 +16,6 @@ from repro.cpu.branch_predictor import (
 )
 from repro.cpu.config import CoreConfig
 from repro.cpu.executor import ExecutionLane
-from repro.cpu.rob import ReorderBuffer
 from repro.isa.builder import ProgramBuilder
 from repro.isa.instructions import ALU_LATENCY, Opcode
 from repro.mem.hierarchy import MemoryHierarchyConfig
@@ -28,14 +29,18 @@ SM_BASE = 0x10_0000
 
 
 def run_lane(program, config=None, system=None):
-    """Run ``program`` on one core; returns the finished timing model and
-    the system."""
+    """Run ``program`` on one core; returns the lane's timing record, the
+    system and the finished lane."""
     system = system or HybridSystem(memory_config=SMALL_MEM,
                                     lm_size=8 * 1024)
     lane = ExecutionLane(program, system, config or CoreConfig())
     lane.run_until(float("inf"), 0)
     assert lane.done
-    return lane.finish(), system
+    return lane.finish(), system, lane
+
+
+def ipc(timing):
+    return timing.committed / timing.cycles
 
 
 def independent_lis(n):
@@ -134,7 +139,7 @@ def test_ras_depth_bounded():
 def test_rob_in_order_commit_and_bandwidth():
     # Commit bandwidth: 400 independent instructions at two commits per
     # cycle take at least 200 cycles.
-    timing, _ = run_lane(independent_lis(400), CoreConfig(commit_width=2))
+    timing, _, _ = run_lane(independent_lis(400), CoreConfig(commit_width=2))
     assert timing.cycles >= 200.0
     # In-order commit: nothing commits before the divide at its head.
     b = ProgramBuilder()
@@ -143,8 +148,8 @@ def test_rob_in_order_commit_and_bandwidth():
     for i in range(8):
         b.li(f"r{i}", i)
     b.halt()
-    timing, _ = run_lane(b.finish())
-    assert timing.reg_ready["r0"] < ALU_LATENCY[Opcode.DIV]
+    timing, _, lane = run_lane(b.finish())
+    assert lane.ready_times["r0"] < ALU_LATENCY[Opcode.DIV]
     assert timing.cycles >= ALU_LATENCY[Opcode.DIV]
 
 
@@ -154,15 +159,55 @@ def test_rob_dispatch_blocks_when_full():
         for i in range(16):
             b.li(f"r{i}", i)
     program = miss_then(rest)
-    small, _ = run_lane(program, CoreConfig(rob_size=4))
-    large, _ = run_lane(program)
-    assert small.rob.dispatch_stalls > 0
-    assert large.rob.dispatch_stalls == 0
+    small, _, _ = run_lane(program, CoreConfig(rob_size=4))
+    large, _, _ = run_lane(program)
+    assert small.rob_dispatch_stalls > 0
+    assert large.rob_dispatch_stalls == 0
 
 
 def test_rob_rejects_invalid_size():
-    with pytest.raises(ValueError):
-        ReorderBuffer(size=0)
+    with pytest.raises(ValueError, match="rob_size"):
+        CoreConfig(rob_size=0)
+
+
+#: The core's counts: each must be at least 1.
+CORE_COUNTS = ("fetch_width", "issue_width", "commit_width", "rob_size",
+               "lsq_size", "int_alus", "fp_alus", "load_store_units")
+
+
+@pytest.mark.parametrize("field", CORE_COUNTS)
+def test_core_config_rejects_zero_counts(field):
+    """A zero count would hang or crash both engines; it is refused when
+    the config is built, directly or through a machine override, before
+    anything runs."""
+    from repro.harness.config import PTLSIM_CONFIG
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=field):
+        CoreConfig(**{field: 0})
+    with pytest.raises(ValueError, match=field):
+        PTLSIM_CONFIG.with_overrides({f"core.{field}": 0})
+    assert time.perf_counter() - start < 1.0
+
+
+def test_core_config_lists_every_bad_count():
+    with pytest.raises(ValueError) as err:
+        CoreConfig(issue_width=0, lsq_size=-1, fp_alus="2")
+    assert all(name in str(err.value)
+               for name in ("issue_width=0", "lsq_size=-1", "fp_alus='2'"))
+
+
+def test_one_of_everything_runs_and_replays_identically():
+    """The narrowest machine the check accepts runs CG tiny, and its replay
+    equals its execution."""
+    from repro.harness.config import PTLSIM_CONFIG
+    from repro.trace import capture_workload, replay_trace
+    machine = PTLSIM_CONFIG.with_overrides(
+        {"num_cores": 2, **{f"core.{name}": 1 for name in CORE_COUNTS}})
+    executed, trace = capture_workload("CG", "hybrid", "tiny",
+                                       machine=machine)
+    replayed = replay_trace(trace, machine)
+    assert executed.cycles > 0
+    assert replayed.to_record().as_dict() == executed.to_record().as_dict()
 
 
 # ------------------------------------------------------------------------------- LSQ
@@ -173,11 +218,11 @@ def test_lsq_occupancy_limits_dispatch():
         b.ld(f"x{i}", "p", offset=64 * i)   # eight misses in flight
     b.halt()
     program = b.finish()
-    small, _ = run_lane(program, CoreConfig(lsq_size=2))
-    large, _ = run_lane(program)
-    assert small.lsq.occupancy_stalls > 0
-    assert large.lsq.occupancy_stalls == 0
-    assert small.lsq.memory_ops == 8
+    small, system, _ = run_lane(program, CoreConfig(lsq_size=2))
+    large, _, _ = run_lane(program)
+    assert small.lsq_occupancy_stalls > 0
+    assert large.lsq_occupancy_stalls == 0
+    assert system.mem_ops == 8
 
 
 def test_lsq_counts_collapsed_stores():
@@ -192,20 +237,20 @@ def test_lsq_counts_collapsed_stores():
     b.gst("v", "p")
     b.st("v", "p", collapse_with_prev=True)
     b.halt()
-    timing, system = run_lane(b.finish(), system=system)
-    assert timing.lsq.collapsed_stores == 1
-    assert timing.lsq.memory_ops == 2
+    timing, system, _ = run_lane(b.finish(), system=system)
+    assert timing.lsq_collapsed_stores == 1
+    assert system.mem_ops == 2
     assert system.collapsed_stores == 1
     assert system.read_sm_word(SM_BASE) == 1.5
 
 
 # ------------------------------------------------------------------- functional units
 def test_fu_pool_limits_throughput_per_cycle():
-    one, _ = run_lane(independent_lis(400), CoreConfig(int_alus=1))
-    two, _ = run_lane(independent_lis(400), CoreConfig(int_alus=2))
-    assert one.ipc <= 1.0 + 1e-9
-    assert one.fus.contended_cycles > 0
-    assert 1.5 < two.ipc <= 2.0 + 1e-9
+    one, _, _ = run_lane(independent_lis(400), CoreConfig(int_alus=1))
+    two, _, _ = run_lane(independent_lis(400), CoreConfig(int_alus=2))
+    assert ipc(one) <= 1.0 + 1e-9
+    assert one.fu_contended_cycles > 0
+    assert 1.5 < ipc(two) <= 2.0 + 1e-9
 
 
 def test_fu_pool_does_not_let_stalled_ops_block_early_ones():
@@ -214,9 +259,9 @@ def test_fu_pool_does_not_let_stalled_ops_block_early_ones():
     def rest(b):
         b.add("y", "x", imm=1)
         b.add("z", "p", imm=1)
-    timing, _ = run_lane(miss_then(rest), CoreConfig(int_alus=1))
-    assert timing.reg_ready["y"] > 100.0
-    assert timing.reg_ready["z"] < 10.0
+    _, _, lane = run_lane(miss_then(rest), CoreConfig(int_alus=1))
+    assert lane.ready_times["y"] > 100.0
+    assert lane.ready_times["z"] < 10.0
 
 
 def test_fu_pool_unpipelined_divider_blocks_unit():
@@ -225,10 +270,10 @@ def test_fu_pool_unpipelined_divider_blocks_unit():
     b.alu(Opcode.DIV, "q", "a", imm=3)
     b.add("s", "a", imm=1)              # independent, but the ALU is busy
     b.halt()
-    timing, _ = run_lane(b.finish(), CoreConfig(int_alus=1))
-    div_start = timing.reg_ready["q"] - ALU_LATENCY[Opcode.DIV]
-    assert timing.reg_ready["s"] >= div_start + ALU_LATENCY[Opcode.DIV]
-    assert timing.fus.contended_cycles > 0
+    timing, _, lane = run_lane(b.finish(), CoreConfig(int_alus=1))
+    div_start = lane.ready_times["q"] - ALU_LATENCY[Opcode.DIV]
+    assert lane.ready_times["s"] >= div_start + ALU_LATENCY[Opcode.DIV]
+    assert timing.fu_contended_cycles > 0
 
 
 def test_fu_pool_prune_keeps_future_reservations(monkeypatch):
@@ -248,13 +293,13 @@ def test_fu_pool_prune_keeps_future_reservations(monkeypatch):
         b.halt()
         return b.finish()
 
-    def summary(timing, system):
-        return (timing.cycles, timing.fus.contended_cycles,
-                timing.rob.dispatch_stalls, timing.lsq.occupancy_stalls,
+    def summary(timing, system, _lane):
+        return (timing.cycles, timing.fu_contended_cycles,
+                timing.rob_dispatch_stalls, timing.lsq_occupancy_stalls,
                 dict(timing.phase_cycles), system.stats_summary())
 
     pruned = run_lane(loop())
     monkeypatch.setattr(executor, "_PRUNE_EVERY", 10 ** 9)
     unpruned = run_lane(loop())
-    assert len(pruned[0]._issue_slots) < len(unpruned[0]._issue_slots)
+    assert pruned[2].issue_slot_cycles < unpruned[2].issue_slot_cycles
     assert summary(*pruned) == summary(*unpruned)

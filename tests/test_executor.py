@@ -79,12 +79,14 @@ def test_loop_branching_and_counting():
     b.add("r_i", "r_i", imm=1)
     b.blt("r_i", "r_n", "loop")
     b.halt()
-    lane, _, _ = run_program(b)
+    program = b.finish()
+    program.assign_addresses()
+    lane, timing = run_lane(program, make_system())
     assert lane.registers["r_sum"] == sum(range(10))
     # Halted: 3 set-up instructions, 10 trips of the 3-instruction loop
     # body, then the HALT itself retired.
     assert lane.done
-    assert lane.timing.committed == 3 + 10 * 3 + 1
+    assert timing.committed == 3 + 10 * 3 + 1
 
 
 def test_memory_round_trip_through_system():
@@ -179,7 +181,7 @@ def test_inline_lm_accesses_equal_memory_system_calls(monkeypatch):
         system = make_system()
         program = _lm_and_double_store_program(system.lm_virtual_base)
         lane, timing = run_lane(program, system)
-        return (timing.cycles, timing.lsq.collapsed_stores,
+        return (timing.cycles, timing.lsq_collapsed_stores,
                 dict(timing.phase_cycles), lane.registers,
                 system.stats_summary(), list(system.lm._words[:8]))
 

@@ -625,6 +625,21 @@ def test_corrupted_interleave_raises_trace_error():
         Trace.from_bytes(bytes(data))
 
 
+def test_varint_column_decodes_65_bits_and_rejects_wider():
+    """The writer's widest varint is a 65-bit zig-zag delta in ten bytes:
+    it decodes, and anything wider is a TraceError, not a misread."""
+    from repro.trace.format import _VarintColumn, _zigzag_cumsum, encode_deltas
+    values = [(1 << 64) - 1, 0, 1 << 63, 5]      # deltas up to +-(2**64 - 1)
+    payload = encode_deltas(values)
+    low, high, end = _VarintColumn(payload).take(0, len(values))
+    assert end == len(payload) and high is not None
+    assert _zigzag_cumsum(low, high).tolist() == values
+    for wider in (b"\xff" * 9 + b"\x04",      # bit 65 set
+                  b"\x80" * 10 + b"\x00"):    # eleven bytes
+        with pytest.raises(TraceError):
+            _VarintColumn(wider).take(0, 1)
+
+
 def test_v2_write_rejects_ragged_dma_words():
     """Regression: a dma_words length that is not a multiple of 3 used to
     serialise fine and only fail at read time (a permanently unparseable
@@ -677,18 +692,19 @@ def test_negative_stream_pc_reads_as_store_miss(tmp_path):
 
 def test_trace_bytes_roundtrip_randomized(monkeypatch):
     """Random traces round-trip exactly through the columnar encoding:
-    interleaved multi-PC streams, raw-encoded irregular streams, deltas too
-    wide for the vectorised varint scanner (the per-stream
-    ``decode_deltas`` fallback) and signed DMA operands."""
+    interleaved multi-PC streams, raw-encoded irregular streams, 65-bit
+    deltas (ten-byte varints) and signed DMA operands."""
     import repro.trace.format as format_mod
-    fallbacks = []
-    real_decode = format_mod.decode_deltas
+    wide = []
+    real_take = format_mod._VarintColumn.take
 
-    def counting_decode(data, count, pos=0):
-        fallbacks.append(count)
-        return real_decode(data, count, pos)
+    def counting_take(self, pos, count):
+        low, high, next_pos = real_take(self, pos, count)
+        if high is not None:
+            wide.append(count)
+        return low, high, next_pos
 
-    monkeypatch.setattr(format_mod, "decode_deltas", counting_decode)
+    monkeypatch.setattr(format_mod._VarintColumn, "take", counting_take)
     rng = random.Random(1)
     encodings, multi_stream = set(), 0
     for _ in range(40):
@@ -727,7 +743,7 @@ def test_trace_bytes_roundtrip_randomized(monkeypatch):
         assert list(again.dma_words) == list(dma_words)
         assert again.to_bytes() == data
     assert encodings == {"delta", "raw"} and multi_stream
-    assert fallbacks, "no stream reached the decode_deltas fallback"
+    assert wide, "no ten-byte varint was decoded"
 
 
 def test_trace_store_get_memoizes_parse(tmp_path):
